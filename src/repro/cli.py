@@ -10,7 +10,7 @@ over XML files and store directories:
 - ``serve``     run the network front door over per-tenant stores
   (NDJSON protocol, admission control, graceful SIGTERM drain)
 - ``store ...`` manage a durable document store:
-  ``store create / add / edit / applylog / lookup / list / show /
+  ``store create / add / edit / lookup / list / show /
   stats / verify / duplicates / soak``
 
 ``store --serve-threads N`` opens the store in concurrent serving mode
@@ -27,7 +27,6 @@ Examples::
     python -m repro store --dir ./mystore create --backend segment
     python -m repro store --dir ./mystore add 1 doc.xml
     python -m repro store --dir ./mystore edit 1 edits.log
-    python -m repro store --dir ./mystore applylog 1 edits.log --engine batch --jobs 4
     python -m repro store --dir ./mystore lookup query.xml --tau 0.4
     python -m repro store --dir ./mystore stats --metrics
     python -m repro store --dir ./mystore soak --threads 8 --duration 60
@@ -240,33 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     edit_parser.add_argument("doc_id", type=int)
     edit_parser.add_argument("log_file")
-
-    applylog_parser = store_commands.add_parser(
-        "applylog",
-        help="apply an edit-log file with an explicit maintenance engine",
-    )
-    applylog_parser.add_argument("doc_id", type=int)
-    applylog_parser.add_argument("log_file")
-    applylog_parser.add_argument(
-        "--engine",
-        choices=("replay", "batch"),
-        default="batch",
-        help="maintenance engine (default batch: log compaction + "
-        "commuting-op groups; results are bit-identical to replay)",
-    )
-    applylog_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan per-group delta bags out over N worker processes "
-        "(batch engine only)",
-    )
-    applylog_parser.add_argument(
-        "--no-compact",
-        action="store_true",
-        help="skip the redundant-operation log compaction",
-    )
 
     lookup_parser = store_commands.add_parser(
         "lookup", help="approximate lookup of an XML query"
@@ -658,22 +630,6 @@ def _run_store_command(
         print(
             f"applied {len(operations)} operation(s) to document "
             f"{arguments.doc_id}; index maintained incrementally"
-        )
-    elif arguments.store_command == "applylog":
-        with open(arguments.log_file, "r", encoding="utf-8") as handle:
-            operations = parse_operations(handle.read())
-        store.apply_edits(
-            arguments.doc_id,
-            operations,
-            engine=arguments.engine,
-            jobs=arguments.jobs,
-            compact=False if arguments.no_compact else None,
-        )
-        print(
-            f"applied {len(operations)} operation(s) to document "
-            f"{arguments.doc_id} (engine={arguments.engine}"
-            + (f", jobs={arguments.jobs}" if arguments.jobs else "")
-            + ")"
         )
     elif arguments.store_command == "stats":
         for key, value in store.stats().items():

@@ -87,7 +87,7 @@ class WriteCoalescer:
         """Enqueue one batch; returns once it is durable (or failed).
 
         Raises the batch's own validation/apply error, exactly like a
-        direct ``apply_edits`` call would.
+        synchronous-mode ``apply_edits`` call does.
         """
         pending = PendingBatch(document_id, operations)
         with self._mutex:

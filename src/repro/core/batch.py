@@ -201,6 +201,8 @@ def _next_group(
     """The longest region-disjoint prefix of ``backward[start:]`` on the
     current version; always at least one operation."""
     group = [backward[start]]
+    if start + 1 == len(backward):
+        return group  # no successor to group with: skip the region walk
     claimed = operation_region(tree, backward[start], p)
     if claimed is None:
         # Region not computable: evaluate the operation alone — a truly
@@ -255,11 +257,12 @@ def update_index_batch_timed(
     """
     config = old_index.config
     timings = BatchTimings(log_size=len(log))
-    if compact:
+    if compact and len(log) > 1:
         started = time.perf_counter()
         backward = list(reversed(compact_inverse_log(tree, log)))
         timings.compact = time.perf_counter() - started
     else:
+        # Both reductions cancel pairs: a shorter log has nothing to compact.
         backward = list(reversed(list(log)))
     timings.compacted_size = len(backward)
 

@@ -6,7 +6,7 @@ lives in a pluggable :class:`~repro.backend.base.ForestBackend` —
 plain dicts, an array snapshot with a delta overlay, or a
 hash-partitioned shard fan-out — and this class owns everything the
 backends deliberately know nothing about: the gram configuration, the
-shared label hasher, index construction, the maintenance engines, and
+shared label hasher, index construction, incremental maintenance, and
 the τ-aware distance arithmetic over the backend's candidate sweep.
 """
 
@@ -31,8 +31,8 @@ from repro.compress.dedup import DedupTable
 from repro.concurrency.rwlock import ReadWriteLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
+from repro.core.batch import update_index_batch_timed
 from repro.core.index import PQGramIndex
-from repro.core.maintain import update_index_replay_delta
 from repro.edits.ops import EditOperation
 from repro.errors import StorageError
 from repro.hashing.labelhash import LabelHasher
@@ -129,14 +129,9 @@ class ForestIndex:
             "tree adds served an already-built shared bag by the "
             "structural dedup table",
         )
-        self._m_maintain_batches = {
-            engine: registry.counter(
-                "maintain_batches_total",
-                "incremental maintenance calls per engine",
-                engine=engine,
-            )
-            for engine in ("replay", "batch")
-        }
+        self._m_maintain_batches = registry.counter(
+            "maintain_batches_total", "incremental maintenance calls"
+        )
         self._m_maintain_ops = registry.counter(
             "maintain_ops_total",
             "edit operations consumed by maintenance calls (pre-compaction)",
@@ -145,14 +140,10 @@ class ForestIndex:
             "maintain_delta_keys_total",
             "distinct index keys in the net deltas handed to the backend",
         )
-        self._m_maintain_seconds = {
-            engine: registry.histogram(
-                "maintain_seconds",
-                "wall seconds per maintenance call (engine + backend apply)",
-                engine=engine,
-            )
-            for engine in ("replay", "batch")
-        }
+        self._m_maintain_seconds = registry.histogram(
+            "maintain_seconds",
+            "wall seconds per maintenance call (engine + backend apply)",
+        )
         self._m_batch_compacted_ops = registry.counter(
             "maintain_batch_compacted_ops_total",
             "operations left after batch-engine log compaction",
@@ -467,25 +458,18 @@ class ForestIndex:
         tree_id: int,
         tree: Tree,
         log: List[EditOperation],
-        engine: str = "replay",
-        compact: Optional[bool] = None,
-        jobs: Optional[int] = None,
+        engine: str = "batch",
     ) -> Tuple[Bag, Bag]:
         """Incrementally maintain one tree's index after edits.
 
         ``tree`` is the resulting document and ``log`` the inverse
         operations — the exact inputs of the paper's scenario (Fig. 1).
-        The net delta bags of the update are handed to the backend,
-        which touches only the O(|Δ|) keys whose multiplicity changed
-        rather than un-inverting and re-inverting the whole bag.
-        Returns the applied ``(minus, plus)`` net delta bags — the
-        Δ-keys consumers like the standing-query engine route on.
-
-        ``engine`` selects ``"replay"`` (default) or ``"batch"`` (the
-        batched engine: log compaction, commuting groups, optionally
-        ``jobs`` δ worker processes) — bit-identical results either
-        way.  ``compact`` overrides the engine's native log-compaction
-        default (off for replay, on for batch).
+        The batch engine (:mod:`repro.core.batch`: log compaction,
+        commuting groups, one fold) computes the net delta bags, and
+        the backend touches only the O(|Δ|) keys whose multiplicity
+        changed rather than un-inverting and re-inverting the whole
+        bag.  Returns the applied ``(minus, plus)`` net delta bags —
+        the Δ-keys consumers like the standing-query engine route on.
 
         Thread-safety: the delta is computed outside the structural
         lock (so concurrent maintenance of *different* trees overlaps
@@ -493,37 +477,27 @@ class ForestIndex:
         the *same* tree must be serialized by the caller — the document
         store's per-document FIFO write queue does exactly that.
         """
-        if engine not in ("replay", "batch"):
+        # Not a choice: benchmarks/e2e/traced.py, which is frozen,
+        # passes the literal keyword engine="batch".
+        if engine != "batch":
             raise ValueError(f"unknown maintenance engine {engine!r}")
         old_index = self.index_of(tree_id)
         with (
-            self.metrics.span(f"maintain.{engine}"),
-            self._m_maintain_seconds[engine].time(),
+            self.metrics.span("maintain.batch"),
+            self._m_maintain_seconds.time(),
         ):
-            if engine == "batch":
-                from repro.core.batch import update_index_batch_timed
-
-                _, minus, plus, timings = update_index_batch_timed(
-                    old_index,
-                    tree,
-                    log,
-                    self.hasher,
-                    compact=True if compact is None else compact,
-                    jobs=jobs,
-                )
-                if self.metrics.enabled:
-                    self._m_batch_compacted_ops.inc(timings.compacted_size)
-                    self._m_batch_groups.inc(timings.group_count)
-                    timings.record_into(self._m_batch_phase_seconds)
-            else:
-                _, minus, plus = update_index_replay_delta(
-                    old_index, tree, log, self.hasher, compact=bool(compact)
-                )
+            _, minus, plus, timings = update_index_batch_timed(
+                old_index, tree, log, self.hasher
+            )
+            if self.metrics.enabled:
+                self._m_batch_compacted_ops.inc(timings.compacted_size)
+                self._m_batch_groups.inc(timings.group_count)
+                timings.record_into(self._m_batch_phase_seconds)
             with self._write_scope():
                 self._backend.apply_tree_delta(tree_id, minus, plus)
                 self._record_structure(tree_id, tree)
                 self._bump_generation()
-        self._m_maintain_batches[engine].inc()
+        self._m_maintain_batches.inc()
         self._m_maintain_ops.inc(len(log))
         self._m_maintain_delta_keys.inc(len(minus) + len(plus))
         return minus, plus

@@ -216,24 +216,19 @@ class LookupService:
         tree_id: int,
         tree: Tree,
         log: List[EditOperation],
-        engine: str = "replay",
-        compact: Optional[bool] = None,
-        jobs: Optional[int] = None,
     ):
         """Incrementally maintain one forest tree through the service.
 
-        Thin pass-through to :meth:`ForestIndex.update_tree` (same
-        engine semantics) so embedders that only hold the service can
-        run maintenance; the forest invalidates its postings snapshot,
-        and the query cache needs no flushing — it is keyed by query
-        fingerprint, not by forest state.  Returns the applied
+        Thin pass-through to :meth:`ForestIndex.update_tree` so
+        embedders that only hold the service can run maintenance; the
+        forest invalidates its postings snapshot, and the query cache
+        needs no flushing — it is keyed by query fingerprint, not by
+        forest state.  Returns the applied
         ``(minus, plus)`` net delta bags, so embedders can route the
         Δ-keys onward (e.g. into a
         :class:`repro.stream.StandingQueryEngine`).
         """
-        return self.forest.update_tree(
-            tree_id, tree, log, engine=engine, compact=compact, jobs=jobs
-        )
+        return self.forest.update_tree(tree_id, tree, log)
 
     def hasher_stats(self) -> Dict[str, int]:
         """Memo statistics of the forest's shared label hasher."""

@@ -1,7 +1,7 @@
 """Lightweight nested tracing spans.
 
 A :class:`Tracer` records *where wall time went* inside one request —
-``lookup`` wrapping ``backend.sweep``, ``store.apply_edits`` wrapping
+``lookup`` wrapping ``backend.sweep``, ``store.apply_group`` wrapping
 ``maintain.batch`` — without any external collector: finished spans
 land in a bounded ring buffer that the metrics snapshot exposes.
 

@@ -42,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.edits.serialize import parse_operations
-from repro.errors import ProtocolError, ReproError, StorageError
+from repro.errors import ProtocolError, QueryError, ReproError, StorageError
 from repro.obsv.metrics import Histogram, MetricsRegistry, resolve_registry
 from repro.serve.admission import AdmissionController, AdmissionPolicy, Ticket
 from repro.serve.protocol import (
@@ -59,13 +59,18 @@ from repro.serve.protocol import (
     shed_frame,
 )
 from repro.service.store import DocumentStore
-from repro.stream.standing import Notification, plan_from_spec
+from repro.stream.standing import Notification, plan_from_spec, plan_to_spec
 from repro.tree.builder import tree_from_brackets, tree_to_brackets
 
 #: outbound frames queued per connection before *events* start dropping
 #: (replies never drop — a client with this many unread replies is
 #: broken and will be disconnected by TCP back-pressure eventually)
 EVENT_BUFFER = 256
+
+#: how long a drain waits for connection handlers to see their closed
+#: sockets before letting the loop stop anyway (a client that never
+#: reads can pin its sender in ``writer.drain()``)
+CLOSE_WAIT_SECONDS = 5.0
 
 
 def _noop_listener(event: Notification) -> None:
@@ -83,6 +88,8 @@ class _Connection:
             asyncio.Queue()
         )
         self.closed = False
+        #: the ``_on_connection`` task serving this connection
+        self.handler = asyncio.current_task()
         #: (tenant name, query id, keep) registered over this connection
         self.subscriptions: List[Tuple[str, str, bool]] = []
         self.events_dropped = 0
@@ -205,6 +212,13 @@ class FrontDoor:
         self._draining = False
         self._drained = False
         self._connections: "set[_Connection]" = set()
+        # Which connection a standing query's listener is bound to.  A
+        # reconnecting client can re-attach before the server has torn
+        # its dead connection down; the late teardown must then leave
+        # the subscription alone.  The mutex makes "check the owner,
+        # then (re)bind or detach" atomic across worker threads.
+        self._subscription_owner: Dict[Tuple[str, str], _Connection] = {}
+        self._subscription_mutex = threading.Lock()
         self._tasks: "set[asyncio.Task]" = set()
         self._verb_seconds: Dict[str, Histogram] = {}
         self._verbs: Dict[str, Callable[[_Tenant, Dict[str, object], _Connection], Dict[str, object]]] = {
@@ -306,8 +320,18 @@ class FrontDoor:
                 )
             assert self._loop is not None
             await self._loop.run_in_executor(None, self._close_stores)
-            for connection in list(self._connections):
+            connections = list(self._connections)
+            for connection in connections:
                 connection.close()
+            if connections:
+                # Closing the writer ends each handler's pending read
+                # with EOF.  Let the handlers finish: a task still
+                # parked in ``readline`` when the loop stops is
+                # cancelled by ``asyncio.run`` and logged as an error.
+                await asyncio.wait(
+                    [connection.handler for connection in connections],
+                    timeout=CLOSE_WAIT_SECONDS,
+                )
             self._pool.shutdown(wait=True)
             self._drained = True
         finally:
@@ -544,7 +568,22 @@ class FrontDoor:
                 except RuntimeError:
                     pass  # loop already closed (server stopping)
 
-        matches = tenant.store.subscribe(query_id, plan, listener)
+        store = tenant.store
+        with self._subscription_mutex:
+            if query_id in store.standing_query_ids():
+                # Re-attach: a ``keep`` subscription outlived the
+                # connection that registered it.  Same id, same plan
+                # re-binds the listener; the membership carries on.
+                if plan_to_spec(store.standing_plan(query_id)) != plan_to_spec(plan):
+                    raise QueryError(
+                        f"standing query {query_id!r} already exists "
+                        "with a different plan"
+                    )
+                store.attach_listener(query_id, listener)
+                matches = store.standing_matches(query_id)
+            else:
+                matches = store.subscribe(query_id, plan, listener)
+            self._subscription_owner[(tenant.name, query_id)] = connection
         connection.subscriptions.append((tenant.name, query_id, keep))
         return {
             "query_id": query_id,
@@ -553,7 +592,9 @@ class FrontDoor:
 
     def _verb_unsubscribe(self, tenant, request, connection) -> Dict[str, object]:
         query_id = str(self._field(request, "query_id"))
-        tenant.store.unsubscribe(query_id)
+        with self._subscription_mutex:
+            tenant.store.unsubscribe(query_id)
+            self._subscription_owner.pop((tenant.name, query_id), None)
         connection.subscriptions = [
             entry
             for entry in connection.subscriptions
@@ -583,23 +624,30 @@ class FrontDoor:
         assert self._loop is not None
         with contextlib.suppress(Exception):
             await self._loop.run_in_executor(
-                self._pool, self._detach_subscriptions, subscriptions
+                self._pool, self._detach_subscriptions, connection, subscriptions
             )
 
     def _detach_subscriptions(
-        self, subscriptions: List[Tuple[str, str, bool]]
+        self,
+        connection: _Connection,
+        subscriptions: List[Tuple[str, str, bool]],
     ) -> None:
         for tenant_name, query_id, keep in subscriptions:
             tenant = self._tenants.get(tenant_name)
             if tenant is None:
                 continue
-            try:
-                if keep:
-                    tenant.store.attach_listener(query_id, _noop_listener)
-                else:
-                    tenant.store.unsubscribe(query_id)
-            except (ReproError, RuntimeError, KeyError):
-                pass  # already unsubscribed, or the store is closing
+            with self._subscription_mutex:
+                key = (tenant_name, query_id)
+                if self._subscription_owner.get(key) is not connection:
+                    continue  # unsubscribed, or re-attached elsewhere
+                del self._subscription_owner[key]
+                try:
+                    if keep:
+                        tenant.store.attach_listener(query_id, _noop_listener)
+                    else:
+                        tenant.store.unsubscribe(query_id)
+                except (ReproError, RuntimeError, KeyError):
+                    pass  # already unsubscribed, or the store is closing
 
 
 class ServerHandle:

@@ -8,17 +8,18 @@ On-disk layout inside the store directory::
     wal.log      append-only text file of committed edit batches:
                  one BEGIN/ops/COMMIT block per batch
 
-Commit protocol for ``apply_edits``:
+Commit protocol for ``apply_edits`` (one write path: a synchronous
+call is a group commit of one, a serving-mode call joins whatever the
+appender thread drained with it):
 
-1. append the batch (document id + serialized operations) to the WAL
-   and fsync — the batch is now durable,
-2. apply the operations to the in-memory document,
-3. incrementally maintain the index through the store's configured
-   maintenance engine — ``"replay"`` (one δ/U sweep per logged
-   operation; exact for every valid log, including ``Move``) or
-   ``"batch"`` (log compaction + commuting-group partitioning +
-   single O(|Δ|) apply; bit-identical to replay, faster on long
-   logs) — with per-call overrides on ``apply_edits``,
+1. validate every batch of the group against a copy of its document —
+   a batch that does not apply fails alone and logs nothing,
+2. append the valid batches (document id + serialized operations) to
+   the WAL and fsync — they are now durable,
+3. publish the edited documents and incrementally maintain each index
+   through the batch engine (log compaction + commuting-group
+   partitioning + single O(|Δ|) apply; exact for every valid log,
+   including ``Move``),
 4. opportunistically checkpoint (write a fresh snapshot and truncate
    the WAL) every ``checkpoint_every`` batches.
 
@@ -83,8 +84,9 @@ class DocumentStore:
     one batched maintenance call per document), lookups run against
     immutable per-generation snapshots and never block on writers, and
     a background worker re-freezes the compact backend's CSR off the
-    serving threads.  With the default ``serve_threads=0`` the store
-    behaves exactly as before — single-threaded, synchronous.
+    serving threads.  With the default ``serve_threads=0`` the same
+    group commit runs synchronously on the caller's thread, one batch
+    per group.
     """
 
     def __init__(
@@ -92,20 +94,14 @@ class DocumentStore:
         directory: str,
         config: Optional[GramConfig] = None,
         checkpoint_every: int = 16,
-        engine: str = "replay",
-        jobs: Optional[int] = None,
         backend: Optional[str] = None,
         shards: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         serve_threads: int = 0,
         compress: Optional[bool] = None,
     ) -> None:
-        if engine not in ("replay", "batch"):
-            raise StorageError(f"unknown maintenance engine {engine!r}")
         self._directory = directory
         self._checkpoint_every = checkpoint_every
-        self._engine = engine
-        self._jobs = jobs
         self._serving = serve_threads > 0
         self._documents: Dict[int, Tree] = {}
         # Guards document membership, the WAL, and the checkpoint
@@ -273,11 +269,6 @@ class DocumentStore:
         return self._forest.hasher
 
     @property
-    def engine(self) -> str:
-        """The default maintenance engine of :meth:`apply_edits`."""
-        return self._engine
-
-    @property
     def backend_name(self) -> str:
         """Name of the forest storage backend
         (memory/compact/sharded/segment/rel)."""
@@ -353,69 +344,29 @@ class DocumentStore:
         self._dispatch_events(events)
 
     def apply_edits(
-        self,
-        document_id: int,
-        operations: Sequence[EditOperation],
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
-        compact: Optional[bool] = None,
+        self, document_id: int, operations: Sequence[EditOperation]
     ) -> None:
         """Durably apply an edit batch and maintain the index.
 
         The batch reaches the WAL (fsync'd) before any state changes;
-        a crash at any later point is recovered by replay.
-
-        ``engine`` (``"replay"`` or ``"batch"``), ``jobs`` and
-        ``compact`` override the store-wide maintenance defaults for
-        this batch only; the resulting index is bit-identical for
-        every engine, so the WAL never records the choice.  In serving
-        mode the overrides are ignored: the appender thread coalesces
-        concurrent batches and always maintains through the batch
-        engine (results are engine-independent, so this is invisible).
+        a crash at any later point is recovered by replaying the WAL.
+        In serving mode the call enqueues and waits for the appender
+        thread's group commit; otherwise it is a group commit of one on
+        the caller's thread.  Either way :meth:`_apply_group` is the
+        only code that validates, logs and maintains, and the call
+        raises this batch's own error.
         """
         if self._coalescer is not None:
-            # Serving mode: enqueue and wait for the group commit; the
-            # appender thread validates, logs, and maintains.  Raises
-            # this batch's own error, like the direct path would.
             self._coalescer.submit(document_id, operations)
             return
-        document = self._require(document_id)
-        # Validate against a copy first: either the whole batch applies
-        # or nothing is logged.
-        probe = document.copy()
-        EditScript(list(operations)).apply(probe)
-
-        with self._metrics.span("store.apply_edits"):
-            self._append_wal(document_id, operations)
-            self._commit_seq += 1
-            self._forest.backend.note_commit_seq(self._commit_seq)
-            log = EditScript(list(operations)).apply(document)
-            # Incremental maintenance: the forest re-inverts only the
-            # keys the edit batch actually changed.
-            minus, plus = self._forest.update_tree(
-                document_id,
-                document,
-                log,
-                engine=engine or self._engine,
-                compact=compact,
-                jobs=jobs if jobs is not None else self._jobs,
-            )
-            # The same Δ-keys route the batch to interested standing
-            # queries; the inverse log carries the Move markers the
-            # predicate skip rule must see.
-            events = self._standing_on_delta(
-                document_id, minus, plus, self._commit_seq, log
-            )
-        self._m_edit_batches.inc()
-        self._m_edit_ops.inc(len(operations))
-
-        self._batches_since_checkpoint += 1
-        if self._batches_since_checkpoint >= self._checkpoint_every:
-            self._checkpoint()
-        self._dispatch_events(events)
+        pending = PendingBatch(document_id, operations)
+        self._apply_group([pending])
+        if pending.error is not None:
+            raise pending.error
 
     def _apply_group(self, group: "List[PendingBatch]") -> None:
-        """Group-commit one drained queue (appender thread only).
+        """Group-commit one drained queue (the appender thread in
+        serving mode, the caller of :meth:`apply_edits` otherwise).
 
         Batches validate in submission order against shadow copies —
         each document's shadow accumulates the batches before it, so a
@@ -435,7 +386,9 @@ class DocumentStore:
                 try:
                     shadow = shadows.get(document_id)
                     if shadow is None:
-                        shadow = self._require(document_id).copy()
+                        shadow = self._require(document_id)
+                    # Only the probe is mutated, so the published
+                    # document itself can seed the first one.
                     probe = shadow.copy()
                     log = EditScript(list(pending.operations)).apply(probe)
                 except BaseException as exc:  # noqa: BLE001 - per-batch isolation
@@ -443,7 +396,7 @@ class DocumentStore:
                     continue
                 shadows[document_id] = probe
                 # Sequential logs concatenate in application order; the
-                # maintenance engines replay them back-to-front.
+                # maintenance engine walks them back-to-front.
                 logs.setdefault(document_id, []).extend(log)
                 valid.append(pending)
             if not valid:
@@ -460,16 +413,15 @@ class DocumentStore:
                 self._commit_seq += 1
                 sequences[pending.document_id] = self._commit_seq
             for document_id, shadow in shadows.items():
-                if document_id not in logs:
-                    continue  # every batch for this document failed
                 self._documents[document_id] = shadow
                 self._forest.backend.note_commit_seq(sequences[document_id])
+                # Incremental maintenance: the forest re-inverts only
+                # the keys the edit batches actually changed.  The same
+                # Δ-keys route the update to interested standing
+                # queries; the inverse log carries the Move markers the
+                # predicate skip rule must see.
                 minus, plus = self._forest.update_tree(
-                    document_id,
-                    shadow,
-                    logs[document_id],
-                    engine="batch",
-                    jobs=self._jobs,
+                    document_id, shadow, logs[document_id]
                 )
                 events.extend(
                     self._standing_on_delta(
@@ -567,6 +519,10 @@ class DocumentStore:
     def standing_query_ids(self) -> List[str]:
         """Ids of all registered standing queries."""
         return self._standing_engine().query_ids()
+
+    def standing_plan(self, query_id: str):
+        """The normalized plan one standing query was registered with."""
+        return self._standing_engine().plan_of(query_id)
 
     def standing_matches(self, query_id: str) -> List[Tuple[int, float]]:
         """Current neighborhood of one standing query, nearest first."""
@@ -694,7 +650,6 @@ class DocumentStore:
             "documents": len(self._documents),
             "nodes": node_count,
             "pq_grams": gram_count,
-            "engine": self._engine,
             "serving": self._serving,
             "compress": self._compress,
             "backend": backend_stats["backend"],
@@ -742,11 +697,6 @@ class DocumentStore:
             + ("\n" if operations else "")
             + "COMMIT\n"
         )
-
-    def _append_wal(
-        self, document_id: int, operations: Sequence[EditOperation]
-    ) -> None:
-        self._append_wal_group([(document_id, operations)])
 
     def _append_wal_group(
         self, batches: Sequence[Tuple[int, Sequence[EditOperation]]]
@@ -979,10 +929,8 @@ class DocumentStore:
                         memberships.get(row["queryId"], {}),
                     )
                 )
-        if backend == "segment":
-            rebuilt = self._recover_segment_forest(config)
-        elif backend == "rel":
-            rebuilt = self._recover_rel_forest(config)
+        if backend in ("segment", "rel"):
+            rebuilt = self._recover_homed_forest(config, backend)
         else:
             rebuilt = False
             self._forest = ForestIndex(
@@ -1021,9 +969,7 @@ class DocumentStore:
             if seq <= forest_backend.applied_seq(document_id):
                 continue
             forest_backend.note_commit_seq(seq)
-            self._forest.update_tree(
-                document_id, document, log, engine=self._engine, jobs=self._jobs
-            )
+            self._forest.update_tree(document_id, document, log)
         self._commit_seq = base + replayed
         self._m_wal_replayed.inc(replayed)
         # The delta log can also run *ahead* of the durable WAL: a torn
@@ -1065,30 +1011,36 @@ class DocumentStore:
             self._checkpoint()
         self._batches_since_checkpoint = 0
 
-    def _recover_segment_forest(self, config: GramConfig) -> bool:
-        """Reopen (or rebuild) the segment forest; True when anything
-        had to be rebuilt or reconciled.
+    def _recover_homed_forest(self, config: GramConfig, backend: str) -> bool:
+        """Reopen (or rebuild) a forest whose backend is its own durable
+        home (``segment`` or ``rel``); True when anything had to be
+        rebuilt or reconciled.
 
-        The happy path maps the frozen segment and replays the tail
-        delta — O(tail).  Anything less than clean falls back to a
-        full rebuild from the recovered documents: corrupt segment
-        files (checksums, torn manifests) and segment directories
+        The happy path reopens the backend's on-disk state — the mapped
+        frozen segment plus its tail delta log, or ``rel.db`` — which
+        carries the per-tree commit sequences the WAL replay gates on,
+        so replay touches only the uncovered tail.  Anything less than
+        clean falls back to a full rebuild from the recovered
+        documents: corrupt files (checksums, torn manifests) and homes
         whose recorded source fingerprint is not this store's (files
         copied from another store, or left by a deleted one).  Slower,
         never wrong.
         """
-        segment_dir = self._segment_directory()
+        home, corrupt = {
+            "segment": (self._segment_directory(), SegmentCorruptError),
+            "rel": (self._rel_directory(), StorageError),
+        }[backend]
         forest: Optional[ForestIndex] = None
         try:
             forest = ForestIndex(
                 config,
-                backend="segment",
+                backend=backend,
                 metrics=self._metrics,
-                directory=segment_dir,
+                directory=home,
                 compress=self._compress,
             )
-        except SegmentCorruptError:
-            shutil.rmtree(segment_dir, ignore_errors=True)
+        except corrupt:
+            shutil.rmtree(home, ignore_errors=True)
         else:
             if (
                 forest.backend.source_fingerprint()  # type: ignore[attr-defined]
@@ -1096,19 +1048,19 @@ class DocumentStore:
             ):
                 forest.close()
                 forest = None
-                shutil.rmtree(segment_dir, ignore_errors=True)
+                shutil.rmtree(home, ignore_errors=True)
         if forest is None:
-            self._forest = self._make_forest(config, "segment", None)
+            self._forest = self._make_forest(config, backend, None)
             self._forest.backend.note_commit_seq(self._commit_seq)
             self._forest.add_trees(list(self._documents.items()))
             return True
         self._forest = forest
         forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
-        # Membership reconcile: around a crash the delta log can run a
-        # hair ahead of the document snapshot (an add or remove whose
-        # checkpoint never landed).  The document table is the
-        # authority on membership; bag *contents* are reconciled by the
-        # sequence-gated WAL replay that follows.
+        # Membership reconcile: around a crash the backend's own log
+        # can run a hair ahead of the document snapshot (an add or
+        # remove whose checkpoint never landed).  The document table is
+        # the authority on membership; bag *contents* are reconciled by
+        # the sequence-gated WAL replay that follows.
         reconciled = False
         for tree_id in list(forest.backend.tree_ids()):
             if tree_id not in self._documents:
@@ -1128,76 +1080,16 @@ class DocumentStore:
                 ]
             )
             reconciled = True
-        return reconciled
-
-    def _recover_rel_forest(self, config: GramConfig) -> bool:
-        """Reopen (or rebuild) the rel forest; True when anything had
-        to be rebuilt or reconciled.
-
-        The happy path loads ``rel.db`` — the whole index relation
-        including the per-tree commit sequences the WAL replay gates
-        on, so replay touches only the uncovered tail.  A corrupt or
-        foreign (wrong source fingerprint) database falls back to a
-        full rebuild from the recovered documents.  Trees whose node
-        rows are missing from the reopened database get their pre/post
-        encoding re-recorded from the documents, so structural
-        pushdown stays sound after recovery.
-        """
-        rel_dir = self._rel_directory()
-        forest: Optional[ForestIndex] = None
-        try:
-            forest = ForestIndex(
-                config,
-                backend="rel",
-                metrics=self._metrics,
-                directory=rel_dir,
-                compress=self._compress,
-            )
-        except StorageError:
-            shutil.rmtree(rel_dir, ignore_errors=True)
-        else:
-            if (
-                forest.backend.source_fingerprint()  # type: ignore[attr-defined]
-                != self._store_uuid
-            ):
-                forest.close()
-                forest = None
-                shutil.rmtree(rel_dir, ignore_errors=True)
-        if forest is None:
-            self._forest = self._make_forest(config, "rel", None)
-            self._forest.backend.note_commit_seq(self._commit_seq)
-            self._forest.add_trees(list(self._documents.items()))
-            return True
-        self._forest = forest
-        forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
-        # Membership reconcile, exactly as for segments: the document
-        # table is the authority; bag contents are reconciled by the
-        # sequence-gated WAL replay that follows.
-        reconciled = False
-        for tree_id in list(forest.backend.tree_ids()):
-            if tree_id not in self._documents:
-                forest.remove_tree(tree_id)
+        if backend == "rel":
+            # Trees whose node rows are missing from the reopened
+            # database get their pre/post encoding re-recorded from the
+            # documents, so structural pushdown stays sound.
+            unstructured = forest.backend.structures_missing()  # type: ignore[attr-defined]
+            if unstructured:
+                with forest.lock.write():
+                    for document_id in sorted(unstructured):
+                        forest.backend.record_structure(
+                            document_id, self._documents[document_id]
+                        )
                 reconciled = True
-        missing = [
-            document_id
-            for document_id in self._documents
-            if document_id not in forest.backend
-        ]
-        if missing:
-            forest.backend.note_commit_seq(self._commit_seq)
-            forest.add_trees(
-                [
-                    (document_id, self._documents[document_id])
-                    for document_id in missing
-                ]
-            )
-            reconciled = True
-        unstructured = forest.backend.structures_missing()  # type: ignore[attr-defined]
-        if unstructured:
-            with forest.lock.write():
-                for document_id in sorted(unstructured):
-                    forest.backend.record_structure(
-                        document_id, self._documents[document_id]
-                    )
-            reconciled = True
         return reconciled

@@ -13,7 +13,10 @@ from typing import List, Tuple
 import pytest
 from hypothesis import strategies as st
 
+from repro.baselines import rebuild_index
 from repro.core.config import GramConfig
+from repro.core.index import PQGramIndex
+from repro.core.maintain import update_index
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.ops import EditOperation
 from repro.edits.script import apply_script
@@ -73,6 +76,45 @@ def edited_trees(draw, max_size: int = 20, max_ops: int = 12):
     tree, script = draw(trees_with_scripts(max_size=max_size, max_ops=max_ops))
     edited, log = apply_script(tree, script)
     return tree, edited, log
+
+
+# ----------------------------------------------------------------------
+# store-level oracles
+#
+# The store has one write path and one maintenance engine, so "a second
+# store configured differently" is no oracle.  The expected state is the
+# paper's invariant — the maintained index equals the index built from
+# scratch on the current document — and the ``engine`` rows of the
+# backend/crash/standing matrices name the ``repro.core`` reference
+# algorithm the store's result is additionally checked against.
+# ----------------------------------------------------------------------
+
+REFERENCE_ENGINES = ("replay", "batch")
+
+
+def assert_store_is_rebuild(store) -> None:
+    """Every index a ``DocumentStore`` maintains equals a from-scratch
+    rebuild of its current document."""
+    for document_id in store.document_ids():
+        assert store.get_index(document_id) == rebuild_index(
+            store.get_document(document_id), store.config
+        ), f"index of document {document_id} is not a rebuild"
+    store._forest.backend.check_consistency()
+
+
+def reference_update(
+    engine: str,
+    old_index: PQGramIndex,
+    tree: Tree,
+    script: List[EditOperation],
+) -> Tuple[Tree, PQGramIndex]:
+    """``script`` applied to a copy of ``tree``, and ``old_index``
+    maintained over the inverse log by the named ``repro.core``
+    reference algorithm — checked against the rebuild before use."""
+    edited, log = apply_script(tree, script)
+    index = update_index(old_index, edited, log, LabelHasher(), engine=engine)
+    assert index == rebuild_index(edited, old_index.config)
+    return edited, index
 
 
 @pytest.fixture

@@ -5,10 +5,13 @@ One write path (`ForestBackend`) with five engines — memory, compact
 fan-out), segment (memory-mapped on-disk segments + delta log) and
 rel (the relation as relstore tables with a pre/post node table) —
 must be indistinguishable on every read: lookups at any τ,
-per-tree indexes, inverted lists, maintenance through both engines,
-and persistence round-trips (forest snapshots and relstore
-snapshot/WAL recovery).  These tests drive identical workloads through
-a candidate backend and the memory reference and compare everything.
+per-tree indexes, inverted lists, incremental maintenance, and
+persistence round-trips (forest snapshots and relstore snapshot/WAL
+recovery).  These tests drive identical workloads through a candidate
+backend and the memory reference and compare everything; wherever the
+candidate is *maintained*, the reference is *rebuilt from scratch*
+(the paper's invariant), and the ``engine`` rows name the
+``repro.core`` reference algorithm the result is also checked against.
 """
 
 import random
@@ -27,6 +30,12 @@ from repro.edits import apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
 from repro.service import DocumentStore
+
+from tests.conftest import (
+    REFERENCE_ENGINES,
+    assert_store_is_rebuild,
+    reference_update,
+)
 
 TAUS = (0.2, 0.5, 1.0)
 CONFIG = GramConfig(2, 3)
@@ -51,7 +60,6 @@ BACKENDS = [
     ("rel-z", {"backend": "rel", "compress": True}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
-ENGINES = ("replay", "batch")
 
 
 def make_pair(kwargs):
@@ -106,10 +114,12 @@ class TestBackendConformance:
         forest.compact()
         assert_equivalent(forest, reference)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
     def test_maintenance(self, name, kwargs, engine):
-        """Interleaved add/update/remove under one engine, with a
-        compact() between rounds so frozen views must stay fresh."""
+        """Interleaved add/update/remove, with a compact() between
+        rounds so frozen views must stay fresh.  The candidate is
+        maintained incrementally; the memory reference re-adds the
+        edited tree from scratch."""
         rng = random.Random(7)
         forest, reference = make_pair(kwargs)
         documents = {}
@@ -128,8 +138,13 @@ class TestBackendConformance:
                     documents[tree_id], rng.randint(1, 6), seed=round_number
                 )
                 edited, log = apply_script(documents[tree_id], script)
-                forest.update_tree(tree_id, edited, log, engine=engine)
-                reference.update_tree(tree_id, edited, log, engine=engine)
+                _, expected = reference_update(
+                    engine, forest.index_of(tree_id), documents[tree_id], script
+                )
+                forest.update_tree(tree_id, edited, log)
+                assert forest.index_of(tree_id) == expected
+                reference.remove_tree(tree_id)
+                reference.add_tree(tree_id, edited)
                 documents[tree_id] = edited
             else:
                 tree_id = rng.choice(list(documents))
@@ -169,41 +184,42 @@ class TestBackendConformance:
         assert loaded.inverted_lists() == reference.inverted_lists()
         loaded.backend.check_consistency()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
     def test_store_wal_recovery(self, name, kwargs, engine, tmp_path):
         """relstore snapshot + WAL replay through every backend: the
-        reopened store is bit-identical to an always-open reference."""
+        reopened store is bit-identical to a reference forest built
+        from scratch over the final documents."""
         directory = str(tmp_path / "store")
         store = DocumentStore(
             directory,
             CONFIG,
             checkpoint_every=10_000,  # force recovery to replay the WAL
-            engine=engine,
             **kwargs,
         )
         reference = ForestIndex(CONFIG, backend="memory")
         documents = {}
         for tree_id, tree in make_collection(5, seed=300):
             store.add_document(tree_id, tree)
-            reference.add_tree(tree_id, tree)
             documents[tree_id] = tree
         rng = random.Random(4)
         for round_number in range(6):
             tree_id = rng.choice(list(documents))
             script = dblp_update_script(documents[tree_id], 3, seed=round_number)
-            edited, log = apply_script(documents[tree_id], script)
+            documents[tree_id], expected = reference_update(
+                engine, store.get_index(tree_id), documents[tree_id], script
+            )
             store.apply_edits(tree_id, script)
-            reference.update_tree(tree_id, edited, log)
-            documents[tree_id] = edited
+            assert store.get_index(tree_id) == expected
+        reference.add_trees(documents.items())
         del store  # reopen: snapshot + WAL replay
-        reopened = DocumentStore(directory, CONFIG, engine=engine)
+        reopened = DocumentStore(directory, CONFIG)
         assert reopened.backend_name == make_backend(
             kwargs["backend"], shards=kwargs.get("shards")
         ).name
         for tree_id, tree in documents.items():
             assert reopened.get_document(tree_id) == tree
             assert reopened.get_index(tree_id) == reference.index_of(tree_id)
-        reopened._forest.backend.check_consistency()
+        assert_store_is_rebuild(reopened)
         service = LookupService(reference)
         for tau in TAUS:
             query = documents[min(documents)]
@@ -293,7 +309,7 @@ class TestBackendConformance:
             base = dict(make_collection(8, seed=700))[3]
             script = dblp_update_script(base, 5, seed=702)
             edited, log = apply_script(base, script)
-            forest.update_tree(3, edited, log, engine="batch")
+            forest.update_tree(3, edited, log)
             registries[label] = registry
             counters[label] = {
                 counter_name: registry.counter_value(counter_name)
@@ -334,8 +350,7 @@ class TestBackendConformance:
 
 class TestCompactOverlayStaleness:
     """Satellite: every mutation path must overlay (or invalidate) the
-    frozen snapshot — including ``engine="batch"`` maintenance, which
-    previously relied on untested implicit invalidation."""
+    frozen snapshot — including incremental maintenance."""
 
     def _frozen_forest(self):
         forest = ForestIndex(CONFIG, backend="compact")
@@ -346,7 +361,7 @@ class TestCompactOverlayStaleness:
         forest.compact()
         return forest, reference
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
     def test_update_after_freeze(self, engine):
         forest, reference = self._frozen_forest()
         tree = dblp_tree(4, seed=400)  # same generator as tree id 0? use doc 0
@@ -355,8 +370,11 @@ class TestCompactOverlayStaleness:
         base = make_collection(6, seed=400)[0][1]
         script = dblp_update_script(base, 4, seed=9)
         edited, log = apply_script(base, script)
-        forest.update_tree(0, edited, log, engine=engine)
-        reference.update_tree(0, edited, log, engine=engine)
+        _, expected = reference_update(engine, forest.index_of(0), base, script)
+        forest.update_tree(0, edited, log)
+        assert forest.index_of(0) == expected
+        reference.remove_tree(0)
+        reference.add_tree(0, edited)
         if forest.backend._frozen is not None:
             assert forest.backend._dirty, (
                 "maintenance left the frozen snapshot unmarked"

@@ -135,9 +135,17 @@ def test_forest_update_tree_batch_on_random_forests():
                 script = generator.generate(collection[tree_id], rng.randint(1, 10))
                 edited, log = apply_script(collection[tree_id], script)
                 collection[tree_id] = edited
-                forest.update_tree(
-                    tree_id, edited, log, engine="batch", jobs=rng.choice((None, 2))
+                # The δ fan-out is a core-level knob; the forest's
+                # serial result must equal it with and without workers.
+                fanned_out = update_index_batch(
+                    forest.index_of(tree_id),
+                    edited,
+                    log,
+                    LabelHasher(),
+                    jobs=rng.choice((None, 2)),
                 )
+                forest.update_tree(tree_id, edited, log)
+                assert forest.index_of(tree_id) == fanned_out
         reference = ForestIndex(config)
         for tree_id, tree in collection.items():
             reference.add_tree(tree_id, tree)
@@ -279,8 +287,12 @@ def test_forest_rejects_unknown_engine():
     forest = ForestIndex(GramConfig(2, 2))
     tree = _wide_tree()
     forest.add_tree(1, tree)
-    with pytest.raises(ValueError):
-        forest.update_tree(1, tree, [], engine="tablewise")
+    # The forest runs the batch engine only; the keyword survives as a
+    # literal, so the reference algorithms are refused by name.
+    forest.update_tree(1, tree, [], engine="batch")
+    for engine in ("tablewise", "replay"):
+        with pytest.raises(ValueError):
+            forest.update_tree(1, tree, [], engine=engine)
 
 
 def test_timings_reflect_compaction_and_grouping():

@@ -95,7 +95,10 @@ class TestStoreCommands:
         assert main(["store", "--dir", store_dir, "edit", "1", log_path]) == 0
         capsys.readouterr()
 
-        # The edited document now matches the new version exactly.
+        # The maintained index is exact, and the edited document now
+        # matches the new version at distance zero.
+        assert main(["store", "--dir", store_dir, "verify"]) == 0
+        capsys.readouterr()
         assert main(["store", "--dir", store_dir, "lookup", new_path]) == 0
         output = capsys.readouterr().out
         assert "doc 1" in output and "0.0000" in output
@@ -248,47 +251,6 @@ class TestStoreCommands:
 
 
 class TestApplylogAndStats:
-    def _diff_log(self, old_path, new_path, tmp_path, capsys):
-        assert main(["diff", old_path, new_path]) == 0
-        log_path = str(tmp_path / "edits.log")
-        with open(log_path, "w") as handle:
-            handle.write(capsys.readouterr().out)
-        return log_path
-
-    def test_applylog_batch_engine(self, xml_files, tmp_path, capsys):
-        old_path, new_path = xml_files
-        store_dir = str(tmp_path / "store")
-        main(["store", "--dir", store_dir, "add", "1", old_path])
-        capsys.readouterr()
-        log_path = self._diff_log(old_path, new_path, tmp_path, capsys)
-
-        assert main(
-            ["store", "--dir", store_dir, "applylog", "1", log_path,
-             "--engine", "batch", "--jobs", "2"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "engine=batch" in output and "jobs=2" in output
-
-        # The batch-maintained index is exact: verify passes and the
-        # edited document matches the new version at distance zero.
-        assert main(["store", "--dir", store_dir, "verify"]) == 0
-        capsys.readouterr()
-        assert main(["store", "--dir", store_dir, "lookup", new_path]) == 0
-        assert "0.0000" in capsys.readouterr().out
-
-    def test_applylog_replay_engine_no_compact(self, xml_files, tmp_path, capsys):
-        old_path, new_path = xml_files
-        store_dir = str(tmp_path / "store")
-        main(["store", "--dir", store_dir, "add", "1", old_path])
-        capsys.readouterr()
-        log_path = self._diff_log(old_path, new_path, tmp_path, capsys)
-        assert main(
-            ["store", "--dir", store_dir, "applylog", "1", log_path,
-             "--engine", "replay", "--no-compact"]
-        ) == 0
-        assert "engine=replay" in capsys.readouterr().out
-        assert main(["store", "--dir", store_dir, "verify"]) == 0
-
     def test_stats_reports_store_counters(self, xml_files, tmp_path, capsys):
         old_path, _ = xml_files
         store_dir = str(tmp_path / "store")

@@ -1,14 +1,14 @@
-"""Concurrent stress: N writers + M readers, then bit-identical replay.
+"""Concurrent stress: N writers + M readers, then bit-identical rebuild.
 
 The serving layer's core promise is that concurrency changes *when*
 work happens, never *what* the index ends up being: after any number of
-concurrent ``apply_edits`` batches (coalesced, group-committed, batch
-engine) the maintained relation must equal a single-threaded replay of
-the same per-document batch sequences — on every backend.  The stress
-below precomputes a deterministic workload (each writer owns a disjoint
-document slice, so every batch is valid by construction), unleashes the
-threads, and then compares the surviving relation bag-for-bag against a
-fresh serial store.
+concurrent ``apply_edits`` batches (coalesced, group-committed) the
+maintained relation must equal the indexes built from scratch over the
+documents a single-threaded application of the same per-document batch
+sequences produces — on every backend.  The stress below precomputes a
+deterministic workload (each writer owns a disjoint document slice, so
+every batch is valid by construction), unleashes the threads, and then
+compares the surviving relation bag-for-bag against that rebuild.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import rebuild_index
 from repro.core.config import GramConfig
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
@@ -128,24 +129,18 @@ def _run_concurrent(tmp_path, backend, documents, per_writer, readers, **kwargs)
     return relation, trees, store
 
 
-def _serial_replay(tmp_path, backend, documents, per_writer):
-    """The oracle: same batches, one thread, replay engine."""
-    store = DocumentStore(
-        str(tmp_path / f"serial-{backend}"),
-        GramConfig(2, 3),
-        backend=backend,
-        engine="replay",
-    )
-    store.add_documents(sorted(documents.items()))
+def _serial_rebuild(documents, per_writer):
+    """The oracle, with no store in it: the same batches applied to
+    plain trees on one thread, and every final document indexed from
+    scratch."""
+    trees = {document_id: tree.copy() for document_id, tree in documents.items()}
     for writer in sorted(per_writer):
         for document_id, operations in per_writer[writer]:
-            store.apply_edits(document_id, operations)
-    relation = store._forest.backend.snapshot()
-    trees = {
-        document_id: store.get_document(document_id)
-        for document_id in store.document_ids()
+            trees[document_id], _ = apply_script(trees[document_id], operations)
+    relation = {
+        document_id: dict(rebuild_index(tree, GramConfig(2, 3)).items())
+        for document_id, tree in trees.items()
     }
-    store.close()
     return relation, trees
 
 
@@ -159,9 +154,7 @@ def test_stress_bit_identical_to_serial_replay(backend, tmp_path):
     concurrent, concurrent_trees, _ = _run_concurrent(
         tmp_path, backend, documents, per_writer, readers=8
     )
-    serial, serial_trees = _serial_replay(
-        tmp_path, backend, documents, per_writer
-    )
+    serial, serial_trees = _serial_rebuild(documents, per_writer)
     assert concurrent == serial
     assert concurrent_trees == serial_trees
 
@@ -239,5 +232,5 @@ def test_stress_property_bit_identical(
     concurrent, _, _ = _run_concurrent(
         tmp_path, backend, documents, per_writer, readers=2
     )
-    serial, _ = _serial_replay(tmp_path, backend, documents, per_writer)
+    serial, _ = _serial_rebuild(documents, per_writer)
     assert concurrent == serial

@@ -7,7 +7,10 @@ suite makes the claim exhaustive — the WAL is truncated at *every*
 byte offset across the final record and the store reopened each time;
 reopening must never raise, and the recovered state must be
 bit-identical to either the pre-batch or the post-batch store (no
-third state, no partially applied batch).
+third state, no partially applied batch) — and, whichever it is, every
+recovered index must equal a from-scratch rebuild of its document.
+The ``engine`` rows name the ``repro.core`` reference algorithm the
+post-batch index is also checked against.
 """
 
 import os
@@ -18,6 +21,12 @@ import pytest
 from repro.core import GramConfig
 from repro.service import DocumentStore
 from repro.tree import tree_from_brackets
+
+from tests.conftest import (
+    REFERENCE_ENGINES,
+    assert_store_is_rebuild,
+    reference_update,
+)
 
 CONFIG = GramConfig(2, 3)
 WAL = "wal.log"
@@ -36,12 +45,10 @@ def store_state(store):
     return documents, store._forest.backend.snapshot()
 
 
-def build_store(directory, engine):
+def build_store(directory):
     from repro.edits import Insert, Rename
 
-    store = DocumentStore(
-        directory, CONFIG, checkpoint_every=1000, engine=engine
-    )
+    store = DocumentStore(directory, CONFIG, checkpoint_every=1000)
     store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
     store.add_document(2, tree_from_brackets("x(y,z)"))
     # One committed batch before the final record, so recovery always
@@ -50,17 +57,33 @@ def build_store(directory, engine):
     return store
 
 
-@pytest.mark.parametrize("engine", ["replay", "batch"])
+def apply_checked(store, engine, batch):
+    """``apply_edits`` on document 1; the resulting live index must
+    equal what the named reference algorithm computes from the previous
+    index and the inverse log."""
+    _, expected = reference_update(
+        engine, store.get_index(1), store.get_document(1), batch
+    )
+    store.apply_edits(1, batch)
+    assert store.get_index(1) == expected
+
+
+def apply_final_batch(store, engine):
+    """The batch whose WAL record the sweeps tear."""
+    from repro.edits import Delete, Rename
+
+    apply_checked(store, engine, [Rename(1, "aa"), Delete(3), Rename(5, "ff")])
+
+
+@pytest.mark.parametrize("engine", REFERENCE_ENGINES)
 def test_truncate_every_offset_of_final_record(tmp_path, engine):
     origin = str(tmp_path / "origin")
-    store = build_store(origin, engine)
+    store = build_store(origin)
     pre_batch = store_state(store)
     wal_path = os.path.join(origin, WAL)
     final_record_start = os.path.getsize(wal_path)
 
-    from repro.edits import Delete, Rename
-
-    store.apply_edits(1, [Rename(1, "aa"), Delete(3), Rename(5, "ff")])
+    apply_final_batch(store, engine)
     post_batch = store_state(store)
     wal_size = os.path.getsize(wal_path)
     assert wal_size > final_record_start
@@ -72,9 +95,9 @@ def test_truncate_every_offset_of_final_record(tmp_path, engine):
         shutil.copytree(origin, workdir)
         with open(os.path.join(workdir, WAL), "r+b") as handle:
             handle.truncate(offset)
-        reopened = DocumentStore(
-            workdir, CONFIG, checkpoint_every=1000, engine=engine
-        )  # must never raise
+        # must never raise
+        reopened = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        assert_store_is_rebuild(reopened)
         state = store_state(reopened)
         if state == post_batch:
             recovered_post += 1
@@ -92,7 +115,7 @@ def test_truncate_every_offset_of_final_record(tmp_path, engine):
     assert recovered_pre == wal_size - 1 - final_record_start
 
 
-@pytest.mark.parametrize("engine", ["replay", "batch"])
+@pytest.mark.parametrize("engine", REFERENCE_ENGINES)
 def test_truncation_inside_earlier_record_drops_the_tail(tmp_path, engine):
     """A tear inside an *earlier* record invalidates everything after
     it too — recovery stops at the first non-committed block instead of
@@ -100,17 +123,15 @@ def test_truncation_inside_earlier_record_drops_the_tail(tmp_path, engine):
     from repro.edits import Rename
 
     origin = str(tmp_path / "origin")
-    store = build_store(origin, engine)
+    store = build_store(origin)
     wal_path = os.path.join(origin, WAL)
-    reopened = DocumentStore(
-        origin, CONFIG, checkpoint_every=1000, engine=engine
-    )
+    reopened = DocumentStore(origin, CONFIG, checkpoint_every=1000)
     # Reopening replays + checkpoints; grab the folded snapshot state,
     # then append two more batches for a multi-record WAL.
     snapshot_state = store_state(reopened)
-    reopened.apply_edits(1, [Rename(2, "q1")])
+    apply_checked(reopened, engine, [Rename(2, "q1")])
     middle_state = store_state(reopened)
-    reopened.apply_edits(1, [Rename(2, "q2")])
+    apply_checked(reopened, engine, [Rename(2, "q2")])
     with open(wal_path, "rb") as handle:
         wal_bytes = handle.read()
     # Tear a few bytes into the FIRST of the two records (offset
@@ -122,9 +143,8 @@ def test_truncation_inside_earlier_record_drops_the_tail(tmp_path, engine):
         shutil.copytree(origin, workdir)
         with open(os.path.join(workdir, WAL), "r+b") as handle:
             handle.truncate(offset)
-        recovered = DocumentStore(
-            workdir, CONFIG, checkpoint_every=1000, engine=engine
-        )
+        recovered = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        assert_store_is_rebuild(recovered)
         assert store_state(recovered) == snapshot_state
         shutil.rmtree(workdir)
     # Torn exactly on the record boundary: the first batch survives.
@@ -132,9 +152,8 @@ def test_truncation_inside_earlier_record_drops_the_tail(tmp_path, engine):
     shutil.copytree(origin, workdir)
     with open(os.path.join(workdir, WAL), "r+b") as handle:
         handle.truncate(first_len)
-    recovered = DocumentStore(
-        workdir, CONFIG, checkpoint_every=1000, engine=engine
-    )
+    recovered = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+    assert_store_is_rebuild(recovered)
     assert store_state(recovered) == middle_state
 
 
@@ -159,7 +178,7 @@ def _replay_notifications(initial, events, query_id):
     return sorted(members.items(), key=lambda pair: (pair[1], pair[0]))
 
 
-@pytest.mark.parametrize("engine", ["replay", "batch"])
+@pytest.mark.parametrize("engine", REFERENCE_ENGINES)
 def test_standing_state_survives_torn_wal(tmp_path, engine):
     """Subscriptions and the notification frontier ride the same
     snapshot/WAL protocol as the documents: torn at every byte offset
@@ -168,11 +187,10 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
     the recovered documents, and the recovery catch-up events folded
     over the pre-crash matches must land exactly there — never a
     double delivery, never a drop."""
-    from repro.edits import Delete, Rename
     from repro.query import ApproxLookup
 
     origin = str(tmp_path / "origin")
-    store = build_store(origin, engine)
+    store = build_store(origin)
     # A query at distance 0 of document 1's current state: a member
     # now, evicted once the final batch rewrites the document.
     plan = ApproxLookup(store.get_document(1), 0.3)
@@ -182,7 +200,7 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
     final_record_start = os.path.getsize(wal_path)
     assert final_record_start == 0  # subscribe truncated the WAL
 
-    store.apply_edits(1, [Rename(1, "aa"), Delete(3), Rename(5, "ff")])
+    apply_final_batch(store, engine)
     post_batch = store_state(store)
     post_matches = store.standing_matches("crashy")
     assert post_matches != pre_matches  # the batch moves the membership
@@ -193,9 +211,9 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
         shutil.copytree(origin, workdir)
         with open(os.path.join(workdir, WAL), "r+b") as handle:
             handle.truncate(offset)
-        reopened = DocumentStore(
-            workdir, CONFIG, checkpoint_every=1000, engine=engine
-        )  # must never raise
+        # must never raise
+        reopened = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        assert_store_is_rebuild(reopened)
         assert reopened.standing_query_ids() == ["crashy"]
         recovered_matches = reopened.standing_matches("crashy")
         assert recovered_matches == reopened.query(plan).matches
@@ -212,9 +230,7 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
         reopened.close()
         # Recovery checkpointed the reconciled frontier: a second
         # reopen owes the subscriber nothing.
-        again = DocumentStore(
-            workdir, CONFIG, checkpoint_every=1000, engine=engine
-        )
+        again = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
         assert again.drain_notifications() == []
         assert again.standing_matches("crashy") == recovered_matches
         again.close()

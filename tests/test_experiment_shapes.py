@@ -37,14 +37,28 @@ class TestFig13LeftShape:
         assert without.seconds_index_construction > 0.5 * without.seconds_total
 
     def test_precomputed_lookup_faster(self):
+        """Fig. 13 (left) is a steady-state claim: one untimed lookup
+        absorbs the first freeze and the lazy imports, then both arms
+        are best-of-5 so a GC pause cannot decide the comparison.  The
+        query-index LRU is off — every timed lookup indexes its query."""
         collection = [(i, dblp_tree(40, seed=i)) for i in range(12)]
         forest = ForestIndex(GramConfig(3, 3))
         for tree_id, tree in collection:
             forest.add_tree(tree_id, tree)
-        service = LookupService(forest)
+        service = LookupService(forest, query_cache_size=0)
         query = collection[3][1]
-        with_index = service.lookup(query, tau=1.1)
-        without = service.lookup_without_index(query, collection, tau=1.1)
+        service.lookup(query, tau=1.1)
+        with_index = min(
+            (service.lookup(query, tau=1.1) for _ in range(5)),
+            key=lambda result: result.seconds_total,
+        )
+        without = min(
+            (
+                service.lookup_without_index(query, collection, tau=1.1)
+                for _ in range(5)
+            ),
+            key=lambda result: result.seconds_total,
+        )
         assert with_index.seconds_total < without.seconds_total
         assert with_index.tree_ids() == without.tree_ids()
 

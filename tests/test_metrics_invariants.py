@@ -149,7 +149,7 @@ class TestShardRollUp:
             )
             script = generator.generate(base, 6)
             edited, log = apply_script(base, script)
-            forest.update_tree(50, edited, log, engine="replay")
+            forest.update_tree(50, edited, log)
             results[backend] = (
                 registry.counter_value("maintain_delta_keys_total"),
                 registry.counter_value("index_delta_keys_total"),

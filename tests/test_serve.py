@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.edits import Rename
 from repro.edits.generator import EditScriptGenerator
 from repro.errors import OverloadedError, ProtocolError
 from repro.serve import (
@@ -302,6 +303,49 @@ class TestEvents:
         assert event["doc"] == 1
         assert event["kind"] in {"enter", "leave", "update"}
         client.unsubscribe("watch")
+
+    @pytest.mark.parametrize("reconnect", ["settled", "immediate", "overlapping"])
+    def test_kept_subscription_reattaches_after_reconnect(self, served, reconnect):
+        """docs/SERVING.md: a ``keep`` subscription outlives its
+        connection and a reconnecting client re-attaches with
+        ``subscribe`` under the same id — whether the server has torn
+        the dead connection down yet, is about to, or (a second live
+        connection taking over) only does so afterwards.  The next
+        event then arrives exactly once, on the new connection."""
+        front_door, client = served
+        tree = tree_from_brackets("a(b,c)")
+        client.add_document(1, tree)
+        first = ServeClient(port=front_door.port)
+        assert first.subscribe("kept", tree, tau=0.9, keep=True) == [(1, 0.0)]
+        owners = front_door._subscription_owner
+        if reconnect != "overlapping":
+            first.close()
+        if reconnect == "settled":
+            deadline = time.monotonic() + 10.0
+            while owners and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not owners
+        second = ServeClient(port=front_door.port)
+        try:
+            assert second.subscribe("kept", tree, tau=0.9, keep=True) == [(1, 0.0)]
+            with pytest.raises(ServeRequestError, match="different plan"):
+                second.subscribe("kept", tree, tau=0.5, keep=True)
+            if reconnect == "overlapping":
+                first.close()
+                deadline = time.monotonic() + 10.0
+                while len(front_door._connections) > 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                client.ping()  # a worker round trip behind the teardown
+            client.apply_edits(1, [Rename(1, "z")])
+            event = second.next_event(timeout=10.0)
+            assert event is not None
+            assert (event["query_id"], event["doc"]) == ("kept", 1)
+            assert second.drain_events(timeout=0.2) == []  # exactly once
+            assert client.drain_events(timeout=0.1) == []
+        finally:
+            second.close()
+        store = front_door.tenant_store("default")
+        assert store.standing_query_ids() == ["kept"]
 
     def test_event_wait_timeout_keeps_connection_usable(self, served):
         _, client = served

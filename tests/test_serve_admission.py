@@ -186,7 +186,10 @@ class TestServerEdges:
         store.flush()
         assert len(store.get_document(1)) == nodes + acked
 
-    def test_drain_while_queued_completes_without_hang(self, tmp_path):
+    def test_drain_while_queued_completes_without_hang(self, tmp_path, caplog):
+        """The client connection stays open across the whole drain: the
+        server must still stop with a clean log (no handler task left
+        for the loop to cancel mid-read)."""
         front_door = FrontDoor(
             directory=str(tmp_path),
             tenants=["default"],
@@ -225,6 +228,11 @@ class TestServerEdges:
             drainer.join(timeout=60.0)
             assert not drainer.is_alive(), "drain hung"
             assert front_door.admission("default").pending == 0
+            assert [
+                record.getMessage()
+                for record in caplog.records
+                if record.name == "asyncio"
+            ] == []
         finally:
             client.close()
             handle.drain(timeout=60.0)

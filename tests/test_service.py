@@ -7,7 +7,7 @@ import pytest
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, dblp_update_script
 from repro.edits import Delete, Insert, Rename
-from repro.errors import StorageError
+from repro.errors import EditError, StorageError
 from repro.service import DocumentStore
 from repro.tree import tree_from_brackets
 
@@ -58,14 +58,26 @@ class TestBasicOperations:
         assert store.get_index(1) == rebuilt(store, 1)
 
     def test_failing_batch_changes_nothing(self, store_dir):
+        """A synchronous call is a group commit of one: the batch that
+        fails validation raises its own error and nothing — WAL,
+        document, index, commit sequence — moves."""
         store = DocumentStore(store_dir, GramConfig(2, 2))
         store.add_document(1, tree_from_brackets("a(b)"))
+        store.apply_edits(1, [Rename(1, "w")])
+        wal_path = os.path.join(store_dir, "wal.log")
+        before_wal = os.path.getsize(wal_path)
+        assert before_wal > 0
         before_doc = store.get_document(1)
         before_index = store.get_index(1).copy()
-        with pytest.raises(Exception):
+        before_seq = store._commit_seq
+        with pytest.raises(EditError, match="999"):
             store.apply_edits(1, [Rename(1, "x"), Delete(999)])
+        with pytest.raises(StorageError, match="no document with id 7"):
+            store.apply_edits(7, [Rename(1, "x")])
+        assert os.path.getsize(wal_path) == before_wal
         assert store.get_document(1) == before_doc
         assert store.get_index(1) == before_index
+        assert store._commit_seq == before_seq
 
     def test_move_batches_through_wal(self, store_dir):
         """First-class moves flow through the store: applied, logged to
@@ -181,28 +193,19 @@ class TestDurability:
 
 class TestEnginesAndStats:
     def test_store_default_batch_engine(self, store_dir):
-        store = DocumentStore(store_dir, GramConfig(2, 3), engine="batch")
+        """Synchronous writes maintain through the batch engine — the
+        store's only one; there is nothing to configure."""
+        store = DocumentStore(store_dir, GramConfig(2, 3), metrics=True)
         tree = dblp_tree(20, seed=3)
         store.add_document(1, tree)
         work = store.get_document(1)
         script = dblp_update_script(work, 8, seed=4)
         store.apply_edits(1, script)
         assert store.get_index(1) == rebuilt(store, 1)
-        assert store.stats()["engine"] == "batch"
-
-    def test_per_call_engine_override(self, store_dir):
-        store = DocumentStore(store_dir, GramConfig(2, 2))  # replay default
-        tree = dblp_tree(20, seed=5)
-        store.add_document(1, tree)
-        work = store.get_document(1)
-        script = dblp_update_script(work, 6, seed=6)
-        store.apply_edits(1, script, engine="batch", jobs=2)
-        assert store.get_index(1) == rebuilt(store, 1)
-        assert store.stats()["engine"] == "replay"  # default unchanged
-
-    def test_unknown_engine_rejected(self, store_dir):
-        with pytest.raises(StorageError):
-            DocumentStore(store_dir, GramConfig(2, 2), engine="tablewise")
+        assert "engine" not in store.stats()
+        registry = store.metrics_registry
+        assert registry.counter_value("maintain_batches_total") == 1
+        assert registry.counter_value("maintain_batch_groups_total") >= 1
 
     def test_shared_hasher_accumulates_hits(self, store_dir):
         store = DocumentStore(store_dir, GramConfig(2, 2))
@@ -225,14 +228,19 @@ class TestEnginesAndStats:
         assert stats["pq_grams"] > 0
         assert stats["hasher_labels"] >= 3
 
-    def test_recovery_uses_configured_engine(self, store_dir):
-        store = DocumentStore(
-            store_dir, GramConfig(2, 2), checkpoint_every=1000, engine="batch"
-        )
+    def test_recovery_maintains_through_batch(self, store_dir):
+        store = DocumentStore(store_dir, GramConfig(2, 2), checkpoint_every=1000)
         store.add_document(1, dblp_tree(15, seed=8))
         work = store.get_document(1)
         store.apply_edits(1, dblp_update_script(work, 5, seed=9))
         # Reopen: WAL replay runs through the batch engine and must
         # still land on the exact index.
-        reopened = DocumentStore(store_dir, GramConfig(2, 2), engine="batch")
+        reopened = DocumentStore(store_dir, GramConfig(2, 2), metrics=True)
         assert reopened.get_index(1) == rebuilt(reopened, 1)
+        registry = reopened.metrics_registry
+        assert registry.counter_value("wal_replayed_batches_total") == 1
+        # One maintenance call per replayed batch — none when the
+        # segment backend's own delta log already holds the batch.
+        assert registry.counter_value("maintain_batches_total") == (
+            0 if reopened.backend_name == "segment" else 1
+        )

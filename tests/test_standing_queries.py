@@ -6,7 +6,10 @@ registered standing query's incrementally maintained membership is
 (``store.query``), and the emitted enter/leave/update events, replayed
 forward from the initial matches, reconstruct exactly that membership.
 Property-tested over random edit streams, across all five storage
-backends and both maintenance engines.
+backends; the index the re-evaluation reads must itself equal a
+from-scratch rebuild after every round, and the ``engine`` rows name
+the ``repro.core`` reference algorithm each edit round is also checked
+against.
 """
 
 import random
@@ -27,8 +30,13 @@ from repro.service.store import DocumentStore
 from repro.stream import StandingQueryEngine, plan_from_spec, plan_to_spec
 from repro.tree.builder import tree_from_brackets
 
+from tests.conftest import (
+    REFERENCE_ENGINES,
+    assert_store_is_rebuild,
+    reference_update,
+)
+
 BACKENDS = ["memory", "compact", "sharded", "segment", "rel"]
-ENGINES = ["replay", "batch"]
 
 
 def _query_plans(rng):
@@ -73,7 +81,6 @@ def _run_stream(directory, backend, engine, seed, rounds=6):
         directory,
         config=GramConfig(2, 3),
         backend=backend,
-        engine=engine,
         checkpoint_every=1000,
     )
     documents = [
@@ -99,10 +106,14 @@ def _run_stream(directory, backend, engine, seed, rounds=6):
             store.remove_document(victim)
         else:
             document_id = rng.choice(list(store.document_ids()))
-            script = generator.generate(
-                store.get_document(document_id), rng.randint(1, 5)
+            document = store.get_document(document_id)
+            script = list(generator.generate(document, rng.randint(1, 5)))
+            _, expected = reference_update(
+                engine, store.get_index(document_id), document, script
             )
-            store.apply_edits(document_id, list(script))
+            store.apply_edits(document_id, script)
+            assert store.get_index(document_id) == expected
+        assert_store_is_rebuild(store)
         for query_id, plan in plans:
             assert store.standing_matches(query_id) == store.query(plan).matches, (
                 f"{backend}/{engine} round {round_number}: standing membership "
@@ -117,7 +128,7 @@ def _run_stream(directory, backend, engine, seed, rounds=6):
     store.close()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", REFERENCE_ENGINES)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_incremental_membership_matches_full_reevaluation(
     tmp_path, backend, engine
@@ -136,9 +147,8 @@ def test_property_random_edit_streams(seed):
 
 def test_move_batches_keep_predicates_current(tmp_path):
     """A subtree Move relocates ancestry without a label-visible delta;
-    the engine must still re-evaluate structural predicates (the replay
-    engine is the only one that accepts MOV)."""
-    store = DocumentStore(str(tmp_path / "store"), engine="replay")
+    the engine must still re-evaluate structural predicates."""
+    store = DocumentStore(str(tmp_path / "store"))
     tree = tree_from_brackets("r(a(c),b)")
     store.add_document(1, tree)
     stored = store.get_document(1)
