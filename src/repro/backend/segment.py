@@ -61,6 +61,7 @@ from repro.backend.memory import MemoryBackend
 from repro.errors import IndexConsistencyError, SegmentCorruptError, StorageError
 from repro.obsv.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.perf.arraybag import HAVE_NUMPY
+from repro.relstore.database import fsync_directory
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -217,7 +218,7 @@ def write_segment_file(path: str, bags: Mapping[int, Mapping[Key, int]]) -> None
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
-    _fsync_directory(os.path.dirname(path))
+    fsync_directory(os.path.dirname(path))
 
 
 def write_segment_file_v2(
@@ -324,20 +325,7 @@ def write_segment_file_v2(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
-    _fsync_directory(os.path.dirname(path))
-
-
-def _fsync_directory(directory: str) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs without dir fsync
-        pass
-    finally:
-        os.close(fd)
+    fsync_directory(os.path.dirname(path))
 
 
 class _Segment:
@@ -1388,7 +1376,7 @@ class SegmentBackend(ForestBackend):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-        _fsync_directory(self.directory)
+        fsync_directory(self.directory)
 
     def checkpoint(self) -> bool:
         """Make the relation durable for a store checkpoint.

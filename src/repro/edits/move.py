@@ -99,9 +99,8 @@ def detach_and_attach(
     """Splice a subtree out of one child list and into another,
     preserving the subtree itself."""
     # Reach into the tree's records: a move is not expressible through
-    # the public single-node edit methods without destroying ids.
-    old_record = tree._record(old_parent)
-    old_record.children.remove(node_id)
-    new_record = tree._record(new_parent)
-    new_record.children.insert(new_position - 1, node_id)
-    tree._record(node_id).parent = new_parent
+    # the public single-node edit methods without destroying ids.  Every
+    # write goes through the owning accessor (copies share records).
+    tree._own(old_parent).children.remove(node_id)
+    tree._own(new_parent).children.insert(new_position - 1, node_id)
+    tree._own(node_id).parent = new_parent

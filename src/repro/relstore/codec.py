@@ -21,7 +21,8 @@ _TAG_BYTES = 4
 _TAG_TUPLE = 5
 
 
-def _write_varint(out: bytearray, value: int) -> None:
+def write_varint(out: bytearray, value: int) -> None:
+    """Append an unsigned LEB128 varint to ``out``."""
     if value < 0:
         raise CodecError("varints are unsigned")
     while True:
@@ -34,7 +35,8 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """Decode one varint at ``pos``; return ``(value, next_pos)``."""
     result = 0
     shift = 0
     while True:
@@ -50,15 +52,13 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if -(1 << 62) <= value < (1 << 62) else _wide_zigzag(value)
-
-
-def _wide_zigzag(value: int) -> int:
+def zigzag(value: int) -> int:
+    """Map a signed integer of any width onto the unsigned varint domain."""
     return value * 2 if value >= 0 else -value * 2 - 1
 
 
-def _unzigzag(value: int) -> int:
+def unzigzag(value: int) -> int:
+    """Inverse of :func:`zigzag`."""
     return (value >> 1) ^ -(value & 1)
 
 
@@ -70,22 +70,22 @@ def encode_value(value: Any, out: bytearray) -> None:
         raise CodecError("bool is not a supported storage type")
     elif isinstance(value, int):
         out.append(_TAG_INT)
-        _write_varint(out, _wide_zigzag(value))
+        write_varint(out, zigzag(value))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(_TAG_STR)
-        _write_varint(out, len(raw))
+        write_varint(out, len(raw))
         out.extend(raw)
     elif isinstance(value, float):
         out.append(_TAG_FLOAT)
         out.extend(struct.pack("<d", value))
     elif isinstance(value, bytes):
         out.append(_TAG_BYTES)
-        _write_varint(out, len(value))
+        write_varint(out, len(value))
         out.extend(value)
     elif isinstance(value, tuple):
         out.append(_TAG_TUPLE)
-        _write_varint(out, len(value))
+        write_varint(out, len(value))
         for item in value:
             if isinstance(item, tuple):
                 raise CodecError("nested tuples are not supported")
@@ -103,10 +103,10 @@ def decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_INT:
-        raw, pos = _read_varint(data, pos)
-        return _unzigzag(raw), pos
+        raw, pos = read_varint(data, pos)
+        return unzigzag(raw), pos
     if tag == _TAG_STR:
-        length, pos = _read_varint(data, pos)
+        length, pos = read_varint(data, pos)
         end = pos + length
         if end > len(data):
             raise CodecError("truncated string")
@@ -117,13 +117,13 @@ def decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
             raise CodecError("truncated float")
         return struct.unpack("<d", data[pos:end])[0], end
     if tag == _TAG_BYTES:
-        length, pos = _read_varint(data, pos)
+        length, pos = read_varint(data, pos)
         end = pos + length
         if end > len(data):
             raise CodecError("truncated bytes")
         return data[pos:end], end
     if tag == _TAG_TUPLE:
-        length, pos = _read_varint(data, pos)
+        length, pos = read_varint(data, pos)
         items: List[Any] = []
         for _ in range(length):
             item, pos = decode_value(data, pos)
@@ -135,7 +135,7 @@ def decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
 def encode_row(row: Tuple[Any, ...]) -> bytes:
     """Encode a row tuple: a field count followed by the fields."""
     out = bytearray()
-    _write_varint(out, len(row))
+    write_varint(out, len(row))
     for value in row:
         encode_value(value, out)
     return bytes(out)
@@ -143,7 +143,7 @@ def encode_row(row: Tuple[Any, ...]) -> bytes:
 
 def decode_row(data: bytes, pos: int) -> Tuple[Tuple[Any, ...], int]:
     """Decode a row tuple at ``pos``; return ``(row, next_pos)``."""
-    width, pos = _read_varint(data, pos)
+    width, pos = read_varint(data, pos)
     values: List[Any] = []
     for _ in range(width):
         value, pos = decode_value(data, pos)

@@ -72,6 +72,10 @@ class Database:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
+        # Callers discard what the snapshot supersedes (the store
+        # truncates its WAL) as soon as this returns, so the rename
+        # itself has to be on disk, not only the file's contents.
+        fsync_directory(os.path.dirname(path) or ".")
 
     @classmethod
     def load(cls, path: str) -> "Database":
@@ -138,6 +142,21 @@ class Database:
             row, pos = decode_row(data, pos)
             table.insert_row(row)
         return pos
+
+
+def fsync_directory(directory: str) -> None:
+    """Make a rename or creation inside ``directory`` durable; a no-op
+    where the platform or file system cannot fsync a directory."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - fs without dir fsync
+        pass
+    finally:
+        os.close(fd)
 
 
 def tuple_to_value(names: Sequence[str]) -> str:

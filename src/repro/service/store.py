@@ -2,46 +2,62 @@
 
 On-disk layout inside the store directory::
 
-    store.db     relstore snapshot: documents (bracket text), indexes
-                 (treeId, pqg, cnt), meta (p, q, per-document WAL
-                 positions already folded into the snapshot)
-    wal.log      append-only text file of committed edit batches:
-                 one BEGIN/ops/COMMIT block per batch
+    store.db     relstore snapshot: ``documents`` (one self-contained
+                 binary record per document, see
+                 :func:`encode_document`), ``meta`` (p, q, backend,
+                 store identity, the commit sequence folded into the
+                 snapshot) and, with standing queries, ``subs`` +
+                 ``standing``
+    wal.log      append-only text file of committed edit batches: one
+                 ``BEGIN <doc> <count> <seq>``/ops/``COMMIT`` block per
+                 batch
+
+The documents are canonical; the pq-gram index is derived from them,
+never persisted here, and rebuilt when the store opens (≈5 µs per
+node — cheaper than reading the relation back).
 
 Commit protocol for ``apply_edits`` (one write path: a synchronous
 call is a group commit of one, a serving-mode call joins whatever the
 appender thread drained with it):
 
-1. validate every batch of the group against a copy of its document —
-   a batch that does not apply fails alone and logs nothing,
-2. append the valid batches (document id + serialized operations) to
-   the WAL and fsync — they are now durable,
-3. publish the edited documents and incrementally maintain each index
-   through the batch engine (log compaction + commuting-group
-   partitioning + single O(|Δ|) apply; exact for every valid log,
-   including ``Move``),
+1. validate every batch of the group against a copy-on-write copy of
+   its document — a batch that does not apply fails alone and logs
+   nothing,
+2. append the valid batches (document id, commit sequence, serialized
+   operations) to the WAL and fsync — they are now durable,
+3. incrementally maintain each index through the batch engine (log
+   compaction + commuting-group partitioning + single O(|Δ|) apply;
+   exact for every valid log, including ``Move``) and publish the
+   edited documents,
 4. opportunistically checkpoint (write a fresh snapshot and truncate
-   the WAL) every ``checkpoint_every`` batches.
+   the WAL) every ``checkpoint_every`` batches.  The store keeps the
+   encoded record of every document that has not changed since it was
+   last encoded, so a checkpoint serialises only the documents dirtied
+   since the previous one.
 
-``open`` recovers by loading the snapshot and replaying any WAL
-batches that were appended after it; half-written trailing batches
-(no COMMIT line — the crash window) are ignored.  For the in-memory
-backends (``memory``, ``compact``, ``sharded``) the snapshot's
-``indexes`` relation is one backend ``snapshot()``/``restore()``
-round-trip; the chosen backend is recorded in the snapshot so
-reopening preserves it.
+``open`` recovers by decoding the snapshot's documents, rebuilding the
+forest from them and replaying the WAL blocks stamped past the
+snapshot's commit sequence; half-written trailing batches (no COMMIT
+line — the crash window) are ignored, and so are blocks the snapshot
+already covers (a crash between the snapshot rename and the WAL
+truncation leaves them behind).  The chosen backend is recorded in
+the snapshot so reopening preserves it.
 
-The ``segment`` backend is its own durable home: the index relation
-lives in memory-mapped segment files plus a tail delta log under
-``<directory>/segments/``, the snapshot carries *no* ``indexes``
-table, and reopening maps the frozen segment read-only instead of
-re-inverting the relation — O(tail), not O(index).  Each WAL batch
-carries a monotonically increasing commit sequence (persisted in the
-snapshot meta) that the backend stamps into its delta records, so
-recovery replays a batch into the forest only when the backend does
-not already hold it; corrupt or foreign segment files are detected
-(checksums + a store-identity fingerprint) and rebuilt from the
-recovered documents — slower, never wrong.
+The ``segment`` and ``rel`` backends are their own durable homes: the
+index relation lives in memory-mapped segment files plus a tail delta
+log under ``<directory>/segments/`` (or in ``<directory>/rel/rel.db``),
+and reopening maps the frozen segment read-only instead of rebuilding
+— O(tail), not O(index).  The backend stamps each batch's commit
+sequence into its delta records, so recovery replays a batch into the
+forest only when the backend does not already hold it; corrupt or
+foreign home files are detected (checksums + a store-identity
+fingerprint) and the forest is rebuilt from the recovered documents
+like every other backend's — slower, never wrong.
+
+Snapshots written before the ``documents`` relation existed (a
+``nodes`` row per node and an ``indexes`` relation) still open: the
+nodes are read, the index rows ignored, and the next checkpoint writes
+the current form.
 """
 
 from __future__ import annotations
@@ -60,18 +76,108 @@ from repro.core.index import PQGramIndex
 from repro.edits.ops import EditOperation
 from repro.edits.script import EditScript
 from repro.edits.serialize import format_operations, parse_operations
-from repro.errors import SegmentCorruptError, StorageError
+from repro.errors import CodecError, SegmentCorruptError, StorageError, TreeError
 from repro.lookup.forest import ForestIndex
 from repro.lookup.service import LookupResult, LookupService
 from repro.obsv.metrics import MetricsRegistry, resolve_registry
+from repro.relstore.codec import read_varint, unzigzag, write_varint, zigzag
 from repro.relstore.database import Database
 from repro.relstore.schema import Column, Schema
 from repro.stream.standing import Notification, StandingQueryEngine
-from repro.tree.traversal import preorder
 from repro.tree.tree import Tree
 
 _SNAPSHOT = "store.db"
 _WAL = "wal.log"
+
+
+def encode_document(tree: Tree) -> bytes:
+    """The checkpoint record of one document.
+
+    Self-contained: a label dictionary (count, then each distinct label
+    as length + UTF-8, in order of first use) followed by the node
+    count and, per node in preorder, three varints — the node id as a
+    zigzag delta to the previous node's, the distance back to the
+    parent's preorder position (0 for the root) and the label's
+    dictionary index.  Node ids — which WAL operations and client edits
+    reference — and sibling order survive the round trip exactly.
+    """
+    labels: Dict[str, int] = {}
+    body = bytearray()
+    position = 0
+    previous_id = 0
+    stack = [(tree.root_id, 0)]
+    while stack:
+        node_id, parent_position = stack.pop()
+        write_varint(body, zigzag(node_id - previous_id))
+        write_varint(body, position - parent_position)
+        write_varint(body, labels.setdefault(tree.label(node_id), len(labels)))
+        previous_id = node_id
+        for child_id in reversed(tree.children(node_id)):
+            stack.append((child_id, position))
+        position += 1
+    out = bytearray()
+    write_varint(out, len(labels))
+    for label in labels:
+        raw = label.encode("utf-8")
+        write_varint(out, len(raw))
+        out += raw
+    write_varint(out, position)
+    out += body
+    return bytes(out)
+
+
+def decode_document(record: bytes) -> Tree:
+    """Inverse of :func:`encode_document`; anything that is not a
+    complete, consistent record raises :class:`~repro.errors.CodecError`
+    (every loop consumes input, so garbage cannot make it spin)."""
+    try:
+        label_count, pos = read_varint(record, 0)
+        labels: List[str] = []
+        for _ in range(label_count):
+            length, pos = read_varint(record, pos)
+            end = pos + length
+            if end > len(record):
+                raise CodecError("truncated label in document record")
+            labels.append(record[pos:end].decode("utf-8"))
+            pos = end
+        node_count, pos = read_varint(record, pos)
+        if node_count < 1:
+            raise CodecError("document record holds no root node")
+        node_ids: List[int] = []
+        node_id = 0
+        for position in range(node_count):
+            delta, pos = read_varint(record, pos)
+            node_id += unzigzag(delta)
+            distance, pos = read_varint(record, pos)
+            label_index, pos = read_varint(record, pos)
+            if label_index >= len(labels):
+                raise CodecError(
+                    f"label index {label_index} outside the record's "
+                    f"{len(labels)}-label dictionary"
+                )
+            if position == 0:
+                if distance:
+                    raise CodecError("document record's root has a parent")
+                tree = Tree(labels[label_index], node_id)
+            else:
+                if not 1 <= distance <= position:
+                    raise CodecError(
+                        f"parent distance {distance} invalid at preorder "
+                        f"position {position}"
+                    )
+                tree.add_child(
+                    node_ids[position - distance],
+                    labels[label_index],
+                    node_id=node_id,
+                )
+            node_ids.append(node_id)
+    except (UnicodeDecodeError, TreeError) as exc:
+        raise CodecError(f"corrupt document record: {exc}") from None
+    if pos != len(record):
+        raise CodecError(
+            f"{len(record) - pos} trailing bytes in document record"
+        )
+    return tree
 
 
 class DocumentStore:
@@ -103,7 +209,14 @@ class DocumentStore:
         self._directory = directory
         self._checkpoint_every = checkpoint_every
         self._serving = serve_threads > 0
+        # Lock-free readers (get_document, the wire's show, the query
+        # post-filter) copy trees out of this dict, so a tree reachable
+        # from it is never written: every change publishes a new tree.
         self._documents: Dict[int, Tree] = {}
+        # The checkpoint record of every document unchanged since it
+        # was last encoded or decoded; _publish and remove_document
+        # drop the stale entry, so a checkpoint encodes only those.
+        self._encoded: Dict[int, bytes] = {}
         # Guards document membership, the WAL, and the checkpoint
         # counter.  In serving mode the appender thread holds it for
         # the whole group commit; lookups never touch it.
@@ -189,6 +302,11 @@ class DocumentStore:
         )
         self._m_checkpoint_seconds = registry.histogram(
             "checkpoint_seconds", "wall seconds per snapshot write"
+        )
+        self._m_checkpoint_encoded = registry.counter(
+            "checkpoint_documents_encoded_total",
+            "documents serialised by checkpoints (the rest are written "
+            "from their cached records)",
         )
         self._m_recovery_seconds = registry.histogram(
             "recovery_seconds", "wall seconds per snapshot-load + WAL replay"
@@ -299,7 +417,7 @@ class DocumentStore:
         with self._mutex:
             if document_id in self._documents:
                 raise StorageError(f"document id {document_id} already exists")
-            self._documents[document_id] = tree.copy()
+            self._publish(document_id, tree.copy())
             self._forest.add_tree(document_id, tree)
             events = self._standing_on_add(document_id)
             self._checkpoint()
@@ -327,7 +445,7 @@ class DocumentStore:
             self._forest.add_trees(copies, jobs=jobs)
             events: List[Notification] = []
             for document_id, tree in copies:
-                self._documents[document_id] = tree
+                self._publish(document_id, tree)
                 events.extend(self._standing_on_add(document_id))
             self._checkpoint()
         self._dispatch_events(events)
@@ -339,6 +457,7 @@ class DocumentStore:
             self._require(document_id)
             events = self._standing_on_remove(document_id)
             del self._documents[document_id]
+            self._encoded.pop(document_id, None)
             self._forest.remove_tree(document_id)
             self._checkpoint()
         self._dispatch_events(events)
@@ -372,9 +491,15 @@ class DocumentStore:
         each document's shadow accumulates the batches before it, so a
         failing batch fails alone and later batches see the state
         without it, exactly as under serial execution.  All valid
-        batches then reach the WAL in one append with one fsync, the
-        shadows are published, and each document gets a single batched
-        maintenance call over its concatenated inverse log.
+        batches then reach the WAL in one append with one fsync, each
+        document gets a single batched maintenance call over its
+        concatenated inverse log, and only then is its shadow published.
+
+        Invariant: a ``Tree`` reachable from ``_documents`` is never
+        written.  Readers copy documents out of that dict without the
+        mutex, and the maintenance engine walks the tree it is given
+        backwards in place before restoring it — so it is handed the
+        shadow while that is still private to this call.
         """
         events: List[Notification] = []
         with self._mutex, self._metrics.span("store.apply_group"):
@@ -387,8 +512,9 @@ class DocumentStore:
                     shadow = shadows.get(document_id)
                     if shadow is None:
                         shadow = self._require(document_id)
-                    # Only the probe is mutated, so the published
-                    # document itself can seed the first one.
+                    # Only the probe is mutated (a copy-on-write clone:
+                    # O(1), then O(what the batch touches)), so the
+                    # published document itself can seed the first one.
                     probe = shadow.copy()
                     log = EditScript(list(pending.operations)).apply(probe)
                 except BaseException as exc:  # noqa: BLE001 - per-batch isolation
@@ -401,28 +527,36 @@ class DocumentStore:
                 valid.append(pending)
             if not valid:
                 return
+            # One commit sequence per WAL block, in append order and
+            # written into the block; each document's single batched
+            # maintenance call is stamped with its *last* block — the
+            # folded delta covers every earlier one, so recovery may
+            # skip all of them together.
+            stamped = list(enumerate(valid, self._commit_seq + 1))
             self._append_wal_group(
-                [(pending.document_id, pending.operations) for pending in valid]
+                [
+                    (pending.document_id, pending.operations, seq)
+                    for seq, pending in stamped
+                ]
             )
-            # One commit sequence per WAL block, in append order; each
-            # document's single batched maintenance call is stamped with
-            # its *last* block — the folded delta covers every earlier
-            # one, so recovery may skip all of them together.
-            sequences: Dict[int, int] = {}
-            for pending in valid:
-                self._commit_seq += 1
-                sequences[pending.document_id] = self._commit_seq
+            self._commit_seq += len(valid)
+            sequences = {pending.document_id: seq for seq, pending in stamped}
             for document_id, shadow in shadows.items():
-                self._documents[document_id] = shadow
                 self._forest.backend.note_commit_seq(sequences[document_id])
                 # Incremental maintenance: the forest re-inverts only
                 # the keys the edit batches actually changed.  The same
                 # Δ-keys route the update to interested standing
                 # queries; the inverse log carries the Move markers the
                 # predicate skip rule must see.
-                minus, plus = self._forest.update_tree(
-                    document_id, shadow, logs[document_id]
-                )
+                try:
+                    minus, plus = self._forest.update_tree(
+                        document_id, shadow, logs[document_id]
+                    )
+                finally:
+                    # The batch is in the WAL: the shadow (restored by
+                    # the engine, also on error) is the committed
+                    # document even if maintaining its index raised.
+                    self._publish(document_id, shadow)
                 events.extend(
                     self._standing_on_delta(
                         document_id,
@@ -683,31 +817,39 @@ class DocumentStore:
         except KeyError:
             raise StorageError(f"no document with id {document_id}") from None
 
+    def _publish(self, document_id: int, tree: Tree) -> None:
+        """Make ``tree`` the current version of a document.  From here
+        on the tree is shared with lock-free readers and must not be
+        written again; its cached checkpoint record is stale."""
+        self._documents[document_id] = tree
+        self._encoded.pop(document_id, None)
+
     # ------------------------------------------------------------------
     # WAL
     # ------------------------------------------------------------------
 
     @staticmethod
     def _wal_block(
-        document_id: int, operations: Sequence[EditOperation]
+        document_id: int, operations: Sequence[EditOperation], seq: int
     ) -> str:
         return (
-            f"BEGIN {document_id} {len(operations)}\n"
+            f"BEGIN {document_id} {len(operations)} {seq}\n"
             + format_operations(operations)
             + ("\n" if operations else "")
             + "COMMIT\n"
         )
 
     def _append_wal_group(
-        self, batches: Sequence[Tuple[int, Sequence[EditOperation]]]
+        self, batches: Sequence[Tuple[int, Sequence[EditOperation], int]]
     ) -> None:
-        """Append each batch as its own BEGIN/COMMIT block, all in one
-        write with one fsync (group commit).  ``wal_appends_total``
-        counts blocks, not writes — it stays equal to
-        ``store_edit_batches_total`` whatever the grouping."""
+        """Append each ``(document id, operations, commit sequence)``
+        batch as its own BEGIN/COMMIT block, all in one write with one
+        fsync (group commit).  ``wal_appends_total`` counts blocks, not
+        writes — it stays equal to ``store_edit_batches_total`` whatever
+        the grouping."""
         text = "".join(
-            self._wal_block(document_id, operations)
-            for document_id, operations in batches
+            self._wal_block(document_id, operations, seq)
+            for document_id, operations, seq in batches
         )
         with open(self._wal_path(), "a", encoding="utf-8") as handle:
             handle.write(text)
@@ -717,15 +859,19 @@ class DocumentStore:
         self._m_wal_bytes.inc(len(text.encode("utf-8")))
         self._m_wal_fsyncs.inc()
 
-    def _read_wal(self) -> List[Tuple[int, List[EditOperation]]]:
-        """Committed batches of the WAL; a torn trailing batch is
-        silently dropped (it never acknowledged)."""
+    def _read_wal(
+        self,
+    ) -> List[Tuple[int, List[EditOperation], Optional[int]]]:
+        """Committed batches of the WAL as ``(document id, operations,
+        commit sequence)``; a torn trailing batch is silently dropped
+        (it never acknowledged).  The sequence is ``None`` for the
+        three-field BEGIN lines older stores wrote."""
         path = self._wal_path()
         if not os.path.exists(path):
             return []
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().split("\n")
-        batches: List[Tuple[int, List[EditOperation]]] = []
+        batches: List[Tuple[int, List[EditOperation], Optional[int]]] = []
         position = 0
         while position < len(lines):
             line = lines[position].strip()
@@ -735,8 +881,8 @@ class DocumentStore:
             if not line.startswith("BEGIN "):
                 break  # torn or corrupt tail
             try:
-                _, document_id_text, count_text = line.split()
-                count = int(count_text)
+                document_id, count, *stamp = map(int, line.split()[1:])
+                (seq,) = stamp or (None,)  # more than one field: ValueError
                 body = lines[position + 1 : position + 1 + count]
                 commit_line = lines[position + 1 + count].strip()
             except (ValueError, IndexError):
@@ -749,7 +895,7 @@ class DocumentStore:
                 break
             if len(operations) != count:
                 break
-            batches.append((int(document_id_text), operations))
+            batches.append((document_id, operations, seq))
             position += count + 2
         return batches
 
@@ -757,21 +903,7 @@ class DocumentStore:
     # snapshot + recovery
     # ------------------------------------------------------------------
 
-    # Documents are stored node by node (preorder) so that node ids —
-    # which WAL operations and client edits reference — survive the
-    # round trip exactly.
-    _NODE_SCHEMA = Schema(
-        [
-            Column("docId", int),
-            Column("seq", int),          # preorder position
-            Column("nodeId", int),
-            Column("parId", int, nullable=True),
-            Column("label", str),
-        ]
-    )
-    _IDX_SCHEMA = Schema(
-        [Column("treeId", int), Column("pqg", tuple), Column("cnt", int)]
-    )
+    _DOC_SCHEMA = Schema([Column("docId", int), Column("tree", bytes)])
     _META_SCHEMA = Schema([Column("key", str), Column("value", str)])
     # Standing queries: the registered plans (JSON spec) and their
     # membership at checkpoint time — the durable notification
@@ -808,43 +940,24 @@ class DocumentStore:
                     "value": str(len(self._forest.backend.shards)),  # type: ignore[attr-defined]
                 }
             )
-        nodes = database.create_table("nodes", self._NODE_SCHEMA, ("docId", "seq"))
+        documents = database.create_table(
+            "documents", self._DOC_SCHEMA, ("docId",)
+        )
         for document_id, tree in self._documents.items():
-            for sequence, node_id in enumerate(preorder(tree)):
-                nodes.insert(
-                    {
-                        "docId": document_id,
-                        "seq": sequence,
-                        "nodeId": node_id,
-                        "parId": tree.parent(node_id),
-                        "label": tree.label(node_id),
-                    }
-                )
+            record = self._encoded.get(document_id)
+            if record is None:
+                record = self._encoded[document_id] = encode_document(tree)
+                self._m_checkpoint_encoded.inc()
+            documents.insert_row((document_id, record))
         if self._forest.backend.name in ("segment", "rel"):
             # These backends are their own durable homes: make their
             # on-disk state (the segment delta log, or one atomic
             # relstore snapshot of the postings/sizes/node tables)
-            # durable instead of serializing the relation — the
-            # snapshot stays O(documents), and it must be durable
-            # *before* the WAL truncation below discards the batches
-            # it covers.
+            # durable *before* the WAL truncation below discards the
+            # batches it covers.  Every other backend persists nothing:
+            # its forest is rebuilt from the documents on open.
             with self._forest.lock.write():
                 self._forest.backend.checkpoint()  # type: ignore[attr-defined]
-        else:
-            indexes = database.create_table(
-                "indexes", self._IDX_SCHEMA, ("treeId", "pqg")
-            )
-            # The index relation is exactly the backend's snapshot — one
-            # write path, serialized verbatim.  The shared scope keeps a
-            # concurrent background refreeze (an exclusive holder) from
-            # overlapping the read.
-            with self._forest.lock.read():
-                relation = self._forest.backend.snapshot()
-            for document_id, bag in relation.items():
-                for key, count in bag.items():
-                    indexes.insert(
-                        {"treeId": document_id, "pqg": key, "cnt": count}
-                    )
         if self._standing is not None and len(self._standing):
             subs = database.create_table("subs", self._SUBS_SCHEMA, ("queryId",))
             standing = database.create_table(
@@ -868,11 +981,40 @@ class DocumentStore:
                         }
                     )
         database.save(self._snapshot_path())
-        # The snapshot covers everything: truncate the WAL.
+        # The snapshot covers everything: truncate the WAL.  Safe in
+        # this order because save() returns only once the file *and*
+        # its rename are fsynced; a crash before the truncation leaves
+        # blocks whose sequence the snapshot's commit_seq tells replay
+        # to skip.
         with open(self._wal_path(), "w", encoding="utf-8") as handle:
             handle.flush()
             os.fsync(handle.fileno())
         self._batches_since_checkpoint = 0
+
+    def _load_documents(self, database: Database) -> None:
+        """Fill ``_documents`` from a loaded snapshot: the ``documents``
+        relation (whose records stay cached — they are what the next
+        checkpoint writes for every document left untouched), or the
+        ``nodes`` relation of snapshots written before it existed."""
+        self._documents = {}
+        self._encoded = {}
+        if "documents" in database:
+            for document_id, record in database.table("documents").scan():
+                self._documents[document_id] = decode_document(record)
+                self._encoded[document_id] = record
+            return
+        per_document: Dict[int, List[Dict[str, object]]] = {}
+        for row in database.table("nodes").scan_dicts():
+            per_document.setdefault(row["docId"], []).append(row)
+        for document_id, rows in per_document.items():
+            rows.sort(key=lambda row: row["seq"])  # type: ignore[arg-type,return-value]
+            root = rows[0]
+            tree = Tree(root["label"], root["nodeId"])  # type: ignore[arg-type]
+            for row in rows[1:]:
+                tree.add_child(
+                    row["parId"], row["label"], node_id=row["nodeId"]  # type: ignore[arg-type]
+                )
+            self._documents[document_id] = tree
 
     def _recover(
         self,
@@ -897,19 +1039,7 @@ class DocumentStore:
         if recorded_compress is not None:
             self._compress = recorded_compress == "1"
         config = GramConfig(int(meta["p"]), int(meta["q"]))
-        self._documents = {}
-        per_document: Dict[int, List[Dict[str, object]]] = {}
-        for row in database.table("nodes").scan_dicts():
-            per_document.setdefault(row["docId"], []).append(row)
-        for document_id, rows in per_document.items():
-            rows.sort(key=lambda row: row["seq"])  # type: ignore[arg-type,return-value]
-            root = rows[0]
-            tree = Tree(root["label"], root["nodeId"])  # type: ignore[arg-type]
-            for row in rows[1:]:
-                tree.add_child(
-                    row["parId"], row["label"], node_id=row["nodeId"]  # type: ignore[arg-type]
-                )
-            self._documents[document_id] = tree
+        self._load_documents(database)
         # Persisted standing queries (absent from pre-stream snapshots):
         # plan specs plus the membership frontier the last checkpoint
         # recorded — restored and reconciled once the forest is final.
@@ -929,48 +1059,31 @@ class DocumentStore:
                         memberships.get(row["queryId"], {}),
                     )
                 )
-        if backend in ("segment", "rel"):
-            rebuilt = self._recover_homed_forest(config, backend)
-        else:
-            rebuilt = False
-            self._forest = ForestIndex(
-                config,
-                backend=backend,
-                shards=shards,
-                metrics=self._metrics,
-                compress=self._compress,
-            )
-            bags: Dict[int, Dict[tuple, int]] = {}
-            for row in database.table("indexes").scan_dicts():
-                bags.setdefault(row["treeId"], {})[row["pqg"]] = row["cnt"]
-            # One backend restore() round-trip rebuilds the whole
-            # relation (documents with empty bags included, keyed off
-            # the document table rather than the sparse index rows).
-            self._forest.backend.restore(
-                {
-                    document_id: bags.get(document_id, {})
-                    for document_id in self._documents
-                }
-            )
-        # Replay committed WAL batches appended after the snapshot.
-        # Blocks are numbered from the snapshot's commit high-water
-        # mark; documents always re-apply (the snapshot predates every
-        # surviving block), the forest only when the backend does not
-        # already hold the batch durably — a reopened segment backend's
-        # delta log typically covers the whole tail.
+        rebuilt = self._recover_forest(config, backend, shards)
+        # Replay the committed WAL batches the snapshot does not cover.
+        # A block stamped at or below the frontier is already folded in
+        # (the crash window between the snapshot rename and the WAL
+        # truncation leaves such blocks behind); unstamped blocks of
+        # older stores are numbered by position, as they always were.
+        # Nothing can read the store yet, so the documents are replayed
+        # in place; the forest is replayed only when the backend does
+        # not already hold the batch durably — a reopened segment
+        # backend's delta log typically covers the whole tail.
         forest_backend = self._forest.backend
-        base = self._commit_seq
         replayed = 0
-        for offset, (document_id, operations) in enumerate(self._read_wal()):
-            seq = base + 1 + offset
+        for document_id, operations, stamped in self._read_wal():
+            seq = self._commit_seq + 1 if stamped is None else stamped
+            if seq <= self._commit_seq:
+                continue
+            self._commit_seq = seq
             document = self._documents[document_id]
             log = EditScript(list(operations)).apply(document)
+            self._encoded.pop(document_id, None)
             replayed += 1
             if seq <= forest_backend.applied_seq(document_id):
                 continue
             forest_backend.note_commit_seq(seq)
             self._forest.update_tree(document_id, document, log)
-        self._commit_seq = base + replayed
         self._m_wal_replayed.inc(replayed)
         # The delta log can also run *ahead* of the durable WAL: a torn
         # append discards the batch from the WAL but may leave its
@@ -1011,49 +1124,55 @@ class DocumentStore:
             self._checkpoint()
         self._batches_since_checkpoint = 0
 
-    def _recover_homed_forest(self, config: GramConfig, backend: str) -> bool:
-        """Reopen (or rebuild) a forest whose backend is its own durable
-        home (``segment`` or ``rel``); True when anything had to be
-        rebuilt or reconciled.
+    def _recover_forest(
+        self, config: GramConfig, backend: str, shards: Optional[int]
+    ) -> bool:
+        """Build the forest for the recovered documents; True when a
+        backend's durable home had to be rebuilt or reconciled (the
+        caller checkpoints to persist that).
 
-        The happy path reopens the backend's on-disk state — the mapped
-        frozen segment plus its tail delta log, or ``rel.db`` — which
-        carries the per-tree commit sequences the WAL replay gates on,
-        so replay touches only the uncovered tail.  Anything less than
-        clean falls back to a full rebuild from the recovered
-        documents: corrupt files (checksums, torn manifests) and homes
-        whose recorded source fingerprint is not this store's (files
-        copied from another store, or left by a deleted one).  Slower,
-        never wrong.
+        Every forest is ``add_trees`` over the documents, with one
+        exception: a backend that is its own durable home (``segment``,
+        ``rel``) is reopened instead when its files load clean and carry
+        this store's fingerprint — the mapped frozen segment plus its
+        tail delta log, or ``rel.db``, with the per-tree commit
+        sequences the WAL replay gates on, so replay touches only the
+        uncovered tail.  Corrupt files (checksums, torn manifests) and
+        homes recorded for another store (copied in, or left by a
+        deleted one) are discarded and rebuilt like everything else.
+        Slower, never wrong.
         """
-        home, corrupt = {
+        homes = {
             "segment": (self._segment_directory(), SegmentCorruptError),
             "rel": (self._rel_directory(), StorageError),
-        }[backend]
+        }
         forest: Optional[ForestIndex] = None
-        try:
-            forest = ForestIndex(
-                config,
-                backend=backend,
-                metrics=self._metrics,
-                directory=home,
-                compress=self._compress,
-            )
-        except corrupt:
-            shutil.rmtree(home, ignore_errors=True)
-        else:
-            if (
-                forest.backend.source_fingerprint()  # type: ignore[attr-defined]
-                != self._store_uuid
-            ):
-                forest.close()
-                forest = None
+        if backend in homes:
+            home, corrupt = homes[backend]
+            try:
+                forest = ForestIndex(
+                    config,
+                    backend=backend,
+                    metrics=self._metrics,
+                    directory=home,
+                    compress=self._compress,
+                )
+            except corrupt:
+                pass
+            else:
+                if (
+                    forest.backend.source_fingerprint()  # type: ignore[attr-defined]
+                    != self._store_uuid
+                ):
+                    forest.close()
+                    forest = None
+            if forest is None:
                 shutil.rmtree(home, ignore_errors=True)
         if forest is None:
-            self._forest = self._make_forest(config, backend, None)
+            self._forest = self._make_forest(config, backend, shards)
             self._forest.backend.note_commit_seq(self._commit_seq)
             self._forest.add_trees(list(self._documents.items()))
-            return True
+            return backend in homes
         self._forest = forest
         forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
         # Membership reconcile: around a crash the backend's own log

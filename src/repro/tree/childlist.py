@@ -53,6 +53,17 @@ class BlockedList:
                 self._block_of[value] = block_index
         self._length = len(items)
 
+    def copy(self) -> "BlockedList":
+        """An independent list with the same elements and block layout
+        (C-speed: no per-element work beyond the block copies)."""
+        clone = BlockedList.__new__(BlockedList)
+        clone._target = self._target
+        clone._blocks = [list(block) for block in self._blocks]
+        clone._sizes = list(self._sizes)
+        clone._block_of = dict(self._block_of)
+        clone._length = self._length
+        return clone
+
     # ------------------------------------------------------------------
     # read access
     # ------------------------------------------------------------------

@@ -11,6 +11,13 @@ even under enormous fanouts (the DBLP root has millions of children).
 Full child enumeration stays O(f); the delta function only ever reads
 O(q)-wide windows (paper Alg. 2).
 
+:meth:`Tree.copy` is copy-on-write: a clone shares the record objects
+of its source and each side clones a record (label, parent, child
+list) the first time it writes it, so copying costs one C-level dict
+copy and an edit costs what it touches.  Every write reaches its record
+through :meth:`Tree._own`; code that mutates a record obtained any
+other way corrupts the trees that share it.
+
 The tree enforces the paper's model: non-empty, single root, ordered
 siblings, ids unique within the tree.
 """
@@ -30,14 +37,22 @@ from repro.tree.node import Node
 
 
 class _Record:
-    """Internal per-node storage: label, parent id, ordered child ids."""
+    """Internal per-node storage: label, parent id, ordered child ids.
 
-    __slots__ = ("label", "parent", "children")
+    ``owner`` is the token of the one tree allowed to write this record
+    in place; every other tree holding it clones it first.  ``None`` is
+    nobody's token, so a record built by hand is cloned on first write.
+    """
 
-    def __init__(self, label: str, parent: Optional[int]) -> None:
+    __slots__ = ("label", "parent", "children", "owner")
+
+    def __init__(
+        self, label: str, parent: Optional[int], owner: object = None
+    ) -> None:
         self.label = label
         self.parent = parent
         self.children: BlockedList = BlockedList()
+        self.owner = owner
 
 
 class Tree:
@@ -54,9 +69,10 @@ class Tree:
 
     def __init__(self, root_label: str, root_id: Optional[int] = None) -> None:
         self._records: Dict[int, _Record] = {}
+        self._owner = object()
         self._next_id = 0
         self._root_id = self._claim_id(root_id)
-        self._records[self._root_id] = _Record(root_label, None)
+        self._records[self._root_id] = _Record(root_label, None, self._owner)
 
     # ------------------------------------------------------------------
     # id management
@@ -99,6 +115,17 @@ class Tree:
             return self._records[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
+
+    def _own(self, node_id: int) -> _Record:
+        """The record of ``node_id`` for writing: cloned into this tree
+        first when a :meth:`copy` still shares it."""
+        record = self._record(node_id)
+        if record.owner is not self._owner:
+            shared = record
+            record = _Record(shared.label, shared.parent, self._owner)
+            record.children = shared.children.copy()
+            self._records[node_id] = record
+        return record
 
     def label(self, node_id: int) -> str:
         """Label of the node."""
@@ -179,7 +206,7 @@ class Tree:
         position: Optional[int] = None,
     ) -> int:
         """Append (or insert at 1-based ``position``) a new leaf child."""
-        record = self._record(parent_id)
+        record = self._own(parent_id)
         new_id = self._claim_id(node_id)
         if position is None:
             position = len(record.children) + 1
@@ -188,7 +215,7 @@ class Tree:
                 f"cannot insert at position {position} under node "
                 f"{parent_id} with {len(record.children)} children"
             )
-        self._records[new_id] = _Record(label, parent_id)
+        self._records[new_id] = _Record(label, parent_id, self._owner)
         record.children.insert(position - 1, new_id)
         return new_id
 
@@ -201,7 +228,7 @@ class Tree:
         ``m == k - 1`` inserts a leaf.  Positions are 1-based and the
         moved range keeps its order (Section 3.1).
         """
-        record = self._record(parent_id)
+        record = self._own(parent_id)
         fanout = len(record.children)
         if not (1 <= k and k - 1 <= m <= fanout):
             raise InvalidPositionError(
@@ -209,41 +236,45 @@ class Tree:
             )
         new_id = self._claim_id(node_id)
         moved = record.children.pop_range(k - 1, m)
-        new_record = _Record(label, parent_id)
+        new_record = _Record(label, parent_id, self._owner)
         new_record.children = BlockedList(moved)
         self._records[new_id] = new_record
         record.children.insert(k - 1, new_id)
         for child_id in moved:
-            self._records[child_id].parent = new_id
+            self._own(child_id).parent = new_id
 
     def delete_node(self, node_id: int) -> None:
         """DEL(n) of the paper: splice the node's children into its place."""
         record = self._record(node_id)
         if record.parent is None:
             raise TreeError("cannot delete the root node")
-        parent_record = self._records[record.parent]
+        parent_record = self._own(record.parent)
         position = parent_record.children.remove(node_id)
         parent_record.children.insert_range(position, record.children.to_list())
         for child_id in record.children:
-            self._records[child_id].parent = record.parent
+            self._own(child_id).parent = record.parent
         del self._records[node_id]
 
     def rename_node(self, node_id: int, label: str) -> None:
         """REN(n, l'): change the node's label."""
-        self._record(node_id).label = label
+        self._own(node_id).label = label
 
     # ------------------------------------------------------------------
     # whole-tree operations
     # ------------------------------------------------------------------
 
     def copy(self) -> "Tree":
-        """Deep copy preserving ids and order."""
+        """An independent copy preserving ids and order — O(1) Python
+        work: the records are shared until either side writes them.
+
+        Both sides get a fresh owner token, the source included, so
+        every record that exists now belongs to neither and is cloned
+        by whichever tree writes it first.
+        """
         clone = Tree.__new__(Tree)
-        clone._records = {}
-        for node_id, record in self._records.items():
-            new_record = _Record(record.label, record.parent)
-            new_record.children = BlockedList(record.children.to_list())
-            clone._records[node_id] = new_record
+        clone._records = dict(self._records)
+        clone._owner = object()
+        self._owner = object()
         clone._next_id = self._next_id
         clone._root_id = self._root_id
         return clone

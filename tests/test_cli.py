@@ -129,12 +129,16 @@ class TestStoreCommands:
 
         old_path, new_path = xml_files
         store_dir = str(tmp_path / "store")
+        # On a backend that is its own durable home: the others rebuild
+        # their index from the documents on open, which heals this.
+        main(["store", "--dir", store_dir, "create", "--backend", "segment"])
         main(["store", "--dir", store_dir, "add", "1", old_path])
         main(["store", "--dir", store_dir, "add", "2", new_path])
         capsys.readouterr()
         # Corrupt document 2's index relation behind the store's back
         # (a legal delta, so backend-internal consistency still holds —
-        # only the rebuild comparison can catch it) and persist it.
+        # only the rebuild comparison can catch it) and persist it in
+        # the segment's delta log.
         store = DocumentStore(store_dir, GramConfig(3, 3))
         bag = dict(store._forest.backend.tree_bag(2))
         key = next(iter(bag))

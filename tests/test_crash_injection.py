@@ -235,3 +235,52 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
         assert again.standing_matches("crashy") == recovered_matches
         again.close()
         shutil.rmtree(workdir)
+
+
+@pytest.mark.parametrize("backend", ["compact", "segment"])
+def test_crash_between_snapshot_rename_and_wal_truncation(tmp_path, backend):
+    """A checkpoint renames the new snapshot into place and then
+    truncates the WAL; a crash in between leaves a snapshot that
+    already holds every batch of an untruncated WAL.  Replaying them
+    again would fail on the first insert (``node id … already
+    exists``) and keep the store from ever opening: blocks stamped at
+    or below the snapshot's commit sequence are skipped instead."""
+    from repro.edits import Insert, Rename
+
+    directory = str(tmp_path / "store")
+    store = DocumentStore(
+        directory, CONFIG, checkpoint_every=1000, backend=backend
+    )
+    store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+    for round_ in range(5):
+        new_id = 40 + round_
+        store.apply_edits(
+            1,
+            [
+                Insert(new_id, "n", 0, 1, 0),
+                Rename(new_id, f"n{round_}"),
+                Rename(1, f"b{round_}"),
+            ],
+        )
+    acknowledged = store_state(store)
+    wal_path = os.path.join(directory, WAL)
+    kept = str(tmp_path / "wal.kept")
+    shutil.copy(wal_path, kept)
+    store.checkpoint()
+    assert os.path.getsize(wal_path) == 0
+    shutil.copy(kept, wal_path)  # the truncation never happened
+    del store
+
+    reopened = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+    assert store_state(reopened) == acknowledged
+    assert_store_is_rebuild(reopened)
+    # The stale blocks stay in the WAL until the next checkpoint; a
+    # batch committed after them must still be found behind them.
+    reopened.apply_edits(1, [Rename(1, "after")])
+    after = store_state(reopened)
+    assert after != acknowledged
+    del reopened
+    again = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+    assert store_state(again) == after
+    assert_store_is_rebuild(again)
+    again.close()

@@ -9,7 +9,7 @@ from repro.datasets import dblp_tree, dblp_update_script
 from repro.edits import Delete, Insert, Rename
 from repro.errors import EditError, StorageError
 from repro.service import DocumentStore
-from repro.tree import tree_from_brackets
+from repro.tree import leaves, tree_from_brackets
 
 
 @pytest.fixture
@@ -212,8 +212,13 @@ class TestEnginesAndStats:
         store.add_document(1, dblp_tree(10, seed=7))
         after_first = store.hasher.stats()
         assert after_first["misses"] > 0
-        # A second, label-identical document is served from the memo.
-        store.add_document(2, dblp_tree(10, seed=7))
+        # A second document over the same labels is served from the
+        # memo.  One leaf short of the first: an identical structure
+        # never reaches the hasher under REPRO_COMPRESS (subtree dedup
+        # shares the first document's bag).
+        second = dblp_tree(10, seed=7)
+        second.delete_node(next(leaves(second)))
+        store.add_document(2, second)
         after_second = store.hasher.stats()
         assert after_second["labels"] == after_first["labels"]
         assert after_second["hits"] > after_first["hits"]

@@ -1,0 +1,337 @@
+"""The checkpoint: one cached record per document, no index relation.
+
+Covers the document-record codec, the O(dirty documents) checkpoint,
+opening a store directory written in the previous on-disk format, and
+the rule that a published document is never written in place.
+"""
+
+import os
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import rebuild_index
+from repro.core import GramConfig
+from repro.edits import Delete, Insert, Rename
+from repro.edits.generator import EditScriptGenerator
+from repro.edits.serialize import format_operations
+from repro.errors import CodecError, EditError
+from repro.obsv import MetricsRegistry
+from repro.relstore import Column, Database, Schema
+from repro.service import DocumentStore
+from repro.service.store import decode_document, encode_document
+from repro.tree import Tree, preorder, tree_from_brackets
+
+from tests.conftest import assert_store_is_rebuild, build_random_tree
+
+CONFIG = GramConfig(2, 3)
+ENCODED = "checkpoint_documents_encoded_total"
+
+AWKWARD_LABELS = ("a", "", "naïve ☃", "with(parens)", "a,b", "x" * 300, "\x00\n")
+
+
+def sparse_tree(size: int, seed: int) -> Tree:
+    """A random tree whose ids are sparse, unordered and partly
+    negative — nothing like the preorder numbering the parser hands
+    out."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(-50, 1_000_000), size)
+    tree = Tree(rng.choice(AWKWARD_LABELS), ids[0])
+    for position, node_id in enumerate(ids[1:], 1):
+        parent = rng.choice(ids[:position])
+        tree.add_child(
+            parent,
+            rng.choice(AWKWARD_LABELS),
+            node_id=node_id,
+            position=rng.randint(1, tree.fanout(parent) + 1),
+        )
+    return tree
+
+
+class TestDocumentRecord:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_ids_labels_and_sibling_order(self, size, seed):
+        tree = sparse_tree(size, seed)
+        decoded = decode_document(encode_document(tree))
+        assert decoded.structural_key() == tree.structural_key()
+        assert list(preorder(decoded)) == list(preorder(tree))
+
+    def test_single_node_tree(self):
+        tree = Tree("only", 7)
+        record = encode_document(tree)
+        assert decode_document(record) == tree
+        assert len(record) == 1 + 1 + len("only") + 1 + 3
+
+    def test_repeated_labels_are_stored_once(self):
+        wide = tree_from_brackets("r(" + ",".join(["item"] * 200) + ")")
+        # dictionary: 2 labels; per node: id delta, parent distance
+        # (two bytes past position 127), label index
+        assert len(encode_document(wide)) < 4 * len(wide)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_every_truncation_is_a_codec_error(self, size, seed):
+        record = encode_document(sparse_tree(size, seed))
+        for cut in range(len(record)):
+            with pytest.raises(CodecError):
+                decode_document(record[:cut])
+        with pytest.raises(CodecError):
+            decode_document(record + b"\x00")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_garbage_decodes_or_raises_codec_error(self, garbage):
+        try:
+            tree = decode_document(garbage)
+        except CodecError:
+            return
+        # The few byte strings that happen to parse are real records.
+        assert decode_document(encode_document(tree)) == tree
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b"\x01\x01a\x00",  # no nodes
+            b"\x01\x01a\x01\x00\x01\x00",  # the root claims a parent
+            b"\x01\x01a\x02\x00\x00\x00\x02\x02\x00",  # parent past the start
+            b"\x01\x01a\x02\x00\x00\x00\x02\x00\x00",  # parent distance 0
+            b"\x01\x01a\x01\x00\x00\x01",  # label index outside the dictionary
+            b"\x01\x01a\x02\x00\x00\x00\x00\x01\x00",  # node id used twice
+            b"\x01\x02\xff\xfe\x01\x00\x00\x00",  # label is not UTF-8
+            b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f",  # 2**63 labels, no bytes
+        ],
+    )
+    def test_inconsistent_records_are_codec_errors(self, record):
+        with pytest.raises(CodecError):
+            decode_document(record)
+
+
+def _collection(count: int, size: int = 12):
+    return [(document_id, build_random_tree(size, document_id)) for document_id in range(count)]
+
+
+class TestCheckpointEncodesOnlyDirtyDocuments:
+    def test_three_of_forty_documents_edited(self, tmp_path):
+        directory = str(tmp_path / "store")
+        registry = MetricsRegistry()
+        store = DocumentStore(
+            directory, CONFIG, checkpoint_every=1000, metrics=registry
+        )
+        store.add_documents(_collection(40))
+        assert registry.counter_value(ENCODED) == 40
+        for document_id in (3, 7, 21, 3):
+            tree = store.get_document(document_id)
+            store.apply_edits(
+                document_id, [Insert(tree.fresh_id(), "new", tree.root_id, 1, 0)]
+            )
+        store.checkpoint()
+        assert registry.counter_value(ENCODED) == 43
+        store.checkpoint()
+        assert registry.counter_value(ENCODED) == 43
+        store.remove_document(5)
+        store.add_document(5, build_random_tree(6, 99))
+        assert registry.counter_value(ENCODED) == 44
+        expected = {
+            document_id: store.get_document(document_id)
+            for document_id in store.document_ids()
+        }
+        store.close()
+
+        # A reopened store starts with every record cached (it has just
+        # decoded them) and writes them back verbatim.
+        reopened_registry = MetricsRegistry()
+        reopened = DocumentStore(directory, metrics=reopened_registry)
+        reopened.checkpoint()
+        assert reopened_registry.counter_value(ENCODED) == 0
+        assert {
+            document_id: reopened.get_document(document_id)
+            for document_id in reopened.document_ids()
+        } == expected
+        assert_store_is_rebuild(reopened)
+        reopened.close()
+
+    def test_replayed_documents_are_re_encoded(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+        store.add_documents(_collection(6))
+        store.apply_edits(2, [Rename(1, "replayed")])
+        del store  # no close: the batch lives in the WAL only
+        registry = MetricsRegistry()
+        reopened = DocumentStore(directory, metrics=registry)
+        # Recovery checkpoints what it replayed: exactly document 2.
+        assert registry.counter_value(ENCODED) == 1
+        assert registry.counter_value("wal_replayed_batches_total") == 1
+        reopened.close()
+        assert DocumentStore(directory).get_document(2).label(1) == "replayed"
+
+    def test_failing_batch_keeps_the_cached_record_valid(self, tmp_path):
+        directory = str(tmp_path / "store")
+        registry = MetricsRegistry()
+        store = DocumentStore(
+            directory, CONFIG, checkpoint_every=1000, metrics=registry
+        )
+        store.add_document(1, tree_from_brackets("a(b(c,d),e)"))
+        cached = store._encoded[1]
+        # Fails on its third operation, after two that applied to the
+        # validation copy.
+        with pytest.raises(EditError):
+            store.apply_edits(
+                1, [Rename(1, "bb"), Delete(2), Delete(store.get_document(1).root_id)]
+            )
+        assert store._encoded[1] is cached
+        assert decode_document(cached) == store.get_document(1)
+        encoded_before = registry.counter_value(ENCODED)
+        store.checkpoint()
+        assert registry.counter_value(ENCODED) == encoded_before
+        store.close()
+        reopened = DocumentStore(directory)
+        assert reopened.get_document(1) == tree_from_brackets("a(b(c,d),e)")
+        assert_store_is_rebuild(reopened)
+        reopened.close()
+
+
+# ----------------------------------------------------------------------
+# the previous on-disk format
+# ----------------------------------------------------------------------
+
+
+def write_previous_format(directory, documents, backend, wal_batches=()):
+    """A store directory as the commit before the ``documents`` relation
+    wrote it: a ``nodes`` row per node, the whole index relation in
+    ``indexes``, and three-field BEGIN lines in the WAL."""
+    os.makedirs(directory)
+    database = Database()
+    meta = database.create_table(
+        "meta", Schema([Column("key", str), Column("value", str)]), ("key",)
+    )
+    for key, value in {
+        "p": str(CONFIG.p),
+        "q": str(CONFIG.q),
+        "backend": backend,
+        "store_uuid": "0123456789abcdef0123456789abcdef",
+        "commit_seq": "11",
+        "compress": "0",
+        **({"shards": "3"} if backend == "sharded" else {}),
+    }.items():
+        meta.insert({"key": key, "value": value})
+    nodes = database.create_table(
+        "nodes",
+        Schema(
+            [
+                Column("docId", int),
+                Column("seq", int),
+                Column("nodeId", int),
+                Column("parId", int, nullable=True),
+                Column("label", str),
+            ]
+        ),
+        ("docId", "seq"),
+    )
+    indexes = database.create_table(
+        "indexes",
+        Schema([Column("treeId", int), Column("pqg", tuple), Column("cnt", int)]),
+        ("treeId", "pqg"),
+    )
+    for document_id, tree in documents:
+        for sequence, node_id in enumerate(preorder(tree)):
+            nodes.insert(
+                {
+                    "docId": document_id,
+                    "seq": sequence,
+                    "nodeId": node_id,
+                    "parId": tree.parent(node_id),
+                    "label": tree.label(node_id),
+                }
+            )
+        for key, count in rebuild_index(tree, CONFIG).items():
+            indexes.insert({"treeId": document_id, "pqg": key, "cnt": count})
+    # A row for a document that does not exist: reading the relation
+    # back would index a ghost.
+    indexes.insert({"treeId": 999, "pqg": (1, 2, 3, 4, 5), "cnt": 7})
+    database.save(os.path.join(directory, "store.db"))
+    with open(os.path.join(directory, "wal.log"), "w", encoding="utf-8") as handle:
+        for document_id, operations in wal_batches:
+            handle.write(
+                f"BEGIN {document_id} {len(operations)}\n"
+                f"{format_operations(operations)}\nCOMMIT\n"
+            )
+
+
+@pytest.mark.parametrize("with_wal_tail", [False, True])
+@pytest.mark.parametrize("backend", ["compact", "memory", "sharded"])
+def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail):
+    directory = str(tmp_path / "store")
+    documents = [(document_id, sparse_tree(15, document_id)) for document_id in (4, 2, 9)]
+    expected = {document_id: tree.copy() for document_id, tree in documents}
+    wal_batches = []
+    if with_wal_tail:
+        generator = EditScriptGenerator(rng=random.Random(5))
+        for document_id in (2, 9, 2):
+            script = list(generator.generate(expected[document_id], 3))
+            for operation in script:
+                operation.apply(expected[document_id])
+            wal_batches.append((document_id, script))
+    write_previous_format(directory, documents, backend, wal_batches)
+
+    store = DocumentStore(directory, checkpoint_every=1000)
+    assert store.backend_name == backend
+    assert 999 not in store._forest
+    assert {
+        document_id: store.get_document(document_id)
+        for document_id in store.document_ids()
+    } == expected
+    assert_store_is_rebuild(store)
+    # Unstamped blocks are numbered by position past the snapshot's 11.
+    assert store._commit_seq == 11 + len(wal_batches)
+    store.checkpoint()
+    database = Database.load(os.path.join(directory, "store.db"))
+    assert "documents" in database
+    assert "indexes" not in database and "nodes" not in database
+    store.apply_edits(4, [Rename(next(iter(expected[4].children(expected[4].root_id))), "later")])
+    del store  # the batch is in the WAL, stamped
+
+    reopened = DocumentStore(directory)
+    assert reopened._commit_seq == 12 + len(wal_batches)
+    assert_store_is_rebuild(reopened)
+    reopened.close()
+
+
+# ----------------------------------------------------------------------
+# a published document is never written
+# ----------------------------------------------------------------------
+
+
+def test_readers_never_see_a_batch_in_progress(tmp_path, monkeypatch):
+    """``get_document`` takes no lock, so between any two steps of a
+    commit it must return the last published version.  The maintenance
+    engine walks the edited tree backwards in place and hashes labels
+    as it goes: reading the document from inside the hasher samples
+    every one of those moments without a thread."""
+    store = DocumentStore(str(tmp_path / "store"), CONFIG)
+    store.add_document(1, build_random_tree(40, seed=3))
+    before = store.get_document(1)
+    batch = list(
+        EditScriptGenerator(rng=random.Random(11)).generate(before, 8)
+    )
+    seen = []
+    hash_label = store.hasher.hash_label
+
+    def hash_and_read(label):
+        seen.append(store.get_document(1))
+        return hash_label(label)
+
+    monkeypatch.setattr(store.hasher, "hash_label", hash_and_read)
+    store.apply_edits(1, batch)
+    monkeypatch.undo()
+    assert len(seen) > 8
+    assert all(tree == before for tree in seen)
+    after = store.get_document(1)
+    assert after != before
+    assert_store_is_rebuild(store)
+    # Nor is the published tree ever the one a later batch validates on.
+    with pytest.raises(EditError):
+        store.apply_edits(1, [Rename(after.children(after.root_id)[0], "z"), Delete(after.root_id)])
+    assert store.get_document(1) == after
