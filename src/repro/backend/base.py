@@ -45,6 +45,7 @@ from repro.obsv.metrics import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.concurrency.snapshot import SnapshotHandle
+    from repro.perf.sweep import TauScan
     from repro.query.plan import Plan
     from repro.tree.tree import Tree
 
@@ -151,6 +152,20 @@ class ForestBackend(ABC):
         may call it any number of times per tree (callers memoize).
         """
 
+    def tau_scan(
+        self,
+        query_items: Iterable[Tuple[Key, int]],
+        query_size: int,
+        tau: float,
+    ) -> "Optional[TauScan]":
+        """All trees with ``distance < tau``, scored in array space
+        (:func:`repro.perf.sweep.tau_scan`), or None when this backend
+        holds no frozen array form right now — the caller then runs
+        :meth:`candidates` with the size bound as ``admit``, the
+        reference both must agree with bit for bit.  Needs
+        ``query_size > 0`` and ``tau > 0``."""
+        return None
+
     @abstractmethod
     def tree_bag(self, tree_id: int) -> Mapping[Key, int]:
         """The stored bag of one tree, as a read-only mapping view.
@@ -223,10 +238,10 @@ class ForestBackend(ABC):
         """
 
     def needs_compaction(self) -> bool:
-        """Whether :meth:`compact` would actually rebuild anything.
+        """Whether a background :meth:`compact` is due.
 
         The background refreeze worker polls this after every committed
-        batch; backends without a read-optimized view always answer
+        mutation; backends without a read-optimized view always answer
         False so the worker never takes the exclusive lock for them.
         """
         return False

@@ -13,6 +13,11 @@ are disjoint, so the merge is exact.  :meth:`compact` re-freezes only
 when the dirty set has grown past a threshold, amortizing snapshot
 construction over many maintenance batches.
 
+τ-lookups go one step further (:meth:`CompactBackend.tau_scan`): over
+the same frozen form and overlay, the size bound, the distance and the
+threshold run as vector expressions and only the matches become
+Python objects.
+
 Degrades to the plain dict sweep when numpy is unavailable — results
 are identical either way.
 """
@@ -26,6 +31,7 @@ from repro.backend.memory import MemoryBackend
 from repro.errors import IndexConsistencyError
 from repro.obsv.metrics import MetricsRegistry
 from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf.sweep import CompactPostings, TauScan, tau_scan
 
 
 class CompactBackend(MemoryBackend):
@@ -50,6 +56,8 @@ class CompactBackend(MemoryBackend):
     def __init__(self, compress: Optional[bool] = None) -> None:
         self._frozen = None  # CompactPostings / CompressedPostings / None
         self._dirty: Set[Key] = set()
+        # Trees mutated since the freeze: their frozen |I| is stale.
+        self._changed: Set[int] = set()
         self._mutations = 0
         self._mutations_at_freeze = 0
         super().__init__(compress=compress)
@@ -81,16 +89,19 @@ class CompactBackend(MemoryBackend):
     # view maintenance hooks (called by every MemoryBackend mutation)
     # ------------------------------------------------------------------
 
-    def _touched(self, keys: Iterable[Key]) -> None:
+    def _touched(self, tree_id: int, keys: Iterable[Key]) -> None:
         # Every mutation path funnels through here: the snapshot is
-        # never consulted for a key that changed after the freeze.
+        # never consulted for a key, or for the size of a tree, that
+        # changed after the freeze.
         self._mutations += 1
         if self._frozen is not None:
             self._dirty.update(keys)
+            self._changed.add(tree_id)
 
     def _reset_views(self) -> None:
         self._frozen = None
         self._dirty.clear()
+        self._changed.clear()
 
     # ------------------------------------------------------------------
     # compaction policy
@@ -125,24 +136,23 @@ class CompactBackend(MemoryBackend):
                         self._inverted, self._sizes, self._pool
                     )
                 else:
-                    from repro.perf.sweep import CompactPostings
-
                     self._frozen = CompactPostings.build(
                         self._inverted, self._sizes
                     )
             self._dirty.clear()
+            self._changed.clear()
             self._mutations_at_freeze = self._mutations
             self._m_refreezes.inc()
 
     def needs_compaction(self) -> bool:
+        # Nothing frozen means no read has asked for the CSR yet: the
+        # first one freezes it (freeze_view, or the lookup service's
+        # compact()), so a store that only ingests builds none.
         return (
-            HAVE_NUMPY
+            self._frozen is not None
             and self._stale()
-            and (
-                self._frozen is None
-                or self._mutations - self._mutations_at_freeze
-                >= self.REFREEZE_MIN_MUTATION_GAP
-            )
+            and self._mutations - self._mutations_at_freeze
+            >= self.REFREEZE_MIN_MUTATION_GAP
         )
 
     # ------------------------------------------------------------------
@@ -169,15 +179,23 @@ class CompactBackend(MemoryBackend):
         (it never mutates after build), only the dirty-key overlay and
         the size metadata are copied.  Dirty keys whose postings have
         emptied out stay in the dirty set so the view never falls back
-        to the stale frozen entries for them."""
+        to the stale frozen entries for them.
+
+        The first view freezes the CSR it then shares — one build, paid
+        by the read that needs it, instead of a copy of the whole
+        relation for every generation; later re-freezes are the
+        refreeze worker's.  Only without numpy is there nothing to
+        freeze, and the overlay is the whole relation."""
         from repro.concurrency.snapshot import OverlaySnapshot
 
         if self._frozen is None:
-            # Nothing frozen yet: the overlay is the whole relation.
+            self.compact()
+        if self._frozen is None:
             return OverlaySnapshot(
                 None,
                 frozenset(),
                 {key: dict(postings) for key, postings in self._inverted.items()},
+                frozenset(),
                 dict(self._sizes),
             )
         return OverlaySnapshot(
@@ -188,6 +206,7 @@ class CompactBackend(MemoryBackend):
                 for key in self._dirty
                 if key in self._inverted
             },
+            frozenset(self._changed),
             dict(self._sizes),
         )
 
@@ -236,6 +255,31 @@ class CompactBackend(MemoryBackend):
         self._m_candidates_emitted.inc(len(filtered))
         return filtered
 
+    def tau_scan(
+        self,
+        query_items: Iterable[Tuple[Key, int]],
+        query_size: int,
+        tau: float,
+    ) -> Optional[TauScan]:
+        if self._frozen is None:
+            return None
+        scan = tau_scan(
+            self._frozen,
+            self._dirty,
+            self._inverted,
+            self._changed,
+            self._sizes,
+            query_items,
+            query_size,
+            tau,
+        )
+        self._m_frozen_keys.inc(scan.keys_swept - scan.overlay_keys)
+        self._m_overlay_keys.inc(scan.overlay_keys)
+        if scan.overlay_postings:
+            self._m_overlay_merges.inc()
+        self._m_candidates_emitted.inc(scan.scored)
+        return scan
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -254,6 +298,16 @@ class CompactBackend(MemoryBackend):
         frozen = self._frozen
         if frozen is None:
             return
+        # Every unchanged tree's frozen |I| must be its live one.
+        frozen_sizes = dict(zip(frozen.tree_ids, frozen.sizes.tolist()))
+        for tree_id in frozen_sizes.keys() | self._sizes.keys():
+            if tree_id not in self._changed and frozen_sizes.get(
+                tree_id
+            ) != self._sizes.get(tree_id):
+                raise IndexConsistencyError(
+                    f"size of tree {tree_id} drifted from the frozen "
+                    "snapshot but the tree was never marked changed"
+                )
         # Every clean key's frozen posting list must match the live
         # dicts exactly — i.e. no mutation escaped the dirty set.
         if isinstance(frozen, CompressedPostings):

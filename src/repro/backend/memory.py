@@ -67,8 +67,9 @@ class MemoryBackend(ForestBackend):
     # hooks for subclasses maintaining read-optimized views
     # ------------------------------------------------------------------
 
-    def _touched(self, keys: Iterable[Key]) -> None:
-        """Called after every mutation with the touched key set."""
+    def _touched(self, tree_id: int, keys: Iterable[Key]) -> None:
+        """Called after every mutation with the tree it changed and
+        the touched key set."""
 
     def _reset_views(self) -> None:
         """Called when the whole relation is replaced (restore)."""
@@ -97,7 +98,7 @@ class MemoryBackend(ForestBackend):
         self._sizes[tree_id] = sum(stored.values())
         for key, count in stored.items():
             self._inverted.setdefault(key, {})[tree_id] = count
-        self._touched(stored.keys())
+        self._touched(tree_id, stored.keys())
 
     def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
@@ -149,7 +150,7 @@ class MemoryBackend(ForestBackend):
                     postings.pop(tree_id, None)
                     if not postings:
                         del self._inverted[key]
-        self._touched(touched)
+        self._touched(tree_id, touched)
 
     def remove_tree(self, tree_id: int) -> None:
         from repro.compress.dedup import release_if_shared
@@ -164,7 +165,7 @@ class MemoryBackend(ForestBackend):
                 postings.pop(tree_id, None)
                 if not postings:
                     del self._inverted[key]
-        self._touched(bag.keys())
+        self._touched(tree_id, bag.keys())
         release_if_shared(bag)
 
     def restore(self, bags: Mapping[int, Mapping[Key, int]]) -> None:

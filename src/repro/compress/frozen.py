@@ -64,14 +64,16 @@ class CompressedPostings:
 
     Drop-in for :class:`~repro.perf.sweep.CompactPostings` on the sweep
     surface (``tree_ids`` / ``sizes`` / ``sweep`` / ``sweep_into`` /
-    ``last_touched`` / ``last_present``); the span dict and raw arrays
-    are replaced by the succinct fields documented in ``__init__``.
+    ``last_touched`` / ``last_present`` / ``slot_of``); the span dict
+    and raw arrays are replaced by the succinct fields documented in
+    ``__init__``.
     """
 
     __slots__ = (
         "tree_ids", "sizes", "key_fps", "offsets",
         "packed_slots", "packed_counts", "key_list",
-        "last_touched", "last_present", "_pool", "_cache", "_dense",
+        "last_touched", "last_present", "slot_of",
+        "_pool", "_cache", "_dense",
     )
 
     def __init__(
@@ -97,6 +99,7 @@ class CompressedPostings:
         self.key_list = key_list
         self.last_touched: int = 0
         self.last_present: int = 0
+        self.slot_of = None  # tree id → slot, cached by perf.sweep.tau_scan
         self._pool = pool or default_pool()
         self._cache: Dict[int, Tuple[object, object]] = {}
         self._dense: Optional[Tuple[object, object]] = None

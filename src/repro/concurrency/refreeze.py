@@ -4,12 +4,16 @@ The compact backend re-freezes its CSR snapshot when the dirty overlay
 grows past a threshold — synchronously, on whichever caller happened
 to trip it.  In the serving layer that caller would be a writer (or,
 worse, the first lookup after a write burst).  The
-:class:`RefreezeWorker` owns the rebuild instead: writers ``notify()``
-it after every committed batch, and the worker re-freezes under the
-forest's exclusive lock when the backend reports staleness.  Readers
+:class:`RefreezeWorker` owns the rebuild instead: it listens to the
+forest's generation bumps — so every mutation path wakes it, edits
+and membership changes alike — and re-freezes under the forest's
+exclusive lock when the backend reports staleness, then republishes
+the read view so the next lookup already shares the new CSR.  Readers
 are unaffected throughout — they hold immutable snapshot handles that
 pin the *previous* CSR, and the swap itself is a reference assignment
 under the exclusive lock, so overlay reads stay correct mid-refreeze.
+The *first* freeze is not the worker's: the read that needs the CSR
+builds it (``CompactBackend.freeze_view``).
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ class RefreezeWorker:
             target=self._run, name="forest-refreeze", daemon=True
         )
         self._thread.start()
+        forest.add_generation_listener(self.notify)
 
     def notify(self) -> None:
-        """Signal that a write committed (cheap; called per batch)."""
+        """Signal that a write committed (cheap; the forest calls it on
+        every generation bump)."""
         self._wakeup.set()
 
     def close(self) -> None:
@@ -46,6 +52,7 @@ class RefreezeWorker:
         if self._closed:
             return
         self._closed = True
+        self._forest.remove_generation_listener(self.notify)
         self._wakeup.set()
         self._thread.join()
 
@@ -61,6 +68,5 @@ class RefreezeWorker:
             # Exclusive mode excludes writers (and view refreshes) for
             # the duration of the CSR build; readers keep serving their
             # pinned handles.
-            with forest.lock.write():
-                forest.backend.compact()
+            forest.refreeze()
             self._m_refreezes.inc()

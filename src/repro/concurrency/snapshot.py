@@ -16,6 +16,8 @@ Materialization cost is deliberately asymmetric per backend:
 - :class:`OverlaySnapshot` (compact backend) shares the frozen CSR
   arrays — immutable by construction — and copies only the dirty-key
   overlay plus the size metadata: O(dirty + trees) per generation.
+  The first view freezes the CSR; only without numpy does the overlay
+  hold the whole relation.
 - :class:`DictSnapshot` (memory backend) copies the inverted lists:
   O(postings).  The reference backend keeps no immutable structure to
   share, and stays the conformance oracle rather than a serving
@@ -31,26 +33,20 @@ check this against a single-threaded replay.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
+
+from repro.perf.sweep import TauScan, sweep_dict, tau_scan
 
 Key = Tuple[int, ...]
 Admit = Callable[[int], bool]
-
-
-def sweep_dict(
-    inverted: Mapping[Key, Mapping[int, int]],
-    query_items: Iterable[Tuple[Key, int]],
-    intersections: Dict[int, int],
-) -> None:
-    """Fold the plain-dict candidate sweep into ``intersections``."""
-    for key, query_count in query_items:
-        postings = inverted.get(key)
-        if not postings:
-            continue
-        for tree_id, count in postings.items():
-            intersections[tree_id] = intersections.get(tree_id, 0) + min(
-                query_count, count
-            )
 
 
 def _admit_filter(
@@ -87,6 +83,17 @@ class SnapshotHandle:
     ) -> Dict[int, int]:
         """``{tree_id: |I_query ∩ I_tree|}`` at the pinned generation."""
         raise NotImplementedError
+
+    def tau_scan(
+        self,
+        query_items: Iterable[Tuple[Key, int]],
+        query_size: int,
+        tau: float,
+    ) -> Optional[TauScan]:
+        """The array-space τ-lookup at the pinned generation, or None
+        when this view holds no frozen array form (same contract as
+        :meth:`repro.backend.base.ForestBackend.tau_scan`)."""
+        return None
 
     def tree_size(self, tree_id: int) -> int:
         """|I| of one tree at the pinned generation."""
@@ -129,28 +136,33 @@ class DictSnapshot(SnapshotHandle):
 class OverlaySnapshot(SnapshotHandle):
     """Shared frozen CSR + copied dirty-key overlay (compact backend).
 
-    ``frozen`` may be None (numpy unavailable or never compacted), in
-    which case ``overlay`` holds the *whole* inverted relation and
-    ``dirty`` is irrelevant.  Sharing the CSR across handles is safe:
-    its arrays never mutate after build (the refreeze worker builds a
-    *new* CSR and swaps the reference; handles pinning the old one keep
-    it alive).  The CSR's ``last_touched`` tally is the one shared
-    mutable field — a metrics-only int whose races are benign.
+    ``frozen`` is None only without numpy, in which case ``overlay``
+    holds the *whole* inverted relation and ``dirty`` / ``changed``
+    are irrelevant.  ``changed`` names the trees mutated since the
+    freeze, whose frozen ``|I|`` is stale.  Sharing the CSR across
+    handles is safe: its arrays never mutate after build (the refreeze
+    worker builds a *new* CSR and swaps the reference; handles pinning
+    the old one keep it alive).  The CSR's ``last_touched`` tally and
+    its ``slot_of`` cache are the shared mutable fields — a
+    metrics-only int and a dict every builder fills identically, so
+    their races are benign.
     """
 
-    __slots__ = ("_frozen", "_dirty", "_overlay")
+    __slots__ = ("_frozen", "_dirty", "_overlay", "_changed")
 
     def __init__(
         self,
         frozen: object,
         dirty: FrozenSet[Key],
         overlay: Dict[Key, Dict[int, int]],
+        changed: FrozenSet[int],
         sizes: Dict[int, int],
     ) -> None:
         super().__init__(sizes)
         self._frozen = frozen
         self._dirty = dirty
         self._overlay = overlay
+        self._changed = changed
 
     def candidates(
         self,
@@ -171,6 +183,25 @@ class OverlaySnapshot(SnapshotHandle):
         if overlaid:
             sweep_dict(self._overlay, overlaid, merged)
         return _admit_filter(merged, admit)
+
+    def tau_scan(
+        self,
+        query_items: Iterable[Tuple[Key, int]],
+        query_size: int,
+        tau: float,
+    ) -> Optional[TauScan]:
+        if self._frozen is None:
+            return None
+        return tau_scan(
+            self._frozen,
+            self._dirty,
+            self._overlay,
+            self._changed,
+            self._sizes,
+            query_items,
+            query_size,
+            tau,
+        )
 
 
 class SegmentSnapshot(SnapshotHandle):

@@ -18,6 +18,11 @@ from repro.errors import GramConfigError
 from repro.hashing.labelhash import LabelHasher
 from repro.tree.tree import Tree
 
+try:  # only the vector twins below need it
+    import numpy as _np
+except ImportError:  # pragma: no cover - environment without numpy
+    _np = None
+
 
 def distance_from_overlap(shared: int, union: int) -> float:
     """pq-gram distance from ``|I ∩ I'|`` and ``|I ⊎ I'|``.
@@ -45,6 +50,29 @@ def size_bound_admits(left_size: int, right_size: int, tau: float) -> bool:
     """
     return distance_from_overlap(
         min(left_size, right_size), left_size + right_size
+    ) < tau
+
+
+def distances_from_overlaps(shared, union):
+    """Vector twin of :func:`distance_from_overlap`: int64 arrays in,
+    one float64 distance per element out.
+
+    Same operations in the same order — ``1.0 - 2.0 * shared / union``
+    in IEEE doubles — so every element equals the scalar expression bit
+    for bit (property-tested); the array-space lookup kernel
+    (:func:`repro.perf.sweep.tau_scan`) scores through this and through
+    nothing else.
+    """
+    return _np.where(
+        union == 0, 0.0, 1.0 - 2.0 * shared / _np.maximum(union, 1)
+    )
+
+
+def size_bounds_admit(left_size: int, right_sizes, tau: float):
+    """Vector twin of :func:`size_bound_admits`: one query size against
+    an int64 array of tree sizes, one verdict per tree."""
+    return distances_from_overlaps(
+        _np.minimum(left_size, right_sizes), left_size + right_sizes
     ) < tau
 
 

@@ -89,6 +89,7 @@ class ForestIndex:
         self.lock.bind_metrics(self.metrics)
         self._generation = 0
         self._generation_mutex = threading.Lock()
+        self._generation_listeners: List[Callable[[], None]] = []
         self._published: Optional[SnapshotHandle] = None
         self._view_refresh = threading.Lock()
 
@@ -114,6 +115,17 @@ class ForestIndex:
         self._m_matches = registry.counter(
             "lookup_matches_total",
             "trees returned under the tau threshold",
+        )
+        # The backends' own sweep counters (the registry dedups by
+        # name): array-space scans report their tallies to the executor,
+        # which counts them here for live and snapshot readers alike.
+        self._m_keys_swept = registry.counter(
+            "index_keys_swept_total",
+            "query pq-gram keys processed by the candidate sweep",
+        )
+        self._m_postings_touched = registry.counter(
+            "index_postings_touched_total",
+            "inverted-list (tree, cnt) entries consulted by sweeps",
         )
         self._m_query_plans = {
             mode: registry.counter(
@@ -191,6 +203,18 @@ class ForestIndex:
     def _bump_generation(self) -> None:
         with self._generation_mutex:
             self._generation += 1
+        for listener in self._generation_listeners:
+            listener()
+
+    def add_generation_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after every generation bump — on the
+        mutating thread, inside its write scope, so it must only signal
+        (the refreeze worker sets an event).  Every mutation path bumps
+        the generation, so none can skip its listeners."""
+        self._generation_listeners.append(listener)
+
+    def remove_generation_listener(self, listener: Callable[[], None]) -> None:
+        self._generation_listeners.remove(listener)
 
     def _write_scope(self):
         """The scope a mutation runs under: the shared lock when the
@@ -226,13 +250,17 @@ class ForestIndex:
                 if view is not None and view.generation >= self._generation:
                     return view
                 with self.lock.write():
-                    generation = self._generation
-                    fresh = self._backend.freeze_view()
-                    fresh.generation = generation
-                self._published = fresh
-                return fresh
+                    return self._publish_view()
             finally:
                 self._view_refresh.release()
+
+    def _publish_view(self) -> SnapshotHandle:
+        """Materialize and publish the view of the current generation;
+        the caller holds the exclusive lock."""
+        fresh = self._backend.freeze_view()
+        fresh.generation = self._generation
+        self._published = fresh
+        return fresh
 
     def close(self) -> None:
         """Release the backend's background resources; idempotent."""
@@ -569,6 +597,22 @@ class ForestIndex:
         """
         with self.lock.write():
             self._backend.compact()
+
+    def refreeze(self) -> None:
+        """:meth:`compact`, then republish the read view — what the
+        background refreeze worker runs.
+
+        A published view pins the CSR it was materialized over and a
+        copy of the overlay of that moment; without republishing, reads
+        would keep paying for that overlay until some later write moved
+        the generation.  The fresh view carries the *same* generation
+        stamp (compaction changes no logical content), so result-cache
+        entries keyed on it stay valid.
+        """
+        with self.lock.write():
+            self._backend.compact()
+            if self._published is not None:
+                self._publish_view()
 
     def distances(
         self,

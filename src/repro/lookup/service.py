@@ -68,8 +68,9 @@ class LookupService:
     result cache: repeated identical queries between two commits are
     answered without re-scanning, and one committed batch invalidates
     them all at once — per generation, not per call.  Serving mode
-    skips the per-lookup ``auto_compact`` poke; the document store's
-    background refreeze worker compacts instead.
+    skips the per-lookup ``auto_compact`` poke: the first read view
+    freezes the CSR, and the document store's background refreeze
+    worker re-freezes it afterwards.
     """
 
     def __init__(
@@ -178,21 +179,23 @@ class LookupService:
         forest.add_trees(collection, jobs=jobs)
         return cls(forest, **kwargs)  # type: ignore[arg-type]
 
-    def query_index(self, query: Tree) -> PQGramIndex:
+    def query_index(
+        self, query: Tree, fingerprint: Optional[int] = None
+    ) -> PQGramIndex:
         """The query's pq-gram index, via the per-fingerprint LRU.
 
-        The LRU is guarded by a mutex — serving mode runs this from
-        many reader threads, and an OrderedDict reorder is not atomic.
+        ``fingerprint`` is ``tree_fingerprint(query)`` when the caller
+        already computed it.  The LRU is guarded by a mutex — serving
+        mode runs this from many reader threads, and an OrderedDict
+        reorder is not atomic.
         """
         if self._query_cache_size == 0:
             return PQGramIndex.from_tree(
                 query, self.forest.config, self.forest.hasher
             )
-        key = (
-            tree_fingerprint(query),
-            self.forest.config.p,
-            self.forest.config.q,
-        )
+        if fingerprint is None:
+            fingerprint = tree_fingerprint(query)
+        key = (fingerprint, self.forest.config.p, self.forest.config.q)
         with self._cache_mutex:
             cached = self._query_cache.get(key)
             if cached is not None:
@@ -258,7 +261,18 @@ class LookupService:
         mode the scan runs against a pinned read view and the result is
         cached per ``(plan fingerprint, generation)``.
         """
-        query_index = self.query_index(query)
+        caching_results = (
+            self._snapshot_reads
+            and self._result_cache_size > 0
+            and force_mode is None
+        )
+        # One structural fingerprint keys both caches.
+        fingerprint = (
+            tree_fingerprint(query)
+            if self._query_cache_size or caching_results
+            else None
+        )
+        query_index = self.query_index(query, fingerprint)
         if not self._snapshot_reads:
             if self._auto_compact:
                 self.forest.compact()
@@ -275,9 +289,9 @@ class LookupService:
             max(0, self.forest.generation - view.generation)
         )
         key = None
-        if self._result_cache_size and force_mode is None:
+        if caching_results:
             key = (
-                plan_fingerprint(plan),
+                plan_fingerprint(plan, fingerprint),
                 self.forest.config.p,
                 self.forest.config.q,
                 view.generation,

@@ -169,6 +169,19 @@ def _distances_pruned(
             forest._m_candidates_pruned.inc(pruned)
         forest._m_candidates_scored.inc(len(result))
         return result
+    if prefilter is None:
+        # A reader holding a frozen array form answers sweep, size
+        # bound, distance and threshold in array space; the per-tree
+        # path below is the reference it equals bit for bit, and the
+        # only one for every other reader and for structural pushdown.
+        scan = backend.tau_scan(query.items(), query_size, tau)
+        if scan is not None:
+            forest._m_keys_swept.inc(scan.keys_swept)
+            forest._m_postings_touched.inc(scan.postings_touched)
+            forest._m_candidates_total.inc(scan.candidates)
+            forest._m_candidates_pruned.inc(scan.pruned)
+            forest._m_candidates_scored.inc(scan.scored)
+            return scan.matches
     # The τ size bound (and any structural prefilter), memoized per
     # tree so backends may consult it as often as their sweep shape
     # requires.  The cheap size bound runs first; the structural check

@@ -29,7 +29,7 @@ layer's per-generation result cache is keyed by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.tree.tree import Tree
@@ -201,7 +201,9 @@ def normalize_tau(tau: "Union[int, float]") -> str:
     return float(tau).hex()
 
 
-def plan_fingerprint(plan: Plan) -> Tuple:
+def plan_fingerprint(
+    plan: Plan, query_fingerprint: Optional[int] = None
+) -> Tuple:
     """A stable, hashable identity of the plan's *logical* content.
 
     Structurally equal plans (same query tree shape, same τ/k, same
@@ -210,20 +212,24 @@ def plan_fingerprint(plan: Plan) -> Tuple:
     bare ``(query fingerprint, tau)`` key of the pre-plan read path.
     τ is normalized through :func:`normalize_tau`, so thresholds that
     differ only past the usual print precision still key distinct
-    cache entries.
+    cache entries.  ``query_fingerprint`` is the retrieval query's
+    ``tree_fingerprint`` when the caller already holds it (the lookup
+    service keys its query-index LRU on the same value).
     """
     from repro.tree.fingerprint import tree_fingerprint
 
     normalized = normalize_plan(plan)
     retrieval = normalized.retrieval
+    if query_fingerprint is None:
+        query_fingerprint = tree_fingerprint(retrieval.query)
     if isinstance(retrieval, ApproxLookup):
         head: Tuple = (
             "approx",
-            tree_fingerprint(retrieval.query),
+            query_fingerprint,
             normalize_tau(retrieval.tau),
         )
     else:
-        head = ("topk", tree_fingerprint(retrieval.query), retrieval.k)  # type: ignore[attr-defined]
+        head = ("topk", query_fingerprint, retrieval.k)  # type: ignore[attr-defined]
     predicates = tuple(
         sorted(
             (_predicate_fingerprint(entry) for entry in normalized.predicates),

@@ -575,8 +575,6 @@ class DocumentStore:
         # Listener callbacks run outside the store mutex so they can
         # never block (or deadlock) the appender's group commit.
         self._dispatch_events(events)
-        if self._refreezer is not None:
-            self._refreezer.notify()
 
     def lookup(self, query: Tree, tau: float) -> LookupResult:
         """Approximate lookup over all stored documents.
@@ -794,6 +792,9 @@ class DocumentStore:
             "query_cache_hits": service.query_cache_hits if service else 0,
             "query_cache_misses": service.query_cache_misses if service else 0,
         }
+        if "frozen" in backend_stats:
+            stats["frozen"] = backend_stats["frozen"]
+            stats["dirty_keys"] = backend_stats["dirty_keys"]
         if "shards" in backend_stats:
             stats["shards"] = backend_stats["shards"]
             stats["shard_postings"] = backend_stats["shard_postings"]

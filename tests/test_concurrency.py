@@ -21,6 +21,7 @@ from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
 from repro.lookup.forest import ForestIndex
 from repro.perf.arraybag import HAVE_NUMPY
+from repro.service.store import DocumentStore
 
 from tests.conftest import build_random_tree
 
@@ -398,3 +399,128 @@ def test_refreeze_worker_compacts_stale_backend():
     worker.close()
     assert not backend.needs_compaction()
     backend.check_consistency()
+
+
+def _edit_past_refreeze_threshold(forest, trees):
+    generator = EditScriptGenerator(rng=random.Random(3))
+    while not forest.backend.needs_compaction():
+        for tree_id in list(trees):
+            tree = trees[tree_id]
+            edited, log = apply_script(tree, generator.generate(tree, 8))
+            forest.update_tree(tree_id, edited, log)
+            trees[tree_id] = edited
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="refreeze needs the CSR path")
+def test_refreeze_republishes_the_read_view():
+    """The published view must not outlive a refreeze: with no write
+    in between, the next read shares the new CSR and carries an empty
+    overlay — under the same generation stamp."""
+    forest, built = _populated_forest(lambda: CompactBackend(), trees=4)
+    forest.read_view()  # the first read freezes the CSR
+    stale_csr = forest.backend._frozen
+    assert stale_csr is not None
+    _edit_past_refreeze_threshold(forest, dict(built))
+    before = forest.read_view()
+    assert before._frozen is stale_csr and before._overlay
+    generation = forest.generation
+    worker = RefreezeWorker(forest)
+    worker.notify()
+    deadline = time.monotonic() + 5
+    while forest._published is before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    worker.close()
+    after = forest.read_view()
+    assert forest.generation == generation  # no intervening write
+    assert after is not before
+    assert after.generation == before.generation == generation
+    assert after._frozen is forest.backend._frozen is not stale_csr
+    assert not after._dirty and not after._overlay and not after._changed
+    query = PQGramIndex.from_tree(
+        build_random_tree(15, 99), forest.config, forest.hasher
+    )
+    assert after.candidates(query.items()) == before.candidates(query.items())
+
+
+def test_every_mutation_path_wakes_the_generation_listeners():
+    forest, built = _populated_forest(lambda: MemoryBackend(), trees=2)
+    wakeups = []
+    listener = lambda: wakeups.append(forest.generation)  # noqa: E731
+    forest.add_generation_listener(listener)
+    tree = built[0]
+    edited, log = apply_script(
+        tree, EditScriptGenerator(rng=random.Random(1)).generate(tree, 3)
+    )
+    for mutate in (
+        lambda: forest.add_tree(10, build_random_tree(6, 1)),
+        lambda: forest.add_trees(
+            [(11, build_random_tree(6, 2)), (12, build_random_tree(6, 3))]
+        ),
+        lambda: forest.update_tree(0, edited, log),
+        lambda: forest.remove_tree(1),
+    ):
+        seen = len(wakeups)
+        mutate()
+        assert len(wakeups) > seen and wakeups[-1] == forest.generation
+    forest.remove_generation_listener(listener)
+    seen = len(wakeups)
+    forest.remove_tree(10)
+    assert len(wakeups) == seen
+
+
+# ----------------------------------------------------------------------
+# Serving store: who freezes when
+# ----------------------------------------------------------------------
+
+
+def _documents(count, first_id=0):
+    return [
+        (first_id + offset, build_random_tree(10 + offset % 7, 200 + first_id + offset))
+        for offset in range(count)
+    ]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
+def test_reopened_serving_store_freezes_on_its_first_lookup(tmp_path):
+    """A served store that only ever receives lookups must not stay on
+    the dict sweep: the first read freezes the CSR, and ``stats()``
+    shows it."""
+    directory = str(tmp_path / "store")
+    documents = _documents(12)
+    with DocumentStore(directory, GramConfig(2, 3), backend="compact") as store:
+        store.add_documents(documents)
+    with DocumentStore(directory, serve_threads=2) as store:
+        assert store.stats()["frozen"] is False  # open builds no CSR
+        expected = store.lookup(documents[3][1], 0.6).matches
+        stats = store.stats()
+        assert stats["frozen"] is True and stats["dirty_keys"] == 0
+        assert store.lookup(documents[3][1], 0.6).matches == expected
+        assert (documents[3][0], 0.0) in expected
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="refreeze needs the CSR path")
+def test_ingest_into_a_serving_store_wakes_the_refreeze_worker(tmp_path):
+    """add_documents / add_document / remove_document bump the
+    generation like edits do, so the overlay of a store that is
+    ingested into and read, but never edited, is re-frozen too."""
+    store = DocumentStore(
+        str(tmp_path / "store"), GramConfig(2, 3), backend="compact",
+        serve_threads=2,
+    )
+    try:
+        store.add_documents(_documents(8))
+        store.lookup(build_random_tree(9, 1), 0.5)  # the first read freezes
+        assert store.stats()["frozen"] is True
+        # Exactly the debounce gap: the worker cannot re-freeze before
+        # the last document is in, so the overlay must end empty.
+        gap = CompactBackend.REFREEZE_MIN_MUTATION_GAP
+        store.add_documents(_documents(gap - 2, first_id=100))
+        store.add_document(999, build_random_tree(9, 2))
+        store.remove_document(0)
+        deadline = time.monotonic() + 5
+        while store.stats()["dirty_keys"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert store.stats()["dirty_keys"] == 0
+        store._forest.backend.check_consistency()
+    finally:
+        store.close()

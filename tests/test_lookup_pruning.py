@@ -8,6 +8,9 @@ random forests and random thresholds.
 
 import random
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import (
@@ -18,9 +21,17 @@ from repro.datasets import (
 )
 from repro.edits import apply_script
 from repro.lookup import ForestIndex, LookupService
+from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
+from repro.tree import Tree
 
 TAUS = (0.2, 0.5, 0.8, 1.0)
+LEDGER = (
+    "lookup_candidates_total",
+    "lookup_candidates_pruned_total",
+    "lookup_candidates_scored_total",
+    "lookup_matches_total",
+)
 
 
 def random_forest(count, seed, config=GramConfig(2, 3)):
@@ -111,6 +122,210 @@ class TestPrunedLookupParity:
         forest, collection = random_forest(5, seed=3)
         service = LookupService(forest)
         assert service.lookup(collection[0][1], tau=0.0).matches == []
+
+
+def ledger_of(forest, scan):
+    """``scan()``'s result and what it added to the pruning ledger."""
+    registry = forest.metrics
+    before = [registry.counter_value(name) for name in LEDGER]
+    result = scan()
+    after = [registry.counter_value(name) for name in LEDGER]
+    return result, [b - a for a, b in zip(before, after)]
+
+
+def assert_scan_equals_reference(forest, query_index, kernel_expected):
+    """The array-space scan and the ``candidates(admit=)`` reference
+    agree on the same forest — matches bit for bit, ledger to the
+    count — for the live backend and for a read view.  An always-true
+    prefilter is what routes a scan through the reference path."""
+    view = forest.read_view()
+    for reader in (None, view):
+        offered = (reader or forest.backend).tau_scan(
+            query_index.items(), max(1, query_index.size()), 0.5
+        )
+        assert (offered is not None) == kernel_expected
+        for tau in TAUS + (0.0, -0.5):
+            scanned = ledger_of(
+                forest,
+                lambda: forest.distances(query_index, tau=tau, reader=reader),
+            )
+            reference = ledger_of(
+                forest,
+                lambda: forest.distances(
+                    query_index,
+                    tau=tau,
+                    reader=reader,
+                    prefilter=lambda tree_id: True,
+                ),
+            )
+            assert scanned == reference, (tau, reader)
+            assert [d.hex() for d in scanned[0].values()] == [
+                reference[0][tree_id].hex() for tree_id in scanned[0]
+            ]
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "packed"])
+class TestArraySpaceScanParity:
+    """The τ-lookup kernel (``repro.perf.sweep.tau_scan``) against the
+    per-tree reference, in every state a compact forest can be in."""
+
+    def forest(self, compress, seed=21, count=14):
+        forest = ForestIndex(
+            GramConfig(2, 3), compress=compress, metrics=MetricsRegistry()
+        )
+        rng = random.Random(seed)
+        documents = {
+            tree_id: dblp_tree(rng.randint(1, 6), seed=seed * 50 + tree_id)
+            if tree_id % 2
+            else random_labelled_tree(rng.randint(3, 30), seed=seed * 50 + tree_id)
+            for tree_id in range(count)
+        }
+        forest.add_trees(documents.items())
+        return forest, documents
+
+    def queries(self, forest, documents):
+        trees = [
+            documents[min(documents)],
+            random_labelled_tree(12, seed=5),
+            Tree("only"),
+        ]
+        return [
+            PQGramIndex.from_tree(tree, forest.config, forest.hasher)
+            for tree in trees
+        ] + [PQGramIndex(forest.config)]  # the empty query
+
+    def test_nothing_frozen_runs_the_reference(self, compress):
+        forest, documents = self.forest(compress)
+        for query_index in self.queries(forest, documents):
+            scan = forest.backend.tau_scan(
+                query_index.items(), max(1, query_index.size()), 0.5
+            )
+            assert scan is None
+            expected = {
+                tree_id: distance
+                for tree_id, distance in forest.distances(query_index).items()
+                if distance < 0.5
+            }
+            assert forest.distances(query_index, tau=0.5) == expected
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
+    def test_frozen_clean(self, compress):
+        forest, documents = self.forest(compress)
+        forest.compact()
+        for query_index in self.queries(forest, documents):
+            assert_scan_equals_reference(forest, query_index, True)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
+    def test_frozen_with_overlay(self, compress):
+        """Edit, add, remove and re-add of the same id after the
+        freeze: sizes of changed trees, trees born without a slot and
+        dirty keys that emptied out."""
+        forest, documents = self.forest(compress)
+        forest.compact()
+        frozen = forest.backend._frozen
+
+        def edit(tree_id, seed):
+            script = dblp_update_script(documents[tree_id], 4, seed=seed)
+            edited, log = apply_script(documents[tree_id], script)
+            forest.update_tree(tree_id, edited, log)
+            documents[tree_id] = edited
+
+        def add(tree_id, tree):
+            forest.add_tree(tree_id, tree)
+            documents[tree_id] = tree
+
+        def remove(tree_id):
+            forest.remove_tree(tree_id)
+            del documents[tree_id]
+
+        def check():
+            assert forest.backend._frozen is frozen, "refroze: nothing overlaid"
+            forest.backend.check_consistency()
+            for query_index in self.queries(forest, documents) + [
+                forest.index_of(2) if 2 in forest else forest.index_of(1),
+                forest.index_of(100) if 100 in forest else forest.index_of(1),
+            ]:
+                assert_scan_equals_reference(forest, query_index, True)
+
+        edit(1, seed=3)
+        check()
+        add(100, random_labelled_tree(9, seed=41))  # born without a slot
+        check()
+        remove(2)
+        check()
+        add(2, dblp_tree(3, seed=77))  # the same id again, another shape
+        check()
+        edit(100, seed=4)
+        check()
+        remove(3)
+        add(3, documents[5].copy())
+        check()
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_property_random_mutations(self, compress, seed):
+        """Random add/edit/remove interleavings over a frozen forest,
+        with the occasional refreeze in between."""
+        rng = random.Random(seed)
+        forest, documents = self.forest(compress, seed=seed % 97, count=8)
+        forest.compact()
+        for round_number in range(10):
+            action = rng.randrange(5)
+            if action == 0 or len(documents) < 3:
+                # Ids come from a small space, so removed ones return.
+                tree_id = rng.choice(
+                    [tree_id for tree_id in range(24) if tree_id not in documents]
+                )
+                tree = dblp_tree(rng.randint(1, 5), seed=seed + round_number)
+                forest.add_tree(tree_id, tree)
+                documents[tree_id] = tree
+            elif action in (1, 2):
+                tree_id = rng.choice(list(documents))
+                script = dblp_update_script(
+                    documents[tree_id], rng.randint(1, 6), seed=round_number
+                )
+                edited, log = apply_script(documents[tree_id], script)
+                forest.update_tree(tree_id, edited, log)
+                documents[tree_id] = edited
+            elif action == 3:
+                tree_id = rng.choice(list(documents))
+                forest.remove_tree(tree_id)
+                del documents[tree_id]
+            else:
+                forest.backend.compact()  # a no-op below the dirty threshold
+            query_tree = documents[rng.choice(list(documents))]
+            query_index = PQGramIndex.from_tree(
+                query_tree, forest.config, forest.hasher
+            )
+            assert_scan_equals_reference(forest, query_index, True)
+
+    def test_without_numpy_the_view_holds_the_whole_relation(
+        self, compress, monkeypatch
+    ):
+        """No numpy, nothing to freeze: ``OverlaySnapshot(frozen=None)``
+        answers through the dict sweep, identically."""
+        import repro.backend.compact as compact_module
+
+        forest, documents = self.forest(compress)
+        expected = {
+            tau: forest.distances(forest.index_of(1), tau=tau) for tau in TAUS
+        }
+        monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
+        view = forest.read_view()
+        assert view._frozen is None
+        assert forest.backend._frozen is None
+        for query_index in self.queries(forest, documents):
+            assert_scan_equals_reference(forest, query_index, False)
+        for tau in TAUS:
+            assert (
+                forest.distances(forest.index_of(1), tau=tau, reader=view)
+                == expected[tau]
+            )
 
 
 class TestQueryCache:

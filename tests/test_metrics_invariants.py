@@ -15,14 +15,16 @@ Three families, per ISSUE acceptance:
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import GramConfig, PQGramIndex
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
-from repro.lookup import ForestIndex
+from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
+from repro.perf import HAVE_NUMPY
 from repro.service import DocumentStore
 from repro.tree import tree_from_brackets
 
@@ -92,6 +94,44 @@ class TestPruningLedger:
             registry.counter_value("lookup_candidates_pruned_total")
             + registry.counter_value("lookup_candidates_scored_total")
         )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="only array-space scans report tallies")
+class TestSnapshotReadsAreCounted:
+    """Serving-mode lookups scan a snapshot view, which carries no
+    instruments: the executor counts the scan's tallies, so the sweep
+    volume reads the same whichever reader answered."""
+
+    SWEEP = ("index_keys_swept_total", "index_postings_touched_total")
+
+    def sweep_volume(self, seed, serving, edits=0):
+        forest, registry = build_forest("compact", None, seed)
+        forest.compact()
+        rng = random.Random(seed)
+        for _ in range(edits):  # leave an overlay behind
+            tree_id = rng.randrange(12)
+            base = build_random_tree(6, seed=rng.randrange(1000))
+            forest.remove_tree(tree_id)
+            forest.add_tree(tree_id, base)
+        service = LookupService(
+            forest, snapshot_reads=serving, result_cache_size=0
+        )
+        for offset in range(3):
+            query = build_random_tree(5 + offset, seed=seed * 7 + offset)
+            for tau in (0.05, 0.3, 0.8, 1.0):
+                service.lookup(query, tau)
+        return [registry.counter_value(name) for name in self.SWEEP]
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_snapshot_lookups_count_what_live_lookups_count(self, seed, edits):
+        live = self.sweep_volume(seed, serving=False, edits=edits)
+        served = self.sweep_volume(seed, serving=True, edits=edits)
+        assert served == live
+        assert live[0] > 0
 
 
 class TestShardRollUp:

@@ -396,6 +396,43 @@ class TestServicePlanCache:
             == hits_before + 1
         )
 
+    def test_served_lookup_fingerprints_its_query_once(self, monkeypatch):
+        """The query-index LRU and the result cache key on the same
+        structural fingerprint: one computation per lookup, and keys
+        byte for byte what two computations gave."""
+        import repro.lookup.service as service_module
+        import repro.tree.fingerprint as fingerprint_module
+        from repro.tree.fingerprint import tree_fingerprint
+
+        forest = ForestIndex(CONFIG)
+        collection = make_collection(6, seed=11)
+        forest.add_trees(collection)
+        service = LookupService(forest, snapshot_reads=True)
+        query = collection[2][1]
+        calls = []
+
+        def counting(tree):
+            calls.append(tree)
+            return tree_fingerprint(tree)
+
+        monkeypatch.setattr(service_module, "tree_fingerprint", counting)
+        monkeypatch.setattr(fingerprint_module, "tree_fingerprint", counting)
+        service.lookup(query, 0.7)
+        service.query(And(ApproxLookup(query, 0.7), HasLabel("a")),
+                      documents=dict(collection).__getitem__)
+        assert len(calls) == 2
+        for plan in (ApproxLookup(query, 0.7), TopK(query, 2)):
+            assert plan_fingerprint(
+                plan, tree_fingerprint(query)
+            ) == plan_fingerprint(plan)
+        assert (
+            plan_fingerprint(ApproxLookup(query, 0.7)),
+            CONFIG.p,
+            CONFIG.q,
+            forest.generation,
+        ) in service._result_cache
+        assert (tree_fingerprint(query), CONFIG.p, CONFIG.q) in service._query_cache
+
     def test_store_query_round_trip(self, tmp_path):
         from repro.service import DocumentStore
 

@@ -17,6 +17,7 @@ import pytest
 from repro.edits import Rename
 from repro.edits.generator import EditScriptGenerator
 from repro.errors import OverloadedError, ProtocolError
+from repro.perf import HAVE_NUMPY
 from repro.serve import (
     AdmissionPolicy,
     FrontDoor,
@@ -273,6 +274,12 @@ class TestVerbs:
         client.add_document(1, "a(b)")
         stats = client.stats()
         assert stats["documents"] == 1
+        if stats["backend"] == "compact" and HAVE_NUMPY:
+            # The first read freezes the CSR; the wire shows it.
+            assert stats["frozen"] is False
+            client.lookup("a(b)", 0.5)
+            stats = client.stats()
+            assert stats["frozen"] is True and stats["dirty_keys"] == 0
         metrics = client.metrics()
         counters = metrics["counters"]
         assert any(key.startswith("serve_requests_total") for key in counters)
