@@ -1,4 +1,4 @@
-"""Array-snapshot backend with a delta overlay.
+"""Array-snapshot backend with a tree-level overlay.
 
 The pre-backend design froze the inverted lists into a
 :class:`~repro.perf.sweep.CompactPostings` CSR snapshot and threw the
@@ -6,17 +6,18 @@ whole snapshot away on *every* mutation — one maintained tree forced
 the next lookup to re-freeze the entire forest.  This backend keeps
 the snapshot and overlays mutations instead, the delta-file/compaction
 split of log-structured index designs: writes land in the authoritative
-dicts (inherited from :class:`~repro.backend.memory.MemoryBackend`) and
-mark their keys *dirty*; a sweep answers clean keys from the frozen
-arrays and dirty keys from the dicts, merged by addition — key sets
-are disjoint, so the merge is exact.  :meth:`compact` re-freezes only
-when the dirty set has grown past a threshold, amortizing snapshot
-construction over many maintenance batches.
-
-τ-lookups go one step further (:meth:`CompactBackend.tau_scan`): over
-the same frozen form and overlay, the size bound, the distance and the
-threshold run as vector expressions and only the matches become
-Python objects.
+dicts (inherited from :class:`~repro.backend.memory.MemoryBackend`),
+and a tree written after the freeze is *masked*
+(:class:`~repro.perf.sweep.TreeMask`, the rule the segment backend
+applies to its mapped segment) — every read ignores its postings in
+the frozen arrays and takes its current bag from an overlay
+``key → {tree: cnt}`` that holds masked trees only, so a lookup folds
+in Python the postings of the trees that changed, not the whole
+posting list of every key they hold.  :meth:`compact` re-freezes only
+when the overlay has grown past a threshold, amortizing snapshot
+construction over many maintenance batches.  Reads go through the two
+functions of :mod:`repro.perf.sweep` that combine a frozen base with
+an overlay: ``overlay_candidates`` and, for τ-lookups, ``tau_scan``.
 
 Degrades to the plain dict sweep when numpy is unavailable — results
 are identical either way.
@@ -24,30 +25,37 @@ are identical either way.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.backend.base import Admit, Key
 from repro.backend.memory import MemoryBackend
 from repro.errors import IndexConsistencyError
 from repro.obsv.metrics import MetricsRegistry
 from repro.perf.arraybag import HAVE_NUMPY
-from repro.perf.sweep import CompactPostings, TauScan, tau_scan
+from repro.perf.sweep import (
+    CompactPostings,
+    TauScan,
+    TreeMask,
+    overlay_candidates,
+    tau_scan,
+)
 
 
 class CompactBackend(MemoryBackend):
-    """Dict write path + frozen CSR sweep with a dirty-key overlay."""
+    """Dict write path + frozen CSR sweep with a masked-tree overlay."""
 
     name = "compact"
 
-    #: re-freeze when the dirty keys exceed this fraction of all keys
+    #: re-freeze when the overlay's distinct keys exceed this fraction
+    #: of all keys
     REFREEZE_FRACTION = 0.25
     #: ... but never below this absolute count (tiny forests churn)
     REFREEZE_MIN_DIRTY = 64
     #: mutations that must land between *background* refreezes.  When
-    #: the dirty fraction hovers at the threshold, the refreeze worker
-    #: would otherwise rebuild twice back-to-back — once for the batch
-    #: that crossed the line and again for the next few writes, whose
-    #: dirty set is tiny but still over ``REFREEZE_MIN_DIRTY`` relative
+    #: the overlay hovers at the threshold, the refreeze worker would
+    #: otherwise rebuild twice back-to-back — once for the batch that
+    #: crossed the line and again for the next few writes, whose
+    #: overlay is tiny but still over ``REFREEZE_MIN_DIRTY`` relative
     #: to a small key universe.  ``needs_compaction`` answers False
     #: until this many mutations have accumulated since the last
     #: freeze; explicit :meth:`compact` calls are *not* debounced.
@@ -55,9 +63,12 @@ class CompactBackend(MemoryBackend):
 
     def __init__(self, compress: Optional[bool] = None) -> None:
         self._frozen = None  # CompactPostings / CompressedPostings / None
-        self._dirty: Set[Key] = set()
-        # Trees mutated since the freeze: their frozen |I| is stale.
-        self._changed: Set[int] = set()
+        # Trees written since the freeze, and their current postings.
+        # An overlay key whose postings emptied keeps its (empty) entry,
+        # so ``len(self._overlay)`` is every key written since the
+        # freeze — what the refreeze policy and ``dirty_keys`` count.
+        self._masked = TreeMask()
+        self._overlay: Dict[Key, Dict[int, int]] = {}
         self._mutations = 0
         self._mutations_at_freeze = 0
         super().__init__(compress=compress)
@@ -66,7 +77,7 @@ class CompactBackend(MemoryBackend):
         super()._bind_instruments(registry)
         self._m_refreezes = registry.counter(
             "compact_refreezes_total",
-            "CSR snapshot (re)builds triggered by the dirty threshold",
+            "CSR snapshot (re)builds triggered by the overlay threshold",
         )
         self._m_refreeze_seconds = registry.histogram(
             "compact_refreeze_seconds",
@@ -74,34 +85,51 @@ class CompactBackend(MemoryBackend):
         )
         self._m_frozen_keys = registry.counter(
             "compact_frozen_keys_swept_total",
-            "query keys answered from the frozen CSR snapshot",
+            "query keys swept through the frozen CSR snapshot",
         )
         self._m_overlay_keys = registry.counter(
             "compact_overlay_keys_swept_total",
-            "query keys answered from the dirty-key dict overlay",
+            "query keys that met the overlay of trees written since the freeze",
         )
         self._m_overlay_merges = registry.counter(
             "compact_overlay_merges_total",
-            "sweeps that had to merge overlay results into frozen results",
+            "sweeps in which some query key met the overlay",
         )
 
     # ------------------------------------------------------------------
     # view maintenance hooks (called by every MemoryBackend mutation)
     # ------------------------------------------------------------------
 
+    def _touching(self, tree_id: int) -> None:
+        # The first write to a tree since the freeze masks it, from the
+        # bag the frozen arrays still describe (none: born since), and
+        # copies that bag into the overlay.
+        if self._frozen is not None and tree_id not in self._masked.trees:
+            bag = self._bags.get(tree_id, ())
+            self._masked.add(tree_id, bag)
+            self._fold(tree_id, bag)
+
     def _touched(self, tree_id: int, keys: Iterable[Key]) -> None:
-        # Every mutation path funnels through here: the snapshot is
-        # never consulted for a key, or for the size of a tree, that
-        # changed after the freeze.
         self._mutations += 1
         if self._frozen is not None:
-            self._dirty.update(keys)
-            self._changed.add(tree_id)
+            self._fold(tree_id, keys)
+
+    def _fold(self, tree_id: int, keys: Iterable[Key]) -> None:
+        """Re-read ``keys`` of one masked tree from its live bag."""
+        bag = self._bags.get(tree_id) or {}
+        overlay = self._overlay
+        for key in keys:
+            postings = overlay.setdefault(key, {})
+            count = bag.get(key)
+            if count:
+                postings[tree_id] = count
+            else:
+                postings.pop(tree_id, None)
 
     def _reset_views(self) -> None:
         self._frozen = None
-        self._dirty.clear()
-        self._changed.clear()
+        self._masked = TreeMask()
+        self._overlay = {}
 
     # ------------------------------------------------------------------
     # compaction policy
@@ -114,16 +142,16 @@ class CompactBackend(MemoryBackend):
             self.REFREEZE_MIN_DIRTY,
             int(self.REFREEZE_FRACTION * max(1, len(self._inverted))),
         )
-        return len(self._dirty) > threshold
+        return len(self._overlay) > threshold
 
     def compact(self) -> None:
-        """Freeze (or re-freeze, past the dirty threshold) the CSR
+        """Freeze (or re-freeze, past the overlay threshold) the CSR
         snapshot.  A no-op without numpy.
 
         The rebuild constructs a *new* CSR and swaps the reference in
         one assignment — snapshot handles pinning the previous CSR
-        keep it alive and stay bit-identical (their overlay copies
-        mask exactly the keys that were dirty at their generation).
+        keep it alive and stay bit-identical (they carry their own
+        copies of the mask and the overlay of their generation).
         """
         if not HAVE_NUMPY:
             return
@@ -132,15 +160,13 @@ class CompactBackend(MemoryBackend):
                 if self._compress:
                     from repro.compress.frozen import CompressedPostings
 
-                    self._frozen = CompressedPostings.build(
+                    frozen = CompressedPostings.build(
                         self._inverted, self._sizes, self._pool
                     )
                 else:
-                    self._frozen = CompactPostings.build(
-                        self._inverted, self._sizes
-                    )
-            self._dirty.clear()
-            self._changed.clear()
+                    frozen = CompactPostings.build(self._inverted, self._sizes)
+            self._reset_views()
+            self._frozen = frozen
             self._mutations_at_freeze = self._mutations
             self._m_refreezes.inc()
 
@@ -162,11 +188,11 @@ class CompactBackend(MemoryBackend):
     def frozen_clean(self):
         """The frozen CSR when it covers the *whole* relation, else None.
 
-        Non-None means no key is dirty: a sweep over the CSR alone is
+        Non-None means no tree is masked: a sweep over the CSR alone is
         bit-identical to :meth:`candidates`.  The sharded backend merges
         every shard's clean CSR into one cross-shard sweep structure.
         """
-        if self._frozen is not None and not self._dirty:
+        if self._frozen is not None and not self._masked.trees:
             return self._frozen
         return None
 
@@ -175,38 +201,29 @@ class CompactBackend(MemoryBackend):
     # ------------------------------------------------------------------
 
     def freeze_view(self):
-        """O(dirty + trees) immutable view: the frozen CSR is shared
-        (it never mutates after build), only the dirty-key overlay and
-        the size metadata are copied.  Dirty keys whose postings have
-        emptied out stay in the dirty set so the view never falls back
-        to the stale frozen entries for them.
+        """O(overlay + trees) immutable view: the frozen CSR is shared
+        (it never mutates after build), only the mask, the overlay and
+        the size metadata are copied.
 
         The first view freezes the CSR it then shares — one build, paid
         by the read that needs it, instead of a copy of the whole
         relation for every generation; later re-freezes are the
         refreeze worker's.  Only without numpy is there nothing to
-        freeze, and the overlay is the whole relation."""
+        freeze, and the view is the base class's copy of the dicts."""
         from repro.concurrency.snapshot import OverlaySnapshot
 
         if self._frozen is None:
             self.compact()
         if self._frozen is None:
-            return OverlaySnapshot(
-                None,
-                frozenset(),
-                {key: dict(postings) for key, postings in self._inverted.items()},
-                frozenset(),
-                dict(self._sizes),
-            )
+            return super().freeze_view()
         return OverlaySnapshot(
             self._frozen,
-            frozenset(self._dirty),
+            self._masked.copy(),
             {
-                key: dict(self._inverted[key])
-                for key in self._dirty
-                if key in self._inverted
+                key: dict(postings)
+                for key, postings in self._overlay.items()
+                if postings
             },
-            frozenset(self._changed),
             dict(self._sizes),
         )
 
@@ -221,39 +238,14 @@ class CompactBackend(MemoryBackend):
     ) -> Dict[int, int]:
         if self._frozen is None:
             return super().candidates(query_items, admit)
-        dirty = self._dirty
-        clean: List[Tuple[Key, int]] = []
-        overlay: List[Tuple[Key, int]] = []
-        for item in query_items:
-            (overlay if item[0] in dirty else clean).append(item)
-        merged = self._frozen.sweep(clean) if clean else {}
-        keys_swept = len(clean)
-        postings_touched = self._frozen.last_touched if clean else 0
-        if overlay:
-            overlay_hits: Dict[int, int] = {}
-            overlay_keys, overlay_touched = self._accumulate(
-                overlay, None, overlay_hits
-            )
-            keys_swept += overlay_keys
-            postings_touched += overlay_touched
-            self._m_overlay_keys.inc(overlay_keys)
-            if overlay_hits:
-                self._m_overlay_merges.inc()
-            for tree_id, shared in overlay_hits.items():
-                merged[tree_id] = merged.get(tree_id, 0) + shared
-        self._m_frozen_keys.inc(len(clean))
+        merged, keys_swept, touched, overlay_keys = overlay_candidates(
+            self._frozen, self._masked, self._overlay, query_items, admit
+        )
+        self._count_overlay(keys_swept, overlay_keys)
         self._m_keys_swept.inc(keys_swept)
-        self._m_postings_touched.inc(postings_touched)
-        if admit is None:
-            self._m_candidates_emitted.inc(len(merged))
-            return merged
-        filtered = {
-            tree_id: shared
-            for tree_id, shared in merged.items()
-            if admit(tree_id)
-        }
-        self._m_candidates_emitted.inc(len(filtered))
-        return filtered
+        self._m_postings_touched.inc(touched)
+        self._m_candidates_emitted.inc(len(merged))
+        return merged
 
     def tau_scan(
         self,
@@ -265,20 +257,22 @@ class CompactBackend(MemoryBackend):
             return None
         scan = tau_scan(
             self._frozen,
-            self._dirty,
-            self._inverted,
-            self._changed,
+            self._masked,
+            self._overlay,
             self._sizes,
             query_items,
             query_size,
             tau,
         )
-        self._m_frozen_keys.inc(scan.keys_swept - scan.overlay_keys)
-        self._m_overlay_keys.inc(scan.overlay_keys)
-        if scan.overlay_postings:
-            self._m_overlay_merges.inc()
+        self._count_overlay(scan.keys_swept, scan.overlay_keys)
         self._m_candidates_emitted.inc(scan.scored)
         return scan
+
+    def _count_overlay(self, keys_swept: int, overlay_keys: int) -> None:
+        self._m_frozen_keys.inc(keys_swept)
+        if overlay_keys:
+            self._m_overlay_keys.inc(overlay_keys)
+            self._m_overlay_merges.inc()
 
     # ------------------------------------------------------------------
     # observability
@@ -288,63 +282,47 @@ class CompactBackend(MemoryBackend):
         stats = super().stats()
         stats["backend"] = self.name
         stats["frozen"] = self._frozen is not None
-        stats["dirty_keys"] = len(self._dirty)
+        stats["dirty_keys"] = len(self._overlay)
         return stats
 
     def check_consistency(self) -> None:
-        from repro.compress.frozen import CompressedPostings
-
         super().check_consistency()
-        frozen = self._frozen
+        frozen, masked = self._frozen, self._masked.trees
         if frozen is None:
             return
-        # Every unchanged tree's frozen |I| must be its live one.
-        frozen_sizes = dict(zip(frozen.tree_ids, frozen.sizes.tolist()))
-        for tree_id in frozen_sizes.keys() | self._sizes.keys():
-            if tree_id not in self._changed and frozen_sizes.get(
-                tree_id
-            ) != self._sizes.get(tree_id):
-                raise IndexConsistencyError(
-                    f"size of tree {tree_id} drifted from the frozen "
-                    "snapshot but the tree was never marked changed"
-                )
-        # Every clean key's frozen posting list must match the live
-        # dicts exactly — i.e. no mutation escaped the dirty set.
-        if isinstance(frozen, CompressedPostings):
-            frozen_keys = set(frozen.key_list or ())
-            for key, stored in frozen.iter_key_postings():
-                if key in self._dirty:
-                    continue
-                if stored != self._inverted.get(key, {}):
-                    raise IndexConsistencyError(
-                        f"compressed postings of clean key {key} drifted "
-                        "from the live inverted lists (a mutation escaped "
-                        "the overlay)"
-                    )
-            for key in self._inverted:
-                if key not in frozen_keys and key not in self._dirty:
-                    raise IndexConsistencyError(
-                        f"key {key} is missing from the compressed snapshot "
-                        "but was never marked dirty"
-                    )
-            return
-        for key, (start, end) in frozen.spans.items():
-            if key in self._dirty:
-                continue
-            stored = {
-                frozen.tree_ids[slot]: int(count)
-                for slot, count in zip(
-                    frozen.slots[start:end], frozen.counts[start:end]
-                )
-            }
-            if stored != self._inverted.get(key, {}):
-                raise IndexConsistencyError(
-                    f"frozen postings of clean key {key} drifted from the "
-                    "live inverted lists (a mutation escaped the overlay)"
-                )
-        for key in self._inverted:
-            if key not in frozen.spans and key not in self._dirty:
-                raise IndexConsistencyError(
-                    f"key {key} is missing from the frozen snapshot but "
-                    "was never marked dirty"
-                )
+
+        def unmasked(pairs):
+            return {tree: value for tree, value in pairs if tree not in masked}
+
+        def unmasked_postings(inverted):
+            kept = {key: unmasked(entry.items()) for key, entry in inverted.items()}
+            return {key: entry for key, entry in kept.items() if entry}
+
+        # What the frozen form says of the unmasked trees must be what
+        # the live dicts say: no write escaped the mask.
+        stored = dict(frozen.iter_key_postings())
+        if unmasked(zip(frozen.tree_ids, frozen.sizes.tolist())) != unmasked(
+            self._sizes.items()
+        ) or unmasked_postings(stored) != unmasked_postings(self._inverted):
+            raise IndexConsistencyError(
+                "frozen sizes or postings of unmasked trees drifted from "
+                "the live relation (a write escaped the mask)"
+            )
+        # The mask counts exactly the frozen postings of masked trees.
+        counts = {
+            key: len(entry) - len(unmasked(entry.items()))
+            for key, entry in stored.items()
+        }
+        if {key: n for key, n in counts.items() if n} != self._masked.counts:
+            raise IndexConsistencyError(
+                "masked posting accounting drifted from the frozen snapshot"
+            )
+        # The overlay is exactly the masked trees' live bags.
+        expected: Dict[Key, Dict[int, int]] = {}
+        for tree_id in masked & self._bags.keys():
+            for key, count in self._bags[tree_id].items():
+                expected.setdefault(key, {})[tree_id] = count
+        if expected != {key: e for key, e in self._overlay.items() if e}:
+            raise IndexConsistencyError(
+                "overlay drifted from the live bags of the masked trees"
+            )

@@ -67,6 +67,10 @@ class MemoryBackend(ForestBackend):
     # hooks for subclasses maintaining read-optimized views
     # ------------------------------------------------------------------
 
+    def _touching(self, tree_id: int) -> None:
+        """Called before every mutation of one tree, while its bag is
+        still the one any read-optimized view describes."""
+
     def _touched(self, tree_id: int, keys: Iterable[Key]) -> None:
         """Called after every mutation with the tree it changed and
         the touched key set."""
@@ -84,6 +88,7 @@ class MemoryBackend(ForestBackend):
         if tree_id in self._bags:
             release_if_shared(bag)
             raise StorageError(f"tree id {tree_id} is already indexed")
+        self._touching(tree_id)
         if type(bag) is SharedBag:
             # Store by reference: the caller's dedup reference transfers
             # to this backend, so N structurally equal trees share one
@@ -108,6 +113,7 @@ class MemoryBackend(ForestBackend):
         bag = self._bags.get(tree_id)
         if bag is None:
             raise StorageError(f"tree id {tree_id} is not indexed")
+        self._touching(tree_id)
         if type(bag) is SharedBag:
             # Copy-on-write: the tree diverges from its shared
             # structure, so it gets a private bag and the dedup table
@@ -155,9 +161,10 @@ class MemoryBackend(ForestBackend):
     def remove_tree(self, tree_id: int) -> None:
         from repro.compress.dedup import release_if_shared
 
-        bag = self._bags.pop(tree_id, None)
-        if bag is None:
+        if tree_id not in self._bags:
             return
+        self._touching(tree_id)
+        bag = self._bags.pop(tree_id)
         del self._sizes[tree_id]
         for key in bag:
             postings = self._inverted.get(key)

@@ -1,4 +1,4 @@
-"""Out-of-core backend: memory-mapped frozen segments + dirty overlay.
+"""Out-of-core backend: memory-mapped frozen segments + tree overlay.
 
 The other backends rebuild their whole state in RAM on every open —
 checkpoints are ``snapshot()``/``restore()`` round-trips, so reopen is
@@ -8,7 +8,7 @@ exactly like :class:`~repro.perf.sweep.CompactPostings` (CSR posting
 arrays + key table), mapped read-only via numpy ``memmap``.  Recent
 writes live in a small in-memory overlay (a plain
 :class:`~repro.backend.memory.MemoryBackend`) and are logged to a
-``delta-NNNNNNNN.log`` file; *sealing* folds overlay + tombstones into
+``delta-NNNNNNNN.log`` file; *sealing* folds overlay + mask into
 a new segment generation and truncates the delta.  Reopen therefore
 maps the segment (no parse, no copy) and replays only the delta tail —
 O(overlay), not O(index).
@@ -33,12 +33,14 @@ any byte flip — header or arrays — fails validation; truncation fails
 the size check first.  A file that fails validation raises
 :class:`~repro.errors.SegmentCorruptError` and is never served.
 
-Masking: a tree that is edited or removed after the seal is
-*tombstoned* — its segment postings are skipped by every read — and,
-for edits, its bag is first copied into the overlay (materialized) so
-the overlay copy is authoritative.  Segment ∖ tombstones and the
-overlay therefore hold disjoint tree sets, which keeps the candidate
-merge a plain additive pass.
+Masking: a tree that is written after the seal is *masked*
+(:class:`~repro.perf.sweep.TreeMask`, the rule the compact backend
+applies to its heap CSR) — its segment postings are ignored by every
+read — and, for edits, its bag is first copied into the overlay
+(materialized) so the overlay copy is authoritative.  Segment ∖ mask
+and the overlay therefore hold disjoint tree sets, and reads combine
+them through the two functions of :mod:`repro.perf.sweep` that every
+frozen-plus-overlay reader shares.
 """
 
 from __future__ import annotations
@@ -61,12 +63,17 @@ from repro.backend.memory import MemoryBackend
 from repro.errors import IndexConsistencyError, SegmentCorruptError, StorageError
 from repro.obsv.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf.sweep import (
+    CompactPostings,
+    TauScan,
+    TreeMask,
+    overlay_candidates,
+    tau_scan,
+)
 from repro.relstore.database import fsync_directory
 
 if HAVE_NUMPY:
     import numpy as _np
-
-    from repro.perf.sweep import CompactPostings
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = 1
@@ -334,7 +341,7 @@ class _Segment:
     With numpy the posting arrays are ``memmap`` views — opening is
     O(validation), not O(parse) — and the key table / span map are
     materialized lazily on first use.  Without numpy the arrays are
-    plain ``array('q')`` loads and the sweep walks spans in Python.
+    plain ``array('q')`` loads and :meth:`sweep` walks spans in Python.
     """
 
     def __init__(self, path: str, verify_checksum: bool = True) -> None:
@@ -409,6 +416,7 @@ class _Segment:
         self._keys: Optional[List[Key]] = None
         self._spans: Optional[Dict[Key, Tuple[int, int]]] = None
         self._frozen = None
+        self.last_touched = 0  # posting entries read by the last sweep()
 
     def _view(self, offset: int, length: int):
         if HAVE_NUMPY:
@@ -496,11 +504,13 @@ class _Segment:
             }
         return self._spans
 
-    def frozen(self) -> "CompactPostings":
-        """The mmapped arrays wrapped as a :class:`CompactPostings`."""
+    def frozen(self):
+        """The sweepable form of the segment: the mmapped arrays wrapped
+        as a :class:`CompactPostings` — or, without numpy, the segment
+        itself (:meth:`sweep`)."""
+        if not HAVE_NUMPY:
+            return self
         if self._frozen is None:
-            if not HAVE_NUMPY:  # pragma: no cover - guarded by callers
-                raise RuntimeError("frozen() requires numpy")
             self._frozen = CompactPostings(
                 self.tree_ids,
                 self.tree_sizes,
@@ -508,7 +518,26 @@ class _Segment:
                 self.post_counts,
                 self.spans(),
             )
+            self._frozen.slot_of = self.slot_of
         return self._frozen
+
+    def sweep(self, query_items: Iterable[Tuple[Key, int]]) -> Dict[int, int]:
+        """:meth:`CompactPostings.sweep` walked span by span in Python."""
+        spans = self.spans()
+        slots, counts = self.post_slots, self.post_counts
+        tree_ids = self.tree_ids
+        merged: Dict[int, int] = {}
+        touched = 0
+        for key, query_count in query_items:
+            start, end = spans.get(key, (0, 0))
+            touched += end - start
+            for index in range(start, end):
+                tree_id = tree_ids[slots[index]]
+                merged[tree_id] = merged.get(tree_id, 0) + min(
+                    query_count, counts[index]
+                )
+        self.last_touched = touched
+        return merged
 
     def tree_bag(self, tree_id: int) -> Bag:
         slot = self.slot_of[tree_id]
@@ -547,7 +576,7 @@ class _SegmentV2:
     :class:`~repro.compress.frozen.CompressedPostings` that sweeps the
     packed arrays directly.  The key-tuple table (``keys``/``spans``)
     is only materialized for the maintenance paths that need exact
-    tuples (tombstone masking, audits); pure lookups never build it.
+    tuples (masking, audits); pure lookups never build it.
     """
 
     def __init__(self, path: str, verify_checksum: bool = True) -> None:
@@ -727,6 +756,7 @@ class _SegmentV2:
                 self.packed_counts,
                 key_list=None,
             )
+            self._frozen.slot_of = self.slot_of
         return self._frozen
 
     def tree_bag(self, tree_id: int) -> Bag:
@@ -802,8 +832,7 @@ class SegmentBackend(ForestBackend):
         self.verify_checksums = verify_checksums
 
         self._overlay = MemoryBackend(compress=self._compress)
-        self._tombstones: Set[int] = set()
-        self._masked_counts: Dict[Key, int] = {}
+        self._masked = TreeMask()  # trees written since the seal
         self._sizes: Dict[int, int] = {}
         self._segment: Optional[_Segment] = None
         self._generation = 0
@@ -964,7 +993,7 @@ class SegmentBackend(ForestBackend):
         )
         self._m_seals = registry.counter(
             "segment_seals_total",
-            "overlay+tombstone seals folded into a new frozen segment",
+            "overlay+mask seals folded into a new frozen segment",
         )
         self._m_seal_seconds = registry.histogram(
             "segment_seal_seconds",
@@ -1049,31 +1078,21 @@ class SegmentBackend(ForestBackend):
     # write path
     # ------------------------------------------------------------------
 
-    def _segment_trees(self) -> Set[int]:
-        return set() if self._segment is None else set(self._segment.slot_of)
-
-    def _tombstone(self, tree_id: int) -> None:
-        """Mask one segment tree and account its postings as dead."""
-        if self._segment is None or tree_id in self._tombstones:
-            return
-        if tree_id not in self._segment.slot_of:
-            return
-        self._tombstones.add(tree_id)
-        for key in self._segment.tree_bag(tree_id):
-            self._masked_counts[key] = self._masked_counts.get(key, 0) + 1
-
-    def _materialize(self, tree_id: int) -> None:
-        """First write to a frozen tree: copy its bag into the overlay
-        and tombstone the segment copy so the overlay is authoritative."""
-        if tree_id in self._overlay:
-            return
-        bag = self._segment.tree_bag(tree_id)
-        self._tombstone(tree_id)
-        self._overlay.add_tree_bag(tree_id, bag)
+    def _mask(self, tree_id: int) -> Optional[Bag]:
+        """First write to a tree since the seal: mask it, from the bag
+        the segment holds for it.  Returns that bag — None when the
+        tree is not in the segment or is masked already."""
+        segment = self._segment
+        if segment is None or tree_id in self._masked.trees:
+            return None
+        bag = segment.tree_bag(tree_id) if tree_id in segment.slot_of else None
+        self._masked.add(tree_id, bag or ())
+        return bag
 
     def _apply_add(self, tree_id: int, bag: Mapping[Key, int]) -> None:
         if tree_id in self._sizes:
             raise StorageError(f"tree id {tree_id} is already indexed")
+        self._mask(tree_id)
         self._overlay.add_tree_bag(tree_id, bag)
         self._sizes[tree_id] = self._overlay.tree_size(tree_id)
 
@@ -1082,8 +1101,10 @@ class SegmentBackend(ForestBackend):
     ) -> None:
         if tree_id not in self._sizes:
             raise StorageError(f"tree id {tree_id} is not indexed")
-        if tree_id not in self._overlay:
-            self._materialize(tree_id)
+        frozen_bag = self._mask(tree_id)
+        if frozen_bag is not None:
+            # Materialize: the overlay copy becomes the authoritative one.
+            self._overlay.add_tree_bag(tree_id, frozen_bag)
         self._overlay.apply_tree_delta(tree_id, minus, plus)
         self._sizes[tree_id] = self._overlay.tree_size(tree_id)
 
@@ -1091,7 +1112,7 @@ class SegmentBackend(ForestBackend):
         if tree_id not in self._sizes:
             return
         self._overlay.remove_tree(tree_id)
-        self._tombstone(tree_id)
+        self._mask(tree_id)
         del self._sizes[tree_id]
 
     def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
@@ -1125,80 +1146,41 @@ class SegmentBackend(ForestBackend):
         query_items: Iterable[Tuple[Key, int]],
         admit: Optional[Admit] = None,
     ) -> Dict[int, int]:
-        items = (
-            query_items
-            if isinstance(query_items, (list, tuple))
-            else list(query_items)
+        if self._segment is None:
+            # Nothing sealed: the overlay is the whole relation (and
+            # counts on the very instruments bound below).
+            return self._overlay.candidates(query_items, admit)
+        merged, keys_swept, touched, _ = overlay_candidates(
+            self._segment.frozen(),
+            self._masked,
+            self._overlay._inverted,
+            query_items,
+            admit,
         )
-        merged: Dict[int, int] = {}
-        touched = self._sweep_segment(items, merged)
-        # Segment ∖ tombstones and the overlay are disjoint tree sets,
-        # so accumulating the overlay into the same map is additive.
-        _, overlay_touched = self._overlay._accumulate(items, None, merged)
-        touched += overlay_touched
-        if admit is not None and merged:
-            merged = {
-                tree_id: overlap
-                for tree_id, overlap in merged.items()
-                if admit(tree_id)
-            }
-        self._m_keys_swept.inc(len(items))
+        self._m_keys_swept.inc(keys_swept)
         self._m_postings_touched.inc(touched)
         self._m_candidates_emitted.inc(len(merged))
         return merged
 
-    def _sweep_segment(
-        self, items: List[Tuple[Key, int]], merged: Dict[int, int]
-    ) -> int:
-        """Sweep the frozen segment into ``merged``, skipping masked
-        trees; returns live posting entries touched (metric parity with
-        the reference backend, which never sees masked entries)."""
-        segment = self._segment
-        if segment is None:
-            return 0
-        masked = self._tombstones
-        masked_counts = self._masked_counts
-        if HAVE_NUMPY:
-            frozen = segment.frozen()
-            acc = _np.zeros(len(frozen.tree_ids), dtype=_np.int64)
-            frozen.sweep_into(items, acc)
-            tree_ids = frozen.tree_ids
-            if masked:
-                for slot in _np.nonzero(acc)[0]:
-                    tree_id = tree_ids[slot]
-                    if tree_id not in masked:
-                        merged[tree_id] = int(acc[slot])
-            else:
-                for slot in _np.nonzero(acc)[0]:
-                    merged[tree_ids[slot]] = int(acc[slot])
-            if not masked_counts:
-                return frozen.last_touched
-            spans = segment.spans()
-            touched = 0
-            for key, _ in items:
-                span = spans.get(key)
-                if span is not None:
-                    touched += span[1] - span[0] - masked_counts.get(key, 0)
-            return touched
-        spans = segment.spans()  # pragma: no cover - exercised without numpy
-        slots, counts = segment.post_slots, segment.post_counts
-        tree_ids = segment.tree_ids
-        touched = 0
-        for key, query_count in items:
-            span = spans.get(key)
-            if span is None:
-                continue
-            start, end = span
-            touched += end - start - masked_counts.get(key, 0)
-            for index in range(start, end):
-                tree_id = tree_ids[slots[index]]
-                if tree_id in masked:
-                    continue
-                count = counts[index]
-                merged[tree_id] = merged.get(tree_id, 0) + (
-                    query_count if query_count < count else count
-                )
-        return touched
+    def tau_scan(
+        self,
+        query_items: Iterable[Tuple[Key, int]],
+        query_size: int,
+        tau: float,
+    ) -> Optional[TauScan]:
+        if self._segment is None or not HAVE_NUMPY:
+            return None
+        scan = tau_scan(
+            self._segment.frozen(),
+            self._masked,
+            self._overlay._inverted,
+            self._sizes,
+            query_items,
+            query_size,
+            tau,
+        )
+        self._m_candidates_emitted.inc(scan.scored)
+        return scan
 
     def tree_bag(self, tree_id: int) -> Mapping[Key, int]:
         if tree_id in self._overlay:
@@ -1225,7 +1207,7 @@ class SegmentBackend(ForestBackend):
         span = segment.spans().get(key)
         if span is None:
             return False
-        return span[1] - span[0] - self._masked_counts.get(key, 0) > 0
+        return span[1] - span[0] - self._masked.counts.get(key, 0) > 0
 
     def postings(self, key: Key) -> Optional[Mapping[int, int]]:
         overlay = self._overlay.postings(key)
@@ -1235,9 +1217,8 @@ class SegmentBackend(ForestBackend):
         frozen = segment.key_postings(key)
         if frozen is None:
             return overlay
-        if self._tombstones:
-            for tree_id in self._tombstones:
-                frozen.pop(tree_id, None)
+        for tree_id in self._masked.trees:
+            frozen.pop(tree_id, None)
         if overlay:
             frozen.update(overlay)
         return frozen or None
@@ -1277,13 +1258,13 @@ class SegmentBackend(ForestBackend):
     # ------------------------------------------------------------------
 
     def _dirty_keys(self) -> int:
-        return len(self._overlay._inverted) + len(self._masked_counts)
+        return len(self._overlay._inverted) + len(self._masked.counts)
 
     def _stale(self) -> bool:
         dirty = self._dirty_keys()
         if self._segment is None:
-            return bool(self._sizes) or dirty > 0 or bool(self._tombstones)
-        if not dirty and not self._tombstones:
+            return bool(self._sizes) or dirty > 0
+        if not dirty and not self._masked.trees:
             return False
         total = dirty + self._segment.n_keys
         return (
@@ -1303,7 +1284,7 @@ class SegmentBackend(ForestBackend):
             self.seal()
 
     def seal(self) -> bool:
-        """Fold overlay + tombstones into a new frozen generation.
+        """Fold overlay + mask into a new frozen generation.
 
         Writes the next ``segment-*.seg``, swaps the manifest
         atomically, resets the overlay and truncates the delta log.
@@ -1312,7 +1293,7 @@ class SegmentBackend(ForestBackend):
         """
         if (
             not self._overlay._inverted
-            and not self._tombstones
+            and not self._masked.trees
             and not (self._segment is None and self._sizes)
         ):
             return False
@@ -1347,8 +1328,7 @@ class SegmentBackend(ForestBackend):
             else None
         )
         self._overlay.restore({})
-        self._tombstones = set()
-        self._masked_counts = {}
+        self._masked = TreeMask()
         self._watermarks = {}
         self._sealed_seq = self._max_seq
         self._mutations_at_seal = self._mutations
@@ -1398,12 +1378,16 @@ class SegmentBackend(ForestBackend):
     # ------------------------------------------------------------------
 
     def freeze_view(self):
+        """The mapped segment is read-only by construction, so the view
+        shares it and copies only the mask, the overlay and the size
+        metadata; with nothing sealed (or without numpy) it is the base
+        class's copy of the relation."""
         if HAVE_NUMPY and self._segment is not None:
-            from repro.concurrency.snapshot import SegmentSnapshot
+            from repro.concurrency.snapshot import OverlaySnapshot
 
-            return SegmentSnapshot(
+            return OverlaySnapshot(
                 self._segment.frozen(),
-                frozenset(self._tombstones),
+                self._masked.copy(),
                 {
                     key: dict(entry)
                     for key, entry in self._overlay.iter_postings()
@@ -1430,11 +1414,12 @@ class SegmentBackend(ForestBackend):
 
     def stats(self) -> Dict[str, object]:
         segment = self._segment
-        masked_postings = sum(self._masked_counts.values())
+        masked_counts = self._masked.counts
+        masked_postings = sum(masked_counts.values())
         dead_keys = 0
-        if segment is not None and self._masked_counts:
+        if segment is not None and masked_counts:
             spans = segment.spans()
-            for key, masked in self._masked_counts.items():
+            for key, masked in masked_counts.items():
                 start, end = spans[key]
                 if end - start == masked:
                     dead_keys += 1
@@ -1458,7 +1443,7 @@ class SegmentBackend(ForestBackend):
             "segment_keys": segment_keys,
             "overlay_keys": overlay_stats["distinct_keys"],
             "overlay_trees": overlay_stats["trees"],
-            "tombstones": len(self._tombstones),
+            "masked_trees": len(self._masked.trees),
             "generation": self._generation,
             "sealed_seq": self._sealed_seq,
             "directory": self.directory,
@@ -1467,20 +1452,17 @@ class SegmentBackend(ForestBackend):
 
     def check_consistency(self) -> None:
         self._overlay.check_consistency()
-        if not self._tombstones <= self._segment_trees():
-            raise IndexConsistencyError(
-                "tombstones reference trees absent from the segment"
-            )
-        overlap = self._segment_trees() & set(self._overlay._bags)
-        if not overlap <= self._tombstones:
-            raise IndexConsistencyError(
-                "overlay shadows segment trees without tombstones"
-            )
+        masked = self._masked
         sizes: Dict[int, int] = {}
         segment = self._segment
         if segment is not None:
+            if not self._overlay._bags.keys() <= masked.trees:
+                raise IndexConsistencyError(
+                    "overlay holds trees that were never masked"
+                )
             # Re-derive the inverted CSR from the bag CSR (transpose).
             derived: Dict[Key, Dict[int, int]] = {}
+            counts: Dict[Key, int] = {}
             for tree_id in segment.tree_ids:
                 bag = segment.tree_bag(tree_id)
                 expected = int(segment.tree_sizes[segment.slot_of[tree_id]])
@@ -1490,8 +1472,11 @@ class SegmentBackend(ForestBackend):
                     )
                 for key, count in bag.items():
                     derived.setdefault(key, {})[tree_id] = count
-                if tree_id not in self._tombstones:
+                if tree_id not in masked.trees:
                     sizes[tree_id] = expected
+                else:
+                    for key in bag:
+                        counts[key] = counts.get(key, 0) + 1
             stored = {
                 key: segment.key_postings(key) for key in segment.keys()
             }
@@ -1499,17 +1484,13 @@ class SegmentBackend(ForestBackend):
                 raise IndexConsistencyError(
                     "segment posting arrays drifted from its bag arrays"
                 )
-            masked: Dict[Key, int] = {}
-            for tree_id in self._tombstones:
-                for key in segment.tree_bag(tree_id):
-                    masked[key] = masked.get(key, 0) + 1
-            if masked != self._masked_counts:
+            if counts != masked.counts:
                 raise IndexConsistencyError(
-                    "masked posting accounting drifted from the tombstones"
+                    "masked posting accounting drifted from the masked trees"
                 )
-        elif self._tombstones or self._masked_counts:
+        elif masked.trees or masked.counts:
             raise IndexConsistencyError(
-                "tombstones present without a frozen segment"
+                "trees masked without a frozen segment"
             )
         for tree_id, size in self._overlay.iter_sizes():
             sizes[tree_id] = size

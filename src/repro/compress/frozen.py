@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.compress.intern import InternPool, default_pool
+from repro.compress.intern import InternPool, batch_fingerprints, default_pool
 from repro.compress.varint import PackedIntArray, delta_encode_span
 from repro.perf.arraybag import HAVE_NUMPY
 from repro.perf.sweep import CompactPostings
@@ -341,7 +341,8 @@ class CompressedPostings:
         present = 0
         key_fps = self.key_fps
         if items and len(key_fps):
-            probes = self._pool.fingerprints([key for key, _ in items])
+            # Computed, not memoized: the pool remembers stored keys only.
+            probes = batch_fingerprints([key for key, _ in items])
             left = _np.searchsorted(key_fps, probes, side="left")
             right = _np.searchsorted(key_fps, probes, side="right")
             hits = _np.nonzero(right > left)[0]

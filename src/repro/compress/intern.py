@@ -95,6 +95,43 @@ if HAVE_NUMPY:
         return acc
 
 
+def batch_fingerprints(keys: Sequence[Key]):
+    """``combine_fingerprints`` of many keys at once, as a uint64 array.
+
+    Bit-identical to the scalar fold, but it runs as a handful of
+    vector ops per tuple position instead of a Python loop per key —
+    the difference between a cold freeze paying microseconds and
+    milliseconds per thousand keys.  Keys of mixed width are grouped
+    by length; results land in input order.  Pure: nothing is
+    remembered.
+    """
+    if not HAVE_NUMPY:  # pragma: no cover - guarded by callers
+        raise RuntimeError("batch fingerprints require numpy")
+    out = _np.empty(len(keys), dtype=_np.uint64)
+    by_width: Dict[int, List[int]] = {}
+    for position, key in enumerate(keys):
+        by_width.setdefault(len(key), []).append(position)
+    for width, positions in by_width.items():
+        matrix = None
+        if width:
+            try:
+                matrix = _np.fromiter(
+                    (part for position in positions for part in keys[position]),
+                    dtype=_np.uint64,
+                    count=len(positions) * width,
+                ).reshape(len(positions), width)
+            except (OverflowError, ValueError):
+                # parts outside uint64 (never true of label hashes, but
+                # the pool accepts any int tuple) — scalar fold instead
+                pass
+        if matrix is None:
+            for position in positions:
+                out[position] = combine_fingerprints(keys[position])
+        else:
+            out[positions] = _combine_matrix(matrix)
+    return out
+
+
 class InternPool:
     """Canonical key tuples, dense ids, and memoized fingerprints.
 
@@ -195,51 +232,18 @@ class InternPool:
         return fingerprint
 
     def fingerprints(self, keys: Sequence[Key]):
-        """Fingerprints of many keys at once, as a uint64 array.
-
-        Bit-identical to mapping :meth:`fingerprint`, but the modular
-        fold runs as a handful of vector ops per tuple position instead
-        of a Python loop per key — the difference between a cold freeze
-        paying microseconds and milliseconds per thousand keys.  Keys
-        of mixed width are grouped by length; results land in input
-        order and are memoized for the scalar path.
-        """
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by callers
-            raise RuntimeError("batch fingerprints require numpy")
-        out = _np.empty(len(keys), dtype=_np.uint64)
-        by_width: Dict[int, List[int]] = {}
-        for position, key in enumerate(keys):
-            by_width.setdefault(len(key), []).append(position)
+        """:func:`batch_fingerprints` of keys this pool stores, memoized
+        for the scalar path.  Probes — keys that are merely looked up —
+        go through :func:`batch_fingerprints` directly: remembering
+        them would grow the pool by every key ever queried."""
+        out = batch_fingerprints(keys)
         memo = self._fps
-        for width, positions in by_width.items():
-            if width == 0:
-                for position in positions:
-                    out[position] = self.fingerprint(keys[position])
-                continue
-            try:
-                matrix = _np.fromiter(
-                    (
-                        part
-                        for position in positions
-                        for part in keys[position]
-                    ),
-                    dtype=_np.uint64,
-                    count=len(positions) * width,
-                ).reshape(len(positions), width)
-            except (OverflowError, ValueError):
-                # parts outside uint64 (never true of label hashes, but
-                # the pool accepts any int tuple) — scalar fold instead
-                for position in positions:
-                    out[position] = self.fingerprint(keys[position])
-                continue
-            values = _combine_matrix(matrix)
-            out[positions] = values
-            if self._max_entries is None:
-                for position, value in zip(positions, values.tolist()):
-                    memo.setdefault(keys[position], value)
-            else:
-                for position, value in zip(positions, values.tolist()):
-                    memo.setdefault(self.intern(keys[position]), value)
+        if self._max_entries is None:
+            for key, value in zip(keys, out.tolist()):
+                memo.setdefault(key, value)
+        else:
+            for key, value in zip(keys, out.tolist()):
+                memo.setdefault(self.intern(key), value)
         return out
 
     def __len__(self) -> int:

@@ -13,15 +13,15 @@ gauge counts exactly that).
 
 Materialization cost is deliberately asymmetric per backend:
 
-- :class:`OverlaySnapshot` (compact backend) shares the frozen CSR
-  arrays — immutable by construction — and copies only the dirty-key
-  overlay plus the size metadata: O(dirty + trees) per generation.
-  The first view freezes the CSR; only without numpy does the overlay
-  hold the whole relation.
-- :class:`DictSnapshot` (memory backend) copies the inverted lists:
-  O(postings).  The reference backend keeps no immutable structure to
-  share, and stays the conformance oracle rather than a serving
-  backend.
+- :class:`OverlaySnapshot` (compact and segment backends) shares the
+  frozen base — immutable by construction — and copies only the mask
+  and overlay of the trees written since it was built plus the size
+  metadata: O(overlay + trees) per generation.  The compact backend's
+  first view freezes the CSR.
+- :class:`DictSnapshot` (memory backend; any backend with nothing
+  frozen, or without numpy) copies the inverted lists: O(postings).
+  The reference backend keeps no immutable structure to share, and
+  stays the conformance oracle rather than a serving backend.
 - :class:`ShardSnapshot` (sharded backend) composes one inner handle
   per shard; with compact shards the per-shard cost is the overlay
   copy again.
@@ -36,14 +36,19 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
     Tuple,
 )
 
-from repro.perf.sweep import TauScan, sweep_dict, tau_scan
+from repro.perf.sweep import (
+    TauScan,
+    TreeMask,
+    overlay_candidates,
+    sweep_dict,
+    tau_scan,
+)
 
 Key = Tuple[int, ...]
 Admit = Callable[[int], bool]
@@ -134,85 +139,18 @@ class DictSnapshot(SnapshotHandle):
 
 
 class OverlaySnapshot(SnapshotHandle):
-    """Shared frozen CSR + copied dirty-key overlay (compact backend).
+    """Shared frozen base + copied mask and overlay — the one view of
+    every backend that holds a frozen array form (compact: the heap
+    CSR; segment: the mapped segment).
 
-    ``frozen`` is None only without numpy, in which case ``overlay``
-    holds the *whole* inverted relation and ``dirty`` / ``changed``
-    are irrelevant.  ``changed`` names the trees mutated since the
-    freeze, whose frozen ``|I|`` is stale.  Sharing the CSR across
-    handles is safe: its arrays never mutate after build (the refreeze
-    worker builds a *new* CSR and swaps the reference; handles pinning
-    the old one keep it alive).  The CSR's ``last_touched`` tally and
-    its ``slot_of`` cache are the shared mutable fields — a
-    metrics-only int and a dict every builder fills identically, so
-    their races are benign.
-    """
-
-    __slots__ = ("_frozen", "_dirty", "_overlay", "_changed")
-
-    def __init__(
-        self,
-        frozen: object,
-        dirty: FrozenSet[Key],
-        overlay: Dict[Key, Dict[int, int]],
-        changed: FrozenSet[int],
-        sizes: Dict[int, int],
-    ) -> None:
-        super().__init__(sizes)
-        self._frozen = frozen
-        self._dirty = dirty
-        self._overlay = overlay
-        self._changed = changed
-
-    def candidates(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit] = None,
-    ) -> Dict[int, int]:
-        frozen = self._frozen
-        if frozen is None:
-            intersections: Dict[int, int] = {}
-            sweep_dict(self._overlay, query_items, intersections)
-            return _admit_filter(intersections, admit)
-        dirty = self._dirty
-        clean: List[Tuple[Key, int]] = []
-        overlaid: List[Tuple[Key, int]] = []
-        for item in query_items:
-            (overlaid if item[0] in dirty else clean).append(item)
-        merged: Dict[int, int] = frozen.sweep(clean) if clean else {}  # type: ignore[attr-defined]
-        if overlaid:
-            sweep_dict(self._overlay, overlaid, merged)
-        return _admit_filter(merged, admit)
-
-    def tau_scan(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        query_size: int,
-        tau: float,
-    ) -> Optional[TauScan]:
-        if self._frozen is None:
-            return None
-        return tau_scan(
-            self._frozen,
-            self._dirty,
-            self._overlay,
-            self._changed,
-            self._sizes,
-            query_items,
-            query_size,
-            tau,
-        )
-
-
-class SegmentSnapshot(SnapshotHandle):
-    """Shared mmapped segment CSR + copied overlay (segment backend).
-
-    ``masked`` is the tombstone set frozen at materialization: trees
-    edited or removed since the seal whose segment postings must be
-    skipped (their authoritative copy, if any, is in ``overlay``).  The
-    segment file is read-only by construction, so sharing its arrays
-    across handles and processes is free; only the overlay's inverted
-    lists and the size metadata are copied — O(overlay + trees).
+    ``masked`` names the trees written since the base was built, whose
+    postings in it every read ignores, and ``overlay`` holds their
+    current postings (:mod:`repro.perf.sweep`).  Sharing the base is
+    safe: its arrays never mutate after build — a refreeze or seal
+    builds a *new* base and swaps the reference; handles pinning the
+    old one keep it alive.  Its ``last_touched`` tally and ``slot_of``
+    cache are the shared mutable fields — a metrics-only int and a dict
+    every builder fills identically, so their races are benign.
     """
 
     __slots__ = ("_frozen", "_masked", "_overlay")
@@ -220,7 +158,7 @@ class SegmentSnapshot(SnapshotHandle):
     def __init__(
         self,
         frozen: object,
-        masked: FrozenSet[int],
+        masked: TreeMask,
         overlay: Dict[Key, Dict[int, int]],
         sizes: Dict[int, int],
     ) -> None:
@@ -234,20 +172,25 @@ class SegmentSnapshot(SnapshotHandle):
         query_items: Iterable[Tuple[Key, int]],
         admit: Optional[Admit] = None,
     ) -> Dict[int, int]:
-        items = (
-            query_items
-            if isinstance(query_items, (list, tuple))
-            else list(query_items)
+        return overlay_candidates(
+            self._frozen, self._masked, self._overlay, query_items, admit
+        )[0]
+
+    def tau_scan(
+        self,
+        query_items: Iterable[Tuple[Key, int]],
+        query_size: int,
+        tau: float,
+    ) -> Optional[TauScan]:
+        return tau_scan(
+            self._frozen,
+            self._masked,
+            self._overlay,
+            self._sizes,
+            query_items,
+            query_size,
+            tau,
         )
-        merged: Dict[int, int] = self._frozen.sweep(items)  # type: ignore[attr-defined]
-        if self._masked:
-            for tree_id in self._masked:
-                merged.pop(tree_id, None)
-        if self._overlay:
-            # Masked trees cover every overlay ∩ segment tree, so the
-            # overlay sweep adds disjoint entries — plain addition.
-            sweep_dict(self._overlay, items, merged)
-        return _admit_filter(merged, admit)
 
 
 class ShardSnapshot(SnapshotHandle):

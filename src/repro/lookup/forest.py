@@ -288,10 +288,18 @@ class ForestIndex:
         registry.gauge(
             "backend_distinct_keys", "distinct pq-gram keys stored"
         ).set(int(backend_stats["distinct_keys"]))
-        if "dirty_keys" in backend_stats:
-            registry.gauge(
-                "compact_dirty_keys", "keys overlaying the frozen snapshot"
-            ).set(int(backend_stats["dirty_keys"]))
+        # One overlay over one frozen base, under the gauge name each
+        # backend's dashboards know it by.
+        for stat, gauge in (
+            ("dirty_keys", "compact_dirty_keys"),
+            ("overlay_keys", "segment_overlay_keys"),
+        ):
+            if stat in backend_stats:
+                registry.gauge(
+                    gauge,
+                    "distinct keys in the overlay of trees written since "
+                    "the freeze (compact) / seal (segment)",
+                ).set(int(backend_stats[stat]))
         if "segments" in backend_stats:
             registry.gauge(
                 "segments_open", "frozen on-disk segments currently mapped"
@@ -299,10 +307,6 @@ class ForestIndex:
             registry.gauge(
                 "segment_bytes", "bytes of the mapped frozen segment files"
             ).set(int(backend_stats["segment_bytes"]))
-            registry.gauge(
-                "segment_overlay_keys",
-                "distinct keys in the segment backend's dirty overlay",
-            ).set(int(backend_stats["overlay_keys"]))
         for index, postings in enumerate(
             backend_stats.get("shard_postings", ())
         ):

@@ -10,25 +10,33 @@ vector operations over a slice view.  Within one key every tree occurs
 at most once, so the fancy-indexed ``acc[slots] += minimum(counts,
 qcnt)`` is exact — no ``np.add.at`` needed.
 
-The structure is a snapshot: any forest mutation invalidates it and the
-owner rebuilds lazily.  Only built when numpy is importable; callers
-fall back to the dict sweep otherwise.
+The structure is a snapshot, never mutated after build: later writes
+*mask* the trees they change (:class:`TreeMask`) and keep their current
+bags in an overlay until the owner folds both into a new snapshot.
+Only built when numpy is importable; callers fall back to the dict
+sweep otherwise.
 
-:func:`tau_scan` is the τ-lookup over such a frozen form done in array
-space from end to end: sweep, size bound, distance and ``< tau`` are
-vector expressions over one slot accumulator, and Python objects exist
-only for the matches.
+Exactly two functions, both here, combine a frozen base with its mask
+and overlay, for every backend and read view that holds one:
+:func:`tau_scan`, the τ-lookup in array space from end to end (sweep,
+size bound, distance and ``< tau`` are vector expressions over one slot
+accumulator; Python objects exist only for the matches), and
+:func:`overlay_candidates`, its dict-space twin behind ``candidates()``
+and the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from typing import (
-    AbstractSet,
+    Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
+    Optional,
+    Set,
     Tuple,
 )
 
@@ -144,25 +152,105 @@ class CompactPostings:
             tree_ids[slot]: int(acc[slot]) for slot in _np.nonzero(acc)[0]
         }
 
+    def iter_key_postings(self) -> Iterator[Tuple[Key, Dict[int, int]]]:
+        """``(key, {treeId: cnt})`` per span (consistency checks)."""
+        tree_ids = self.tree_ids
+        for key, (start, end) in self.spans.items():
+            slots = self.slots[start:end].tolist()
+            counts = self.counts[start:end].tolist()
+            yield key, {tree_ids[s]: count for s, count in zip(slots, counts)}
+
 
 def sweep_dict(
     inverted: Mapping[Key, Mapping[int, int]],
     query_items: Iterable[Tuple[Key, int]],
     intersections: Dict[int, int],
-) -> int:
+) -> Tuple[int, int]:
     """Fold the plain-dict candidate sweep into ``intersections``;
-    the number of posting entries touched."""
+    ``(query keys that met a posting, posting entries touched)``."""
+    met = 0
     touched = 0
     for key, query_count in query_items:
         postings = inverted.get(key)
         if not postings:
             continue
+        met += 1
         touched += len(postings)
         for tree_id, count in postings.items():
             intersections[tree_id] = intersections.get(tree_id, 0) + min(
                 query_count, count
             )
-    return touched
+    return met, touched
+
+
+class TreeMask:
+    """The trees written since a base was frozen (or sealed).
+
+    Every read ignores a masked tree's postings in the base and takes
+    its current bag from the overlay the owner keeps beside the mask
+    (``key → {tree: cnt}``, masked trees only).  ``counts`` is, per
+    key, how many of the base's postings belong to masked trees: a
+    sweep reads them in vain, and subtracting them keeps "postings
+    touched" equal to what the dict reference reads.  A tree is masked
+    from the bag the base still describes — before its first write
+    after the freeze, O(|bag|) once; a refreeze/seal starts a new mask.
+    """
+
+    __slots__ = ("trees", "counts")
+
+    def __init__(
+        self,
+        trees: Iterable[int] = (),
+        counts: Optional[Mapping[Key, int]] = None,
+    ) -> None:
+        self.trees: Set[int] = set(trees)
+        self.counts: Dict[Key, int] = dict(counts or ())
+
+    def add(self, tree_id: int, base_keys: Iterable[Key]) -> None:
+        """Mask one tree; ``base_keys`` are the keys of its bag in the
+        base (none for a tree born after the freeze)."""
+        self.trees.add(tree_id)
+        counts = self.counts
+        for key in base_keys:
+            counts[key] = counts.get(key, 0) + 1
+
+    def copy(self) -> "TreeMask":
+        return TreeMask(self.trees, self.counts)
+
+
+def overlay_candidates(
+    frozen,
+    masked: TreeMask,
+    overlay: Mapping[Key, Mapping[int, int]],
+    query_items: Iterable[Tuple[Key, int]],
+    admit: Optional[Callable[[int], bool]] = None,
+) -> Tuple[Dict[int, int], int, int, int]:
+    """The candidate sweep over a frozen base and its overlay, in dict
+    space — the reference :func:`tau_scan` must equal.
+
+    Sweeps every query key through ``frozen`` (anything with ``sweep``
+    and ``last_touched``), drops the masked trees, folds the overlay in
+    (masked trees only, so a plain addition) and applies ``admit``:
+    ``(overlaps, keys swept, postings touched, keys that met the overlay)``.
+    """
+    items = query_items if isinstance(query_items, list) else list(query_items)
+    merged: Dict[int, int] = frozen.sweep(items)
+    touched = frozen.last_touched
+    overlay_keys = 0
+    if masked.trees:
+        for tree_id in masked.trees:
+            merged.pop(tree_id, None)
+        counts = masked.counts
+        touched -= sum(counts.get(key, 0) for key, _ in items)
+        overlay_keys, overlay_touched = sweep_dict(overlay, items, merged)
+        touched += overlay_touched
+    if admit is not None:
+        merged = {
+            tree_id: shared
+            for tree_id, shared in merged.items()
+            if admit(tree_id)
+        }
+    return merged, len(items), touched, overlay_keys
 
 
 class TauScan(NamedTuple):
@@ -173,9 +261,8 @@ class TauScan(NamedTuple):
     pruned: int                # of those, rejected by the size bound
     scored: int                # of those, whose distance was computed
     keys_swept: int            # query keys processed
-    overlay_keys: int          # of those, answered from the overlay
-    postings_touched: int      # posting entries read, frozen and overlay
-    overlay_postings: int      # of those, read from the overlay
+    overlay_keys: int          # of those, that met the overlay
+    postings_touched: int      # live posting entries read, base and overlay
 
 
 def _slot_map(frozen) -> Dict[int, int]:
@@ -192,9 +279,8 @@ def _slot_map(frozen) -> Dict[int, int]:
 
 def tau_scan(
     frozen,
-    dirty: AbstractSet[Key],
+    masked: TreeMask,
     overlay: Mapping[Key, Mapping[int, int]],
-    changed: AbstractSet[int],
     sizes: Mapping[int, int],
     query_items: Iterable[Tuple[Key, int]],
     query_size: int,
@@ -205,52 +291,54 @@ def tau_scan(
     ``frozen`` is a :class:`CompactPostings` or a
     :class:`~repro.compress.frozen.CompressedPostings` (only
     ``sweep_into`` / ``tree_ids`` / ``sizes`` and the ``slot_of`` cache
-    are used); ``dirty`` the keys changed since it was built,
-    ``overlay`` their current postings, ``changed`` the trees mutated
-    since then and ``sizes`` the current ``{tree: |I|}``.
+    are used); ``masked`` the trees written since it was built,
+    ``overlay`` their current postings and ``sizes`` the current
+    ``{tree: |I|}``.
 
-    Clean keys are swept into one int64 slot accumulator; the dirty
-    keys' overlay postings are folded into the same accumulator, trees
-    born after the freeze (no slot) into a side dict.  The size bound,
-    the distance and the threshold then run as the vector twins of
+    Every query key is swept into one int64 slot accumulator, the
+    masked slots are zeroed with one assignment and take the overlay's
+    fold instead (with their current ``|I|``); trees born after the
+    freeze have no slot and go to a side dict.  The size bound, the
+    distance and the threshold then run as the vector twins of
     :mod:`repro.core.distance` over the non-zero slots, so the result
-    and the ``candidates = pruned + scored`` ledger equal what the
-    ``candidates(admit=)`` path computes one tree at a time, bit for
-    bit.  Needs ``query_size > 0`` and ``tau > 0`` (the executor
-    answers the degenerate cases before any sweep).
+    and the ``candidates = pruned + scored`` ledger equal what
+    :func:`overlay_candidates` with the size bound as ``admit``
+    computes one tree at a time, bit for bit.  Needs ``query_size > 0``
+    and ``tau > 0`` (the executor answers the degenerate cases before
+    any sweep).
     """
-    clean: List[Tuple[Key, int]] = []
-    overlaid: List[Tuple[Key, int]] = []
-    for item in query_items:
-        (overlaid if item[0] in dirty else clean).append(item)
+    items = query_items if isinstance(query_items, list) else list(query_items)
     acc = _np.zeros(len(frozen.tree_ids), dtype=_np.int64)
-    touched = frozen.sweep_into(clean, acc) if clean else 0
-    # Only a lookup that meets the overlay pays for the slot map.
-    slot_of = _slot_map(frozen) if overlaid or changed else {}
-    # The overlay is dicts: fold it per tree first, so the accumulator
-    # takes one vector add over distinct slots, not one per posting.
-    folded: Dict[int, int] = {}
-    overlay_postings = sweep_dict(overlay, overlaid, folded)
+    touched = frozen.sweep_into(items, acc)
+    tree_sizes = frozen.sizes
     born: Dict[int, int] = {}
-    if folded:
-        overlay_slots: List[int] = []
-        overlay_shared: List[int] = []
-        for tree_id, shared in folded.items():
+    overlay_keys = 0
+    if masked.trees:
+        slot_of = _slot_map(frozen)
+        acc[[slot_of[t] for t in masked.trees if t in slot_of]] = 0
+        counts = masked.counts
+        touched -= sum(counts.get(key, 0) for key, _ in items)
+        # The overlay is dicts: fold it per tree first, so the
+        # accumulator takes one vector assignment over distinct slots.
+        folded: Dict[int, int] = {}
+        overlay_keys, overlay_touched = sweep_dict(overlay, items, folded)
+        touched += overlay_touched
+        slots: List[int] = []
+        shared: List[int] = []
+        current: List[int] = []
+        for tree_id, overlap in folded.items():
             slot = slot_of.get(tree_id)
             if slot is None:
-                born[tree_id] = shared
+                born[tree_id] = overlap
             else:
-                overlay_slots.append(slot)
-                overlay_shared.append(shared)
-        acc[overlay_slots] += _np.array(overlay_shared, dtype=_np.int64)
-    tree_sizes = frozen.sizes
-    if changed:
-        # The frozen size array is shared and immutable: patch a copy.
-        tree_sizes = tree_sizes.copy()
-        for tree_id in changed:
-            slot = slot_of.get(tree_id)
-            if slot is not None and tree_id in sizes:
-                tree_sizes[slot] = sizes[tree_id]
+                slots.append(slot)
+                shared.append(overlap)
+                current.append(sizes[tree_id])
+        if slots:
+            acc[slots] = shared
+            # The frozen size array is shared and immutable: patch a copy.
+            tree_sizes = tree_sizes.copy()
+            tree_sizes[slots] = current
     slots = _np.nonzero(acc)[0]
     candidate_sizes = tree_sizes[slots]
     admitted = size_bounds_admit(query_size, candidate_sizes, tau)
@@ -266,11 +354,11 @@ def tau_scan(
     }
     candidates = len(candidate_sizes) + len(born)
     scored = len(slots)
-    for tree_id, shared in born.items():
+    for tree_id, overlap in born.items():
         size = sizes[tree_id]
         if size_bound_admits(query_size, size, tau):
             scored += 1
-            distance = distance_from_overlap(shared, query_size + size)
+            distance = distance_from_overlap(overlap, query_size + size)
             if distance < tau:
                 matches[tree_id] = distance
     return TauScan(
@@ -278,8 +366,7 @@ def tau_scan(
         candidates,
         candidates - scored,
         scored,
-        len(clean) + len(overlaid),
-        len(overlaid),
-        touched + overlay_postings,
-        overlay_postings,
+        len(items),
+        overlay_keys,
+        touched,
     )

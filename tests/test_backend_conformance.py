@@ -310,6 +310,14 @@ class TestBackendConformance:
             script = dblp_update_script(base, 5, seed=702)
             edited, log = apply_script(base, script)
             forest.update_tree(3, edited, log)
+            forest.remove_tree(5)
+            forest.add_tree(9, random_labelled_tree(14, seed=703))
+            # Again with an overlay over whatever the backend froze:
+            # the edited tree's own index meets it on every key.
+            for probe in (query, forest.index_of(3)):
+                for tau in TAUS:
+                    forest.distances(probe, tau=tau)
+                forest.backend.candidates(probe.items())
             registries[label] = registry
             counters[label] = {
                 counter_name: registry.counter_value(counter_name)
@@ -375,10 +383,13 @@ class TestCompactOverlayStaleness:
         assert forest.index_of(0) == expected
         reference.remove_tree(0)
         reference.add_tree(0, edited)
-        if forest.backend._frozen is not None:
-            assert forest.backend._dirty, (
-                "maintenance left the frozen snapshot unmarked"
+        backend = forest.backend
+        if backend._frozen is not None:
+            assert backend._masked.trees == {0}, (
+                "maintenance left the edited tree unmasked"
             )
+            assert backend.frozen_clean() is None
+            assert backend.stats()["dirty_keys"] >= len(dict(expected.items()))
         assert_equivalent(forest, reference)
 
     def test_add_remove_restore_after_freeze(self):

@@ -332,6 +332,31 @@ class TestCompressedPostings:
         raw = compact.slots.nbytes + compact.counts.nbytes
         assert compressed.packed_nbytes() < raw
 
+    @pytest.mark.parametrize("backend", ["compact", "segment"])
+    def test_lookups_leave_the_process_pool_alone(self, backend):
+        """A probed key is fingerprinted, not remembered: the packed
+        read path may not grow the process-wide pool by what clients
+        happen to query."""
+        from repro.compress import default_pool
+        from repro.core import GramConfig
+        from repro.datasets import dblp_tree, random_labelled_tree
+        from repro.lookup import ForestIndex, LookupService
+
+        forest = ForestIndex(GramConfig(2, 3), backend=backend, compress=True)
+        forest.add_trees((i, dblp_tree(2, seed=i)) for i in range(30))
+        service = LookupService(forest)
+        service.lookup(dblp_tree(2, seed=3), 0.5)  # freezes / seals
+        assert forest.backend.tau_scan([((1, 2, 3, 4, 5), 1)], 1, 0.5) is not None
+        before = default_pool().stats()
+        hits = 0
+        for seed in range(200):  # never-repeated queries, most keys unseen
+            query = random_labelled_tree(12, seed=10_000 + seed)
+            service.lookup(query, 0.9)
+            hits += len(service.lookup(dblp_tree(2, seed=500 + seed), 0.9).matches)
+        assert hits > 0
+        assert default_pool().stats() == before
+        forest.close()
+
 
 # ----------------------------------------------------------------------
 # the switch

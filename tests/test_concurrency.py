@@ -256,16 +256,22 @@ def test_freeze_view_admit_filter(name, factory):
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
 def test_overlay_snapshot_masks_emptied_dirty_keys():
-    """A dirty key whose postings emptied must not fall back to the
-    stale frozen entry."""
+    """A key whose postings emptied must not fall back to the stale
+    frozen entry: the removed tree stays masked in the view, and a
+    view taken before the removal keeps answering from its own mask."""
     backend = CompactBackend()
     backend.add_tree_bag(1, {(1, 2): 3})
-    backend.add_tree_bag(2, {(9, 9): 1})
+    backend.add_tree_bag(2, {(9, 9): 1, (1, 2): 1})
     backend.compact()
-    # Remove tree 1: key (1,2) empties out but stays in the frozen CSR.
+    before = backend.freeze_view()
+    # Remove tree 1: its (1,2) posting stays in the frozen CSR.
     backend.remove_tree(1)
     view = backend.freeze_view()
-    assert view.candidates([((1, 2), 3)]) == {}
+    query = [((1, 2), 3)]
+    assert view.candidates(query) == backend.candidates(query) == {2: 1}
+    assert list(view.tau_scan(query, 3, 1.0).matches) == [2]
+    assert 1 not in view and view._masked.trees == {1}
+    assert before.candidates(query) == {1: 3, 2: 1}
 
 
 def test_distances_via_read_view_match_live():
@@ -422,7 +428,7 @@ def test_refreeze_republishes_the_read_view():
     assert stale_csr is not None
     _edit_past_refreeze_threshold(forest, dict(built))
     before = forest.read_view()
-    assert before._frozen is stale_csr and before._overlay
+    assert before._frozen is stale_csr and before._overlay and before._masked.trees
     generation = forest.generation
     worker = RefreezeWorker(forest)
     worker.notify()
@@ -435,7 +441,7 @@ def test_refreeze_republishes_the_read_view():
     assert after is not before
     assert after.generation == before.generation == generation
     assert after._frozen is forest.backend._frozen is not stale_csr
-    assert not after._dirty and not after._overlay and not after._changed
+    assert not after._overlay and not after._masked.trees and not after._masked.counts
     query = PQGramIndex.from_tree(
         build_random_tree(15, 99), forest.config, forest.hasher
     )

@@ -124,12 +124,15 @@ class TestPrunedLookupParity:
         assert service.lookup(collection[0][1], tau=0.0).matches == []
 
 
-def ledger_of(forest, scan):
+SWEEP = ("index_keys_swept_total", "index_postings_touched_total")
+
+
+def ledger_of(forest, scan, names=LEDGER):
     """``scan()``'s result and what it added to the pruning ledger."""
     registry = forest.metrics
-    before = [registry.counter_value(name) for name in LEDGER]
+    before = [registry.counter_value(name) for name in names]
     result = scan()
-    after = [registry.counter_value(name) for name in LEDGER]
+    after = [registry.counter_value(name) for name in names]
     return result, [b - a for a, b in zip(before, after)]
 
 
@@ -137,17 +140,22 @@ def assert_scan_equals_reference(forest, query_index, kernel_expected):
     """The array-space scan and the ``candidates(admit=)`` reference
     agree on the same forest — matches bit for bit, ledger to the
     count — for the live backend and for a read view.  An always-true
-    prefilter is what routes a scan through the reference path."""
+    prefilter is what routes a scan through the reference path; on the
+    live backend that path counts its own sweep volume, so the keys
+    swept and postings touched are compared there too (a view's
+    ``candidates`` carries no instruments)."""
     view = forest.read_view()
     for reader in (None, view):
         offered = (reader or forest.backend).tau_scan(
             query_index.items(), max(1, query_index.size()), 0.5
         )
         assert (offered is not None) == kernel_expected
+        names = LEDGER + SWEEP if reader is None else LEDGER
         for tau in TAUS + (0.0, -0.5):
             scanned = ledger_of(
                 forest,
                 lambda: forest.distances(query_index, tau=tau, reader=reader),
+                names,
             )
             reference = ledger_of(
                 forest,
@@ -157,6 +165,7 @@ def assert_scan_equals_reference(forest, query_index, kernel_expected):
                     reader=reader,
                     prefilter=lambda tree_id: True,
                 ),
+                names,
             )
             assert scanned == reference, (tau, reader)
             assert [d.hex() for d in scanned[0].values()] == [
@@ -164,14 +173,28 @@ def assert_scan_equals_reference(forest, query_index, kernel_expected):
             ]
 
 
-@pytest.mark.parametrize("compress", [False, True], ids=["plain", "packed"])
+# The compact rows keep the ids they had before segment joined the matrix.
+PARITY_ROWS = [
+    pytest.param("compact", False, id="plain"),
+    pytest.param("compact", True, id="packed"),
+    pytest.param("segment", False, id="segment-plain"),
+    pytest.param("segment", True, id="segment-packed"),
+]
+
+
+@pytest.mark.parametrize(("backend", "compress"), PARITY_ROWS)
 class TestArraySpaceScanParity:
     """The τ-lookup kernel (``repro.perf.sweep.tau_scan``) against the
-    per-tree reference, in every state a compact forest can be in."""
+    per-tree reference (``overlay_candidates`` behind ``candidates``),
+    in every state a frozen base and its overlay can be in — the heap
+    CSR of ``compact`` and the mapped segment of ``segment`` alike."""
 
-    def forest(self, compress, seed=21, count=14):
+    def forest(self, backend, compress, seed=21, count=14):
         forest = ForestIndex(
-            GramConfig(2, 3), compress=compress, metrics=MetricsRegistry()
+            GramConfig(2, 3),
+            backend=backend,
+            compress=compress,
+            metrics=MetricsRegistry(),
         )
         rng = random.Random(seed)
         documents = {
@@ -194,8 +217,15 @@ class TestArraySpaceScanParity:
             for tree in trees
         ] + [PQGramIndex(forest.config)]  # the empty query
 
-    def test_nothing_frozen_runs_the_reference(self, compress):
-        forest, documents = self.forest(compress)
+    @staticmethod
+    def base_of(forest):
+        """The frozen base a backend reads, whichever kind it is."""
+        backend = forest.backend
+        return backend._frozen if backend.name == "compact" else backend._segment
+
+    def test_nothing_frozen_runs_the_reference(self, backend, compress):
+        forest, documents = self.forest(backend, compress)
+        assert self.base_of(forest) is None
         for query_index in self.queries(forest, documents):
             scan = forest.backend.tau_scan(
                 query_index.items(), max(1, query_index.size()), 0.5
@@ -209,20 +239,23 @@ class TestArraySpaceScanParity:
             assert forest.distances(query_index, tau=0.5) == expected
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_frozen_clean(self, compress):
-        forest, documents = self.forest(compress)
+    def test_frozen_clean(self, backend, compress):
+        forest, documents = self.forest(backend, compress)
         forest.compact()
+        assert not forest.backend._masked.trees
         for query_index in self.queries(forest, documents):
             assert_scan_equals_reference(forest, query_index, True)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_frozen_with_overlay(self, compress):
+    def test_frozen_with_overlay(self, backend, compress):
         """Edit, add, remove and re-add of the same id after the
-        freeze: sizes of changed trees, trees born without a slot and
-        dirty keys that emptied out."""
-        forest, documents = self.forest(compress)
+        freeze: sizes of masked trees, trees born without a slot, a
+        masked tree whose bag emptied, and in the end every tree
+        masked."""
+        forest, documents = self.forest(backend, compress)
         forest.compact()
-        frozen = forest.backend._frozen
+        base = self.base_of(forest)
+        masked = forest.backend._masked.trees
 
         def edit(tree_id, seed):
             script = dblp_update_script(documents[tree_id], 4, seed=seed)
@@ -238,8 +271,9 @@ class TestArraySpaceScanParity:
             forest.remove_tree(tree_id)
             del documents[tree_id]
 
-        def check():
-            assert forest.backend._frozen is frozen, "refroze: nothing overlaid"
+        def check(*written):
+            assert self.base_of(forest) is base, "refroze: nothing overlaid"
+            assert masked >= set(written)
             forest.backend.check_consistency()
             for query_index in self.queries(forest, documents) + [
                 forest.index_of(2) if 2 in forest else forest.index_of(1),
@@ -248,18 +282,29 @@ class TestArraySpaceScanParity:
                 assert_scan_equals_reference(forest, query_index, True)
 
         edit(1, seed=3)
-        check()
+        check(1)
         add(100, random_labelled_tree(9, seed=41))  # born without a slot
-        check()
+        check(100)
         remove(2)
-        check()
+        check(2)
         add(2, dblp_tree(3, seed=77))  # the same id again, another shape
-        check()
+        check(2)
         edit(100, seed=4)
         check()
         remove(3)
         add(3, documents[5].copy())
-        check()
+        check(3)
+        # A masked tree whose bag emptied: every pq-gram taken out.
+        emptied = dict(forest.index_of(7).items())
+        forest.backend.apply_tree_delta(7, emptied, {})
+        assert forest.size_of(7) == 0
+        check(7)
+        forest.backend.apply_tree_delta(7, {}, emptied)
+        # Every tree masked: the base contributes nothing any more.
+        for tree_id in sorted(documents):
+            edit(tree_id, seed=tree_id)
+        check(*documents)
+        assert masked >= set(base.tree_ids)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
     @settings(
@@ -268,11 +313,11 @@ class TestArraySpaceScanParity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_property_random_mutations(self, compress, seed):
+    def test_property_random_mutations(self, backend, compress, seed):
         """Random add/edit/remove interleavings over a frozen forest,
-        with the occasional refreeze in between."""
+        with the occasional refreeze (or seal) in between."""
         rng = random.Random(seed)
-        forest, documents = self.forest(compress, seed=seed % 97, count=8)
+        forest, documents = self.forest(backend, compress, seed=seed % 97, count=8)
         forest.compact()
         for round_number in range(10):
             action = rng.randrange(5)
@@ -297,28 +342,74 @@ class TestArraySpaceScanParity:
                 forest.remove_tree(tree_id)
                 del documents[tree_id]
             else:
-                forest.backend.compact()  # a no-op below the dirty threshold
+                forest.backend.compact()  # a no-op below the threshold
             query_tree = documents[rng.choice(list(documents))]
             query_index = PQGramIndex.from_tree(
                 query_tree, forest.config, forest.hasher
             )
             assert_scan_equals_reference(forest, query_index, True)
+        forest.backend.check_consistency()
+        forest.close()
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
+    def test_check_consistency_catches_planted_drift(self, backend, compress):
+        """The audit is what proves no write escaped the mask: each
+        piece of the mask/overlay bookkeeping, bent by hand, fails it."""
+        from repro.errors import IndexConsistencyError
+
+        forest, documents = self.forest(backend, compress)
+        forest.compact()
+        script = dblp_update_script(documents[1], 4, seed=3)
+        edited, log = apply_script(documents[1], script)
+        forest.update_tree(1, edited, log)
+        live = forest.backend
+        live.check_consistency()
+        key = next(iter(live._masked.counts))
+
+        def bent(bend, unbend):
+            bend()
+            with pytest.raises(IndexConsistencyError):
+                live.check_consistency()
+            unbend()
+            live.check_consistency()
+
+        # the masked-postings count of one key is off by one
+        bent(
+            lambda: live._masked.counts.update({key: live._masked.counts[key] + 1}),
+            lambda: live._masked.counts.update({key: live._masked.counts[key] - 1}),
+        )
+        # a written tree is not masked: the base would answer for it
+        bent(lambda: live._masked.trees.discard(1), lambda: live._masked.trees.add(1))
+        # the overlay lost a posting of a masked tree
+        overlay = live._overlay if backend == "compact" else live._overlay._inverted
+        held = next(key for key, entry in overlay.items() if 1 in entry)
+        count = overlay[held][1]
+        bent(lambda: overlay[held].pop(1), lambda: overlay[held].update({1: count}))
 
     def test_without_numpy_the_view_holds_the_whole_relation(
-        self, compress, monkeypatch
+        self, backend, compress, monkeypatch
     ):
-        """No numpy, nothing to freeze: ``OverlaySnapshot(frozen=None)``
-        answers through the dict sweep, identically."""
+        """No numpy, no array form to share: the view is the base
+        class's ``DictSnapshot`` and answers through the dict sweep,
+        identically — ``compact`` has nothing to freeze, ``segment``
+        still reads its sealed file."""
         import repro.backend.compact as compact_module
+        import repro.backend.segment as segment_module
+        from repro.concurrency.snapshot import DictSnapshot
 
-        forest, documents = self.forest(compress)
+        forest, documents = self.forest(backend, compress)
         expected = {
             tau: forest.distances(forest.index_of(1), tau=tau) for tau in TAUS
         }
+        if backend == "segment":
+            forest.compact()  # sealed with numpy; read without it below
+            forest.remove_tree(4)
+            forest.add_tree(4, documents[4])
         monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(segment_module, "HAVE_NUMPY", False)
         view = forest.read_view()
-        assert view._frozen is None
-        assert forest.backend._frozen is None
+        assert type(view) is DictSnapshot
+        assert backend == "segment" or forest.backend._frozen is None
         for query_index in self.queries(forest, documents):
             assert_scan_equals_reference(forest, query_index, False)
         for tau in TAUS:

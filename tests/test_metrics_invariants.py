@@ -104,22 +104,30 @@ class TestSnapshotReadsAreCounted:
 
     SWEEP = ("index_keys_swept_total", "index_postings_touched_total")
 
-    def sweep_volume(self, seed, serving, edits=0):
-        forest, registry = build_forest("compact", None, seed)
-        forest.compact()
+    def sweep_volume(self, seed, serving, edits=0, backend="compact"):
+        forest, registry = build_forest(backend, None, seed)
+        forest.compact()  # compact: freezes the CSR; segment: seals
         rng = random.Random(seed)
         for _ in range(edits):  # leave an overlay behind
             tree_id = rng.randrange(12)
             base = build_random_tree(6, seed=rng.randrange(1000))
             forest.remove_tree(tree_id)
             forest.add_tree(tree_id, base)
+        # No auto-compaction: the overlay must survive the lookups.
         service = LookupService(
-            forest, snapshot_reads=serving, result_cache_size=0
+            forest,
+            auto_compact=False,
+            snapshot_reads=serving,
+            result_cache_size=0,
         )
         for offset in range(3):
             query = build_random_tree(5 + offset, seed=seed * 7 + offset)
             for tau in (0.05, 0.3, 0.8, 1.0):
                 service.lookup(query, tau)
+        if backend != "memory":
+            view = forest.read_view()
+            assert (edits > 0) == bool(view._masked.trees and view._overlay)
+        forest.close()
         return [registry.counter_value(name) for name in self.SWEEP]
 
     @PROPERTY_SETTINGS
@@ -128,10 +136,12 @@ class TestSnapshotReadsAreCounted:
         st.integers(min_value=0, max_value=3),
     )
     def test_snapshot_lookups_count_what_live_lookups_count(self, seed, edits):
-        live = self.sweep_volume(seed, serving=False, edits=edits)
-        served = self.sweep_volume(seed, serving=True, edits=edits)
-        assert served == live
-        assert live[0] > 0
+        reference = self.sweep_volume(seed, False, edits, backend="memory")
+        assert reference[0] > 0
+        for backend in ("compact", "segment"):
+            live = self.sweep_volume(seed, False, edits, backend)
+            served = self.sweep_volume(seed, True, edits, backend)
+            assert served == live == reference, backend
 
 
 class TestShardRollUp:

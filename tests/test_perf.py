@@ -137,27 +137,31 @@ class TestCompactPostings:
             assert frozen._sweep(query) == reference._sweep(query)
 
     def test_snapshot_overlaid_by_mutation(self):
-        """Mutations after a freeze land in the dirty-key overlay: the
-        snapshot survives, and sweeps stay exact."""
+        """Mutations after a freeze mask the tree they wrote and land
+        in the overlay: the snapshot survives, and sweeps stay exact."""
         reference = self.forest(backend="memory")
         forest = self.forest(backend="compact")
         forest.compact()
-        snapshot = forest.backend._frozen
-        assert snapshot is not None
+        backend = forest.backend
+        snapshot = backend._frozen
+        assert snapshot is not None and backend.frozen_clean() is snapshot
         extra = random_labelled_tree(9, seed=9)
         forest.add_tree(99, extra)
         reference.add_tree(99, extra)
-        # Snapshot kept, new keys dirty, results identical.
-        assert forest.backend._frozen is snapshot
-        assert forest.backend._dirty
+        # Snapshot kept, the new tree masked and overlaid, results identical.
+        assert backend._frozen is snapshot and backend.frozen_clean() is None
+        assert backend._masked.trees == {99}
+        assert backend.stats()["dirty_keys"] == len(dict(forest.index_of(99).items()))
         query = build_index(random_labelled_tree(14, seed=44))
         assert forest._sweep(query) == reference._sweep(query)
-        forest.backend.check_consistency()
+        backend.check_consistency()
         forest.remove_tree(99)
         reference.remove_tree(99)
-        assert forest.backend._frozen is snapshot
+        assert backend._frozen is snapshot
+        # The emptied keys still count as written since the freeze.
+        assert backend.stats()["dirty_keys"] > 0
         assert forest._sweep(query) == reference._sweep(query)
-        forest.backend.check_consistency()
+        backend.check_consistency()
 
     def test_refreeze_past_dirty_threshold(self):
         forest = self.forest(backend="compact")
@@ -166,10 +170,11 @@ class TestCompactPostings:
         forest.compact()
         first = forest.backend._frozen
         forest.add_tree(99, random_labelled_tree(9, seed=9))
-        assert len(forest.backend._dirty) > 1
+        assert forest.backend.stats()["dirty_keys"] > 1
         forest.compact()
         assert forest.backend._frozen is not first
-        assert not forest.backend._dirty
+        assert forest.backend.frozen_clean() is forest.backend._frozen
+        assert forest.backend.stats()["dirty_keys"] == 0
         forest.backend.check_consistency()
 
     def test_distances_identical_with_and_without_compact(self):
