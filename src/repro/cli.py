@@ -143,7 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="worker threads executing admitted requests (default 4)",
+        help="worker threads for the verbs that can block (writes, "
+        "subscriptions, stats; default 4) — snapshot reads run on the "
+        "event loop",
     )
     serve_parser.add_argument(
         "--rate",

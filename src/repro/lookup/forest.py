@@ -225,6 +225,13 @@ class ForestIndex:
             return self.lock.read()
         return self.lock.write()
 
+    @property
+    def has_published_view(self) -> bool:
+        """Whether :meth:`read_view` can answer without building
+        anything: false until the first call published a view (that
+        call freezes the CSR), true ever after."""
+        return self._published is not None
+
     def read_view(self) -> SnapshotHandle:
         """An immutable snapshot of the forest at (at least) a recent
         generation, for lock-free reader threads.
@@ -232,10 +239,14 @@ class ForestIndex:
         Views are cached per generation: when the published view is
         current it is returned without any locking.  When it is stale,
         exactly one caller refreshes it (materialization takes the
-        exclusive lock); concurrent callers are served the previous
-        view immediately instead of queueing behind the refresh —
-        readers never block on writers.  The one exception is the very
-        first call, which must wait for a view to exist at all.
+        exclusive lock, which writers hold for O(|Δ|) at a time);
+        concurrent callers — and every caller while a background
+        :meth:`refreeze` is building — are served the previous view
+        immediately instead of queueing behind the refresh: readers
+        never block on writers or on a build.  The one exception is
+        the very first call, which must wait for a view to exist at
+        all (:attr:`has_published_view` tells a caller that must not
+        wait).
         """
         while True:
             view = self._published
@@ -243,7 +254,8 @@ class ForestIndex:
             if view is not None and view.generation >= generation:
                 return view
             if not self._view_refresh.acquire(blocking=view is None):
-                # A refresh is already in flight: serve the stale view.
+                # A refresh or a refreeze is in flight: serve the stale
+                # view.
                 return view  # type: ignore[return-value]
             try:
                 view = self._published
@@ -281,7 +293,7 @@ class ForestIndex:
             "forest_trees", "trees currently indexed"
         ).set(len(self._backend))
         self.hasher.publish_metrics(registry)
-        backend_stats = self._backend.stats()
+        backend_stats = self.backend_stats()
         registry.gauge(
             "backend_postings", "posting entries stored by the backend"
         ).set(int(backend_stats["postings"]))
@@ -612,11 +624,31 @@ class ForestIndex:
         the generation.  The fresh view carries the *same* generation
         stamp (compaction changes no logical content), so result-cache
         entries keyed on it stay valid.
+
+        The build holds the view-refresh latch (taken before the
+        exclusive lock, the order readers use): a reader that finds its
+        view stale meanwhile is served the published one instead of
+        queueing behind the CSR build on the exclusive lock.
         """
-        with self.lock.write():
+        with self._view_refresh, self.lock.write():
             self._backend.compact()
             if self._published is not None:
                 self._publish_view()
+
+    def checkpoint_backend(self) -> None:
+        """Make the state of a backend that is its own durable home
+        (``segment``, ``rel``) durable.  It fsyncs under the exclusive
+        lock, so like :meth:`refreeze` it holds the view-refresh latch:
+        a reader with a stale view is served it, not queued."""
+        with self._view_refresh, self.lock.write():
+            self._backend.checkpoint()  # type: ignore[attr-defined]
+
+    def backend_stats(self) -> Dict[str, object]:
+        """The backend's operational counters.  They walk its live
+        dicts in Python, so they are read in exclusive mode — behind
+        the view-refresh latch like every hold that is O(N)."""
+        with self._view_refresh, self.lock.write():
+            return self._backend.stats()
 
     def distances(
         self,

@@ -240,7 +240,7 @@ class LookupService:
     def backend_stats(self) -> Dict[str, object]:
         """Operational counters of the forest's storage backend
         (posting totals, per-shard breakdown for sharded forests)."""
-        return self.forest.backend.stats()
+        return self.forest.backend_stats()
 
     def close(self) -> None:
         """Release the forest's background resources; idempotent."""

@@ -1,7 +1,8 @@
 """Admission control: per-tenant token bucket + bounded pending queue.
 
-The front door admits or sheds every request *before* it reaches a
-worker thread, so a shed request provably never touches a store.
+The front door admits or sheds every request *before* its verb runs
+(on a worker thread, or on the event loop for snapshot reads), so a
+shed request provably never touches a store.
 Three bounds, all per tenant:
 
 - **rate** — a token bucket (``rate`` tokens/second, ``burst``
@@ -17,6 +18,11 @@ Three bounds, all per tenant:
   (``reason="wait"``): replying 429 late is strictly better than
   serving a reply the client has already timed out on, and the check
   runs before the verb handler, so late sheds mutate nothing either.
+
+A verb the event loop runs itself is admitted and finished in one
+step: the bucket sheds it like any other, but it is never pending
+while another frame is parsed, so the two queue bounds cannot trigger
+for it (its wait is observed as ≈ 0).
 
 Admission decisions are two integer comparisons and a bucket refill —
 deliberately cheap, so the shed path costs almost nothing when the
@@ -108,9 +114,10 @@ class Ticket:
 class AdmissionController:
     """Admit/shed decisions for one tenant.
 
-    ``admit`` runs on the event-loop thread, ``overdue`` on the worker
-    thread that finally picked the request up, ``finish`` on whichever
-    thread completes it — the pending counter is mutex-guarded.
+    ``admit`` runs on the event-loop thread, ``overdue`` on the thread
+    that executes the verb (a worker, or the loop itself for inline
+    reads), ``finish`` on the loop — the pending counter is
+    mutex-guarded.
     """
 
     def __init__(

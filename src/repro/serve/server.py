@@ -2,28 +2,48 @@
 
 Architecture (one process)::
 
-    asyncio event loop                 worker threads
-    ──────────────────                 ──────────────
-    accept / readline                  ThreadPoolExecutor(serve_threads)
-      │ parse frame                      │ wait-bound check (shed late)
-      │ admission control  ── admit ──►  │ verb handler against the
-      │   (token bucket,                 │ tenant's DocumentStore
-      │    queue bound,                  │   apply_edits → WriteCoalescer
-      │    draining flag)                │   lookup → snapshot reads
-      │ shed ► 429 reply                 ▼
-      ◄─────────── reply frame ── run_in_executor result
+    asyncio event loop                       worker threads
+    ──────────────────                       ──────────────
+    accept / readline                        ThreadPoolExecutor(serve_threads)
+      │ parse frame                            │ the verbs that can block:
+      │ admission control                      │   add, apply_edits,
+      │   (token bucket, queue bound,          │   subscribe, unsubscribe
+      │    draining flag)                      │     → store mutex, WAL fsync
+      │ shed ► 429 reply                       │   query with k, stats, metrics
+      │                                        │     → O(N) Python per call
+      ├─ verb can block ─── run_in_executor ─► │   ping → probes loop and pool
+      │                                        │   any read before the tenant
+      │                                        │     has a published view
+      │                                        │     → the first CSR freeze
+      └─ snapshot read (lookup, τ query, show) ▼
+           wait-bound check, verb handler ── the same ``_execute`` body
+      ◄─────────── reply frame
     per-connection sender task drains an outbound queue
     (replies + streamed standing-query events, bounded)
 
-The event loop never blocks on a store: every admitted request hops to
-a worker thread via ``run_in_executor`` and its reply is written by
-the connection's sender task when it completes, so replies may
-interleave out of request order (the ``id`` token pairs them back up).
-Back-pressure is explicit and layered: the admission queue bounds how
-much work a tenant may have outstanding, the executor bounds actual
-parallelism at ``serve_threads``, and each connection's outbound event
-buffer is bounded (slow subscribers lose events, counted in
-``serve_events_dropped_total``, rather than ballooning the server).
+One static rule decides where a verb runs: *on the event loop unless it
+can block*.  ``lookup``, ``query`` with a τ plan and ``show`` only read
+published immutable state (the per-generation snapshot handle,
+copy-on-write documents), so the thread that received the request
+answers it — no task, no future, no hand-off between threads that the
+GIL would serialise anyway.  Everything that takes the store mutex,
+waits on an fsync, walks the whole collection in Python or would build
+something hops to a worker thread via ``run_in_executor``; the event
+loop never waits on a mutex, an fsync or a build.  Replies are written
+by the connection's sender task, so they may interleave out of request
+order (the ``id`` token pairs them back up).  After every inline
+request the connection handler yields to the loop once — ``readline``
+does not suspend while a line is buffered, so a pipelining connection
+would otherwise starve every other one.
+
+Back-pressure is explicit and layered: the token bucket sheds inline
+and pooled verbs alike; the admission queue bounds how much *pooled*
+work a tenant may have outstanding and the executor bounds its
+parallelism at ``serve_threads`` (an inline read finishes before the
+next frame is parsed, so for reads the socket buffer is the queue);
+and each connection's outbound event buffer is bounded (slow
+subscribers lose events, counted in ``serve_events_dropped_total``,
+rather than ballooning the server).
 
 Graceful drain (SIGTERM): stop accepting, shed every new request with
 a 503 ``draining`` reply, wait for in-flight requests to finish, then
@@ -71,6 +91,11 @@ EVENT_BUFFER = 256
 #: sockets before letting the loop stop anyway (a client that never
 #: reads can pin its sender in ``writer.drain()``)
 CLOSE_WAIT_SECONDS = 5.0
+
+#: verbs that only read published immutable state and so run on the
+#: event-loop thread (``query`` only with a τ plan, and every one of
+#: them only once the tenant has a published view — see ``_dispatch``)
+INLINE_VERBS = frozenset({"lookup", "query", "show"})
 
 
 def _noop_listener(event: Notification) -> None:
@@ -374,7 +399,11 @@ class FrontDoor:
                         error_frame(None, BAD_REQUEST, str(exc))
                     )
                     continue
-                self._dispatch(connection, request)
+                if self._dispatch(connection, request):
+                    # ``readline`` does not suspend while a line is
+                    # buffered: without this yield a pipelining
+                    # connection would starve every other one.
+                    await asyncio.sleep(0)
         finally:
             self._connections.discard(connection)
             self._m_open.set(len(self._connections))
@@ -386,7 +415,9 @@ class FrontDoor:
 
     def _dispatch(
         self, connection: _Connection, request: Dict[str, object]
-    ) -> None:
+    ) -> bool:
+        """Admit or shed one request and run it where its verb belongs;
+        True when it ran inline (the caller then yields to the loop)."""
         request_id = request.get("id")
         verb = request.get("verb")
         counter = self._m_requests.get(verb)  # type: ignore[arg-type]
@@ -394,7 +425,7 @@ class FrontDoor:
             connection.send(
                 error_frame(request_id, BAD_REQUEST, f"unknown verb {verb!r}")
             )
-            return
+            return False
         counter.inc()
         tenant_name = request.get("tenant", "default")
         tenant = self._tenants.get(tenant_name)  # type: ignore[arg-type]
@@ -404,21 +435,37 @@ class FrontDoor:
                     request_id, NOT_FOUND, f"unknown tenant {tenant_name!r}"
                 )
             )
-            return
+            return False
         if self._draining:
             self._m_shed_draining.inc()
             connection.send(shed_frame(request_id, SHED_DRAINING))
-            return
+            return False
         ticket, reason = tenant.admission.admit()
         if ticket is None:
             assert reason is not None
             connection.send(shed_frame(request_id, reason))
-            return
+            return False
+        # The one rule: a verb runs here, on the loop, unless it can
+        # block.  A top-k query walks every tree in Python, and before
+        # the tenant's first view is published a read would build the
+        # CSR — both hop like the verbs that lock or fsync.
+        if (
+            verb in INLINE_VERBS
+            and request.get("k") is None
+            and tenant.store.has_published_view
+        ):
+            try:
+                frame = self._execute(tenant, connection, ticket, verb, request)  # type: ignore[arg-type]
+            finally:
+                tenant.admission.finish(ticket)
+            connection.send(frame)
+            return True
         task = asyncio.ensure_future(
             self._run_request(connection, tenant, ticket, verb, request)  # type: ignore[arg-type]
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return False
 
     async def _run_request(
         self,
@@ -428,7 +475,6 @@ class FrontDoor:
         verb: str,
         request: Dict[str, object],
     ) -> None:
-        request_id = request.get("id")
         assert self._loop is not None
         try:
             frame = await self._loop.run_in_executor(
@@ -440,18 +486,13 @@ class FrontDoor:
                 verb,
                 request,
             )
-        except StorageError as exc:
-            frame = error_frame(request_id, NOT_FOUND, str(exc))
-        except (ProtocolError, ReproError, KeyError, ValueError, TypeError) as exc:
-            frame = error_frame(request_id, BAD_REQUEST, str(exc))
-        except Exception as exc:  # noqa: BLE001 - reply, never kill the loop
-            frame = error_frame(request_id, INTERNAL, str(exc))
         finally:
             tenant.admission.finish(ticket)
         connection.send(frame)
 
     # ------------------------------------------------------------------
-    # request execution (worker threads)
+    # request execution (the loop thread for inline verbs, a worker
+    # thread for the rest)
     # ------------------------------------------------------------------
 
     def _execute(
@@ -462,9 +503,12 @@ class FrontDoor:
         verb: str,
         request: Dict[str, object],
     ) -> Dict[str, object]:
+        """The reply frame of one admitted request; never raises an
+        ``Exception`` — a handler failure is an error frame."""
         request_id = request.get("id")
-        # The wait bound is checked on the worker thread, *before* the
-        # handler runs — a late request sheds without touching a store.
+        # The wait bound is checked on the executing thread, *before*
+        # the handler runs — a late request sheds without touching a
+        # store.  (Inline verbs are picked up at once: observed ≈ 0.)
         if tenant.admission.overdue(ticket):
             return shed_frame(request_id, "wait")
         timer = self._verb_seconds.get(verb)
@@ -477,8 +521,15 @@ class FrontDoor:
                     verb=verb,
                 ),
             )
-        with timer.time():
-            result = self._verbs[verb](tenant, request, connection)
+        try:
+            with timer.time():
+                result = self._verbs[verb](tenant, request, connection)
+        except StorageError as exc:
+            return error_frame(request_id, NOT_FOUND, str(exc))
+        except (ProtocolError, ReproError, KeyError, ValueError, TypeError) as exc:
+            return error_frame(request_id, BAD_REQUEST, str(exc))
+        except Exception as exc:  # noqa: BLE001 - reply, never kill the loop
+            return error_frame(request_id, INTERNAL, str(exc))
         return result_frame(request_id, result)
 
     @staticmethod

@@ -67,7 +67,16 @@ import os
 import shutil
 import threading
 import uuid
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.refreeze import RefreezeWorker
@@ -242,6 +251,7 @@ class DocumentStore:
 
         self._compress = compression_enabled(compress)
         self._service: Optional[LookupService] = None
+        self._wal_handle: Optional[BinaryIO] = None
         self._batches_since_checkpoint = 0
         # Commit sequencing: every durably-applied WAL batch gets the
         # next number; the snapshot meta records the high-water mark
@@ -391,6 +401,13 @@ class DocumentStore:
         """Name of the forest storage backend
         (memory/compact/sharded/segment/rel)."""
         return self._forest.backend.name
+
+    @property
+    def has_published_view(self) -> bool:
+        """Whether a snapshot read can be answered without building
+        anything — false until the first lookup published the forest's
+        read view (and froze the CSR)."""
+        return self._forest.has_published_view
 
     def document_ids(self) -> Iterator[int]:
         """Ids of all stored documents."""
@@ -725,6 +742,9 @@ class DocumentStore:
             self._refreezer.close()
         with self._mutex:
             self._checkpoint()
+            if self._wal_handle is not None:
+                self._wal_handle.close()
+                self._wal_handle = None
         self._forest.close()
 
     def __enter__(self) -> "DocumentStore":
@@ -770,16 +790,22 @@ class DocumentStore:
         build and update call reused the store-wide hasher instead of
         re-fingerprinting labels from scratch.
         """
-        node_count = sum(len(tree) for tree in self._documents.values())
-        gram_count = sum(
-            self._forest.size_of(document_id)
-            for document_id in self._documents
-        )
+        # Runs without the mutex beside membership changes: count over
+        # a snapshot of the dict, and skip a document the forest does
+        # not hold at this instant (mid-add or mid-remove).
+        documents = list(self._documents.items())
+        node_count = sum(len(tree) for _, tree in documents)
+        gram_count = 0
+        for document_id, _ in documents:
+            try:
+                gram_count += self._forest.size_of(document_id)
+            except StorageError:
+                pass
         hasher_stats = self._forest.hasher.stats()
-        backend_stats = self._forest.backend.stats()
+        backend_stats = self._forest.backend_stats()
         service = self._service
         stats: Dict[str, object] = {
-            "documents": len(self._documents),
+            "documents": len(documents),
             "nodes": node_count,
             "pq_grams": gram_count,
             "serving": self._serving,
@@ -840,6 +866,13 @@ class DocumentStore:
             + "COMMIT\n"
         )
 
+    def _wal(self) -> BinaryIO:
+        """The WAL, opened once per store in append mode (every write
+        lands at the end of the file, also after a truncation)."""
+        if self._wal_handle is None:
+            self._wal_handle = open(self._wal_path(), "ab")
+        return self._wal_handle
+
     def _append_wal_group(
         self, batches: Sequence[Tuple[int, Sequence[EditOperation], int]]
     ) -> None:
@@ -848,16 +881,16 @@ class DocumentStore:
         fsync (group commit).  ``wal_appends_total`` counts blocks, not
         writes — it stays equal to ``store_edit_batches_total`` whatever
         the grouping."""
-        text = "".join(
+        data = "".join(
             self._wal_block(document_id, operations, seq)
             for document_id, operations, seq in batches
-        )
-        with open(self._wal_path(), "a", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        ).encode("utf-8")
+        handle = self._wal()
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
         self._m_wal_appends.inc(len(batches))
-        self._m_wal_bytes.inc(len(text.encode("utf-8")))
+        self._m_wal_bytes.inc(len(data))
         self._m_wal_fsyncs.inc()
 
     def _read_wal(
@@ -957,8 +990,7 @@ class DocumentStore:
             # durable *before* the WAL truncation below discards the
             # batches it covers.  Every other backend persists nothing:
             # its forest is rebuilt from the documents on open.
-            with self._forest.lock.write():
-                self._forest.backend.checkpoint()  # type: ignore[attr-defined]
+            self._forest.checkpoint_backend()
         if self._standing is not None and len(self._standing):
             subs = database.create_table("subs", self._SUBS_SCHEMA, ("queryId",))
             standing = database.create_table(
@@ -987,9 +1019,9 @@ class DocumentStore:
         # its rename are fsynced; a crash before the truncation leaves
         # blocks whose sequence the snapshot's commit_seq tells replay
         # to skip.
-        with open(self._wal_path(), "w", encoding="utf-8") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+        handle = self._wal()
+        handle.truncate(0)
+        os.fsync(handle.fileno())
         self._batches_since_checkpoint = 0
 
     def _load_documents(self, database: Database) -> None:

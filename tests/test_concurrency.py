@@ -4,6 +4,7 @@ refreeze worker, and the forest's generation/view plumbing."""
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -448,6 +449,37 @@ def test_refreeze_republishes_the_read_view():
     assert after.candidates(query.items()) == before.candidates(query.items())
 
 
+def test_stale_reader_is_not_queued_behind_a_refreeze():
+    """A reader whose view went stale while a background refreeze is
+    building is served the published view at once — it must not wait
+    for the CSR build on the exclusive lock."""
+    forest, _ = _populated_forest(lambda: MemoryBackend(), trees=4)
+    published = forest.read_view()
+    forest.add_tree(500, build_random_tree(10, 5))  # the view is now stale
+    building = threading.Event()
+
+    def slow_compact():
+        building.set()
+        time.sleep(0.3)
+
+    forest.backend.compact = slow_compact
+    worker = threading.Thread(target=forest.refreeze)
+    worker.start()
+    try:
+        assert building.wait(timeout=5.0)
+        started = time.perf_counter()
+        view = forest.read_view()
+        waited = time.perf_counter() - started
+        assert view is published and view.generation < forest.generation
+        assert waited < 0.005
+    finally:
+        worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    # The refreeze republished at its end: the next read is current.
+    fresh = forest.read_view()
+    assert fresh.generation == forest.generation and 500 in fresh
+
+
 def test_every_mutation_path_wakes_the_generation_listeners():
     forest, built = _populated_forest(lambda: MemoryBackend(), trees=2)
     wakeups = []
@@ -530,3 +562,37 @@ def test_ingest_into_a_serving_store_wakes_the_refreeze_worker(tmp_path):
         store._forest.backend.check_consistency()
     finally:
         store.close()
+
+
+def test_stats_beside_membership_changes(tmp_path):
+    """``stats()`` runs without the store mutex (the wire serves it
+    while writers add documents): it must count over a snapshot, not
+    trip over the dict changing size under its loops."""
+    store = DocumentStore(str(tmp_path / "store"), GramConfig(2, 3), serve_threads=2)
+    store.add_documents(_documents(300))
+    errors = []
+    done = threading.Event()
+
+    def poll():
+        try:
+            while not done.is_set():
+                stats = store.stats()
+                assert 300 <= stats["documents"] <= 340
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    reader = threading.Thread(target=poll)
+    reader.start()
+    try:
+        for document_id, tree in _documents(40, first_id=1000):
+            store.add_document(document_id, tree)
+        store.remove_document(1000)
+    finally:
+        done.set()
+        reader.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+        store.close()
+    assert not reader.is_alive()
+    assert errors == []

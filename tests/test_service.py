@@ -165,6 +165,28 @@ class TestDurability:
         recovered = DocumentStore(store_dir)
         assert recovered.get_index(1) == rebuilt(recovered, 1)
 
+    def test_wal_restarts_at_byte_zero_after_a_checkpoint(self, store_dir):
+        """The store keeps one WAL handle for its lifetime: a batch
+        appended after the checkpoint truncated through it must land at
+        the start of the file, and ``close`` releases the handle."""
+        wal_path = os.path.join(store_dir, "wal.log")
+        store = DocumentStore(store_dir, checkpoint_every=1000)
+        store.add_document(1, tree_from_brackets("a(b,c)"))
+        store.apply_edits(1, [Rename(1, "x")])
+        one_block = os.path.getsize(wal_path)
+        store.checkpoint()
+        assert os.path.getsize(wal_path) == 0
+        store.apply_edits(1, [Rename(2, "y")])
+        with open(wal_path, "rb") as handle:
+            assert handle.read().startswith(b"BEGIN 1 1 ")
+        assert os.path.getsize(wal_path) == one_block
+        recovered = DocumentStore(store_dir)
+        assert recovered.get_document(1) == store.get_document(1)
+        handle = store._wal_handle
+        store.close()
+        recovered.close()
+        assert handle.closed and store._wal_handle is None
+
     def test_many_batches_with_periodic_checkpoints(self, store_dir):
         store = DocumentStore(store_dir, GramConfig(2, 2), checkpoint_every=3)
         store.add_document(1, dblp_tree(15, seed=6))
