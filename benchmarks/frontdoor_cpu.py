@@ -4,17 +4,23 @@
 
 Seeds the ``read_small`` collection of the repo benchmark, starts
 ``repro serve`` as a child with the harness's ``SERVE_ARGUMENTS`` and
-drives ``ping``, ``lookup`` and ``apply_edits`` from two closed-loop
-connections, one verb at a time.  Per verb it prints the server child's
-CPU per op (user and sys, from ``/proc/<pid>/stat``), this process's
-CPU per op and the wall time per op (window / ops: the server is
-saturated, so that is the inverse of its throughput).  No gate: this
-is the per-layer number ROADMAP asks every front-door claim to quote —
-wall latency cannot tell a thread hand-off from work, CPU can.  It
-reads ``benchmarks/e2e/`` and changes nothing there.
+drives ``ping``, ``lookup``, ``lookup-400`` and ``apply_edits`` from two
+closed-loop connections, one verb at a time.  ``lookup-400`` sends
+400-node queries that never repeat within the caches' reach: a read
+that long is still answered on the event loop (its line is under
+``repro.serve.server.INLINE_FRAME_BYTES``), so its server CPU per op is
+how long one request may hold the loop — scale it by the bound over
+the line length for the worst admitted case.  Per verb it prints the
+server child's CPU per op (user and sys, from ``/proc/<pid>/stat``),
+this process's CPU per op and the wall time per op (window / ops: the
+server is saturated, so that is the inverse of its throughput).  No
+gate: this is the per-layer number ROADMAP asks every front-door claim
+to quote — wall latency cannot tell a thread hand-off from work, CPU
+can.  It reads ``benchmarks/e2e/`` and changes nothing there.
 """
 
 import argparse
+import itertools
 import os
 import sys
 import threading
@@ -25,6 +31,8 @@ sys.path.insert(0, os.path.join(HERE, "e2e"))
 
 import harness  # noqa: E402
 import loadgen  # noqa: E402
+
+from repro.tree.builder import tree_to_brackets  # noqa: E402
 
 TICK = os.sysconf("SC_CLK_TCK")
 CONNECTIONS = 2
@@ -72,6 +80,16 @@ def main() -> int:
         )
         return lambda client: client.lookup(next(queries), loadgen.LOOKUP_TAU)
 
+    # more 400-node queries than the query LRU (64) and the result
+    # cache (128) hold together: cycled, every one of them misses
+    long_queries = [
+        tree_to_brackets(tree) for _, tree in loadgen.large_collection(160, 400)
+    ]
+
+    def long_lookups(lane: int):
+        queries = itertools.cycle(long_queries[lane::CONNECTIONS])
+        return lambda client: client.lookup(next(queries), loadgen.LOOKUP_TAU)
+
     def writes(lane: int):
         batches = loadgen.edit_stream(
             documents[lane::CONNECTIONS], loadgen.lane_rng("frontdoor", 1, str(lane))
@@ -86,6 +104,7 @@ def main() -> int:
     verbs = {
         "ping": lambda lane: lambda client: client.ping(),
         "lookup": lookups,
+        "lookup-400": long_lookups,
         "apply_edits": writes,
     }
     with harness.scratch("frontdoor-cpu") as base:

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.compress.intern import InternPool, batch_fingerprints, default_pool
 from repro.compress.varint import PackedIntArray, delta_encode_span
 from repro.perf.arraybag import HAVE_NUMPY
-from repro.perf.sweep import CompactPostings
+from repro.perf.sweep import CompactPostings, accumulate_spans
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -373,19 +373,9 @@ class CompressedPostings:
                     query_counts = _np.asarray(count_list, dtype=_np.int64)
                 starts = self.offsets[span_idx]
                 lengths = self.offsets[span_idx + 1] - starts
-                total = int(lengths.sum())
-                if total:
-                    ends = _np.cumsum(lengths)
-                    gather = _np.arange(total, dtype=_np.int64) + _np.repeat(
-                        starts - (ends - lengths), lengths
-                    )
-                    values = _np.minimum(
-                        counts_all[gather], _np.repeat(query_counts, lengths)
-                    )
-                    acc += _np.bincount(
-                        slots_all[gather], weights=values, minlength=len(acc)
-                    ).astype(acc.dtype)
-                touched = total
+                touched = accumulate_spans(
+                    slots_all, counts_all, starts, lengths, query_counts, acc
+                )
         self.last_touched = touched
         self.last_present = present
         return touched

@@ -10,12 +10,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core.config import GramConfig
-from repro.core.profile import iter_label_hash_tuples
+from repro.core.profile import GramEmitter, iter_label_hash_tuples
 from repro.errors import IndexConsistencyError
 from repro.hashing.fingerprint import combine_fingerprints
 from repro.hashing.labelhash import LabelHasher
 from repro.relstore.schema import Column, Schema
 from repro.relstore.table import Table
+from repro.tree.builder import scan_brackets
 from repro.tree.tree import Tree
 
 Key = Tuple[int, ...]
@@ -45,6 +46,17 @@ class PQGramIndex:
         for key in iter_label_hash_tuples(tree, config, hasher):
             counts[key] = counts.get(key, 0) + 1
         return cls(config, counts)
+
+    @classmethod
+    def from_brackets(
+        cls, text: str, config: GramConfig, hasher: LabelHasher
+    ) -> "PQGramIndex":
+        """The index of the tree that bracket notation denotes, from
+        one scan of the text — equal to ``from_tree(tree_from_brackets(
+        text), ...)`` without the tree (a query is only ever a bag)."""
+        emitter = GramEmitter(config, hasher)
+        scan_brackets(text, emitter.open, emitter.close)
+        return cls.from_bag_view(config, emitter.counts)
 
     @classmethod
     def from_bag_view(

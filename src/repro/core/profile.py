@@ -1,6 +1,6 @@
 """pq-gram profiles (Definition 2) and their computation.
 
-Two computations are provided:
+Three computations are provided:
 
 - :func:`compute_profile` — node-level profile as a set of
   :class:`~repro.core.gram.PQGram`.  This is the definitional object of
@@ -10,8 +10,11 @@ Two computations are provided:
   label tuples, used to build indexes of large trees without ever
   materializing node-level pq-grams (the paper's from-scratch index
   construction, following Augsten et al. 2005).
+- :class:`GramEmitter` — the same bag from ``open(label)`` / ``close()``
+  events in document order, for sources that are text and never become
+  a tree: a query's bracket notation, an XML token stream.
 
-Both run in O(n · (p + q)) time: the ancestor chain is carried down a
+All run in O(n · (p + q)) time: the ancestor chain is carried down a
 DFS stack and each child window costs O(q).
 """
 
@@ -142,6 +145,58 @@ def iter_label_hash_tuples(
             yield chain + tuple(extended[start : start + q])
         for child, child_hash in zip(reversed(children), reversed(hashes)):
             stack.append((child, chain[1:] + (child_hash,)))
+
+
+class GramEmitter:
+    """Folds ``open(label)`` / ``close()`` events into a pq-gram bag.
+
+    A shift register per open node — its p-part, and a window over its
+    last q children — is all the state: child i completes row i of its
+    parent's q-matrix the moment its label is read, and a node's own
+    trailing rows (or a leaf's one all-null row) follow when it closes.
+    Memory is O(depth · (p + q)) beside ``counts``, the bag being built.
+    """
+
+    __slots__ = ("counts", "_hash", "_q", "_nulls", "_chains", "_windows")
+
+    def __init__(self, config: GramConfig, hasher: LabelHasher) -> None:
+        self.counts: Dict[Tuple[int, ...], int] = {}
+        self._hash = hasher.hash_label
+        self._q = config.q
+        self._nulls = (NULL_HASH,) * config.q
+        # Parallel stacks over the open nodes; the bottom chain is the
+        # all-null p-part above the root, which has no window.
+        self._chains: List[Tuple[int, ...]] = [(NULL_HASH,) * config.p]
+        self._windows: List[Tuple[int, ...]] = []
+
+    @property
+    def depth(self) -> int:
+        """Number of currently open nodes."""
+        return len(self._windows)
+
+    def open(self, label: str) -> None:
+        """A node starts; it is the next child of the open node."""
+        label_hash = self._hash(label)
+        chain = self._chains[-1]
+        windows = self._windows
+        if windows:
+            window = windows[-1] = windows[-1][1:] + (label_hash,)
+            counts = self.counts
+            key = chain + window
+            counts[key] = counts.get(key, 0) + 1
+        self._chains.append(chain[1:] + (label_hash,))
+        windows.append(self._nulls)
+
+    def close(self) -> None:
+        """The open node ends: its window slides out over q - 1 nulls."""
+        chain = self._chains.pop()
+        window = self._windows.pop()
+        counts = self.counts
+        # Only a leaf still holds the very tuple it was opened with.
+        for _ in range(1 if window is self._nulls else self._q - 1):
+            window = window[1:] + (NULL_HASH,)
+            key = chain + window
+            counts[key] = counts.get(key, 0) + 1
 
 
 def profile_size(tree: Tree, config: GramConfig) -> int:

@@ -15,6 +15,7 @@ two modes, mirroring the two arms of the Fig. 13 (left) experiment:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -53,7 +54,7 @@ class LookupService:
     """Approximate lookups with or without a precomputed index.
 
     The service memoizes the query's pq-gram index in a small LRU keyed
-    by the query tree's structural fingerprint — repeated lookups of
+    by the query's fingerprint (:meth:`_query_bag`) — repeated lookups of
     the same document (polling dashboards, paginated clients) skip the
     index construction entirely — and, when numpy is available, keeps
     the forest's array-backed postings snapshot warm for the sweep.
@@ -82,9 +83,7 @@ class LookupService:
         result_cache_size: int = 128,
     ) -> None:
         self.forest = forest
-        self._query_cache: "OrderedDict[Tuple[int, int, int], PQGramIndex]" = (
-            OrderedDict()
-        )
+        self._query_cache: "OrderedDict[tuple, PQGramIndex]" = OrderedDict()
         self._query_cache_size = max(0, query_cache_size)
         self._auto_compact = auto_compact
         self._snapshot_reads = snapshot_reads
@@ -179,40 +178,52 @@ class LookupService:
         forest.add_trees(collection, jobs=jobs)
         return cls(forest, **kwargs)  # type: ignore[arg-type]
 
-    def query_index(
-        self, query: Tree, fingerprint: Optional[int] = None
-    ) -> PQGramIndex:
-        """The query's pq-gram index, via the per-fingerprint LRU.
+    def query_index(self, query: "Tree | str") -> PQGramIndex:
+        """The query's pq-gram index, via the LRU."""
+        return self._query_bag(query, self._query_cache_size > 0)[0]
 
-        ``fingerprint`` is ``tree_fingerprint(query)`` when the caller
-        already computed it.  The LRU is guarded by a mutex — serving
-        mode runs this from many reader threads, and an OrderedDict
-        reorder is not atomic.
+    def _query_bag(
+        self, query: "Tree | str", keyed: bool
+    ) -> "Tuple[PQGramIndex, Optional[int | bytes]]":
+        """The retrieval query as ``(pq-gram bag, cache key)``.
+
+        Bracket text is scanned straight into the bag and keyed by a
+        16-byte digest of the text — never the text itself, or the LRU
+        would pin whole request frames; a ``Tree`` is walked and keyed
+        by its structural fingerprint.  Two spellings of one tree key
+        apart and match alike.  ``keyed=False`` skips the key and the
+        LRU it would be looked up in.  The LRU is guarded by a mutex —
+        serving mode runs this from many reader threads, and an
+        OrderedDict reorder is not atomic.
         """
+        config, hasher = self.forest.config, self.forest.hasher
+        is_text = isinstance(query, str)
+        build = PQGramIndex.from_brackets if is_text else PQGramIndex.from_tree
+        if not keyed:
+            return build(query, config, hasher), None
+        fingerprint = (
+            hashlib.blake2b(query.encode("utf-8"), digest_size=16).digest()
+            if is_text
+            else tree_fingerprint(query)
+        )
         if self._query_cache_size == 0:
-            return PQGramIndex.from_tree(
-                query, self.forest.config, self.forest.hasher
-            )
-        if fingerprint is None:
-            fingerprint = tree_fingerprint(query)
-        key = (fingerprint, self.forest.config.p, self.forest.config.q)
+            return build(query, config, hasher), fingerprint
+        key = (fingerprint, config.p, config.q)
         with self._cache_mutex:
             cached = self._query_cache.get(key)
             if cached is not None:
                 self._query_cache.move_to_end(key)
                 self.query_cache_hits += 1
                 self._m_cache_hits.inc()
-                return cached
+                return cached, fingerprint
             self.query_cache_misses += 1
             self._m_cache_misses.inc()
-        index = PQGramIndex.from_tree(
-            query, self.forest.config, self.forest.hasher
-        )
+        index = build(query, config, hasher)
         with self._cache_mutex:
             self._query_cache[key] = index
             if len(self._query_cache) > self._query_cache_size:
                 self._query_cache.popitem(last=False)
-        return index
+        return index, fingerprint
 
     def update_tree(
         self,
@@ -249,7 +260,7 @@ class LookupService:
     def _execute(
         self,
         plan: Plan,
-        query: Tree,
+        query: "Tree | str",
         documents: Optional[DocumentProvider] = None,
         force_mode: Optional[str] = None,
     ) -> Tuple[List[Tuple[int, float]], int, str]:
@@ -266,13 +277,10 @@ class LookupService:
             and self._result_cache_size > 0
             and force_mode is None
         )
-        # One structural fingerprint keys both caches.
-        fingerprint = (
-            tree_fingerprint(query)
-            if self._query_cache_size or caching_results
-            else None
+        # One fingerprint keys both caches.
+        query_index, fingerprint = self._query_bag(
+            query, bool(self._query_cache_size or caching_results)
         )
-        query_index = self.query_index(query, fingerprint)
         if not self._snapshot_reads:
             if self._auto_compact:
                 self.forest.compact()
@@ -323,9 +331,10 @@ class LookupService:
                     self._result_cache.popitem(last=False)
         return execution.matches, execution.population, execution.mode
 
-    def lookup(self, query: Tree, tau: float) -> LookupResult:
+    def lookup(self, query: "Tree | str", tau: float) -> LookupResult:
         """All forest trees within pq-gram distance ``tau`` of the
-        query, using the precomputed index.
+        query — a tree, or the bracket text of one, which is never
+        parsed into a tree — using the precomputed index.
 
         ``tau`` is pushed down into the forest scan, so candidates the
         threshold can never admit are pruned before their distances are

@@ -5,10 +5,9 @@ walks ``pqg → {treeId: cnt}`` dicts and accumulates per-tree bag
 overlaps one ``min()`` at a time.  :class:`CompactPostings` freezes the
 same postings into one CSR-style pair of arrays — all posting (tree
 slot, cnt) entries back to back, plus a ``key → (start, end)`` span
-map — so one query key accumulates its whole posting list with two
-vector operations over a slice view.  Within one key every tree occurs
-at most once, so the fancy-indexed ``acc[slots] += minimum(counts,
-qcnt)`` is exact — no ``np.add.at`` needed.
+map — so a whole query accumulates the posting lists of all its keys
+with one gather, one ``minimum`` and one ``bincount``
+(:func:`accumulate_spans`).
 
 The structure is a snapshot, never mutated after build: later writes
 *mask* the trees they change (:class:`TreeMask`) and keep their current
@@ -119,23 +118,30 @@ class CompactPostings:
         (or a partial accumulation over the *same* slot ordering — the
         sharded fast path shares one accumulator across shards whose
         tree-id lists are identical).  Returns the number of posting
-        entries touched; within one key every tree occurs at most once,
-        so the fancy-indexed add stays exact across chained calls.
+        entries touched.
         """
         spans = self.spans
-        slots, counts = self.slots, self.counts
-        touched = 0
-        present = 0
+        starts: List[int] = []
+        lengths: List[int] = []
+        wanted: List[int] = []
         for key, query_count in query_items:
             span = spans.get(key)
-            if span is None:
-                continue
-            start, end = span
-            present += 1
-            touched += end - start
-            acc[slots[start:end]] += _np.minimum(counts[start:end], query_count)
+            if span is not None:
+                starts.append(span[0])
+                lengths.append(span[1] - span[0])
+                wanted.append(query_count)
+        touched = 0
+        if starts:
+            touched = accumulate_spans(
+                self.slots,
+                self.counts,
+                _np.array(starts),
+                _np.array(lengths),
+                _np.array(wanted),
+                acc,
+            )
         self.last_touched = touched
-        self.last_present = present
+        self.last_present = len(starts)
         return touched
 
     def sweep(self, query_items: Iterable[Tuple[Key, int]]) -> Dict[int, int]:
@@ -159,6 +165,30 @@ class CompactPostings:
             slots = self.slots[start:end].tolist()
             counts = self.counts[start:end].tolist()
             yield key, {tree_ids[s]: count for s, count in zip(slots, counts)}
+
+
+def accumulate_spans(slots, counts, starts, lengths, wanted, acc) -> int:
+    """``acc[slot] += min(count, wanted)`` over every posting of the CSR
+    spans ``[starts, starts + lengths)`` of ``slots`` / ``counts`` (integer
+    arrays, one entry per span); returns the number of postings read.
+
+    All spans are gathered through one index, so ``minimum`` and the
+    accumulation run once per sweep, not once per query key.  Within a
+    span every slot occurs once, across spans it repeats — hence
+    ``bincount``; its float weights are exact, overlaps being far below
+    2**53.
+    """
+    total = int(lengths.sum())
+    # posting i of the gather sits at i + (where its span starts in
+    # the CSR − where its span starts in the gather)
+    gather = _np.arange(total) + _np.repeat(
+        starts - (_np.cumsum(lengths) - lengths), lengths
+    )
+    overlaps = _np.minimum(counts[gather], _np.repeat(wanted, lengths))
+    acc += _np.bincount(
+        slots[gather], weights=overlaps, minlength=len(acc)
+    ).astype(acc.dtype)
+    return total
 
 
 def sweep_dict(

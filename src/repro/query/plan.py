@@ -43,9 +43,15 @@ class Plan:
 
 @dataclass(frozen=True)
 class ApproxLookup(Plan):
-    """All trees with ``pq-gram distance(query, tree) < tau``."""
+    """All trees with ``pq-gram distance(query, tree) < tau``.
 
-    query: Tree
+    ``query`` may be bracket text only inside
+    :meth:`LookupService.lookup <repro.lookup.service.LookupService.lookup>`,
+    which hands the executor the query's bag and never reads the plan's
+    query back; every other consumer of a plan expects the tree.
+    """
+
+    query: Union[Tree, str]
     tau: float
 
 

@@ -15,6 +15,9 @@ Architecture (one process)::
       │                                        │   any read before the tenant
       │                                        │     has a published view
       │                                        │     → the first CSR freeze
+      │                                        │   a read whose request line
+      │                                        │     exceeds INLINE_FRAME_BYTES
+      │                                        │     → scan + sweep ∝ its text
       └─ snapshot read (lookup, τ query, show) ▼
            wait-bound check, verb handler ── the same ``_execute`` body
       ◄─────────── reply frame
@@ -26,7 +29,12 @@ can block*.  ``lookup``, ``query`` with a τ plan and ``show`` only read
 published immutable state (the per-generation snapshot handle,
 copy-on-write documents), so the thread that received the request
 answers it — no task, no future, no hand-off between threads that the
-GIL would serialise anyway.  Everything that takes the store mutex,
+GIL would serialise anyway.  A ``lookup``'s bracket text is never
+parsed into a tree: the store scans it once into the query's pq-gram
+bag (``PQGramIndex.from_brackets``), which is all the sweep reads.
+What a read costs the loop grows with its text, so the rule has a size
+clause: a request line longer than ``INLINE_FRAME_BYTES`` hops to the
+pool however cheap its verb.  Everything that takes the store mutex,
 waits on an fsync, walks the whole collection in Python or would build
 something hops to a worker thread via ``run_in_executor``; the event
 loop never waits on a mutex, an fsync or a build.  Replies are written
@@ -96,6 +104,14 @@ CLOSE_WAIT_SECONDS = 5.0
 #: event-loop thread (``query`` only with a τ plan, and every one of
 #: them only once the tenant has a published view — see ``_dispatch``)
 INLINE_VERBS = frozenset({"lookup", "query", "show"})
+
+#: longest request line an inline verb may arrive in.  Scanning and
+#: sweeping a query costs the loop time in proportion to its text —
+#: 1.3 ms of CPU for a 400-node, 4.5 KB query over 1,000 documents
+#: (``benchmarks/frontdoor_cpu.py``, ``lookup-400``), so ≈ 5 ms at this
+#: bound (≈ 1,500 nodes) — and a longer one hops to the pool like any
+#: other verb that could hold the loop.
+INLINE_FRAME_BYTES = 16 * 1024
 
 
 def _noop_listener(event: Notification) -> None:
@@ -399,7 +415,7 @@ class FrontDoor:
                         error_frame(None, BAD_REQUEST, str(exc))
                     )
                     continue
-                if self._dispatch(connection, request):
+                if self._dispatch(connection, request, len(line)):
                     # ``readline`` does not suspend while a line is
                     # buffered: without this yield a pipelining
                     # connection would starve every other one.
@@ -414,10 +430,14 @@ class FrontDoor:
                 await sender
 
     def _dispatch(
-        self, connection: _Connection, request: Dict[str, object]
+        self,
+        connection: _Connection,
+        request: Dict[str, object],
+        frame_bytes: int,
     ) -> bool:
-        """Admit or shed one request and run it where its verb belongs;
-        True when it ran inline (the caller then yields to the loop)."""
+        """Admit or shed one request (decoded from a line of
+        ``frame_bytes``) and run it where its verb belongs; True when
+        it ran inline (the caller then yields to the loop)."""
         request_id = request.get("id")
         verb = request.get("verb")
         counter = self._m_requests.get(verb)  # type: ignore[arg-type]
@@ -446,11 +466,13 @@ class FrontDoor:
             connection.send(shed_frame(request_id, reason))
             return False
         # The one rule: a verb runs here, on the loop, unless it can
-        # block.  A top-k query walks every tree in Python, and before
-        # the tenant's first view is published a read would build the
-        # CSR — both hop like the verbs that lock or fsync.
+        # block.  A top-k query walks every tree in Python, a long
+        # query text takes long to scan and sweep, and before the
+        # tenant's first view is published a read would build the CSR
+        # — all three hop like the verbs that lock or fsync.
         if (
             verb in INLINE_VERBS
+            and frame_bytes <= INLINE_FRAME_BYTES
             and request.get("k") is None
             and tenant.store.has_published_view
         ):
@@ -569,7 +591,9 @@ class FrontDoor:
         return {"doc": document_id, "applied": len(operations)}
 
     def _verb_lookup(self, tenant, request, connection) -> Dict[str, object]:
-        query = tree_from_brackets(str(self._field(request, "query")))
+        # the frame's text goes through as text: a query is only ever
+        # a bag, and the store scans it into one (TreeError → 400)
+        query = str(self._field(request, "query"))
         tau = float(self._field(request, "tau"))  # type: ignore[arg-type]
         result = tenant.store.lookup(query, tau)
         return {"matches": [[doc, dist] for doc, dist in result.matches]}

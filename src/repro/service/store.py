@@ -593,8 +593,9 @@ class DocumentStore:
         # never block (or deadlock) the appender's group commit.
         self._dispatch_events(events)
 
-    def lookup(self, query: Tree, tau: float) -> LookupResult:
-        """Approximate lookup over all stored documents.
+    def lookup(self, query: "Tree | str", tau: float) -> LookupResult:
+        """Approximate lookup over all stored documents; ``query`` is a
+        tree or the bracket text of one.
 
         In serving mode the scan runs against an immutable snapshot of
         a recent generation and never blocks on concurrent writers.

@@ -14,7 +14,8 @@ always produces the same (id, label) assignment.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+import re
+from typing import Callable, List, Sequence, Tuple, Union
 
 from repro.errors import TreeError
 from repro.tree.tree import Tree
@@ -46,85 +47,75 @@ def tree_to_nested(tree: Tree, node_id: Union[int, None] = None) -> Nested:
     )
 
 
-class _BracketScanner:
-    """Recursive-descent reader for the bracket notation."""
+#: One node of bracket text: its label (quoted, or bare and trimmed),
+#: then either "(" — its children follow — or the run of ")" that
+#: closes it and its ancestors, up to the "," or the end of the text.
+_NODE = re.compile(
+    r'\s*(?:"([^"\\]*(?:\\.[^"\\]*)*)"|([^\s(),"](?:[^(),"]*[^\s(),"])?))\s*'
+    r'(?:(\()|((?:\)\s*)*)(,|\Z)?)',
+    re.DOTALL,
+)
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+#: labels :func:`tree_to_brackets` may write without quotes
+_BARE = re.compile(r'[^\s(),"\\](?:[^(),"\\]*[^\s(),"\\])?')
 
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._pos = 0
 
-    def parse(self) -> Nested:
-        node = self._parse_node()
-        self._skip_spaces()
-        if self._pos != len(self._text):
+def _no_label(text: str, position: int) -> TreeError:
+    rest = text[position:].lstrip()
+    offset = len(text) - len(rest)
+    if rest.startswith('"'):
+        return TreeError(f"unterminated quoted label at offset {offset}")
+    if rest.startswith(")") and text[:offset].rstrip().endswith("("):
+        return TreeError("empty child list; drop the parentheses instead")
+    return TreeError(f"missing label at offset {offset}")
+
+
+def scan_brackets(
+    text: str, open: Callable[[str], object], close: Callable[[], object]
+) -> None:
+    """Drive ``open(label)`` / ``close()`` once per node of bracket
+    text, in document order — the one reader of the notation.
+
+    One regex match per node and no recursion: depth is a counter, so a
+    path-shaped tree deeper than the interpreter's recursion limit
+    scans like any other.  Raises :class:`TreeError` on malformed text
+    (events already delivered are the caller's to discard).
+    """
+    match = _NODE.match
+    position = depth = 0
+    while True:
+        node = match(text, position)
+        if node is None:
+            raise _no_label(text, position)
+        quoted, bare, descend, closes, delimiter = node.groups()
+        if quoted is None:
+            open(bare)
+        else:
+            open(_ESCAPED.sub(r"\1", quoted) if "\\" in quoted else quoted)
+        position = node.end()
+        if descend:
+            depth += 1
+            continue
+        close()
+        for _ in range(closes.count(")")):
+            if not depth:
+                raise TreeError(f"unbalanced ')' before offset {position}")
+            depth -= 1
+            close()
+        if delimiter is None:
             raise TreeError(
-                f"trailing characters at offset {self._pos}: "
-                f"{self._text[self._pos:]!r}"
+                f"expected ',' or ')' at offset {position}"
+                if depth
+                else f"trailing characters at offset {position}: "
+                f"{text[position:position + 20]!r}"
             )
-        return node
-
-    def _skip_spaces(self) -> None:
-        while self._pos < len(self._text) and self._text[self._pos].isspace():
-            self._pos += 1
-
-    def _parse_node(self) -> Nested:
-        self._skip_spaces()
-        label = self._parse_label()
-        children: List[Nested] = []
-        self._skip_spaces()
-        if self._peek() == "(":
-            self._pos += 1
-            self._skip_spaces()
-            if self._peek() == ")":
-                raise TreeError("empty child list; drop the parentheses instead")
-            while True:
-                children.append(self._parse_node())
-                self._skip_spaces()
-                char = self._peek()
-                if char == ",":
-                    self._pos += 1
-                elif char == ")":
-                    self._pos += 1
-                    break
-                else:
-                    raise TreeError(
-                        f"expected ',' or ')' at offset {self._pos}"
-                    )
-        return (label, children)
-
-    def _peek(self) -> str:
-        if self._pos < len(self._text):
-            return self._text[self._pos]
-        return ""
-
-    def _parse_label(self) -> str:
-        if self._peek() == '"':
-            return self._parse_quoted()
-        start = self._pos
-        while self._pos < len(self._text) and self._text[self._pos] not in '(),"':
-            self._pos += 1
-        label = self._text[start : self._pos].strip()
-        if not label:
-            raise TreeError(f"missing label at offset {start}")
-        return label
-
-    def _parse_quoted(self) -> str:
-        self._pos += 1  # opening quote
-        parts: List[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise TreeError("unterminated quoted label")
-            char = self._text[self._pos]
-            self._pos += 1
-            if char == "\\":
-                if self._pos >= len(self._text):
-                    raise TreeError("dangling escape in quoted label")
-                parts.append(self._text[self._pos])
-                self._pos += 1
-            elif char == '"':
-                return "".join(parts)
-            else:
-                parts.append(char)
+        if delimiter:
+            if not depth:
+                raise TreeError(f"second root at offset {position}")
+        elif depth:
+            raise TreeError(f"{depth} unclosed child list(s) at end of text")
+        else:
+            return
 
 
 def tree_from_brackets(text: str) -> Tree:
@@ -136,27 +127,45 @@ def tree_from_brackets(text: str) -> Tree:
     >>> t.label(t.root_id)
     'a'
     """
-    return tree_from_nested(_BracketScanner(text).parse())
+    tree: Tree = None  # type: ignore[assignment]
+    path: List[int] = []  # ids of the open nodes, root first
 
+    def open(label: str) -> None:
+        nonlocal tree
+        if path:
+            path.append(tree.add_child(path[-1], label))
+        else:
+            tree = Tree(label)
+            path.append(tree.root_id)
 
-def _needs_quoting(label: str) -> bool:
-    return any(char in '(),"\\' for char in label) or label != label.strip() or not label
+    scan_brackets(text, open, path.pop)
+    return tree
 
 
 def _format_label(label: str) -> str:
-    if _needs_quoting(label):
-        escaped = label.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return label
+    if _BARE.fullmatch(label):
+        return label
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
 
 
 def tree_to_brackets(tree: Tree, node_id: Union[int, None] = None) -> str:
     """Serialize a tree to bracket notation (inverse of the parser)."""
-    if node_id is None:
-        node_id = tree.root_id
-    label = _format_label(tree.label(node_id))
-    children = tree.children(node_id)
-    if not children:
-        return label
-    inner = ",".join(tree_to_brackets(tree, child) for child in children)
-    return f"{label}({inner})"
+    pieces: List[str] = []
+    # node ids still to write, interleaved with the punctuation between them
+    pending: List[Union[int, str]] = [tree.root_id if node_id is None else node_id]
+    while pending:
+        item = pending.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        pieces.append(_format_label(tree.label(item)))
+        children = tree.children(item)
+        if children:
+            pieces.append("(")
+            pending.append(")")
+            for child in children[:0:-1]:
+                pending.append(child)
+                pending.append(",")
+            pending.append(children[0])
+    return "".join(pieces)

@@ -5,125 +5,32 @@ O(depth · (p + q)) memory — the tree is never materialized.  This is
 how a 211 MB DBLP file is indexed in practice; the paper's setting
 assumes exactly such a bulk-load for I_0.
 
-The trick is that a pq-gram's q-part only needs a *sliding window* of
-q − 1 trailing children per open element:
-
-- when child i of an open element arrives (its subtree closes), window
-  row i — covering children i−q+1 .. i with left null padding — is
-  complete and can be emitted;
-- when the element itself closes, the q − 1 trailing windows (right
-  null padding) follow, or the single all-null row for a leaf.
-
-The p-part is the chain of the last p − 1 open-element labels plus the
-anchor, maintained by the element stack.  Attributes are mapped like
-the DOM parser does (``@name`` child with one value leaf), so the
-streamed index equals ``PQGramIndex.from_tree(parse_xml(text))``
-exactly (property-tested).
+The token stream drives the one event-to-bag machine,
+:class:`repro.core.profile.GramEmitter` (a p-part and a sliding window
+of q children per open element): an ``open`` per start tag, attribute
+name, attribute value and text run, and a ``close`` where each ends.
+Attributes are mapped like the DOM parser does (``@name`` child with
+one value leaf), so the streamed index equals
+``PQGramIndex.from_tree(parse_xml(text))`` exactly (property-tested).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Tuple
+from typing import Iterable
 
 from repro.core.config import GramConfig
 from repro.core.index import PQGramIndex
+from repro.core.profile import GramEmitter
 from repro.errors import XmlError
-from repro.hashing.labelhash import NULL_HASH, LabelHasher
+from repro.hashing.labelhash import LabelHasher
 from repro.xmlio.tokens import Token, TokenKind, tokenize
 
-Key = Tuple[int, ...]
 
-
-class _OpenElement:
-    """Streaming state of one open element."""
-
-    __slots__ = ("chain", "window", "child_count")
-
-    def __init__(self, chain: Tuple[int, ...], q: int) -> None:
-        self.chain = chain                      # its own p-part
-        self.window: Deque[int] = deque(
-            [NULL_HASH] * (q - 1), maxlen=max(q - 1, 1)
-        )
-        self.child_count = 0
-
-
-class _Emitter:
-    """Turns open/close/text events into pq-gram hash tuples."""
-
-    def __init__(self, config: GramConfig, hasher: LabelHasher) -> None:
-        self.config = config
-        self.hasher = hasher
-        self._stack: List[_OpenElement] = []
-        self._base_chain = (NULL_HASH,) * (config.p - 1)
-
-    # -- events --------------------------------------------------------
-
-    def open(self, label: str) -> None:
-        """An element opens; it becomes the active anchor."""
-        label_hash = self.hasher.hash_label(label)
-        parent_chain = (
-            self._stack[-1].chain if self._stack else self._base_chain + (NULL_HASH,)
-        )
-        if self._stack:
-            chain = parent_chain[1:] + (label_hash,)
-        else:
-            chain = self._base_chain + (label_hash,)
-        self._stack.append(_OpenElement(chain, self.config.q))
-
-    def close(self) -> Iterator[Key]:
-        """The active element closes: emit its trailing windows and
-        report its label hash to the parent as a completed child."""
-        element = self._stack.pop()
-        yield from self._trailing_rows(element)
-        if self._stack:
-            yield from self._child_completed(self._stack[-1], element.chain[-1])
-
-    def leaf(self, label: str) -> Iterator[Key]:
-        """A childless node (text, or an attribute value)."""
-        label_hash = self.hasher.hash_label(label)
-        parent = self._stack[-1]
-        chain = parent.chain[1:] + (label_hash,)
-        yield chain + (NULL_HASH,) * self.config.q
-        yield from self._child_completed(parent, label_hash)
-
-    # -- window machinery ----------------------------------------------
-
-    def _child_completed(self, parent: _OpenElement, child_hash: int) -> Iterator[Key]:
-        """Child i arrived: row i of the parent's q-matrix is ready."""
-        q = self.config.q
-        parent.child_count += 1
-        if q == 1:
-            yield parent.chain + (child_hash,)
-        else:
-            window = tuple(parent.window) + (child_hash,)
-            yield parent.chain + window
-            parent.window.append(child_hash)
-
-    def _trailing_rows(self, element: _OpenElement) -> Iterator[Key]:
-        q = self.config.q
-        if element.child_count == 0:
-            yield element.chain + (NULL_HASH,) * q
-            return
-        if q == 1:
-            return
-        # Rows f+1 .. f+q-1: windows over the last q-1 children (the
-        # deque, left-null-padded when f < q-1) plus q-1 trailing nulls.
-        tail = list(element.window) + [NULL_HASH] * (q - 1)
-        for start in range(q - 1):
-            yield element.chain + tuple(tail[start : start + q])
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open elements."""
-        return len(self._stack)
-
-
-def iter_hash_tuples_from_tokens(
+def index_from_tokens(
     tokens: Iterable[Token], config: GramConfig, hasher: LabelHasher
-) -> Iterator[Key]:
-    """Stream the pq-gram hash tuples of a token sequence."""
-    emitter = _Emitter(config, hasher)
+) -> PQGramIndex:
+    """The pq-gram index of a token sequence."""
+    emitter = GramEmitter(config, hasher)
     saw_root = False
     for token in tokens:
         if token.kind in (TokenKind.OPEN, TokenKind.SELF_CLOSING):
@@ -133,37 +40,37 @@ def iter_hash_tuples_from_tokens(
             emitter.open(token.value)
             for name, value in token.attributes.items():
                 emitter.open(f"@{name}")
-                yield from emitter.leaf(value)
-                yield from emitter.close()
+                emitter.open(value)
+                emitter.close()
+                emitter.close()
             if token.kind is TokenKind.SELF_CLOSING:
-                yield from emitter.close()
+                emitter.close()
         elif token.kind is TokenKind.CLOSE:
             if emitter.depth == 0:
                 raise XmlError(
                     f"offset {token.offset}: close tag without open element"
                 )
-            yield from emitter.close()
+            emitter.close()
         elif token.kind in (TokenKind.TEXT, TokenKind.CDATA):
             if emitter.depth == 0:
                 raise XmlError(
                     f"offset {token.offset}: character data outside the root"
                 )
-            yield from emitter.leaf(token.value)
+            emitter.open(token.value)
+            emitter.close()
         # comments / processing instructions carry no tree content
     if emitter.depth != 0:
         raise XmlError(f"{emitter.depth} unclosed element(s)")
     if not saw_root:
         raise XmlError("document has no root element")
+    return PQGramIndex.from_bag_view(config, emitter.counts)
 
 
 def stream_index_xml(
     text: str, config: GramConfig, hasher: LabelHasher
 ) -> PQGramIndex:
     """The pq-gram index of an XML string, built without a DOM."""
-    counts: Dict[Key, int] = {}
-    for key in iter_hash_tuples_from_tokens(tokenize(text), config, hasher):
-        counts[key] = counts.get(key, 0) + 1
-    return PQGramIndex(config, counts)
+    return index_from_tokens(tokenize(text), config, hasher)
 
 
 def stream_index_xml_file(

@@ -29,7 +29,10 @@ from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
 from repro.edits import apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
+from repro.serve import FrontDoor, ServeClient, serve_in_thread
+from repro.serve.server import INLINE_FRAME_BYTES
 from repro.service import DocumentStore
+from repro.tree.builder import tree_from_brackets, tree_to_brackets
 
 from tests.conftest import (
     REFERENCE_ENGINES,
@@ -335,6 +338,50 @@ class TestBackendConformance:
         assert counters["candidate"] == counters["reference"]
         assert counters["candidate"]["index_keys_swept_total"] > 0
         assert counters["candidate"]["index_delta_keys_total"] > 0
+
+    def test_text_query_matches_like_the_tree_it_denotes(
+        self, name, kwargs, tmp_path
+    ):
+        """A lookup takes its query as a tree or as bracket text; the
+        text is scanned into the bag without becoming a tree.  Same
+        matches through the library (live and snapshot reads), the
+        store, and the wire on the loop and on the pool."""
+        collection = [
+            (tree_id, tree_from_brackets(tree_to_brackets(tree)))
+            for tree_id, tree in make_collection(12, seed=500)
+        ]
+        queries = [random_labelled_tree(15, seed=31)] + [
+            tree for _, tree in collection[3:6]
+        ]
+        forest = ForestIndex(CONFIG, **kwargs)
+        forest.add_trees(collection)
+        store = DocumentStore(
+            str(tmp_path / "store"), CONFIG, serve_threads=1, **kwargs
+        )
+        store.add_documents(collection)
+        handle = serve_in_thread(
+            FrontDoor(stores={"default": store}, serve_threads=1)
+        )
+        try:
+            with ServeClient(port=handle.port) as client:
+                for query in queries:
+                    text = tree_to_brackets(query)
+                    for tau in TAUS:
+                        matches = LookupService(forest).lookup(query, tau).matches
+                        for service in (
+                            LookupService(forest),
+                            LookupService(forest, snapshot_reads=True),
+                            store,
+                        ):
+                            assert service.lookup(text, tau).matches == matches
+                        # the store's first read published the view: the
+                        # plain line runs on the loop, the padded one is
+                        # too long for it
+                        assert client.lookup(text, tau) == matches
+                        padded = text + " " * INLINE_FRAME_BYTES
+                        assert client.lookup(padded, tau) == matches
+        finally:
+            handle.drain(timeout=60.0)
 
     def test_add_trees_all_or_nothing(self, name, kwargs):
         """A duplicate anywhere in the batch — against the forest or

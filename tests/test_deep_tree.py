@@ -2,11 +2,12 @@
 Python recursion limit.
 
 Every production path — bulk construction, streaming construction,
-replay maintenance, batch maintenance — must be iterative.  A
-path-shaped tree of depth ``sys.getrecursionlimit() + 200`` blows up
-any hidden recursion immediately.  Trees are compared through their
-pq-gram indexes here; ``Tree.__eq__`` itself recurses by design and
-must stay off these inputs.
+replay maintenance, batch maintenance, the bracket notation in both
+directions and the served ``lookup`` / ``show`` that carry it — must be
+iterative.  A path-shaped tree of depth ``sys.getrecursionlimit() +
+200`` blows up any hidden recursion immediately.  Trees are compared
+through their pq-gram indexes here; ``Tree.__eq__`` itself recurses by
+design and must stay off these inputs.
 """
 
 import sys
@@ -19,9 +20,13 @@ from repro.core import (
 )
 from repro.edits import Delete, Insert, Rename, apply_script
 from repro.hashing import LabelHasher
+from repro.serve import ServeClient
+from repro.tree.builder import tree_from_brackets, tree_to_brackets
 from repro.tree.traversal import tree_depth
 from repro.tree.tree import Tree
 from repro.xmlio.stream import stream_index_xml
+
+from tests.test_serve_inline import serving
 
 DEPTH = sys.getrecursionlimit() + 200
 
@@ -91,3 +96,29 @@ def test_maintain_deep_tree_with_edit_near_root():
     edited, log = apply_script(tree, [Rename(below_root, "new-top")])
     rebuilt = PQGramIndex.from_tree(edited, config, hasher)
     assert update_index_batch(old_index, edited, log, hasher) == rebuilt
+
+
+def test_bracket_notation_round_trips_a_deep_tree():
+    tree = _path_tree(DEPTH)
+    text = tree_to_brackets(tree)
+    assert text.count("(") == text.count(")") == DEPTH - 1
+    parsed = tree_from_brackets(text)
+    assert tree_depth(parsed) == DEPTH - 1
+    assert tree_to_brackets(parsed) == text
+    config = GramConfig(3, 2)
+    hasher = LabelHasher()
+    assert PQGramIndex.from_brackets(
+        text, config, hasher
+    ) == PQGramIndex.from_tree(tree, config, hasher)
+
+
+def test_served_lookup_and_show_of_a_deep_document(tmp_path):
+    text = tree_to_brackets(_path_tree(DEPTH))
+    with serving(tmp_path) as (_, port), ServeClient(port=port) as client:
+        client.add_document(1, text)
+        client.add_document(2, "n0(n1,n2)")
+        # the first lookup hops to the pool, the second runs inline
+        for _ in range(2):
+            assert client.lookup(text, 0.5) == [(1, 0.0)]
+        shown = client.show(1)
+        assert shown["nodes"] == DEPTH and shown["tree"] == text

@@ -9,7 +9,12 @@ import time
 
 
 from repro.baselines import rebuild_index
-from repro.core import GramConfig, PQGramIndex, update_index_replay
+from repro.core import (
+    GramConfig,
+    PQGramIndex,
+    update_index_replay,
+    update_index_replay_timed,
+)
 from repro.datasets import dblp_tree, dblp_update_script, xmark_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
@@ -81,15 +86,22 @@ class TestFig13RightShape:
         assert update_seconds < rebuild_seconds
 
     def test_update_time_nearly_size_independent(self):
-        """Quadrupling the tree must not quadruple the update time for
-        a fixed log of record-local corrections, while the rebuild cost
-        does grow with the tree."""
+        """Quadrupling the tree must not grow the update's work for a
+        fixed log of record-local corrections, while the rebuild's
+        grows with the tree.  Work is counted, not timed: the labels
+        each arm reads (every read goes through the shared hasher) and
+        the pq-grams it produces; the timed sweep is
+        ``benchmarks/bench_fig13_update_vs_size.py``."""
         from repro.datasets import record_edit_script
 
         hasher = LabelHasher()
         config = GramConfig(3, 3)
-        update_seconds = []
-        rebuild_seconds = []
+
+        def labels_read():
+            return hasher.memo_hits + hasher.memo_misses
+
+        update_work = []
+        rebuild_work = []
         for records in (400, 1600):
             tree = dblp_tree(records, seed=3)
             old_index = PQGramIndex.from_tree(tree, config, hasher)
@@ -97,24 +109,25 @@ class TestFig13RightShape:
                 tree, 10, seed=4, insert_share=0.0, delete_share=0.0
             )
             edited, log = apply_script(tree, script)
-            update_seconds.append(
-                min(
-                    _timed(
-                        lambda: update_index_replay(old_index, edited, log, hasher)
-                    )[1]
-                    for _ in range(5)
+            before = labels_read()
+            updated, counts = update_index_replay_timed(
+                old_index, edited, log, hasher
+            )
+            update_work.append(
+                (
+                    labels_read() - before,
+                    counts.gram_count_plus + counts.gram_count_minus,
                 )
             )
-            rebuild_seconds.append(
-                min(
-                    _timed(lambda: rebuild_index(edited, config, hasher))[1]
-                    for _ in range(3)
-                )
-            )
-        update_growth = update_seconds[1] / update_seconds[0]
-        rebuild_growth = rebuild_seconds[1] / rebuild_seconds[0]
-        assert rebuild_growth > 2.0          # rebuild tracks tree size
-        assert update_growth < rebuild_growth  # update does not
+            before = labels_read()
+            rebuilt = rebuild_index(edited, config, hasher)
+            rebuild_work.append((labels_read() - before, rebuilt.size()))
+            assert updated == rebuilt
+            assert rebuild_work[-1][0] == len(edited)  # every node, once
+        # the update reads O(|log| · (p + q)) labels whatever the size
+        assert update_work[1] == update_work[0]
+        for small, large in zip(*rebuild_work):
+            assert large > 3.5 * small  # rebuild tracks tree size
 
 
 class TestFig14LeftShape:

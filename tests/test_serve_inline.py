@@ -4,12 +4,13 @@ unless it can block.
 ``lookup``, ``query`` with a τ plan and ``show`` read published
 immutable state and are answered by the loop thread; everything that
 locks, fsyncs, walks the collection or would build the first view hops
-to the pool.  These tests pin the rule down from outside: which verbs
-still answer while the pool's only worker is parked, that a pipelining
-connection cannot starve another one, that writers cannot stall the
-loop past the read limit, that admission and error mapping are the
-same on both routes, and that what comes back over the wire is bit for
-bit what the ``memory`` reference computes.
+to the pool, and so does a read whose request line is longer than
+``INLINE_FRAME_BYTES``.  These tests pin the rule down from outside:
+which verbs still answer while the pool's only worker is parked, that a
+pipelining connection cannot starve another one, that neither writers
+nor a long query can stall the loop past the read limit, that admission
+and error mapping are the same on every route, and that what comes back
+over the wire is bit for bit what the ``memory`` reference computes.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from repro.edits.serialize import format_operations
 from repro.lookup import ForestIndex, LookupService
 from repro.serve import AdmissionPolicy, FrontDoor, ServeClient, serve_in_thread
 from repro.serve.protocol import decode_frame
+from repro.serve.server import INLINE_FRAME_BYTES
 from repro.tree.builder import tree_from_brackets, tree_to_brackets
 
 from tests.test_backend_conformance import TAUS, make_collection
@@ -78,6 +80,16 @@ def parked_pool(front_door, port):
             release.set()
             assert parker._read_frame()["ok"] is True
             front_door._verbs["ping"] = original
+
+
+def quoted_brackets(tree, node_id=None):
+    """Bracket text with every label quoted, needed or not."""
+    node_id = tree.root_id if node_id is None else node_id
+    label = tree.label(node_id).replace("\\", "\\\\").replace('"', '\\"')
+    children = ",".join(
+        quoted_brackets(tree, child) for child in tree.children(node_id)
+    )
+    return f'"{label}"({children})' if children else f'"{label}"'
 
 
 def send(client, verb, **fields):
@@ -240,6 +252,51 @@ def test_writers_do_not_stall_reads_past_the_read_limit(tmp_path):
         assert worst < READ_LIMIT, f"worst read RTT {worst * 1e3:.1f} ms"
 
 
+def test_a_query_holds_the_loop_in_proportion_to_its_text_up_to_a_bound(tmp_path):
+    """The size clause: a 400-node query is answered on the loop well
+    inside the read limit; a 4,000-node one would hold it ten times as
+    long, so it waits for a worker while the loop serves everyone else."""
+    # ten different ones: a repeated query is answered from the caches
+    medium = [tree_to_brackets(xmark_tree(400, seed=seed)) for seed in range(2, 12)]
+    long = tree_to_brackets(xmark_tree(4000, seed=3))
+    assert max(map(len, medium)) + 200 < INLINE_FRAME_BYTES < len(long)
+    with serving(tmp_path, backend="compact") as (front_door, port):
+        with ServeClient(port=port) as reader, ServeClient(port=port) as other:
+            for document_id in range(6):
+                reader.add_document(
+                    document_id, canonical(xmark_tree(400, seed=document_id))
+                )
+            for document_id in range(100, 160):
+                reader.add_document(
+                    document_id, canonical(random_labelled_tree(12, seed=document_id))
+                )
+            small = tree_to_brackets(random_labelled_tree(12, seed=104))
+            nearby = other.lookup(small, 0.5)  # the first read hops and freezes
+            assert (104, 0.0) in nearby
+            store = front_door.tenant_store("default")
+            with parked_pool(front_door, port):
+                gc.collect()
+                gc.freeze()  # as in the writers' test above
+                try:
+                    worst = 0.0
+                    for query in reversed(medium):
+                        started = time.perf_counter()
+                        matches = reader.lookup(query, 0.9)
+                        worst = max(worst, time.perf_counter() - started)
+                finally:
+                    gc.unfreeze()
+                assert (2, 0.0) in matches
+                assert worst < READ_LIMIT, f"worst read RTT {worst * 1e3:.1f} ms"
+                request_id = send(reader, "lookup", query=long, tau=0.9)
+                assert reply_within(reader, 0.3) is None
+                assert other.lookup(small, 0.5) == nearby
+            frame = reader._read_frame()
+            assert frame["id"] == request_id and frame["ok"] is True
+            assert [tuple(match) for match in frame["result"]["matches"]] == (
+                store.lookup(tree_from_brackets(long), 0.9).matches
+            )
+
+
 # ---------------------------------------------------------------------------
 # admission and error mapping on the inline route
 # ---------------------------------------------------------------------------
@@ -314,6 +371,22 @@ class TestInlineAdmission:
             assert [error["status"] for _, error in inline] == [
                 400, 400, 400, 404, 500,
             ]
+            # the same malformed tree in a line too long for the loop
+            # takes the pool again and comes back as the same frame
+            ran_on = []
+            lookup = front_door._verbs["lookup"]
+
+            def traced_lookup(tenant, request, connection):
+                ran_on.append(threading.current_thread().name)
+                return lookup(tenant, request, connection)
+
+            front_door._verbs["lookup"] = traced_lookup
+            for padding in (0, INLINE_FRAME_BYTES):
+                send(client, "lookup", query="a(b" + " " * padding, tau=0.5)
+                frame = client._read_frame()
+                assert (frame["ok"], frame["error"]) == inline[1]
+            assert ran_on[0] == "serve-front-door"
+            assert ran_on[1].startswith("serve-worker")
             assert front_door.admission("default").pending == 0
 
 
@@ -330,18 +403,33 @@ def test_wire_results_are_bit_identical_to_the_memory_reference(tmp_path):
     queries = [random_labelled_tree(15, seed=31)] + [
         tree for _, tree in collection[:5]
     ]
+    # one of them again in three more spellings: each is its own entry
+    # in the query LRU and the result cache, and all must match alike
+    respelled = queries[2]
+    text = tree_to_brackets(respelled)
+    assert '"' not in text
+    spellings = [
+        " " + text.replace("(", " (\n ").replace(",", " ,\t") + " ",
+        quoted_brackets(respelled),
+        text + " " * INLINE_FRAME_BYTES,  # too long a line for the loop
+    ]
+    assert len({text, *spellings}) == 4
+
+    def assert_wire_is_reference(client, sent, denoted):
+        for tau in TAUS:
+            matches = expected.lookup(denoted, tau).matches
+            assert client.lookup(sent, tau) == matches
+            assert [
+                tuple(match) for match in client.query(sent, tau=tau)["matches"]
+            ] == matches
+
     with serving(tmp_path) as (front_door, port), ServeClient(port=port) as client:
         for document_id, tree in collection:
             client.add_document(document_id, canonical(tree))
         client.lookup("a(b)", 0.5)  # publishes the first view
         with parked_pool(front_door, port):  # every read below runs inline
             for query in queries:
-                for tau in TAUS:
-                    assert (
-                        client.lookup(query, tau)
-                        == expected.lookup(query, tau).matches
-                    )
-                    assert [
-                        tuple(match)
-                        for match in client.query(query, tau=tau)["matches"]
-                    ] == expected.lookup(query, tau).matches
+                assert_wire_is_reference(client, query, query)
+            for spelling in spellings[:2]:
+                assert_wire_is_reference(client, spelling, respelled)
+        assert_wire_is_reference(client, spellings[2], respelled)  # pooled
