@@ -28,7 +28,7 @@ from repro.lookup.join import self_join
 def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
         store_dir = os.path.join(directory, "service")
-        store = DocumentStore(store_dir, GramConfig(3, 3), checkpoint_every=4)
+        store = DocumentStore(store_dir, GramConfig(3, 3))
 
         # Ingest a few bibliographies; two of them are near-duplicates.
         for document_id in range(5):

@@ -310,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_parser = store_commands.add_parser(
         "stats",
         help="store-wide counters (documents, pq-grams, backend "
-        "postings incl. per-shard breakdown, hasher memo)",
+        "postings incl. per-shard breakdown, hasher memo, WAL bytes "
+        "since the last snapshot and the snapshot's size)",
     )
     stats_parser.add_argument(
         "--metrics",

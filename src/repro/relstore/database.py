@@ -62,20 +62,27 @@ class Database:
 
     def save(self, path: str) -> None:
         """Write an atomic snapshot of every table to ``path``."""
+        # Imported here: the service package imports this module.
+        from repro.service import failpoints
+
         out = bytearray(_MAGIC)
         encode_value(len(self._tables), out)
         for table in self._tables.values():
             self._encode_table(table, out)
         tmp_path = f"{path}.tmp"
         with open(tmp_path, "wb") as handle:
-            handle.write(bytes(out))
+            failpoints.write("database.write", handle, bytes(out))
             handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+            failpoints.run("database.fsync", os.fsync, handle.fileno())
+        failpoints.run("database.replace", os.replace, tmp_path, path)
         # Callers discard what the snapshot supersedes (the store
         # truncates its WAL) as soon as this returns, so the rename
         # itself has to be on disk, not only the file's contents.
-        fsync_directory(os.path.dirname(path) or ".")
+        failpoints.run(
+            "database.fsync_directory",
+            fsync_directory,
+            os.path.dirname(path) or ".",
+        )
 
     @classmethod
     def load(cls, path: str) -> "Database":

@@ -29,19 +29,27 @@ appender thread drained with it):
    compaction + commuting-group partitioning + single O(|Δ|) apply;
    exact for every valid log, including ``Move``) and publish the
    edited documents,
-4. opportunistically checkpoint (write a fresh snapshot and truncate
-   the WAL) every ``checkpoint_every`` batches.  The store keeps the
-   encoded record of every document that has not changed since it was
-   last encoded, so a checkpoint serialises only the documents dirtied
-   since the previous one.
+4. checkpoint (write a fresh snapshot and truncate the WAL) once the
+   WAL written since the last snapshot reaches
+   :data:`WAL_CHECKPOINT_SHARE` of that snapshot's size, and never
+   below :data:`WAL_CHECKPOINT_FLOOR` bytes — the rewrite of
+   ``store.db`` is paid for by a log proportional to it, so an edit's
+   durable cost does not grow with the collection.  The store keeps
+   the encoded record of every document that has not changed since it
+   was last encoded, so a checkpoint serialises only the documents
+   dirtied since the previous one.  Membership changes (add, remove,
+   subscribe, unsubscribe) and ``close`` checkpoint at once.
 
-``open`` recovers by decoding the snapshot's documents, rebuilding the
-forest from them and replaying the WAL blocks stamped past the
-snapshot's commit sequence; half-written trailing batches (no COMMIT
-line — the crash window) are ignored, and so are blocks the snapshot
-already covers (a crash between the snapshot rename and the WAL
-truncation leaves them behind).  The chosen backend is recorded in
-the snapshot so reopening preserves it.
+``open`` decodes the snapshot's documents, applies to them the WAL
+blocks stamped past the snapshot's commit sequence (blocks the snapshot
+already covers — a crash between the snapshot rename and the WAL
+truncation leaves them behind — are skipped), and only then builds the
+forest, once, from the final documents.  A half-written trailing batch
+(no COMMIT line — the crash window) never acknowledged: the open cuts
+it off the WAL and fsyncs, so later appends cannot land behind bytes
+replay stops at.  Replaying rewrites nothing else — the WAL stays and
+keeps counting toward the next checkpoint.  The chosen backend is
+recorded in the snapshot so reopening preserves it.
 
 The ``segment`` and ``rel`` backends are their own durable homes: the
 index relation lives in memory-mapped segment files plus a tail delta
@@ -52,12 +60,13 @@ sequence into its delta records, so recovery replays a batch into the
 forest only when the backend does not already hold it; corrupt or
 foreign home files are detected (checksums + a store-identity
 fingerprint) and the forest is rebuilt from the recovered documents
-like every other backend's — slower, never wrong.
+like every other backend's — slower, never wrong.  An open that
+rebuilt or reconciled such a home checkpoints.
 
 Snapshots written before the ``documents`` relation existed (a
 ``nodes`` row per node and an ``indexes`` relation) still open: the
-nodes are read, the index rows ignored, and the next checkpoint writes
-the current form.
+nodes are read, the index rows ignored, and the open checkpoints the
+current form.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ from typing import (
     Tuple,
 )
 
+from repro.backend.base import ForestBackend
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.refreeze import RefreezeWorker
 from repro.core.config import GramConfig
@@ -92,11 +102,28 @@ from repro.obsv.metrics import MetricsRegistry, resolve_registry
 from repro.relstore.codec import read_varint, unzigzag, write_varint, zigzag
 from repro.relstore.database import Database
 from repro.relstore.schema import Column, Schema
+from repro.service import failpoints
 from repro.stream.standing import Notification, StandingQueryEngine
 from repro.tree.tree import Tree
 
 _SNAPSHOT = "store.db"
 _WAL = "wal.log"
+
+# The checkpoint trigger: the WAL written since the last snapshot has
+# reached this share of the snapshot's size, and at least the floor.
+# The share keeps the rewrite's cost per logged byte constant as the
+# collection grows and bounds replay on open to a fixed fraction of the
+# snapshot; the floor keeps a small store from checkpointing every few
+# batches.  Chosen from the share × floor table in EXPERIMENTS.md.
+WAL_CHECKPOINT_SHARE = 0.5
+WAL_CHECKPOINT_FLOOR = 64 * 1024
+
+# Backends that are their own durable home: the subdirectory of the
+# store directory they live in, and what their files raise when corrupt.
+_HOMES = {
+    "segment": ("segments", SegmentCorruptError),
+    "rel": ("rel", StorageError),
+}
 
 
 def encode_document(tree: Tree) -> bytes:
@@ -208,7 +235,6 @@ class DocumentStore:
         self,
         directory: str,
         config: Optional[GramConfig] = None,
-        checkpoint_every: int = 16,
         backend: Optional[str] = None,
         shards: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
@@ -216,7 +242,6 @@ class DocumentStore:
         compress: Optional[bool] = None,
     ) -> None:
         self._directory = directory
-        self._checkpoint_every = checkpoint_every
         self._serving = serve_threads > 0
         # Lock-free readers (get_document, the wire's show, the query
         # post-filter) copy trees out of this dict, so a tree reachable
@@ -227,8 +252,8 @@ class DocumentStore:
         # drop the stale entry, so a checkpoint encodes only those.
         self._encoded: Dict[int, bytes] = {}
         # Guards document membership, the WAL, and the checkpoint
-        # counter.  In serving mode the appender thread holds it for
-        # the whole group commit; lookups never touch it.
+        # trigger's byte counts.  In serving mode the appender thread
+        # holds it for the whole group commit; lookups never touch it.
         self._mutex = threading.RLock()
         # ``metrics`` (a registry or ``True``) turns on observability
         # for the whole stack — store, forest, backend, lookup service
@@ -252,7 +277,10 @@ class DocumentStore:
         self._compress = compression_enabled(compress)
         self._service: Optional[LookupService] = None
         self._wal_handle: Optional[BinaryIO] = None
-        self._batches_since_checkpoint = 0
+        # The checkpoint trigger's inputs: bytes in the WAL since the
+        # last snapshot, and that snapshot's size.
+        self._wal_bytes = 0
+        self._snapshot_bytes = 0
         # Commit sequencing: every durably-applied WAL batch gets the
         # next number; the snapshot meta records the high-water mark
         # folded into it, so recovery can number the replayed tail.
@@ -271,12 +299,10 @@ class DocumentStore:
                 self._recover(default_backend=backend, default_shards=shards)
         else:
             self._store_uuid = uuid.uuid4().hex
-            if backend == "segment":
-                # A fresh store must never adopt leftover segment files
-                # from an earlier store in the same directory.
-                shutil.rmtree(self._segment_directory(), ignore_errors=True)
-            elif backend == "rel":
-                shutil.rmtree(self._rel_directory(), ignore_errors=True)
+            if backend in _HOMES:
+                # A fresh store must never adopt a leftover home from an
+                # earlier store in the same directory.
+                shutil.rmtree(self._home_directory(backend), ignore_errors=True)
             self._forest = self._make_forest(
                 config or GramConfig(), backend, shards
             )
@@ -301,14 +327,22 @@ class DocumentStore:
             "wal_bytes_total", "bytes appended to the WAL"
         )
         self._m_wal_fsyncs = registry.counter(
-            "wal_fsyncs_total", "fsync calls issued on the WAL file"
+            "wal_fsyncs_total",
+            "fsync calls issued on the WAL file: one per group commit, one "
+            "per checkpoint truncation, one per open that cut a torn tail",
         )
         self._m_wal_replayed = registry.counter(
             "wal_replayed_batches_total",
             "committed WAL batches replayed during recovery",
         )
         self._m_checkpoints = registry.counter(
-            "checkpoints_total", "snapshots written (WAL truncations)"
+            "checkpoints_total",
+            "snapshots written (WAL truncations): when the WAL since the "
+            f"last one reaches max({WAL_CHECKPOINT_FLOOR} B, "
+            f"{WAL_CHECKPOINT_SHARE} x snapshot_bytes), on every "
+            "membership change and close, and on an open that converted "
+            "the snapshot, rebuilt a backend home or caught up a "
+            "standing query",
         )
         self._m_checkpoint_seconds = registry.histogram(
             "checkpoint_seconds", "wall seconds per snapshot write"
@@ -339,11 +373,8 @@ class DocumentStore:
     def _wal_path(self) -> str:
         return os.path.join(self._directory, _WAL)
 
-    def _segment_directory(self) -> str:
-        return os.path.join(self._directory, "segments")
-
-    def _rel_directory(self) -> str:
-        return os.path.join(self._directory, "rel")
+    def _home_directory(self, backend: str) -> str:
+        return os.path.join(self._directory, _HOMES[backend][0])
 
     def _make_forest(
         self,
@@ -356,19 +387,16 @@ class DocumentStore:
         ``<directory>/rel/``) and stamped with this store's identity so
         reopened on-disk state can be matched against the snapshot that
         references it."""
-        homes = {
-            "segment": self._segment_directory,
-            "rel": self._rel_directory,
-        }
+        home = backend in _HOMES
         forest = ForestIndex(
             config,
             backend=backend,
             shards=shards,
             metrics=self._metrics,
-            directory=homes[backend]() if backend in homes else None,
+            directory=self._home_directory(backend) if home else None,
             compress=self._compress,
         )
-        if backend in homes:
+        if home:
             forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
         return forest
 
@@ -586,8 +614,10 @@ class DocumentStore:
             for pending in valid:
                 self._m_edit_batches.inc()
                 self._m_edit_ops.inc(len(pending.operations))
-            self._batches_since_checkpoint += len(valid)
-            if self._batches_since_checkpoint >= self._checkpoint_every:
+            if self._wal_bytes >= max(
+                WAL_CHECKPOINT_FLOOR,
+                WAL_CHECKPOINT_SHARE * self._snapshot_bytes,
+            ):
                 self._checkpoint()
         # Listener callbacks run outside the store mutex so they can
         # never block (or deadlock) the appender's group commit.
@@ -765,21 +795,31 @@ class DocumentStore:
         WAL/checkpoint durability, recovery, maintenance engines,
         backend sweeps and lookup pruning, plus state gauges refreshed
         at call time."""
-        self._forest.sync_metric_gauges()
-        if self._metrics.enabled:
-            self._metrics.gauge(
-                "store_documents", "documents currently stored"
-            ).set(len(self._documents))
+        self._sync_metric_gauges()
         return self._metrics.snapshot()
 
     def metrics_prometheus(self) -> str:
         """The same snapshot in Prometheus text exposition format."""
-        self._forest.sync_metric_gauges()
-        if self._metrics.enabled:
-            self._metrics.gauge(
-                "store_documents", "documents currently stored"
-            ).set(len(self._documents))
+        self._sync_metric_gauges()
         return self._metrics.to_prometheus()
+
+    def _sync_metric_gauges(self) -> None:
+        self._forest.sync_metric_gauges()
+        if not self._metrics.enabled:
+            return
+        self._metrics.gauge(
+            "store_documents", "documents currently stored"
+        ).set(len(self._documents))
+        self._metrics.gauge(
+            "wal_bytes",
+            "WAL bytes written since the last snapshot; the next "
+            "checkpoint runs once this reaches max("
+            f"{WAL_CHECKPOINT_FLOOR}, {WAL_CHECKPOINT_SHARE} x "
+            "snapshot_bytes)",
+        ).set(self._wal_bytes)
+        self._metrics.gauge(
+            "snapshot_bytes", "size of store.db as last written or loaded"
+        ).set(self._snapshot_bytes)
 
     def stats(self) -> Dict[str, object]:
         """Operational counters of the store.
@@ -789,7 +829,9 @@ class DocumentStore:
         posting counts for sharded forests), and the shared label
         hasher's memo hit/miss counters — a warm memo means every
         build and update call reused the store-wide hasher instead of
-        re-fingerprinting labels from scratch.
+        re-fingerprinting labels from scratch — and how close the next
+        checkpoint is: ``wal_bytes`` written since the last snapshot
+        against that snapshot's ``snapshot_bytes``.
         """
         # Runs without the mutex beside membership changes: count over
         # a snapshot of the dict, and skip a document the forest does
@@ -818,6 +860,8 @@ class DocumentStore:
             "hasher_misses": hasher_stats["misses"],
             "query_cache_hits": service.query_cache_hits if service else 0,
             "query_cache_misses": service.query_cache_misses if service else 0,
+            "wal_bytes": self._wal_bytes,
+            "snapshot_bytes": self._snapshot_bytes,
         }
         if "frozen" in backend_stats:
             stats["frozen"] = backend_stats["frozen"]
@@ -887,52 +931,79 @@ class DocumentStore:
             for document_id, operations, seq in batches
         ).encode("utf-8")
         handle = self._wal()
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
+        failpoints.write("wal.write", handle, data)
+        failpoints.run("wal.flush", handle.flush)
+        failpoints.run("wal.fsync", os.fsync, handle.fileno())
+        self._wal_bytes += len(data)
         self._m_wal_appends.inc(len(batches))
         self._m_wal_bytes.inc(len(data))
         self._m_wal_fsyncs.inc()
 
     def _read_wal(
         self,
-    ) -> List[Tuple[int, List[EditOperation], Optional[int]]]:
-        """Committed batches of the WAL as ``(document id, operations,
-        commit sequence)``; a torn trailing batch is silently dropped
-        (it never acknowledged).  The sequence is ``None`` for the
-        three-field BEGIN lines older stores wrote."""
-        path = self._wal_path()
-        if not os.path.exists(path):
-            return []
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+    ) -> Tuple[List[Tuple[int, List[EditOperation], Optional[int]]], int, int]:
+        """The WAL's committed batches as ``(document id, operations,
+        commit sequence)``, the offset where the next block belongs and
+        the file's size.
+
+        Reading stops at the first block that is not complete — a torn
+        tail, which never acknowledged.  The offset is one past the
+        last complete block's newline: ``size + 1`` when a crash cut
+        exactly that newline (the block committed: its COMMIT text is
+        on disk).  The sequence is ``None`` for the three-field BEGIN
+        lines older stores wrote."""
+        try:
+            with open(self._wal_path(), "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return [], 0, 0
+        lines = data.split(b"\n")
         batches: List[Tuple[int, List[EditOperation], Optional[int]]] = []
-        position = 0
+        position = offset = end = 0
         while position < len(lines):
             line = lines[position].strip()
             if not line:
+                offset += len(lines[position]) + 1
                 position += 1
                 continue
-            if not line.startswith("BEGIN "):
+            if not line.startswith(b"BEGIN "):
                 break  # torn or corrupt tail
             try:
                 document_id, count, *stamp = map(int, line.split()[1:])
                 (seq,) = stamp or (None,)  # more than one field: ValueError
-                body = lines[position + 1 : position + 1 + count]
-                commit_line = lines[position + 1 + count].strip()
+                block = lines[position : position + count + 2]
+                commit_line = block[-1].strip()
             except (ValueError, IndexError):
                 break
-            if commit_line != "COMMIT":
+            if len(block) != count + 2 or commit_line != b"COMMIT":
                 break
             try:
-                operations = parse_operations("\n".join(body))
+                operations = parse_operations(
+                    b"\n".join(block[1:-1]).decode("utf-8")
+                )
             except Exception:
                 break
             if len(operations) != count:
                 break
             batches.append((document_id, operations, seq))
-            position += count + 2
-        return batches
+            position += len(block)
+            offset += sum(len(block_line) + 1 for block_line in block)
+            end = offset
+        return batches, end, len(data)
+
+    def _end_wal_at(self, end: int, size: int) -> None:
+        """Make ``end`` the durable end of the WAL: cut the torn tail
+        behind it, or restore the newline a crash cut off the last
+        COMMIT line — either way the next append lands where replay
+        will look for it, not behind bytes it stops at."""
+        handle = self._wal()
+        if end < size:
+            failpoints.run("recover.cut", handle.truncate, end)
+        else:
+            failpoints.write("recover.cut", handle, b"\n")
+            handle.flush()
+        failpoints.run("recover.fsync", os.fsync, handle.fileno())
+        self._m_wal_fsyncs.inc()
 
     # ------------------------------------------------------------------
     # snapshot + recovery
@@ -1015,15 +1086,16 @@ class DocumentStore:
                         }
                     )
         database.save(self._snapshot_path())
+        self._snapshot_bytes = os.path.getsize(self._snapshot_path())
         # The snapshot covers everything: truncate the WAL.  Safe in
         # this order because save() returns only once the file *and*
         # its rename are fsynced; a crash before the truncation leaves
         # blocks whose sequence the snapshot's commit_seq tells replay
         # to skip.
         handle = self._wal()
-        handle.truncate(0)
-        os.fsync(handle.fileno())
-        self._batches_since_checkpoint = 0
+        failpoints.run("checkpoint.truncate", handle.truncate, 0)
+        failpoints.run("checkpoint.fsync", os.fsync, handle.fileno())
+        self._wal_bytes = 0
 
     def _load_documents(self, database: Database) -> None:
         """Fill ``_documents`` from a loaded snapshot: the ``documents``
@@ -1056,6 +1128,7 @@ class DocumentStore:
         default_shards: Optional[int] = None,
     ) -> None:
         database = Database.load(self._snapshot_path())
+        self._snapshot_bytes = os.path.getsize(self._snapshot_path())
         meta = {
             row["key"]: row["value"] for row in database.table("meta").scan_dicts()
         }
@@ -1065,8 +1138,9 @@ class DocumentStore:
             shards = int(shards)
         elif backend == "sharded":
             shards = default_shards
-        # Pre-identity snapshots get an identity minted now; the
-        # checkpoint at the end of recovery persists it.
+        # Pre-identity snapshots get an identity minted now; they
+        # predate the ``documents`` relation, so the checkpoint that
+        # converts them on open persists it.
         self._store_uuid = meta.get("store_uuid") or uuid.uuid4().hex
         self._commit_seq = int(meta.get("commit_seq", "0"))
         recorded_compress = meta.get("compress")
@@ -1093,57 +1167,22 @@ class DocumentStore:
                         memberships.get(row["queryId"], {}),
                     )
                 )
-        rebuilt = self._recover_forest(config, backend, shards)
-        # Replay the committed WAL batches the snapshot does not cover.
-        # A block stamped at or below the frontier is already folded in
-        # (the crash window between the snapshot rename and the WAL
-        # truncation leaves such blocks behind); unstamped blocks of
-        # older stores are numbered by position, as they always were.
-        # Nothing can read the store yet, so the documents are replayed
-        # in place; the forest is replayed only when the backend does
-        # not already hold the batch durably — a reopened segment
-        # backend's delta log typically covers the whole tail.
-        forest_backend = self._forest.backend
-        replayed = 0
-        for document_id, operations, stamped in self._read_wal():
-            seq = self._commit_seq + 1 if stamped is None else stamped
-            if seq <= self._commit_seq:
-                continue
-            self._commit_seq = seq
-            document = self._documents[document_id]
-            log = EditScript(list(operations)).apply(document)
-            self._encoded.pop(document_id, None)
-            replayed += 1
-            if seq <= forest_backend.applied_seq(document_id):
-                continue
-            forest_backend.note_commit_seq(seq)
-            self._forest.update_tree(document_id, document, log)
+        batches, wal_end, wal_size = self._read_wal()
+        forest = self._open_home(config, backend)
+        if forest is None:
+            # Nothing durable to gate on: bring every document to the
+            # end of the WAL, then build each tree's bag once.
+            replayed = self._replay_wal(batches)
+            self._forest = self._make_forest(config, backend, shards)
+            self._forest.backend.note_commit_seq(self._commit_seq)
+            self._forest.add_trees(list(self._documents.items()))
+            rebuilt = backend in _HOMES
+        else:
+            self._forest = forest
+            rebuilt = self._reconcile_home(backend)
+            replayed = self._replay_wal(batches, forest.backend)
+            rebuilt = self._roll_back_ahead() or rebuilt
         self._m_wal_replayed.inc(replayed)
-        # The delta log can also run *ahead* of the durable WAL: a torn
-        # append discards the batch from the WAL but may leave its
-        # index delta behind, recovering documents to the pre-batch
-        # state while the index holds the post-batch bags.  Any tree
-        # folded past the replayed commit frontier carries state the
-        # store never committed — rebuild those bags from the recovered
-        # documents (the authority), and clamp the backend's sequence
-        # high-water mark so the next seal cannot advertise the
-        # rolled-back frontier.
-        ahead = [
-            tree_id
-            for tree_id in list(forest_backend.tree_ids())
-            if forest_backend.applied_seq(tree_id) > self._commit_seq
-        ]
-        if ahead:
-            forest_backend.note_commit_seq(self._commit_seq)
-            for tree_id in ahead:
-                self._forest.remove_tree(tree_id)
-            self._forest.add_trees(
-                [(tree_id, self._documents[tree_id]) for tree_id in ahead]
-            )
-            truncate = getattr(forest_backend, "truncate_seq_frontier", None)
-            if truncate is not None:
-                truncate(self._commit_seq)
-            rebuilt = True
         # Standing queries resume at their durable frontier: restore the
         # persisted membership, then reconcile against the recovered
         # forest — the diff is exactly the set of events the crash (or
@@ -1154,66 +1193,67 @@ class DocumentStore:
                 self._standing.restore_subscription(query_id, spec, members)
             if self._standing.reconcile(self._commit_seq):
                 rebuilt = True
-        if replayed or rebuilt:
+        if rebuilt or "documents" not in database:
             self._checkpoint()
-        self._batches_since_checkpoint = 0
+            return
+        # Replay alone rewrites nothing: the WAL stays, and counts
+        # toward the next checkpoint from what is left of it.
+        if wal_end != wal_size:
+            self._end_wal_at(wal_end, wal_size)
+        self._wal_bytes = wal_end
 
-    def _recover_forest(
-        self, config: GramConfig, backend: str, shards: Optional[int]
-    ) -> bool:
-        """Build the forest for the recovered documents; True when a
-        backend's durable home had to be rebuilt or reconciled (the
-        caller checkpoints to persist that).
+    def _open_home(
+        self, config: GramConfig, backend: str
+    ) -> Optional[ForestIndex]:
+        """The reopened forest of a backend that is its own durable home
+        (``segment``, ``rel``), or ``None`` — every other backend, and a
+        home whose files do not load clean or carry another store's
+        fingerprint, is built from the documents instead.
 
-        Every forest is ``add_trees`` over the documents, with one
-        exception: a backend that is its own durable home (``segment``,
-        ``rel``) is reopened instead when its files load clean and carry
-        this store's fingerprint — the mapped frozen segment plus its
-        tail delta log, or ``rel.db``, with the per-tree commit
-        sequences the WAL replay gates on, so replay touches only the
-        uncovered tail.  Corrupt files (checksums, torn manifests) and
-        homes recorded for another store (copied in, or left by a
-        deleted one) are discarded and rebuilt like everything else.
-        Slower, never wrong.
+        A reopened home is the mapped frozen segment plus its tail delta
+        log, or ``rel.db``, with the per-tree commit sequences the WAL
+        replay gates on, so replay touches only the uncovered tail.
+        Corrupt files (checksums, torn manifests) and homes recorded for
+        another store (copied in, or left by a deleted one) are
+        discarded.  Slower, never wrong.
         """
-        homes = {
-            "segment": (self._segment_directory(), SegmentCorruptError),
-            "rel": (self._rel_directory(), StorageError),
-        }
+        if backend not in _HOMES:
+            return None
+        home = self._home_directory(backend)
         forest: Optional[ForestIndex] = None
-        if backend in homes:
-            home, corrupt = homes[backend]
-            try:
-                forest = ForestIndex(
-                    config,
-                    backend=backend,
-                    metrics=self._metrics,
-                    directory=home,
-                    compress=self._compress,
-                )
-            except corrupt:
-                pass
-            else:
-                if (
-                    forest.backend.source_fingerprint()  # type: ignore[attr-defined]
-                    != self._store_uuid
-                ):
-                    forest.close()
-                    forest = None
-            if forest is None:
-                shutil.rmtree(home, ignore_errors=True)
+        try:
+            forest = ForestIndex(
+                config,
+                backend=backend,
+                metrics=self._metrics,
+                directory=home,
+                compress=self._compress,
+            )
+        except _HOMES[backend][1]:
+            pass
+        else:
+            if (
+                forest.backend.source_fingerprint()  # type: ignore[attr-defined]
+                != self._store_uuid
+            ):
+                forest.close()
+                forest = None
         if forest is None:
-            self._forest = self._make_forest(config, backend, shards)
-            self._forest.backend.note_commit_seq(self._commit_seq)
-            self._forest.add_trees(list(self._documents.items()))
-            return backend in homes
-        self._forest = forest
+            shutil.rmtree(home, ignore_errors=True)
+        return forest
+
+    def _reconcile_home(self, backend: str) -> bool:
+        """Make a reopened home's membership the documents'; True when
+        it had to change (the caller checkpoints to persist that).
+
+        Around a crash the backend's own log can run a hair ahead of
+        the document snapshot (an add or remove whose checkpoint never
+        landed).  The document table is the authority on membership;
+        bag *contents* are reconciled by the sequence-gated WAL replay
+        that follows.
+        """
+        forest = self._forest
         forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
-        # Membership reconcile: around a crash the backend's own log
-        # can run a hair ahead of the document snapshot (an add or
-        # remove whose checkpoint never landed).  The document table is
-        # the authority on membership; bag *contents* are reconciled by
-        # the sequence-gated WAL replay that follows.
         reconciled = False
         for tree_id in list(forest.backend.tree_ids()):
             if tree_id not in self._documents:
@@ -1246,3 +1286,66 @@ class DocumentStore:
                         )
                 reconciled = True
         return reconciled
+
+    def _replay_wal(
+        self,
+        batches: List[Tuple[int, List[EditOperation], Optional[int]]],
+        backend: "Optional[ForestBackend]" = None,
+    ) -> int:
+        """Apply the committed WAL batches the snapshot does not cover
+        to the documents, in place (nothing can read the store yet);
+        returns how many.  A block stamped at or below the snapshot's
+        frontier is already folded in (the crash window between the
+        snapshot rename and the WAL truncation leaves such blocks
+        behind); unstamped blocks of older stores are numbered by
+        position, as they always were.
+
+        With a durable home's ``backend``, each batch it does not
+        already hold is maintained into the forest as well — a reopened
+        segment backend's delta log typically covers the whole tail.
+        """
+        replayed = 0
+        for document_id, operations, stamped in batches:
+            seq = self._commit_seq + 1 if stamped is None else stamped
+            if seq <= self._commit_seq:
+                continue
+            self._commit_seq = seq
+            document = self._documents[document_id]
+            log = EditScript(list(operations)).apply(document)
+            self._encoded.pop(document_id, None)
+            replayed += 1
+            if backend is None or seq <= backend.applied_seq(document_id):
+                continue
+            backend.note_commit_seq(seq)
+            self._forest.update_tree(document_id, document, log)
+        return replayed
+
+    def _roll_back_ahead(self) -> bool:
+        """Rebuild the bags a durable home holds past the replayed
+        commit frontier; True when there were any.
+
+        The delta log can run *ahead* of the durable WAL: a torn append
+        discards the batch from the WAL but may leave its index delta
+        behind, recovering documents to the pre-batch state while the
+        index holds the post-batch bags.  Any tree folded past the
+        frontier carries state the store never committed — rebuild
+        those bags from the recovered documents (the authority), and
+        clamp the backend's sequence high-water mark so the next seal
+        cannot advertise the rolled-back frontier.
+        """
+        backend = self._forest.backend
+        ahead = [
+            tree_id
+            for tree_id in list(backend.tree_ids())
+            if backend.applied_seq(tree_id) > self._commit_seq
+        ]
+        if not ahead:
+            return False
+        backend.note_commit_seq(self._commit_seq)
+        for tree_id in ahead:
+            self._forest.remove_tree(tree_id)
+        self._forest.add_trees(
+            [(tree_id, self._documents[tree_id]) for tree_id in ahead]
+        )
+        backend.truncate_seq_frontier(self._commit_seq)  # type: ignore[attr-defined]
+        return True

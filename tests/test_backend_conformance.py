@@ -14,6 +14,7 @@ candidate is *maintained*, the reference is *rebuilt from scratch*
 ``repro.core`` reference algorithm the result is also checked against.
 """
 
+import os
 import random
 
 import pytest
@@ -193,12 +194,7 @@ class TestBackendConformance:
         reopened store is bit-identical to a reference forest built
         from scratch over the final documents."""
         directory = str(tmp_path / "store")
-        store = DocumentStore(
-            directory,
-            CONFIG,
-            checkpoint_every=10_000,  # force recovery to replay the WAL
-            **kwargs,
-        )
+        store = DocumentStore(directory, CONFIG, **kwargs)
         reference = ForestIndex(CONFIG, backend="memory")
         documents = {}
         for tree_id, tree in make_collection(5, seed=300):
@@ -230,6 +226,39 @@ class TestBackendConformance:
                 reopened.lookup(query, tau).matches
                 == service.lookup(query, tau).matches
             )
+
+    def test_long_wal_recovers_to_a_rebuild(self, name, kwargs, tmp_path):
+        """Several hundred batches stay in the WAL — together they are
+        far below the checkpoint threshold — and the reopened store,
+        which replays every one of them, is bit-identical to a forest
+        built from scratch over the final documents."""
+        directory = str(tmp_path / "store")
+        store = DocumentStore(directory, CONFIG, **kwargs)
+        documents = dict(make_collection(6, seed=800))
+        store.add_documents(list(documents.items()))
+        rng = random.Random(8)
+        batches = 300
+        for round_number in range(batches):
+            tree_id = rng.choice(sorted(documents))
+            script = dblp_update_script(
+                documents[tree_id], rng.randint(1, 3), seed=round_number
+            )
+            documents[tree_id], _ = apply_script(documents[tree_id], script)
+            store.apply_edits(tree_id, script)
+        assert store.stats()["wal_bytes"] == os.path.getsize(
+            os.path.join(directory, "wal.log")
+        )
+        del store  # crash: every batch is in the WAL only
+        reopened = DocumentStore(directory, CONFIG, metrics=True)
+        registry = reopened.metrics_registry
+        assert registry.counter_value("wal_replayed_batches_total") == batches
+        assert registry.counter_value("checkpoints_total") == 0
+        reference = ForestIndex(CONFIG, backend="memory")
+        reference.add_trees(documents.items())
+        for tree_id, tree in documents.items():
+            assert reopened.get_document(tree_id) == tree
+        assert_equivalent(reopened._forest, reference)
+        reopened.close()
 
     def test_remove_then_readd_same_id(self, name, kwargs):
         """An id is fully reusable after removal — no stale postings,

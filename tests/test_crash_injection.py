@@ -11,6 +11,10 @@ third state, no partially applied batch) — and, whichever it is, every
 recovered index must equal a from-scratch rebuild of its document.
 The ``engine`` rows name the ``repro.core`` reference algorithm the
 post-batch index is also checked against.
+
+Beyond byte offsets, ``test_crash_at_every_failpoint`` kills the store
+at every named durable write (:mod:`repro.service.failpoints`) before,
+after, or half-way through it.
 """
 
 import os
@@ -18,8 +22,9 @@ import shutil
 
 import pytest
 
-from repro.core import GramConfig
-from repro.service import DocumentStore
+from repro.core import GramConfig, PQGramIndex
+from repro.edits import apply_script
+from repro.service import DocumentStore, failpoints
 from repro.tree import tree_from_brackets
 
 from tests.conftest import (
@@ -48,7 +53,7 @@ def store_state(store):
 def build_store(directory):
     from repro.edits import Insert, Rename
 
-    store = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+    store = DocumentStore(directory, CONFIG)
     store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
     store.add_document(2, tree_from_brackets("x(y,z)"))
     # One committed batch before the final record, so recovery always
@@ -96,7 +101,7 @@ def test_truncate_every_offset_of_final_record(tmp_path, engine):
         with open(os.path.join(workdir, WAL), "r+b") as handle:
             handle.truncate(offset)
         # must never raise
-        reopened = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        reopened = DocumentStore(workdir, CONFIG)
         assert_store_is_rebuild(reopened)
         state = store_state(reopened)
         if state == post_batch:
@@ -119,40 +124,41 @@ def test_truncate_every_offset_of_final_record(tmp_path, engine):
 def test_truncation_inside_earlier_record_drops_the_tail(tmp_path, engine):
     """A tear inside an *earlier* record invalidates everything after
     it too — recovery stops at the first non-committed block instead of
-    resynchronizing on a later BEGIN."""
+    resynchronizing on a later BEGIN.  The tear is inside the first of
+    two records appended after a reopen: the WAL the reopen kept (it
+    replays and rewrites nothing) was fsynced before, and a crash
+    cannot tear it."""
     from repro.edits import Rename
 
     origin = str(tmp_path / "origin")
     store = build_store(origin)
     wal_path = os.path.join(origin, WAL)
-    reopened = DocumentStore(origin, CONFIG, checkpoint_every=1000)
-    # Reopening replays + checkpoints; grab the folded snapshot state,
-    # then append two more batches for a multi-record WAL.
-    snapshot_state = store_state(reopened)
+    reopened = DocumentStore(origin, CONFIG)
+    reopen_state = store_state(reopened)
+    kept = os.path.getsize(wal_path)
+    assert kept > 0  # the reopen replayed build_store's batch, in place
     apply_checked(reopened, engine, [Rename(2, "q1")])
     middle_state = store_state(reopened)
+    first_end = os.path.getsize(wal_path)
     apply_checked(reopened, engine, [Rename(2, "q2")])
-    with open(wal_path, "rb") as handle:
-        wal_bytes = handle.read()
-    # Tear a few bytes into the FIRST of the two records (offset
-    # ``first_len - 2`` cuts into the COMMIT sentinel itself; one byte
+    # Tear a few bytes into the FIRST of the two new records (offset
+    # ``first_end - 2`` cuts into the COMMIT sentinel itself; one byte
     # later the sentinel text is complete and the batch would commit).
-    first_len = wal_bytes.index(b"COMMIT\n") + len(b"COMMIT\n")
-    for offset in (1, first_len - 2):
+    for offset in (kept + 1, first_end - 2):
         workdir = str(tmp_path / f"tail_{engine}_{offset}")
         shutil.copytree(origin, workdir)
         with open(os.path.join(workdir, WAL), "r+b") as handle:
             handle.truncate(offset)
-        recovered = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        recovered = DocumentStore(workdir, CONFIG)
         assert_store_is_rebuild(recovered)
-        assert store_state(recovered) == snapshot_state
+        assert store_state(recovered) == reopen_state
         shutil.rmtree(workdir)
     # Torn exactly on the record boundary: the first batch survives.
     workdir = str(tmp_path / f"tail_{engine}_boundary")
     shutil.copytree(origin, workdir)
     with open(os.path.join(workdir, WAL), "r+b") as handle:
-        handle.truncate(first_len)
-    recovered = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        handle.truncate(first_end)
+    recovered = DocumentStore(workdir, CONFIG)
     assert_store_is_rebuild(recovered)
     assert store_state(recovered) == middle_state
 
@@ -212,7 +218,7 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
         with open(os.path.join(workdir, WAL), "r+b") as handle:
             handle.truncate(offset)
         # must never raise
-        reopened = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        reopened = DocumentStore(workdir, CONFIG)
         assert_store_is_rebuild(reopened)
         assert reopened.standing_query_ids() == ["crashy"]
         recovered_matches = reopened.standing_matches("crashy")
@@ -230,7 +236,7 @@ def test_standing_state_survives_torn_wal(tmp_path, engine):
         reopened.close()
         # Recovery checkpointed the reconciled frontier: a second
         # reopen owes the subscriber nothing.
-        again = DocumentStore(workdir, CONFIG, checkpoint_every=1000)
+        again = DocumentStore(workdir, CONFIG)
         assert again.drain_notifications() == []
         assert again.standing_matches("crashy") == recovered_matches
         again.close()
@@ -249,7 +255,7 @@ def test_crash_between_snapshot_rename_and_wal_truncation(tmp_path, backend):
 
     directory = str(tmp_path / "store")
     store = DocumentStore(
-        directory, CONFIG, checkpoint_every=1000, backend=backend
+        directory, CONFIG, backend=backend
     )
     store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
     for round_ in range(5):
@@ -271,7 +277,7 @@ def test_crash_between_snapshot_rename_and_wal_truncation(tmp_path, backend):
     shutil.copy(kept, wal_path)  # the truncation never happened
     del store
 
-    reopened = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+    reopened = DocumentStore(directory, CONFIG)
     assert store_state(reopened) == acknowledged
     assert_store_is_rebuild(reopened)
     # The stale blocks stay in the WAL until the next checkpoint; a
@@ -280,7 +286,135 @@ def test_crash_between_snapshot_rename_and_wal_truncation(tmp_path, backend):
     after = store_state(reopened)
     assert after != acknowledged
     del reopened
-    again = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+    again = DocumentStore(directory, CONFIG)
     assert store_state(again) == after
     assert_store_is_rebuild(again)
+    again.close()
+
+
+@pytest.mark.parametrize(
+    "backend", ["memory", "compact", "sharded", "segment", "rel"]
+)
+def test_write_after_a_torn_tail_survives_the_next_crash(tmp_path, backend):
+    """A crash can tear the first block written after a checkpoint.  The
+    open that finds it has nothing to replay and so no reason to
+    rewrite anything — it must still cut the torn bytes, or the next
+    acknowledged batch lands behind them and the recovery after that
+    stops at the tear.  A tear that took only the COMMIT line's newline
+    leaves a committed block, whose newline the open restores."""
+    from repro.edits import Rename
+
+    origin = str(tmp_path / "origin")
+    store = DocumentStore(origin, CONFIG, backend=backend)
+    store.add_document(1, tree_from_brackets("a(b,c)"))
+    store.checkpoint()
+    store.apply_edits(1, [Rename(1, "torn")])
+    block = os.path.getsize(os.path.join(origin, WAL))
+    del store
+    for cut in (1, block // 2, block - 2, block - 1):
+        workdir = str(tmp_path / f"cut_{cut}")
+        shutil.copytree(origin, workdir)
+        with open(os.path.join(workdir, WAL), "r+b") as handle:
+            handle.truncate(cut)
+        reopened = DocumentStore(workdir, CONFIG)
+        committed = cut == block - 1
+        assert reopened.get_document(1).label(1) == ("torn" if committed else "b")
+        reopened.apply_edits(1, [Rename(2, "after")])  # acknowledged
+        acknowledged = store_state(reopened)
+        del reopened  # crash
+        recovered = DocumentStore(workdir, CONFIG)
+        assert store_state(recovered) == acknowledged
+        assert_store_is_rebuild(recovered)
+        recovered.close()
+        shutil.rmtree(workdir)
+
+
+def _failpoint_cases():
+    for point in failpoints.POINTS:
+        modes = [failpoints.CRASH_BEFORE, failpoints.CRASH_AFTER]
+        if point in failpoints.WRITE_POINTS:
+            modes.append(failpoints.SHORT_WRITE)
+        for mode in modes:
+            yield pytest.param(point, mode, id=f"{point}-{mode}")
+
+
+_WAL_APPEND = ("wal.write", "wal.flush", "wal.fsync")
+
+
+def _committed(point, mode):
+    """Whether the batch in flight had passed its commit point, the WAL
+    fsync, when the process died.  Every point past the WAL append
+    belongs to the checkpoint that batch triggered."""
+    return point not in _WAL_APPEND or (
+        point == "wal.fsync" and mode == failpoints.CRASH_AFTER
+    )
+
+
+@pytest.mark.parametrize("backend", ["memory", "compact", "sharded", "segment"])
+@pytest.mark.parametrize(("point", "mode"), list(_failpoint_cases()))
+def test_crash_at_every_failpoint(tmp_path, backend, point, mode):
+    """The machine dies at one durable write.  The directory it leaves
+    — everything written so far, except that the WAL keeps only what
+    its last fsync covered, plus the torn half of a short write — must
+    reopen to every acknowledged batch (the in-flight one too once its
+    fsync returned), to nothing unacknowledged, and to indexes equal to
+    a from-scratch build of each document; and the recovered store must
+    take a write that survives the next crash.  WAL points crash the
+    first batch; snapshot and truncation points the checkpoint the WAL
+    reaching its threshold triggers; ``recover.*`` points the open that
+    cuts a torn tail."""
+    from repro.edits import Rename
+
+    origin = str(tmp_path / "origin")
+    image = str(tmp_path / "image")
+    store = DocumentStore(origin, CONFIG, backend=backend)
+    store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+    store.add_document(2, tree_from_brackets("x(y,z)"))
+    store.apply_edits(2, [Rename(2, "acked")])
+    acknowledged = {1: store.get_document(1), 2: store.get_document(2)}
+    wal_path = os.path.join(origin, WAL)
+    durable = os.path.getsize(wal_path)  # every append so far was fsynced
+    in_flight = None
+
+    def crash():
+        shutil.copytree(origin, image)
+        if not _committed(point, mode) and mode != failpoints.SHORT_WRITE:
+            with open(os.path.join(image, WAL), "r+b") as handle:
+                handle.truncate(durable)
+
+    if point.startswith("recover."):
+        del store
+        with open(wal_path, "ab") as handle:
+            handle.write(b"BEGIN 1 1 99\nREN 1 ")
+        with failpoints.armed(point, mode, crash):
+            with pytest.raises(failpoints.Crash):
+                DocumentStore(origin, CONFIG)
+    else:
+        # Blocks of ≈ 16 KiB: the fifth carries the WAL past the floor.
+        with failpoints.armed(point, mode, crash):
+            with pytest.raises(failpoints.Crash):
+                for round_number in range(16):
+                    in_flight = [Rename(1, f"{round_number}" + "x" * 16_000)]
+                    store.apply_edits(1, in_flight)
+                    acknowledged[1] = store.get_document(1)
+        del store
+    expected = dict(acknowledged)
+    if in_flight is not None and _committed(point, mode):
+        expected[1], _ = apply_script(acknowledged[1], in_flight)
+
+    def assert_recovered(store):
+        assert sorted(store.document_ids()) == sorted(expected)
+        for document_id, document in expected.items():
+            assert store.get_document(document_id) == document
+            assert store.get_index(document_id) == PQGramIndex.from_tree(
+                document, store.config, store.hasher
+            )
+
+    recovered = DocumentStore(image, CONFIG)
+    assert_recovered(recovered)
+    recovered.apply_edits(2, [Rename(1, "later")])
+    expected[2] = recovered.get_document(2)
+    del recovered  # crash
+    again = DocumentStore(image, CONFIG)
+    assert_recovered(again)
     again.close()

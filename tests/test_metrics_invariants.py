@@ -218,7 +218,6 @@ class TestDurabilityPairing:
         store = DocumentStore(
             str(tmp_path / "store"),
             CONFIG,
-            checkpoint_every=1000,
             metrics=registry,
         )
         store.add_document(1, tree_from_brackets("a(b(c),d)"))
@@ -234,7 +233,7 @@ class TestDurabilityPairing:
 
     def test_replayed_batches_counted_on_reopen(self, tmp_path):
         directory = str(tmp_path / "store")
-        store = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+        store = DocumentStore(directory, CONFIG)
         store.add_document(1, tree_from_brackets("a(b,c)"))
         from repro.edits import Rename
 
@@ -242,7 +241,7 @@ class TestDurabilityPairing:
         store.apply_edits(1, [Rename(2, "y")])
         registry = MetricsRegistry()
         reopened = DocumentStore(
-            directory, CONFIG, checkpoint_every=1000, metrics=registry
+            directory, CONFIG, metrics=registry
         )
         assert registry.counter_value("wal_replayed_batches_total") == 2
         assert reopened.get_document(1).label(1) == "x"

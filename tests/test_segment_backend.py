@@ -509,11 +509,8 @@ def _edit_round(store, reference_forest, documents, seed):
 
 
 class TestSegmentStore:
-    def _populate(self, directory, checkpoint_every=10_000):
-        store = DocumentStore(
-            directory, CONFIG, backend="segment",
-            checkpoint_every=checkpoint_every,
-        )
+    def _populate(self, directory):
+        store = DocumentStore(directory, CONFIG, backend="segment")
         reference = ForestIndex(CONFIG, backend="memory")
         documents = {}
         for tree_id in range(6):

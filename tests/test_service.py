@@ -1,5 +1,6 @@
 """Document store tests: durability, WAL recovery, maintenance."""
 
+import glob
 import os
 
 import pytest
@@ -9,6 +10,7 @@ from repro.datasets import dblp_tree, dblp_update_script
 from repro.edits import Delete, Insert, Rename
 from repro.errors import EditError, StorageError
 from repro.service import DocumentStore
+from repro.service.store import WAL_CHECKPOINT_FLOOR, WAL_CHECKPOINT_SHARE
 from repro.tree import leaves, tree_from_brackets
 
 
@@ -84,7 +86,7 @@ class TestBasicOperations:
         the WAL (MOV lines), recovered on reopen."""
         from repro.edits import Move
 
-        store = DocumentStore(store_dir, GramConfig(2, 2), checkpoint_every=1000)
+        store = DocumentStore(store_dir, GramConfig(2, 2))
         store.add_document(1, tree_from_brackets("r(a(b,c),d(e))"))
         store.apply_edits(1, [Move(1, 4, 1), Rename(2, "z")])
         assert store.get_index(1) == rebuilt(store, 1)
@@ -131,7 +133,7 @@ class TestDurability:
             assert restored.parent(node_id) == tree.parent(node_id)
 
     def test_wal_batches_recovered_without_checkpoint(self, store_dir):
-        store = DocumentStore(store_dir, checkpoint_every=1000)
+        store = DocumentStore(store_dir)
         store.add_document(1, dblp_tree(20, seed=5))
         document = store.get_document(1)
         for batch_seed in range(3):
@@ -146,7 +148,7 @@ class TestDurability:
         assert recovered.get_index(1) == rebuilt(recovered, 1)
 
     def test_torn_wal_tail_ignored(self, store_dir):
-        store = DocumentStore(store_dir, checkpoint_every=1000)
+        store = DocumentStore(store_dir)
         store.add_document(1, tree_from_brackets("a(b)"))
         store.apply_edits(1, [Rename(1, "x")])
         expected = store.get_document(1)
@@ -156,21 +158,89 @@ class TestDurability:
         assert recovered.get_document(1) == expected
 
     def test_checkpoint_truncates_wal(self, store_dir):
-        store = DocumentStore(store_dir, checkpoint_every=2)
+        """A batch checkpoints (and truncates the WAL) exactly when the
+        WAL since the last snapshot reaches max(floor, share × snapshot
+        size): the floor decides while ``store.db`` is small, the share
+        once it is large.  ``stats()`` reports both sides."""
+        wal_path = os.path.join(store_dir, "wal.log")
+        snapshot_path = os.path.join(store_dir, "store.db")
+        store = DocumentStore(store_dir, metrics=True)
+        registry = store.metrics_registry
         store.add_document(1, tree_from_brackets("a(b,c)"))
-        store.apply_edits(1, [Rename(1, "x")])
-        assert os.path.getsize(os.path.join(store_dir, "wal.log")) > 0
-        store.apply_edits(1, [Rename(2, "y")])  # triggers checkpoint
-        assert os.path.getsize(os.path.join(store_dir, "wal.log")) == 0
+        for regime, label_size in (("floor", 4_000), ("share", 20_000)):
+            if regime == "share":
+                # A membership change checkpoints; this one makes the
+                # snapshot ≈ 300 KB.
+                store.add_document(
+                    2,
+                    tree_from_brackets(
+                        "r(" + ",".join(f"{i}{'y' * 300}" for i in range(1000)) + ")"
+                    ),
+                )
+            checkpoints = 0
+            round_number = 0
+            while checkpoints < 2:
+                threshold = max(
+                    WAL_CHECKPOINT_FLOOR,
+                    WAL_CHECKPOINT_SHARE * os.path.getsize(snapshot_path),
+                )
+                assert (threshold == WAL_CHECKPOINT_FLOOR) == (regime == "floor")
+                logged = os.path.getsize(wal_path)
+                assert store.stats()["wal_bytes"] == logged
+                assert store.stats()["snapshot_bytes"] == os.path.getsize(
+                    snapshot_path
+                )
+                written = registry.counter_value("wal_bytes_total")
+                store.apply_edits(
+                    1, [Rename(2, f"{round_number}" + "x" * label_size)]
+                )
+                block = registry.counter_value("wal_bytes_total") - written
+                if logged + block >= threshold:
+                    assert os.path.getsize(wal_path) == 0
+                    checkpoints += 1
+                else:
+                    assert os.path.getsize(wal_path) == logged + block
+                round_number += 1
+            assert round_number > 2 * 2  # several batches per checkpoint
         recovered = DocumentStore(store_dir)
         assert recovered.get_index(1) == rebuilt(recovered, 1)
+
+    def test_crossing_the_threshold_checkpoints_once(self, store_dir):
+        """The batch that carries the WAL past the threshold triggers one
+        checkpoint, which re-encodes the one edited document; the
+        batches before and after it trigger none."""
+        store = DocumentStore(store_dir, metrics=True)
+        registry = store.metrics_registry
+        store.add_documents(
+            [(1, tree_from_brackets("a(b,c)")), (2, tree_from_brackets("x(y)"))]
+        )
+        before = registry.counter_value("checkpoints_total")
+        encoded = registry.counter_value("checkpoint_documents_encoded_total")
+        label = "x" * (WAL_CHECKPOINT_FLOOR // 3)
+        history = []
+        for round_number in range(5):
+            store.apply_edits(1, [Rename(2, f"{round_number}{label}")])
+            history.append(registry.counter_value("checkpoints_total") - before)
+        # three blocks of a third of the floor each (plus framing) cross it
+        assert history == [0, 0, 1, 1, 1]
+        assert (
+            registry.counter_value("checkpoint_documents_encoded_total")
+            == encoded + 1
+        )
+        gauges = store.metrics()["gauges"]
+        assert gauges["wal_bytes"] == os.path.getsize(
+            os.path.join(store_dir, "wal.log")
+        )
+        assert gauges["snapshot_bytes"] == os.path.getsize(
+            os.path.join(store_dir, "store.db")
+        )
 
     def test_wal_restarts_at_byte_zero_after_a_checkpoint(self, store_dir):
         """The store keeps one WAL handle for its lifetime: a batch
         appended after the checkpoint truncated through it must land at
         the start of the file, and ``close`` releases the handle."""
         wal_path = os.path.join(store_dir, "wal.log")
-        store = DocumentStore(store_dir, checkpoint_every=1000)
+        store = DocumentStore(store_dir)
         store.add_document(1, tree_from_brackets("a(b,c)"))
         store.apply_edits(1, [Rename(1, "x")])
         one_block = os.path.getsize(wal_path)
@@ -188,7 +258,7 @@ class TestDurability:
         assert handle.closed and store._wal_handle is None
 
     def test_many_batches_with_periodic_checkpoints(self, store_dir):
-        store = DocumentStore(store_dir, GramConfig(2, 2), checkpoint_every=3)
+        store = DocumentStore(store_dir, GramConfig(2, 2))
         store.add_document(1, dblp_tree(15, seed=6))
         document = store.get_document(1)
         for batch_seed in range(8):
@@ -196,6 +266,8 @@ class TestDurability:
             store.apply_edits(1, list(script))
             for operation in script:
                 operation.apply(document)
+            if batch_seed % 3 == 2:
+                store.checkpoint()
         recovered = DocumentStore(store_dir)
         assert recovered.get_document(1) == document
         assert recovered.get_index(1) == rebuilt(recovered, 1)
@@ -203,7 +275,7 @@ class TestDurability:
     def test_insert_ops_in_wal_respect_id_space(self, store_dir):
         """Fresh ids allocated after recovery must not clash with ids
         created by WAL-recovered inserts."""
-        store = DocumentStore(store_dir, checkpoint_every=1000)
+        store = DocumentStore(store_dir)
         store.add_document(1, tree_from_brackets("a(b)"))
         fresh = store.get_document(1).fresh_id()
         store.apply_edits(1, [Insert(fresh, "new", 0, 1, 0)])
@@ -255,19 +327,31 @@ class TestEnginesAndStats:
         assert stats["pq_grams"] > 0
         assert stats["hasher_labels"] >= 3
 
-    def test_recovery_maintains_through_batch(self, store_dir):
-        store = DocumentStore(store_dir, GramConfig(2, 2), checkpoint_every=1000)
-        store.add_document(1, dblp_tree(15, seed=8))
-        work = store.get_document(1)
-        store.apply_edits(1, dblp_update_script(work, 5, seed=9))
-        # Reopen: WAL replay runs through the batch engine and must
-        # still land on the exact index.
-        reopened = DocumentStore(store_dir, GramConfig(2, 2), metrics=True)
-        assert reopened.get_index(1) == rebuilt(reopened, 1)
-        registry = reopened.metrics_registry
-        assert registry.counter_value("wal_replayed_batches_total") == 1
-        # One maintenance call per replayed batch — none when the
-        # segment backend's own delta log already holds the batch.
-        assert registry.counter_value("maintain_batches_total") == (
-            0 if reopened.backend_name == "segment" else 1
-        )
+    def test_recovery_maintains_through_batch(self, tmp_path):
+        """Recovery maintains the forest only where a durable home gates
+        the replay.  Without one (``compact``) the batch is applied to
+        the document and the forest built once afterwards: no
+        maintenance batch runs and the index equals a rebuild.  A
+        ``segment`` home whose delta log lost the batch (the WAL append
+        is fsynced, the delta append only flushed) replays it through
+        the batch engine."""
+        for backend in ("compact", "segment"):
+            directory = str(tmp_path / backend)
+            store = DocumentStore(directory, GramConfig(2, 2), backend=backend)
+            store.add_document(1, dblp_tree(15, seed=8))
+            deltas = os.path.join(directory, "segments", "delta-*.log")
+            sizes = {path: os.path.getsize(path) for path in glob.glob(deltas)}
+            work = store.get_document(1)
+            store.apply_edits(1, dblp_update_script(work, 5, seed=9))
+            del store
+            for path in glob.glob(deltas):
+                with open(path, "r+b") as handle:
+                    handle.truncate(sizes.get(path, 0))
+            reopened = DocumentStore(directory, GramConfig(2, 2), metrics=True)
+            assert reopened.backend_name == backend
+            assert reopened.get_index(1) == rebuilt(reopened, 1)
+            registry = reopened.metrics_registry
+            assert registry.counter_value("wal_replayed_batches_total") == 1
+            assert registry.counter_value("maintain_batches_total") == (
+                1 if backend == "segment" else 0
+            )

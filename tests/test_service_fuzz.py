@@ -21,7 +21,7 @@ from repro.tree import tree_to_brackets
 def _prepare(store_dir: str, batches: int):
     """A store with `batches` committed WAL batches and the expected
     document state after each prefix."""
-    store = DocumentStore(store_dir, GramConfig(2, 2), checkpoint_every=10_000)
+    store = DocumentStore(store_dir, GramConfig(2, 2))
     store.add_document(1, dblp_tree(12, seed=7))
     document = store.get_document(1)
     prefix_states = [tree_to_brackets(document)]

@@ -81,7 +81,6 @@ def _run_stream(directory, backend, engine, seed, rounds=6):
         directory,
         config=GramConfig(2, 3),
         backend=backend,
-        checkpoint_every=1000,
     )
     documents = [
         (document_id, random_tree(rng, 14)) for document_id in range(10)

@@ -7,6 +7,7 @@ the rule that a published document is never written in place.
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,7 +119,7 @@ class TestCheckpointEncodesOnlyDirtyDocuments:
         directory = str(tmp_path / "store")
         registry = MetricsRegistry()
         store = DocumentStore(
-            directory, CONFIG, checkpoint_every=1000, metrics=registry
+            directory, CONFIG, metrics=registry
         )
         store.add_documents(_collection(40))
         assert registry.counter_value(ENCODED) == 40
@@ -155,23 +156,32 @@ class TestCheckpointEncodesOnlyDirtyDocuments:
 
     def test_replayed_documents_are_re_encoded(self, tmp_path):
         directory = str(tmp_path / "store")
-        store = DocumentStore(directory, CONFIG, checkpoint_every=1000)
+        store = DocumentStore(directory, CONFIG)
         store.add_documents(_collection(6))
         store.apply_edits(2, [Rename(1, "replayed")])
-        del store  # no close: the batch lives in the WAL only
+        store.apply_edits(4, [Rename(1, "also")])
+        store.apply_edits(2, [Rename(1, "twice")])
+        del store  # no close: the batches live in the WAL only
         registry = MetricsRegistry()
         reopened = DocumentStore(directory, metrics=registry)
-        # Recovery checkpoints what it replayed: exactly document 2.
-        assert registry.counter_value(ENCODED) == 1
-        assert registry.counter_value("wal_replayed_batches_total") == 1
+        # Replay alone writes nothing ...
+        assert registry.counter_value("wal_replayed_batches_total") == 3
+        assert registry.counter_value("checkpoints_total") == 0
+        assert registry.counter_value(ENCODED) == 0
+        # ... and the first checkpoint after it encodes exactly the
+        # replayed documents, 2 and 4.
+        reopened.checkpoint()
+        assert registry.counter_value(ENCODED) == 2
         reopened.close()
-        assert DocumentStore(directory).get_document(2).label(1) == "replayed"
+        again = DocumentStore(directory)
+        assert again.get_document(2).label(1) == "twice"
+        assert again.get_document(4).label(1) == "also"
 
     def test_failing_batch_keeps_the_cached_record_valid(self, tmp_path):
         directory = str(tmp_path / "store")
         registry = MetricsRegistry()
         store = DocumentStore(
-            directory, CONFIG, checkpoint_every=1000, metrics=registry
+            directory, CONFIG, metrics=registry
         )
         store.add_document(1, tree_from_brackets("a(b(c,d),e)"))
         cached = store._encoded[1]
@@ -276,7 +286,7 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
             wal_batches.append((document_id, script))
     write_previous_format(directory, documents, backend, wal_batches)
 
-    store = DocumentStore(directory, checkpoint_every=1000)
+    store = DocumentStore(directory)
     assert store.backend_name == backend
     assert 999 not in store._forest
     assert {
@@ -297,6 +307,58 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
     assert reopened._commit_seq == 12 + len(wal_batches)
     assert_store_is_rebuild(reopened)
     reopened.close()
+
+
+def test_replay_only_open_leaves_the_snapshot_byte_identical(tmp_path):
+    """An open that only replays the WAL rewrites nothing: ``store.db``
+    and ``wal.log`` keep their bytes, and the next batch is appended
+    behind the replayed ones."""
+    directory = str(tmp_path / "store")
+    store = DocumentStore(directory, CONFIG)
+    store.add_documents(_collection(4))
+    for document_id in (1, 3, 1):
+        tree = store.get_document(document_id)
+        store.apply_edits(
+            document_id, [Insert(tree.fresh_id(), "new", tree.root_id, 1, 0)]
+        )
+    expected = {
+        document_id: store.get_document(document_id)
+        for document_id in store.document_ids()
+    }
+    del store
+    paths = [Path(directory, name) for name in ("store.db", "wal.log")]
+    before = [path.read_bytes() for path in paths]
+
+    reopened = DocumentStore(directory)
+    assert [path.read_bytes() for path in paths] == before
+    assert {
+        document_id: reopened.get_document(document_id)
+        for document_id in reopened.document_ids()
+    } == expected
+    assert_store_is_rebuild(reopened)
+    assert reopened.stats()["wal_bytes"] == len(before[1])
+    reopened.apply_edits(2, [Rename(1, "later")])
+    snapshot, wal = (path.read_bytes() for path in paths)
+    assert snapshot == before[0]
+    assert wal.startswith(before[1]) and len(wal) > len(before[1])
+    reopened.close()
+
+
+def test_previous_format_is_rewritten_on_open(tmp_path):
+    """A snapshot written before the ``documents`` relation existed is
+    converted by the open itself, with no WAL to replay."""
+    directory = str(tmp_path / "store")
+    documents = [(document_id, sparse_tree(10, document_id)) for document_id in (1, 2)]
+    write_previous_format(directory, documents, "compact")
+    snapshot_path = os.path.join(directory, "store.db")
+    assert "nodes" in Database.load(snapshot_path)
+    store = DocumentStore(directory)
+    database = Database.load(snapshot_path)
+    assert "documents" in database
+    assert "indexes" not in database and "nodes" not in database
+    assert store.stats()["snapshot_bytes"] == os.path.getsize(snapshot_path)
+    assert_store_is_rebuild(store)
+    store.close()
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,6 @@ def test_ingested_versions_keep_standing_state_consistent(initial, updates):
         store = DocumentStore(
             directory + "/store",
             config=GramConfig(2, 3),
-            checkpoint_every=1000,
         )
         for document_id, shape in enumerate(initial):
             outcome, _ = ingest_snapshot(store, document_id, _build_tree(shape))
@@ -115,7 +114,7 @@ def test_feed_report_accounts_every_item(shapes, repeat_choice):
     sighting → added, identical resend → unchanged, changed version →
     updated; operation counts only accrue for real diffs."""
     with tempfile.TemporaryDirectory() as directory:
-        store = DocumentStore(directory + "/store", checkpoint_every=1000)
+        store = DocumentStore(directory + "/store")
         items = [
             (document_id, _build_tree(shape))
             for document_id, shape in enumerate(shapes)
