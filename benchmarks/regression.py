@@ -5,9 +5,7 @@ budget), the sharded-backend bench (the 256-tree lookup fanned out
 over 1/4/8 shards — 8 shards must not lose to 1, the fan-out
 crossover gate), the incremental-update bench (fixed log over
 growing trees), the maintenance bench (n-op logs over a ~10k-node
-tree, per-op replay vs one batched call), and the segment bench (a
-10k-tree cold open, snapshot-restore vs segment-mmap — the mmap
-reopen must be at least ``REOPEN_MIN_SPEEDUP``× faster — plus the
+tree, per-op replay vs one batched call), and the segment bench (the
 256-tree lookup through the segment backend, which must stay within
 ``SEGMENT_LOOKUP_TOLERANCE`` of the compact sweep) at small scale,
 the succinct-index check (resident bytes-per-tree of a 10k-tree
@@ -85,8 +83,6 @@ METRICS_OVERHEAD_TOLERANCE = 1.05
 #: 8-shard lookup must not lose to the single-shard path (the
 #: pre-fan-out shard pre-check + additive aggregation fix)
 SHARDED_CROSSOVER_TOLERANCE = 1.0
-#: segment-mmap cold open vs snapshot-restore at 10k trees
-REOPEN_MIN_SPEEDUP = 10.0
 #: segment lookup vs the compact sweep on the 256-tree workload
 SEGMENT_LOOKUP_TOLERANCE = 1.15
 #: succinct (dedup + intern + varint) resident bytes-per-tree vs the
@@ -113,7 +109,6 @@ UPDATE_TREE_SIZES = (2_000, 8_000)
 UPDATE_LOG_SIZE = 20
 MAINTAIN_NODE_BUDGET = 10_000
 MAINTAIN_LOG_SIZES = (1, 8, 64)
-REOPEN_TREE_COUNT = 10_000
 SIZE_TREE_COUNT = 10_000
 QUERY_TREE_COUNT = 10_000
 QUERY_SELECTIVITY = 0.10
@@ -258,65 +253,14 @@ def measure_maintain() -> Dict[str, float]:
 
 
 def measure_segment() -> Dict[str, float]:
-    """Cold-open and lookup cost of the out-of-core segment backend.
-
-    Reopen: a sealed ``REOPEN_TREE_COUNT``-tree forest is brought back
-    two ways — ``ForestIndex.load`` (deserialize the relation, rebuild
-    the backend: O(index)) and a segment reopen (map the frozen file,
-    replay an empty delta tail: O(validation)).  ``reopen_speedup``
-    must clear ``REOPEN_MIN_SPEEDUP`` — the whole point of keeping the
-    frozen postings out of core.  ``ready()`` is included in the
-    segment arm so the lazy key table and CSR views are paid for, not
-    hidden.
-
-    Lookup: the 256-tree workload through the segment backend vs the
-    compact sweep, interleaved rounds with the best paired round
-    reported (drift hits both arms of a pair equally);
-    ``segment_lookup_ratio`` must stay within
+    """Lookup cost of the segment backend: the 256-tree workload
+    through the mapped segment vs the compact sweep, interleaved rounds
+    with the best paired round reported (drift hits both arms of a pair
+    equally); ``segment_lookup_ratio`` must stay within
     ``SEGMENT_LOOKUP_TOLERANCE`` — serving from the mapped arrays may
     not tax the hot path.
     """
-    import shutil
-    import tempfile
-
     results: Dict[str, float] = {}
-    base = tempfile.mkdtemp(prefix="repro-bench-segment-")
-    try:
-        segment_dir = os.path.join(base, "segments")
-        snapshot_path = os.path.join(base, "forest.db")
-        collection = [
-            (tree_id, dblp_tree(1, seed=tree_id))
-            for tree_id in range(REOPEN_TREE_COUNT)
-        ]
-        forest = ForestIndex(CONFIG, backend="segment", directory=segment_dir)
-        forest.add_trees(collection)
-        forest.compact()  # seal: postings frozen into the mmap segment
-        forest.save(snapshot_path)
-        forest.close()
-
-        def restore_arm() -> None:
-            ForestIndex.load(snapshot_path)
-
-        def mmap_arm() -> None:
-            reopened = ForestIndex(
-                CONFIG, backend="segment", directory=segment_dir
-            )
-            reopened.backend.ready()
-            reopened.close()
-
-        results["reopen_snapshot_10k_ms"] = (
-            wall_time(restore_arm, repeats=1) * 1e3
-        )
-        results["reopen_segment_10k_ms"] = (
-            wall_time(mmap_arm, repeats=3) * 1e3
-        )
-        results["reopen_speedup"] = (
-            results["reopen_snapshot_10k_ms"]
-            / results["reopen_segment_10k_ms"]
-        )
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-
     per_tree = LOOKUP_BUDGET // SHARDED_TREE_COUNT
     collection = [
         (tree_id, xmark_tree(per_tree, seed=9000 + tree_id))
@@ -645,20 +589,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         f"limit {SHARDED_CROSSOVER_TOLERANCE:.2f}x) "
         + ("REGRESSION" if crossover_ratio > SHARDED_CROSSOVER_TOLERANCE
            else "ok")
-    )
-    reopen_speedup = segment["reopen_speedup"]
-    if reopen_speedup < REOPEN_MIN_SPEEDUP:
-        overhead_failures.append(
-            f"reopen_speedup: {reopen_speedup:.1f}x "
-            f"(< {REOPEN_MIN_SPEEDUP:.0f}x) — segment mmap reopen lost "
-            f"its edge over snapshot restore at {REOPEN_TREE_COUNT} trees"
-        )
-    print(
-        f"  reopen_speedup: {reopen_speedup:.1f}x "
-        f"(snapshot {segment['reopen_snapshot_10k_ms']:.1f} ms / "
-        f"segment {segment['reopen_segment_10k_ms']:.1f} ms, "
-        f"floor {REOPEN_MIN_SPEEDUP:.0f}x) "
-        + ("REGRESSION" if reopen_speedup < REOPEN_MIN_SPEEDUP else "ok")
     )
     segment_ratio = segment["segment_lookup_ratio"]
     if segment_ratio > SEGMENT_LOOKUP_TOLERANCE:

@@ -13,9 +13,8 @@ with five interchangeable engines:
   partitioned by pq-gram fingerprint over N inner backends; lookups
   fan out per shard and merge overlaps additively.
 - :class:`~repro.backend.segment.SegmentBackend` — frozen postings in
-  memory-mapped on-disk segment files plus an in-memory overlay and a
-  tail delta log; reopen maps the segment read-only and replays only
-  the delta — O(overlay), not O(index).
+  memory-mapped segment files it seals itself, plus an in-memory
+  overlay, so the frozen base lives outside the Python heap.
 - :class:`~repro.backend.rel.RelBackend` — the relation as actual
   relstore tables (postings, sizes, pre/post node tables) with hash
   and sorted secondary indexes; the only backend that stores the

@@ -281,24 +281,6 @@ class ForestBackend(ABC):
         return False
 
     # ------------------------------------------------------------------
-    # durability hooks (document-store integration)
-    # ------------------------------------------------------------------
-
-    def note_commit_seq(self, seq: int) -> None:
-        """Tell the backend which store commit the next mutations
-        belong to.  Durable backends stamp the sequence into their own
-        logs so recovery can tell replayed work from missing work;
-        in-memory backends ignore it (the default)."""
-
-    def applied_seq(self, tree_id: int) -> int:
-        """The highest store commit whose effects on ``tree_id`` this
-        backend already holds durably, or ``-1`` when the backend does
-        not track durability (the default) — recovery then re-applies
-        every logged batch, which is exactly right for backends rebuilt
-        from the store snapshot."""
-        return -1
-
-    # ------------------------------------------------------------------
     # snapshot isolation
     # ------------------------------------------------------------------
 
@@ -365,9 +347,9 @@ def make_backend(
     ``segment`` / ``rel``.
 
     ``shards`` is only meaningful with ``sharded`` (default 4 there)
-    and ``directory`` only with the durable backends ``segment`` and
-    ``rel`` (ephemeral storage otherwise); passing either with any
-    other spec is an error — it would silently do nothing otherwise.
+    and ``directory`` only with ``segment`` (where its sealed files are
+    mapped; a temp dir otherwise); passing either with any other spec
+    is an error — it would silently do nothing otherwise.
     ``compress`` forces the succinct storage layer on or off for any
     named backend (``None`` defers to ``REPRO_COMPRESS``, see
     :func:`repro.compress.compression_enabled`).
@@ -392,10 +374,9 @@ def make_backend(
                 "compress= cannot be combined with a backend instance"
             )
         return spec
-    if directory is not None and spec not in ("segment", "rel"):
+    if directory is not None and spec != "segment":
         raise ValueError(
-            "directory= is only valid with the segment or rel backends, "
-            f"not {spec!r}"
+            f"directory= is only valid with the segment backend, not {spec!r}"
         )
     if spec == "sharded":
         return ShardedBackend(
@@ -410,7 +391,7 @@ def make_backend(
     if spec == "segment":
         return SegmentBackend(directory, compress=compress)
     if spec == "rel":
-        return RelBackend(directory, compress=compress)
+        return RelBackend(compress=compress)
     raise ValueError(
         f"unknown forest backend {spec!r}; valid backends: "
         + ", ".join(BACKEND_NAMES)

@@ -6,8 +6,7 @@ presents it — as relations in the embedded relational store:
 - ``postings(treeId, pqg, cnt)`` — the Fig. 4b index relation, primary
   key ``(treeId, pqg)``, hash-indexed by ``pqg`` (the candidate sweep)
   and by ``treeId`` (per-tree bag reads),
-- ``sizes(treeId, size, seq)`` — |I| per tree plus the per-tree commit
-  sequence the document store's recovery gates WAL replay on,
+- ``sizes(treeId, size)`` — |I| per tree,
 - ``nodes(treeId, pre, post, size, label)`` — one pre/post-order row
   per document node: the *XPath-accelerator* encoding, where
   ``descendant(a, d) ⟺ pre(a) < pre(d) ∧ post(d) < post(a)`` and the
@@ -20,19 +19,14 @@ presents it — as relations in the embedded relational store:
   ``supports_structural_predicates`` and the executor pushes
   predicates into the candidate sweep.
 
-Durability rides relstore snapshots: ``checkpoint()`` writes the whole
-database (postings, sizes + sequences, node tables) to
-``<directory>/rel.db`` atomically, so the document store needs no
-separate full-snapshot checkpoint for this backend — recovery reopens
-``rel.db`` and replays only the WAL tail whose sequences exceed the
-per-tree ``seq`` column.  Without a directory the backend is
-ephemeral (tables live in memory only), which is what conformance
-twins and ``ForestIndex.load`` use.
+The tables live in memory only.  Like every index, they are derived:
+the document store builds them from its documents when it opens, and
+:meth:`ForestIndex.add_trees` records each tree's node rows as it
+indexes it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -57,14 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.plan import Plan
     from repro.tree.tree import Tree
 
-SNAPSHOT_NAME = "rel.db"
-
 _POSTINGS_SCHEMA = Schema(
     [Column("treeId", int), Column("pqg", tuple), Column("cnt", int)]
 )
-_SIZES_SCHEMA = Schema(
-    [Column("treeId", int), Column("size", int), Column("seq", int)]
-)
+_SIZES_SCHEMA = Schema([Column("treeId", int), Column("size", int)])
 _NODES_SCHEMA = Schema(
     [
         Column("treeId", int),
@@ -74,7 +64,6 @@ _NODES_SCHEMA = Schema(
         Column("label", str),
     ]
 )
-_META_SCHEMA = Schema([Column("key", str), Column("value", str)])
 
 
 class RelBackend(ForestBackend):
@@ -82,73 +71,35 @@ class RelBackend(ForestBackend):
 
     name = "rel"
 
-    def __init__(
-        self, directory: Optional[str] = None, compress: Optional[bool] = None
-    ) -> None:
+    def __init__(self, compress: Optional[bool] = None) -> None:
         from repro.compress import compression_enabled, default_pool
 
         self._compress = compression_enabled(compress)
         self._pool = default_pool() if self._compress else None
-        self._directory = directory
-        self.ephemeral = directory is None
-        self._seq = -1
         self._missing_structure: Set[int] = set()
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-        path = self._snapshot_path()
-        if path is not None and os.path.exists(path):
-            self._adopt(Database.load(path))
-        else:
-            self._adopt(self._fresh_database())
-        self.bind_metrics(NULL_REGISTRY)
-
-    # ------------------------------------------------------------------
-    # database plumbing
-    # ------------------------------------------------------------------
-
-    def _snapshot_path(self) -> Optional[str]:
-        if self._directory is None:
-            return None
-        return os.path.join(self._directory, SNAPSHOT_NAME)
-
-    @staticmethod
-    def _fresh_database() -> Database:
         database = Database()
-        postings = database.create_table(
+        self._postings = database.create_table(
             "postings", _POSTINGS_SCHEMA, primary_key=("treeId", "pqg")
         )
-        postings.create_index("by_pqg", ("pqg",), kind="hash")
-        postings.create_index("by_tree", ("treeId",), kind="hash")
-        database.create_table("sizes", _SIZES_SCHEMA, primary_key=("treeId",))
-        nodes = database.create_table(
+        self._postings.create_index("by_pqg", ("pqg",), kind="hash")
+        self._postings.create_index("by_tree", ("treeId",), kind="hash")
+        self._sizes = database.create_table(
+            "sizes", _SIZES_SCHEMA, primary_key=("treeId",)
+        )
+        self._nodes = database.create_table(
             "nodes", _NODES_SCHEMA, primary_key=("treeId", "pre")
         )
         # The sorted index comes first: the planner breaks covered-count
         # ties in creation order, so descendant-interval selections
         # And(treeId=t, pre∈[lo,hi], label=x) run through the range path
         # while pure equality selections still pick the hash indexes.
-        nodes.create_index("by_pre", ("treeId", "pre"), kind="sorted")
-        nodes.create_index("by_tree_label", ("treeId", "label"), kind="hash")
-        nodes.create_index("by_label", ("label",), kind="hash")
-        nodes.create_index("by_tree", ("treeId",), kind="hash")
-        database.create_table("meta", _META_SCHEMA, primary_key=("key",))
-        return database
-
-    def _adopt(self, database: Database) -> None:
-        for name in ("postings", "sizes", "nodes", "meta"):
-            if name not in database:
-                raise StorageError(
-                    f"rel snapshot is missing the {name!r} table"
-                )
-        self._db = database
-        self._postings = database.table("postings")
-        self._sizes = database.table("sizes")
-        self._nodes = database.table("nodes")
-        self._meta = database.table("meta")
-        structured = {row[0] for row in self._nodes.scan()}
-        self._missing_structure = {
-            row[0] for row in self._sizes.scan() if row[0] not in structured
-        }
+        self._nodes.create_index("by_pre", ("treeId", "pre"), kind="sorted")
+        self._nodes.create_index(
+            "by_tree_label", ("treeId", "label"), kind="hash"
+        )
+        self._nodes.create_index("by_label", ("label",), kind="hash")
+        self._nodes.create_index("by_tree", ("treeId",), kind="hash")
+        self.bind_metrics(NULL_REGISTRY)
 
     def _bind_instruments(self, registry: MetricsRegistry) -> None:
         self._m_keys_swept = registry.counter(
@@ -190,7 +141,7 @@ class RelBackend(ForestBackend):
         for key, count in bag.items():
             insert((tree_id, self._intern(key), count))
             size += count
-        self._sizes.insert_row((tree_id, size, self._seq))
+        self._sizes.insert_row((tree_id, size))
         self._missing_structure.add(tree_id)
         # Rows are copied into the relation, so a shared dedup
         # reference is returned immediately instead of being held.
@@ -226,7 +177,7 @@ class RelBackend(ForestBackend):
             else:
                 self._postings.update((tree_id, key), {"cnt": row[2] + count})
             size += count
-        self._sizes.update((tree_id,), {"size": size, "seq": self._seq})
+        self._sizes.update((tree_id,), {"size": size})
         touched = minus.keys() | plus.keys()
         self._m_deltas.inc()
         self._m_delta_keys.inc(len(touched))
@@ -248,7 +199,7 @@ class RelBackend(ForestBackend):
             for key, count in bag.items():
                 insert((tree_id, self._intern(key), count))
                 size += count
-            self._sizes.insert_row((tree_id, size, -1))
+            self._sizes.insert_row((tree_id, size))
         # A restored relation carries bags only — the pre/post encoding
         # must be re-recorded before pushdown is sound again.
         self._missing_structure = {row[0] for row in self._sizes.scan()}
@@ -360,8 +311,8 @@ class RelBackend(ForestBackend):
         return not self._missing_structure
 
     def structures_missing(self) -> Set[int]:
-        """Tree ids indexed without node rows (recovery re-records
-        these from the source documents before pushdown is offered)."""
+        """Tree ids indexed without node rows (pushdown waits until
+        their structure is recorded)."""
         return set(self._missing_structure)
 
     def structural_matcher(
@@ -435,55 +386,6 @@ class RelBackend(ForestBackend):
         return bool(anchors)
 
     # ------------------------------------------------------------------
-    # durability (document-store integration)
-    # ------------------------------------------------------------------
-
-    def note_commit_seq(self, seq: int) -> None:
-        """Stamp subsequent mutations with the store's commit seq."""
-        self._seq = seq
-
-    def applied_seq(self, tree_id: int) -> int:
-        """Highest commit seq stamped on ``tree_id``'s relation rows —
-        after a reopen this reflects exactly what ``rel.db`` holds, so
-        WAL replay skips batches at or below it."""
-        row = self._sizes.get_row((tree_id,))
-        return -1 if row is None else row[2]
-
-    def truncate_seq_frontier(self, seq: int) -> None:
-        """Clamp stamped sequences after a recovery rollback, so rogue
-        rows that outran the committed WAL cannot masquerade as durable
-        at a future sequence."""
-        self._seq = min(self._seq, seq)
-        for row in list(self._sizes.scan()):
-            if row[2] > seq:
-                self._sizes.update((row[0],), {"seq": seq})
-
-    def set_source(self, fingerprint: Optional[str]) -> None:
-        """Record the owning store's identity (persisted at the next
-        checkpoint) so recovery can reject a foreign rel.db."""
-        if fingerprint is None:
-            self._meta.delete(("source",))
-        else:
-            self._meta.upsert({"key": "source", "value": fingerprint})
-
-    def source_fingerprint(self) -> Optional[str]:
-        row = self._meta.get_row(("source",))
-        return None if row is None else row[1]
-
-    def checkpoint(self) -> bool:
-        """Write the whole relation to ``rel.db`` atomically.
-
-        One relstore snapshot covers postings, sizes (with their commit
-        sequences) and the node tables — after this returns, the store
-        may truncate its WAL.  A no-op for ephemeral backends.
-        """
-        path = self._snapshot_path()
-        if path is None:
-            return False
-        self._db.save(path)
-        return True
-
-    # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
 
@@ -498,7 +400,6 @@ class RelBackend(ForestBackend):
             "node_rows": len(self._nodes),
             "structured_trees": len(self._sizes) - len(self._missing_structure),
             "compress": self._compress,
-            "durable": not self.ephemeral,
         }
 
     def check_consistency(self) -> None:

@@ -1,26 +1,22 @@
 """Out-of-core backend: memory-mapped frozen segments + tree overlay.
 
-The other backends rebuild their whole state in RAM on every open —
-checkpoints are ``snapshot()``/``restore()`` round-trips, so reopen is
-O(index).  :class:`SegmentBackend` keeps the frozen majority of the
+:class:`SegmentBackend` keeps the frozen majority of the
 ``(treeId, pqg, cnt)`` relation in an on-disk *segment* file laid out
 exactly like :class:`~repro.perf.sweep.CompactPostings` (CSR posting
-arrays + key table), mapped read-only via numpy ``memmap``.  Recent
-writes live in a small in-memory overlay (a plain
-:class:`~repro.backend.memory.MemoryBackend`) and are logged to a
-``delta-NNNNNNNN.log`` file; *sealing* folds overlay + mask into
-a new segment generation and truncates the delta.  Reopen therefore
-maps the segment (no parse, no copy) and replays only the delta tail —
-O(overlay), not O(index).
+arrays + key table), mapped read-only via numpy ``memmap``, so the
+frozen base lives in the page cache rather than on the Python heap.
+Recent writes live in a small in-memory overlay (a plain
+:class:`~repro.backend.memory.MemoryBackend`); *sealing*
+(:meth:`SegmentBackend.compact`) folds overlay + mask into a new
+segment generation ``segment-NNNNNNNN.seg`` in the backend's
+directory.
 
-On-disk layout (all little-endian)::
+The files are a memory map, not a durable home: the backend starts
+empty, never reads a file it did not write in this process, and a
+document store builds it from the documents on every open like any
+other backend.
 
-    MANIFEST.json          generation, segment file name, sealed_seq,
-                           source-store fingerprint   (atomic replace)
-    segment-NNNNNNNN.seg   frozen relation, one per generation
-    delta-NNNNNNNN.log     length+crc framed records since the seal
-
-Segment file::
+Segment file (all little-endian)::
 
     magic "RSEGIDX1" | <4QI4x> n_trees n_keys n_postings n_keyvals crc
     tree_ids[T] tree_sizes[T]                      (int64 each)
@@ -31,7 +27,8 @@ Segment file::
 The CRC is computed over the whole file with the crc field zeroed, so
 any byte flip — header or arrays — fails validation; truncation fails
 the size check first.  A file that fails validation raises
-:class:`~repro.errors.SegmentCorruptError` and is never served.
+:class:`~repro.errors.SegmentCorruptError` from :func:`_open_segment`
+and is never served.
 
 Masking: a tree that is written after the seal is *masked*
 (:class:`~repro.perf.sweep.TreeMask`, the rule the compact backend
@@ -45,8 +42,6 @@ frozen-plus-overlay reader shares.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import shutil
 import struct
@@ -74,9 +69,6 @@ from repro.relstore.database import fsync_directory
 
 if HAVE_NUMPY:
     import numpy as _np
-
-MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = 1
 
 _MAGIC = b"RSEGIDX1"
 _HEADER = struct.Struct("<4QI4x")  # n_trees n_keys n_postings n_keyvals crc
@@ -113,16 +105,6 @@ _MAGIC2 = b"RSEGIDX2"
 _HEADER2 = struct.Struct("<7QI4x")
 _HEADER2_SIZE = len(_MAGIC2) + _HEADER2.size  # 72 bytes, 8-aligned
 
-_RECORD_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
-_RECORD_HEAD = struct.Struct("<qq")  # tree_id, commit seq
-_BAG_LEN = struct.Struct("<I")
-_KEY_LEN = struct.Struct("<H")
-_INT64 = struct.Struct("<q")
-
-_OP_ADD = b"A"
-_OP_DELTA = b"D"
-_OP_REMOVE = b"R"
-
 
 def _pack_int64(values: Iterable[int]) -> bytes:
     """Little-endian int64 serialization of a value sequence."""
@@ -131,30 +113,6 @@ def _pack_int64(values: Iterable[int]) -> bytes:
         data = array("q", data)
         data.byteswap()
     return data.tobytes()
-
-
-def _pack_bag(bag: Mapping[Key, int]) -> bytes:
-    out = [_BAG_LEN.pack(len(bag))]
-    for key, count in bag.items():
-        out.append(_KEY_LEN.pack(len(key)))
-        out.append(_pack_int64(key))
-        out.append(_INT64.pack(count))
-    return b"".join(out)
-
-
-def _unpack_bag(payload: bytes, offset: int) -> Tuple[Bag, int]:
-    (entries,) = _BAG_LEN.unpack_from(payload, offset)
-    offset += _BAG_LEN.size
-    bag: Bag = {}
-    for _ in range(entries):
-        (arity,) = _KEY_LEN.unpack_from(payload, offset)
-        offset += _KEY_LEN.size
-        key = struct.unpack_from("<%dq" % arity, payload, offset)
-        offset += 8 * arity
-        (count,) = _INT64.unpack_from(payload, offset)
-        offset += _INT64.size
-        bag[key] = count
-    return bag, offset
 
 
 def write_segment_file(path: str, bags: Mapping[int, Mapping[Key, int]]) -> None:
@@ -798,7 +756,7 @@ def _open_segment(path: str, verify_checksum: bool = True):
 
 
 class SegmentBackend(ForestBackend):
-    """Frozen on-disk segment + in-memory overlay + tail delta log."""
+    """Frozen memory-mapped segment + in-memory overlay."""
 
     name = "segment"
 
@@ -812,7 +770,6 @@ class SegmentBackend(ForestBackend):
         self,
         directory: Optional[str] = None,
         *,
-        verify_checksums: bool = True,
         compress: Optional[bool] = None,
     ) -> None:
         from repro.compress import compression_enabled
@@ -825,151 +782,18 @@ class SegmentBackend(ForestBackend):
             )
             self.ephemeral = True
         else:
-            os.makedirs(directory, exist_ok=True)
             self._finalizer = None
             self.ephemeral = False
         self.directory = directory
-        self.verify_checksums = verify_checksums
 
         self._overlay = MemoryBackend(compress=self._compress)
         self._masked = TreeMask()  # trees written since the seal
         self._sizes: Dict[int, int] = {}
         self._segment: Optional[_Segment] = None
         self._generation = 0
-        self._source: Optional[str] = None
-        self._sealed_seq = -1
-        self._max_seq = -1
-        self._seq = -1
-        self._watermarks: Dict[int, int] = {}
         self._mutations = 0
         self._mutations_at_seal = 0
-        self._delta: Optional[io.BufferedWriter] = None
-        self._closed = False
-
-        started = time.perf_counter()
-        reopened = self._open_existing()
-        self._pending_reopen = (
-            time.perf_counter() - started if reopened else None
-        )
         self.bind_metrics(NULL_REGISTRY)
-
-    # ------------------------------------------------------------------
-    # open / reopen
-    # ------------------------------------------------------------------
-
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
-    def _delta_path(self) -> str:
-        return os.path.join(self.directory, "delta-%08d.log" % self._generation)
-
-    def _open_existing(self) -> bool:
-        manifest_path = self._manifest_path()
-        if not os.path.exists(manifest_path):
-            return False
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SegmentCorruptError(
-                f"unreadable segment manifest {manifest_path}: {exc}"
-            ) from exc
-        if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
-            raise SegmentCorruptError(
-                f"segment manifest {manifest_path} has an unsupported format"
-            )
-        try:
-            self._generation = int(manifest["generation"])
-            segment_name = manifest["segment"]
-            self._sealed_seq = int(manifest.get("sealed_seq", -1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SegmentCorruptError(
-                f"segment manifest {manifest_path} is missing fields: {exc}"
-            ) from exc
-        self._max_seq = self._sealed_seq
-        self._source = manifest.get("source")
-        if segment_name is not None:
-            self._segment = _open_segment(
-                os.path.join(self.directory, segment_name),
-                verify_checksum=self.verify_checksums,
-            )
-            segment = self._segment
-            for slot, tree_id in enumerate(segment.tree_ids):
-                self._sizes[tree_id] = int(segment.tree_sizes[slot])
-        self._replay_delta()
-        self._remove_orphans(segment_name)
-        return True
-
-    def _replay_delta(self) -> None:
-        path = self._delta_path()
-        if not os.path.exists(path):
-            return
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset + _RECORD_FRAME.size <= len(data):
-            length, crc = _RECORD_FRAME.unpack_from(data, offset)
-            start = offset + _RECORD_FRAME.size
-            payload = data[start:start + length]
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break  # torn tail: everything after it was never durable
-            self._apply_record(payload)
-            offset = start + length
-        if offset < len(data):
-            # Drop the torn tail so new records never append after junk.
-            with open(path, "r+b") as handle:
-                handle.truncate(offset)
-
-    def _apply_record(self, payload: bytes) -> None:
-        op = payload[:1]
-        tree_id, seq = _RECORD_HEAD.unpack_from(payload, 1)
-        offset = 1 + _RECORD_HEAD.size
-        if op == _OP_ADD:
-            bag, _ = _unpack_bag(payload, offset)
-            self._apply_add(tree_id, bag)
-        elif op == _OP_DELTA:
-            minus, offset = _unpack_bag(payload, offset)
-            plus, _ = _unpack_bag(payload, offset)
-            self._apply_delta(tree_id, minus, plus)
-        elif op == _OP_REMOVE:
-            self._apply_remove(tree_id)
-        else:
-            raise SegmentCorruptError(
-                f"delta log {self._delta_path()} holds unknown op {op!r}"
-            )
-        self._watermarks[tree_id] = max(self._watermarks.get(tree_id, -1), seq)
-        if seq > self._max_seq:
-            self._max_seq = seq
-
-    def _remove_orphans(self, segment_name: Optional[str]) -> None:
-        """Drop segment/delta files a crashed seal left unreferenced."""
-        keep = {MANIFEST_NAME, os.path.basename(self._delta_path())}
-        if segment_name is not None:
-            keep.add(segment_name)
-        try:
-            entries = os.listdir(self.directory)
-        except OSError:  # pragma: no cover - directory raced away
-            return
-        for entry in entries:
-            if entry in keep:
-                continue
-            if entry.startswith(("segment-", "delta-")):
-                try:
-                    os.remove(os.path.join(self.directory, entry))
-                except OSError:  # pragma: no cover - best effort
-                    pass
-
-    def ready(self) -> None:
-        """Force the lazy segment structures (key table, span map).
-
-        Reopen defers them so opening is O(validation); the first sweep
-        would otherwise pay the build.  Benchmarks and warm-up paths
-        call this to measure / hide that cost explicitly.
-        """
-        if self._segment is not None:
-            self._segment.spans()
-            if HAVE_NUMPY:
-                self._segment.frozen()
 
     # ------------------------------------------------------------------
     # observability binding
@@ -999,80 +823,6 @@ class SegmentBackend(ForestBackend):
             "segment_seal_seconds",
             "wall time of segment seals (snapshot, write, fsync, swap)",
         )
-        self._m_reopen_seconds = registry.histogram(
-            "segment_reopen_seconds",
-            "wall time of cold opens (map + validate + delta replay)",
-        )
-        if self._pending_reopen is not None and registry.enabled:
-            self._m_reopen_seconds.observe(self._pending_reopen)
-            self._pending_reopen = None
-
-    # ------------------------------------------------------------------
-    # delta log
-    # ------------------------------------------------------------------
-
-    def _append_delta(self, op: bytes, tree_id: int, *bags: Mapping[Key, int]) -> None:
-        payload = op + _RECORD_HEAD.pack(tree_id, self._seq) + b"".join(
-            _pack_bag(bag) for bag in bags
-        )
-        if self._delta is None:
-            self._delta = open(self._delta_path(), "ab")
-        self._delta.write(_RECORD_FRAME.pack(len(payload), zlib.crc32(payload)))
-        self._delta.write(payload)
-        self._delta.flush()
-        self._watermarks[tree_id] = max(
-            self._watermarks.get(tree_id, -1), self._seq
-        )
-        if self._seq > self._max_seq:
-            self._max_seq = self._seq
-        self._mutations += 1
-
-    def _sync_delta(self) -> None:
-        if self._delta is not None:
-            self._delta.flush()
-            os.fsync(self._delta.fileno())
-
-    # ------------------------------------------------------------------
-    # commit sequencing (document-store integration)
-    # ------------------------------------------------------------------
-
-    def note_commit_seq(self, seq: int) -> None:
-        """Stamp subsequent delta records with the store's commit seq."""
-        self._seq = seq
-
-    def applied_seq(self, tree_id: int) -> int:
-        """Highest commit seq durably folded into segment or delta for
-        ``tree_id`` — WAL replay skips forest updates at or below it."""
-        return max(self._sealed_seq, self._watermarks.get(tree_id, -1))
-
-    @property
-    def sealed_seq(self) -> int:
-        return self._sealed_seq
-
-    def truncate_seq_frontier(self, seq: int) -> None:
-        """Clamp the sequence high-water mark after a recovery rollback.
-
-        When the store rolls back folded deltas that outran its
-        committed WAL (a torn append left the index ahead of the
-        documents), the rogue records still inflate ``_max_seq`` — and
-        the next seal would persist that phantom frontier as
-        ``sealed_seq``, making later recoveries skip WAL batches the
-        index never actually folded.
-        """
-        self._max_seq = min(self._max_seq, seq)
-        self._sealed_seq = min(self._sealed_seq, seq)
-        self._seq = min(self._seq, seq)
-        self._watermarks = {
-            tree_id: min(mark, seq)
-            for tree_id, mark in self._watermarks.items()
-        }
-
-    def set_source(self, fingerprint: Optional[str]) -> None:
-        """Record the owning store's identity (persisted at next seal)."""
-        self._source = fingerprint
-
-    def source_fingerprint(self) -> Optional[str]:
-        return self._source
 
     # ------------------------------------------------------------------
     # write path
@@ -1089,14 +839,15 @@ class SegmentBackend(ForestBackend):
         self._masked.add(tree_id, bag or ())
         return bag
 
-    def _apply_add(self, tree_id: int, bag: Mapping[Key, int]) -> None:
+    def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
         if tree_id in self._sizes:
             raise StorageError(f"tree id {tree_id} is already indexed")
         self._mask(tree_id)
         self._overlay.add_tree_bag(tree_id, bag)
         self._sizes[tree_id] = self._overlay.tree_size(tree_id)
+        self._mutations += 1
 
-    def _apply_delta(
+    def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
     ) -> None:
         if tree_id not in self._sizes:
@@ -1107,29 +858,15 @@ class SegmentBackend(ForestBackend):
             self._overlay.add_tree_bag(tree_id, frozen_bag)
         self._overlay.apply_tree_delta(tree_id, minus, plus)
         self._sizes[tree_id] = self._overlay.tree_size(tree_id)
+        self._mutations += 1
 
-    def _apply_remove(self, tree_id: int) -> None:
+    def remove_tree(self, tree_id: int) -> None:
         if tree_id not in self._sizes:
             return
         self._overlay.remove_tree(tree_id)
         self._mask(tree_id)
         del self._sizes[tree_id]
-
-    def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
-        self._apply_add(tree_id, bag)
-        self._append_delta(_OP_ADD, tree_id, bag)
-
-    def apply_tree_delta(
-        self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
-    ) -> None:
-        self._apply_delta(tree_id, minus, plus)
-        self._append_delta(_OP_DELTA, tree_id, minus, plus)
-
-    def remove_tree(self, tree_id: int) -> None:
-        if tree_id not in self._sizes:
-            return
-        self._apply_remove(tree_id)
-        self._append_delta(_OP_REMOVE, tree_id)
+        self._mutations += 1
 
     def restore(self, bags: Mapping[int, Mapping[Key, int]]) -> None:
         self._sizes = {
@@ -1286,10 +1023,10 @@ class SegmentBackend(ForestBackend):
     def seal(self) -> bool:
         """Fold overlay + mask into a new frozen generation.
 
-        Writes the next ``segment-*.seg``, swaps the manifest
-        atomically, resets the overlay and truncates the delta log.
-        Returns whether anything was written (False when the live
-        relation already equals the frozen segment).
+        Writes the next ``segment-*.seg``, maps it in place of the old
+        one (whose file goes) and resets the overlay.  Returns whether
+        anything was written (False when the live relation already
+        equals the frozen segment).
         """
         if (
             not self._overlay._inverted
@@ -1304,74 +1041,29 @@ class SegmentBackend(ForestBackend):
         return True
 
     def _seal_from(self, bags: Dict[int, Bag]) -> None:
-        generation = self._generation + 1
-        segment_name = "segment-%08d.seg" % generation if bags else None
         old_segment = self._segment
-        old_delta = self._delta_path() if os.path.exists(self._delta_path()) else None
-        if segment_name is not None:
+        segment = None
+        if bags:
+            os.makedirs(self.directory, exist_ok=True)
+            path = os.path.join(
+                self.directory, "segment-%08d.seg" % (self._generation + 1)
+            )
             writer = (
-                write_segment_file_v2 if self._compress
-                else write_segment_file
+                write_segment_file_v2 if self._compress else write_segment_file
             )
-            writer(os.path.join(self.directory, segment_name), bags)
-        self._write_manifest(generation, segment_name)
-        if self._delta is not None:
-            self._delta.close()
-            self._delta = None
-        self._generation = generation
-        self._segment = (
-            _open_segment(
-                os.path.join(self.directory, segment_name),
-                verify_checksum=False,  # we wrote it this very call
-            )
-            if segment_name is not None
-            else None
-        )
+            writer(path, bags)
+            # Written by this very call: no checksum pass on the map.
+            segment = _open_segment(path, verify_checksum=False)
+        self._generation += 1
+        self._segment = segment
         self._overlay.restore({})
         self._masked = TreeMask()
-        self._watermarks = {}
-        self._sealed_seq = self._max_seq
         self._mutations_at_seal = self._mutations
-        for stale_path in filter(None, (
-            old_segment.path if old_segment is not None else None,
-            old_delta,
-        )):
+        if old_segment is not None:
             try:
-                os.remove(stale_path)
+                os.remove(old_segment.path)
             except OSError:  # pragma: no cover - best effort
                 pass
-
-    def _write_manifest(self, generation: int, segment_name: Optional[str]) -> None:
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "generation": generation,
-            "segment": segment_name,
-            "sealed_seq": self._max_seq,
-            "source": self._source,
-        }
-        path = self._manifest_path()
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        fsync_directory(self.directory)
-
-    def checkpoint(self) -> bool:
-        """Make the relation durable for a store checkpoint.
-
-        Seals when the overlay has grown past the refreeze thresholds
-        (folding it into a new generation); otherwise just fsyncs the
-        delta log — either way, after this returns the WAL may be
-        truncated.  Returns whether a seal happened.
-        """
-        if self._stale():
-            return self.seal()
-        self._sync_delta()
-        if not os.path.exists(self._manifest_path()):
-            self._write_manifest(self._generation, None)
-        return False
 
     # ------------------------------------------------------------------
     # snapshot isolation
@@ -1380,8 +1072,12 @@ class SegmentBackend(ForestBackend):
     def freeze_view(self):
         """The mapped segment is read-only by construction, so the view
         shares it and copies only the mask, the overlay and the size
-        metadata; with nothing sealed (or without numpy) it is the base
-        class's copy of the relation."""
+        metadata.  Like the compact backend's first freeze, the first
+        view seals the segment it then shares (a backend built at open
+        has sealed nothing); an empty relation, or no numpy, gets the
+        base class's copy of the relation."""
+        if HAVE_NUMPY and self._segment is None:
+            self.compact()
         if HAVE_NUMPY and self._segment is not None:
             from repro.concurrency.snapshot import OverlaySnapshot
 
@@ -1395,18 +1091,6 @@ class SegmentBackend(ForestBackend):
                 dict(self._sizes),
             )
         return super().freeze_view()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._delta is not None:
-            self._delta.close()
-            self._delta = None
 
     # ------------------------------------------------------------------
     # observability
@@ -1445,7 +1129,6 @@ class SegmentBackend(ForestBackend):
             "overlay_trees": overlay_stats["trees"],
             "masked_trees": len(self._masked.trees),
             "generation": self._generation,
-            "sealed_seq": self._sealed_seq,
             "directory": self.directory,
             "compress": self._compress,
         }

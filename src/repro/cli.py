@@ -201,10 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="compact",
         help="forest storage backend (default compact: array snapshot "
         "with a delta overlay; segment keeps the frozen postings in "
-        "memory-mapped files under <dir>/segments for instant reopen; "
-        "rel stores the relation as relstore tables under <dir>/rel "
-        "with a pre/post node table, enabling structural predicate "
-        "pushdown in 'store query'; all backends are bit-identical)",
+        "memory-mapped files under <dir>/segments; rel stores the "
+        "relation as in-memory relstore tables with a pre/post node "
+        "table, enabling structural predicate pushdown in 'store "
+        "query'; every backend is built from the documents on open, "
+        "and all are bit-identical)",
     )
     create_parser.add_argument(
         "--shards",

@@ -53,13 +53,23 @@ class StorageError(ReproError):
 
 
 class SegmentCorruptError(StorageError):
-    """An on-disk index segment failed validation (bad magic, size or
-    checksum mismatch, inconsistent CSR offsets, missing manifest).
+    """An on-disk index segment failed validation (missing file, bad
+    magic, size or checksum mismatch, inconsistent CSR offsets).
 
-    Raised by :mod:`repro.backend.segment` on open — a corrupt segment
-    is *never* served; callers either repair from an authoritative
-    source (the document store rebuilds from the documents) or surface
-    the error."""
+    Raised by :mod:`repro.backend.segment`'s file readers — a corrupt
+    segment is *never* served."""
+
+
+class StoreFailedError(ReproError):
+    """A durable write of the document store failed (WAL write, flush
+    or fsync, snapshot save or WAL truncation), so the store stopped.
+
+    The outcome of the write that hit the error is unknown: its batch
+    may or may not be in the WAL, and reopening decides.  Every later
+    mutation raises this without touching the disk; reads keep serving
+    the last published state, and reopening the store is the only way
+    out.  Deliberately not a :class:`StorageError` — it is no statement
+    about the request's data."""
 
 
 class SchemaError(StorageError):

@@ -47,8 +47,9 @@ class ForestIndex:
 
     ``backend`` selects the storage engine — ``"memory"``,
     ``"compact"`` (default), ``"sharded"`` (with ``shards=N``),
-    ``"segment"`` (on-disk; ``directory=`` names the segment
-    directory, an ephemeral temp dir otherwise), or any
+    ``"segment"`` (sealed postings in memory-mapped files;
+    ``directory=`` says where they live, a temp dir otherwise),
+    ``"rel"``, or any
     :class:`~repro.backend.base.ForestBackend` instance.  Every
     backend is bit-identical on lookups and maintenance; only the
     sweep cost and scaling behaviour differ.
@@ -634,14 +635,6 @@ class ForestIndex:
             self._backend.compact()
             if self._published is not None:
                 self._publish_view()
-
-    def checkpoint_backend(self) -> None:
-        """Make the state of a backend that is its own durable home
-        (``segment``, ``rel``) durable.  It fsyncs under the exclusive
-        lock, so like :meth:`refreeze` it holds the view-refresh latch:
-        a reader with a stale view is served it, not queued."""
-        with self._view_refresh, self.lock.write():
-            self._backend.checkpoint()  # type: ignore[attr-defined]
 
     def backend_stats(self) -> Dict[str, object]:
         """The backend's operational counters.  They walk its live

@@ -22,8 +22,11 @@ shapes flow over a connection:
   ``shed: true`` marks an admission-control rejection: the request
   was **never executed** (a shed ``apply_edits`` has not touched the
   store).  ``status`` carries the HTTP-flavored class of the error —
-  429 for overload, 503 while draining, 400/404/500 for bad requests,
-  unknown documents/tenants, and handler failures.
+  429 for overload, 503 while draining or once the tenant's store
+  failed a durable write (``store_failed``: the write's outcome is
+  unknown and no later write is taken until the store is reopened),
+  400/404/500 for bad requests, unknown documents/tenants, and
+  handler failures.
 
 - **event** (server → client, only on connections that issued a
   ``subscribe``)::
@@ -60,6 +63,7 @@ DRAINING = "draining"
 BAD_REQUEST = "bad_request"
 NOT_FOUND = "not_found"
 INTERNAL = "internal"
+STORE_FAILED = "store_failed"
 
 STATUS: Dict[str, int] = {
     OVERLOADED: 429,
@@ -67,6 +71,7 @@ STATUS: Dict[str, int] = {
     BAD_REQUEST: 400,
     NOT_FOUND: 404,
     INTERNAL: 500,
+    STORE_FAILED: 503,
 }
 
 # admission-control shed reasons (``error.reason`` of a shed reply)

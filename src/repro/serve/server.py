@@ -70,7 +70,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.edits.serialize import parse_operations
-from repro.errors import ProtocolError, QueryError, ReproError, StorageError
+from repro.errors import (
+    ProtocolError,
+    QueryError,
+    ReproError,
+    StorageError,
+    StoreFailedError,
+)
 from repro.obsv.metrics import Histogram, MetricsRegistry, resolve_registry
 from repro.serve.admission import AdmissionController, AdmissionPolicy, Ticket
 from repro.serve.protocol import (
@@ -79,6 +85,7 @@ from repro.serve.protocol import (
     NOT_FOUND,
     PROTOCOL_VERSION,
     SHED_DRAINING,
+    STORE_FAILED,
     decode_frame,
     encode_frame,
     error_frame,
@@ -548,6 +555,8 @@ class FrontDoor:
                 result = self._verbs[verb](tenant, request, connection)
         except StorageError as exc:
             return error_frame(request_id, NOT_FOUND, str(exc))
+        except StoreFailedError as exc:
+            return error_frame(request_id, STORE_FAILED, str(exc))
         except (ProtocolError, ReproError, KeyError, ValueError, TypeError) as exc:
             return error_frame(request_id, BAD_REQUEST, str(exc))
         except Exception as exc:  # noqa: BLE001 - reply, never kill the loop

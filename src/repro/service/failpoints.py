@@ -21,18 +21,31 @@ A test arms one name with :func:`armed` and a mode: ``crash-before``
 write, ``short-write`` (the first half of the data is written and
 flushed to the file).  Either way the hook then calls the test's
 ``on_crash`` — which records the directory as the process left it —
-and raises :class:`Crash`.  Arming is process-wide and lasts for the
-``with`` block.
+and raises :class:`Crash`.  The fourth mode, ``eio``, is a disk error
+the process survives: the step never happens and the hook raises
+``OSError(EIO)``.  Arming is process-wide and lasts for the ``with``
+block.
 """
 
 from __future__ import annotations
 
+import errno
 from contextlib import contextmanager
-from typing import BinaryIO, Callable, Dict, Iterator, NoReturn, Tuple, TypeVar
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterator,
+    NoReturn,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 CRASH_BEFORE = "crash-before"
 CRASH_AFTER = "crash-after"
 SHORT_WRITE = "short-write"
+EIO = "eio"
 
 WRITE_POINTS = ("wal.write", "database.write")
 POINTS = WRITE_POINTS + (
@@ -67,7 +80,7 @@ def run(name: str, step: Callable[..., T], *args: object) -> T:
     mode, on_crash = armed
     if mode == CRASH_AFTER:
         step(*args)
-    _crash(name, on_crash)
+    _fail(name, mode, on_crash)
 
 
 def write(name: str, handle: BinaryIO, data: bytes) -> None:
@@ -82,26 +95,31 @@ def write(name: str, handle: BinaryIO, data: bytes) -> None:
     elif mode == SHORT_WRITE:
         handle.write(data[: len(data) // 2])
         handle.flush()
-    _crash(name, on_crash)
+    _fail(name, mode, on_crash)
 
 
-def _crash(name: str, on_crash: Callable[[], None]) -> NoReturn:
+def _fail(name: str, mode: str, on_crash: Callable[[], None]) -> NoReturn:
+    if mode == EIO:
+        raise OSError(errno.EIO, f"injected I/O error at {name}")
     on_crash()
     raise Crash(name)
 
 
 @contextmanager
 def armed(
-    name: str, mode: str, on_crash: Callable[[], None]
+    name: str, mode: str, on_crash: Optional[Callable[[], None]] = None
 ) -> Iterator[None]:
-    """Arm the failpoint ``name`` in ``mode`` for the ``with`` block."""
+    """Arm the failpoint ``name`` in ``mode`` for the ``with`` block
+    (``on_crash`` is required by every mode but ``eio``)."""
     if name not in POINTS:
         raise ValueError(f"unknown failpoint {name!r}")
-    if mode not in (CRASH_BEFORE, CRASH_AFTER, SHORT_WRITE):
+    if mode not in (CRASH_BEFORE, CRASH_AFTER, SHORT_WRITE, EIO):
         raise ValueError(f"unknown failpoint mode {mode!r}")
     if mode == SHORT_WRITE and name not in WRITE_POINTS:
         raise ValueError(f"{name} writes no data: no short write")
-    _ARMED[name] = (mode, on_crash)
+    if on_crash is None and mode != EIO:
+        raise ValueError(f"mode {mode} needs an on_crash callback")
+    _ARMED[name] = (mode, on_crash or (lambda: None))
     try:
         yield
     finally:

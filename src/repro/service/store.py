@@ -12,9 +12,13 @@ On-disk layout inside the store directory::
                  ``BEGIN <doc> <count> <seq>``/ops/``COMMIT`` block per
                  batch
 
-The documents are canonical; the pq-gram index is derived from them,
-never persisted here, and rebuilt when the store opens (≈5 µs per
-node — cheaper than reading the relation back).
+The documents and the WAL are the only durable state.  Every index is
+derived from them, never persisted, and built when the store opens
+(≈5 µs per node — cheaper than reading the relation back), whatever
+the backend.  A ``segment`` backend maps the files it seals under
+``<directory>/segments/``; the open removes that directory (and a
+``rel/`` one older stores left) before building, so no backend ever
+reads index state it did not write in this process.
 
 Commit protocol for ``apply_edits`` (one write path: a synchronous
 call is a group commit of one, a serving-mode call joins whatever the
@@ -40,6 +44,18 @@ appender thread drained with it):
    dirtied since the previous one.  Membership changes (add, remove,
    subscribe, unsubscribe) and ``close`` checkpoint at once.
 
+The store fails stop.  An error from any durable write — the WAL
+write, flush or fsync, the snapshot save or the WAL truncation — marks
+it *failed*: after an fsync error the file's state is unknown, so a
+commit sequence that may already be on disk must never be reused.
+The write that hit the error raises
+:class:`~repro.errors.StoreFailedError` (outcome unknown); every later
+mutation raises it without touching the disk, reads keep serving the
+last published state, ``close`` skips its checkpoint, and reopening
+is the only way out.  A checkpoint that fails after its group's WAL
+append was fsynced fails the store, yet that group's batches are
+reported committed — they are.
+
 ``open`` decodes the snapshot's documents, applies to them the WAL
 blocks stamped past the snapshot's commit sequence (blocks the snapshot
 already covers — a crash between the snapshot rename and the WAL
@@ -50,18 +66,6 @@ it off the WAL and fsyncs, so later appends cannot land behind bytes
 replay stops at.  Replaying rewrites nothing else — the WAL stays and
 keeps counting toward the next checkpoint.  The chosen backend is
 recorded in the snapshot so reopening preserves it.
-
-The ``segment`` and ``rel`` backends are their own durable homes: the
-index relation lives in memory-mapped segment files plus a tail delta
-log under ``<directory>/segments/`` (or in ``<directory>/rel/rel.db``),
-and reopening maps the frozen segment read-only instead of rebuilding
-— O(tail), not O(index).  The backend stamps each batch's commit
-sequence into its delta records, so recovery replays a batch into the
-forest only when the backend does not already hold it; corrupt or
-foreign home files are detected (checksums + a store-identity
-fingerprint) and the forest is rebuilt from the recovered documents
-like every other backend's — slower, never wrong.  An open that
-rebuilt or reconciled such a home checkpoints.
 
 Snapshots written before the ``documents`` relation existed (a
 ``nodes`` row per node and an ``indexes`` relation) still open: the
@@ -75,7 +79,6 @@ import json
 import os
 import shutil
 import threading
-import uuid
 from typing import (
     BinaryIO,
     Callable,
@@ -87,7 +90,6 @@ from typing import (
     Tuple,
 )
 
-from repro.backend.base import ForestBackend
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.refreeze import RefreezeWorker
 from repro.core.config import GramConfig
@@ -95,7 +97,7 @@ from repro.core.index import PQGramIndex
 from repro.edits.ops import EditOperation
 from repro.edits.script import EditScript
 from repro.edits.serialize import format_operations, parse_operations
-from repro.errors import CodecError, SegmentCorruptError, StorageError, TreeError
+from repro.errors import CodecError, StorageError, StoreFailedError, TreeError
 from repro.lookup.forest import ForestIndex
 from repro.lookup.service import LookupResult, LookupService
 from repro.obsv.metrics import MetricsRegistry, resolve_registry
@@ -118,12 +120,10 @@ _WAL = "wal.log"
 WAL_CHECKPOINT_SHARE = 0.5
 WAL_CHECKPOINT_FLOOR = 64 * 1024
 
-# Backends that are their own durable home: the subdirectory of the
-# store directory they live in, and what their files raise when corrupt.
-_HOMES = {
-    "segment": ("segments", SegmentCorruptError),
-    "rel": ("rel", StorageError),
-}
+# Where a segment backend maps its sealed files, and what older stores
+# kept in the store directory besides: removed on every open.
+_SEGMENTS = "segments"
+_DERIVED_DIRS = (_SEGMENTS, "rel")
 
 
 def encode_document(tree: Tree) -> bytes:
@@ -285,12 +285,16 @@ class DocumentStore:
         # next number; the snapshot meta records the high-water mark
         # folded into it, so recovery can number the replayed tail.
         self._commit_seq = 0
-        self._store_uuid = ""
+        # The durable-write error that stopped the store (fail-stop);
+        # None while it is healthy.
+        self._failed: Optional[Exception] = None
         # The standing-query engine attaches once the forest exists —
         # recovery builds it after WAL replay so reconciliation sees
         # the final recovered state.
         self._standing: Optional[StandingQueryEngine] = None
         os.makedirs(directory, exist_ok=True)
+        for home in _DERIVED_DIRS:
+            shutil.rmtree(os.path.join(directory, home), ignore_errors=True)
         if os.path.exists(self._snapshot_path()):
             with (
                 self._m_recovery_seconds.time(),
@@ -298,11 +302,6 @@ class DocumentStore:
             ):
                 self._recover(default_backend=backend, default_shards=shards)
         else:
-            self._store_uuid = uuid.uuid4().hex
-            if backend in _HOMES:
-                # A fresh store must never adopt a leftover home from an
-                # earlier store in the same directory.
-                shutil.rmtree(self._home_directory(backend), ignore_errors=True)
             self._forest = self._make_forest(
                 config or GramConfig(), backend, shards
             )
@@ -341,8 +340,7 @@ class DocumentStore:
             f"last one reaches max({WAL_CHECKPOINT_FLOOR} B, "
             f"{WAL_CHECKPOINT_SHARE} x snapshot_bytes), on every "
             "membership change and close, and on an open that converted "
-            "the snapshot, rebuilt a backend home or caught up a "
-            "standing query",
+            "the snapshot or caught up a standing query",
         )
         self._m_checkpoint_seconds = registry.histogram(
             "checkpoint_seconds", "wall seconds per snapshot write"
@@ -373,32 +371,26 @@ class DocumentStore:
     def _wal_path(self) -> str:
         return os.path.join(self._directory, _WAL)
 
-    def _home_directory(self, backend: str) -> str:
-        return os.path.join(self._directory, _HOMES[backend][0])
-
     def _make_forest(
         self,
         config: GramConfig,
         backend: str,
         shards: Optional[int],
     ) -> ForestIndex:
-        """A forest over ``backend``, homed under the store directory
-        (segment backends own ``<directory>/segments/``, rel backends
-        ``<directory>/rel/``) and stamped with this store's identity so
-        reopened on-disk state can be matched against the snapshot that
-        references it."""
-        home = backend in _HOMES
-        forest = ForestIndex(
+        """An empty forest over ``backend``; a segment backend maps its
+        sealed files under ``<directory>/segments/``."""
+        return ForestIndex(
             config,
             backend=backend,
             shards=shards,
             metrics=self._metrics,
-            directory=self._home_directory(backend) if home else None,
+            directory=(
+                os.path.join(self._directory, _SEGMENTS)
+                if backend == "segment"
+                else None
+            ),
             compress=self._compress,
         )
-        if home:
-            forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
-        return forest
 
     def _make_standing_engine(self) -> StandingQueryEngine:
         return StandingQueryEngine(
@@ -460,6 +452,7 @@ class DocumentStore:
         """Store and index a new document (checkpointed immediately)."""
         self.flush()
         with self._mutex:
+            self._require_healthy()
             if document_id in self._documents:
                 raise StorageError(f"document id {document_id} already exists")
             self._publish(document_id, tree.copy())
@@ -479,6 +472,7 @@ class DocumentStore:
         """
         self.flush()
         with self._mutex:
+            self._require_healthy()
             seen = set()
             for document_id, _ in items:
                 if document_id in self._documents or document_id in seen:
@@ -499,6 +493,7 @@ class DocumentStore:
         """Drop a document and its index (checkpointed immediately)."""
         self.flush()
         with self._mutex:
+            self._require_healthy()
             self._require(document_id)
             events = self._standing_on_remove(document_id)
             del self._documents[document_id]
@@ -548,6 +543,12 @@ class DocumentStore:
         """
         events: List[Notification] = []
         with self._mutex, self._metrics.span("store.apply_group"):
+            try:
+                self._require_healthy()
+            except StoreFailedError as exc:
+                for pending in group:
+                    pending.error = exc
+                return
             shadows: Dict[int, Tree] = {}
             logs: Dict[int, List[EditOperation]] = {}
             valid: List[PendingBatch] = []
@@ -573,21 +574,24 @@ class DocumentStore:
             if not valid:
                 return
             # One commit sequence per WAL block, in append order and
-            # written into the block; each document's single batched
-            # maintenance call is stamped with its *last* block — the
-            # folded delta covers every earlier one, so recovery may
-            # skip all of them together.
+            # written into the block; standing-query events of each
+            # document carry its *last* block's.
             stamped = list(enumerate(valid, self._commit_seq + 1))
-            self._append_wal_group(
-                [
-                    (pending.document_id, pending.operations, seq)
-                    for seq, pending in stamped
-                ]
-            )
+            try:
+                self._append_wal_group(
+                    [
+                        (pending.document_id, pending.operations, seq)
+                        for seq, pending in stamped
+                    ]
+                )
+            except Exception as exc:  # noqa: BLE001 - any append error stops the store
+                failure = self._fail(exc)
+                for pending in valid:
+                    pending.error = failure
+                return
             self._commit_seq += len(valid)
             sequences = {pending.document_id: seq for seq, pending in stamped}
             for document_id, shadow in shadows.items():
-                self._forest.backend.note_commit_seq(sequences[document_id])
                 # Incremental maintenance: the forest re-inverts only
                 # the keys the edit batches actually changed.  The same
                 # Δ-keys route the update to interested standing
@@ -618,7 +622,10 @@ class DocumentStore:
                 WAL_CHECKPOINT_FLOOR,
                 WAL_CHECKPOINT_SHARE * self._snapshot_bytes,
             ):
-                self._checkpoint()
+                try:
+                    self._checkpoint()
+                except StoreFailedError:
+                    pass  # the store stopped, but this group is durable
         # Listener callbacks run outside the store mutex so they can
         # never block (or deadlock) the appender's group commit.
         self._dispatch_events(events)
@@ -676,6 +683,7 @@ class DocumentStore:
         """
         self.flush()
         with self._mutex:
+            self._require_healthy()
             matches = self._standing_engine().subscribe(
                 query_id, plan, listener
             )
@@ -686,6 +694,7 @@ class DocumentStore:
         """Drop a standing query (checkpointed immediately)."""
         self.flush()
         with self._mutex:
+            self._require_healthy()
             self._standing_engine().unsubscribe(query_id)
             self._checkpoint()
 
@@ -750,6 +759,7 @@ class DocumentStore:
         """Force a snapshot + WAL truncation."""
         self.flush()
         with self._mutex:
+            self._require_healthy()
             self._checkpoint()
 
     def flush(self) -> None:
@@ -762,8 +772,8 @@ class DocumentStore:
 
     def close(self) -> None:
         """Drain the write queue, stop the background threads, and
-        checkpoint; idempotent.  The store object must not be used
-        afterwards."""
+        checkpoint unless the store failed; idempotent.  The store
+        object must not be used afterwards."""
         if self._closed:
             return
         self._closed = True
@@ -772,7 +782,8 @@ class DocumentStore:
         if self._refreezer is not None:
             self._refreezer.close()
         with self._mutex:
-            self._checkpoint()
+            if self._failed is None:
+                self._checkpoint()
             if self._wal_handle is not None:
                 self._wal_handle.close()
                 self._wal_handle = None
@@ -820,6 +831,11 @@ class DocumentStore:
         self._metrics.gauge(
             "snapshot_bytes", "size of store.db as last written or loaded"
         ).set(self._snapshot_bytes)
+        self._metrics.gauge(
+            "store_failed",
+            "1 once a durable write failed and the store stopped taking "
+            "writes (reopen to recover), else 0",
+        ).set(int(self._failed is not None))
 
     def stats(self) -> Dict[str, object]:
         """Operational counters of the store.
@@ -831,7 +847,8 @@ class DocumentStore:
         build and update call reused the store-wide hasher instead of
         re-fingerprinting labels from scratch — and how close the next
         checkpoint is: ``wal_bytes`` written since the last snapshot
-        against that snapshot's ``snapshot_bytes``.
+        against that snapshot's ``snapshot_bytes``.  ``failed`` is true
+        once a durable write failed and the store stopped taking writes.
         """
         # Runs without the mutex beside membership changes: count over
         # a snapshot of the dict, and skip a document the forest does
@@ -862,6 +879,7 @@ class DocumentStore:
             "query_cache_misses": service.query_cache_misses if service else 0,
             "wal_bytes": self._wal_bytes,
             "snapshot_bytes": self._snapshot_bytes,
+            "failed": self._failed is not None,
         }
         if "frozen" in backend_stats:
             stats["frozen"] = backend_stats["frozen"]
@@ -888,6 +906,21 @@ class DocumentStore:
             return self._documents[document_id]
         except KeyError:
             raise StorageError(f"no document with id {document_id}") from None
+
+    def _fail(self, exc: Exception) -> StoreFailedError:
+        """Stop the store on a durable-write error; returns the error
+        the writers that hit it get."""
+        self._failed = exc
+        return StoreFailedError(f"durable write failed, store stopped: {exc}")
+
+    def _require_healthy(self) -> None:
+        """Refuse a mutation once the store failed — before it touches
+        anything."""
+        if self._failed is not None:
+            raise StoreFailedError(
+                f"the store stopped after a failed durable write "
+                f"({self._failed}); reopen it"
+            )
 
     def _publish(self, document_id: int, tree: Tree) -> None:
         """Make ``tree`` the current version of a document.  From here
@@ -1020,11 +1053,14 @@ class DocumentStore:
     )
 
     def _checkpoint(self) -> None:
-        with (
-            self._m_checkpoint_seconds.time(),
-            self._metrics.span("store.checkpoint"),
-        ):
-            self._write_checkpoint()
+        try:
+            with (
+                self._m_checkpoint_seconds.time(),
+                self._metrics.span("store.checkpoint"),
+            ):
+                self._write_checkpoint()
+        except Exception as exc:  # noqa: BLE001 - any snapshot error stops the store
+            raise self._fail(exc) from exc
         self._m_checkpoints.inc()
         self._m_wal_fsyncs.inc()  # the truncation fsync below
 
@@ -1034,7 +1070,6 @@ class DocumentStore:
         meta.insert({"key": "p", "value": str(self.config.p)})
         meta.insert({"key": "q", "value": str(self.config.q)})
         meta.insert({"key": "backend", "value": self._forest.backend.name})
-        meta.insert({"key": "store_uuid", "value": self._store_uuid})
         meta.insert({"key": "commit_seq", "value": str(self._commit_seq)})
         meta.insert(
             {"key": "compress", "value": "1" if self._compress else "0"}
@@ -1055,14 +1090,6 @@ class DocumentStore:
                 record = self._encoded[document_id] = encode_document(tree)
                 self._m_checkpoint_encoded.inc()
             documents.insert_row((document_id, record))
-        if self._forest.backend.name in ("segment", "rel"):
-            # These backends are their own durable homes: make their
-            # on-disk state (the segment delta log, or one atomic
-            # relstore snapshot of the postings/sizes/node tables)
-            # durable *before* the WAL truncation below discards the
-            # batches it covers.  Every other backend persists nothing:
-            # its forest is rebuilt from the documents on open.
-            self._forest.checkpoint_backend()
         if self._standing is not None and len(self._standing):
             subs = database.create_table("subs", self._SUBS_SCHEMA, ("queryId",))
             standing = database.create_table(
@@ -1138,10 +1165,6 @@ class DocumentStore:
             shards = int(shards)
         elif backend == "sharded":
             shards = default_shards
-        # Pre-identity snapshots get an identity minted now; they
-        # predate the ``documents`` relation, so the checkpoint that
-        # converts them on open persists it.
-        self._store_uuid = meta.get("store_uuid") or uuid.uuid4().hex
         self._commit_seq = int(meta.get("commit_seq", "0"))
         recorded_compress = meta.get("compress")
         if recorded_compress is not None:
@@ -1168,129 +1191,35 @@ class DocumentStore:
                     )
                 )
         batches, wal_end, wal_size = self._read_wal()
-        forest = self._open_home(config, backend)
-        if forest is None:
-            # Nothing durable to gate on: bring every document to the
-            # end of the WAL, then build each tree's bag once.
-            replayed = self._replay_wal(batches)
-            self._forest = self._make_forest(config, backend, shards)
-            self._forest.backend.note_commit_seq(self._commit_seq)
-            self._forest.add_trees(list(self._documents.items()))
-            rebuilt = backend in _HOMES
-        else:
-            self._forest = forest
-            rebuilt = self._reconcile_home(backend)
-            replayed = self._replay_wal(batches, forest.backend)
-            rebuilt = self._roll_back_ahead() or rebuilt
-        self._m_wal_replayed.inc(replayed)
+        # Bring every document to the end of the WAL, then build each
+        # tree's bag once — for every backend the same way.
+        self._m_wal_replayed.inc(self._replay_wal(batches))
+        self._forest = self._make_forest(config, backend, shards)
+        self._forest.add_trees(list(self._documents.items()))
         # Standing queries resume at their durable frontier: restore the
         # persisted membership, then reconcile against the recovered
         # forest — the diff is exactly the set of events the crash (or
         # clean downtime) swallowed, delivered once via the buffer.
         self._standing = self._make_standing_engine()
+        caught_up = False
         if persisted_subs:
             for query_id, spec, members in persisted_subs:
                 self._standing.restore_subscription(query_id, spec, members)
-            if self._standing.reconcile(self._commit_seq):
-                rebuilt = True
-        if rebuilt or "documents" not in database:
+            caught_up = self._standing.reconcile(self._commit_seq)
+        if caught_up or "documents" not in database:
             self._checkpoint()
             return
         # Replay alone rewrites nothing: the WAL stays, and counts
         # toward the next checkpoint from what is left of it.
         if wal_end != wal_size:
-            self._end_wal_at(wal_end, wal_size)
+            try:
+                self._end_wal_at(wal_end, wal_size)
+            except Exception as exc:  # noqa: BLE001 - a failed cut stops the open
+                raise self._fail(exc) from exc
         self._wal_bytes = wal_end
 
-    def _open_home(
-        self, config: GramConfig, backend: str
-    ) -> Optional[ForestIndex]:
-        """The reopened forest of a backend that is its own durable home
-        (``segment``, ``rel``), or ``None`` — every other backend, and a
-        home whose files do not load clean or carry another store's
-        fingerprint, is built from the documents instead.
-
-        A reopened home is the mapped frozen segment plus its tail delta
-        log, or ``rel.db``, with the per-tree commit sequences the WAL
-        replay gates on, so replay touches only the uncovered tail.
-        Corrupt files (checksums, torn manifests) and homes recorded for
-        another store (copied in, or left by a deleted one) are
-        discarded.  Slower, never wrong.
-        """
-        if backend not in _HOMES:
-            return None
-        home = self._home_directory(backend)
-        forest: Optional[ForestIndex] = None
-        try:
-            forest = ForestIndex(
-                config,
-                backend=backend,
-                metrics=self._metrics,
-                directory=home,
-                compress=self._compress,
-            )
-        except _HOMES[backend][1]:
-            pass
-        else:
-            if (
-                forest.backend.source_fingerprint()  # type: ignore[attr-defined]
-                != self._store_uuid
-            ):
-                forest.close()
-                forest = None
-        if forest is None:
-            shutil.rmtree(home, ignore_errors=True)
-        return forest
-
-    def _reconcile_home(self, backend: str) -> bool:
-        """Make a reopened home's membership the documents'; True when
-        it had to change (the caller checkpoints to persist that).
-
-        Around a crash the backend's own log can run a hair ahead of
-        the document snapshot (an add or remove whose checkpoint never
-        landed).  The document table is the authority on membership;
-        bag *contents* are reconciled by the sequence-gated WAL replay
-        that follows.
-        """
-        forest = self._forest
-        forest.backend.set_source(self._store_uuid)  # type: ignore[attr-defined]
-        reconciled = False
-        for tree_id in list(forest.backend.tree_ids()):
-            if tree_id not in self._documents:
-                forest.remove_tree(tree_id)
-                reconciled = True
-        missing = [
-            document_id
-            for document_id in self._documents
-            if document_id not in forest.backend
-        ]
-        if missing:
-            forest.backend.note_commit_seq(self._commit_seq)
-            forest.add_trees(
-                [
-                    (document_id, self._documents[document_id])
-                    for document_id in missing
-                ]
-            )
-            reconciled = True
-        if backend == "rel":
-            # Trees whose node rows are missing from the reopened
-            # database get their pre/post encoding re-recorded from the
-            # documents, so structural pushdown stays sound.
-            unstructured = forest.backend.structures_missing()  # type: ignore[attr-defined]
-            if unstructured:
-                with forest.lock.write():
-                    for document_id in sorted(unstructured):
-                        forest.backend.record_structure(
-                            document_id, self._documents[document_id]
-                        )
-                reconciled = True
-        return reconciled
-
     def _replay_wal(
-        self,
-        batches: List[Tuple[int, List[EditOperation], Optional[int]]],
-        backend: "Optional[ForestBackend]" = None,
+        self, batches: List[Tuple[int, List[EditOperation], Optional[int]]]
     ) -> int:
         """Apply the committed WAL batches the snapshot does not cover
         to the documents, in place (nothing can read the store yet);
@@ -1298,54 +1227,14 @@ class DocumentStore:
         frontier is already folded in (the crash window between the
         snapshot rename and the WAL truncation leaves such blocks
         behind); unstamped blocks of older stores are numbered by
-        position, as they always were.
-
-        With a durable home's ``backend``, each batch it does not
-        already hold is maintained into the forest as well — a reopened
-        segment backend's delta log typically covers the whole tail.
-        """
+        position, as they always were."""
         replayed = 0
         for document_id, operations, stamped in batches:
             seq = self._commit_seq + 1 if stamped is None else stamped
             if seq <= self._commit_seq:
                 continue
             self._commit_seq = seq
-            document = self._documents[document_id]
-            log = EditScript(list(operations)).apply(document)
+            EditScript(list(operations)).apply(self._documents[document_id])
             self._encoded.pop(document_id, None)
             replayed += 1
-            if backend is None or seq <= backend.applied_seq(document_id):
-                continue
-            backend.note_commit_seq(seq)
-            self._forest.update_tree(document_id, document, log)
         return replayed
-
-    def _roll_back_ahead(self) -> bool:
-        """Rebuild the bags a durable home holds past the replayed
-        commit frontier; True when there were any.
-
-        The delta log can run *ahead* of the durable WAL: a torn append
-        discards the batch from the WAL but may leave its index delta
-        behind, recovering documents to the pre-batch state while the
-        index holds the post-batch bags.  Any tree folded past the
-        frontier carries state the store never committed — rebuild
-        those bags from the recovered documents (the authority), and
-        clamp the backend's sequence high-water mark so the next seal
-        cannot advertise the rolled-back frontier.
-        """
-        backend = self._forest.backend
-        ahead = [
-            tree_id
-            for tree_id in list(backend.tree_ids())
-            if backend.applied_seq(tree_id) > self._commit_seq
-        ]
-        if not ahead:
-            return False
-        backend.note_commit_seq(self._commit_seq)
-        for tree_id in ahead:
-            self._forest.remove_tree(tree_id)
-        self._forest.add_trees(
-            [(tree_id, self._documents[tree_id]) for tree_id in ahead]
-        )
-        backend.truncate_seq_frontier(self._commit_seq)  # type: ignore[attr-defined]
-        return True

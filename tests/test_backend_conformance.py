@@ -2,7 +2,7 @@
 
 One write path (`ForestBackend`) with five engines — memory, compact
 (array snapshot + delta overlay), sharded (fingerprint-partitioned
-fan-out), segment (memory-mapped on-disk segments + delta log) and
+fan-out), segment (memory-mapped sealed segments + overlay) and
 rel (the relation as relstore tables with a pre/post node table) —
 must be indistinguishable on every read: lookups at any τ,
 per-tree indexes, inverted lists, incremental maintenance, and
@@ -45,8 +45,8 @@ TAUS = (0.2, 0.5, 1.0)
 CONFIG = GramConfig(2, 3)
 
 # (spec name, forest kwargs) — sharded twice to cover the single-shard
-# degenerate case and a real fan-out; segment runs over an ephemeral
-# temp directory (DocumentStore tests home it under the store dir).
+# degenerate case and a real fan-out; segment maps its sealed files in
+# a temp directory (DocumentStore tests put it under the store dir).
 # The ``-z`` rows run the same engines with the succinct layer on
 # (subtree dedup + interned bags + varint frozen postings): compression
 # must be invisible on every read path, bit for bit.
@@ -498,11 +498,10 @@ class TestCompactOverlayStaleness:
         ephemeral = make_backend("segment")
         assert ephemeral.ephemeral
         ephemeral.close()
-        rel = make_backend("rel", directory=str(tmp_path / "rel"))
-        assert isinstance(rel, RelBackend)
-        assert not rel.ephemeral
-        rel.close()
-        assert make_backend("rel").ephemeral
+        assert isinstance(make_backend("rel"), RelBackend)
+        # rel keeps its tables in memory: no directory to name.
+        with pytest.raises(ValueError):
+            make_backend("rel", directory=str(tmp_path / "rel"))
         # An unknown spec names every valid backend in one message.
         with pytest.raises(ValueError) as excinfo:
             make_backend("mmap")
@@ -515,7 +514,7 @@ class TestCompactOverlayStaleness:
             make_backend("compact", directory=str(tmp_path / "x"))
         with pytest.raises(ValueError):
             make_backend(MemoryBackend(), directory=str(tmp_path / "y"))
-        # directory= is valid for both on-disk engines, nothing else.
+        # directory= is valid for the segment backend, nothing else.
         with pytest.raises(ValueError) as excinfo:
             make_backend("sharded", shards=2, directory=str(tmp_path / "z"))
-        assert "segment or rel" in str(excinfo.value)
+        assert "segment backend" in str(excinfo.value)

@@ -14,9 +14,12 @@ post-batch index is also checked against.
 
 Beyond byte offsets, ``test_crash_at_every_failpoint`` kills the store
 at every named durable write (:mod:`repro.service.failpoints`) before,
-after, or half-way through it.
+after, or half-way through it, and ``test_eio_at_every_failpoint``
+fails each of those writes with an I/O error the process survives: the
+store must stop (fail-stop) and reopen to every acknowledged batch.
 """
 
+import json
 import os
 import shutil
 
@@ -24,8 +27,10 @@ import pytest
 
 from repro.core import GramConfig, PQGramIndex
 from repro.edits import apply_script
+from repro.errors import StoreFailedError
 from repro.service import DocumentStore, failpoints
 from repro.tree import tree_from_brackets
+from repro.tree.builder import tree_to_brackets
 
 from tests.conftest import (
     REFERENCE_ENGINES,
@@ -35,6 +40,7 @@ from tests.conftest import (
 
 CONFIG = GramConfig(2, 3)
 WAL = "wal.log"
+STORE_BACKENDS = ["memory", "compact", "sharded", "segment", "rel"]
 
 
 def store_state(store):
@@ -292,9 +298,7 @@ def test_crash_between_snapshot_rename_and_wal_truncation(tmp_path, backend):
     again.close()
 
 
-@pytest.mark.parametrize(
-    "backend", ["memory", "compact", "sharded", "segment", "rel"]
-)
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
 def test_write_after_a_torn_tail_survives_the_next_crash(tmp_path, backend):
     """A crash can tear the first block written after a checkpoint.  The
     open that finds it has nothing to replay and so no reason to
@@ -418,3 +422,191 @@ def test_crash_at_every_failpoint(tmp_path, backend, point, mode):
     again = DocumentStore(image, CONFIG)
     assert_recovered(again)
     again.close()
+
+
+@pytest.mark.parametrize("serving", [False, True], ids=["sync", "serving"])
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_failed_fsync_stops_the_store(tmp_path, backend, serving):
+    """A WAL fsync that fails leaves the block in the file with a commit
+    sequence the store has not counted.  Were the store to take the
+    next batch, that batch would reuse the sequence, and recovery would
+    apply the refused batch and drop the acknowledged one as a
+    duplicate.  Instead the store stops: the failed batch and every
+    later mutation raise :class:`StoreFailedError`, reads serve the last
+    published state, and the reopened store holds the refused batch
+    whole or not at all — and nothing it never acknowledged."""
+    from repro.edits import Delete, Rename
+    from repro.query import ApproxLookup
+
+    directory = str(tmp_path / "store")
+    store = DocumentStore(
+        directory, CONFIG, backend=backend, serve_threads=2 if serving else 0
+    )
+    store.add_document(1, tree_from_brackets("a(b,c)"))
+    published = store.get_document(1)
+    with failpoints.armed("wal.fsync", failpoints.EIO):
+        with pytest.raises(StoreFailedError):
+            store.apply_edits(1, [Delete(1)])
+    assert store.stats()["failed"]
+    with pytest.raises(StoreFailedError):
+        store.apply_edits(1, [Rename(2, "z")])
+    refused = [
+        lambda: store.add_document(2, tree_from_brackets("x")),
+        lambda: store.add_documents([(3, tree_from_brackets("y"))]),
+        lambda: store.remove_document(1),
+        lambda: store.subscribe("q", ApproxLookup(published, 0.5)),
+        lambda: store.unsubscribe("q"),
+        store.checkpoint,
+    ]
+    for mutation in refused:
+        with pytest.raises(StoreFailedError):
+            mutation()
+    assert list(store.document_ids()) == [1]
+    assert store.get_document(1) == published
+    assert store.lookup(published, 0.1).tree_ids() == [1]
+    wal_bytes = os.path.getsize(os.path.join(directory, WAL))
+    store.close()  # no checkpoint: the WAL keeps its bytes
+    assert os.path.getsize(os.path.join(directory, WAL)) == wal_bytes
+
+    reopened = DocumentStore(directory, CONFIG)
+    assert not reopened.stats()["failed"]
+    assert list(reopened.document_ids()) == [1]
+    assert tree_to_brackets(reopened.get_document(1)) in ("a(b,c)", "a(c)")
+    assert_store_is_rebuild(reopened)
+    reopened.apply_edits(1, [Rename(2, "z")])  # the way out
+    acknowledged = store_state(reopened)
+    del reopened
+    again = DocumentStore(directory, CONFIG)
+    assert store_state(again) == acknowledged
+    again.close()
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+@pytest.mark.parametrize("point", failpoints.POINTS)
+def test_eio_at_every_failpoint(tmp_path, backend, point):
+    """Each durable write fails once with ``EIO`` and the process lives
+    on.  The store stops at the first failure; reopened, it holds every
+    acknowledged batch, the batch in flight whole or not at all, and
+    indexes equal to a from-scratch build — and it takes writes again.
+    A checkpoint that fails after its batch's WAL append was fsynced
+    reports that batch committed.  ``recover.*`` points fail the open
+    that cuts a torn tail."""
+    from repro.edits import Rename
+
+    directory = str(tmp_path / "store")
+    store = DocumentStore(directory, CONFIG, backend=backend)
+    store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+    store.add_document(2, tree_from_brackets("x(y,z)"))
+    store.apply_edits(2, [Rename(2, "acked")])
+    acknowledged = {1: store.get_document(1), 2: store.get_document(2)}
+    in_flight = None
+    if point.startswith("recover."):
+        del store
+        with open(os.path.join(directory, WAL), "ab") as handle:
+            handle.write(b"BEGIN 1 1 99\nREN 1 ")
+        with failpoints.armed(point, failpoints.EIO):
+            with pytest.raises(StoreFailedError):
+                DocumentStore(directory, CONFIG)
+    else:
+        # Blocks of ≈ 16 KiB: the fifth carries the WAL past the floor.
+        with failpoints.armed(point, failpoints.EIO):
+            for round_number in range(16):
+                in_flight = [Rename(1, f"{round_number}" + "x" * 16_000)]
+                try:
+                    store.apply_edits(1, in_flight)
+                except StoreFailedError:
+                    break
+                acknowledged[1] = store.get_document(1)
+            else:
+                pytest.fail(f"{point} never ran")
+        assert store.stats()["failed"]
+        for document_id, document in acknowledged.items():
+            assert store.get_document(document_id) == document
+        with pytest.raises(StoreFailedError):
+            store.apply_edits(2, [Rename(1, "refused")])
+        store.close()
+    outcomes = [acknowledged[1]]
+    if point in _WAL_APPEND:
+        # The batch in flight hit the error: outcome unknown.  Past the
+        # append, the batch that raised was refused by a failed store.
+        outcomes.append(apply_script(acknowledged[1], in_flight)[0])
+
+    recovered = DocumentStore(directory, CONFIG)
+    assert sorted(recovered.document_ids()) == [1, 2]
+    assert recovered.get_document(2) == acknowledged[2]
+    assert recovered.get_document(1) in outcomes
+    assert_store_is_rebuild(recovered)
+    recovered.apply_edits(2, [Rename(1, "later")])
+    later = store_state(recovered)
+    del recovered  # crash
+    again = DocumentStore(directory, CONFIG)
+    assert store_state(again) == later
+    assert_store_is_rebuild(again)
+    again.close()
+
+
+def test_parent_format_homes_are_deleted_never_read(tmp_path):
+    """Stores used to keep a second, durable copy of the index for the
+    ``segment`` backend (``segments/`` with ``MANIFEST.json``, a sealed
+    segment and a delta log) and the ``rel`` backend (``rel/rel.db``).
+    A directory holding both, plus a WAL tail, opens with either backend
+    to indexes equal to a rebuild — the planted homes hold bags that
+    match no document — and keeps no home directory."""
+    from repro.backend.segment import write_segment_file
+    from repro.edits import Rename
+    from repro.relstore.database import Database
+    from repro.relstore.schema import Column, Schema
+
+    wrong = {1: {(7, 7, 7, 7, 7): 3}, 2: {(8, 8, 8, 8, 8): 1}}
+    for backend in ("segment", "rel"):
+        directory = str(tmp_path / backend)
+        store = DocumentStore(directory, CONFIG, backend=backend)
+        store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+        store.add_document(2, tree_from_brackets("x(y,z)"))
+        store.apply_edits(1, [Rename(2, "tail")])
+        del store  # the rename is in the WAL tail only
+
+        segments = os.path.join(directory, "segments")
+        os.makedirs(segments, exist_ok=True)
+        write_segment_file(os.path.join(segments, "segment-00000001.seg"), wrong)
+        with open(os.path.join(segments, "MANIFEST.json"), "w") as handle:
+            json.dump(
+                {
+                    "format": 1,
+                    "generation": 1,
+                    "segment": "segment-00000001.seg",
+                    "sealed_seq": 99,
+                    "source": None,
+                },
+                handle,
+            )
+        with open(os.path.join(segments, "delta-00000001.log"), "wb") as handle:
+            handle.write(b"\x10\x00\x00\x00" + b"\x00" * 20)
+        rel = Database()
+        sizes = rel.create_table(
+            "sizes",
+            Schema([Column("treeId", int), Column("size", int), Column("seq", int)]),
+            ("treeId",),
+        )
+        postings = rel.create_table(
+            "postings",
+            Schema([Column("treeId", int), Column("pqg", tuple), Column("cnt", int)]),
+            ("treeId", "pqg"),
+        )
+        rel.create_table(
+            "meta", Schema([Column("key", str), Column("value", str)]), ("key",)
+        )
+        for tree_id, bag in wrong.items():
+            sizes.insert_row((tree_id, sum(bag.values()), 99))
+            for key, count in bag.items():
+                postings.insert_row((tree_id, key, count))
+        os.makedirs(os.path.join(directory, "rel"), exist_ok=True)
+        rel.save(os.path.join(directory, "rel", "rel.db"))
+
+        reopened = DocumentStore(directory, CONFIG)
+        assert reopened.backend_name == backend
+        assert reopened.get_document(1).label(2) == "tail"
+        assert_store_is_rebuild(reopened)
+        assert not os.path.exists(segments)
+        assert not os.path.exists(os.path.join(directory, "rel"))
+        reopened.close()

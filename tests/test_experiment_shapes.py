@@ -3,87 +3,150 @@
 These are fast, assertion-backed versions of the benchmark trends
 (the full sweeps live in ``benchmarks/``): who wins and in which
 direction quantities grow, at sizes small enough for the unit suite.
+Work is counted, not timed, so a loaded machine cannot decide a
+comparison: labels hashed (every label read goes through a
+:class:`LabelHasher`, whose ``memo_hits + memo_misses`` count them),
+pq-grams produced, bag keys probed, and inverted-list postings the
+candidate sweep touched.  The timed sweeps live in ``benchmarks/``.
 """
 
-import time
+import pytest
 
-
+import repro.lookup.service
 from repro.baselines import rebuild_index
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    update_index_replay,
     update_index_replay_timed,
 )
 from repro.datasets import dblp_tree, dblp_update_script, xmark_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 from repro.lookup import ForestIndex, LookupService
+from repro.obsv import MetricsRegistry
 from repro.xmlio import write_xml
 
+CONFIG = GramConfig(3, 3)
 
-def _timed(callable_):
-    started = time.perf_counter()
-    result = callable_()
-    return result, time.perf_counter() - started
+
+def _labels_hashed(*hashers):
+    return sum(hasher.memo_hits + hasher.memo_misses for hasher in hashers)
+
+
+@pytest.fixture
+def on_the_fly():
+    """A collection, its forest behind a service with the query-index
+    LRU off, and the work of one lookup *without* the index: labels
+    hashed by the hashers it creates, pq-grams it produces, and the bag
+    keys its pairwise comparisons probe (the smaller bag's distinct
+    keys, :meth:`PQGramIndex.bag_intersection_size`)."""
+    collection = [(i, dblp_tree(40, seed=i)) for i in range(12)]
+    registry = MetricsRegistry()
+    forest = ForestIndex(CONFIG, metrics=registry)
+    forest.add_trees(collection)
+    service = LookupService(forest, query_cache_size=0)
+    query = collection[3][1]
+    hashers = []
+
+    class CountedHasher(LabelHasher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            hashers.append(self)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(repro.lookup.service, "LabelHasher", CountedHasher)
+    try:
+        without = service.lookup_without_index(query, collection, tau=1.1)
+    finally:
+        patch.undo()
+    indexes = [
+        PQGramIndex.from_tree(tree, CONFIG, LabelHasher())
+        for _, tree in collection
+    ]
+    query_index = PQGramIndex.from_tree(query, CONFIG, LabelHasher())
+    work = {
+        "labels": _labels_hashed(*hashers),
+        "grams": query_index.size() + sum(index.size() for index in indexes),
+        "probes": sum(
+            min(query_index.distinct_size(), index.distinct_size())
+            for index in indexes
+        ),
+    }
+    return service, registry, query, without, work
 
 
 class TestFig13LeftShape:
-    def test_index_construction_dominates_lookup_without_index(self):
+    def test_index_construction_dominates_lookup_without_index(
+        self, on_the_fly
+    ):
         """Fig. 13 (left): without a precomputed index, building the
-        collection indexes is the dominant cost of a lookup."""
-        collection = [(i, dblp_tree(40, seed=i)) for i in range(12)]
-        forest = ForestIndex(GramConfig(3, 3))
-        for tree_id, tree in collection:
-            forest.add_tree(tree_id, tree)
-        service = LookupService(forest)
-        query = collection[0][1]
-        without = service.lookup_without_index(query, collection, tau=1.1)
-        assert without.seconds_index_construction > 0.5 * without.seconds_total
+        collection indexes is the dominant cost of a lookup — every
+        label of the collection is hashed and every pq-gram produced,
+        which outweighs the comparisons that follow."""
+        _, _, query, without, work = on_the_fly
+        collection_nodes = sum(
+            len(dblp_tree(40, seed=i)) for i in range(12)
+        )
+        assert work["labels"] == collection_nodes + len(query)
+        construction = work["labels"] + work["grams"]
+        assert construction > work["probes"]
+        assert without.trees_compared == 12
 
-    def test_precomputed_lookup_faster(self):
-        """Fig. 13 (left) is a steady-state claim: one untimed lookup
-        absorbs the first freeze and the lazy imports, then both arms
-        are best-of-5 so a GC pause cannot decide the comparison.  The
-        query-index LRU is off — every timed lookup indexes its query."""
-        collection = [(i, dblp_tree(40, seed=i)) for i in range(12)]
-        forest = ForestIndex(GramConfig(3, 3))
-        for tree_id, tree in collection:
-            forest.add_tree(tree_id, tree)
-        service = LookupService(forest, query_cache_size=0)
-        query = collection[3][1]
-        service.lookup(query, tau=1.1)
-        with_index = min(
-            (service.lookup(query, tau=1.1) for _ in range(5)),
-            key=lambda result: result.seconds_total,
+    def test_precomputed_lookup_faster(self, on_the_fly):
+        """Fig. 13 (left): with the index precomputed, a lookup hashes
+        only the query's labels and touches only the postings of the
+        query's pq-grams — far less than building and comparing every
+        index on the fly — and returns the same matches."""
+        service, registry, query, without, work = on_the_fly
+        service.lookup(query, tau=1.1)  # first freeze, off the count
+        hasher = service.forest.hasher
+        labels_before = _labels_hashed(hasher)
+        touched_before = registry.counter_value(
+            "index_postings_touched_total"
         )
-        without = min(
-            (
-                service.lookup_without_index(query, collection, tau=1.1)
-                for _ in range(5)
-            ),
-            key=lambda result: result.seconds_total,
+        with_index = service.lookup(query, tau=1.1)
+        labels = _labels_hashed(hasher) - labels_before
+        touched = (
+            registry.counter_value("index_postings_touched_total")
+            - touched_before
         )
-        assert with_index.seconds_total < without.seconds_total
+        assert labels == len(query)
+        query_grams = PQGramIndex.from_tree(query, CONFIG, LabelHasher()).size()
+        indexed = labels + query_grams + touched
+        assert indexed < work["labels"] + work["grams"] + work["probes"]
+        assert labels < work["labels"]
         assert with_index.tree_ids() == without.tree_ids()
+
+
+def _update_and_rebuild_work(tree, script, hasher):
+    """(labels hashed, pq-grams produced) by the replay update and by a
+    from-scratch rebuild of the edited tree."""
+    old_index = PQGramIndex.from_tree(tree, CONFIG, hasher)
+    edited, log = apply_script(tree, script)
+    before = _labels_hashed(hasher)
+    updated, counts = update_index_replay_timed(old_index, edited, log, hasher)
+    update = (
+        _labels_hashed(hasher) - before,
+        counts.gram_count_plus + counts.gram_count_minus,
+    )
+    before = _labels_hashed(hasher)
+    rebuilt = rebuild_index(edited, CONFIG, hasher)
+    rebuild = (_labels_hashed(hasher) - before, rebuilt.size())
+    assert updated == rebuilt
+    return update, rebuild
 
 
 class TestFig13RightShape:
     def test_update_beats_rebuild_on_large_trees(self):
         """Fig. 13 (right): for a fixed small log, incremental update
-        beats from-scratch construction once trees are large."""
-        hasher = LabelHasher()
-        config = GramConfig(3, 3)
+        beats from-scratch construction once trees are large — it reads
+        fewer labels and produces fewer pq-grams."""
         tree = dblp_tree(800, seed=1)  # ~9k nodes
-        old_index = PQGramIndex.from_tree(tree, config, hasher)
         script = dblp_update_script(tree, 10, seed=2, stable=True)
-        edited, log = apply_script(tree, script)
-
-        _, rebuild_seconds = _timed(lambda: rebuild_index(edited, config, hasher))
-        _, update_seconds = _timed(
-            lambda: update_index_replay(old_index, edited, log, hasher)
-        )
-        assert update_seconds < rebuild_seconds
+        update, rebuild = _update_and_rebuild_work(tree, script, LabelHasher())
+        assert rebuild[0] == len(apply_script(tree, script)[0])
+        assert update[0] < rebuild[0]
+        assert update[1] < rebuild[1]
 
     def test_update_time_nearly_size_independent(self):
         """Quadrupling the tree must not grow the update's work for a
@@ -160,19 +223,17 @@ class TestFig14LeftShape:
 
 class TestFig14RightShape:
     def test_update_time_grows_with_log_size(self):
-        """Fig. 14 (right): update time is increasing (≈linear) in the
-        number of edit operations."""
-        hasher = LabelHasher()
-        config = GramConfig(3, 3)
+        """Fig. 14 (right): update work is increasing (≈linear) in the
+        number of edit operations — labels read and pq-grams produced
+        both grow with the log, on the same tree."""
         tree = dblp_tree(400, seed=8)
-        old_index = PQGramIndex.from_tree(tree, config, hasher)
-        seconds = []
-        for ops in (5, 80):
-            script = dblp_update_script(tree, ops, seed=9, stable=True)
-            edited, log = apply_script(tree, script)
-            best = min(
-                _timed(lambda: update_index_replay(old_index, edited, log, hasher))[1]
-                for _ in range(3)
-            )
-            seconds.append(best)
-        assert seconds[1] > seconds[0]
+        work = [
+            _update_and_rebuild_work(
+                tree,
+                dblp_update_script(tree, ops, seed=9, stable=True),
+                LabelHasher(),
+            )[0]
+            for ops in (5, 80)
+        ]
+        assert work[1][0] > work[0][0]
+        assert work[1][1] > work[0][1]

@@ -1,5 +1,7 @@
-"""RelBackend durability + structural encoding, and the bounded
-intern pool the compressed variants lean on."""
+"""RelBackend write path + structural encoding, its place in the
+store's one recovery protocol (built from the documents on every open,
+never read back from disk), and the bounded intern pool the compressed
+variants lean on."""
 
 import os
 import random
@@ -156,52 +158,36 @@ class TestStructure:
 
 
 # ----------------------------------------------------------------------
-# durability
+# durability: derived from the store's documents
 # ----------------------------------------------------------------------
 
 
 class TestDurability:
     def test_checkpoint_reopen_preserves_everything(self, tmp_path):
-        directory = str(tmp_path / "rel")
-        rel = RelBackend(directory)
-        assert not rel.ephemeral
-        trees = fill_with_trees(rel, 8, seed=60)
-        rel.note_commit_seq(41)
-        extra = random_labelled_tree(5, seed=99)
-        rel.add_tree_bag(99, dict(index_of_tree(extra, CONFIG, HASHER).items()))
-        rel.record_structure(99, extra)
-        rel.set_source("deadbeef")
-        assert rel.checkpoint()
-        assert os.path.exists(os.path.join(directory, "rel.db"))
+        """A closed and reopened rel store holds the same relation and
+        a complete pre/post table, built from its documents."""
+        from repro.service import DocumentStore
 
-        reopened = RelBackend(directory)
-        assert reopened.snapshot() == rel.snapshot()
-        assert reopened.source_fingerprint() == "deadbeef"
-        assert reopened.applied_seq(99) == 41
-        assert reopened.applied_seq(0) == -1  # added before any seq note
-        assert reopened.applied_seq(12345) == -1  # unknown tree
-        assert reopened.structures_missing() == set()
-        matcher = reopened.structural_matcher(HasLabel("absent"))
-        for tree_id in trees:
-            assert matcher(tree_id) is False
-        reopened.check_consistency()
-
-    def test_truncate_seq_frontier_clamps(self, tmp_path):
-        rel = RelBackend(str(tmp_path / "rel"))
-        rel.note_commit_seq(10)
-        rel.add_tree_bag(1, {(1,): 1})
-        rel.note_commit_seq(20)
-        rel.add_tree_bag(2, {(2,): 1})
-        assert rel.applied_seq(1) == 10
-        assert rel.applied_seq(2) == 20
-        rel.truncate_seq_frontier(15)
-        assert rel.applied_seq(1) == 10
-        assert rel.applied_seq(2) == 15
-
-    def test_ephemeral_checkpoint_is_a_noop(self):
-        rel = RelBackend()
-        rel.add_tree_bag(1, {(1,): 1})
-        assert not rel.checkpoint()
+        directory = str(tmp_path / "store")
+        trees = {
+            tree_id: random_labelled_tree(
+                random.Random(60 + tree_id).randint(2, 25), seed=60 + tree_id
+            )
+            for tree_id in range(8)
+        }
+        with DocumentStore(directory, CONFIG, backend="rel") as store:
+            store.add_documents(list(trees.items()))
+            expected = store._forest.backend.snapshot()
+        with DocumentStore(directory) as reopened:
+            backend = reopened._forest.backend
+            assert reopened.backend_name == "rel"
+            assert backend.snapshot() == expected
+            assert backend.structures_missing() == set()
+            matcher = backend.structural_matcher(HasLabel("absent"))
+            for tree_id in trees:
+                assert matcher(tree_id) is False
+            backend.check_consistency()
+        assert not os.path.exists(os.path.join(directory, "rel"))
 
     def test_stats_shape(self):
         rel = RelBackend(compress=False)
@@ -213,7 +199,7 @@ class TestDurability:
         assert stats["trees"] == 1
         assert stats["node_rows"] == len(tree)
         assert stats["structured_trees"] == 1
-        assert stats["durable"] is False
+        assert "durable" not in stats
 
 
 class TestStoreRecovery:
@@ -235,15 +221,19 @@ class TestStoreRecovery:
         return And(ApproxLookup(collection[0][1], 1.5), HasLabel("a"))
 
     def test_corrupt_snapshot_rebuilds_from_wal(self, tmp_path):
+        """A ``rel/rel.db`` in the store directory — here garbage — is
+        deleted on open, never read."""
         from repro.service import DocumentStore
 
         directory = str(tmp_path / "store")
         collection = self.seed_store(directory)
         with DocumentStore(directory) as store:
             expected = store.query(self.query_plan(collection)).matches
+        os.makedirs(os.path.join(directory, "rel"))
         with open(os.path.join(directory, "rel", "rel.db"), "wb") as handle:
             handle.write(b"this is not a relstore snapshot")
         with DocumentStore(directory) as store:
+            assert not os.path.exists(os.path.join(directory, "rel"))
             assert store.backend_name == "rel"
             result = store.query(self.query_plan(collection))
             assert result.matches == expected
@@ -251,13 +241,14 @@ class TestStoreRecovery:
             store._forest.backend.check_consistency()
 
     def test_missing_rel_directory_rebuilds(self, tmp_path):
-        import shutil
-
+        """No ``rel/`` directory is the normal state: the reopened store
+        builds the relation and the node table from its documents, and
+        pushdown is sound at once."""
         from repro.service import DocumentStore
 
         directory = str(tmp_path / "store")
         collection = self.seed_store(directory)
-        shutil.rmtree(os.path.join(directory, "rel"))
+        assert not os.path.exists(os.path.join(directory, "rel"))
         with DocumentStore(directory) as store:
             result = store.query(self.query_plan(collection))
             assert result.extra["pushdown"] == 1.0

@@ -1,19 +1,21 @@
-"""Segment backend: file format, corruption matrix, reopen, store glue.
+"""Segment backend: file format, corruption matrix, store glue.
 
 The conformance suite already proves the segment backend bit-identical
 to the memory reference on live workloads; this file covers what only
-an on-disk backend can get wrong — segment files that lie (truncated,
-bit-flipped, foreign), delta logs with torn tails, instant reopen
-semantics, the seal/refreeze debounce, and the document store's
-sequence-gated recovery.  The contract under corruption is strict:
-recover exactly, or raise :class:`SegmentCorruptError` — a corrupt
-segment is *never* served.
+a backend that maps files can get wrong — segment files that lie
+(truncated, bit-flipped, foreign), the seal/refreeze debounce, and the
+document store's one recovery protocol: the segment files are derived
+state, so a reopened store deletes whatever it finds under
+``segments/`` — never reads it — and builds the forest from the
+documents.  The file readers' contract under corruption is strict:
+raise :class:`SegmentCorruptError` — a corrupt segment is *never*
+served.
 """
 
 import glob
-import json
 import os
 import random
+import shutil
 
 import pytest
 
@@ -21,7 +23,6 @@ from repro.backend.memory import MemoryBackend
 from repro.backend.segment import (
     _HEADER2_SIZE,
     _HEADER_SIZE,
-    MANIFEST_NAME,
     SegmentBackend,
     _open_segment,
     _Segment,
@@ -34,8 +35,10 @@ from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
 from repro.edits import apply_script
 from repro.errors import SegmentCorruptError
-from repro.lookup import ForestIndex
+from repro.lookup import ForestIndex, LookupService
 from repro.service import DocumentStore
+
+from tests.conftest import assert_store_is_rebuild
 
 CONFIG = GramConfig(2, 3)
 
@@ -251,8 +254,8 @@ class TestSegmentFileV2:
             _SegmentV2(path, verify_checksum=False)
 
     def test_corrupt_varint_segment_never_served(self, tmp_path):
-        """End to end: a compressed backend refuses to reopen over a
-        segment whose packed payload was flipped."""
+        """End to end: the segment a compressed backend sealed, its
+        packed payload flipped, is refused by the reader."""
         directory = str(tmp_path / "seg")
         backend = SegmentBackend(directory, compress=True)
         for tree_id, bag in random_bags(8, seed=35).items():
@@ -268,126 +271,67 @@ class TestSegmentFileV2:
             handle.seek(-1, os.SEEK_CUR)
             handle.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(SegmentCorruptError):
-            SegmentBackend(directory, compress=True)
+            _open_segment(segfile)
 
 
 # ----------------------------------------------------------------------
-# reopen + delta log
+# reopen: the files are derived, the store rebuilds
 # ----------------------------------------------------------------------
+
+
+def _flip(path, offset):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
 class TestReopen:
-    def workload(self, backend, reference, seed=11):
-        rng = random.Random(seed)
-        bags = random_bags(10, seed=seed)
-        seq = 0
-        for tree_id, bag in bags.items():
-            seq += 1
-            backend.note_commit_seq(seq)
-            backend.add_tree_bag(tree_id, dict(bag))
-            reference.add_tree_bag(tree_id, dict(bag))
-        backend.seal()
-        # Post-seal tail: deltas, a removal, a re-add — all delta-logged.
-        keys = sorted({key for bag in bags.values() for key in bag})
-        for _ in range(6):
-            tree_id = rng.choice(sorted(set(bags) - {3}))
-            bag = dict(backend.tree_bag(tree_id))
-            minus = {}
-            if bag:
-                victim = rng.choice(sorted(bag))
-                minus = {victim: 1}
-            plus = {rng.choice(keys): 1}
-            seq += 1
-            backend.note_commit_seq(seq)
-            backend.apply_tree_delta(tree_id, minus, plus)
-            reference.apply_tree_delta(tree_id, minus, plus)
-        seq += 1
-        backend.note_commit_seq(seq)
-        backend.remove_tree(3)
-        reference.remove_tree(3)
-        return bags, seq
-
     def test_reopen_replays_only_the_tail(self, tmp_path):
-        directory = str(tmp_path / "seg")
-        backend = SegmentBackend(directory)
-        reference = MemoryBackend()
-        bags, seq = self.workload(backend, reference)
-        expected = reference.snapshot()
-        assert backend.snapshot() == expected
-        backend.close()
+        """A sealed segment plus an edit tail in the WAL, then a crash:
+        the reopen replays the tail onto the documents, builds the
+        forest once (no maintenance batch runs) and equals a rebuild."""
+        from repro.obsv import MetricsRegistry
 
-        reopened = SegmentBackend(directory)
-        assert reopened.snapshot() == expected
-        assert reopened.stats()["segments"] == 1
-        items = query_items(bags, seed=12)
-        assert reopened.candidates(items) == reference.candidates(items)
-        # The tail (not the sealed prefix) is what replay recovered.
-        assert reopened.sealed_seq < seq
-        assert reopened.applied_seq(next(iter(bags))) >= reopened.sealed_seq
-        reopened.check_consistency()
+        directory = str(tmp_path / "store")
+        store, reference, documents = TestSegmentStore()._populate(directory)
+        store._forest.compact()  # seal what the edits left
+        assert store.stats()["segments"] == 1
+        store.checkpoint()
+        for round_number in range(3):
+            _edit_round(store, reference, documents, seed=70 + round_number)
+        del store  # crash: the three batches are in the WAL only
+        registry = MetricsRegistry()
+        reopened = DocumentStore(directory, metrics=registry)
+        assert registry.counter_value("wal_replayed_batches_total") == 3
+        assert registry.counter_value("maintain_batches_total") == 0
+        assert (
+            reopened._forest.backend.snapshot() == reference.backend.snapshot()
+        )
+        assert_store_is_rebuild(reopened)
         reopened.close()
 
     def test_seal_then_reopen_needs_no_delta(self, tmp_path):
-        directory = str(tmp_path / "seg")
-        backend = SegmentBackend(directory)
-        reference = MemoryBackend()
-        self.workload(backend, reference)
-        assert backend.seal()
-        backend.close()
-        reopened = SegmentBackend(directory)
-        assert reopened.snapshot() == reference.snapshot()
-        assert reopened.stats()["overlay_keys"] == 0
-        reopened.check_consistency()
+        """A clean close after a seal: the reopened store maps nothing
+        from before — the old segment file is gone — and its first seal
+        writes a segment of its own that serves the same relation."""
+        directory = str(tmp_path / "store")
+        store, reference, _ = TestSegmentStore()._populate(directory)
+        store._forest.compact()
+        [sealed] = glob.glob(os.path.join(directory, "segments", "*.seg"))
+        store.close()
+        reopened = DocumentStore(directory)
+        assert not os.path.exists(sealed)
+        assert reopened.stats()["segments"] == 0
+        reopened._forest.compact()
+        stats = reopened.stats()
+        assert stats["segments"] == 1 and stats["overlay_keys"] == 0
+        assert (
+            reopened._forest.backend.snapshot() == reference.backend.snapshot()
+        )
+        reopened._forest.backend.check_consistency()
         reopened.close()
-
-    def test_torn_delta_tail_is_truncated(self, tmp_path):
-        directory = str(tmp_path / "seg")
-        backend = SegmentBackend(directory)
-        reference = MemoryBackend()
-        self.workload(backend, reference)
-        expected = reference.snapshot()
-        backend.close()
-        [delta] = glob.glob(os.path.join(directory, "delta-*.log"))
-        with open(delta, "ab") as handle:
-            handle.write(b"\x99\x00\x00\x00torn")  # half a record frame
-        size_with_tail = os.path.getsize(delta)
-        reopened = SegmentBackend(directory)
-        assert reopened.snapshot() == expected
-        assert os.path.getsize(delta) < size_with_tail
-        reopened.check_consistency()
-        # New writes append cleanly after the truncation.
-        reopened.note_commit_seq(99)
-        reopened.add_tree_bag(77, {(5, 5): 1})
-        reopened.close()
-        again = SegmentBackend(directory)
-        assert again.tree_bag(77) == {(5, 5): 1}
-        again.close()
-
-    def test_corrupt_delta_record_stops_replay_at_the_tear(self, tmp_path):
-        directory = str(tmp_path / "seg")
-        backend = SegmentBackend(directory)
-        reference = MemoryBackend()
-        self.workload(backend, reference)
-        backend.close()
-        [delta] = glob.glob(os.path.join(directory, "delta-*.log"))
-        with open(delta, "r+b") as handle:
-            handle.seek(-3, os.SEEK_END)
-            handle.write(b"\xff")  # flip inside the last record's payload
-        reopened = SegmentBackend(directory)  # last record dropped, no crash
-        reopened.check_consistency()
-        reopened.close()
-
-    def test_corrupt_manifest_raises(self, tmp_path):
-        directory = str(tmp_path / "seg")
-        backend, _ = loaded_pair(directory, random_bags(5, seed=21))
-        backend.close()
-        manifest = os.path.join(directory, MANIFEST_NAME)
-        for payload in ("{not json", json.dumps({"format": 99}),
-                        json.dumps({"format": 1})):
-            with open(manifest, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            with pytest.raises(SegmentCorruptError):
-                SegmentBackend(directory)
 
     def test_missing_segment_file_raises(self, tmp_path):
         directory = str(tmp_path / "seg")
@@ -396,21 +340,23 @@ class TestReopen:
         [segfile] = glob.glob(os.path.join(directory, "segment-*.seg"))
         os.remove(segfile)
         with pytest.raises(SegmentCorruptError):
-            SegmentBackend(directory)
+            _open_segment(segfile)
 
     def test_corrupt_segment_never_serves_candidates(self, tmp_path):
+        """The reader refuses a flipped file, and a backend over the
+        directory that holds it never reads it: it starts empty."""
         directory = str(tmp_path / "seg")
         bags = random_bags(8, seed=23)
         backend, _ = loaded_pair(directory, bags)
         backend.close()
         [segfile] = glob.glob(os.path.join(directory, "segment-*.seg"))
-        with open(segfile, "r+b") as handle:
-            handle.seek(_HEADER_SIZE + 24)
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        _flip(segfile, _HEADER_SIZE + 24)
         with pytest.raises(SegmentCorruptError):
-            SegmentBackend(directory)
+            _open_segment(segfile)
+        fresh = SegmentBackend(directory)
+        assert len(fresh) == 0
+        assert fresh.candidates(query_items(bags, seed=24)) == {}
+        fresh.close()
 
     def test_ephemeral_backend_cleans_up(self):
         backend = SegmentBackend()
@@ -537,29 +483,35 @@ class TestSegmentStore:
         reopened.close()
 
     def test_crash_recovery_skips_already_applied_batches(self, tmp_path):
+        # Crash: no close(), so the WAL still holds every edit batch;
+        # each replays onto its document exactly once.
         directory = str(tmp_path / "store")
         store, reference, documents = self._populate(directory)
-        # Crash: no close(), so the WAL still holds every edit batch
-        # while the delta log already applied them — recovery must not
-        # double-apply.
         del store
         self.assert_matches_reference(directory, reference, documents)
 
     def test_recovery_rebuilds_lost_delta_from_wal(self, tmp_path):
+        """Files an older store kept under ``segments/`` (a manifest, a
+        delta log) are deleted on open, never read: the WAL and the
+        documents alone recover everything."""
         directory = str(tmp_path / "store")
         store, reference, documents = self._populate(directory)
         del store
-        for delta in glob.glob(
-            os.path.join(directory, "segments", "delta-*.log")
-        ):
-            os.remove(delta)
+        os.makedirs(os.path.join(directory, "segments"), exist_ok=True)
+        planted = [
+            os.path.join(directory, "segments", name)
+            for name in ("MANIFEST.json", "delta-00000001.log")
+        ]
+        for path in planted:
+            with open(path, "wb") as handle:
+                handle.write(b"\x99not what it claims to be")
         self.assert_matches_reference(directory, reference, documents)
+        assert not any(os.path.exists(path) for path in planted)
 
     def test_torn_wal_rolls_back_delta_log_overrun(self, tmp_path):
-        # A torn WAL append discards the batch from the store while the
-        # segment delta log already folded it: the index is *ahead* of
-        # the documents.  Recovery must roll those trees back to the
-        # recovered document state — never serve a third state.
+        # A torn WAL append discards the batch: the reopened store holds
+        # the pre-batch documents and indexes built from them, never a
+        # third state — and a second reopen still agrees.
         directory = str(tmp_path / "store")
         store, reference, documents = self._populate(directory)
         wal_path = os.path.join(directory, "wal.log")
@@ -573,35 +525,40 @@ class TestSegmentStore:
         with open(wal_path, "r+b") as handle:
             handle.truncate(pre_wal_size + 3)  # torn mid-record
         self.assert_matches_reference(directory, reference, documents)
-        # And the rollback is durable: a clean second reopen (the
-        # recovery checkpoint resealed at the rolled-back frontier)
-        # still matches.
         self.assert_matches_reference(directory, reference, documents)
 
     def test_recovery_rebuilds_corrupt_segment(self, tmp_path):
         directory = str(tmp_path / "store")
         store, reference, documents = self._populate(directory)
+        store._forest.compact()
         store.close()
         [segfile] = glob.glob(
             os.path.join(directory, "segments", "segment-*.seg")
         )
-        with open(segfile, "r+b") as handle:
-            handle.seek(_HEADER_SIZE + 16)
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        _flip(segfile, _HEADER_SIZE + 16)
         self.assert_matches_reference(directory, reference, documents)
+        # The flipped file is gone; what its name holds now, if
+        # anything, the reopened store sealed itself.
+        if os.path.exists(segfile):
+            _open_segment(segfile)
 
     def test_recovery_rejects_foreign_segments(self, tmp_path):
+        """Another store's sealed segment copied into this store's
+        ``segments/`` is never adopted."""
         directory = str(tmp_path / "store")
         store, reference, documents = self._populate(directory)
         store.close()
-        manifest = os.path.join(directory, "segments", MANIFEST_NAME)
-        with open(manifest, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["source"] = "someone-else-entirely"
-        with open(manifest, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        foreign = DocumentStore(
+            str(tmp_path / "foreign"), CONFIG, backend="segment"
+        )
+        for tree_id in range(6):
+            foreign.add_document(tree_id, _tree(seed=140 + tree_id))
+        foreign._forest.compact()
+        foreign.close()
+        shutil.copytree(
+            os.path.join(str(tmp_path / "foreign"), "segments"),
+            os.path.join(directory, "segments"),
+        )
         self.assert_matches_reference(directory, reference, documents)
 
     def test_snapshot_carries_no_index_relation(self, tmp_path):
@@ -612,13 +569,33 @@ class TestSegmentStore:
         store.close()
         database = Database.load(os.path.join(directory, "store.db"))
         assert "indexes" not in database
+        assert sorted(table.name for table in database.tables()) == [
+            "documents",
+            "meta",
+        ]
         meta = {
             row["key"]: row["value"]
             for row in database.table("meta").scan_dicts()
         }
         assert meta["backend"] == "segment"
         assert int(meta["commit_seq"]) > 0
-        assert meta["store_uuid"]
+
+    def test_first_served_read_seals_the_rebuilt_segment(self, tmp_path):
+        """A reopened store builds its segment backend into the overlay;
+        in serving mode no lookup compacts, so the first read view seals
+        the segment it shares — a read-only served store would sweep
+        Python dicts forever otherwise."""
+        directory = str(tmp_path / "store")
+        store, reference, documents = self._populate(directory)
+        store.close()
+        served = DocumentStore(directory, serve_threads=2)
+        assert served.stats()["segments"] == 0
+        query = documents[min(documents)]
+        expected = LookupService(reference).lookup(query, 0.5).matches
+        assert served.lookup(query, 0.5).matches == expected
+        stats = served.stats()
+        assert stats["segments"] == 1 and stats["overlay_keys"] == 0
+        served.close()
 
     def test_env_default_backend(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "segment")
@@ -634,12 +611,14 @@ class TestSegmentStore:
     def test_fresh_store_discards_leftover_segments(self, tmp_path):
         directory = str(tmp_path / "store")
         store, _, _ = self._populate(directory)
+        store._forest.compact()
         store.close()
         os.remove(os.path.join(directory, "store.db"))
         os.remove(os.path.join(directory, "wal.log"))
         fresh = DocumentStore(directory, CONFIG, backend="segment")
         assert len(fresh) == 0
         assert len(fresh._forest.backend) == 0
+        assert not os.path.exists(os.path.join(directory, "segments"))
         fresh.close()
 
 
@@ -650,6 +629,8 @@ class TestSegmentStore:
 
 class TestSegmentMetrics:
     def test_seal_and_reopen_metrics(self, tmp_path):
+        """Seals are counted and the mapped file is gauged; a second
+        forest over the same directory maps nothing it did not seal."""
         from repro.obsv import MetricsRegistry
 
         directory = str(tmp_path / "seg")
@@ -676,12 +657,17 @@ class TestSegmentMetrics:
             metrics=reopened_registry,
             directory=directory,
         )
-        histograms = reopened_registry.snapshot()["histograms"]
-        assert histograms["segment_reopen_seconds"]["count"] == 1
+        assert len(reopened) == 0
+        reopened.sync_metric_gauges()
+        assert reopened_registry.snapshot()["gauges"]["segments_open"] == 0
+        assert "segment_reopen_seconds" not in (
+            reopened_registry.snapshot()["histograms"]
+        )
+        reopened.add_tree(0, random_labelled_tree(10, seed=0))
         query = PQGramIndex.from_tree(
             random_labelled_tree(10, seed=0), CONFIG, reopened.hasher
         )
-        reopened.distances(query, tau=0.6)
+        assert reopened.distances(query, tau=0.6) == {0: 0.0}
         assert (
             reopened_registry.counter_value("index_keys_swept_total") > 0
         )

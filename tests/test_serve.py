@@ -252,6 +252,28 @@ class TestVerbs:
         assert excinfo.value.status == 400
         assert client.show(3)["nodes"] == len(tree)
 
+    def test_failed_store_is_503_store_failed(self, served):
+        """A durable-write error stops the tenant's store: that write
+        and every later one answer 503 ``store_failed``, reads keep
+        answering, and the drain still closes the store."""
+        from repro.service import failpoints
+
+        _, client = served
+        tree = canonical_tree(random.Random(5), 10)
+        client.add_document(4, tree)
+        with failpoints.armed("wal.fsync", failpoints.EIO):
+            with pytest.raises(ServeRequestError) as excinfo:
+                client.apply_edits(4, [Rename(1, "lost")])
+        assert (excinfo.value.code, excinfo.value.status) == (
+            "store_failed",
+            503,
+        )
+        with pytest.raises(ServeRequestError) as excinfo:
+            client.apply_edits(4, [Rename(1, "later")])
+        assert excinfo.value.status == 503
+        assert client.stats()["failed"] is True
+        assert client.show(4)["tree"] == tree_to_brackets(tree)
+
     def test_missing_field_is_400(self, served):
         _, client = served
         with pytest.raises(ServeRequestError) as excinfo:

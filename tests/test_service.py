@@ -328,30 +328,19 @@ class TestEnginesAndStats:
         assert stats["hasher_labels"] >= 3
 
     def test_recovery_maintains_through_batch(self, tmp_path):
-        """Recovery maintains the forest only where a durable home gates
-        the replay.  Without one (``compact``) the batch is applied to
-        the document and the forest built once afterwards: no
-        maintenance batch runs and the index equals a rebuild.  A
-        ``segment`` home whose delta log lost the batch (the WAL append
-        is fsynced, the delta append only flushed) replays it through
-        the batch engine."""
-        for backend in ("compact", "segment"):
+        """Recovery never maintains: on every backend the batch is
+        applied to the document and the forest built once afterwards,
+        so no maintenance batch runs and the index equals a rebuild."""
+        for backend in ("memory", "compact", "sharded", "segment", "rel"):
             directory = str(tmp_path / backend)
             store = DocumentStore(directory, GramConfig(2, 2), backend=backend)
             store.add_document(1, dblp_tree(15, seed=8))
-            deltas = os.path.join(directory, "segments", "delta-*.log")
-            sizes = {path: os.path.getsize(path) for path in glob.glob(deltas)}
             work = store.get_document(1)
             store.apply_edits(1, dblp_update_script(work, 5, seed=9))
             del store
-            for path in glob.glob(deltas):
-                with open(path, "r+b") as handle:
-                    handle.truncate(sizes.get(path, 0))
             reopened = DocumentStore(directory, GramConfig(2, 2), metrics=True)
             assert reopened.backend_name == backend
             assert reopened.get_index(1) == rebuilt(reopened, 1)
             registry = reopened.metrics_registry
             assert registry.counter_value("wal_replayed_batches_total") == 1
-            assert registry.counter_value("maintain_batches_total") == (
-                1 if backend == "segment" else 0
-            )
+            assert registry.counter_value("maintain_batches_total") == 0
