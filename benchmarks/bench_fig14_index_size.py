@@ -13,10 +13,10 @@ Beyond the paper's serialized estimate this bench also measures the
 whole object graph (earlier revisions used shallow ``sys.getsizeof``,
 which missed the posting tuples entirely and made every backend look
 equally small).  The resident series compares bytes-per-tree of the
-uncompressed compact backend against the succinct configuration
-(``compress=True``: subtree dedup + interning + varint postings) on a
-DBLP-like forest; the machine-readable variant with the gated ≥5x
-ratio lives in ``benchmarks/regression.py`` (``BENCH_size.json``).
+compact backend's heap CSR against the sealed ``RSEGIDX1`` segment
+(resident remainder plus the file) on a DBLP-like forest;
+``benchmarks/regression.py`` records the same numbers in
+``BENCH_size.json``.
 """
 
 from __future__ import annotations
@@ -74,80 +74,42 @@ def test_document_serialization(benchmark, medium_tree):
 
 
 def measure_forest_size(tree_count: int, config: GramConfig) -> dict:
-    """Resident bytes-per-tree of a DBLP-like forest, three ways.
+    """Resident bytes-per-tree of a DBLP-like forest, two ways.
 
-    ``uncompressed``: the compact backend's deep resident size — the
-    pre-succinct deployment shape.  ``compact_compressed``: the same
-    backend with ``compress=True`` (shared bags + varint frozen
-    postings; the authoritative overlay dicts stay resident, so the
-    win is partial by design).  ``segment_compressed``: the sealed
-    out-of-core configuration — resident remainder plus the varint
-    segment files on disk, the shape the ≥5x gate holds against.
-
-    The process-wide intern pool is excluded from every arm and
-    reported separately (``intern_pool_bytes``): it is shared cache
-    infrastructure serving all indexes in the process, and any
-    interned tuple an index actually retains is still counted through
-    that index's own bags.
+    ``heap``: the compact backend's deep resident size with its CSR
+    frozen.  ``segment``: the sealed out-of-core configuration — the
+    resident remainder plus the segment file on disk.
     """
-    from repro.compress import default_pool
-
     collection = [
         (tree_id, dblp_tree(1, seed=tree_id)) for tree_id in range(tree_count)
     ]
     results: dict = {"tree_count": tree_count}
-    pool = default_pool()
 
-    plain = ForestIndex(config, backend="compact", compress=False)
+    plain = ForestIndex(config, backend="compact")
     plain.add_trees(collection)
     plain.compact()
-    results["uncompressed_bytes"] = deep_sizeof(plain.backend, exclude=[pool])
-
-    packed = ForestIndex(config, backend="compact", compress=True)
-    packed.add_trees(collection)
-    packed.compact()
-    results["compact_compressed_bytes"] = deep_sizeof(
-        packed.backend, exclude=[pool]
-    )
+    results["heap_bytes"] = deep_sizeof(plain.backend)
 
     base = tempfile.mkdtemp(prefix="repro-fig14-size-")
     try:
         sealed = ForestIndex(
-            config,
-            backend="segment",
-            directory=os.path.join(base, "segments"),
-            compress=True,
+            config, backend="segment", directory=os.path.join(base, "segments")
         )
         sealed.add_trees(collection)
-        sealed.compact()  # seal: postings frozen into the varint segment
+        sealed.compact()  # seal: postings frozen into the segment file
         file_bytes = 0
         for dirpath, _dirnames, filenames in os.walk(base):
             for filename in filenames:
                 file_bytes += os.path.getsize(os.path.join(dirpath, filename))
-        results["segment_resident_bytes"] = deep_sizeof(
-            sealed.backend, exclude=[pool]
-        )
+        results["segment_resident_bytes"] = deep_sizeof(sealed.backend)
         results["segment_file_bytes"] = file_bytes
-        results["segment_compressed_bytes"] = (
-            results["segment_resident_bytes"] + file_bytes
-        )
+        results["segment_bytes"] = results["segment_resident_bytes"] + file_bytes
         sealed.close()
     finally:
         shutil.rmtree(base, ignore_errors=True)
 
-    results["intern_pool_bytes"] = deep_sizeof(pool)
-
-    for key in (
-        "uncompressed",
-        "compact_compressed",
-        "segment_compressed",
-    ):
-        results[f"{key}_bytes_per_tree"] = (
-            results[f"{key}_bytes"] / tree_count
-        )
-    results["compression_ratio"] = (
-        results["uncompressed_bytes"] / results["segment_compressed_bytes"]
-    )
+    for key in ("heap", "segment"):
+        results[f"{key}_bytes_per_tree"] = results[f"{key}_bytes"] / tree_count
     return results
 
 
@@ -181,21 +143,12 @@ def run_resident_series() -> str:
         rows.append(
             (
                 tree_count,
-                f"{sizes['uncompressed_bytes_per_tree']:.0f}",
-                f"{sizes['compact_compressed_bytes_per_tree']:.0f}",
-                f"{sizes['segment_compressed_bytes_per_tree']:.0f}",
-                f"{sizes['compression_ratio']:.1f}x",
+                f"{sizes['heap_bytes_per_tree']:.0f}",
+                f"{sizes['segment_bytes_per_tree']:.0f}",
             )
         )
     return format_table(
-        (
-            "trees",
-            "uncompressed [B/tree]",
-            "compact+z [B/tree]",
-            "segment+z [B/tree]",
-            "ratio",
-        ),
-        rows,
+        ("trees", "heap CSR [B/tree]", "sealed segment [B/tree]"), rows
     )
 
 
@@ -207,6 +160,6 @@ if __name__ == "__main__":
     )
     emit(
         "fig14_left_resident_size.txt",
-        "Fig. 14 (left, resident) — deep index size, succinct vs plain",
+        "Fig. 14 (left, resident) — deep index size, heap CSR vs sealed segment",
         run_resident_series(),
     )

@@ -8,12 +8,9 @@ growing trees), the maintenance bench (n-op logs over a ~10k-node
 tree, per-op replay vs one batched call), and the segment bench (the
 256-tree lookup through the segment backend, which must stay within
 ``SEGMENT_LOOKUP_TOLERANCE`` of the compact sweep) at small scale,
-the succinct-index check (resident bytes-per-tree of a 10k-tree
-DBLP-like forest, plain vs compressed — the sealed succinct shape
-must be at least ``COMPRESSION_MIN_RATIO``× smaller, and the
-compressed 256-tree lookup must stay within
-``COMPRESS_LOOKUP_TOLERANCE`` of the plain sweep and return
-bit-identical matches), plus the metrics-overhead check (the 256-tree
+the index-size record (resident bytes-per-tree of a 10k-tree
+DBLP-like forest, heap CSR vs sealed segment; not gated), plus the
+metrics-overhead check (the 256-tree
 lookup with a live ``MetricsRegistry`` vs the no-op default must stay
 within ``METRICS_OVERHEAD_TOLERANCE``), plus the structural-pushdown
 check (rare-label query over a 10k-tree DBLP-like forest on the rel
@@ -85,11 +82,6 @@ METRICS_OVERHEAD_TOLERANCE = 1.05
 SHARDED_CROSSOVER_TOLERANCE = 1.0
 #: segment lookup vs the compact sweep on the 256-tree workload
 SEGMENT_LOOKUP_TOLERANCE = 1.15
-#: succinct (dedup + intern + varint) resident bytes-per-tree vs the
-#: plain compact backend, 10k-tree DBLP-like forest
-COMPRESSION_MIN_RATIO = 5.0
-#: compressed-path lookup vs the uncompressed sweep, 256-tree workload
-COMPRESS_LOOKUP_TOLERANCE = 1.15
 
 #: structural pushdown vs post-filter on the rel backend at rare-label
 #: selectivity — pruning before scoring must not lose to filtering after
@@ -295,75 +287,18 @@ def measure_segment() -> Dict[str, float]:
 
 
 def measure_size() -> Dict[str, float]:
-    """Succinct-index size and lookup-latency gates.
-
-    Size: a ``SIZE_TREE_COUNT``-tree DBLP-like forest measured three
-    ways by ``bench_fig14_index_size.measure_forest_size`` (deep
-    resident bytes; the sealed segment arm adds its varint files).
-    ``compression_ratio`` — plain compact resident size over the
-    sealed succinct configuration — must clear
-    ``COMPRESSION_MIN_RATIO``.
-
-    Latency: the 256-tree lookup workload through the compact backend
-    with ``compress=True`` (shared bags, varint frozen postings, the
-    dense-gather sweep) against the plain compact sweep, interleaved
-    rounds with the best paired round reported.
-    ``compress_lookup_ratio`` must stay within
-    ``COMPRESS_LOOKUP_TOLERANCE`` — compression may not tax the hot
-    path.  Both arms must return bit-identical lookup results.
-    """
+    """Index size of a ``SIZE_TREE_COUNT``-tree DBLP-like forest, heap
+    CSR vs sealed segment, from
+    ``bench_fig14_index_size.measure_forest_size`` (deep resident
+    bytes; the segment arm adds its file).  Recorded, not gated."""
     from bench_fig14_index_size import measure_forest_size
 
     sizes = measure_forest_size(SIZE_TREE_COUNT, CONFIG)
-    results: Dict[str, float] = {
-        "size_uncompressed_bytes_per_tree": (
-            sizes["uncompressed_bytes_per_tree"]
-        ),
-        "size_compact_compressed_bytes_per_tree": (
-            sizes["compact_compressed_bytes_per_tree"]
-        ),
-        "size_segment_compressed_bytes_per_tree": (
-            sizes["segment_compressed_bytes_per_tree"]
-        ),
+    return {
+        "size_heap_bytes_per_tree": sizes["heap_bytes_per_tree"],
+        "size_segment_bytes_per_tree": sizes["segment_bytes_per_tree"],
         "size_segment_file_bytes": float(sizes["segment_file_bytes"]),
-        "size_intern_pool_bytes": float(sizes["intern_pool_bytes"]),
-        "compression_ratio": sizes["compression_ratio"],
     }
-
-    per_tree = LOOKUP_BUDGET // SHARDED_TREE_COUNT
-    collection = [
-        (tree_id, xmark_tree(per_tree, seed=9000 + tree_id))
-        for tree_id in range(SHARDED_TREE_COUNT)
-    ]
-    query = collection[SHARDED_TREE_COUNT // 2][1]
-    arms = []
-    for compress in (False, True):
-        forest = ForestIndex(CONFIG, backend="compact", compress=compress)
-        forest.add_trees(collection)
-        forest.compact()
-        service = LookupService(forest)
-        service.lookup(query, LOOKUP_TAU)  # warm: frozen views + caches
-        arms.append(service)
-    plain_hits = arms[0].lookup(query, LOOKUP_TAU)
-    packed_hits = arms[1].lookup(query, LOOKUP_TAU)
-    assert plain_hits.matches == packed_hits.matches, (
-        "compressed lookup diverged from the uncompressed sweep"
-    )
-    rounds: List[List[float]] = [[], []]
-    for _ in range(9):
-        for arm, service in enumerate(arms):
-            def run(service=service) -> None:
-                for _ in range(5):
-                    service.lookup(query, LOOKUP_TAU)
-            rounds[arm].append(wall_time(run, repeats=1) / 5)
-    pick = min(
-        range(len(rounds[0])),
-        key=lambda index: rounds[1][index] / rounds[0][index],
-    )
-    results["plain_lookup_ms"] = rounds[0][pick] * 1e3
-    results["compress_lookup_ms"] = rounds[1][pick] * 1e3
-    results["compress_lookup_ratio"] = rounds[1][pick] / rounds[0][pick]
-    return results
 
 
 def measure_metrics_overhead() -> Dict[str, float]:
@@ -549,8 +484,7 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     # The metrics-overhead arms also stay out of the wall-time baseline —
     # their gate is the enabled/disabled ratio, checked below, which is
     # machine-independent in a way the absolute times are not.  The size
-    # arms stay out for the same reason: their gates are the
-    # compression and compressed-lookup ratios.  The serving latencies
+    # record is bytes, not time.  The serving latencies
     # stay out too (socket round trips are load-sensitive); their gate
     # is the shed-correctness bit.
     current = {
@@ -603,22 +537,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         f"compact {segment['compact_lookup_ms']:.3f} ms, "
         f"limit {SEGMENT_LOOKUP_TOLERANCE:.2f}x) "
         + ("REGRESSION" if segment_ratio > SEGMENT_LOOKUP_TOLERANCE
-           else "ok")
-    )
-    compression_ratio = size["compression_ratio"]
-    if compression_ratio < COMPRESSION_MIN_RATIO:
-        overhead_failures.append(
-            f"compression_ratio: {compression_ratio:.1f}x "
-            f"(< {COMPRESSION_MIN_RATIO:.0f}x) — succinct index lost its "
-            f"size edge over the plain compact backend at "
-            f"{SIZE_TREE_COUNT} trees"
-        )
-    print(
-        f"  compression_ratio: {compression_ratio:.1f}x "
-        f"(plain {size['size_uncompressed_bytes_per_tree']:.0f} B/tree / "
-        f"sealed {size['size_segment_compressed_bytes_per_tree']:.0f} "
-        f"B/tree, floor {COMPRESSION_MIN_RATIO:.0f}x) "
-        + ("REGRESSION" if compression_ratio < COMPRESSION_MIN_RATIO
            else "ok")
     )
     pushdown_ratio = query["query_pushdown_ratio"]
@@ -674,20 +592,10 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         f"{SERVE_DOCUMENT_COUNT} documents) "
         + ("ok" if shed_correctness == 1.0 else "REGRESSION")
     )
-    compress_ratio = size["compress_lookup_ratio"]
-    if compress_ratio > COMPRESS_LOOKUP_TOLERANCE:
-        overhead_failures.append(
-            f"compress_lookup_ratio: {compress_ratio:.4f} "
-            f"(> {COMPRESS_LOOKUP_TOLERANCE:.2f}x) — compressed lookup "
-            f"taxes the 256-tree sweep beyond the 15% budget"
-        )
     print(
-        f"  compress_lookup_ratio: {compress_ratio:.4f} "
-        f"(compressed {size['compress_lookup_ms']:.3f} ms / "
-        f"plain {size['plain_lookup_ms']:.3f} ms, "
-        f"limit {COMPRESS_LOOKUP_TOLERANCE:.2f}x) "
-        + ("REGRESSION" if compress_ratio > COMPRESS_LOOKUP_TOLERANCE
-           else "ok")
+        f"  index size: heap CSR {size['size_heap_bytes_per_tree']:.0f} "
+        f"B/tree, sealed segment {size['size_segment_bytes_per_tree']:.0f} "
+        f"B/tree at {SIZE_TREE_COUNT} trees"
     )
 
     if rebaseline or not os.path.exists(BASELINE_PATH):

@@ -1,10 +1,10 @@
-"""The four store configurations side by side on the repo benchmark.
+"""The two store configurations side by side on the repo benchmark.
 
     python benchmarks/variants.py [--seeds 5] [--smoke] [--out DIR]
 
 Rotates the frozen ``benchmarks/e2e/run.py`` through
-``REPRO_STORE_BACKEND`` ∈ {unset, ``segment``} × ``REPRO_COMPRESS`` ∈
-{unset, ``1``} (every workload, the same seeds, who runs first rotating),
+``REPRO_STORE_BACKEND`` ∈ {unset, ``segment``} (every workload, the
+same seeds, who runs first rotating),
 keeps one ``--out`` directory per configuration (two of them can go to
 ``e2e/compare.py``) and prints the median of every end-to-end metric.
 Exits non-zero unless every run reported ``correct: true``.  This is how
@@ -22,9 +22,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGURATIONS = {
     "compact": {},
-    "compact+packed": {"REPRO_COMPRESS": "1"},
     "segment": {"REPRO_STORE_BACKEND": "segment"},
-    "segment+packed": {"REPRO_STORE_BACKEND": "segment", "REPRO_COMPRESS": "1"},
 }
 
 
@@ -37,8 +35,9 @@ def main() -> int:
     with open(os.path.join(HERE, "..", "BENCHMARK.json"), encoding="utf-8") as handle:
         workloads = [entry["name"] for entry in json.load(handle)["workloads"]]
     names = list(CONFIGURATIONS)
-    switches = {"REPRO_STORE_BACKEND", "REPRO_COMPRESS"}
-    inherited = {k: v for k, v in os.environ.items() if k not in switches}
+    inherited = {
+        k: v for k, v in os.environ.items() if k != "REPRO_STORE_BACKEND"
+    }
     values: dict = {}  # (workload, metric) → configuration → one value per seed
     runs = failed = 0
     for seed in range(1, arguments.seeds + 1):

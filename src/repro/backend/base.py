@@ -340,7 +340,6 @@ def make_backend(
     spec: "str | ForestBackend",
     shards: Optional[int] = None,
     directory: Optional[str] = None,
-    compress: Optional[bool] = None,
 ) -> ForestBackend:
     """Resolve a backend spec: an instance (passed through), or one of
     the registered names ``memory`` / ``compact`` / ``sharded`` /
@@ -350,9 +349,6 @@ def make_backend(
     and ``directory`` only with ``segment`` (where its sealed files are
     mapped; a temp dir otherwise); passing either with any other spec
     is an error — it would silently do nothing otherwise.
-    ``compress`` forces the succinct storage layer on or off for any
-    named backend (``None`` defers to ``REPRO_COMPRESS``, see
-    :func:`repro.compress.compression_enabled`).
     """
     from repro.backend.compact import CompactBackend
     from repro.backend.memory import MemoryBackend
@@ -369,29 +365,23 @@ def make_backend(
             raise ValueError(
                 "directory= cannot be combined with a backend instance"
             )
-        if compress is not None:
-            raise ValueError(
-                "compress= cannot be combined with a backend instance"
-            )
         return spec
     if directory is not None and spec != "segment":
         raise ValueError(
             f"directory= is only valid with the segment backend, not {spec!r}"
         )
     if spec == "sharded":
-        return ShardedBackend(
-            shards if shards is not None else 4, compress=compress
-        )
+        return ShardedBackend(shards if shards is not None else 4)
     if shards is not None:
         raise ValueError(f"shards= is only valid with the sharded backend, not {spec!r}")
     if spec == "memory":
-        return MemoryBackend(compress=compress)
+        return MemoryBackend()
     if spec == "compact":
-        return CompactBackend(compress=compress)
+        return CompactBackend()
     if spec == "segment":
-        return SegmentBackend(directory, compress=compress)
+        return SegmentBackend(directory)
     if spec == "rel":
-        return RelBackend(compress=compress)
+        return RelBackend()
     raise ValueError(
         f"unknown forest backend {spec!r}; valid backends: "
         + ", ".join(BACKEND_NAMES)

@@ -61,8 +61,8 @@ class CompactBackend(MemoryBackend):
     #: freeze; explicit :meth:`compact` calls are *not* debounced.
     REFREEZE_MIN_MUTATION_GAP = 64
 
-    def __init__(self, compress: Optional[bool] = None) -> None:
-        self._frozen = None  # CompactPostings / CompressedPostings / None
+    def __init__(self) -> None:
+        self._frozen: Optional[CompactPostings] = None
         # Trees written since the freeze, and their current postings.
         # An overlay key whose postings emptied keeps its (empty) entry,
         # so ``len(self._overlay)`` is every key written since the
@@ -71,7 +71,7 @@ class CompactBackend(MemoryBackend):
         self._overlay: Dict[Key, Dict[int, int]] = {}
         self._mutations = 0
         self._mutations_at_freeze = 0
-        super().__init__(compress=compress)
+        super().__init__()
 
     def _bind_instruments(self, registry: MetricsRegistry) -> None:
         super()._bind_instruments(registry)
@@ -157,14 +157,7 @@ class CompactBackend(MemoryBackend):
             return
         if self._stale():
             with self._m_refreeze_seconds.time():
-                if self._compress:
-                    from repro.compress.frozen import CompressedPostings
-
-                    frozen = CompressedPostings.build(
-                        self._inverted, self._sizes, self._pool
-                    )
-                else:
-                    frozen = CompactPostings.build(self._inverted, self._sizes)
+                frozen = CompactPostings.build(self._inverted, self._sizes)
             self._reset_views()
             self._frozen = frozen
             self._mutations_at_freeze = self._mutations

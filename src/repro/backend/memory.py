@@ -17,25 +17,11 @@ from repro.obsv.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 class MemoryBackend(ForestBackend):
-    """Dict-of-dicts postings; the reference for every other backend.
-
-    With ``compress`` resolved on (see
-    :func:`repro.compress.compression_enabled`) the layout is
-    unchanged but storage is succinct at the object level: key tuples
-    are interned into the process pool, and
-    :class:`~repro.compress.dedup.SharedBag` bags arriving from the
-    forest's dedup table are stored *by reference* — the backend owns
-    one ref-count and releases it when the tree is removed, edited
-    (copy-on-write), or the relation is wholesale-replaced.
-    """
+    """Dict-of-dicts postings; the reference for every other backend."""
 
     name = "memory"
 
-    def __init__(self, compress: Optional[bool] = None) -> None:
-        from repro.compress import compression_enabled, default_pool
-
-        self._compress = compression_enabled(compress)
-        self._pool = default_pool() if self._compress else None
+    def __init__(self) -> None:
         self._bags: Dict[int, Bag] = {}
         self._inverted: Dict[Key, Dict[int, int]] = {}
         self._sizes: Dict[int, int] = {}
@@ -83,22 +69,10 @@ class MemoryBackend(ForestBackend):
     # ------------------------------------------------------------------
 
     def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
-        from repro.compress.dedup import SharedBag, release_if_shared
-
         if tree_id in self._bags:
-            release_if_shared(bag)
             raise StorageError(f"tree id {tree_id} is already indexed")
         self._touching(tree_id)
-        if type(bag) is SharedBag:
-            # Store by reference: the caller's dedup reference transfers
-            # to this backend, so N structurally equal trees share one
-            # bag object.
-            stored: Bag = bag
-        elif self._pool is not None:
-            intern = self._pool.intern
-            stored = {intern(key): count for key, count in bag.items()}
-        else:
-            stored = dict(bag)
+        stored = dict(bag)
         self._bags[tree_id] = stored
         self._sizes[tree_id] = sum(stored.values())
         for key, count in stored.items():
@@ -108,23 +82,10 @@ class MemoryBackend(ForestBackend):
     def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
     ) -> None:
-        from repro.compress.dedup import SharedBag
-
         bag = self._bags.get(tree_id)
         if bag is None:
             raise StorageError(f"tree id {tree_id} is not indexed")
         self._touching(tree_id)
-        if type(bag) is SharedBag:
-            # Copy-on-write: the tree diverges from its shared
-            # structure, so it gets a private bag and the dedup table
-            # loses one reference.
-            private: Bag = dict(bag)
-            bag.release()
-            bag = private
-            self._bags[tree_id] = bag
-        if self._pool is not None and plus:
-            intern = self._pool.intern
-            plus = {intern(key): count for key, count in plus.items()}
         size = self._sizes[tree_id]
         for key, count in minus.items():
             current = bag.get(key, 0)
@@ -159,8 +120,6 @@ class MemoryBackend(ForestBackend):
         self._touched(tree_id, touched)
 
     def remove_tree(self, tree_id: int) -> None:
-        from repro.compress.dedup import release_if_shared
-
         if tree_id not in self._bags:
             return
         self._touching(tree_id)
@@ -173,23 +132,9 @@ class MemoryBackend(ForestBackend):
                 if not postings:
                     del self._inverted[key]
         self._touched(tree_id, bag.keys())
-        release_if_shared(bag)
 
     def restore(self, bags: Mapping[int, Mapping[Key, int]]) -> None:
-        from repro.compress.dedup import release_if_shared
-
-        for old in self._bags.values():
-            release_if_shared(old)
-        if self._pool is not None:
-            intern = self._pool.intern
-            self._bags = {
-                tree_id: {intern(key): count for key, count in bag.items()}
-                for tree_id, bag in bags.items()
-            }
-        else:
-            self._bags = {
-                tree_id: dict(bag) for tree_id, bag in bags.items()
-            }
+        self._bags = {tree_id: dict(bag) for tree_id, bag in bags.items()}
         self._sizes = {
             tree_id: sum(bag.values()) for tree_id, bag in self._bags.items()
         }
@@ -302,7 +247,6 @@ class MemoryBackend(ForestBackend):
             "trees": len(self._bags),
             "postings": sum(len(entry) for entry in self._inverted.values()),
             "distinct_keys": len(self._inverted),
-            "compress": self._compress,
         }
 
     def check_consistency(self) -> None:

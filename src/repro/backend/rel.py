@@ -71,11 +71,7 @@ class RelBackend(ForestBackend):
 
     name = "rel"
 
-    def __init__(self, compress: Optional[bool] = None) -> None:
-        from repro.compress import compression_enabled, default_pool
-
-        self._compress = compression_enabled(compress)
-        self._pool = default_pool() if self._compress else None
+    def __init__(self) -> None:
         self._missing_structure: Set[int] = set()
         database = Database()
         self._postings = database.create_table(
@@ -123,29 +119,20 @@ class RelBackend(ForestBackend):
             "distinct keys re-inverted by apply_tree_delta calls",
         )
 
-    def _intern(self, key: Key) -> Key:
-        return key if self._pool is None else self._pool.intern(key)
-
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
 
     def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
-        from repro.compress.dedup import release_if_shared
-
         if self._sizes.get_row((tree_id,)) is not None:
-            release_if_shared(bag)
             raise StorageError(f"tree id {tree_id} is already indexed")
         insert = self._postings.insert_row
         size = 0
         for key, count in bag.items():
-            insert((tree_id, self._intern(key), count))
+            insert((tree_id, key, count))
             size += count
         self._sizes.insert_row((tree_id, size))
         self._missing_structure.add(tree_id)
-        # Rows are copied into the relation, so a shared dedup
-        # reference is returned immediately instead of being held.
-        release_if_shared(bag)
 
     def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
@@ -170,7 +157,6 @@ class RelBackend(ForestBackend):
         for key, count in plus.items():
             if not count:
                 continue
-            key = self._intern(key)
             row = self._postings.get_row((tree_id, key))
             if row is None:
                 self._postings.insert_row((tree_id, key, count))
@@ -197,7 +183,7 @@ class RelBackend(ForestBackend):
             insert = self._postings.insert_row
             size = 0
             for key, count in bag.items():
-                insert((tree_id, self._intern(key), count))
+                insert((tree_id, key, count))
                 size += count
             self._sizes.insert_row((tree_id, size))
         # A restored relation carries bags only — the pre/post encoding
@@ -399,7 +385,6 @@ class RelBackend(ForestBackend):
             ),
             "node_rows": len(self._nodes),
             "structured_trees": len(self._sizes) - len(self._missing_structure),
-            "compress": self._compress,
         }
 
     def check_consistency(self) -> None:

@@ -74,37 +74,6 @@ _MAGIC = b"RSEGIDX1"
 _HEADER = struct.Struct("<4QI4x")  # n_trees n_keys n_postings n_keyvals crc
 _HEADER_SIZE = len(_MAGIC) + _HEADER.size  # 48 bytes, 8-aligned
 
-# -- format generation 2: succinct segments ----------------------------
-#
-#   magic "RSEGIDX2"
-#   <7QI4x> n_trees n_keys n_postings n_keyvals n_labels n_bags n_bagvals crc
-#   packed tree_ids[T] tree_sizes[T] bag_refs[T]      (block varint)
-#   raw key_fps[K]                                    (sorted uint64)
-#   raw label_table[L]                                (sorted int64)
-#   packed key_offsets[K+1] key_values[V]             key table (CSR,
-#                                                     label-table indices)
-#   packed post_offsets[K+1] post_slots[P] post_counts[P]
-#                                                     inverted lists (CSR,
-#                                                     slots per-span delta)
-#   packed dbag_offsets[B+1] dbag_keys[Bv] dbag_counts[Bv]
-#                                                     *distinct* bags (CSR,
-#                                                     key indices per-span
-#                                                     delta)
-#
-# Differences from generation 1: keys are addressed by sorted 61-bit
-# Karp–Rabin fingerprint (probed with searchsorted — no key tuples or
-# span dict needed to sweep), labels are stored once in a sorted table
-# and referenced by small index, every integer array is block-varint
-# packed (:class:`repro.compress.varint.PackedIntArray`), posting slots
-# and bag key indices are per-span delta encoded, and per-tree bags are
-# deduplicated down to one record per *distinct* bag with a tiny
-# ``bag_refs`` indirection — structurally repeated trees cost 1-2 bytes
-# each.  Same whole-file CRC scheme as generation 1; readers dispatch
-# on the magic, so either generation opens transparently.
-_MAGIC2 = b"RSEGIDX2"
-_HEADER2 = struct.Struct("<7QI4x")
-_HEADER2_SIZE = len(_MAGIC2) + _HEADER2.size  # 72 bytes, 8-aligned
-
 
 def _pack_int64(values: Iterable[int]) -> bytes:
     """Little-endian int64 serialization of a value sequence."""
@@ -175,113 +144,6 @@ def write_segment_file(path: str, bags: Mapping[int, Mapping[Key, int]]) -> None
     blank = _MAGIC + _HEADER.pack(*counts, 0)
     crc = zlib.crc32(body, zlib.crc32(blank))
     header = _MAGIC + _HEADER.pack(*counts, crc)
-
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(header)
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    fsync_directory(os.path.dirname(path))
-
-
-def write_segment_file_v2(
-    path: str, bags: Mapping[int, Mapping[Key, int]], pool=None
-) -> None:
-    """Serialize ``tree → bag`` into one succinct (v2) segment.
-
-    Same durability protocol as :func:`write_segment_file` (sibling
-    temp file + fsync + atomic rename); the layout is the generation-2
-    form documented next to :data:`_MAGIC2`.  Requires numpy (the
-    succinct layer is only ever enabled with it).
-    """
-    if not HAVE_NUMPY:  # pragma: no cover - compression gates on numpy
-        raise RuntimeError("v2 segments require numpy")
-    from repro.compress.intern import default_pool
-    from repro.compress.varint import PackedIntArray, delta_encode_span
-
-    pool = pool or default_pool()
-    tree_ids = list(bags)
-    tree_sizes = [sum(bags[tree_id].values()) for tree_id in tree_ids]
-
-    # One stored record per *distinct* bag; trees reference it by index.
-    signature_of: Dict[object, int] = {}
-    bag_refs: List[int] = []
-    distinct: List[Mapping[Key, int]] = []
-    for tree_id in tree_ids:
-        bag = bags[tree_id]
-        signature = frozenset(bag.items())
-        ref = signature_of.get(signature)
-        if ref is None:
-            ref = signature_of[signature] = len(distinct)
-            distinct.append(bag)
-        bag_refs.append(ref)
-
-    # Key universe in fingerprint order (the sweep's probe order); ties
-    # (true 61-bit collisions) break deterministically on the tuple.
-    universe = {key for bag in distinct for key in bag}
-    keys = sorted(universe, key=lambda key: (pool.fingerprint(key), key))
-    key_index = {key: position for position, key in enumerate(keys)}
-    key_fps = _np.fromiter(
-        (pool.fingerprint(key) for key in keys),
-        dtype=_np.uint64,
-        count=len(keys),
-    )
-    label_table = sorted({label for key in keys for label in key})
-    label_index = {label: position for position, label in enumerate(label_table)}
-    key_offsets: List[int] = [0]
-    key_values: List[int] = []
-    for key in keys:
-        key_values.extend(label_index[label] for label in key)
-        key_offsets.append(len(key_values))
-
-    # Inverted lists stay per *tree* (dedup applies to bag storage, not
-    # to postings); tree order == slot order, so per-key slots arrive
-    # sorted and delta-encode to small gaps.
-    postings: List[List[Tuple[int, int]]] = [[] for _ in keys]
-    for slot, tree_id in enumerate(tree_ids):
-        for key, count in bags[tree_id].items():
-            postings[key_index[key]].append((slot, count))
-    post_offsets: List[int] = [0]
-    slot_deltas: List[int] = []
-    post_counts: List[int] = []
-    for entry in postings:
-        slot_deltas.extend(delta_encode_span([slot for slot, _ in entry]))
-        post_counts.extend(count for _, count in entry)
-        post_offsets.append(post_offsets[-1] + len(entry))
-
-    dbag_offsets: List[int] = [0]
-    dbag_key_deltas: List[int] = []
-    dbag_counts: List[int] = []
-    for bag in distinct:
-        items = sorted((key_index[key], count) for key, count in bag.items())
-        dbag_key_deltas.extend(
-            delta_encode_span([position for position, _ in items])
-        )
-        dbag_counts.extend(count for _, count in items)
-        dbag_offsets.append(dbag_offsets[-1] + len(items))
-
-    chunks: List[bytes] = []
-    for values in (tree_ids, tree_sizes, bag_refs):
-        PackedIntArray.pack(values).write_into(chunks)
-    chunks.append(key_fps.astype("<u8").tobytes())
-    chunks.append(_np.asarray(label_table, dtype="<i8").tobytes())
-    for values in (
-        key_offsets, key_values,
-        post_offsets, slot_deltas, post_counts,
-        dbag_offsets, dbag_key_deltas, dbag_counts,
-    ):
-        PackedIntArray.pack(values).write_into(chunks)
-    body = b"".join(chunks)
-
-    counts = (
-        len(tree_ids), len(keys), len(slot_deltas), len(key_values),
-        len(label_table), len(distinct), len(dbag_counts),
-    )
-    blank = _MAGIC2 + _HEADER2.pack(*counts, 0)
-    crc = zlib.crc32(body, zlib.crc32(blank))
-    header = _MAGIC2 + _HEADER2.pack(*counts, crc)
 
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as handle:
@@ -524,234 +386,10 @@ class _Segment:
         return {tree_ids[s]: c for s, c in zip(slots, counts)}
 
 
-class _SegmentV2:
-    """Read-only view of one succinct (generation-2) segment file.
-
-    Same surface as :class:`_Segment` — ``tree_ids`` / ``slot_of`` /
-    ``tree_sizes`` / ``keys()`` / ``spans()`` / ``frozen()`` /
-    ``tree_bag()`` / ``key_postings()`` — but the payload stays
-    block-varint packed on the memory map and :meth:`frozen` yields a
-    :class:`~repro.compress.frozen.CompressedPostings` that sweeps the
-    packed arrays directly.  The key-tuple table (``keys``/``spans``)
-    is only materialized for the maintenance paths that need exact
-    tuples (masking, audits); pure lookups never build it.
-    """
-
-    def __init__(self, path: str, verify_checksum: bool = True) -> None:
-        from repro.compress.varint import PackedIntArray
-
-        if not HAVE_NUMPY:
-            raise SegmentCorruptError(
-                f"segment {path} is a v2 (compressed) segment, which "
-                "requires numpy to read"
-            )
-        self.path = path
-        try:
-            self.nbytes = os.path.getsize(path)
-        except OSError as exc:
-            raise SegmentCorruptError(f"segment file missing: {path}") from exc
-        if self.nbytes < _HEADER2_SIZE:
-            raise SegmentCorruptError(f"segment {path} shorter than its header")
-        self._buffer = _np.memmap(path, dtype=_np.uint8, mode="r")
-        head = bytes(self._buffer[:_HEADER2_SIZE])
-        if head[: len(_MAGIC2)] != _MAGIC2:
-            raise SegmentCorruptError(f"segment {path} has a bad magic/version")
-        (
-            self.n_trees,
-            self.n_keys,
-            self.n_postings,
-            self.n_keyvals,
-            self.n_labels,
-            self.n_bags,
-            self.n_bagvals,
-            crc,
-        ) = _HEADER2.unpack_from(head, len(_MAGIC2))
-        if verify_checksum:
-            blank = head[: len(_MAGIC2)] + _HEADER2.pack(
-                self.n_trees, self.n_keys, self.n_postings, self.n_keyvals,
-                self.n_labels, self.n_bags, self.n_bagvals, 0,
-            )
-            actual = zlib.crc32(
-                memoryview(self._buffer)[_HEADER2_SIZE:], zlib.crc32(blank)
-            )
-            if actual != crc:
-                raise SegmentCorruptError(f"segment {path} failed its checksum")
-
-        buffer = self._buffer
-        offset = _HEADER2_SIZE
-        try:
-            packed: List[PackedIntArray] = []
-            for expected in (self.n_trees, self.n_trees, self.n_trees):
-                arr, offset = PackedIntArray.read_from(buffer, offset)
-                if arr.n != expected:
-                    raise ValueError("tree section length mismatch")
-                packed.append(arr)
-            if offset + 8 * (self.n_keys + self.n_labels) > self.nbytes:
-                raise ValueError("fingerprint/label tables out of bounds")
-            self.key_fps = _np.frombuffer(
-                buffer, dtype="<u8", count=self.n_keys, offset=offset
-            )
-            offset += 8 * self.n_keys
-            self.label_table = _np.frombuffer(
-                buffer, dtype="<i8", count=self.n_labels, offset=offset
-            )
-            offset += 8 * self.n_labels
-            for expected in (
-                self.n_keys + 1, self.n_keyvals,
-                self.n_keys + 1, self.n_postings, self.n_postings,
-                self.n_bags + 1, self.n_bagvals, self.n_bagvals,
-            ):
-                arr, offset = PackedIntArray.read_from(buffer, offset)
-                if arr.n != expected:
-                    raise ValueError("packed section length mismatch")
-                packed.append(arr)
-        except ValueError as exc:
-            raise SegmentCorruptError(
-                f"segment {path} has a malformed packed section: {exc}"
-            ) from exc
-        if offset != self.nbytes:
-            raise SegmentCorruptError(
-                f"segment {path} is {self.nbytes} bytes, sections imply {offset}"
-            )
-        (
-            packed_tree_ids, packed_tree_sizes, packed_bag_refs,
-            self._packed_key_offsets, self._packed_key_values,
-            packed_post_offsets, self.packed_slots, self.packed_counts,
-            packed_dbag_offsets, self._packed_dbag_keys,
-            self._packed_dbag_counts,
-        ) = packed
-
-        # Small metadata decodes eagerly; the posting payload stays
-        # packed until a span is swept.
-        self.tree_ids: List[int] = [
-            int(tree_id) for tree_id in packed_tree_ids.decode_all()
-        ]
-        self.tree_sizes = _np.asarray(
-            packed_tree_sizes.decode_all(), dtype=_np.int64
-        )
-        self._bag_refs = _np.asarray(
-            packed_bag_refs.decode_all(), dtype=_np.int64
-        )
-        self.post_offsets = _np.asarray(
-            packed_post_offsets.decode_all(), dtype=_np.int64
-        )
-        self._dbag_offsets = _np.asarray(
-            packed_dbag_offsets.decode_all(), dtype=_np.int64
-        )
-        self._check_structure(path)
-        self.slot_of: Dict[int, int] = {
-            tree_id: slot for slot, tree_id in enumerate(self.tree_ids)
-        }
-        self._keys: Optional[List[Key]] = None
-        self._spans: Optional[Dict[Key, Tuple[int, int]]] = None
-        self._frozen = None
-
-    def _check_structure(self, path: str) -> None:
-        def monotone_csr(name: str, offsets, total: int) -> None:
-            if len(offsets) and (offsets[0] != 0 or offsets[-1] != total):
-                raise SegmentCorruptError(
-                    f"segment {path}: {name} endpoints are inconsistent"
-                )
-            if len(offsets) and not bool((_np.diff(offsets) >= 0).all()):
-                raise SegmentCorruptError(
-                    f"segment {path}: {name} is not monotone"
-                )
-
-        monotone_csr("post_offsets", self.post_offsets, self.n_postings)
-        monotone_csr("dbag_offsets", self._dbag_offsets, self.n_bagvals)
-        if len(self.key_fps) > 1 and not bool(
-            (self.key_fps[:-1] <= self.key_fps[1:]).all()
-        ):
-            raise SegmentCorruptError(
-                f"segment {path}: key fingerprints are not sorted"
-            )
-        if self.n_trees and bool(
-            (
-                (self._bag_refs < 0) | (self._bag_refs >= max(1, self.n_bags))
-            ).any()
-        ):
-            raise SegmentCorruptError(
-                f"segment {path}: bag reference out of range"
-            )
-
-    # -- lazy structures ------------------------------------------------
-
-    def keys(self) -> List[Key]:
-        if self._keys is None:
-            offsets = self._packed_key_offsets.decode_all()
-            values = self.label_table[
-                _np.asarray(self._packed_key_values.decode_all(), dtype=_np.int64)
-            ].tolist()
-            bounds = [int(position) for position in offsets]
-            self._keys = [
-                tuple(values[bounds[i]:bounds[i + 1]])
-                for i in range(self.n_keys)
-            ]
-        return self._keys
-
-    def spans(self) -> Dict[Key, Tuple[int, int]]:
-        if self._spans is None:
-            keys = self.keys()
-            offsets = self.post_offsets.tolist()
-            self._spans = {
-                keys[i]: (offsets[i], offsets[i + 1])
-                for i in range(self.n_keys)
-            }
-        return self._spans
-
-    def frozen(self):
-        """The packed arrays wrapped as sweepable
-        :class:`~repro.compress.frozen.CompressedPostings`."""
-        if self._frozen is None:
-            from repro.compress.frozen import CompressedPostings
-
-            self._frozen = CompressedPostings(
-                self.tree_ids,
-                self.tree_sizes,
-                self.key_fps,
-                self.post_offsets,
-                self.packed_slots,
-                self.packed_counts,
-                key_list=None,
-            )
-            self._frozen.slot_of = self.slot_of
-        return self._frozen
-
-    def tree_bag(self, tree_id: int) -> Bag:
-        ref = int(self._bag_refs[self.slot_of[tree_id]])
-        start = int(self._dbag_offsets[ref])
-        end = int(self._dbag_offsets[ref + 1])
-        key_indices = _np.cumsum(self._packed_dbag_keys.slice(start, end))
-        counts = self._packed_dbag_counts.slice(start, end)
-        keys = self.keys()
-        return {
-            keys[int(position)]: int(count)
-            for position, count in zip(key_indices, counts)
-        }
-
-    def key_postings(self, key: Key) -> Optional[Dict[int, int]]:
-        span = self.spans().get(key)
-        if span is None:
-            return None
-        start, end = span
-        slots = _np.cumsum(self.packed_slots.slice(start, end))
-        counts = self.packed_counts.slice(start, end)
-        tree_ids = self.tree_ids
-        return {
-            tree_ids[int(slot)]: int(count)
-            for slot, count in zip(slots, counts)
-        }
-
-
-def _open_segment(path: str, verify_checksum: bool = True):
-    """Open a segment file of either generation, dispatching on magic."""
-    try:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(_MAGIC))
-    except OSError as exc:
-        raise SegmentCorruptError(f"segment file missing: {path}") from exc
-    if magic == _MAGIC2:
-        return _SegmentV2(path, verify_checksum=verify_checksum)
+def _open_segment(path: str, verify_checksum: bool = True) -> _Segment:
+    """Open one ``RSEGIDX1`` segment file; a missing file, any other
+    magic, or a failed validation raises
+    :class:`~repro.errors.SegmentCorruptError`."""
     return _Segment(path, verify_checksum=verify_checksum)
 
 
@@ -769,12 +407,7 @@ class SegmentBackend(ForestBackend):
     def __init__(
         self,
         directory: Optional[str] = None,
-        *,
-        compress: Optional[bool] = None,
     ) -> None:
-        from repro.compress import compression_enabled
-
-        self._compress = compression_enabled(compress)
         if directory is None:
             directory = tempfile.mkdtemp(prefix="repro-segments-")
             self._finalizer = weakref.finalize(
@@ -786,7 +419,7 @@ class SegmentBackend(ForestBackend):
             self.ephemeral = False
         self.directory = directory
 
-        self._overlay = MemoryBackend(compress=self._compress)
+        self._overlay = MemoryBackend()
         self._masked = TreeMask()  # trees written since the seal
         self._sizes: Dict[int, int] = {}
         self._segment: Optional[_Segment] = None
@@ -1048,10 +681,7 @@ class SegmentBackend(ForestBackend):
             path = os.path.join(
                 self.directory, "segment-%08d.seg" % (self._generation + 1)
             )
-            writer = (
-                write_segment_file_v2 if self._compress else write_segment_file
-            )
-            writer(path, bags)
+            write_segment_file(path, bags)
             # Written by this very call: no checksum pass on the map.
             segment = _open_segment(path, verify_checksum=False)
         self._generation += 1
@@ -1130,7 +760,6 @@ class SegmentBackend(ForestBackend):
             "masked_trees": len(self._masked.trees),
             "generation": self._generation,
             "directory": self.directory,
-            "compress": self._compress,
         }
 
     def check_consistency(self) -> None:

@@ -67,16 +67,10 @@ class ShardedBackend(ForestBackend):
         shards: int = 4,
         inner_factory: Optional[Callable[[], ForestBackend]] = None,
         parallel: bool = False,
-        compress: Optional[bool] = None,
     ) -> None:
-        from repro.compress import compression_enabled
-
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        self._compress = compression_enabled(compress)
-        factory = inner_factory or (
-            lambda: CompactBackend(compress=compress)
-        )
+        factory = inner_factory or CompactBackend
         self.shards: List[ForestBackend] = [factory() for _ in range(shards)]
         self._sizes: Dict[int, int] = {}
         self._parallel = parallel and shards > 1
@@ -211,9 +205,6 @@ class ShardedBackend(ForestBackend):
     def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
         with self._meta_lock:
             if tree_id in self._sizes:
-                from repro.compress.dedup import release_if_shared
-
-                release_if_shared(bag)
                 raise StorageError(f"tree id {tree_id} is already indexed")
             self._sizes[tree_id] = sum(bag.values())
             self._invalidate_views()
@@ -221,11 +212,6 @@ class ShardedBackend(ForestBackend):
         for index, (shard, part) in enumerate(zip(self.shards, parts)):
             with self._shard_locks[index]:
                 shard.add_tree_bag(tree_id, part)
-        # The bag was copied into the shards; a dedup-shared bag's
-        # reference is consumed here, not stored.
-        from repro.compress.dedup import release_if_shared
-
-        release_if_shared(bag)
 
     def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
@@ -365,18 +351,6 @@ class ShardedBackend(ForestBackend):
                 return None
         if len(frozens) == 1:
             return frozens[0]
-        from repro.compress.frozen import CompressedPostings
-
-        compressed = [
-            isinstance(frozen, CompressedPostings) for frozen in frozens
-        ]
-        if any(compressed):
-            if not all(compressed):
-                return None  # mixed inner factories; keep the fan-out
-            # Key disjointness holds across shards, so the merged
-            # succinct form is a re-sort of the per-shard spans — the
-            # merge stays compressed instead of inflating to raw CSR.
-            return CompressedPostings.merge(frozens, order)
         from repro.perf.sweep import CompactPostings
 
         slots = _np.concatenate([frozen.slots for frozen in frozens])

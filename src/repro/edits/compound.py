@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.edits.ops import Delete, EditOperation, Insert
-from repro.tree.builder import Nested
+from repro.tree.builder import Nested, tree_to_nested
+from repro.tree.traversal import postorder
 from repro.tree.tree import Tree
 
 
@@ -32,18 +33,20 @@ def insert_subtree_ops(
     """
     next_id = tree.fresh_id() if first_id is None else first_id
     operations: List[EditOperation] = []
-
-    def emit(spec: Nested, parent: int, k: int) -> int:
-        nonlocal next_id
-        label, children = spec
+    # Preorder with an explicit stack: ids are handed out in the order
+    # the insertions are emitted.
+    stack = [(spec, parent_id, position)]
+    while stack:
+        (label, children), parent, k = stack.pop()
         node_id = next_id
         next_id += 1
         operations.append(Insert(node_id, label, parent, k, k - 1))
-        for child_position, child in enumerate(children, start=1):
-            emit(child, node_id, child_position)
-        return node_id
-
-    emit(spec, parent_id, position)
+        stack.extend(
+            (child, node_id, child_position)
+            for child_position, child in reversed(
+                list(enumerate(children, start=1))
+            )
+        )
     return operations
 
 
@@ -55,15 +58,7 @@ def delete_subtree_ops(tree: Tree, node_id: int) -> List[EditOperation]:
     deleting parents first would orphan descendants into the parent's
     place; bottom-up keeps every step local and applicable.
     """
-    operations: List[EditOperation] = []
-
-    def walk(current: int) -> None:
-        for child in tree.children(current):
-            walk(child)
-        operations.append(Delete(current))
-
-    walk(node_id)
-    return operations
+    return [Delete(current) for current in postorder(tree, node_id)]
 
 
 def move_subtree_ops(
@@ -85,13 +80,7 @@ def move_subtree_ops(
     if new_parent_id in subtree_ids:
         raise ValueError("cannot move a subtree below itself")
 
-    def capture(current: int) -> Nested:
-        return (
-            tree.label(current),
-            [capture(child) for child in tree.children(current)],
-        )
-
-    spec = capture(node_id)
+    spec = tree_to_nested(tree, node_id)
     operations = delete_subtree_ops(tree, node_id)
     first_id = tree.fresh_id()
     # If the source precedes the target under the same parent, deleting

@@ -58,11 +58,19 @@ def diff_trees(old: Tree, new: Tree) -> List[EditOperation]:
 
 class _Differ:
     """Holds the working tree (mutated as operations are emitted) and
-    the target tree with its precomputed fingerprints."""
+    the target tree, each with its subtree fingerprints.
+
+    The working tree's fingerprints are taken once, up front: a work
+    node's subtree is untouched until its own :meth:`_enter` — edits
+    before that rename ancestors, delete or insert whole sibling
+    subtrees, or sync earlier siblings — so its children's
+    fingerprints are still exact when they are matched.
+    """
 
     def __init__(self, work: Tree, target: Tree) -> None:
         self.work = work
         self.target = target
+        self.work_fp = subtree_fingerprints(work)
         self.target_fp = subtree_fingerprints(target)
         self.script: List[EditOperation] = []
 
@@ -71,23 +79,42 @@ class _Differ:
             operation.apply(self.work)
             self.script.append(operation)
 
-    def _work_subtree_fp(self, node_id: int) -> int:
-        """Structural fingerprint of one current working subtree."""
-        from repro.tree.fingerprint import _mix
-
-        def visit(current: int) -> int:
-            return _mix(
-                self.work.label(current),
-                [visit(child) for child in self.work.children(current)],
-            )
-
-        return visit(node_id)
-
     # ------------------------------------------------------------------
 
-    def sync(self, work_node: int, target_node: int) -> None:
-        """Make the working subtree at ``work_node`` structurally equal
-        to the target subtree at ``target_node``."""
+    def sync(self, work_root: int, target_root: int) -> None:
+        """Make the working subtree at ``work_root`` structurally equal
+        to the target subtree at ``target_root``.
+
+        Depth-first with an explicit stack of half-walked child lists,
+        so the script comes out in the order a recursive walk would
+        emit it, at any depth."""
+        stack: List[_Frame] = []
+        self._enter(work_root, target_root, stack)
+        while stack:
+            frame = stack[-1]
+            position = frame.position
+            if position == len(frame.target_children):
+                stack.pop()
+                continue
+            frame.position = position + 1
+            work_child = frame.match[position]
+            target_child = frame.target_children[position]
+            if work_child is None:
+                spec = tree_to_nested(self.target, target_child)
+                self._emit(
+                    insert_subtree_ops(
+                        self.work, spec, frame.work_node, position + 1
+                    )
+                )
+            elif frame.recurse[position]:
+                self._enter(work_child, target_child, stack)
+
+    def _enter(
+        self, work_node: int, target_node: int, stack: List["_Frame"]
+    ) -> None:
+        """Rename ``work_node``, match its children against the
+        target's, delete the unmatched ones, and push the walk over the
+        target children."""
         if self.work.label(work_node) != self.target.label(target_node):
             self._emit([Rename(work_node, self.target.label(target_node))])
 
@@ -107,23 +134,16 @@ class _Differ:
                 self._emit(delete_subtree_ops(self.work, work_child))
 
         # The surviving work children now appear in exactly the order
-        # of their target counterparts, so positions align as we walk
-        # the target list left to right, inserting the missing ones.
-        for position, target_child in enumerate(target_children, start=1):
-            work_child = match[position - 1]
-            if work_child is None:
-                spec = tree_to_nested(self.target, target_child)
-                self._emit(
-                    insert_subtree_ops(self.work, spec, work_node, position)
-                )
-            elif recurse[position - 1]:
-                self.sync(work_child, target_child)
+        # of their target counterparts, so positions align as the walk
+        # goes over the target list left to right, inserting the
+        # missing ones.
+        stack.append(_Frame(work_node, target_children, match, recurse))
 
     def _match_children(
         self, work_children: List[int], target_children: List[int]
     ) -> Tuple[List[Optional[int]], List[bool]]:
         """Match children order-preservingly (see module docstring)."""
-        work_fp = [self._work_subtree_fp(child) for child in work_children]
+        work_fp = [self.work_fp[child] for child in work_children]
         target_fp = [self.target_fp[child] for child in target_children]
         lcs = _lcs_pairs(work_fp, target_fp)
 
@@ -176,6 +196,26 @@ class _Differ:
             previous = (work_bound, target_bound)
         for work_position, target_position in label_lcs:
             pair(work_run[work_position], target_run[target_position])
+
+
+class _Frame:
+    """One node of :meth:`_Differ.sync`'s walk: its matched children
+    and how far along the target child list the walk is."""
+
+    __slots__ = ("work_node", "target_children", "match", "recurse", "position")
+
+    def __init__(
+        self,
+        work_node: int,
+        target_children: List[int],
+        match: List[Optional[int]],
+        recurse: List[bool],
+    ) -> None:
+        self.work_node = work_node
+        self.target_children = target_children
+        self.match = match
+        self.recurse = recurse
+        self.position = 0
 
 
 def _lcs_pairs_generic(left: List, right: List) -> List[Tuple[int, int]]:

@@ -26,8 +26,6 @@ from typing import (
 )
 
 from repro.backend.base import Bag, ForestBackend, Key, make_backend
-from repro.compress import compression_enabled, default_pool
-from repro.compress.dedup import DedupTable
 from repro.concurrency.rwlock import ReadWriteLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
@@ -62,24 +60,10 @@ class ForestIndex:
         shards: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         directory: Optional[str] = None,
-        compress: Optional[bool] = None,
     ) -> None:
         self.config = config or GramConfig()
         self.hasher = LabelHasher()
-        self._backend = make_backend(
-            backend,
-            shards=shards,
-            directory=directory,
-            compress=compress if not isinstance(backend, ForestBackend) else None,
-        )
-        # The succinct layer: with compression on, structurally equal
-        # trees share one ref-counted bag through the dedup table
-        # (add_tree consults it; backends release references as trees
-        # leave), and every stored key is interned in the shared pool.
-        self._compress = compression_enabled(compress)
-        self._dedup: Optional[DedupTable] = (
-            DedupTable() if self._compress else None
-        )
+        self._backend = make_backend(backend, shards=shards, directory=directory)
         self.metrics = resolve_registry(metrics)
         self._backend.bind_metrics(self.metrics)
         self._bind_instruments(self.metrics)
@@ -137,11 +121,6 @@ class ForestIndex:
             )
             for mode in ("plain", "pushdown", "postfilter")
         }
-        self._m_dedup_hits = registry.counter(
-            "dedup_hits_total",
-            "tree adds served an already-built shared bag by the "
-            "structural dedup table",
-        )
         self._m_maintain_batches = registry.counter(
             "maintain_batches_total", "incremental maintenance calls"
         )
@@ -184,11 +163,6 @@ class ForestIndex:
     def backend(self) -> ForestBackend:
         """The storage backend holding the index relation."""
         return self._backend
-
-    @property
-    def dedup(self) -> Optional[DedupTable]:
-        """The structural dedup table (None without compression)."""
-        return self._dedup
 
     # ------------------------------------------------------------------
     # concurrency: generations and published read views
@@ -303,16 +277,18 @@ class ForestIndex:
         ).set(int(backend_stats["distinct_keys"]))
         # One overlay over one frozen base, under the gauge name each
         # backend's dashboards know it by.
-        for stat, gauge in (
-            ("dirty_keys", "compact_dirty_keys"),
-            ("overlay_keys", "segment_overlay_keys"),
-        ):
-            if stat in backend_stats:
-                registry.gauge(
-                    gauge,
-                    "distinct keys in the overlay of trees written since "
-                    "the freeze (compact) / seal (segment)",
-                ).set(int(backend_stats[stat]))
+        overlay_help = (
+            "distinct keys in the overlay of trees written since the "
+            "freeze (compact) / seal (segment)"
+        )
+        if "dirty_keys" in backend_stats:
+            registry.gauge("compact_dirty_keys", overlay_help).set(
+                int(backend_stats["dirty_keys"])
+            )
+        if "overlay_keys" in backend_stats:
+            registry.gauge("segment_overlay_keys", overlay_help).set(
+                int(backend_stats["overlay_keys"])
+            )
         if "segments" in backend_stats:
             registry.gauge(
                 "segments_open", "frozen on-disk segments currently mapped"
@@ -328,50 +304,10 @@ class ForestIndex:
                 "posting entries stored per shard",
                 shard=index,
             ).set(int(postings))
-        if self._dedup is not None:
-            dedup_stats = self._dedup.stats()
-            registry.gauge(
-                "dedup_entries",
-                "distinct shared bags held by the structural dedup table",
-            ).set(dedup_stats["entries"])
-            registry.gauge(
-                "dedup_shared_refs",
-                "live tree references onto shared bags",
-            ).set(dedup_stats["shared_refs"])
-        if self._compress:
-            pool = default_pool()
-            registry.gauge(
-                "intern_pool_size",
-                "distinct pq-gram key tuples interned in the shared pool",
-            ).set(len(pool))
-            registry.gauge(
-                "intern_pool_evictions_total",
-                "unreferenced interned keys evicted by the pool's LRU cap",
-            ).set(pool.evictions)
 
     # ------------------------------------------------------------------
     # building and maintaining
     # ------------------------------------------------------------------
-
-    def _build_bag(self, tree: Tree):
-        """The bag to hand ``add_tree_bag`` — freshly built, or (with
-        compression on) one shared reference from the dedup table when
-        an identical structure is already indexed."""
-        if self._dedup is None:
-            return dict(
-                PQGramIndex.from_tree(tree, self.config, self.hasher).items()
-            )
-        from repro.tree.fingerprint import tree_fingerprint
-
-        bag, hit = self._dedup.acquire(
-            tree_fingerprint(tree),
-            lambda: dict(
-                PQGramIndex.from_tree(tree, self.config, self.hasher).items()
-            ),
-        )
-        if hit:
-            self._m_dedup_hits.inc()
-        return bag
 
     def _record_structure(self, tree_id: int, tree: Tree) -> None:
         """Hand the source tree's pre/post encoding to backends that
@@ -383,7 +319,7 @@ class ForestIndex:
 
     def add_tree(self, tree_id: int, tree: Tree) -> None:
         """Index a new tree of the forest."""
-        bag = self._build_bag(tree)
+        bag = dict(PQGramIndex.from_tree(tree, self.config, self.hasher).items())
         with self._write_scope():
             self._backend.add_tree_bag(tree_id, bag)
             self._record_structure(tree_id, tree)
@@ -403,12 +339,6 @@ class ForestIndex:
         label memos back into this forest's hasher; ``jobs`` of None or
         1 runs the plain serial loop.  Results are identical either
         way.
-
-        With compression on, the batch is grouped by structural
-        fingerprint first: one bag is built per *distinct* structure
-        (serially or across workers) and every duplicate tree acquires
-        a shared reference from the dedup table — a corpus of repeated
-        fragments costs one bag construction per fragment shape.
         """
         items = list(items)
         seen: set = set()
@@ -416,9 +346,6 @@ class ForestIndex:
             if tree_id in self._backend or tree_id in seen:
                 raise StorageError(f"tree id {tree_id} is already indexed")
             seen.add(tree_id)
-        if self._dedup is not None and items:
-            self._add_trees_dedup(items, jobs)
-            return
         if jobs is not None and jobs > 1 and len(items) > 1:
             from repro.perf.parallel import build_bags_parallel
 
@@ -433,64 +360,6 @@ class ForestIndex:
         else:
             for tree_id, tree in items:
                 self.add_tree(tree_id, tree)
-
-    def _add_trees_dedup(
-        self, items: List[Tuple[int, Tree]], jobs: Optional[int]
-    ) -> None:
-        """Batch add with one bag build per distinct tree structure."""
-        from repro.tree.fingerprint import tree_fingerprint
-
-        assert self._dedup is not None
-        stamped = [
-            (tree_id, tree, tree_fingerprint(tree)) for tree_id, tree in items
-        ]
-        representatives: Dict[int, Tree] = {}
-        for _, tree, fingerprint in stamped:
-            if fingerprint not in self._dedup and (
-                fingerprint not in representatives
-            ):
-                representatives[fingerprint] = tree
-        if jobs is not None and jobs > 1 and len(representatives) > 1:
-            from repro.perf.parallel import build_bags_parallel
-
-            bags, memo = build_bags_parallel(
-                list(representatives.items()), self.config, jobs
-            )
-            self.hasher.absorb_memo(memo)
-            built: Dict[int, Bag] = dict(bags)
-        else:
-            built = {
-                fingerprint: dict(
-                    PQGramIndex.from_tree(
-                        tree, self.config, self.hasher
-                    ).items()
-                )
-                for fingerprint, tree in representatives.items()
-            }
-
-        def builder(fingerprint: int, tree: Tree):
-            bag = built.get(fingerprint)
-            if bag is None:  # entry evicted since the pre-scan: rebuild
-                bag = dict(
-                    PQGramIndex.from_tree(
-                        tree, self.config, self.hasher
-                    ).items()
-                )
-            return bag
-
-        with self._write_scope():
-            for tree_id, tree, fingerprint in stamped:
-                bag, hit = self._dedup.acquire(
-                    fingerprint,
-                    lambda fingerprint=fingerprint, tree=tree: builder(
-                        fingerprint, tree
-                    ),
-                )
-                if hit:
-                    self._m_dedup_hits.inc()
-                self._backend.add_tree_bag(tree_id, bag)
-                self._record_structure(tree_id, tree)
-            self._bump_generation()
 
     def remove_tree(self, tree_id: int) -> None:
         """Drop a tree from the forest index."""

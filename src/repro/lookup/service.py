@@ -153,7 +153,6 @@ class LookupService:
         jobs: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         directory: Optional[str] = None,
-        compress: Optional[bool] = None,
         **kwargs: object,
     ) -> "LookupService":
         """Build a forest over ``collection`` and wrap it in a service.
@@ -162,9 +161,7 @@ class LookupService:
         (memory, compact, sharded over N partitions, or segment with
         ``directory`` naming its on-disk home), ``jobs`` fans the
         per-tree index construction out over worker processes,
-        ``metrics`` (a registry or ``True``) enables observability,
-        and ``compress`` resolves the succinct-layer switch (dedup +
-        interning + varint postings; default ``$REPRO_COMPRESS``);
+        ``metrics`` (a registry or ``True``) enables observability;
         remaining keyword arguments go to the service constructor.
         """
         forest = ForestIndex(
@@ -173,7 +170,6 @@ class LookupService:
             shards=shards,
             metrics=metrics,
             directory=directory,
-            compress=compress,
         )
         forest.add_trees(collection, jobs=jobs)
         return cls(forest, **kwargs)  # type: ignore[arg-type]

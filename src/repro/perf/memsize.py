@@ -2,13 +2,10 @@
 
 ``sys.getsizeof`` is *shallow*: a dict of tuples reports the hash
 table alone — not the tuples, not their boxed ints — which understated
-the Fig. 14 index-size benchmark by an order of magnitude and made the
-compression layer unmeasurable.  :func:`deep_sizeof` walks the object
-graph instead, counting every reachable object exactly once (shared
-objects — interned keys, deduplicated bags — are charged to whichever
-root reaches them first; measuring *shared* structure cheaply is the
-entire point of the succinct layer, so double-charging it would erase
-the effect being measured).
+the Fig. 14 index-size benchmark by an order of magnitude.
+:func:`deep_sizeof` walks the object graph instead, counting every
+reachable object exactly once (a shared object is charged to whichever
+root reaches it first).
 
 numpy arrays are handled by ownership: an owning array counts header
 plus data, a view counts its header and defers the data to its base —
@@ -62,7 +59,7 @@ def deep_sizeof(*roots, exclude: Optional[Iterable[object]] = None) -> int:
     """Total resident bytes reachable from ``roots``, each object once.
 
     ``exclude`` seeds the visited set: pass shared infrastructure (a
-    process-wide intern pool, a metrics registry) to charge the roots
+    metrics registry) to charge the roots
     only for what they own beyond it.
     """
     seen = set()

@@ -138,26 +138,18 @@ def build_forest_parallel(
     backend: str = "compact",
     shards: Optional[int] = None,
     directory: Optional[str] = None,
-    compress: Optional[bool] = None,
 ):
     """A :class:`~repro.lookup.forest.ForestIndex` over ``collection``,
     with the per-tree index construction fanned out over ``jobs``
     worker processes (default: all cores).  ``backend`` / ``shards``
     pick the forest's storage engine — a sharded build partitions the
     workers' bags by fingerprint as they are ingested; ``directory``
-    is the segment backend's on-disk home; ``compress`` resolves the
-    succinct-layer switch (with it on, only one structural
-    representative per distinct tree shape is fanned out to the
-    workers — duplicates share the built bag).  Identical to the
-    serial ``add_tree`` loop in every observable way."""
+    is the segment backend's on-disk home.  Identical to the serial
+    ``add_tree`` loop in every observable way."""
     from repro.lookup.forest import ForestIndex
 
     forest = ForestIndex(
-        config,
-        backend=backend,
-        shards=shards,
-        directory=directory,
-        compress=compress,
+        config, backend=backend, shards=shards, directory=directory
     )
     forest.add_trees(collection, jobs=jobs)
     return forest

@@ -318,10 +318,9 @@ def tau_scan(
 ) -> TauScan:
     """All trees with ``distance < tau``, scored in array space.
 
-    ``frozen`` is a :class:`CompactPostings` or a
-    :class:`~repro.compress.frozen.CompressedPostings` (only
-    ``sweep_into`` / ``tree_ids`` / ``sizes`` and the ``slot_of`` cache
-    are used); ``masked`` the trees written since it was built,
+    ``frozen`` is a :class:`CompactPostings` (only ``sweep_into`` /
+    ``tree_ids`` / ``sizes`` and the ``slot_of`` cache are used);
+    ``masked`` the trees written since it was built,
     ``overlay`` their current postings and ``sizes`` the current
     ``{tree: |I|}``.
 

@@ -239,7 +239,6 @@ class DocumentStore:
         shards: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         serve_threads: int = 0,
-        compress: Optional[bool] = None,
     ) -> None:
         self._directory = directory
         self._serving = serve_threads > 0
@@ -268,13 +267,6 @@ class DocumentStore:
         # recorded choice from the snapshot instead.
         if backend is None:
             backend = os.environ.get("REPRO_STORE_BACKEND", "compact")
-        # ``compress`` resolves once at creation (explicit arg, then
-        # ``REPRO_COMPRESS``) and is recorded in the snapshot meta, so
-        # a store reopened under a different environment keeps the
-        # representation it was created with.
-        from repro.compress import compression_enabled
-
-        self._compress = compression_enabled(compress)
         self._service: Optional[LookupService] = None
         self._wal_handle: Optional[BinaryIO] = None
         # The checkpoint trigger's inputs: bytes in the WAL since the
@@ -389,7 +381,6 @@ class DocumentStore:
                 if backend == "segment"
                 else None
             ),
-            compress=self._compress,
         )
 
     def _make_standing_engine(self) -> StandingQueryEngine:
@@ -869,7 +860,6 @@ class DocumentStore:
             "nodes": node_count,
             "pq_grams": gram_count,
             "serving": self._serving,
-            "compress": self._compress,
             "backend": backend_stats["backend"],
             "postings": backend_stats["postings"],
             "hasher_labels": hasher_stats["labels"],
@@ -1071,9 +1061,6 @@ class DocumentStore:
         meta.insert({"key": "q", "value": str(self.config.q)})
         meta.insert({"key": "backend", "value": self._forest.backend.name})
         meta.insert({"key": "commit_seq", "value": str(self._commit_seq)})
-        meta.insert(
-            {"key": "compress", "value": "1" if self._compress else "0"}
-        )
         if self._forest.backend.name == "sharded":
             meta.insert(
                 {
@@ -1166,9 +1153,6 @@ class DocumentStore:
         elif backend == "sharded":
             shards = default_shards
         self._commit_seq = int(meta.get("commit_seq", "0"))
-        recorded_compress = meta.get("compress")
-        if recorded_compress is not None:
-            self._compress = recorded_compress == "1"
         config = GramConfig(int(meta["p"]), int(meta["q"]))
         self._load_documents(database)
         # Persisted standing queries (absent from pre-stream snapshots):

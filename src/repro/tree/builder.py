@@ -38,13 +38,19 @@ def _attach_nested(tree: Tree, parent_id: int, children: Sequence[Nested]) -> No
 
 
 def tree_to_nested(tree: Tree, node_id: Union[int, None] = None) -> Nested:
-    """Inverse of :func:`tree_from_nested` (ids are not preserved)."""
+    """Inverse of :func:`tree_from_nested` (ids are not preserved).
+    Iterative, so any depth converts."""
     if node_id is None:
         node_id = tree.root_id
-    return (
-        tree.label(node_id),
-        [tree_to_nested(tree, child) for child in tree.children(node_id)],
-    )
+    top: Nested = (tree.label(node_id), [])
+    stack = [(node_id, top[1])]
+    while stack:
+        current, children = stack.pop()
+        for child in tree.children(current):
+            spec: Nested = (tree.label(child), [])
+            children.append(spec)
+            stack.append((child, spec[1]))
+    return top
 
 
 #: One node of bracket text: its label (quoted, or bare and trimmed),

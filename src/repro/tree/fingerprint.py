@@ -4,8 +4,7 @@
 label and the ordered fingerprints of its children, so two subtrees
 get equal fingerprints iff their label structures are identical (up to
 hash collisions).  The tree diff uses these to match unchanged
-subtrees in O(1), and the structural dedup table
-(:mod:`repro.compress.dedup`) files shared pq-gram bags under them.
+subtrees in O(1), and the lookup service keys its query cache on them.
 
 The mixer is BLAKE2b rather than Karp–Rabin: the Karp–Rabin fold is
 *linear*, so any scheme that folds child fingerprints as single digits
@@ -18,9 +17,10 @@ fold would conflate.  The label fingerprints of the pq-gram index
 itself are unaffected — they hash flat strings, where Karp–Rabin's
 guarantee applies.
 
-Digests are 128-bit: the dedup table *shares bags* between
-equal-fingerprint trees, so a collision there silently corrupts
-lookups rather than merely slowing a diff.  At 64 bits a
+Digests are 128-bit: the query cache serves one query's matches to
+any equal-fingerprint query, and the diff treats equal-fingerprint
+subtrees as unchanged, so a collision silently returns wrong answers
+or drops an edit rather than merely costing time.  At 64 bits a
 billion-subtree corpus has birthday collision odds near 3%; at 128
 bits the odds are negligible for any feasible corpus.
 """

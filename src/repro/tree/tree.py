@@ -283,14 +283,20 @@ class Tree:
         """A hashable value equal for structurally identical trees.
 
         Two trees are structurally identical when they have the same
-        node ids with the same labels, parents and child order.
+        node ids with the same labels, parents and child order.  The
+        key is flat — ``(node id, label, child ids)`` per node in
+        preorder — so building, comparing and hashing it never recurse.
         """
-
-        def key(node_id: int) -> Tuple:
-            record = self._records[node_id]
-            return (node_id, record.label, tuple(key(c) for c in record.children))
-
-        return key(self._root_id)
+        records = self._records
+        key = []
+        stack = [self._root_id]
+        while stack:
+            node_id = stack.pop()
+            record = records[node_id]
+            children = tuple(record.children)
+            key.append((node_id, record.label, children))
+            stack.extend(reversed(children))
+        return tuple(key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):

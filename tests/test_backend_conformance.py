@@ -47,9 +47,10 @@ CONFIG = GramConfig(2, 3)
 # (spec name, forest kwargs) — sharded twice to cover the single-shard
 # degenerate case and a real fan-out; segment maps its sealed files in
 # a temp directory (DocumentStore tests put it under the store dir).
-# The ``-z`` rows run the same engines with the succinct layer on
-# (subtree dedup + interned bags + varint frozen postings): compression
-# must be invisible on every read path, bit for bit.
+# The ``-z`` rows run the same engines on a live metrics registry: the
+# instrumented branches (``if self.metrics.enabled``, bound backend
+# counters) that ``store stats --metrics`` and traced serving take must
+# be invisible on every read path, bit for bit.
 BACKENDS = [
     ("memory", {"backend": "memory"}),
     ("compact", {"backend": "compact"}),
@@ -57,11 +58,11 @@ BACKENDS = [
     ("sharded-4", {"backend": "sharded", "shards": 4}),
     ("segment", {"backend": "segment"}),
     ("rel", {"backend": "rel"}),
-    ("memory-z", {"backend": "memory", "compress": True}),
-    ("compact-z", {"backend": "compact", "compress": True}),
-    ("sharded-4z", {"backend": "sharded", "shards": 4, "compress": True}),
-    ("segment-z", {"backend": "segment", "compress": True}),
-    ("rel-z", {"backend": "rel", "compress": True}),
+    ("memory-z", {"backend": "memory", "metrics": True}),
+    ("compact-z", {"backend": "compact", "metrics": True}),
+    ("sharded-4z", {"backend": "sharded", "shards": 4, "metrics": True}),
+    ("segment-z", {"backend": "segment", "metrics": True}),
+    ("rel-z", {"backend": "rel", "metrics": True}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
 
@@ -169,11 +170,7 @@ class TestBackendConformance:
         forest.add_trees(collection)
         reference.add_trees(collection)
         # Direct backend round-trip into a fresh backend of the same kind.
-        twin = make_backend(
-            kwargs["backend"],
-            shards=kwargs.get("shards"),
-            compress=kwargs.get("compress"),
-        )
+        twin = make_backend(kwargs["backend"], shards=kwargs.get("shards"))
         twin.restore(forest.backend.snapshot())
         assert twin.snapshot() == forest.backend.snapshot()
         twin.check_consistency()
@@ -330,7 +327,9 @@ class TestBackendConformance:
         for label, forest_kwargs in (("candidate", kwargs),
                                      ("reference", {"backend": "memory"})):
             registry = MetricsRegistry()
-            forest = ForestIndex(CONFIG, metrics=registry, **forest_kwargs)
+            forest = ForestIndex(
+                CONFIG, **{**forest_kwargs, "metrics": registry}
+            )
             forest.add_trees(make_collection(8, seed=700))
             forest.compact()
             query = PQGramIndex.from_tree(

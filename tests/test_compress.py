@@ -1,32 +1,30 @@
-"""Succinct-layer unit tests: varint codec, interning, dedup, frozen.
+"""The packed heap layer, which left ``repro``, and the switch it had.
 
-The conformance suite proves compressed backends bit-identical to the
-memory reference end to end; this file pins the succinct building
-blocks in isolation — the block-varint codec's round trips and
-structural validation, the intern pool's scalar/batch fingerprint
-parity, the dedup table's reference-count life cycle, and
-:class:`CompressedPostings` against :class:`CompactPostings` on the
-same inverted lists.
+``repro`` has one frozen form, :class:`~repro.perf.sweep.CompactPostings`.
+The block-varint codec, intern pool, dedup table and
+:class:`CompressedPostings` these tests pin live on as a test-only copy
+(:mod:`tests.support.packed`) until their ids retire;
+``batch_fingerprints`` stays in production, beside
+``combine_fingerprints``.  :class:`TestCompressionEnabled` pins that
+the ``compress=`` / ``REPRO_COMPRESS`` switch is gone for good.
 """
 
 import random
 
 import pytest
 
-from repro.compress import (
+from repro.hashing.fingerprint import batch_fingerprints, combine_fingerprints
+from tests.support.packed import (
     BLOCK,
     CompressedPostings,
     DedupTable,
-    ENV_FLAG,
     InternPool,
     PackedIntArray,
     SharedBag,
-    compression_enabled,
     delta_decode_span,
     delta_encode_span,
     release_if_shared,
 )
-from repro.hashing.fingerprint import combine_fingerprints
 from repro.perf.arraybag import HAVE_NUMPY
 
 if HAVE_NUMPY:
@@ -152,23 +150,21 @@ class TestInternPool:
     @needs_numpy
     def test_batch_fingerprints_match_scalar(self):
         rng = random.Random(8)
-        pool = InternPool()
         keys = []
         for _ in range(500):
             width = rng.choice((0, 1, 2, 5, 6, 9))
             keys.append(
                 tuple(rng.randint(0, (1 << 64) - 1) for _ in range(width))
             )
-        batch = pool.fingerprints(keys)
+        batch = batch_fingerprints(keys)
         assert batch.dtype == np.uint64
         for key, value in zip(keys, batch.tolist()):
             assert value == combine_fingerprints(key)
 
     @needs_numpy
     def test_batch_fingerprints_fall_back_on_exotic_parts(self):
-        pool = InternPool()
         keys = [(-5, 3), (1 << 70, 2), (1, 2)]
-        batch = pool.fingerprints(keys)
+        batch = batch_fingerprints(keys)
         for key, value in zip(keys, batch.tolist()):
             assert value == combine_fingerprints(key)
 
@@ -334,51 +330,111 @@ class TestCompressedPostings:
 
     @pytest.mark.parametrize("backend", ["compact", "segment"])
     def test_lookups_leave_the_process_pool_alone(self, backend):
-        """A probed key is fingerprinted, not remembered: the packed
-        read path may not grow the process-wide pool by what clients
-        happen to query."""
-        from repro.compress import default_pool
-        from repro.core import GramConfig
+        """A probed key is fingerprinted, not remembered: sweeping the
+        packed form of a backend's relation with never-seen queries may
+        not grow the pool it was built with."""
+        from repro.core import GramConfig, index_of_tree
         from repro.datasets import dblp_tree, random_labelled_tree
-        from repro.lookup import ForestIndex, LookupService
+        from repro.lookup import ForestIndex
 
-        forest = ForestIndex(GramConfig(2, 3), backend=backend, compress=True)
+        config = GramConfig(2, 3)
+        forest = ForestIndex(config, backend=backend)
         forest.add_trees((i, dblp_tree(2, seed=i)) for i in range(30))
-        service = LookupService(forest)
-        service.lookup(dblp_tree(2, seed=3), 0.5)  # freezes / seals
-        assert forest.backend.tau_scan([((1, 2, 3, 4, 5), 1)], 1, 0.5) is not None
-        before = default_pool().stats()
+        inverted = dict(forest.iter_postings())
+        sizes = dict(forest.backend.iter_sizes())
+        pool = InternPool()
+        packed = CompressedPostings.build(inverted, sizes, pool=pool)
+        before = pool.stats()
         hits = 0
         for seed in range(200):  # never-repeated queries, most keys unseen
-            query = random_labelled_tree(12, seed=10_000 + seed)
-            service.lookup(query, 0.9)
-            hits += len(service.lookup(dblp_tree(2, seed=500 + seed), 0.9).matches)
+            for query in (
+                random_labelled_tree(12, seed=10_000 + seed),
+                dblp_tree(2, seed=500 + seed),
+            ):
+                items = list(index_of_tree(query, config, forest.hasher).items())
+                hits += len(packed.sweep(items))
         assert hits > 0
-        assert default_pool().stats() == before
+        assert pool.stats() == before
         forest.close()
 
 
 # ----------------------------------------------------------------------
-# the switch
+# the switch, gone
 # ----------------------------------------------------------------------
 
 
+def _builders(tmp_path):
+    """One zero-argument call per signature that used to take
+    ``compress=``, each passing it."""
+    from repro.backend import (
+        CompactBackend,
+        MemoryBackend,
+        RelBackend,
+        SegmentBackend,
+        ShardedBackend,
+        make_backend,
+    )
+    from repro.lookup import ForestIndex, LookupService
+    from repro.perf.parallel import build_forest_parallel
+    from repro.service import DocumentStore
+
+    return {
+        "ForestIndex": lambda: ForestIndex(compress=True),
+        "DocumentStore": lambda: DocumentStore(
+            str(tmp_path / "store"), compress=True
+        ),
+        "LookupService.for_collection": lambda: LookupService.for_collection(
+            [], compress=True
+        ),
+        "build_forest_parallel": lambda: build_forest_parallel(
+            [], compress=True
+        ),
+        "make_backend": lambda: make_backend("compact", compress=True),
+        "MemoryBackend": lambda: MemoryBackend(compress=True),
+        "CompactBackend": lambda: CompactBackend(compress=True),
+        "ShardedBackend": lambda: ShardedBackend(compress=True),
+        "SegmentBackend": lambda: SegmentBackend(compress=True),
+        "RelBackend": lambda: RelBackend(compress=True),
+    }
+
+
 class TestCompressionEnabled:
-    def test_explicit_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_FLAG, "1")
-        assert compression_enabled(False) is False
-        monkeypatch.delenv(ENV_FLAG)
-        if HAVE_NUMPY:
-            assert compression_enabled(True) is True
+    def test_explicit_wins_over_environment(self, tmp_path):
+        """No signature takes ``compress=`` any more: all ten refuse it."""
+        builders = _builders(tmp_path)
+        assert len(builders) == 10
+        for name, build in builders.items():
+            with pytest.raises(TypeError, match="compress"):
+                build()
 
-    def test_environment_spellings(self, monkeypatch):
-        for value, expected in (
-            ("1", True), ("true", True), ("YES", True), (" on ", True),
-            ("0", False), ("", False), ("off", False), ("2", False),
-        ):
-            monkeypatch.setenv(ENV_FLAG, value)
-            assert compression_enabled() is (expected and HAVE_NUMPY)
+    @needs_numpy
+    def test_environment_spellings(self, monkeypatch, tmp_path):
+        """Every spelling that once turned the packed form on now
+        changes nothing: the store freezes the plain heap CSR."""
+        from repro.datasets import dblp_tree
+        from repro.perf.sweep import CompactPostings
+        from repro.service import DocumentStore
 
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(ENV_FLAG, raising=False)
-        assert compression_enabled() is False
+        for index, value in enumerate(("1", "true", "YES", " on ")):
+            monkeypatch.setenv("REPRO_COMPRESS", value)
+            directory = str(tmp_path / f"store{index}")
+            with DocumentStore(directory) as store:
+                store.add_documents(
+                    [(doc, dblp_tree(2, seed=doc)) for doc in range(6)]
+                )
+                store.lookup(dblp_tree(2, seed=1), 0.5)
+                backend = store._forest.backend
+                assert type(backend._frozen) is CompactPostings
+                assert "compress" not in store.stats()
+
+    def test_default_is_off(self, tmp_path):
+        """No backend reports a ``compress`` field: there is nothing to
+        be on or off."""
+        from repro.backend.base import BACKEND_NAMES, make_backend
+
+        for name in BACKEND_NAMES:
+            backend = make_backend(name)
+            try:
+                assert "compress" not in backend.stats()
+            finally:
+                backend.close()

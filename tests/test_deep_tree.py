@@ -3,11 +3,10 @@ Python recursion limit.
 
 Every production path — bulk construction, streaming construction,
 replay maintenance, batch maintenance, the bracket notation in both
-directions and the served ``lookup`` / ``show`` that carry it — must be
-iterative.  A path-shaped tree of depth ``sys.getrecursionlimit() +
-200`` blows up any hidden recursion immediately.  Trees are compared
-through their pq-gram indexes here; ``Tree.__eq__`` itself recurses by
-design and must stay off these inputs.
+directions, the served ``lookup`` / ``show`` that carry it, snapshot
+ingestion (the diff) and ``Tree.__eq__`` — must be iterative.  A
+path-shaped tree of depth ``sys.getrecursionlimit() + 200`` blows up
+any hidden recursion immediately.
 """
 
 import sys
@@ -21,11 +20,14 @@ from repro.core import (
 from repro.edits import Delete, Insert, Rename, apply_script
 from repro.hashing import LabelHasher
 from repro.serve import ServeClient
+from repro.service import DocumentStore
+from repro.stream import ingest_feed, ingest_snapshot
 from repro.tree.builder import tree_from_brackets, tree_to_brackets
 from repro.tree.traversal import tree_depth
 from repro.tree.tree import Tree
 from repro.xmlio.stream import stream_index_xml
 
+from tests.conftest import assert_store_is_rebuild
 from tests.test_serve_inline import serving
 
 DEPTH = sys.getrecursionlimit() + 200
@@ -122,3 +124,47 @@ def test_served_lookup_and_show_of_a_deep_document(tmp_path):
             assert client.lookup(text, 0.5) == [(1, 0.0)]
         shown = client.show(1)
         assert shown["nodes"] == DEPTH and shown["tree"] == text
+
+
+def _edited_copy(tree: Tree, tag: str) -> Tree:
+    """A copy of a deep path with its tip renamed and a subtree hung
+    off the middle."""
+    edited = tree.copy()
+    tip = max(edited.node_ids())
+    edited.rename_node(tip, f"tip-{tag}")
+    middle = tip // 2
+    leaf = edited.add_child(middle, f"side-{tag}")
+    edited.add_child(leaf, "leaf")
+    return edited
+
+
+def test_deep_document_ingests_and_compares(tmp_path):
+    directory = str(tmp_path / "store")
+    tree = _path_tree(DEPTH)
+    first = _edited_copy(tree, "a")
+    second = _edited_copy(first, "b")
+    with DocumentStore(directory, GramConfig(2, 2)) as store:
+        store.add_document(1, tree)
+        outcome, operations = ingest_snapshot(store, 1, first)
+        assert outcome == "updated" and 0 < operations < 10
+        assert store.get_document(1) == first
+        report = ingest_feed(store, [(1, second), (2, first)])
+        assert report.errors == []
+        assert (report.updated, report.added) == (1, 1)
+        assert store.get_document(1) == second
+        assert ingest_snapshot(store, 1, second.copy()) == ("unchanged", 0)
+        assert_store_is_rebuild(store)
+    with DocumentStore(directory) as reopened:
+        assert reopened.get_document(1) == second
+        assert reopened.get_document(2) == first
+        assert_store_is_rebuild(reopened)
+
+
+def test_deep_trees_compare_by_structure():
+    tree = _path_tree(DEPTH)
+    clone = tree.copy()
+    assert tree == clone
+    assert tree.structural_key() == clone.structural_key()
+    assert hash(tree.structural_key()) == hash(clone.structural_key())
+    clone.rename_node(max(clone.node_ids()), "other")
+    assert tree != clone

@@ -173,7 +173,10 @@ def assert_scan_equals_reference(forest, query_index, kernel_expected):
             ]
 
 
-# The compact rows keep the ids they had before segment joined the matrix.
+# The compact rows keep the ids they had before segment joined the
+# matrix.  The ``packed`` ids once ran the packed heap form, which shared
+# one bag between structurally equal trees; they now run a collection
+# that repeats structure — every tree a copy of one of four shapes.
 PARITY_ROWS = [
     pytest.param("compact", False, id="plain"),
     pytest.param("compact", True, id="packed"),
@@ -182,27 +185,34 @@ PARITY_ROWS = [
 ]
 
 
-@pytest.mark.parametrize(("backend", "compress"), PARITY_ROWS)
+def _shape(rng, seed, tree_id):
+    if tree_id % 2:
+        return dblp_tree(rng.randint(1, 6), seed=seed * 50 + tree_id)
+    return random_labelled_tree(rng.randint(3, 30), seed=seed * 50 + tree_id)
+
+
+@pytest.mark.parametrize(("backend", "repeated"), PARITY_ROWS)
 class TestArraySpaceScanParity:
     """The τ-lookup kernel (``repro.perf.sweep.tau_scan``) against the
     per-tree reference (``overlay_candidates`` behind ``candidates``),
     in every state a frozen base and its overlay can be in — the heap
-    CSR of ``compact`` and the mapped segment of ``segment`` alike."""
+    CSR of ``compact`` and the mapped segment of ``segment`` alike —
+    over distinct trees and over many structurally equal ones."""
 
-    def forest(self, backend, compress, seed=21, count=14):
+    def forest(self, backend, repeated, seed=21, count=14):
         forest = ForestIndex(
-            GramConfig(2, 3),
-            backend=backend,
-            compress=compress,
-            metrics=MetricsRegistry(),
+            GramConfig(2, 3), backend=backend, metrics=MetricsRegistry()
         )
         rng = random.Random(seed)
-        documents = {
-            tree_id: dblp_tree(rng.randint(1, 6), seed=seed * 50 + tree_id)
-            if tree_id % 2
-            else random_labelled_tree(rng.randint(3, 30), seed=seed * 50 + tree_id)
-            for tree_id in range(count)
-        }
+        if repeated:
+            shapes = [_shape(rng, seed, index) for index in range(4)]
+            documents = {
+                tree_id: shapes[tree_id % 4].copy() for tree_id in range(count)
+            }
+        else:
+            documents = {
+                tree_id: _shape(rng, seed, tree_id) for tree_id in range(count)
+            }
         forest.add_trees(documents.items())
         return forest, documents
 
@@ -223,8 +233,8 @@ class TestArraySpaceScanParity:
         backend = forest.backend
         return backend._frozen if backend.name == "compact" else backend._segment
 
-    def test_nothing_frozen_runs_the_reference(self, backend, compress):
-        forest, documents = self.forest(backend, compress)
+    def test_nothing_frozen_runs_the_reference(self, backend, repeated):
+        forest, documents = self.forest(backend, repeated)
         assert self.base_of(forest) is None
         for query_index in self.queries(forest, documents):
             scan = forest.backend.tau_scan(
@@ -239,20 +249,20 @@ class TestArraySpaceScanParity:
             assert forest.distances(query_index, tau=0.5) == expected
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_frozen_clean(self, backend, compress):
-        forest, documents = self.forest(backend, compress)
+    def test_frozen_clean(self, backend, repeated):
+        forest, documents = self.forest(backend, repeated)
         forest.compact()
         assert not forest.backend._masked.trees
         for query_index in self.queries(forest, documents):
             assert_scan_equals_reference(forest, query_index, True)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_frozen_with_overlay(self, backend, compress):
+    def test_frozen_with_overlay(self, backend, repeated):
         """Edit, add, remove and re-add of the same id after the
         freeze: sizes of masked trees, trees born without a slot, a
         masked tree whose bag emptied, and in the end every tree
         masked."""
-        forest, documents = self.forest(backend, compress)
+        forest, documents = self.forest(backend, repeated)
         forest.compact()
         base = self.base_of(forest)
         masked = forest.backend._masked.trees
@@ -281,8 +291,19 @@ class TestArraySpaceScanParity:
             ]:
                 assert_scan_equals_reference(forest, query_index, True)
 
+        bags = {
+            tree_id: dict(forest.index_of(tree_id).items())
+            for tree_id in documents
+        }
         edit(1, seed=3)
         check(1)
+        # Only the edited tree's postings moved — equal twins included.
+        for tree_id, bag in bags.items():
+            if tree_id != 1:
+                assert dict(forest.index_of(tree_id).items()) == bag
+        if repeated:
+            assert bags[5] == bags[9] == bags[13] == bags[1]
+            assert dict(forest.index_of(1).items()) != bags[1]
         add(100, random_labelled_tree(9, seed=41))  # born without a slot
         check(100)
         remove(2)
@@ -313,11 +334,11 @@ class TestArraySpaceScanParity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_property_random_mutations(self, backend, compress, seed):
+    def test_property_random_mutations(self, backend, repeated, seed):
         """Random add/edit/remove interleavings over a frozen forest,
         with the occasional refreeze (or seal) in between."""
         rng = random.Random(seed)
-        forest, documents = self.forest(backend, compress, seed=seed % 97, count=8)
+        forest, documents = self.forest(backend, repeated, seed=seed % 97, count=8)
         forest.compact()
         for round_number in range(10):
             action = rng.randrange(5)
@@ -352,12 +373,12 @@ class TestArraySpaceScanParity:
         forest.close()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_check_consistency_catches_planted_drift(self, backend, compress):
+    def test_check_consistency_catches_planted_drift(self, backend, repeated):
         """The audit is what proves no write escaped the mask: each
         piece of the mask/overlay bookkeeping, bent by hand, fails it."""
         from repro.errors import IndexConsistencyError
 
-        forest, documents = self.forest(backend, compress)
+        forest, documents = self.forest(backend, repeated)
         forest.compact()
         script = dblp_update_script(documents[1], 4, seed=3)
         edited, log = apply_script(documents[1], script)
@@ -387,7 +408,7 @@ class TestArraySpaceScanParity:
         bent(lambda: overlay[held].pop(1), lambda: overlay[held].update({1: count}))
 
     def test_without_numpy_the_view_holds_the_whole_relation(
-        self, backend, compress, monkeypatch
+        self, backend, repeated, monkeypatch
     ):
         """No numpy, no array form to share: the view is the base
         class's ``DictSnapshot`` and answers through the dict sweep,
@@ -397,7 +418,7 @@ class TestArraySpaceScanParity:
         import repro.backend.segment as segment_module
         from repro.concurrency.snapshot import DictSnapshot
 
-        forest, documents = self.forest(backend, compress)
+        forest, documents = self.forest(backend, repeated)
         expected = {
             tau: forest.distances(forest.index_of(1), tau=tau) for tau in TAUS
         }

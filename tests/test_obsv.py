@@ -6,7 +6,9 @@ absolute no-op behavior, and the tracer's nesting discipline.
 """
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +237,43 @@ class TestServiceExposure:
         store.lookup(tree_from_brackets("a"), tau=1.0)
         assert store.metrics_registry is NULL_REGISTRY
         assert store.metrics()["counters"] == {}
+
+
+# ----------------------------------------------------------------------
+# the catalogue in docs/OBSERVABILITY.md
+# ----------------------------------------------------------------------
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _registered_metric_names():
+    """Every name literal passed to ``.counter(`` / ``.gauge(`` /
+    ``.histogram(`` under ``src/``."""
+    call = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"([A-Za-z0-9_]+)"')
+    names = set()
+    for path in (_REPO / "src").rglob("*.py"):
+        names.update(call.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
+def _catalogued_metric_names():
+    """Every back-ticked name in the first column of the tables under
+    the doc's "Metric catalogue" heading, labels stripped."""
+    text = (_REPO / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) < 3 or set(cells[1].strip()) <= {"-"}:
+            continue
+        for token in re.findall(r"`([^`]+)`", cells[1]):
+            names.add(token.split("{", 1)[0])
+    return names
+
+
+def test_metric_catalogue_matches_the_code():
+    registered = _registered_metric_names()
+    catalogued = _catalogued_metric_names()
+    assert len(registered) > 50
+    assert registered - catalogued == set(), "registered but not catalogued"
+    assert catalogued - registered == set(), "catalogued but not registered"

@@ -194,14 +194,8 @@ class TestCompactPostings:
         total_postings = sum(
             len(postings) for _, postings in forest.iter_postings()
         )
-        if hasattr(compact, "entry_count"):  # CompressedPostings frozen
-            assert compact.entry_count == total_postings
-            assert compact.n_spans == sum(
-                1 for _ in forest.iter_postings()
-            )
-        else:
-            assert len(compact.slots) == len(compact.counts)
-            assert len(compact.slots) == total_postings
+        assert len(compact.slots) == len(compact.counts)
+        assert len(compact.slots) == total_postings
 
 
 class TestParallelBuild:

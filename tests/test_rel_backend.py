@@ -1,7 +1,8 @@
-"""RelBackend write path + structural encoding, its place in the
+"""RelBackend write path + structural encoding, and its place in the
 store's one recovery protocol (built from the documents on every open,
-never read back from disk), and the bounded intern pool the compressed
-variants lean on."""
+never read back from disk).  The bounded intern pool tests at the end
+pin the test-only copy of the packed layer (:mod:`tests.support.packed`)
+until their ids retire."""
 
 import os
 import random
@@ -10,17 +11,13 @@ import pytest
 
 from repro.backend.memory import MemoryBackend
 from repro.backend.rel import RelBackend
-from repro.compress.intern import (
-    InternPool,
-    _reset_default_pool,
-    default_pool,
-)
 from repro.core import GramConfig, index_of_tree
 from repro.hashing import LabelHasher
 from repro.datasets import random_labelled_tree
 from repro.errors import IndexConsistencyError, StorageError
 from repro.query import And, ApproxLookup, HasLabel, HasPath
 from repro.query.structural import tree_has_label, tree_has_path
+from tests.support.packed import InternPool
 
 CONFIG = GramConfig(2, 3)
 HASHER = LabelHasher()
@@ -190,7 +187,7 @@ class TestDurability:
         assert not os.path.exists(os.path.join(directory, "rel"))
 
     def test_stats_shape(self):
-        rel = RelBackend(compress=False)
+        rel = RelBackend()
         tree = random_labelled_tree(6, seed=5)
         rel.add_tree_bag(1, dict(index_of_tree(tree, CONFIG, HASHER).items()))
         rel.record_structure(1, tree)
@@ -317,23 +314,6 @@ class TestBoundedInternPool:
         with pytest.raises(ValueError):
             InternPool(max_entries=0)
 
-    def test_default_pool_cap_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INTERN_POOL_MAX", "2")
-        pool = _reset_default_pool()
-        try:
-            assert pool.max_entries == 2
-            assert default_pool() is pool
-            for index in range(5):
-                pool.intern((index, index))
-            assert pool.evictions > 0
-            monkeypatch.setenv("REPRO_INTERN_POOL_MAX", "garbage")
-            assert _reset_default_pool().max_entries is None
-            monkeypatch.setenv("REPRO_INTERN_POOL_MAX", "-4")
-            assert _reset_default_pool().max_entries is None
-        finally:
-            monkeypatch.delenv("REPRO_INTERN_POOL_MAX", raising=False)
-            _reset_default_pool()
-
     def test_unbounded_pool_unchanged(self):
         pool = InternPool()
         key = (1, 2, 3)
@@ -342,22 +322,3 @@ class TestBoundedInternPool:
         assert pool.evictions == 0
         assert pool.max_entries is None
         assert pool.stats()["max_entries"] == 0
-
-    def test_bounded_pool_drives_compressed_rel_backend(self):
-        """A tiny cap must not corrupt a compressed backend: interning
-        is an identity-preserving cache, never a correctness hinge."""
-        pool_before = default_pool()
-        try:
-            os.environ["REPRO_INTERN_POOL_MAX"] = "8"
-            _reset_default_pool()
-            rel = RelBackend(compress=True)
-            memory = MemoryBackend()
-            for tree_id, bag in random_bags(10, seed=8).items():
-                rel.add_tree_bag(tree_id, dict(bag))
-                memory.add_tree_bag(tree_id, dict(bag))
-            assert rel.snapshot() == memory.snapshot()
-            assert default_pool().evictions > 0
-        finally:
-            os.environ.pop("REPRO_INTERN_POOL_MAX", None)
-            _reset_default_pool()
-            del pool_before

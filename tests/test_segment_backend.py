@@ -19,16 +19,14 @@ import shutil
 
 import pytest
 
+from repro.backend.base import BACKEND_NAMES
 from repro.backend.memory import MemoryBackend
 from repro.backend.segment import (
-    _HEADER2_SIZE,
     _HEADER_SIZE,
     SegmentBackend,
     _open_segment,
     _Segment,
-    _SegmentV2,
     write_segment_file,
-    write_segment_file_v2,
 )
 from repro.perf.arraybag import HAVE_NUMPY
 from repro.core import GramConfig, PQGramIndex
@@ -160,118 +158,124 @@ class TestSegmentFile:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="v2 segments require numpy")
 class TestSegmentFileV2:
-    """Generation-2 (succinct, varint-packed) segments: same contract.
+    """Generation-2 (varint-packed) segments: the format is gone.
 
-    The compressed format adds failure modes v1 cannot have — packed
-    block widths and delta streams that decode to garbage — so beyond
-    the checksum sweep the matrix also corrupts the varint metadata
-    with checksum verification *off*, which must still be caught by
-    ``PackedIntArray.read_from``'s structural validation.
+    Only ``RSEGIDX1`` is read or written now.  A file a parent commit
+    wrote as ``RSEGIDX2`` — whole, truncated or bit-flipped, checksum
+    verified or not — is refused with :class:`SegmentCorruptError`,
+    and a store that finds one under ``segments/`` deletes it unread.
     """
+
+    @staticmethod
+    def write_v2(path, bags):
+        from tests.support.packed.segment_v2 import write_segment_file_v2
+
+        write_segment_file_v2(path, bags)
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        assert pristine[:8] == b"RSEGIDX2"
+        return pristine
 
     def test_roundtrip_exact_and_dispatch(self, tmp_path):
         bags = random_bags(12, seed=31)
         path = str(tmp_path / "seg.seg")
-        write_segment_file_v2(path, bags)
-        segment = _open_segment(path)
-        assert isinstance(segment, _SegmentV2)
-        assert sorted(segment.tree_ids) == sorted(bags)
+        self.write_v2(path, bags)
+        with pytest.raises(SegmentCorruptError, match="magic"):
+            _open_segment(path)
+        # The same bags as a v1 file open and round-trip exactly.
+        v1_path = str(tmp_path / "new.seg")
+        write_segment_file(v1_path, bags)
+        segment = _open_segment(v1_path)
+        assert isinstance(segment, _Segment)
         for tree_id, bag in bags.items():
             assert segment.tree_bag(tree_id) == bag
-        for key in {key for bag in bags.values() for key in bag}:
-            expected = {
-                tree_id: bag[key]
-                for tree_id, bag in bags.items()
-                if key in bag
-            }
-            assert segment.key_postings(key) == expected
-        assert segment.key_postings((9, 9, 9, 9, 9)) is None
-        # v1 files still open through the same dispatcher.
-        v1_path = str(tmp_path / "old.seg")
-        write_segment_file(v1_path, bags)
-        assert isinstance(_open_segment(v1_path), _Segment)
-
-    def test_duplicate_bags_stored_once(self, tmp_path):
-        bag = {(1, 2, 3): 2, (4, 5, 6): 1}
-        path = str(tmp_path / "seg.seg")
-        write_segment_file_v2(path, {0: dict(bag), 1: dict(bag), 2: {}})
-        segment = _SegmentV2(path)
-        assert segment.n_bags == 2  # the shared bag plus the empty one
-        assert segment.tree_bag(0) == bag
-        assert segment.tree_bag(1) == bag
-        assert segment.tree_bag(2) == {}
 
     def test_truncation_matrix(self, tmp_path):
-        bags = random_bags(8, seed=32)
+        from tests.support.packed.segment_v2 import HEADER2_SIZE
+
         path = str(tmp_path / "seg.seg")
-        write_segment_file_v2(path, bags)
-        size = os.path.getsize(path)
-        with open(path, "rb") as handle:
-            pristine = handle.read()
-        for cut in (0, _HEADER2_SIZE - 1, _HEADER2_SIZE, size // 3,
-                    size // 2, size - 8, size - 1):
+        pristine = self.write_v2(path, random_bags(8, seed=32))
+        size = len(pristine)
+        for cut in (0, HEADER2_SIZE - 1, HEADER2_SIZE, size // 3,
+                    size // 2, size - 8, size - 1, size):
             with open(path, "wb") as handle:
                 handle.write(pristine[:cut])
             with pytest.raises(SegmentCorruptError):
-                _SegmentV2(path)
-        with open(path, "wb") as handle:
-            handle.write(pristine)
-        _SegmentV2(path)  # pristine copy still opens
+                _open_segment(path)
 
     def test_bitflip_matrix(self, tmp_path):
-        bags = random_bags(8, seed=33)
+        from tests.support.packed.segment_v2 import HEADER2_SIZE
+
         path = str(tmp_path / "seg.seg")
-        write_segment_file_v2(path, bags)
-        size = os.path.getsize(path)
-        with open(path, "rb") as handle:
-            pristine = handle.read()
-        # Magic, each header count, the CRC field itself, and a sweep
-        # of body offsets across the packed sections.
-        offsets = [0, 9, 17, 25, 33, 41, 49, 57, 65] + [
-            _HEADER2_SIZE + (size - _HEADER2_SIZE) * i // 7 for i in range(7)
+        pristine = self.write_v2(path, random_bags(8, seed=33))
+        size = len(pristine)
+        # No single flipped bit turns "RSEGIDX2" into "RSEGIDX1" (they
+        # differ in two), so every flip — magic, header or body — is
+        # refused as well.
+        offsets = [0, 7, 9, 17, 25, 33, 41, 49, 57, 65] + [
+            HEADER2_SIZE + (size - HEADER2_SIZE) * i // 7 for i in range(7)
         ]
         for offset in offsets:
-            offset = min(offset, size - 1)
-            corrupt = bytearray(pristine)
-            corrupt[offset] ^= 0x40
-            with open(path, "wb") as handle:
-                handle.write(bytes(corrupt))
-            with pytest.raises(SegmentCorruptError):
-                _SegmentV2(path)
+            for bit in range(8):
+                corrupt = bytearray(pristine)
+                corrupt[min(offset, size - 1)] ^= 1 << bit
+                with open(path, "wb") as handle:
+                    handle.write(bytes(corrupt))
+                with pytest.raises(SegmentCorruptError):
+                    _open_segment(path)
 
     def test_corrupt_varint_width_caught_without_checksum(self, tmp_path):
-        """A torn block-width byte must be caught structurally even
-        when the caller skipped the CRC — 3 is never a legal width."""
-        bags = random_bags(8, seed=34)
+        """Skipping the CRC does not let a v2 file through: the magic
+        is checked first."""
         path = str(tmp_path / "seg.seg")
-        write_segment_file_v2(path, bags)
-        # First packed section (tree ids) starts right after the file
-        # header; its widths follow the 16-byte array header.
-        with open(path, "r+b") as handle:
-            handle.seek(_HEADER2_SIZE + 16)
-            handle.write(b"\x03")
-        with pytest.raises(SegmentCorruptError):
-            _SegmentV2(path, verify_checksum=False)
+        self.write_v2(path, random_bags(8, seed=34))
+        with pytest.raises(SegmentCorruptError, match="magic"):
+            _open_segment(path, verify_checksum=False)
+        with pytest.raises(SegmentCorruptError, match="magic"):
+            _Segment(path, verify_checksum=False)
 
     def test_corrupt_varint_segment_never_served(self, tmp_path):
-        """End to end: the segment a compressed backend sealed, its
-        packed payload flipped, is refused by the reader."""
-        directory = str(tmp_path / "seg")
-        backend = SegmentBackend(directory, compress=True)
-        for tree_id, bag in random_bags(8, seed=35).items():
-            backend.add_tree_bag(tree_id, dict(bag))
-        assert backend.seal()
-        backend.close()
-        [segfile] = glob.glob(os.path.join(directory, "segment-*.seg"))
-        with open(segfile, "rb") as handle:
-            assert handle.read(8) == b"RSEGIDX2"  # compress wrote v2
-        with open(segfile, "r+b") as handle:
-            handle.seek(_HEADER2_SIZE + 24)
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        with pytest.raises(SegmentCorruptError):
-            _open_segment(segfile)
+        """A store directory as the parent commit left it with the
+        packed layer on: ``compress=1`` in the snapshot meta, a WAL
+        tail, and an ``RSEGIDX2`` file under ``segments/`` that matches
+        no document.  It opens on every backend to indexes equal to a
+        rebuild, the v2 file is deleted unread, and the next checkpoint
+        writes no ``compress`` row."""
+        from repro.edits import Rename
+        from repro.relstore.database import Database
+        from repro.tree import tree_from_brackets
+
+        for backend in BACKEND_NAMES:
+            directory = str(tmp_path / backend)
+            store = DocumentStore(directory, CONFIG, backend=backend)
+            store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+            store.add_document(2, tree_from_brackets("x(y,z)"))
+            store.checkpoint()
+            store.apply_edits(1, [Rename(2, "tail")])
+            del store  # the rename is in the WAL tail only
+
+            snapshot = os.path.join(directory, "store.db")
+            database = Database.load(snapshot)
+            database.table("meta").insert({"key": "compress", "value": "1"})
+            database.save(snapshot)
+            segments = os.path.join(directory, "segments")
+            os.makedirs(segments, exist_ok=True)
+            v2_path = os.path.join(segments, "segment-00000001.seg")
+            self.write_v2(v2_path, {1: {(7, 7, 7, 7, 7): 3}, 2: {}})
+
+            reopened = DocumentStore(directory)
+            assert reopened.backend_name == backend
+            assert not os.path.exists(v2_path)
+            assert reopened.get_document(1).label(2) == "tail"
+            assert "compress" not in reopened.stats()
+            assert_store_is_rebuild(reopened)
+            reopened.checkpoint()
+            reopened.close()
+            meta = {
+                row["key"]: row["value"]
+                for row in Database.load(snapshot).table("meta").scan_dicts()
+            }
+            assert "compress" not in meta
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.edits import Delete, Insert, Rename
 from repro.errors import EditError, StorageError
 from repro.service import DocumentStore
 from repro.service.store import WAL_CHECKPOINT_FLOOR, WAL_CHECKPOINT_SHARE
-from repro.tree import leaves, tree_from_brackets
+from repro.tree import tree_from_brackets
 
 
 @pytest.fixture
@@ -307,12 +307,8 @@ class TestEnginesAndStats:
         after_first = store.hasher.stats()
         assert after_first["misses"] > 0
         # A second document over the same labels is served from the
-        # memo.  One leaf short of the first: an identical structure
-        # never reaches the hasher under REPRO_COMPRESS (subtree dedup
-        # shares the first document's bag).
-        second = dblp_tree(10, seed=7)
-        second.delete_node(next(leaves(second)))
-        store.add_document(2, second)
+        # memo.
+        store.add_document(2, dblp_tree(10, seed=7))
         after_second = store.hasher.stats()
         assert after_second["labels"] == after_first["labels"]
         assert after_second["hits"] > after_first["hits"]

@@ -55,8 +55,9 @@ class TestBasics:
 class TestLinearFoldCollisions:
     """Families a linear (Karp–Rabin-style) child fold conflates.
 
-    The dedup table shares pq-gram bags between equal-fingerprint
-    trees, so these are correctness regressions, not hygiene: an
+    The query cache answers equal-fingerprint queries alike and the
+    diff treats equal-fingerprint subtrees as unchanged, so these are
+    correctness regressions, not hygiene: an
     additive fold maps ``a(b, c)`` and ``a(c, b)`` to the same value,
     and a polynomial fold collides whole redistribution families.
     """
