@@ -1,9 +1,7 @@
 """Performance-regression gate for the Fig. 13/14 workloads.
 
 Runs the lookup bench (tree counts 16/64/256 under a shared node
-budget), the sharded-backend bench (the 256-tree lookup fanned out
-over 1/4/8 shards — 8 shards must not lose to 1, the fan-out
-crossover gate), the incremental-update bench (fixed log over
+budget), the incremental-update bench (fixed log over
 growing trees), the maintenance bench (n-op logs over a ~10k-node
 tree, per-op replay vs one batched call), and the segment bench (the
 256-tree lookup through the segment backend, which must stay within
@@ -27,7 +25,7 @@ read/write/standing workload records client round-trip latencies and
 a pipelined overload burst must shed without mutating state,
 ``serve_shed_correctness`` == 1.0, BENCH_serve.json), writes
 machine-readable results to ``benchmarks/results/BENCH_lookup.json``
-/ ``BENCH_backend.json`` / ``BENCH_update.json`` /
+/ ``BENCH_update.json`` /
 ``BENCH_maintain.json`` / ``BENCH_metrics.json`` /
 ``BENCH_segment.json`` / ``BENCH_size.json`` /
 ``BENCH_query.json`` / ``BENCH_stream.json`` /
@@ -77,9 +75,6 @@ BASELINE_PATH = os.path.join(
 )
 TOLERANCE = 2.0
 METRICS_OVERHEAD_TOLERANCE = 1.05
-#: 8-shard lookup must not lose to the single-shard path (the
-#: pre-fan-out shard pre-check + additive aggregation fix)
-SHARDED_CROSSOVER_TOLERANCE = 1.0
 #: segment lookup vs the compact sweep on the 256-tree workload
 SEGMENT_LOOKUP_TOLERANCE = 1.15
 
@@ -95,8 +90,8 @@ STREAMING_INCREMENTAL_TOLERANCE = 0.2
 LOOKUP_BUDGET = 60_000
 LOOKUP_TREE_COUNTS = (16, 64, 256)
 LOOKUP_TAU = 0.8
-SHARDED_TREE_COUNT = 256
-SHARDED_SHARD_COUNTS = (1, 4, 8)
+#: the 256-tree lookup the paired segment and metrics arms time
+PAIRED_TREE_COUNT = 256
 UPDATE_TREE_SIZES = (2_000, 8_000)
 UPDATE_LOG_SIZE = 20
 MAINTAIN_NODE_BUDGET = 10_000
@@ -129,55 +124,6 @@ def measure_lookup() -> Dict[str, float]:
         times[f"lookup_trees_{tree_count}_ms"] = wall_time(
             lambda: service.lookup(query, LOOKUP_TAU), repeats=3
         ) * 1e3
-    return times
-
-
-def measure_backend() -> Dict[str, float]:
-    """Sharded-lookup wall time (ms) per shard count, interleaved.
-
-    Same 256-tree workload as the largest ``measure_lookup`` point,
-    routed through ``ShardedBackend``.  All shard counts are built up
-    front and timed round-robin (1, 4, 8, 1, 4, ...), so machine drift
-    hits every arm equally, and the reported times come from the one
-    round with the best 8-shard/1-shard pairing — both arms measured
-    back-to-back inside a single scheduler window.  The crossover gate
-    asks a paired question: with the merged all-shard CSR, fanning out
-    must be able to match not fanning out.  A real regression (losing
-    the merged path brings back per-shard sweep overhead on every
-    lookup) fails every pairing, not just the best one.
-    """
-    per_tree = LOOKUP_BUDGET // SHARDED_TREE_COUNT
-    collection = [
-        (tree_id, xmark_tree(per_tree, seed=9000 + tree_id))
-        for tree_id in range(SHARDED_TREE_COUNT)
-    ]
-    query = collection[SHARDED_TREE_COUNT // 2][1]
-    arms = []
-    for shard_count in SHARDED_SHARD_COUNTS:
-        forest = ForestIndex(CONFIG, backend="sharded", shards=shard_count)
-        forest.add_trees(collection)
-        service = LookupService(forest)
-        service.lookup(query, LOOKUP_TAU)  # warm: compact + query cache
-        arms.append(service)
-    rounds: List[List[float]] = [[] for _ in arms]
-    for _ in range(9):
-        for arm, service in enumerate(arms):
-            def run(service=service) -> None:
-                for _ in range(5):
-                    service.lookup(query, LOOKUP_TAU)
-            rounds[arm].append(wall_time(run, repeats=1) / 5)
-    pick = min(
-        range(len(rounds[0])),
-        key=lambda index: rounds[-1][index] / rounds[0][index],
-    )
-    times: Dict[str, float] = {
-        f"sharded_lookup_shards_{shard_count}_ms": rounds[arm][pick] * 1e3
-        for arm, shard_count in enumerate(SHARDED_SHARD_COUNTS)
-    }
-    times["sharded_crossover_ratio"] = (
-        times[f"sharded_lookup_shards_{SHARDED_SHARD_COUNTS[-1]}_ms"]
-        / times[f"sharded_lookup_shards_{SHARDED_SHARD_COUNTS[0]}_ms"]
-    )
     return times
 
 
@@ -253,12 +199,12 @@ def measure_segment() -> Dict[str, float]:
     not tax the hot path.
     """
     results: Dict[str, float] = {}
-    per_tree = LOOKUP_BUDGET // SHARDED_TREE_COUNT
+    per_tree = LOOKUP_BUDGET // PAIRED_TREE_COUNT
     collection = [
         (tree_id, xmark_tree(per_tree, seed=9000 + tree_id))
-        for tree_id in range(SHARDED_TREE_COUNT)
+        for tree_id in range(PAIRED_TREE_COUNT)
     ]
-    query = collection[SHARDED_TREE_COUNT // 2][1]
+    query = collection[PAIRED_TREE_COUNT // 2][1]
     arms = []
     for backend in ("compact", "segment"):
         forest = ForestIndex(CONFIG, backend=backend)
@@ -315,17 +261,17 @@ def measure_metrics_overhead() -> Dict[str, float]:
     so slow machine drift hits both floors equally instead of biasing
     whichever arm ran second.
     """
-    per_tree = LOOKUP_BUDGET // SHARDED_TREE_COUNT
+    per_tree = LOOKUP_BUDGET // PAIRED_TREE_COUNT
     collection = [
         (tree_id, xmark_tree(per_tree, seed=9000 + tree_id))
-        for tree_id in range(SHARDED_TREE_COUNT)
+        for tree_id in range(PAIRED_TREE_COUNT)
     ]
     services = []
     for metrics in (None, MetricsRegistry()):
         forest = ForestIndex(CONFIG, metrics=metrics)
         forest.add_trees(collection)
         service = LookupService(forest)
-        query = collection[SHARDED_TREE_COUNT // 2][1]
+        query = collection[PAIRED_TREE_COUNT // 2][1]
         service.lookup(query, LOOKUP_TAU)  # warm: compact + query cache
         services.append((service, query))
     def batch(service, query):
@@ -456,7 +402,6 @@ def measure_serving() -> Dict[str, float]:
 
 def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     lookup = measure_lookup()
-    backend = measure_backend()
     update = measure_update()
     maintain = measure_maintain()
     segment = measure_segment()
@@ -467,7 +412,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     serving = measure_serving()
     for name, payload in (
         ("BENCH_lookup.json", lookup),
-        ("BENCH_backend.json", backend),
         ("BENCH_update.json", update),
         ("BENCH_maintain.json", maintain),
         ("BENCH_segment.json", segment),
@@ -490,7 +434,7 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     current = {
         key: value
         for key, value in {
-            **lookup, **backend, **update, **maintain, **segment
+            **lookup, **update, **maintain, **segment
         }.items()
         if key.endswith("_ms")
     }
@@ -508,21 +452,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         f"disabled {metrics['metrics_disabled_lookup_ms']:.3f} ms, "
         f"limit {METRICS_OVERHEAD_TOLERANCE:.2f}x) "
         + ("REGRESSION" if overhead_failures else "ok")
-    )
-    crossover_ratio = backend["sharded_crossover_ratio"]
-    if crossover_ratio > SHARDED_CROSSOVER_TOLERANCE:
-        overhead_failures.append(
-            f"sharded_crossover_ratio: {crossover_ratio:.4f} "
-            f"(> {SHARDED_CROSSOVER_TOLERANCE:.2f}x) — 8-shard fan-out "
-            f"loses to the single-shard sweep at 256 trees"
-        )
-    print(
-        f"  sharded_crossover_ratio: {crossover_ratio:.4f} "
-        f"(8 shards {backend['sharded_lookup_shards_8_ms']:.3f} ms / "
-        f"1 shard {backend['sharded_lookup_shards_1_ms']:.3f} ms, "
-        f"limit {SHARDED_CROSSOVER_TOLERANCE:.2f}x) "
-        + ("REGRESSION" if crossover_ratio > SHARDED_CROSSOVER_TOLERANCE
-           else "ok")
     )
     segment_ratio = segment["segment_lookup_ratio"]
     if segment_ratio > SEGMENT_LOOKUP_TOLERANCE:

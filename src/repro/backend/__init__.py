@@ -2,16 +2,13 @@
 
 One write path — :class:`~repro.backend.base.ForestBackend` — behind
 which the paper's ``(treeId, pqg, cnt)`` relation (Fig. 4b) is stored,
-with five interchangeable engines:
+with four interchangeable engines:
 
 - :class:`~repro.backend.memory.MemoryBackend` — plain dict bags and
   inverted lists; the bit-exact reference.
 - :class:`~repro.backend.compact.CompactBackend` — the dicts plus a
   frozen CSR array snapshot with a dirty-key overlay, so compaction
   survives maintenance instead of being invalidated by every write.
-- :class:`~repro.backend.sharded.ShardedBackend` — postings hash-
-  partitioned by pq-gram fingerprint over N inner backends; lookups
-  fan out per shard and merge overlaps additively.
 - :class:`~repro.backend.segment.SegmentBackend` — frozen postings in
   memory-mapped segment files it seals itself, plus an in-memory
   overlay, so the frozen base lives outside the Python heap.
@@ -32,13 +29,11 @@ from repro.backend.compact import CompactBackend
 from repro.backend.memory import MemoryBackend
 from repro.backend.rel import RelBackend
 from repro.backend.segment import SegmentBackend
-from repro.backend.sharded import ShardedBackend
 
 __all__ = [
     "ForestBackend",
     "MemoryBackend",
     "CompactBackend",
-    "ShardedBackend",
     "SegmentBackend",
     "RelBackend",
     "make_backend",

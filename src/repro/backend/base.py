@@ -54,8 +54,9 @@ Bag = Dict[Key, int]
 Admit = Callable[[int], bool]
 
 #: every registered backend name, in factory preference order —
-#: the single source the ``make_backend`` error message quotes
-BACKEND_NAMES = ("memory", "compact", "sharded", "segment", "rel")
+#: the single source the ``make_backend`` error message quotes, the
+#: CLI offers and ``recorded_backend`` accepts
+BACKEND_NAMES = ("memory", "compact", "segment", "rel")
 
 
 class ForestBackend(ABC):
@@ -66,13 +67,6 @@ class ForestBackend(ABC):
 
     #: the bound metrics recorder (the shared no-op by default)
     metrics: MetricsRegistry = NULL_REGISTRY
-
-    #: whether the backend synchronizes concurrent writers internally
-    #: (the sharded backend's per-shard locks).  When False, the forest
-    #: facade serializes every mutation under its exclusive lock; when
-    #: True, mutations run under the shared lock and disjoint writes
-    #: proceed in parallel.  See ``docs/CONCURRENCY.md``.
-    supports_concurrent_writes: bool = False
 
     # ------------------------------------------------------------------
     # observability binding
@@ -191,16 +185,6 @@ class ForestBackend(ABC):
         Read-only view; callers must not mutate the result.
         """
 
-    def has_key(self, key: Key) -> bool:
-        """Whether any indexed tree holds ``key`` (non-empty postings).
-
-        A cheap membership probe used by fan-out layers to skip
-        backends that cannot contribute to a sweep.  The default
-        resolves the posting list; implementations override with an
-        O(1) check.
-        """
-        return self.postings(key) is not None
-
     @abstractmethod
     def iter_postings(self) -> Iterator[Tuple[Key, Mapping[int, int]]]:
         """All ``(key, {tree_id: cnt})`` posting lists (joins, audits)."""
@@ -310,10 +294,11 @@ class ForestBackend(ABC):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release background resources (thread pools); idempotent.
+        """Release background resources; idempotent.
 
         Reads and writes after ``close`` are undefined.  Backends
-        without background resources treat this as a no-op.
+        without background resources (every built-in one) treat this
+        as a no-op.
         """
 
     # ------------------------------------------------------------------
@@ -336,31 +321,35 @@ class ForestBackend(ABC):
         """
 
 
+def recorded_backend(name: Optional[str], default: str) -> str:
+    """The backend to open a persisted store or forest on: the name
+    its meta records (``default`` when it records none), or
+    ``compact`` for a backend this version no longer builds.  Every
+    backend rebuilds from the documents or bags alone, so nothing else
+    a retired backend wrote is read."""
+    if name is None:
+        return default
+    return name if name in BACKEND_NAMES else "compact"
+
+
 def make_backend(
     spec: "str | ForestBackend",
-    shards: Optional[int] = None,
     directory: Optional[str] = None,
 ) -> ForestBackend:
     """Resolve a backend spec: an instance (passed through), or one of
-    the registered names ``memory`` / ``compact`` / ``sharded`` /
-    ``segment`` / ``rel``.
+    the registered names ``memory`` / ``compact`` / ``segment`` /
+    ``rel``.
 
-    ``shards`` is only meaningful with ``sharded`` (default 4 there)
-    and ``directory`` only with ``segment`` (where its sealed files are
-    mapped; a temp dir otherwise); passing either with any other spec
-    is an error — it would silently do nothing otherwise.
+    ``directory`` is only meaningful with ``segment`` (where its sealed
+    files are mapped; a temp dir otherwise); passing it with any other
+    spec is an error — it would silently do nothing otherwise.
     """
     from repro.backend.compact import CompactBackend
     from repro.backend.memory import MemoryBackend
     from repro.backend.rel import RelBackend
     from repro.backend.segment import SegmentBackend
-    from repro.backend.sharded import ShardedBackend
 
     if isinstance(spec, ForestBackend):
-        if shards is not None:
-            raise ValueError(
-                "shards= cannot be combined with a backend instance"
-            )
         if directory is not None:
             raise ValueError(
                 "directory= cannot be combined with a backend instance"
@@ -370,10 +359,6 @@ def make_backend(
         raise ValueError(
             f"directory= is only valid with the segment backend, not {spec!r}"
         )
-    if spec == "sharded":
-        return ShardedBackend(shards if shards is not None else 4)
-    if shards is not None:
-        raise ValueError(f"shards= is only valid with the sharded backend, not {spec!r}")
     if spec == "memory":
         return MemoryBackend()
     if spec == "compact":

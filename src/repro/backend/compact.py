@@ -175,21 +175,6 @@ class CompactBackend(MemoryBackend):
         )
 
     # ------------------------------------------------------------------
-    # frozen-array access (sharded fast path)
-    # ------------------------------------------------------------------
-
-    def frozen_clean(self):
-        """The frozen CSR when it covers the *whole* relation, else None.
-
-        Non-None means no tree is masked: a sweep over the CSR alone is
-        bit-identical to :meth:`candidates`.  The sharded backend merges
-        every shard's clean CSR into one cross-shard sweep structure.
-        """
-        if self._frozen is not None and not self._masked.trees:
-            return self._frozen
-        return None
-
-    # ------------------------------------------------------------------
     # snapshot isolation
     # ------------------------------------------------------------------
 

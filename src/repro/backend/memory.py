@@ -219,9 +219,6 @@ class MemoryBackend(ForestBackend):
     def iter_sizes(self) -> Iterable[Tuple[int, int]]:
         return self._sizes.items()
 
-    def has_key(self, key: Key) -> bool:
-        return key in self._inverted
-
     def postings(self, key: Key) -> Optional[Mapping[int, int]]:
         return self._inverted.get(key)
 

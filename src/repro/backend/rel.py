@@ -250,9 +250,6 @@ class RelBackend(ForestBackend):
     def iter_sizes(self) -> Iterable[Tuple[int, int]]:
         return [(row[0], row[1]) for row in self._sizes.scan()]
 
-    def has_key(self, key: Key) -> bool:
-        return bool(self._postings.find("by_pqg", (key,)))
-
     def postings(self, key: Key) -> Optional[Mapping[int, int]]:
         rows = self._postings.find("by_pqg", (key,))
         if not rows:

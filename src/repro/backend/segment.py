@@ -568,17 +568,6 @@ class SegmentBackend(ForestBackend):
     def iter_sizes(self) -> Iterable[Tuple[int, int]]:
         return self._sizes.items()
 
-    def has_key(self, key: Key) -> bool:
-        if self._overlay.has_key(key):
-            return True
-        segment = self._segment
-        if segment is None:
-            return False
-        span = segment.spans().get(key)
-        if span is None:
-            return False
-        return span[1] - span[0] - self._masked.counts.get(key, 0) > 0
-
     def postings(self, key: Key) -> Optional[Mapping[int, int]]:
         overlay = self._overlay.postings(key)
         segment = self._segment

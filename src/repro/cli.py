@@ -23,7 +23,6 @@ Examples::
     python -m repro index doc.xml --p 2 --q 3
     python -m repro distance old.xml new.xml
     python -m repro diff old.xml new.xml > edits.log
-    python -m repro store --dir ./mystore create --backend sharded --shards 4
     python -m repro store --dir ./mystore create --backend segment
     python -m repro store --dir ./mystore add 1 doc.xml
     python -m repro store --dir ./mystore edit 1 edits.log
@@ -42,6 +41,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.backend.base import BACKEND_NAMES
 from repro.core.config import GramConfig
 from repro.core.distance import pq_gram_distance
 from repro.core.index import PQGramIndex
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     create_parser.add_argument(
         "--backend",
-        choices=("memory", "compact", "sharded", "segment", "rel"),
+        choices=BACKEND_NAMES,
         default="compact",
         help="forest storage backend (default compact: array snapshot "
         "with a delta overlay; segment keeps the frozen postings in "
@@ -206,13 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "table, enabling structural predicate pushdown in 'store "
         "query'; every backend is built from the documents on open, "
         "and all are bit-identical)",
-    )
-    create_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition postings into N shards (sharded backend only)",
     )
 
     add_parser = store_commands.add_parser("add", help="add an XML document")
@@ -311,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_parser = store_commands.add_parser(
         "stats",
         help="store-wide counters (documents, pq-grams, backend "
-        "postings incl. per-shard breakdown, hasher memo, WAL bytes "
+        "postings, hasher memo, WAL bytes "
         "since the last snapshot and the snapshot's size)",
     )
     stats_parser.add_argument(
@@ -560,12 +553,9 @@ def _command_store(arguments: argparse.Namespace) -> int:
             arguments.dir,
             GramConfig(arguments.p, arguments.q),
             backend=arguments.backend,
-            shards=arguments.shards,
         )
         described = store.backend_name
-        if described == "sharded":
-            described += f" ({store.stats()['shards']} shards)"
-        elif described == "segment":
+        if described == "segment":
             described += f" (segments in {os.path.join(arguments.dir, 'segments')})"
         print(f"created store at {arguments.dir} (backend {described})")
         return 0

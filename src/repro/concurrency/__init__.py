@@ -4,9 +4,8 @@ The paper's maintenance identity — I_n = I_0 ∖ λ(Δ-) ⊎ λ(Δ+) without
 touching intermediate versions — keeps writes cheap; this package
 keeps them *concurrent*:
 
-- :class:`ReadWriteLock` — the writer-preferring structural lock every
-  forest owns (exclusive mutations + atomic publishes, shared mode for
-  internally-synchronized backends and view refreshes),
+- :class:`ForestLock` — the reentrant exclusive lock every forest owns
+  (mutations and atomic publishes; readers never take it),
 - :class:`SnapshotHandle` — immutable per-generation read views, so
   lookups never block on ``apply_edits``,
 - :class:`WriteCoalescer` — per-document FIFO write queues behind one
@@ -20,21 +19,15 @@ linearizable.
 """
 
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
+from repro.concurrency.lock import ForestLock
 from repro.concurrency.refreeze import RefreezeWorker
-from repro.concurrency.rwlock import ReadWriteLock
-from repro.concurrency.snapshot import (
-    DictSnapshot,
-    OverlaySnapshot,
-    ShardSnapshot,
-    SnapshotHandle,
-)
+from repro.concurrency.snapshot import DictSnapshot, OverlaySnapshot, SnapshotHandle
 
 __all__ = [
-    "ReadWriteLock",
+    "ForestLock",
     "SnapshotHandle",
     "DictSnapshot",
     "OverlaySnapshot",
-    "ShardSnapshot",
     "WriteCoalescer",
     "PendingBatch",
     "RefreezeWorker",

@@ -22,9 +22,6 @@ Materialization cost is deliberately asymmetric per backend:
   frozen, or without numpy) copies the inverted lists: O(postings).
   The reference backend keeps no immutable structure to share, and
   stays the conformance oracle rather than a serving backend.
-- :class:`ShardSnapshot` (sharded backend) composes one inner handle
-  per shard; with compact shards the per-shard cost is the overlay
-  copy again.
 
 Every handle answers the same sweep bit-identically to the live
 backend at the pinned generation — the conformance and stress suites
@@ -33,14 +30,7 @@ check this against a single-threaded replay.
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.perf.sweep import (
     TauScan,
@@ -191,36 +181,3 @@ class OverlaySnapshot(SnapshotHandle):
             query_size,
             tau,
         )
-
-
-class ShardSnapshot(SnapshotHandle):
-    """One inner handle per shard, merged by addition (sharded backend)."""
-
-    __slots__ = ("_inner", "_shard_of")
-
-    def __init__(
-        self,
-        inner: List[SnapshotHandle],
-        shard_of: Callable[[Key], int],
-        sizes: Dict[int, int],
-    ) -> None:
-        super().__init__(sizes)
-        self._inner = inner
-        self._shard_of = shard_of
-
-    def candidates(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit] = None,
-    ) -> Dict[int, int]:
-        groups: List[List[Tuple[Key, int]]] = [[] for _ in self._inner]
-        shard_of = self._shard_of
-        for item in query_items:
-            groups[shard_of(item[0])].append(item)
-        merged: Dict[int, int] = {}
-        for handle, group in zip(self._inner, groups):
-            if not group:
-                continue
-            for tree_id, shared in handle.candidates(group, admit).items():
-                merged[tree_id] = merged.get(tree_id, 0) + shared
-        return merged

@@ -3,8 +3,8 @@
 Stores the pq-gram indexes of a whole collection of trees in one
 relation ``(treeId, pqg, cnt)`` (paper Fig. 4b).  The relation itself
 lives in a pluggable :class:`~repro.backend.base.ForestBackend` —
-plain dicts, an array snapshot with a delta overlay, or a
-hash-partitioned shard fan-out — and this class owns everything the
+plain dicts, an array snapshot with a delta overlay, mapped segment
+files, or relstore tables — and this class owns everything the
 backends deliberately know nothing about: the gram configuration, the
 shared label hasher, index construction, incremental maintenance, and
 the τ-aware distance arithmetic over the backend's candidate sweep.
@@ -25,8 +25,8 @@ from typing import (
     Union,
 )
 
-from repro.backend.base import Bag, ForestBackend, Key, make_backend
-from repro.concurrency.rwlock import ReadWriteLock
+from repro.backend.base import Bag, ForestBackend, Key, make_backend, recorded_backend
+from repro.concurrency.lock import ForestLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
 from repro.core.batch import update_index_batch_timed
@@ -44,10 +44,9 @@ class ForestIndex:
     """pq-gram indexes of a forest, with persistence and maintenance.
 
     ``backend`` selects the storage engine — ``"memory"``,
-    ``"compact"`` (default), ``"sharded"`` (with ``shards=N``),
-    ``"segment"`` (sealed postings in memory-mapped files;
-    ``directory=`` says where they live, a temp dir otherwise),
-    ``"rel"``, or any
+    ``"compact"`` (default), ``"segment"`` (sealed postings in
+    memory-mapped files; ``directory=`` says where they live, a temp
+    dir otherwise), ``"rel"``, or any
     :class:`~repro.backend.base.ForestBackend` instance.  Every
     backend is bit-identical on lookups and maintenance; only the
     sweep cost and scaling behaviour differ.
@@ -57,20 +56,19 @@ class ForestIndex:
         self,
         config: Optional[GramConfig] = None,
         backend: Union[str, ForestBackend] = "compact",
-        shards: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         directory: Optional[str] = None,
     ) -> None:
         self.config = config or GramConfig()
         self.hasher = LabelHasher()
-        self._backend = make_backend(backend, shards=shards, directory=directory)
+        self._backend = make_backend(backend, directory=directory)
         self.metrics = resolve_registry(metrics)
         self._backend.bind_metrics(self.metrics)
         self._bind_instruments(self.metrics)
-        # Concurrency: one structural lock, a monotonically increasing
+        # Concurrency: one exclusive lock, a monotonically increasing
         # write generation, and the published immutable read view of
         # the latest materialized generation (docs/CONCURRENCY.md).
-        self.lock = ReadWriteLock()
+        self.lock = ForestLock()
         self.lock.bind_metrics(self.metrics)
         self._generation = 0
         self._generation_mutex = threading.Lock()
@@ -191,15 +189,6 @@ class ForestIndex:
     def remove_generation_listener(self, listener: Callable[[], None]) -> None:
         self._generation_listeners.remove(listener)
 
-    def _write_scope(self):
-        """The scope a mutation runs under: the shared lock when the
-        backend synchronizes concurrent writers itself (sharded), the
-        exclusive lock otherwise.  Either way the refreeze worker and
-        view refreshes (exclusive holders) are excluded."""
-        if self._backend.supports_concurrent_writes:
-            return self.lock.read()
-        return self.lock.write()
-
     @property
     def has_published_view(self) -> bool:
         """Whether :meth:`read_view` can answer without building
@@ -296,14 +285,6 @@ class ForestIndex:
             registry.gauge(
                 "segment_bytes", "bytes of the mapped frozen segment files"
             ).set(int(backend_stats["segment_bytes"]))
-        for index, postings in enumerate(
-            backend_stats.get("shard_postings", ())
-        ):
-            registry.gauge(
-                "shard_postings",
-                "posting entries stored per shard",
-                shard=index,
-            ).set(int(postings))
 
     # ------------------------------------------------------------------
     # building and maintaining
@@ -320,7 +301,7 @@ class ForestIndex:
     def add_tree(self, tree_id: int, tree: Tree) -> None:
         """Index a new tree of the forest."""
         bag = dict(PQGramIndex.from_tree(tree, self.config, self.hasher).items())
-        with self._write_scope():
+        with self.lock.write():
             self._backend.add_tree_bag(tree_id, bag)
             self._record_structure(tree_id, tree)
             self._bump_generation()
@@ -352,7 +333,7 @@ class ForestIndex:
             bags, memo = build_bags_parallel(items, self.config, jobs)
             self.hasher.absorb_memo(memo)
             trees = dict(items)
-            with self._write_scope():
+            with self.lock.write():
                 for tree_id, bag in bags:
                     self._backend.add_tree_bag(tree_id, bag)
                     self._record_structure(tree_id, trees[tree_id])
@@ -363,7 +344,7 @@ class ForestIndex:
 
     def remove_tree(self, tree_id: int) -> None:
         """Drop a tree from the forest index."""
-        with self._write_scope():
+        with self.lock.write():
             self._backend.remove_tree(tree_id)
             self._bump_generation()
 
@@ -407,7 +388,7 @@ class ForestIndex:
                 self._m_batch_compacted_ops.inc(timings.compacted_size)
                 self._m_batch_groups.inc(timings.group_count)
                 timings.record_into(self._m_batch_phase_seconds)
-            with self._write_scope():
+            with self.lock.write():
                 self._backend.apply_tree_delta(tree_id, minus, plus)
                 self._record_structure(tree_id, tree)
                 self._bump_generation()
@@ -589,9 +570,6 @@ class ForestIndex:
         meta.insert({"key": "p", "value": str(self.config.p)})
         meta.insert({"key": "q", "value": str(self.config.q)})
         meta.insert({"key": "backend", "value": self._backend.name})
-        if self._backend.name == "sharded":
-            shards = self._backend.shards  # type: ignore[attr-defined]
-            meta.insert({"key": "shards", "value": str(len(shards))})
         table = database.create_table(
             "forest", self._SCHEMA, primary_key=("treeId", "pqg")
         )
@@ -609,11 +587,9 @@ class ForestIndex:
         meta = {
             row["key"]: row["value"] for row in database.table("meta").scan_dicts()
         }
-        shards = meta.get("shards")
         forest = cls(
             GramConfig(int(meta["p"]), int(meta["q"])),
-            backend=meta.get("backend", "compact"),
-            shards=int(shards) if shards is not None else None,
+            backend=recorded_backend(meta.get("backend"), "compact"),
         )
         bags: Dict[int, Bag] = {}
         for row in database.table("forest").scan_dicts():

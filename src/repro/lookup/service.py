@@ -149,7 +149,6 @@ class LookupService:
         collection: Iterable[Tuple[int, Tree]],
         config: Optional[GramConfig] = None,
         backend: str = "compact",
-        shards: Optional[int] = None,
         jobs: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         directory: Optional[str] = None,
@@ -157,17 +156,16 @@ class LookupService:
     ) -> "LookupService":
         """Build a forest over ``collection`` and wrap it in a service.
 
-        ``backend`` / ``shards`` pick the forest's storage engine
-        (memory, compact, sharded over N partitions, or segment with
-        ``directory`` naming its on-disk home), ``jobs`` fans the
-        per-tree index construction out over worker processes,
-        ``metrics`` (a registry or ``True``) enables observability;
-        remaining keyword arguments go to the service constructor.
+        ``backend`` picks the forest's storage engine (memory, compact,
+        rel, or segment with ``directory`` naming its on-disk home),
+        ``jobs`` fans the per-tree index construction out over worker
+        processes, ``metrics`` (a registry or ``True``) enables
+        observability; remaining keyword arguments go to the service
+        constructor.
         """
         forest = ForestIndex(
             config,
             backend=backend,
-            shards=shards,
             metrics=metrics,
             directory=directory,
         )
@@ -246,7 +244,7 @@ class LookupService:
 
     def backend_stats(self) -> Dict[str, object]:
         """Operational counters of the forest's storage backend
-        (posting totals, per-shard breakdown for sharded forests)."""
+        (posting and key totals, frozen-view state)."""
         return self.forest.backend_stats()
 
     def close(self) -> None:

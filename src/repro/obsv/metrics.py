@@ -18,10 +18,9 @@ text exposition format (counters/gauges verbatim, histograms as
 ``_count`` / ``_sum`` summary pairs).
 
 Instruments are plain ints behind the GIL, not atomics: concurrent
-writers (the sharded backend's thread pool) may lose increments under
-contention.  Per-shard instruments are therefore labeled per shard —
-each pool thread owns its own — and the shared roll-up counters are
-documented as approximate under ``parallel=True``.
+writers (reader threads sweeping snapshots beside the writer) may lose
+increments under contention, so counters are exact only when one
+thread records them.
 """
 
 from __future__ import annotations

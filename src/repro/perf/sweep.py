@@ -115,10 +115,8 @@ class CompactPostings:
         """Accumulate the sweep into a caller-provided slot accumulator.
 
         ``acc`` must be an int64 array of ``len(self.tree_ids)`` zeros
-        (or a partial accumulation over the *same* slot ordering — the
-        sharded fast path shares one accumulator across shards whose
-        tree-id lists are identical).  Returns the number of posting
-        entries touched.
+        (or a partial accumulation over the *same* slot ordering).
+        Returns the number of posting entries touched.
         """
         spans = self.spans
         starts: List[int] = []

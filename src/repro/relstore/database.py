@@ -2,13 +2,17 @@
 
 A snapshot file starts with a magic header, then for every table its
 name, schema, primary key, index definitions and rows, all written with
-the codec from :mod:`repro.relstore.codec`.  ``save``/``load`` round
-trips are exact, which the persistence tests assert property-based.
+the codec from :mod:`repro.relstore.codec`, then a CRC32 of that body.
+``save``/``load`` round trips are exact, which the persistence tests
+assert property-based; a file whose checksum or decoding fails raises
+:class:`~repro.errors.CodecError`, never a partial database.  Files of
+the previous format (magic ``RPDB\\x01``, no checksum) still load.
 """
 
 from __future__ import annotations
 
 import os
+import zlib
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import CodecError, StorageError
@@ -16,7 +20,10 @@ from repro.relstore.codec import decode_row, decode_value, encode_row, encode_va
 from repro.relstore.schema import Column, Schema
 from repro.relstore.table import Table
 
-_MAGIC = b"RPDB\x01"
+_MAGIC = b"RPDB\x02"
+#: the format before the checksum trailer: read, never written
+_MAGIC_UNCHECKED = b"RPDB\x01"
+_CRC_BYTES = 4
 
 _TYPE_NAMES = {int: "int", str: "str", float: "float", bytes: "bytes", tuple: "tuple"}
 _TYPES_BY_NAME = {name: tp for tp, name in _TYPE_NAMES.items()}
@@ -69,6 +76,8 @@ class Database:
         encode_value(len(self._tables), out)
         for table in self._tables.values():
             self._encode_table(table, out)
+        checksum = zlib.crc32(memoryview(out)[len(_MAGIC) :])
+        out.extend(checksum.to_bytes(_CRC_BYTES, "little"))
         tmp_path = f"{path}.tmp"
         with open(tmp_path, "wb") as handle:
             failpoints.write("database.write", handle, bytes(out))
@@ -89,15 +98,29 @@ class Database:
         """Read a snapshot written by :meth:`save`."""
         with open(path, "rb") as handle:
             data = handle.read()
-        if data[: len(_MAGIC)] != _MAGIC:
+        magic = data[: len(_MAGIC)]
+        if magic == _MAGIC:
+            body = data[len(_MAGIC) : -_CRC_BYTES]
+            stored = data[len(_MAGIC) + len(body) :]
+            if zlib.crc32(body).to_bytes(_CRC_BYTES, "little") != stored:
+                raise CodecError(f"{path}: checksum mismatch")
+        elif magic == _MAGIC_UNCHECKED:
+            body = data[len(_MAGIC) :]
+        else:
             raise CodecError(f"{path}: not a repro database snapshot")
-        pos = len(_MAGIC)
-        table_count, pos = decode_value(data, pos)
-        database = cls()
-        for _ in range(table_count):
-            pos = database._decode_table(data, pos)
-        if pos != len(data):
-            raise CodecError(f"{path}: {len(data) - pos} trailing bytes")
+        try:
+            table_count, pos = decode_value(body, 0)
+            database = cls()
+            for _ in range(table_count):
+                pos = database._decode_table(body, pos)
+        except CodecError:
+            raise
+        except (StorageError, LookupError, ValueError, TypeError, AttributeError) as exc:
+            # An unchecked file can decode into nonsense (a type name
+            # that is no type, a duplicate key): still the codec's error.
+            raise CodecError(f"{path}: undecodable snapshot ({exc!r})") from exc
+        if pos != len(body):
+            raise CodecError(f"{path}: {len(body) - pos} trailing bytes")
         return database
 
     @staticmethod

@@ -90,6 +90,7 @@ from typing import (
     Tuple,
 )
 
+from repro.backend.base import recorded_backend
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.refreeze import RefreezeWorker
 from repro.core.config import GramConfig
@@ -236,7 +237,6 @@ class DocumentStore:
         directory: str,
         config: Optional[GramConfig] = None,
         backend: Optional[str] = None,
-        shards: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         serve_threads: int = 0,
     ) -> None:
@@ -260,7 +260,7 @@ class DocumentStore:
         # recovery itself is measured.
         self._metrics = resolve_registry(metrics)
         self._bind_instruments(self._metrics)
-        # ``backend``/``shards`` choose the forest storage engine when
+        # ``backend`` chooses the forest storage engine when
         # the store is created (``None`` defers to the
         # ``REPRO_STORE_BACKEND`` environment variable, then
         # ``"compact"``); reopening an existing store reads the
@@ -292,11 +292,9 @@ class DocumentStore:
                 self._m_recovery_seconds.time(),
                 self._metrics.span("store.recover"),
             ):
-                self._recover(default_backend=backend, default_shards=shards)
+                self._recover(default_backend=backend)
         else:
-            self._forest = self._make_forest(
-                config or GramConfig(), backend, shards
-            )
+            self._forest = self._make_forest(config or GramConfig(), backend)
             self._standing = self._make_standing_engine()
             self._checkpoint()
         # Serving machinery starts only after recovery is complete, so
@@ -363,18 +361,12 @@ class DocumentStore:
     def _wal_path(self) -> str:
         return os.path.join(self._directory, _WAL)
 
-    def _make_forest(
-        self,
-        config: GramConfig,
-        backend: str,
-        shards: Optional[int],
-    ) -> ForestIndex:
+    def _make_forest(self, config: GramConfig, backend: str) -> ForestIndex:
         """An empty forest over ``backend``; a segment backend maps its
         sealed files under ``<directory>/segments/``."""
         return ForestIndex(
             config,
             backend=backend,
-            shards=shards,
             metrics=self._metrics,
             directory=(
                 os.path.join(self._directory, _SEGMENTS)
@@ -410,7 +402,7 @@ class DocumentStore:
     @property
     def backend_name(self) -> str:
         """Name of the forest storage backend
-        (memory/compact/sharded/segment/rel)."""
+        (memory/compact/segment/rel)."""
         return self._forest.backend.name
 
     @property
@@ -832,9 +824,8 @@ class DocumentStore:
         """Operational counters of the store.
 
         Covers the collection (documents, nodes, pq-grams), the
-        maintenance configuration, the storage backend (with per-shard
-        posting counts for sharded forests), and the shared label
-        hasher's memo hit/miss counters — a warm memo means every
+        maintenance configuration, the storage backend, and the shared
+        label hasher's memo hit/miss counters — a warm memo means every
         build and update call reused the store-wide hasher instead of
         re-fingerprinting labels from scratch — and how close the next
         checkpoint is: ``wal_bytes`` written since the last snapshot
@@ -874,9 +865,6 @@ class DocumentStore:
         if "frozen" in backend_stats:
             stats["frozen"] = backend_stats["frozen"]
             stats["dirty_keys"] = backend_stats["dirty_keys"]
-        if "shards" in backend_stats:
-            stats["shards"] = backend_stats["shards"]
-            stats["shard_postings"] = backend_stats["shard_postings"]
         if "segments" in backend_stats:
             stats["segments"] = backend_stats["segments"]
             stats["segment_bytes"] = backend_stats["segment_bytes"]
@@ -1061,13 +1049,6 @@ class DocumentStore:
         meta.insert({"key": "q", "value": str(self.config.q)})
         meta.insert({"key": "backend", "value": self._forest.backend.name})
         meta.insert({"key": "commit_seq", "value": str(self._commit_seq)})
-        if self._forest.backend.name == "sharded":
-            meta.insert(
-                {
-                    "key": "shards",
-                    "value": str(len(self._forest.backend.shards)),  # type: ignore[attr-defined]
-                }
-            )
         documents = database.create_table(
             "documents", self._DOC_SCHEMA, ("docId",)
         )
@@ -1136,22 +1117,13 @@ class DocumentStore:
                 )
             self._documents[document_id] = tree
 
-    def _recover(
-        self,
-        default_backend: str = "compact",
-        default_shards: Optional[int] = None,
-    ) -> None:
+    def _recover(self, default_backend: str = "compact") -> None:
         database = Database.load(self._snapshot_path())
         self._snapshot_bytes = os.path.getsize(self._snapshot_path())
         meta = {
             row["key"]: row["value"] for row in database.table("meta").scan_dicts()
         }
-        backend = meta.get("backend", default_backend)
-        shards = meta.get("shards")
-        if shards is not None:
-            shards = int(shards)
-        elif backend == "sharded":
-            shards = default_shards
+        backend = recorded_backend(meta.get("backend"), default_backend)
         self._commit_seq = int(meta.get("commit_seq", "0"))
         config = GramConfig(int(meta["p"]), int(meta["q"]))
         self._load_documents(database)
@@ -1178,7 +1150,7 @@ class DocumentStore:
         # Bring every document to the end of the WAL, then build each
         # tree's bag once — for every backend the same way.
         self._m_wal_replayed.inc(self._replay_wal(batches))
-        self._forest = self._make_forest(config, backend, shards)
+        self._forest = self._make_forest(config, backend)
         self._forest.add_trees(list(self._documents.items()))
         # Standing queries resume at their durable frontier: restore the
         # persisted membership, then reconcile against the recovered

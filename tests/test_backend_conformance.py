@@ -1,11 +1,11 @@
 """Backend conformance suite: every backend ≡ MemoryBackend, bit for bit.
 
-One write path (`ForestBackend`) with five engines — memory, compact
-(array snapshot + delta overlay), sharded (fingerprint-partitioned
-fan-out), segment (memory-mapped sealed segments + overlay) and
-rel (the relation as relstore tables with a pre/post node table) —
-must be indistinguishable on every read: lookups at any τ,
-per-tree indexes, inverted lists, incremental maintenance, and
+One write path (`ForestBackend`) with four engines — memory, compact
+(array snapshot + delta overlay), segment (memory-mapped sealed
+segments + overlay) and rel (the relation as relstore tables with a
+pre/post node table) — must be indistinguishable on every read, live
+and through the immutable read views served lookups sweep: lookups at
+any τ, per-tree indexes, inverted lists, incremental maintenance, and
 persistence round-trips (forest snapshots and relstore snapshot/WAL
 recovery).  These tests drive identical workloads through a candidate
 backend and the memory reference and compare everything; wherever the
@@ -19,17 +19,14 @@ import random
 
 import pytest
 
-from repro.backend import (
-    CompactBackend,
-    MemoryBackend,
-    ShardedBackend,
-    make_backend,
-)
+from repro.backend import CompactBackend, MemoryBackend, make_backend
+from repro.concurrency import OverlaySnapshot
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
 from repro.edits import apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
+from repro.perf import HAVE_NUMPY
 from repro.serve import FrontDoor, ServeClient, serve_in_thread
 from repro.serve.server import INLINE_FRAME_BYTES
 from repro.service import DocumentStore
@@ -44,27 +41,31 @@ from tests.conftest import (
 TAUS = (0.2, 0.5, 1.0)
 CONFIG = GramConfig(2, 3)
 
-# (spec name, forest kwargs) — sharded twice to cover the single-shard
-# degenerate case and a real fan-out; segment maps its sealed files in
-# a temp directory (DocumentStore tests put it under the store dir).
-# The ``-z`` rows run the same engines on a live metrics registry: the
+# (spec name, forest kwargs) — segment maps its sealed files in a temp
+# directory (DocumentStore tests put it under the store dir).  The
+# ``-z`` rows run the same engines on a live metrics registry: the
 # instrumented branches (``if self.metrics.enabled``, bound backend
 # counters) that ``store stats --metrics`` and traced serving take must
-# be invisible on every read path, bit for bit.
+# be invisible on every read path, bit for bit.  The ``sharded-*`` ids
+# are the rows of a backend that no longer exists; they now run the
+# *view* rows (``VIEW_ROWS``): compact, segment, and compact on a live
+# registry, every comparison repeated through ``read_view()`` — the
+# snapshot a served lookup sweeps with ``OverlaySnapshot.tau_scan``.
 BACKENDS = [
     ("memory", {"backend": "memory"}),
     ("compact", {"backend": "compact"}),
-    ("sharded-1", {"backend": "sharded", "shards": 1}),
-    ("sharded-4", {"backend": "sharded", "shards": 4}),
+    ("sharded-1", {"backend": "compact"}),
+    ("sharded-4", {"backend": "segment"}),
     ("segment", {"backend": "segment"}),
     ("rel", {"backend": "rel"}),
     ("memory-z", {"backend": "memory", "metrics": True}),
     ("compact-z", {"backend": "compact", "metrics": True}),
-    ("sharded-4z", {"backend": "sharded", "shards": 4, "metrics": True}),
+    ("sharded-4z", {"backend": "compact", "metrics": True}),
     ("segment-z", {"backend": "segment", "metrics": True}),
     ("rel-z", {"backend": "rel", "metrics": True}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
+VIEW_ROWS = {"sharded-1", "sharded-4", "sharded-4z"}
 
 
 def make_pair(kwargs):
@@ -84,8 +85,32 @@ def make_collection(count, seed):
     return collection
 
 
-def assert_equivalent(forest, reference):
-    """Everything observable matches the reference, bit for bit."""
+def assert_view_equivalent(forest, reference):
+    """The forest's published read view answers every lookup exactly
+    like the reference: the full scan and the τ scans, which sweep the
+    view's frozen base and overlay in array space."""
+    view = forest.read_view()
+    assert view.generation == forest.generation
+    if HAVE_NUMPY:
+        assert isinstance(view, OverlaySnapshot)
+    assert dict(view.iter_sizes()) == dict(reference.backend.iter_sizes())
+    query = PQGramIndex.from_tree(
+        random_labelled_tree(15, seed=31), CONFIG, reference.hasher
+    )
+    probes = [query] + [
+        reference.index_of(tree_id) for tree_id in sorted(reference.tree_ids())[:3]
+    ]
+    for probe in probes:
+        assert forest.distances(probe, reader=view) == reference.distances(probe)
+        for tau in TAUS:
+            assert forest.distances(
+                probe, tau=tau, reader=view
+            ) == reference.distances(probe, tau=tau)
+
+
+def assert_equivalent(forest, reference, view=False):
+    """Everything observable matches the reference, bit for bit — with
+    ``view``, through the published read view too."""
     assert len(forest) == len(reference)
     assert sorted(forest.tree_ids()) == sorted(reference.tree_ids())
     for tree_id in reference.tree_ids():
@@ -101,6 +126,8 @@ def assert_equivalent(forest, reference):
             query, tau=tau
         )
     forest.backend.check_consistency()
+    if view:
+        assert_view_equivalent(forest, reference)
 
 
 @pytest.mark.parametrize(("name", "kwargs"), BACKENDS, ids=BACKEND_IDS)
@@ -114,10 +141,10 @@ class TestBackendConformance:
             reference.add_tree(tree_id, tree)
         forest.add_trees(collection[4:])
         reference.add_trees(collection[4:])
-        assert_equivalent(forest, reference)
+        assert_equivalent(forest, reference, view=name in VIEW_ROWS)
         # And again through the read-optimized view.
         forest.compact()
-        assert_equivalent(forest, reference)
+        assert_equivalent(forest, reference, view=name in VIEW_ROWS)
 
     @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
     def test_maintenance(self, name, kwargs, engine):
@@ -162,7 +189,9 @@ class TestBackendConformance:
                 f"drift after round {round_number} action {action}"
             )
             forest.backend.check_consistency()
-        assert_equivalent(forest, reference)
+            if name in VIEW_ROWS:
+                assert_view_equivalent(forest, reference)
+        assert_equivalent(forest, reference, view=name in VIEW_ROWS)
 
     def test_snapshot_restore_roundtrip(self, name, kwargs, tmp_path):
         forest, reference = make_pair(kwargs)
@@ -170,7 +199,7 @@ class TestBackendConformance:
         forest.add_trees(collection)
         reference.add_trees(collection)
         # Direct backend round-trip into a fresh backend of the same kind.
-        twin = make_backend(kwargs["backend"], shards=kwargs.get("shards"))
+        twin = make_backend(kwargs["backend"])
         twin.restore(forest.backend.snapshot())
         assert twin.snapshot() == forest.backend.snapshot()
         twin.check_consistency()
@@ -184,6 +213,8 @@ class TestBackendConformance:
             assert loaded.index_of(tree_id) == reference.index_of(tree_id)
         assert loaded.inverted_lists() == reference.inverted_lists()
         loaded.backend.check_consistency()
+        if name in VIEW_ROWS:
+            assert_view_equivalent(loaded, reference)
 
     @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
     def test_store_wal_recovery(self, name, kwargs, engine, tmp_path):
@@ -209,13 +240,13 @@ class TestBackendConformance:
         reference.add_trees(documents.items())
         del store  # reopen: snapshot + WAL replay
         reopened = DocumentStore(directory, CONFIG)
-        assert reopened.backend_name == make_backend(
-            kwargs["backend"], shards=kwargs.get("shards")
-        ).name
+        assert reopened.backend_name == kwargs["backend"]
         for tree_id, tree in documents.items():
             assert reopened.get_document(tree_id) == tree
             assert reopened.get_index(tree_id) == reference.index_of(tree_id)
         assert_store_is_rebuild(reopened)
+        if name in VIEW_ROWS:
+            assert_view_equivalent(reopened._forest, reference)
         service = LookupService(reference)
         for tau in TAUS:
             query = documents[min(documents)]
@@ -254,7 +285,7 @@ class TestBackendConformance:
         reference.add_trees(documents.items())
         for tree_id, tree in documents.items():
             assert reopened.get_document(tree_id) == tree
-        assert_equivalent(reopened._forest, reference)
+        assert_equivalent(reopened._forest, reference, view=name in VIEW_ROWS)
         reopened.close()
 
     def test_remove_then_readd_same_id(self, name, kwargs):
@@ -269,13 +300,13 @@ class TestBackendConformance:
         for target in (forest, reference):
             target.remove_tree(2)
             target.add_tree(2, replacement)
-        assert_equivalent(forest, reference)
+        assert_equivalent(forest, reference, view=name in VIEW_ROWS)
         # Re-adding the original tree after another round trip is exact.
         original = dict(collection)[2]
         for target in (forest, reference):
             target.remove_tree(2)
             target.add_tree(2, original)
-        assert_equivalent(forest, reference)
+        assert_equivalent(forest, reference, view=name in VIEW_ROWS)
         assert forest.index_of(2) == PQGramIndex.from_tree(
             original, CONFIG, reference.hasher
         )
@@ -302,7 +333,7 @@ class TestBackendConformance:
             assert backend.tree_size(7) == 0
             assert backend.tree_bag(7) == {}
         assert forest.backend.snapshot() == reference.backend.snapshot()
-        assert_equivalent(forest, reference)
+        assert_equivalent(forest, reference, view=name in VIEW_ROWS)
         # An empty-bag tree shares no pq-gram: it never becomes a
         # candidate, so no sweep can emit (or crash on) it.
         query = PQGramIndex.from_tree(singleton, CONFIG, reference.hasher)
@@ -310,16 +341,15 @@ class TestBackendConformance:
         for backend in (forest.backend, reference.backend):
             backend.remove_tree(7)
             assert 7 not in backend
+        # (A removal behind the forest's back moves no generation, so
+        # the published view rightly still holds tree 7.)
         assert_equivalent(forest, reference)
 
     def test_metrics_parity_with_memory_reference(self, name, kwargs):
         """The sweep-volume counters are backend-independent: keys
-        swept, postings touched and delta keys must match the memory
-        reference exactly on an identical workload.  (Deliberately not
-        in the parity set: ``index_candidates_emitted_total`` — the
-        sharded fan-out legitimately emits a tree once per overlapping
-        shard — and ``index_deltas_applied_total`` — only shards with a
-        non-empty part apply.)"""
+        swept, postings touched, candidates emitted, deltas applied and
+        delta keys must match the memory reference exactly on an
+        identical workload."""
         from repro.obsv import MetricsRegistry
 
         registries = {}
@@ -361,6 +391,8 @@ class TestBackendConformance:
                     "lookup_candidates_scored_total",
                     "lookup_matches_total",
                     "maintain_delta_keys_total",
+                    "index_candidates_emitted_total",
+                    "index_deltas_applied_total",
                 )
             }
         assert counters["candidate"] == counters["reference"]
@@ -421,6 +453,7 @@ class TestBackendConformance:
         assert len(forest) == 0
         forest.add_tree(5, tree)
         before = forest.inverted_lists()
+        published = forest.read_view() if name in VIEW_ROWS else None
         for jobs in (None, 2):
             with pytest.raises(StorageError):
                 forest.add_trees(
@@ -429,6 +462,12 @@ class TestBackendConformance:
             assert len(forest) == 1
             assert forest.inverted_lists() == before
         forest.backend.check_consistency()
+        if published is not None:
+            # A refused batch moves no generation: the view stays.
+            assert forest.read_view() is published
+            reference = ForestIndex(CONFIG, backend="memory")
+            reference.add_tree(5, tree)
+            assert_view_equivalent(forest, reference)
 
 
 class TestCompactOverlayStaleness:
@@ -463,7 +502,6 @@ class TestCompactOverlayStaleness:
             assert backend._masked.trees == {0}, (
                 "maintenance left the edited tree unmasked"
             )
-            assert backend.frozen_clean() is None
             assert backend.stats()["dirty_keys"] >= len(dict(expected.items()))
         assert_equivalent(forest, reference)
 
@@ -485,11 +523,9 @@ class TestCompactOverlayStaleness:
         from repro.backend import RelBackend, SegmentBackend
         from repro.backend.base import BACKEND_NAMES
 
+        assert BACKEND_NAMES == ("memory", "compact", "segment", "rel")
         assert isinstance(make_backend("memory"), MemoryBackend)
         assert isinstance(make_backend("compact"), CompactBackend)
-        sharded = make_backend("sharded", shards=3)
-        assert isinstance(sharded, ShardedBackend)
-        assert len(sharded.shards) == 3
         segment = make_backend("segment", directory=str(tmp_path / "seg"))
         assert isinstance(segment, SegmentBackend)
         assert not segment.ephemeral
@@ -501,19 +537,96 @@ class TestCompactOverlayStaleness:
         # rel keeps its tables in memory: no directory to name.
         with pytest.raises(ValueError):
             make_backend("rel", directory=str(tmp_path / "rel"))
-        # An unknown spec names every valid backend in one message.
-        with pytest.raises(ValueError) as excinfo:
-            make_backend("mmap")
-        for backend_name in BACKEND_NAMES:
-            assert backend_name in str(excinfo.value)
-        assert "rel" in str(excinfo.value)
-        with pytest.raises(ValueError):
+        # An unknown spec, or the retired sharded backend, names every
+        # valid backend in one message.
+        for spec in ("mmap", "sharded"):
+            with pytest.raises(ValueError) as excinfo:
+                make_backend(spec)
+            for backend_name in BACKEND_NAMES:
+                assert backend_name in str(excinfo.value)
+        # No backend takes a partition count any more.
+        with pytest.raises(TypeError):
             make_backend("memory", shards=2)
-        with pytest.raises(ValueError):
-            make_backend("compact", directory=str(tmp_path / "x"))
         with pytest.raises(ValueError):
             make_backend(MemoryBackend(), directory=str(tmp_path / "y"))
         # directory= is valid for the segment backend, nothing else.
         with pytest.raises(ValueError) as excinfo:
-            make_backend("sharded", shards=2, directory=str(tmp_path / "z"))
+            make_backend("compact", directory=str(tmp_path / "x"))
         assert "segment backend" in str(excinfo.value)
+
+    @pytest.mark.parametrize("with_wal_tail", [False, True])
+    def test_sharded_files_open_as_compact(self, tmp_path, with_wal_tail):
+        """Files written by the retired sharded backend record
+        ``backend=sharded`` and a ``shards`` row in their meta.  A store
+        opens as compact, equal to a rebuild, and its next checkpoint
+        writes ``backend=compact`` and no ``shards`` row; a saved forest
+        loads as compact and saves without the row."""
+        collection = make_collection(6, seed=550)
+        reference = ForestIndex(CONFIG, backend="memory")
+        reference.add_trees(collection)
+        path = str(tmp_path / "forest.db")
+        reference.save(path)
+        plant_meta(path, backend="sharded", shards="3")
+        loaded = ForestIndex.load(path)
+        assert loaded.backend.name == "compact"
+        assert_equivalent(loaded, reference, view=True)
+        loaded.save(path)
+        assert "shards" not in read_meta(path)
+
+        directory = str(tmp_path / "store")
+        store = DocumentStore(directory, CONFIG, backend="compact")
+        store.add_documents(collection)
+        documents = dict(collection)
+        if with_wal_tail:
+            tree_id = 3
+            script = dblp_update_script(documents[tree_id], 4, seed=551)
+            documents[tree_id], _ = apply_script(documents[tree_id], script)
+            store.apply_edits(tree_id, script)
+        del store  # any tail stays in the WAL
+        snapshot = os.path.join(directory, "store.db")
+        plant_meta(snapshot, backend="sharded", shards="3")
+        reopened = DocumentStore(directory, CONFIG)
+        assert reopened.backend_name == "compact"
+        assert {
+            tree_id: reopened.get_document(tree_id)
+            for tree_id in reopened.document_ids()
+        } == documents
+        assert_store_is_rebuild(reopened)
+        rebuilt = ForestIndex(CONFIG, backend="memory")
+        rebuilt.add_trees(documents.items())
+        assert_equivalent(reopened._forest, rebuilt, view=True)
+        reopened.checkpoint()
+        meta = read_meta(snapshot)
+        assert meta["backend"] == "compact"
+        assert "shards" not in meta
+        reopened.close()
+
+
+def read_meta(path):
+    """The ``meta`` relation of a saved forest or store snapshot."""
+    from repro.relstore.database import Database
+
+    return {
+        row["key"]: row["value"]
+        for row in Database.load(path).table("meta").scan_dicts()
+    }
+
+
+def plant_meta(path, **values):
+    """Rewrite the ``meta`` relation of a saved snapshot with ``values``
+    merged in — what a file of an older version records."""
+    from repro.relstore.database import Database
+    from repro.relstore.schema import Column, Schema
+
+    database = Database.load(path)
+    meta = {
+        row["key"]: row["value"] for row in database.table("meta").scan_dicts()
+    }
+    meta.update(values)
+    database.drop_table("meta")
+    table = database.create_table(
+        "meta", Schema([Column("key", str), Column("value", str)]), ("key",)
+    )
+    for key, value in meta.items():
+        table.insert({"key": key, "value": value})
+    database.save(path)

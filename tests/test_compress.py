@@ -296,8 +296,7 @@ class TestCompressedPostings:
     def test_merge_parity_over_shared_slot_order(self):
         from repro.perf.sweep import CompactPostings
 
-        # One shared slot order, disjoint key sets per part — the
-        # sharded backend's merge precondition.
+        # One shared slot order, disjoint key sets per part.
         inverted, sizes, universe = random_inverted(13, trees=20, keys=48)
         pool = InternPool()
         keys = list(inverted)
@@ -371,7 +370,6 @@ def _builders(tmp_path):
         MemoryBackend,
         RelBackend,
         SegmentBackend,
-        ShardedBackend,
         make_backend,
     )
     from repro.lookup import ForestIndex, LookupService
@@ -392,7 +390,6 @@ def _builders(tmp_path):
         "make_backend": lambda: make_backend("compact", compress=True),
         "MemoryBackend": lambda: MemoryBackend(compress=True),
         "CompactBackend": lambda: CompactBackend(compress=True),
-        "ShardedBackend": lambda: ShardedBackend(compress=True),
         "SegmentBackend": lambda: SegmentBackend(compress=True),
         "RelBackend": lambda: RelBackend(compress=True),
     }
@@ -400,9 +397,11 @@ def _builders(tmp_path):
 
 class TestCompressionEnabled:
     def test_explicit_wins_over_environment(self, tmp_path):
-        """No signature takes ``compress=`` any more: all ten refuse it."""
+        """No signature takes ``compress=`` any more: all nine that
+        still exist refuse it (the tenth was the retired sharded
+        backend's)."""
         builders = _builders(tmp_path)
-        assert len(builders) == 10
+        assert len(builders) == 9
         for name, build in builders.items():
             with pytest.raises(TypeError, match="compress"):
                 build()
@@ -418,7 +417,9 @@ class TestCompressionEnabled:
         for index, value in enumerate(("1", "true", "YES", " on ")):
             monkeypatch.setenv("REPRO_COMPRESS", value)
             directory = str(tmp_path / f"store{index}")
-            with DocumentStore(directory) as store:
+            # compact named, not left to REPRO_STORE_BACKEND: the heap
+            # CSR is the compact backend's frozen form.
+            with DocumentStore(directory, backend="compact") as store:
                 store.add_documents(
                     [(doc, dblp_tree(2, seed=doc)) for doc in range(6)]
                 )

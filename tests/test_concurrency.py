@@ -12,10 +12,10 @@ import pytest
 
 from repro.backend.compact import CompactBackend
 from repro.backend.memory import MemoryBackend
-from repro.backend.sharded import ShardedBackend
+from repro.backend.segment import SegmentBackend
 from repro.concurrency.coalesce import WriteCoalescer
+from repro.concurrency.lock import ForestLock
 from repro.concurrency.refreeze import RefreezeWorker
-from repro.concurrency.rwlock import ReadWriteLock
 from repro.core.config import GramConfig
 from repro.core.index import PQGramIndex
 from repro.edits.generator import EditScriptGenerator
@@ -26,20 +26,22 @@ from repro.service.store import DocumentStore
 
 from tests.conftest import build_random_tree
 
+# The ``sharded`` id is the row of a backend that no longer exists; it
+# now runs segment, whose views share a memory-mapped sealed base.
 BACKENDS = [
     ("memory", MemoryBackend),
     ("compact", CompactBackend),
-    ("sharded", lambda: ShardedBackend(3)),
+    ("sharded", SegmentBackend),
 ]
 
 
 # ----------------------------------------------------------------------
-# ReadWriteLock
+# ForestLock
 # ----------------------------------------------------------------------
 
 
 def test_rwlock_write_reentrant():
-    lock = ReadWriteLock()
+    lock = ForestLock()
     with lock.write():
         with lock.write():
             assert lock.held_exclusive()
@@ -47,137 +49,116 @@ def test_rwlock_write_reentrant():
     assert not lock.held_exclusive()
 
 
-def test_rwlock_read_nests_inside_write():
-    lock = ReadWriteLock()
+def test_rwlock_release_without_acquire_raises():
+    lock = ForestLock()
+    with pytest.raises(RuntimeError):
+        lock.release_write()
+    # Nor may a thread release a hold another thread owns.
     with lock.write():
-        with lock.read():
-            assert lock.held_exclusive()
+        failures = []
+
+        def release():
+            try:
+                lock.release_write()
+            except RuntimeError:
+                failures.append(True)
+
+        thread = threading.Thread(target=release)
+        thread.start()
+        thread.join(timeout=5)
+        assert failures == [True]
         assert lock.held_exclusive()
 
 
-def test_rwlock_read_reentrant():
-    lock = ReadWriteLock()
-    with lock.read():
-        with lock.read():
-            assert lock.active_readers() == 1
-        assert lock.active_readers() == 1
-    assert lock.active_readers() == 0
-
-
-def test_rwlock_upgrade_raises():
-    lock = ReadWriteLock()
-    with lock.read():
-        with pytest.raises(RuntimeError):
-            lock.acquire_write()
-
-
-def test_rwlock_release_without_acquire_raises():
-    lock = ReadWriteLock()
-    with pytest.raises(RuntimeError):
-        lock.release_read()
-    with pytest.raises(RuntimeError):
-        lock.release_write()
-
-
 def test_rwlock_concurrent_readers_overlap():
-    lock = ReadWriteLock()
-    inside = threading.Barrier(3, timeout=5)
+    """Readers never take the forest lock: ``read_view()`` lookups
+    proceed, and agree with each other, while another thread holds it
+    (a writer mid-batch, a refreeze)."""
+    forest, _ = _populated_forest(CompactBackend)
+    view = forest.read_view()  # published before the lock is taken
+    query = PQGramIndex.from_tree(
+        build_random_tree(15, 99), forest.config, forest.hasher
+    )
+    expected = forest.distances(query, 0.8, reader=view)
+    holding = threading.Event()
+    release = threading.Event()
+
+    def hold():
+        with forest.lock.write():
+            holding.set()
+            release.wait(timeout=5)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert holding.wait(timeout=5)
+    results = []
 
     def reader():
-        with lock.read():
-            inside.wait()  # all three must be inside simultaneously
+        for _ in range(5):
+            reader_view = forest.read_view()
+            results.append(forest.distances(query, 0.8, reader=reader_view))
 
-    threads = [threading.Thread(target=reader) for _ in range(3)]
-    for thread in threads:
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    for thread in readers:
         thread.start()
-    for thread in threads:
+    for thread in readers:
         thread.join(timeout=5)
-    assert not any(thread.is_alive() for thread in threads)
+    try:
+        assert not any(thread.is_alive() for thread in readers)
+        assert results == [expected] * 15
+    finally:
+        release.set()
+        holder.join(timeout=5)
 
 
 def test_rwlock_writer_excludes_readers():
-    lock = ReadWriteLock()
+    """The lock is exclusive: a second thread waits until the holder
+    is done, and then gets it."""
+    lock = ForestLock()
     order = []
-    writer_in = threading.Event()
-    release_writer = threading.Event()
+    holder_in = threading.Event()
+    release_holder = threading.Event()
 
-    def writer():
+    def holder():
         with lock.write():
-            writer_in.set()
-            release_writer.wait(timeout=5)
-            order.append("writer-done")
+            holder_in.set()
+            release_holder.wait(timeout=5)
+            order.append("holder-done")
 
-    def reader():
-        writer_in.wait(timeout=5)
-        with lock.read():
-            order.append("reader")
-
-    writer_thread = threading.Thread(target=writer)
-    reader_thread = threading.Thread(target=reader)
-    writer_thread.start()
-    writer_in.wait(timeout=5)
-    reader_thread.start()
-    time.sleep(0.05)  # give the reader a chance to (wrongly) slip in
-    release_writer.set()
-    writer_thread.join(timeout=5)
-    reader_thread.join(timeout=5)
-    assert order == ["writer-done", "reader"]
-
-
-def test_rwlock_writer_preference_blocks_new_readers():
-    lock = ReadWriteLock()
-    first_reader_in = threading.Event()
-    release_first_reader = threading.Event()
-    writer_done = threading.Event()
-    second_reader_done = threading.Event()
-
-    def first_reader():
-        with lock.read():
-            first_reader_in.set()
-            release_first_reader.wait(timeout=5)
-
-    def writer():
+    def second():
+        holder_in.wait(timeout=5)
         with lock.write():
-            writer_done.set()
+            order.append("second")
+            assert lock.held_exclusive()
 
-    def second_reader():
-        with lock.read():
-            second_reader_done.set()
-
-    threading.Thread(target=first_reader).start()
-    first_reader_in.wait(timeout=5)
-    writer_thread = threading.Thread(target=writer)
-    writer_thread.start()
-    # Wait until the writer is queued, then start a new reader: it must
-    # queue behind the waiting writer, not join the active reader.
-    deadline = time.monotonic() + 5
-    while lock._writers_waiting == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    reader_thread = threading.Thread(target=second_reader)
-    reader_thread.start()
-    time.sleep(0.05)
-    assert not writer_done.is_set()
-    assert not second_reader_done.is_set()
-    release_first_reader.set()
-    writer_thread.join(timeout=5)
-    reader_thread.join(timeout=5)
-    assert writer_done.is_set() and second_reader_done.is_set()
+    holder_thread = threading.Thread(target=holder)
+    second_thread = threading.Thread(target=second)
+    holder_thread.start()
+    holder_in.wait(timeout=5)
+    second_thread.start()
+    time.sleep(0.05)  # give the second thread a chance to (wrongly) slip in
+    assert order == []
+    assert not lock.held_exclusive()  # held, but not by this thread
+    release_holder.set()
+    holder_thread.join(timeout=5)
+    second_thread.join(timeout=5)
+    assert order == ["holder-done", "second"]
 
 
 def test_rwlock_metrics_histograms():
     from repro.obsv.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
-    lock = ReadWriteLock()
+    lock = ForestLock()
     lock.bind_metrics(registry)
     with lock.write():
-        pass
-    with lock.read():
-        pass
+        with lock.write():  # a nested hold is not a second acquire
+            pass
     snapshot = registry.snapshot()
     assert snapshot["histograms"]['lock_hold_seconds{mode="write"}']["count"] == 1
-    assert snapshot["histograms"]['lock_hold_seconds{mode="read"}']["count"] == 1
     assert snapshot["histograms"]['lock_wait_seconds{mode="write"}']["count"] == 1
+    # One lock, one mode: no shared-mode series exists.
+    assert not any('mode="read"' in name for name in snapshot["histograms"])
 
 
 # ----------------------------------------------------------------------

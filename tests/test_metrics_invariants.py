@@ -5,10 +5,8 @@ Three families, per ISSUE acceptance:
 - the pruning ledger — every candidate a distance scan considers is
   either pruned by the tau size bound or scored, never both, never
   dropped: ``pruned + scored == total`` on every backend and tau;
-- shard roll-up — the sharded backend's fan-out counters are an exact
-  additive partition of the unsharded sweep (keys routed per shard sum
-  to keys swept; keys/postings/delta-key totals match the memory
-  backend run of the same workload);
+- backend roll-up — the delta-key totals of a maintenance call match
+  the memory backend run of the same workload;
 - durability pairing — every ``apply_edits`` batch appends exactly one
   WAL record: ``wal_appends_total == store_edit_batches_total``.
 """
@@ -31,12 +29,7 @@ from repro.tree import tree_from_brackets
 from tests.conftest import build_random_tree
 
 CONFIG = GramConfig(2, 3)
-BACKENDS = [
-    ("memory", None),
-    ("compact", None),
-    ("sharded", 1),
-    ("sharded", 4),
-]
+BACKENDS = ["memory", "compact", "segment"]
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -45,10 +38,9 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def build_forest(backend, shards, seed, tree_count=12):
+def build_forest(backend, seed, tree_count=12):
     registry = MetricsRegistry()
-    forest = ForestIndex(CONFIG, backend=backend, shards=shards,
-                         metrics=registry)
+    forest = ForestIndex(CONFIG, backend=backend, metrics=registry)
     forest.add_trees(
         (tree_id, build_random_tree(4 + (seed + tree_id) % 14,
                                     seed=seed * 100 + tree_id))
@@ -72,17 +64,17 @@ class TestPruningLedger:
     @PROPERTY_SETTINGS
     @given(st.integers(min_value=0, max_value=10_000))
     def test_pruned_plus_scored_equals_total_every_backend(self, seed):
-        for backend, shards in BACKENDS:
-            forest, registry = build_forest(backend, shards, seed)
+        for backend in BACKENDS:
+            forest, registry = build_forest(backend, seed)
             run_lookups(forest, seed)
             total = registry.counter_value("lookup_candidates_total")
             pruned = registry.counter_value("lookup_candidates_pruned_total")
             scored = registry.counter_value("lookup_candidates_scored_total")
-            assert total == pruned + scored, (backend, shards)
+            assert total == pruned + scored, backend
             assert registry.counter_value("lookup_distance_scans_total") > 0
 
     def test_tiny_tau_prunes_and_large_tau_scores(self):
-        forest, registry = build_forest("memory", None, seed=5, tree_count=8)
+        forest, registry = build_forest("memory", seed=5, tree_count=8)
         big = tree_from_brackets("a(" + ",".join("b" * 1 for _ in range(30)) + ")")
         forest.add_tree(99, big)
         query = tree_from_brackets("a(b,c)")
@@ -105,7 +97,7 @@ class TestSnapshotReadsAreCounted:
     SWEEP = ("index_keys_swept_total", "index_postings_touched_total")
 
     def sweep_volume(self, seed, serving, edits=0, backend="compact"):
-        forest, registry = build_forest(backend, None, seed)
+        forest, registry = build_forest(backend, seed)
         forest.compact()  # compact: freezes the CSR; segment: seals
         rng = random.Random(seed)
         for _ in range(edits):  # leave an overlay behind
@@ -145,53 +137,16 @@ class TestSnapshotReadsAreCounted:
 
 
 class TestShardRollUp:
-    @PROPERTY_SETTINGS
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_fanout_counters_sum_to_unsharded_totals(self, seed, shard_count):
-        reference, reference_registry = build_forest("memory", None, seed)
-        sharded, sharded_registry = build_forest("sharded", shard_count, seed)
-        run_lookups(reference, seed)
-        run_lookups(sharded, seed)
-
-        for name in ("index_keys_swept_total", "index_postings_touched_total"):
-            assert sharded_registry.counter_value(
-                name
-            ) == reference_registry.counter_value(name), name
-        # Routing partitions the query keys: per-shard route counters
-        # are an exact decomposition of the sharded sweep total.
-        routed = sum(
-            sharded_registry.counter_value(
-                "shard_keys_routed_total", shard=index
-            )
-            for index in range(shard_count)
-        )
-        assert routed == sharded_registry.counter_value(
-            "index_keys_swept_total"
-        )
-        # The lookup layer sits above the backend split: its ledger is
-        # identical between the two runs.
-        for name in (
-            "lookup_candidates_total",
-            "lookup_candidates_pruned_total",
-            "lookup_candidates_scored_total",
-            "lookup_matches_total",
-        ):
-            assert sharded_registry.counter_value(
-                name
-            ) == reference_registry.counter_value(name), name
+    """(The class keeps the name of the retired sharded backend's
+    roll-up checks; what is left compares whole backends.)"""
 
     @PROPERTY_SETTINGS
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=2, max_value=4),
-    )
-    def test_delta_keys_match_across_backends(self, seed, shard_count):
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_delta_keys_match_across_backends(self, seed):
         results = {}
-        for backend, shards in (("memory", None), ("sharded", shard_count)):
-            forest, registry = build_forest(backend, shards, seed)
+        for backend in ("memory", "segment"):
+            forest, registry = build_forest(backend, seed)
+            forest.compact()  # segment: maintain over the sealed base
             base = build_random_tree(12, seed=seed + 1)
             forest.add_tree(50, base)
             generator = EditScriptGenerator(
@@ -205,11 +160,10 @@ class TestShardRollUp:
                 registry.counter_value("index_delta_keys_total"),
             )
         # Within one run the backend re-inverts exactly the keys the
-        # maintenance delta named; across backends the totals agree
-        # because shards partition the key space.
+        # maintenance delta named, and the totals agree across backends.
         for backend, (maintain_keys, index_keys) in results.items():
             assert maintain_keys == index_keys, backend
-        assert results["memory"] == results["sharded"]
+        assert results["memory"] == results["segment"]
 
 
 class TestDurabilityPairing:

@@ -144,12 +144,12 @@ class TestCompactPostings:
         forest.compact()
         backend = forest.backend
         snapshot = backend._frozen
-        assert snapshot is not None and backend.frozen_clean() is snapshot
+        assert snapshot is not None and not backend._masked.trees
         extra = random_labelled_tree(9, seed=9)
         forest.add_tree(99, extra)
         reference.add_tree(99, extra)
         # Snapshot kept, the new tree masked and overlaid, results identical.
-        assert backend._frozen is snapshot and backend.frozen_clean() is None
+        assert backend._frozen is snapshot
         assert backend._masked.trees == {99}
         assert backend.stats()["dirty_keys"] == len(dict(forest.index_of(99).items()))
         query = build_index(random_labelled_tree(14, seed=44))
@@ -173,7 +173,7 @@ class TestCompactPostings:
         assert forest.backend.stats()["dirty_keys"] > 1
         forest.compact()
         assert forest.backend._frozen is not first
-        assert forest.backend.frozen_clean() is forest.backend._frozen
+        assert not forest.backend._masked.trees
         assert forest.backend.stats()["dirty_keys"] == 0
         forest.backend.check_consistency()
 

@@ -409,7 +409,7 @@ class TestDebounce:
         )
         # An explicit compact() is never debounced.
         backend.compact()
-        assert backend.frozen_clean() is not None
+        assert backend._frozen is not None and not backend._masked.trees
         # Once enough mutations accumulate (each dirtying a handful of
         # fresh keys, so the dirty fraction crosses too), the gate
         # opens again.

@@ -287,7 +287,9 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
     write_previous_format(directory, documents, backend, wal_batches)
 
     store = DocumentStore(directory)
-    assert store.backend_name == backend
+    # The retired sharded backend's stores open as compact.
+    opened_as = "compact" if backend == "sharded" else backend
+    assert store.backend_name == opened_as
     assert 999 not in store._forest
     assert {
         document_id: store.get_document(document_id)
@@ -300,6 +302,9 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
     database = Database.load(os.path.join(directory, "store.db"))
     assert "documents" in database
     assert "indexes" not in database and "nodes" not in database
+    meta = {row["key"]: row["value"] for row in database.table("meta").scan_dicts()}
+    assert meta["backend"] == opened_as
+    assert "shards" not in meta and "compress" not in meta
     store.apply_edits(4, [Rename(next(iter(expected[4].children(expected[4].root_id))), "later")])
     del store  # the batch is in the WAL, stamped
 
@@ -359,6 +364,101 @@ def test_previous_format_is_rewritten_on_open(tmp_path):
     assert store.stats()["snapshot_bytes"] == os.path.getsize(snapshot_path)
     assert_store_is_rebuild(store)
     store.close()
+
+
+# ----------------------------------------------------------------------
+# a damaged snapshot never opens
+# ----------------------------------------------------------------------
+
+
+def _small_store(directory):
+    """A closed store whose ``store.db`` holds a few small documents
+    and whose WAL is empty; returns its documents."""
+    store = DocumentStore(directory, CONFIG)
+    texts = ("a(b,c)", "x(y(z),w)", "naïve(☃)", "r")
+    store.add_documents(
+        [(document_id, tree_from_brackets(text)) for document_id, text in enumerate(texts)]
+    )
+    store.apply_edits(1, [Rename(2, "zz")])
+    documents = {
+        document_id: store.get_document(document_id)
+        for document_id in store.document_ids()
+    }
+    store.close()  # checkpoints: the WAL is empty
+    return documents
+
+
+def test_every_bit_flip_of_the_snapshot_is_a_codec_error(tmp_path):
+    """``store.db`` carries a CRC32 of its body.  Flipping any single
+    bit anywhere in the file — magic, tables, document records or the
+    checksum itself — makes the open raise :class:`CodecError`; no flip
+    opens with different documents or an untyped exception."""
+    directory = str(tmp_path / "store")
+    documents = _small_store(directory)
+    path = Path(directory, "store.db")
+    pristine = path.read_bytes()
+    assert pristine.startswith(b"RPDB\x02")
+    for offset in range(len(pristine)):
+        for bit in range(8):
+            damaged = bytearray(pristine)
+            damaged[offset] ^= 1 << bit
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(CodecError):
+                DocumentStore(directory, CONFIG)
+    path.write_bytes(pristine)
+    reopened = DocumentStore(directory, CONFIG)
+    assert {
+        document_id: reopened.get_document(document_id)
+        for document_id in reopened.document_ids()
+    } == documents
+    reopened.close()
+
+
+def test_unchecked_snapshot_opens_and_is_rewritten_with_a_checksum(tmp_path):
+    """The previous format — magic ``RPDB\\x01``, no checksum — still
+    opens, to the same documents and indexes equal to a rebuild; the
+    open itself rewrites nothing, and the next checkpoint writes the
+    checked format."""
+    directory = str(tmp_path / "store")
+    documents = _small_store(directory)
+    path = Path(directory, "store.db")
+    checked = path.read_bytes()
+    unchecked = b"RPDB\x01" + checked[5:-4]
+    path.write_bytes(unchecked)
+    store = DocumentStore(directory, CONFIG)
+    assert {
+        document_id: store.get_document(document_id)
+        for document_id in store.document_ids()
+    } == documents
+    assert_store_is_rebuild(store)
+    assert path.read_bytes() == unchecked
+    store.checkpoint()
+    assert path.read_bytes() == checked
+    store.close()
+
+
+def test_undecodable_unchecked_snapshot_is_a_codec_error(tmp_path):
+    """Without a checksum a damaged snapshot may still decode; when it
+    does not, the failure is a :class:`CodecError` whatever the decoder
+    tripped over — never an untyped exception."""
+    directory = str(tmp_path / "store")
+    _small_store(directory)
+    path = Path(directory, "store.db")
+    unchecked = b"RPDB\x01" + path.read_bytes()[5:-4]
+    database_path = str(tmp_path / "unchecked.db")
+    for offset in range(5, len(unchecked)):
+        for bit in range(8):
+            damaged = bytearray(unchecked)
+            damaged[offset] ^= 1 << bit
+            Path(database_path).write_bytes(bytes(damaged))
+            try:
+                Database.load(database_path)
+            except CodecError:
+                pass
+    for cut in range(len(unchecked)):
+        Path(database_path).write_bytes(unchecked[:cut])
+        with pytest.raises(CodecError):
+            Database.load(database_path)
 
 
 # ----------------------------------------------------------------------
