@@ -23,6 +23,7 @@ def _prepare(store_dir: str, batches: int):
     document state after each prefix."""
     store = DocumentStore(store_dir, GramConfig(2, 2))
     store.add_document(1, dblp_tree(12, seed=7))
+    store.checkpoint()  # the WAL holds the batches alone
     document = store.get_document(1)
     prefix_states = [tree_to_brackets(document)]
     for batch_seed in range(batches):
