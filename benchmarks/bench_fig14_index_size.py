@@ -12,19 +12,15 @@ Beyond the paper's serialized estimate this bench also measures the
 *resident* index: :func:`repro.perf.memsize.deep_sizeof` walks the
 whole object graph (earlier revisions used shallow ``sys.getsizeof``,
 which missed the posting tuples entirely and made every backend look
-equally small).  The resident series compares bytes-per-tree of the
-compact backend's heap CSR against the sealed ``RSEGIDX1`` segment
-(resident remainder plus the file) on a DBLP-like forest;
-``benchmarks/regression.py`` records the same numbers in
+equally small).  The resident series reports bytes-per-tree of the
+compact backend's heap CSR on a DBLP-like forest;
+``benchmarks/regression.py`` records the same number in
 ``BENCH_size.json``.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import sys
-import tempfile
 
 import pytest
 
@@ -74,12 +70,8 @@ def test_document_serialization(benchmark, medium_tree):
 
 
 def measure_forest_size(tree_count: int, config: GramConfig) -> dict:
-    """Resident bytes-per-tree of a DBLP-like forest, two ways.
-
-    ``heap``: the compact backend's deep resident size with its CSR
-    frozen.  ``segment``: the sealed out-of-core configuration — the
-    resident remainder plus the segment file on disk.
-    """
+    """Resident bytes-per-tree of a DBLP-like forest: the compact
+    backend's deep resident size with its CSR frozen."""
     collection = [
         (tree_id, dblp_tree(1, seed=tree_id)) for tree_id in range(tree_count)
     ]
@@ -89,27 +81,7 @@ def measure_forest_size(tree_count: int, config: GramConfig) -> dict:
     plain.add_trees(collection)
     plain.compact()
     results["heap_bytes"] = deep_sizeof(plain.backend)
-
-    base = tempfile.mkdtemp(prefix="repro-fig14-size-")
-    try:
-        sealed = ForestIndex(
-            config, backend="segment", directory=os.path.join(base, "segments")
-        )
-        sealed.add_trees(collection)
-        sealed.compact()  # seal: postings frozen into the segment file
-        file_bytes = 0
-        for dirpath, _dirnames, filenames in os.walk(base):
-            for filename in filenames:
-                file_bytes += os.path.getsize(os.path.join(dirpath, filename))
-        results["segment_resident_bytes"] = deep_sizeof(sealed.backend)
-        results["segment_file_bytes"] = file_bytes
-        results["segment_bytes"] = results["segment_resident_bytes"] + file_bytes
-        sealed.close()
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-
-    for key in ("heap", "segment"):
-        results[f"{key}_bytes_per_tree"] = results[f"{key}_bytes"] / tree_count
+    results["heap_bytes_per_tree"] = results["heap_bytes"] / tree_count
     return results
 
 
@@ -140,16 +112,8 @@ def run_resident_series() -> str:
     rows = []
     for tree_count in FOREST_TREE_COUNTS:
         sizes = measure_forest_size(tree_count, CONFIGS[1])
-        rows.append(
-            (
-                tree_count,
-                f"{sizes['heap_bytes_per_tree']:.0f}",
-                f"{sizes['segment_bytes_per_tree']:.0f}",
-            )
-        )
-    return format_table(
-        ("trees", "heap CSR [B/tree]", "sealed segment [B/tree]"), rows
-    )
+        rows.append((tree_count, f"{sizes['heap_bytes_per_tree']:.0f}"))
+    return format_table(("trees", "heap CSR [B/tree]"), rows)
 
 
 if __name__ == "__main__":
@@ -160,6 +124,6 @@ if __name__ == "__main__":
     )
     emit(
         "fig14_left_resident_size.txt",
-        "Fig. 14 (left, resident) — deep index size, heap CSR vs sealed segment",
+        "Fig. 14 (left, resident) — deep index size of the heap CSR",
         run_resident_series(),
     )

@@ -3,11 +3,9 @@
 Runs the lookup bench (tree counts 16/64/256 under a shared node
 budget), the incremental-update bench (fixed log over
 growing trees), the maintenance bench (n-op logs over a ~10k-node
-tree, per-op replay vs one batched call), and the segment bench (the
-256-tree lookup through the segment backend, which must stay within
-``SEGMENT_LOOKUP_TOLERANCE`` of the compact sweep) at small scale,
-the index-size record (resident bytes-per-tree of a 10k-tree
-DBLP-like forest, heap CSR vs sealed segment; not gated), plus the
+tree, per-op replay vs one batched call) at small scale, the
+index-size record (resident bytes-per-tree of a 10k-tree DBLP-like
+forest in the heap CSR; not gated), plus the
 metrics-overhead check (the 256-tree
 lookup with a live ``MetricsRegistry`` vs the no-op default must stay
 within ``METRICS_OVERHEAD_TOLERANCE``), plus the structural-pushdown
@@ -27,7 +25,7 @@ a pipelined overload burst must shed without mutating state,
 machine-readable results to ``benchmarks/results/BENCH_lookup.json``
 / ``BENCH_update.json`` /
 ``BENCH_maintain.json`` / ``BENCH_metrics.json`` /
-``BENCH_segment.json`` / ``BENCH_size.json`` /
+``BENCH_size.json`` /
 ``BENCH_query.json`` / ``BENCH_stream.json`` /
 ``BENCH_serve.json``, and exits non-zero
 when any measured wall time regresses more than ``TOLERANCE``× against
@@ -75,8 +73,6 @@ BASELINE_PATH = os.path.join(
 )
 TOLERANCE = 2.0
 METRICS_OVERHEAD_TOLERANCE = 1.05
-#: segment lookup vs the compact sweep on the 256-tree workload
-SEGMENT_LOOKUP_TOLERANCE = 1.15
 
 #: structural pushdown vs post-filter on the rel backend at rare-label
 #: selectivity — pruning before scoring must not lose to filtering after
@@ -90,7 +86,7 @@ STREAMING_INCREMENTAL_TOLERANCE = 0.2
 LOOKUP_BUDGET = 60_000
 LOOKUP_TREE_COUNTS = (16, 64, 256)
 LOOKUP_TAU = 0.8
-#: the 256-tree lookup the paired segment and metrics arms time
+#: the 256-tree lookup the paired metrics arms time
 PAIRED_TREE_COUNT = 256
 UPDATE_TREE_SIZES = (2_000, 8_000)
 UPDATE_LOG_SIZE = 20
@@ -190,60 +186,15 @@ def measure_maintain() -> Dict[str, float]:
     return results
 
 
-def measure_segment() -> Dict[str, float]:
-    """Lookup cost of the segment backend: the 256-tree workload
-    through the mapped segment vs the compact sweep, interleaved rounds
-    with the best paired round reported (drift hits both arms of a pair
-    equally); ``segment_lookup_ratio`` must stay within
-    ``SEGMENT_LOOKUP_TOLERANCE`` — serving from the mapped arrays may
-    not tax the hot path.
-    """
-    results: Dict[str, float] = {}
-    per_tree = LOOKUP_BUDGET // PAIRED_TREE_COUNT
-    collection = [
-        (tree_id, xmark_tree(per_tree, seed=9000 + tree_id))
-        for tree_id in range(PAIRED_TREE_COUNT)
-    ]
-    query = collection[PAIRED_TREE_COUNT // 2][1]
-    arms = []
-    for backend in ("compact", "segment"):
-        forest = ForestIndex(CONFIG, backend=backend)
-        forest.add_trees(collection)
-        forest.compact()
-        service = LookupService(forest)
-        service.lookup(query, LOOKUP_TAU)  # warm: views + query cache
-        arms.append(service)
-    rounds: List[List[float]] = [[], []]
-    for _ in range(9):
-        for arm, service in enumerate(arms):
-            def run(service=service) -> None:
-                for _ in range(5):
-                    service.lookup(query, LOOKUP_TAU)
-            rounds[arm].append(wall_time(run, repeats=1) / 5)
-    pick = min(
-        range(len(rounds[0])),
-        key=lambda index: rounds[1][index] / rounds[0][index],
-    )
-    results["compact_lookup_ms"] = rounds[0][pick] * 1e3
-    results["segment_lookup_ms"] = rounds[1][pick] * 1e3
-    results["segment_lookup_ratio"] = rounds[1][pick] / rounds[0][pick]
-    for service in arms:
-        service.forest.close()
-    return results
-
-
 def measure_size() -> Dict[str, float]:
-    """Index size of a ``SIZE_TREE_COUNT``-tree DBLP-like forest, heap
-    CSR vs sealed segment, from
-    ``bench_fig14_index_size.measure_forest_size`` (deep resident
-    bytes; the segment arm adds its file).  Recorded, not gated."""
+    """Index size of a ``SIZE_TREE_COUNT``-tree DBLP-like forest in the
+    heap CSR, from ``bench_fig14_index_size.measure_forest_size`` (deep
+    resident bytes).  Recorded, not gated."""
     from bench_fig14_index_size import measure_forest_size
 
     sizes = measure_forest_size(SIZE_TREE_COUNT, CONFIG)
     return {
         "size_heap_bytes_per_tree": sizes["heap_bytes_per_tree"],
-        "size_segment_bytes_per_tree": sizes["segment_bytes_per_tree"],
-        "size_segment_file_bytes": float(sizes["segment_file_bytes"]),
     }
 
 
@@ -404,7 +355,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     lookup = measure_lookup()
     update = measure_update()
     maintain = measure_maintain()
-    segment = measure_segment()
     size = measure_size()
     metrics = measure_metrics_overhead()
     query = measure_query()
@@ -414,7 +364,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         ("BENCH_lookup.json", lookup),
         ("BENCH_update.json", update),
         ("BENCH_maintain.json", maintain),
-        ("BENCH_segment.json", segment),
         ("BENCH_size.json", size),
         ("BENCH_metrics.json", metrics),
         ("BENCH_query.json", query),
@@ -434,7 +383,7 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     current = {
         key: value
         for key, value in {
-            **lookup, **update, **maintain, **segment
+            **lookup, **update, **maintain
         }.items()
         if key.endswith("_ms")
     }
@@ -452,21 +401,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         f"disabled {metrics['metrics_disabled_lookup_ms']:.3f} ms, "
         f"limit {METRICS_OVERHEAD_TOLERANCE:.2f}x) "
         + ("REGRESSION" if overhead_failures else "ok")
-    )
-    segment_ratio = segment["segment_lookup_ratio"]
-    if segment_ratio > SEGMENT_LOOKUP_TOLERANCE:
-        overhead_failures.append(
-            f"segment_lookup_ratio: {segment_ratio:.4f} "
-            f"(> {SEGMENT_LOOKUP_TOLERANCE:.2f}x) — segment lookup "
-            f"taxes the 256-tree sweep beyond the 15% budget"
-        )
-    print(
-        f"  segment_lookup_ratio: {segment_ratio:.4f} "
-        f"(segment {segment['segment_lookup_ms']:.3f} ms / "
-        f"compact {segment['compact_lookup_ms']:.3f} ms, "
-        f"limit {SEGMENT_LOOKUP_TOLERANCE:.2f}x) "
-        + ("REGRESSION" if segment_ratio > SEGMENT_LOOKUP_TOLERANCE
-           else "ok")
     )
     pushdown_ratio = query["query_pushdown_ratio"]
     if pushdown_ratio > QUERY_PUSHDOWN_TOLERANCE:
@@ -523,7 +457,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     )
     print(
         f"  index size: heap CSR {size['size_heap_bytes_per_tree']:.0f} "
-        f"B/tree, sealed segment {size['size_segment_bytes_per_tree']:.0f} "
         f"B/tree at {SIZE_TREE_COUNT} trees"
     )
 

@@ -3,7 +3,7 @@
     python benchmarks/variants.py [--seeds 5] [--smoke] [--out DIR]
 
 Rotates the frozen ``benchmarks/e2e/run.py`` through
-``REPRO_STORE_BACKEND`` ∈ {unset, ``segment``} (every workload, the
+``REPRO_STORE_BACKEND`` ∈ {unset, ``rel``} (every workload, the
 same seeds, who runs first rotating),
 keeps one ``--out`` directory per configuration (two of them can go to
 ``e2e/compare.py``) and prints the median of every end-to-end metric.
@@ -22,7 +22,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGURATIONS = {
     "compact": {},
-    "segment": {"REPRO_STORE_BACKEND": "segment"},
+    "rel": {"REPRO_STORE_BACKEND": "rel"},
 }
 
 

@@ -2,16 +2,13 @@
 
 One write path — :class:`~repro.backend.base.ForestBackend` — behind
 which the paper's ``(treeId, pqg, cnt)`` relation (Fig. 4b) is stored,
-with four interchangeable engines:
+with three interchangeable engines:
 
 - :class:`~repro.backend.memory.MemoryBackend` — plain dict bags and
   inverted lists; the bit-exact reference.
 - :class:`~repro.backend.compact.CompactBackend` — the dicts plus a
   frozen CSR array snapshot with a dirty-key overlay, so compaction
   survives maintenance instead of being invalidated by every write.
-- :class:`~repro.backend.segment.SegmentBackend` — frozen postings in
-  memory-mapped segment files it seals itself, plus an in-memory
-  overlay, so the frozen base lives outside the Python heap.
 - :class:`~repro.backend.rel.RelBackend` — the relation as actual
   relstore tables (postings, sizes, pre/post node tables) with hash
   and sorted secondary indexes; the only backend that stores the
@@ -28,13 +25,11 @@ from repro.backend.base import Admit, Bag, ForestBackend, Key, make_backend
 from repro.backend.compact import CompactBackend
 from repro.backend.memory import MemoryBackend
 from repro.backend.rel import RelBackend
-from repro.backend.segment import SegmentBackend
 
 __all__ = [
     "ForestBackend",
     "MemoryBackend",
     "CompactBackend",
-    "SegmentBackend",
     "RelBackend",
     "make_backend",
     "Admit",

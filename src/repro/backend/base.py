@@ -56,7 +56,7 @@ Admit = Callable[[int], bool]
 #: every registered backend name, in factory preference order —
 #: the single source the ``make_backend`` error message quotes, the
 #: CLI offers and ``recorded_backend`` accepts
-BACKEND_NAMES = ("memory", "compact", "segment", "rel")
+BACKEND_NAMES = ("memory", "compact", "rel")
 
 
 class ForestBackend(ABC):
@@ -332,39 +332,19 @@ def recorded_backend(name: Optional[str], default: str) -> str:
     return name if name in BACKEND_NAMES else "compact"
 
 
-def make_backend(
-    spec: "str | ForestBackend",
-    directory: Optional[str] = None,
-) -> ForestBackend:
+def make_backend(spec: "str | ForestBackend") -> ForestBackend:
     """Resolve a backend spec: an instance (passed through), or one of
-    the registered names ``memory`` / ``compact`` / ``segment`` /
-    ``rel``.
-
-    ``directory`` is only meaningful with ``segment`` (where its sealed
-    files are mapped; a temp dir otherwise); passing it with any other
-    spec is an error — it would silently do nothing otherwise.
-    """
+    the registered names ``memory`` / ``compact`` / ``rel``."""
     from repro.backend.compact import CompactBackend
     from repro.backend.memory import MemoryBackend
     from repro.backend.rel import RelBackend
-    from repro.backend.segment import SegmentBackend
 
     if isinstance(spec, ForestBackend):
-        if directory is not None:
-            raise ValueError(
-                "directory= cannot be combined with a backend instance"
-            )
         return spec
-    if directory is not None and spec != "segment":
-        raise ValueError(
-            f"directory= is only valid with the segment backend, not {spec!r}"
-        )
     if spec == "memory":
         return MemoryBackend()
     if spec == "compact":
         return CompactBackend()
-    if spec == "segment":
-        return SegmentBackend(directory)
     if spec == "rel":
         return RelBackend()
     raise ValueError(

@@ -23,7 +23,7 @@ Examples::
     python -m repro index doc.xml --p 2 --q 3
     python -m repro distance old.xml new.xml
     python -m repro diff old.xml new.xml > edits.log
-    python -m repro store --dir ./mystore create --backend segment
+    python -m repro store --dir ./mystore create --backend rel
     python -m repro store --dir ./mystore add 1 doc.xml
     python -m repro store --dir ./mystore edit 1 edits.log
     python -m repro store --dir ./mystore lookup query.xml --tau 0.4
@@ -200,8 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default="compact",
         help="forest storage backend (default compact: array snapshot "
-        "with a delta overlay; segment keeps the frozen postings in "
-        "memory-mapped files under <dir>/segments; rel stores the "
+        "with a delta overlay; rel stores the "
         "relation as in-memory relstore tables with a pre/post node "
         "table, enabling structural predicate pushdown in 'store "
         "query'; every backend is built from the documents on open, "
@@ -554,10 +553,7 @@ def _command_store(arguments: argparse.Namespace) -> int:
             GramConfig(arguments.p, arguments.q),
             backend=arguments.backend,
         )
-        described = store.backend_name
-        if described == "segment":
-            described += f" (segments in {os.path.join(arguments.dir, 'segments')})"
-        print(f"created store at {arguments.dir} (backend {described})")
+        print(f"created store at {arguments.dir} (backend {store.backend_name})")
         return 0
     serve_threads = arguments.serve_threads
     if arguments.store_command == "soak" and serve_threads == 0:

@@ -52,14 +52,6 @@ class StorageError(ReproError):
     """Base class for errors raised by the embedded relational store."""
 
 
-class SegmentCorruptError(StorageError):
-    """An on-disk index segment failed validation (missing file, bad
-    magic, size or checksum mismatch, inconsistent CSR offsets).
-
-    Raised by :mod:`repro.backend.segment`'s file readers — a corrupt
-    segment is *never* served."""
-
-
 class StoreFailedError(ReproError):
     """A durable write of the document store failed (WAL write, flush
     or fsync, snapshot save or WAL truncation), so the store stopped.

@@ -3,8 +3,8 @@
 Stores the pq-gram indexes of a whole collection of trees in one
 relation ``(treeId, pqg, cnt)`` (paper Fig. 4b).  The relation itself
 lives in a pluggable :class:`~repro.backend.base.ForestBackend` —
-plain dicts, an array snapshot with a delta overlay, mapped segment
-files, or relstore tables — and this class owns everything the
+plain dicts, an array snapshot with a delta overlay, or relstore
+tables — and this class owns everything the
 backends deliberately know nothing about: the gram configuration, the
 shared label hasher, index construction, incremental maintenance, and
 the τ-aware distance arithmetic over the backend's candidate sweep.
@@ -44,9 +44,7 @@ class ForestIndex:
     """pq-gram indexes of a forest, with persistence and maintenance.
 
     ``backend`` selects the storage engine — ``"memory"``,
-    ``"compact"`` (default), ``"segment"`` (sealed postings in
-    memory-mapped files; ``directory=`` says where they live, a temp
-    dir otherwise), ``"rel"``, or any
+    ``"compact"`` (default), ``"rel"``, or any
     :class:`~repro.backend.base.ForestBackend` instance.  Every
     backend is bit-identical on lookups and maintenance; only the
     sweep cost and scaling behaviour differ.
@@ -57,11 +55,10 @@ class ForestIndex:
         config: Optional[GramConfig] = None,
         backend: Union[str, ForestBackend] = "compact",
         metrics: "Optional[MetricsRegistry | bool]" = None,
-        directory: Optional[str] = None,
     ) -> None:
         self.config = config or GramConfig()
         self.hasher = LabelHasher()
-        self._backend = make_backend(backend, directory=directory)
+        self._backend = make_backend(backend)
         self.metrics = resolve_registry(metrics)
         self._backend.bind_metrics(self.metrics)
         self._bind_instruments(self.metrics)
@@ -264,27 +261,11 @@ class ForestIndex:
         registry.gauge(
             "backend_distinct_keys", "distinct pq-gram keys stored"
         ).set(int(backend_stats["distinct_keys"]))
-        # One overlay over one frozen base, under the gauge name each
-        # backend's dashboards know it by.
-        overlay_help = (
-            "distinct keys in the overlay of trees written since the "
-            "freeze (compact) / seal (segment)"
-        )
         if "dirty_keys" in backend_stats:
-            registry.gauge("compact_dirty_keys", overlay_help).set(
-                int(backend_stats["dirty_keys"])
-            )
-        if "overlay_keys" in backend_stats:
-            registry.gauge("segment_overlay_keys", overlay_help).set(
-                int(backend_stats["overlay_keys"])
-            )
-        if "segments" in backend_stats:
             registry.gauge(
-                "segments_open", "frozen on-disk segments currently mapped"
-            ).set(int(backend_stats["segments"]))
-            registry.gauge(
-                "segment_bytes", "bytes of the mapped frozen segment files"
-            ).set(int(backend_stats["segment_bytes"]))
+                "compact_dirty_keys",
+                "distinct keys in the overlay of trees written since the freeze",
+            ).set(int(backend_stats["dirty_keys"]))
 
     # ------------------------------------------------------------------
     # building and maintaining

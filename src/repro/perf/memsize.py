@@ -8,10 +8,8 @@ reachable object exactly once (a shared object is charged to whichever
 root reaches it first).
 
 numpy arrays are handled by ownership: an owning array counts header
-plus data, a view counts its header and defers the data to its base —
-which is then charged once if reachable and in-memory, and *zero* if
-it is a memory map (mmap-backed postings are the out-of-core story;
-their bytes live in the page cache, not the heap).
+plus data, a view counts its header and defers the data to its base,
+which is then charged once if reachable.
 
 Traversal covers dicts, sequences, sets, and arbitrary objects via
 ``__dict__``/``__slots__``.  Modules, classes, functions and other
@@ -21,7 +19,6 @@ through a stray reference would dwarf any index measurement.
 
 from __future__ import annotations
 
-import mmap
 import sys
 from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 from typing import Iterable, Optional
@@ -76,8 +73,6 @@ def deep_sizeof(*roots, exclude: Optional[Iterable[object]] = None) -> int:
         seen.add(identity)
         if isinstance(obj, _SKIP_TYPES):
             continue
-        if isinstance(obj, mmap.mmap):
-            continue  # page cache, not heap
         if HAVE_NUMPY and isinstance(obj, _np.ndarray):
             # numpy's __sizeof__ already charges the data buffer only
             # when the array owns it; a view defers to its base below.

@@ -136,16 +136,14 @@ def build_forest_parallel(
     config: Optional[GramConfig] = None,
     jobs: Optional[int] = None,
     backend: str = "compact",
-    directory: Optional[str] = None,
 ):
     """A :class:`~repro.lookup.forest.ForestIndex` over ``collection``,
     with the per-tree index construction fanned out over ``jobs``
     worker processes (default: all cores).  ``backend`` picks the
-    forest's storage engine; ``directory`` is the segment backend's
-    on-disk home.  Identical to the serial ``add_tree`` loop in every
-    observable way."""
+    forest's storage engine.  Identical to the serial ``add_tree`` loop
+    in every observable way."""
     from repro.lookup.forest import ForestIndex
 
-    forest = ForestIndex(config, backend=backend, directory=directory)
+    forest = ForestIndex(config, backend=backend)
     forest.add_trees(collection, jobs=jobs)
     return forest

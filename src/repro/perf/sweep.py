@@ -212,7 +212,7 @@ def sweep_dict(
 
 
 class TreeMask:
-    """The trees written since a base was frozen (or sealed).
+    """The trees written since a base was frozen.
 
     Every read ignores a masked tree's postings in the base and takes
     its current bag from the overlay the owner keeps beside the mask
@@ -221,7 +221,7 @@ class TreeMask:
     sweep reads them in vain, and subtracting them keeps "postings
     touched" equal to what the dict reference reads.  A tree is masked
     from the bag the base still describes — before its first write
-    after the freeze, O(|bag|) once; a refreeze/seal starts a new mask.
+    after the freeze, O(|bag|) once; a refreeze starts a new mask.
     """
 
     __slots__ = ("trees", "counts")

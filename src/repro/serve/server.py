@@ -428,13 +428,16 @@ class FrontDoor:
                     # connection would starve every other one.
                     await asyncio.sleep(0)
         finally:
-            self._connections.discard(connection)
-            self._m_open.set(len(self._connections))
             self._m_events_dropped.inc(connection.events_dropped)
             await self._teardown_subscriptions(connection)
             connection.close()
             with contextlib.suppress(Exception):
                 await sender
+            # Registered until here, so a drain that starts while this
+            # teardown is in flight waits for it: a handler the loop's
+            # shutdown cancels mid-teardown is logged as an error.
+            self._connections.discard(connection)
+            self._m_open.set(len(self._connections))
 
     def _dispatch(
         self,

@@ -162,7 +162,6 @@ class TestStoreCommands:
         check is forced to fail here.)"""
         from repro.backend.compact import CompactBackend
         from repro.backend.rel import RelBackend
-        from repro.backend.segment import SegmentBackend
         from repro.errors import IndexConsistencyError
 
         old_path, _ = xml_files
@@ -176,7 +175,6 @@ class TestStoreCommands:
         # Plant the failure on whichever backend the store may be
         # running (REPRO_STORE_BACKEND picks the default).
         monkeypatch.setattr(CompactBackend, "check_consistency", broken)
-        monkeypatch.setattr(SegmentBackend, "check_consistency", broken)
         monkeypatch.setattr(RelBackend, "check_consistency", broken)
         assert main(["store", "--dir", store_dir, "verify"]) == 1
         output = capsys.readouterr().out

@@ -327,6 +327,9 @@ class TestCompressedPostings:
         raw = compact.slots.nbytes + compact.counts.nbytes
         assert compressed.packed_nbytes() < raw
 
+    # The ``segment`` id is the row of a backend that no longer exists;
+    # it now reads the relation of a compact forest frozen before its
+    # first write.
     @pytest.mark.parametrize("backend", ["compact", "segment"])
     def test_lookups_leave_the_process_pool_alone(self, backend):
         """A probed key is fingerprinted, not remembered: sweeping the
@@ -337,7 +340,9 @@ class TestCompressedPostings:
         from repro.lookup import ForestIndex
 
         config = GramConfig(2, 3)
-        forest = ForestIndex(config, backend=backend)
+        forest = ForestIndex(config, backend="compact")
+        if backend == "segment":
+            forest.compact()
         forest.add_trees((i, dblp_tree(2, seed=i)) for i in range(30))
         inverted = dict(forest.iter_postings())
         sizes = dict(forest.backend.iter_sizes())
@@ -369,7 +374,6 @@ def _builders(tmp_path):
         CompactBackend,
         MemoryBackend,
         RelBackend,
-        SegmentBackend,
         make_backend,
     )
     from repro.lookup import ForestIndex, LookupService
@@ -390,18 +394,17 @@ def _builders(tmp_path):
         "make_backend": lambda: make_backend("compact", compress=True),
         "MemoryBackend": lambda: MemoryBackend(compress=True),
         "CompactBackend": lambda: CompactBackend(compress=True),
-        "SegmentBackend": lambda: SegmentBackend(compress=True),
         "RelBackend": lambda: RelBackend(compress=True),
     }
 
 
 class TestCompressionEnabled:
     def test_explicit_wins_over_environment(self, tmp_path):
-        """No signature takes ``compress=`` any more: all nine that
-        still exist refuse it (the tenth was the retired sharded
-        backend's)."""
+        """No signature takes ``compress=`` any more: all eight that
+        still exist refuse it (the other two were the retired segment
+        and sharded backends')."""
         builders = _builders(tmp_path)
-        assert len(builders) == 9
+        assert len(builders) == 8
         for name, build in builders.items():
             with pytest.raises(TypeError, match="compress"):
                 build()

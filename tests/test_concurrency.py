@@ -12,7 +12,6 @@ import pytest
 
 from repro.backend.compact import CompactBackend
 from repro.backend.memory import MemoryBackend
-from repro.backend.segment import SegmentBackend
 from repro.concurrency.coalesce import WriteCoalescer
 from repro.concurrency.lock import ForestLock
 from repro.concurrency.refreeze import RefreezeWorker
@@ -26,12 +25,23 @@ from repro.service.store import DocumentStore
 
 from tests.conftest import build_random_tree
 
+
+def overlay_only_compact():
+    """Compact frozen while empty, with a refreeze threshold no write
+    reaches: every tree lives in the overlay, and views share an empty
+    base."""
+    backend = CompactBackend()
+    backend.REFREEZE_MIN_DIRTY = sys.maxsize
+    backend.compact()
+    return backend
+
+
 # The ``sharded`` id is the row of a backend that no longer exists; it
-# now runs segment, whose views share a memory-mapped sealed base.
+# now runs compact with every tree in the overlay.
 BACKENDS = [
     ("memory", MemoryBackend),
     ("compact", CompactBackend),
-    ("sharded", SegmentBackend),
+    ("sharded", overlay_only_compact),
 ]
 
 

@@ -30,9 +30,12 @@ from repro.service.store import DocumentStore
 
 from tests.conftest import build_random_tree
 
-BACKENDS = ["memory", "compact", "segment"]
-# The segment row keeps the id of the retired sharded backend's row.
-BACKEND_IDS = ["memory", "compact", "sharded"]
+# Row id → backend.  The ``sharded`` id is the row of a backend that no
+# longer exists; it now runs compact frozen before the collection is
+# added (``FROZEN_ROWS``), so the readers sweep a frozen base with every
+# document in its overlay until the refreeze worker folds them in.
+ROWS = {"memory": "memory", "compact": "compact", "sharded": "compact"}
+FROZEN_ROWS = {"sharded"}
 
 
 def _build_workload(writers, batches_per_writer, docs_per_writer, seed):
@@ -66,17 +69,19 @@ def _build_workload(writers, batches_per_writer, docs_per_writer, seed):
     return documents, per_writer
 
 
-def _run_concurrent(tmp_path, backend, documents, per_writer, readers, **kwargs):
+def _run_concurrent(tmp_path, row, documents, per_writer, readers, **kwargs):
     """Apply the workload with one thread per writer (plus reader
-    threads doing lookups throughout); returns the store's final
-    relation snapshot and the store itself (closed)."""
+    threads doing lookups throughout) to the store of ``row``; returns
+    the store's final relation snapshot and the store itself (closed)."""
     store = DocumentStore(
-        str(tmp_path / f"concurrent-{backend}"),
+        str(tmp_path / f"concurrent-{row}"),
         GramConfig(2, 3),
-        backend=backend,
+        backend=ROWS[row],
         serve_threads=len(per_writer),
         **kwargs,
     )
+    if row in FROZEN_ROWS:
+        store._forest.compact()
     store.add_documents(sorted(documents.items()))
     errors = []
     done = threading.Event()
@@ -146,7 +151,7 @@ def _serial_rebuild(documents, per_writer):
     return relation, trees
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@pytest.mark.parametrize("backend", list(ROWS))
 def test_stress_bit_identical_to_serial_replay(backend, tmp_path):
     """8 writers x 8 readers, >= 200 batches, every backend."""
     writers, batches_per_writer = 8, 26  # 208 batches total
@@ -222,7 +227,7 @@ def test_stress_reopen_after_concurrent_run(tmp_path):
     seed=st.integers(min_value=0, max_value=2**20),
     writers=st.integers(min_value=2, max_value=3),
     batches_per_writer=st.integers(min_value=2, max_value=6),
-    backend=st.sampled_from(BACKENDS),
+    backend=st.sampled_from(list(ROWS)),
 )
 def test_stress_property_bit_identical(
     seed, writers, batches_per_writer, backend, tmp_path_factory

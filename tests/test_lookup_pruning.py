@@ -173,15 +173,18 @@ def assert_scan_equals_reference(forest, query_index, kernel_expected):
             ]
 
 
-# The compact rows keep the ids they had before segment joined the
-# matrix.  The ``packed`` ids once ran the packed heap form, which shared
-# one bag between structurally equal trees; they now run a collection
-# that repeats structure — every tree a copy of one of four shapes.
+# The ``packed`` ids once ran the packed heap form, which shared one bag
+# between structurally equal trees; they now run a collection that
+# repeats structure — every tree a copy of one of four shapes.  The
+# ``segment-*`` ids once ran the retired segment backend; they now run
+# a *churned* forest: written newest first, then half of it removed and
+# written again, so the CSR a freeze builds lays out slots and keys in
+# an order that follows neither the tree ids nor the first writes.
 PARITY_ROWS = [
-    pytest.param("compact", False, id="plain"),
-    pytest.param("compact", True, id="packed"),
-    pytest.param("segment", False, id="segment-plain"),
-    pytest.param("segment", True, id="segment-packed"),
+    pytest.param(False, False, id="plain"),
+    pytest.param(False, True, id="packed"),
+    pytest.param(True, False, id="segment-plain"),
+    pytest.param(True, True, id="segment-packed"),
 ]
 
 
@@ -191,18 +194,16 @@ def _shape(rng, seed, tree_id):
     return random_labelled_tree(rng.randint(3, 30), seed=seed * 50 + tree_id)
 
 
-@pytest.mark.parametrize(("backend", "repeated"), PARITY_ROWS)
+@pytest.mark.parametrize(("churned", "repeated"), PARITY_ROWS)
 class TestArraySpaceScanParity:
     """The τ-lookup kernel (``repro.perf.sweep.tau_scan``) against the
     per-tree reference (``overlay_candidates`` behind ``candidates``),
-    in every state a frozen base and its overlay can be in — the heap
-    CSR of ``compact`` and the mapped segment of ``segment`` alike —
-    over distinct trees and over many structurally equal ones."""
+    in every state a frozen base and its overlay can be in, over
+    distinct trees and over many structurally equal ones, written once
+    or churned."""
 
-    def forest(self, backend, repeated, seed=21, count=14):
-        forest = ForestIndex(
-            GramConfig(2, 3), backend=backend, metrics=MetricsRegistry()
-        )
+    def forest(self, churned, repeated, seed=21, count=14):
+        forest = ForestIndex(GramConfig(2, 3), metrics=MetricsRegistry())
         rng = random.Random(seed)
         if repeated:
             shapes = [_shape(rng, seed, index) for index in range(4)]
@@ -213,7 +214,13 @@ class TestArraySpaceScanParity:
             documents = {
                 tree_id: _shape(rng, seed, tree_id) for tree_id in range(count)
             }
-        forest.add_trees(documents.items())
+        if not churned:
+            forest.add_trees(documents.items())
+            return forest, documents
+        forest.add_trees(sorted(documents.items(), reverse=True))
+        for tree_id in sorted(documents)[::2]:
+            forest.remove_tree(tree_id)
+            forest.add_tree(tree_id, documents[tree_id])
         return forest, documents
 
     def queries(self, forest, documents):
@@ -229,12 +236,11 @@ class TestArraySpaceScanParity:
 
     @staticmethod
     def base_of(forest):
-        """The frozen base a backend reads, whichever kind it is."""
-        backend = forest.backend
-        return backend._frozen if backend.name == "compact" else backend._segment
+        """The frozen base the backend reads."""
+        return forest.backend._frozen
 
-    def test_nothing_frozen_runs_the_reference(self, backend, repeated):
-        forest, documents = self.forest(backend, repeated)
+    def test_nothing_frozen_runs_the_reference(self, churned, repeated):
+        forest, documents = self.forest(churned, repeated)
         assert self.base_of(forest) is None
         for query_index in self.queries(forest, documents):
             scan = forest.backend.tau_scan(
@@ -249,20 +255,20 @@ class TestArraySpaceScanParity:
             assert forest.distances(query_index, tau=0.5) == expected
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_frozen_clean(self, backend, repeated):
-        forest, documents = self.forest(backend, repeated)
+    def test_frozen_clean(self, churned, repeated):
+        forest, documents = self.forest(churned, repeated)
         forest.compact()
         assert not forest.backend._masked.trees
         for query_index in self.queries(forest, documents):
             assert_scan_equals_reference(forest, query_index, True)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_frozen_with_overlay(self, backend, repeated):
+    def test_frozen_with_overlay(self, churned, repeated):
         """Edit, add, remove and re-add of the same id after the
         freeze: sizes of masked trees, trees born without a slot, a
         masked tree whose bag emptied, and in the end every tree
         masked."""
-        forest, documents = self.forest(backend, repeated)
+        forest, documents = self.forest(churned, repeated)
         forest.compact()
         base = self.base_of(forest)
         masked = forest.backend._masked.trees
@@ -334,11 +340,11 @@ class TestArraySpaceScanParity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_property_random_mutations(self, backend, repeated, seed):
+    def test_property_random_mutations(self, churned, repeated, seed):
         """Random add/edit/remove interleavings over a frozen forest,
         with the occasional refreeze (or seal) in between."""
         rng = random.Random(seed)
-        forest, documents = self.forest(backend, repeated, seed=seed % 97, count=8)
+        forest, documents = self.forest(churned, repeated, seed=seed % 97, count=8)
         forest.compact()
         for round_number in range(10):
             action = rng.randrange(5)
@@ -373,12 +379,12 @@ class TestArraySpaceScanParity:
         forest.close()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="frozen CSR needs numpy")
-    def test_check_consistency_catches_planted_drift(self, backend, repeated):
+    def test_check_consistency_catches_planted_drift(self, churned, repeated):
         """The audit is what proves no write escaped the mask: each
         piece of the mask/overlay bookkeeping, bent by hand, fails it."""
         from repro.errors import IndexConsistencyError
 
-        forest, documents = self.forest(backend, repeated)
+        forest, documents = self.forest(churned, repeated)
         forest.compact()
         script = dblp_update_script(documents[1], 4, seed=3)
         edited, log = apply_script(documents[1], script)
@@ -402,35 +408,28 @@ class TestArraySpaceScanParity:
         # a written tree is not masked: the base would answer for it
         bent(lambda: live._masked.trees.discard(1), lambda: live._masked.trees.add(1))
         # the overlay lost a posting of a masked tree
-        overlay = live._overlay if backend == "compact" else live._overlay._inverted
+        overlay = live._overlay
         held = next(key for key, entry in overlay.items() if 1 in entry)
         count = overlay[held][1]
         bent(lambda: overlay[held].pop(1), lambda: overlay[held].update({1: count}))
 
     def test_without_numpy_the_view_holds_the_whole_relation(
-        self, backend, repeated, monkeypatch
+        self, churned, repeated, monkeypatch
     ):
         """No numpy, no array form to share: the view is the base
         class's ``DictSnapshot`` and answers through the dict sweep,
-        identically — ``compact`` has nothing to freeze, ``segment``
-        still reads its sealed file."""
+        identically — ``compact`` has nothing to freeze."""
         import repro.backend.compact as compact_module
-        import repro.backend.segment as segment_module
         from repro.concurrency.snapshot import DictSnapshot
 
-        forest, documents = self.forest(backend, repeated)
+        forest, documents = self.forest(churned, repeated)
         expected = {
             tau: forest.distances(forest.index_of(1), tau=tau) for tau in TAUS
         }
-        if backend == "segment":
-            forest.compact()  # sealed with numpy; read without it below
-            forest.remove_tree(4)
-            forest.add_tree(4, documents[4])
         monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
-        monkeypatch.setattr(segment_module, "HAVE_NUMPY", False)
         view = forest.read_view()
         assert type(view) is DictSnapshot
-        assert backend == "segment" or forest.backend._frozen is None
+        assert forest.backend._frozen is None
         for query_index in self.queries(forest, documents):
             assert_scan_equals_reference(forest, query_index, False)
         for tau in TAUS:

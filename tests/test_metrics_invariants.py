@@ -29,7 +29,7 @@ from repro.tree import tree_from_brackets
 from tests.conftest import build_random_tree
 
 CONFIG = GramConfig(2, 3)
-BACKENDS = ["memory", "compact", "segment"]
+BACKENDS = ["memory", "compact", "rel"]
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -98,7 +98,7 @@ class TestSnapshotReadsAreCounted:
 
     def sweep_volume(self, seed, serving, edits=0, backend="compact"):
         forest, registry = build_forest(backend, seed)
-        forest.compact()  # compact: freezes the CSR; segment: seals
+        forest.compact()  # freezes the CSR
         rng = random.Random(seed)
         for _ in range(edits):  # leave an overlay behind
             tree_id = rng.randrange(12)
@@ -130,10 +130,9 @@ class TestSnapshotReadsAreCounted:
     def test_snapshot_lookups_count_what_live_lookups_count(self, seed, edits):
         reference = self.sweep_volume(seed, False, edits, backend="memory")
         assert reference[0] > 0
-        for backend in ("compact", "segment"):
-            live = self.sweep_volume(seed, False, edits, backend)
-            served = self.sweep_volume(seed, True, edits, backend)
-            assert served == live == reference, backend
+        live = self.sweep_volume(seed, False, edits)
+        served = self.sweep_volume(seed, True, edits)
+        assert served == live == reference
 
 
 class TestShardRollUp:
@@ -144,9 +143,9 @@ class TestShardRollUp:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_delta_keys_match_across_backends(self, seed):
         results = {}
-        for backend in ("memory", "segment"):
+        for backend in ("memory", "compact"):
             forest, registry = build_forest(backend, seed)
-            forest.compact()  # segment: maintain over the sealed base
+            forest.compact()  # compact: maintain over the frozen CSR
             base = build_random_tree(12, seed=seed + 1)
             forest.add_tree(50, base)
             generator = EditScriptGenerator(
@@ -163,7 +162,7 @@ class TestShardRollUp:
         # maintenance delta named, and the totals agree across backends.
         for backend, (maintain_keys, index_keys) in results.items():
             assert maintain_keys == index_keys, backend
-        assert results["memory"] == results["segment"]
+        assert results["memory"] == results["compact"]
 
 
 class TestDurabilityPairing:

@@ -10,6 +10,7 @@ from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, random_labelled_tree
 from repro.errors import QueryError
 from repro.lookup import ForestIndex, LookupService
+from repro.perf import HAVE_NUMPY
 from repro.query import (
     And,
     ApproxLookup,
@@ -32,19 +33,34 @@ from repro.tree import Tree
 
 CONFIG = GramConfig(2, 3)
 
-# The ``sharded-2`` id is the row of a backend that no longer exists;
-# it now runs segment *sealed* (``SEALED_ROWS``): the forest is
-# compacted before the first plan, so plans sweep the mapped segment in
-# array space instead of the unsealed overlay the ``segment`` row reads.
+# The ``sharded-2`` and ``segment`` ids are the rows of backends that no
+# longer exist; they now run compact frozen, where the ``compact`` row
+# (whose service never compacts) sweeps the dicts.  ``sharded-2``
+# freezes once the collection is in, so plans sweep a clean CSR in
+# array space; ``segment`` freezes before the first write, so every tree
+# is in the overlay over an empty base.
 BACKENDS = [
     ("memory", {"backend": "memory"}),
     ("compact", {"backend": "compact"}),
-    ("sharded-2", {"backend": "segment"}),
-    ("segment", {"backend": "segment"}),
+    ("sharded-2", {"backend": "compact"}),
+    ("segment", {"backend": "compact"}),
     ("rel", {"backend": "rel"}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
-SEALED_ROWS = {"sharded-2"}
+
+
+def make_forest(name, kwargs, collection):
+    """The row's forest over ``collection``, frozen as the row says."""
+    forest = ForestIndex(CONFIG, **kwargs)
+    if name == "segment":
+        forest.compact()
+    forest.add_trees(collection)
+    if name == "sharded-2":
+        forest.compact()
+    if HAVE_NUMPY and name in ("sharded-2", "segment"):
+        stats = forest.backend_stats()
+        assert stats["frozen"] and bool(stats["dirty_keys"]) == (name == "segment")
+    return forest
 
 
 def make_collection(count, seed):
@@ -252,12 +268,8 @@ class TestExecutorEquivalence:
     def test_plan_lookup_matches_legacy_lookup(self, name, kwargs):
         """A bare retrieval plan is bit-identical to the legacy
         ``lookup``/``nearest`` entry points on every backend."""
-        forest = ForestIndex(CONFIG, **kwargs)
         collection = make_collection(12, seed=900)
-        forest.add_trees(collection)
-        if name in SEALED_ROWS:
-            forest.compact()
-            assert forest.backend_stats()["segments"] == 1
+        forest = make_forest(name, kwargs, collection)
         service = LookupService(forest, auto_compact=False)
         query = collection[4][1]
         for tau in (0.3, 0.7, 1.0):
@@ -273,12 +285,8 @@ class TestExecutorEquivalence:
         """Plans with structural predicates produce the same matches
         whether the backend pushes them down (rel), post-filters with
         its own node table, or walks the source documents."""
-        forest = ForestIndex(CONFIG, **kwargs)
         collection = make_collection(14, seed=901)
-        forest.add_trees(collection)
-        if name in SEALED_ROWS:
-            forest.compact()
-            assert forest.backend_stats()["segments"] == 1
+        forest = make_forest(name, kwargs, collection)
         documents = dict(collection)
         reference = ForestIndex(CONFIG, backend="memory")
         reference.add_trees(collection)

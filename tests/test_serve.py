@@ -8,6 +8,7 @@ mutating state, and a graceful drain leaves a store that reopens with
 every acknowledged write present.
 """
 
+import logging
 import os
 import random
 import time
@@ -479,6 +480,41 @@ class TestDrain:
         handle = serve_in_thread(front_door)
         handle.drain(timeout=60.0)
         handle.drain(timeout=60.0)  # second drain returns immediately
+
+    def test_drain_leaves_no_handler_cancelled(self, tmp_path, caplog, monkeypatch):
+        # One connection stays idle across the shutdown; another closes
+        # just before it, with its subscription's detach still running
+        # in the pool when the drain starts.  A handler the loop's
+        # shutdown cancels is logged by asyncio as an error.
+        unsubscribe = DocumentStore.unsubscribe
+
+        def slow_unsubscribe(store, query_id):
+            time.sleep(0.3)
+            return unsubscribe(store, query_id)
+
+        monkeypatch.setattr(DocumentStore, "unsubscribe", slow_unsubscribe)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        front_door = FrontDoor(
+            directory=str(tmp_path),
+            tenants=["default"],
+            serve_threads=1,
+            policy=OPEN_POLICY,
+        )
+        handle = serve_in_thread(front_door)
+        idle = ServeClient(port=handle.port)
+        idle.ping()
+        subscriber = ServeClient(port=handle.port)
+        subscriber.add_document(1, "a(b,c)")
+        subscriber.subscribe("q", "a(b,c)", tau=0.5)
+        subscriber.close()
+        time.sleep(0.1)  # the detach is in flight
+        try:
+            handle.drain(timeout=60.0)
+        finally:
+            idle.close()
+        assert not [
+            record for record in caplog.records if record.levelno >= logging.ERROR
+        ]
 
 
 class TestMultiTenant:

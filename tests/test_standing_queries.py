@@ -37,14 +37,17 @@ from tests.conftest import (
 )
 
 # Row id → the DocumentStore keyword arguments of that row.  The
-# ``sharded`` id is the row of a backend that no longer exists; it now
-# runs a *served* segment store, whose writes go through the write
-# coalescer and whose queries read the published snapshot.
+# ``sharded`` and ``segment`` ids are the rows of backends that no
+# longer exist; they now run a *served* compact store, whose writes go
+# through the write coalescer and whose queries read the published
+# snapshot over the frozen CSR — ``segment`` on a live metrics
+# registry, so the instrumented branches of the store and the standing
+# engine run too.
 BACKENDS = {
     "memory": {"backend": "memory"},
     "compact": {"backend": "compact"},
-    "sharded": {"backend": "segment", "serve_threads": 2},
-    "segment": {"backend": "segment"},
+    "sharded": {"backend": "compact", "serve_threads": 2},
+    "segment": {"backend": "compact", "serve_threads": 2, "metrics": True},
     "rel": {"backend": "rel"},
 }
 
