@@ -36,7 +36,6 @@ from repro.edits import (
 from repro.hashing import LabelHasher
 from repro.lookup import ForestIndex, LookupService, similarity_join
 from repro.obsv import MetricsRegistry
-from repro.perf import build_forest_parallel
 from repro.service import DocumentStore
 from repro.tree import Tree, tree_from_brackets, tree_to_brackets
 
@@ -63,7 +62,6 @@ __all__ = [
     "ForestIndex",
     "LookupService",
     "MetricsRegistry",
-    "build_forest_parallel",
     "similarity_join",
     "DocumentStore",
     "Tree",

@@ -30,8 +30,8 @@ from repro.backend.base import Admit, Key
 from repro.backend.memory import MemoryBackend
 from repro.errors import IndexConsistencyError
 from repro.obsv.metrics import MetricsRegistry
-from repro.perf.arraybag import HAVE_NUMPY
 from repro.perf.sweep import (
+    HAVE_NUMPY,
     CompactPostings,
     TauScan,
     TreeMask,

@@ -221,13 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="id of the first document (default: first free id)",
     )
-    bulk_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build the pq-gram indexes with N worker processes",
-    )
 
     edit_parser = store_commands.add_parser(
         "edit", help="apply an edit-log file to a document"
@@ -607,11 +600,10 @@ def _run_store_command(
             (start_id + offset, tree_from_xml(path))
             for offset, path in enumerate(arguments.files)
         ]
-        store.add_documents(items, jobs=arguments.jobs)
+        store.add_documents(items)
         print(
             f"added {len(items)} document(s) "
-            f"(ids {start_id}..{start_id + len(items) - 1}, "
-            f"jobs={arguments.jobs})"
+            f"(ids {start_id}..{start_id + len(items) - 1})"
         )
     elif arguments.store_command == "edit":
         with open(arguments.log_file, "r", encoding="utf-8") as handle:

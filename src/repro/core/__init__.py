@@ -16,8 +16,7 @@ This package implements the paper's primary contribution:
 - :mod:`repro.core.maintain` — the incremental ``update_index``
   (Algorithm 1) and its instrumented variant,
 - :mod:`repro.core.batch` — the batched maintenance engine (log
-  compaction, commuting-op groups, parallel δ, single-pass Δ
-  application).
+  compaction, commuting-op groups, single-pass Δ application).
 """
 
 from repro.core.config import GramConfig

@@ -16,11 +16,7 @@ contributions cancel.  This module processes a whole log in one pass:
    descendants within p, and the parent whose q-windows shift), so a
    group of region-disjoint operations can be evaluated against a
    *single* tree version instead of one version per operation.
-3. **Parallel δ** — the per-operation bags of one group are
-   independent, so large groups can fan out over the worker
-   infrastructure of :mod:`repro.perf.parallel` with mergeable
-   :class:`~repro.hashing.labelhash.LabelHasher` memos.
-4. **Single-pass application** — the net (λ(Δ⁻), λ(Δ⁺)) pair is folded
+3. **Single-pass application** — the net (λ(Δ⁻), λ(Δ⁺)) pair is folded
    into the index once, and its key set is exactly the set of changed
    tuples, so index mirrors (the forest's inverted lists) re-invert
    only O(|Δ|) keys.
@@ -49,11 +45,6 @@ from repro.tree.traversal import descendants_within
 from repro.tree.tree import Tree
 
 Bag = Dict[Tuple[int, ...], int]
-
-#: Below this group size the multiprocessing fan-out cannot amortize
-#: the cost of shipping the tree to the workers.
-_PARALLEL_MIN_OPS = 8
-
 
 @dataclass
 class BatchTimings:
@@ -223,15 +214,8 @@ def _group_bags(
     operations: Sequence[EditOperation],
     config,
     hasher: LabelHasher,
-    jobs: Optional[int],
 ) -> List[Bag]:
     """λ(δ(tree, op)) for every operation, all on the same version."""
-    if jobs is not None and jobs > 1 and len(operations) >= _PARALLEL_MIN_OPS:
-        from repro.perf.parallel import delta_bags_parallel
-
-        bags, memo = delta_bags_parallel(tree, operations, config, jobs)
-        hasher.absorb_memo(memo)
-        return bags
     return [
         delta_label_bag(tree, operation, config, hasher)
         for operation in operations
@@ -244,7 +228,6 @@ def update_index_batch_timed(
     log: Sequence[EditOperation],
     hasher: LabelHasher,
     compact: bool = True,
-    jobs: Optional[int] = None,
 ) -> Tuple[PQGramIndex, Bag, Bag, BatchTimings]:
     """The batched engine with instrumentation.
 
@@ -276,7 +259,7 @@ def update_index_batch_timed(
             group = _next_group(tree, backward, position, config.p)
             timings.partition += time.perf_counter() - group_started
             timings.group_count += 1
-            for bag in _group_bags(tree, group, config, hasher, jobs):
+            for bag in _group_bags(tree, group, config, hasher):
                 for key, count in bag.items():
                     signed[key] = signed.get(key, 0) + count
                     timings.gram_count_plus += count
@@ -286,7 +269,7 @@ def update_index_batch_timed(
                 inverse_op.apply(tree)
                 forward_ops.append(forward_op)
                 group_forwards.append(forward_op)
-            for bag in _group_bags(tree, group_forwards, config, hasher, jobs):
+            for bag in _group_bags(tree, group_forwards, config, hasher):
                 for key, count in bag.items():
                     signed[key] = signed.get(key, 0) - count
                     timings.gram_count_minus += count
@@ -320,12 +303,11 @@ def update_index_batch_delta(
     log: Sequence[EditOperation],
     hasher: LabelHasher,
     compact: bool = True,
-    jobs: Optional[int] = None,
 ) -> Tuple[PQGramIndex, Bag, Bag]:
     """The batched engine, returning the folded-in delta bags (see
     :func:`update_index_batch_timed`)."""
     new_index, minus, plus, _ = update_index_batch_timed(
-        old_index, tree, log, hasher, compact=compact, jobs=jobs
+        old_index, tree, log, hasher, compact=compact
     )
     return new_index, minus, plus
 
@@ -336,10 +318,9 @@ def update_index_batch(
     log: Sequence[EditOperation],
     hasher: Optional[LabelHasher] = None,
     compact: bool = True,
-    jobs: Optional[int] = None,
 ) -> PQGramIndex:
     """The batched engine (see the module docstring)."""
     new_index, _, _ = update_index_batch_delta(
-        old_index, tree, log, hasher or LabelHasher(), compact=compact, jobs=jobs
+        old_index, tree, log, hasher or LabelHasher(), compact=compact
     )
     return new_index

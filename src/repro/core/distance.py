@@ -76,26 +76,9 @@ def size_bounds_admit(left_size: int, right_sizes, tau: float):
     ) < tau
 
 
-def index_distance(
-    left: PQGramIndex, right: PQGramIndex, backend: str = "auto"
-) -> float:
-    """pq-gram distance between two prebuilt indexes.
-
-    ``backend`` selects how the bag intersection is computed:
-
-    - ``"dict"`` — the reference hash-bag path;
-    - ``"array"`` — merge over the sorted fingerprint arrays of
-      :meth:`~repro.core.index.PQGramIndex.as_array_bag` (built and
-      cached on first use);
-    - ``"auto"`` (default) — the array path iff both indexes already
-      carry a cached array bag, the dict path otherwise.
-
-    Both backends return identical distances (the array form is keyed
-    by combined Karp–Rabin fingerprints, exact up to the same collision
-    probability the persistent index itself relies on).
-    """
-    if backend not in ("auto", "dict", "array"):
-        raise ValueError(f"unknown index_distance backend: {backend!r}")
+def index_distance(left: PQGramIndex, right: PQGramIndex) -> float:
+    """pq-gram distance between two prebuilt indexes (the bag
+    intersection is a probe of the smaller dict bag into the larger)."""
     if left.config != right.config:
         raise GramConfigError(
             f"cannot compare a {left.config} index with a {right.config} index"
@@ -103,13 +86,7 @@ def index_distance(
     union = left.bag_union_size(right)
     if union == 0:
         return 0.0
-    if backend == "array" or (
-        backend == "auto" and left.has_array_bag() and right.has_array_bag()
-    ):
-        intersection = left.as_array_bag().intersection_size(right.as_array_bag())
-    else:
-        intersection = left.bag_intersection_size(right)
-    return distance_from_overlap(intersection, union)
+    return distance_from_overlap(left.bag_intersection_size(right), union)
 
 
 def pq_gram_distance(

@@ -30,7 +30,6 @@ class PQGramIndex:
         self.config = config
         self._counts: Bag = dict(counts or {})
         self._total = sum(self._counts.values())
-        self._array_bag = None  # lazy sorted-array form (repro.perf)
 
     # ------------------------------------------------------------------
     # construction
@@ -77,7 +76,6 @@ class PQGramIndex:
         index.config = config
         index._counts = counts  # type: ignore[assignment]
         index._total = sum(counts.values()) if total is None else total
-        index._array_bag = None
         return index
 
     def copy(self) -> "PQGramIndex":
@@ -158,29 +156,6 @@ class PQGramIndex:
             if count:
                 self._counts[key] = self._counts.get(key, 0) + count
                 self._total += count
-        self._array_bag = None  # the sorted-array form is stale now
-
-    # ------------------------------------------------------------------
-    # array-backed form (repro.perf.arraybag)
-    # ------------------------------------------------------------------
-
-    def has_array_bag(self) -> bool:
-        """Whether the sorted-array form is already built and fresh."""
-        return self._array_bag is not None
-
-    def as_array_bag(self):
-        """The sorted-array ``(fingerprint, cnt)`` form of this bag,
-        built lazily and cached until the next :meth:`apply_delta`.
-
-        Enables the merge-based intersection of
-        :class:`repro.perf.arraybag.ArrayBag`; the dict bag stays the
-        reference representation.
-        """
-        if self._array_bag is None:
-            from repro.perf.arraybag import ArrayBag
-
-            self._array_bag = ArrayBag.from_index(self)
-        return self._array_bag
 
     # ------------------------------------------------------------------
     # persistence

@@ -300,23 +300,21 @@ def update_index(
     hasher: Optional[LabelHasher] = None,
     engine: str = "replay",
     compact: Optional[bool] = None,
-    jobs: Optional[int] = None,
 ) -> PQGramIndex:
     """Incrementally maintain the pq-gram index.
 
     ``engine`` selects ``"replay"`` (default, exact on every valid
     log), ``"batch"`` (the batched engine of :mod:`repro.core.batch` —
-    log compaction, commuting-op groups, optionally parallel δ;
-    bit-identical to replay on every valid log) or ``"tablewise"``
-    (the paper's Algorithm 1, exact on address-stable logs).  All take
+    log compaction and commuting-op groups; bit-identical to replay on
+    every valid log) or ``"tablewise"`` (the paper's Algorithm 1,
+    exact on address-stable logs).  All take
     the same inputs: old index, resulting tree, inverse-operation log.
 
     ``compact`` preprocesses the log with
     :func:`repro.edits.reduce.compact_inverse_log`; it defaults to the
     engine's native choice (on for ``"batch"``, off otherwise) and is
     rejected for ``"tablewise"``, whose U-chain must see the log
-    verbatim.  ``jobs`` fans the batch engine's per-group δ bags out
-    over worker processes.
+    verbatim.
     """
     hasher = hasher or LabelHasher()
     if engine == "replay":
@@ -332,7 +330,6 @@ def update_index(
             log,
             hasher,
             compact=True if compact is None else compact,
-            jobs=jobs,
         )
     if engine == "tablewise":
         if compact:

@@ -93,20 +93,6 @@ class LabelHasher:
             return NULL_HASH
         return self.hash_label(label)
 
-    def memo_snapshot(self) -> Dict[str, int]:
-        """A copy of the label → fingerprint memo (for merging the
-        memos of parallel construction workers)."""
-        return dict(self._memo)
-
-    def absorb_memo(self, memo: Dict[str, int]) -> None:
-        """Merge a memo produced by another hasher over the same
-        fingerprint function (fingerprints are deterministic, so equal
-        labels carry equal values)."""
-        self._memo.update(memo)
-        if self._reverse is not None:
-            for label, value in memo.items():
-                self._reverse[value] = label
-
     def lookup(self, value: int) -> Optional[str]:
         """Reverse lookup (only if ``keep_reverse_map`` was requested)."""
         if value == NULL_HASH:

@@ -287,20 +287,12 @@ class ForestIndex:
             self._record_structure(tree_id, tree)
             self._bump_generation()
 
-    def add_trees(
-        self, items: Iterable[Tuple[int, Tree]], jobs: Optional[int] = None
-    ) -> None:
-        """Index a batch of trees, optionally in parallel.
+    def add_trees(self, items: Iterable[Tuple[int, Tree]]) -> None:
+        """Index a batch of trees.
 
         The batch is validated up front — against the forest *and*
         against itself — so either every tree is added or none is
         (a duplicate id can never leave a partial commit behind).
-
-        ``jobs`` > 1 fans the per-tree bag construction out over worker
-        processes (``repro.perf.parallel``) and merges the workers'
-        label memos back into this forest's hasher; ``jobs`` of None or
-        1 runs the plain serial loop.  Results are identical either
-        way.
         """
         items = list(items)
         seen: set = set()
@@ -308,20 +300,8 @@ class ForestIndex:
             if tree_id in self._backend or tree_id in seen:
                 raise StorageError(f"tree id {tree_id} is already indexed")
             seen.add(tree_id)
-        if jobs is not None and jobs > 1 and len(items) > 1:
-            from repro.perf.parallel import build_bags_parallel
-
-            bags, memo = build_bags_parallel(items, self.config, jobs)
-            self.hasher.absorb_memo(memo)
-            trees = dict(items)
-            with self.lock.write():
-                for tree_id, bag in bags:
-                    self._backend.add_tree_bag(tree_id, bag)
-                    self._record_structure(tree_id, trees[tree_id])
-                self._bump_generation()
-        else:
-            for tree_id, tree in items:
-                self.add_tree(tree_id, tree)
+        for tree_id, tree in items:
+            self.add_tree(tree_id, tree)
 
     def remove_tree(self, tree_id: int) -> None:
         """Drop a tree from the forest index."""

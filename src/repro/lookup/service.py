@@ -149,20 +149,18 @@ class LookupService:
         collection: Iterable[Tuple[int, Tree]],
         config: Optional[GramConfig] = None,
         backend: str = "compact",
-        jobs: Optional[int] = None,
         metrics: "Optional[MetricsRegistry | bool]" = None,
         **kwargs: object,
     ) -> "LookupService":
         """Build a forest over ``collection`` and wrap it in a service.
 
         ``backend`` picks the forest's storage engine (memory, compact
-        or rel), ``jobs`` fans the per-tree index construction out over
-        worker processes, ``metrics`` (a registry or ``True``) enables
+        or rel), ``metrics`` (a registry or ``True``) enables
         observability; remaining keyword arguments go to the service
         constructor.
         """
         forest = ForestIndex(config, backend=backend, metrics=metrics)
-        forest.add_trees(collection, jobs=jobs)
+        forest.add_trees(collection)
         return cls(forest, **kwargs)  # type: ignore[arg-type]
 
     def query_index(self, query: "Tree | str") -> PQGramIndex:

@@ -1,32 +1,15 @@
-"""The performance layer: compact kernels behind the hot paths.
+"""The performance layer: the frozen postings behind the lookup sweep.
 
-Everything in this package is an *optional accelerator* with a pure
-reference implementation elsewhere in the code base:
-
-- :mod:`repro.perf.arraybag` — sorted-array ``(fingerprint, cnt)``
-  representation of a pq-gram bag with a merge-based intersection;
-  reference: the dict bag of :class:`repro.core.index.PQGramIndex`.
-- :mod:`repro.perf.sweep` — array-backed inverted postings for the
-  forest lookup sweep (vectorized with numpy when available);
-  reference: the dict-of-dicts sweep in
-  :meth:`repro.lookup.forest.ForestIndex.distances`.
-- :mod:`repro.perf.parallel` — multiprocessing forest construction and
-  per-group maintenance deltas; references: the serial ``add_tree``
-  loop and the serial δ sweep of :mod:`repro.core.batch`.
-
-Accelerated and reference paths produce identical results (asserted in
-``tests/test_perf.py``); numpy is used when importable and silently
-skipped otherwise.
+:mod:`repro.perf.sweep` freezes a forest's inverted lists into one
+CSR-style array form (:class:`CompactPostings`) and sweeps a whole
+query with a few vector operations (numpy); its reference is the
+dict-of-dicts sweep in :meth:`repro.lookup.forest.ForestIndex.distances`,
+and both produce identical results (asserted in ``tests/test_perf.py``).
+``HAVE_NUMPY`` says whether numpy is importable; without it callers
+keep the dict sweep.  :mod:`repro.perf.memsize` measures the resident
+size of index structures for the index-size benchmark.
 """
 
-from repro.perf.arraybag import HAVE_NUMPY, ArrayBag
-from repro.perf.parallel import build_forest_parallel, delta_bags_parallel
-from repro.perf.sweep import CompactPostings
+from repro.perf.sweep import HAVE_NUMPY, CompactPostings
 
-__all__ = [
-    "ArrayBag",
-    "CompactPostings",
-    "build_forest_parallel",
-    "delta_bags_parallel",
-    "HAVE_NUMPY",
-]
+__all__ = ["CompactPostings", "HAVE_NUMPY"]

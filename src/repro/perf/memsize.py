@@ -23,7 +23,7 @@ import sys
 from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 from typing import Iterable, Optional
 
-from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf.sweep import HAVE_NUMPY
 
 if HAVE_NUMPY:
     import numpy as _np

@@ -45,10 +45,13 @@ from repro.core.distance import (
     size_bound_admits,
     size_bounds_admit,
 )
-from repro.perf.arraybag import HAVE_NUMPY
 
-if HAVE_NUMPY:
+try:  # optional: without numpy, callers fall back to the dict sweep
     import numpy as _np
+except ImportError:  # pragma: no cover - environment without numpy
+    _np = None
+
+HAVE_NUMPY = _np is not None
 
 Key = Tuple[int, ...]
 

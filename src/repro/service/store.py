@@ -616,17 +616,13 @@ class DocumentStore:
         """Store and index a new document (one WAL record)."""
         self.add_documents([(document_id, tree)])
 
-    def add_documents(
-        self, items: Sequence[Tuple[int, Tree]], jobs: Optional[int] = None
-    ) -> None:
+    def add_documents(self, items: Sequence[Tuple[int, Tree]]) -> None:
         """Store and index a batch of documents, all or none.
 
         The batch is durable through one ``ADD`` record — one append,
         one fsync — holding every document's checkpoint record; once
         that fsync returned it is committed, and published even if
-        indexing it raises.  ``jobs`` > 1 builds the pq-gram indexes in
-        parallel worker processes (``repro.perf.parallel``); the batch
-        is validated up front.
+        indexing it raises.  The batch is validated up front.
         """
         self.flush()
         with self._mutex:
@@ -650,7 +646,7 @@ class DocumentStore:
             for (document_id, tree), (_, record) in zip(copies, records):
                 self._publish(document_id, tree)
                 self._encoded[document_id] = record
-            self._forest.add_trees(copies, jobs=jobs)
+            self._forest.add_trees(copies)
             events: List[Notification] = []
             for document_id, _ in copies:
                 events.extend(self._standing_on_add(document_id))

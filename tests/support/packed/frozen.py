@@ -19,9 +19,9 @@ key keeps its own span, duplicates sit adjacent in fingerprint order,
 and the sweep accumulates across the whole equal-fingerprint run.  A
 query key therefore touches exactly its own postings unless a true
 61-bit Karp–Rabin collision occurs — the same "unique with high
-probability" contract :class:`~repro.perf.arraybag.ArrayBag` already
-ships, and the lookup result is bit-identical to the dict sweep
-whenever fingerprints are (astronomically probably) collision-free.
+probability" contract the persistent relation relies on — and the
+lookup result is bit-identical to the dict sweep whenever fingerprints
+are (astronomically probably) collision-free.
 
 A small FIFO cache keeps recently decoded spans hot, so repeated
 lookups over a working set pay the varint decode once.
@@ -34,7 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.hashing.fingerprint import batch_fingerprints
 from tests.support.packed.intern import InternPool, default_pool
 from tests.support.packed.varint import PackedIntArray, delta_encode_span
-from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf import HAVE_NUMPY
 from repro.perf.sweep import CompactPostings, accumulate_spans
 
 if HAVE_NUMPY:
@@ -360,7 +360,7 @@ class CompressedPostings:
                 else:
                     # a true 61-bit fingerprint collision between
                     # distinct keys: expand the run — accumulating every
-                    # span in it is the fold ArrayBag already accepts
+                    # span in it folds the colliding keys' counts
                     span_list: List[int] = []
                     count_list: List[int] = []
                     for position in hits.tolist():

@@ -28,7 +28,7 @@ import sys
 from array import array
 from typing import List, Sequence, Tuple
 
-from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf import HAVE_NUMPY
 
 if HAVE_NUMPY:
     import numpy as _np

@@ -473,13 +473,10 @@ class TestBackendConformance:
         forest.add_tree(5, tree)
         before = forest.inverted_lists()
         published = forest.read_view() if name in VIEW_ROWS else None
-        for jobs in (None, 2):
-            with pytest.raises(StorageError):
-                forest.add_trees(
-                    [(6, tree), (5, dblp_tree(2, seed=2))], jobs=jobs
-                )
-            assert len(forest) == 1
-            assert forest.inverted_lists() == before
+        with pytest.raises(StorageError):
+            forest.add_trees([(6, tree), (5, dblp_tree(2, seed=2))])
+        assert len(forest) == 1
+        assert forest.inverted_lists() == before
         forest.backend.check_consistency()
         if published is not None:
             # A refused batch moves no generation: the view stays.
@@ -553,10 +550,9 @@ class TestCompactOverlayStaleness:
                 make_backend(spec)
             for backend_name in BACKEND_NAMES:
                 assert backend_name in str(excinfo.value)
-        # No backend takes a partition count any more, and nothing
-        # takes the directory only the segment backend used.
-        from repro.perf.parallel import build_forest_parallel
-
+        # No backend takes a partition count any more, nothing takes
+        # the directory only the segment backend used, and a batch
+        # build takes no worker count.
         with pytest.raises(TypeError):
             make_backend("memory", shards=2)
         home = str(tmp_path / "x")
@@ -564,10 +560,11 @@ class TestCompactOverlayStaleness:
             lambda: make_backend("compact", directory=home),
             lambda: ForestIndex(directory=home),
             lambda: LookupService.for_collection([], directory=home),
-            lambda: build_forest_parallel([], directory=home),
         ):
             with pytest.raises(TypeError, match="directory"):
                 build()
+        with pytest.raises(TypeError, match="jobs"):
+            ForestIndex(backend="compact").add_trees([], jobs=2)
 
     @pytest.mark.parametrize("with_wal_tail", [False, True])
     def test_sharded_files_open_as_compact(self, tmp_path, with_wal_tail):

@@ -109,6 +109,20 @@ class TestStoreCommands:
         assert main(["store", "--dir", store_dir, "show", "1"]) == 0
         assert "pq-grams" in capsys.readouterr().out
 
+    def test_bulk_takes_no_jobs_flag(self, xml_files, tmp_path, capsys):
+        """``store bulk`` adds its files in one batch; the worker-count
+        flag is gone, so passing it is argparse's usage error and
+        stores nothing."""
+        store_dir = str(tmp_path / "store")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", "--dir", store_dir, "bulk", *xml_files,
+                  "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert main(["store", "--dir", store_dir, "bulk", *xml_files]) == 0
+        assert "added 2 document(s) (ids 0..1)" in capsys.readouterr().out
+        assert main(["store", "--dir", store_dir, "verify"]) == 0
+
     def test_verify_reports_ok(self, xml_files, tmp_path, capsys):
         old_path, _ = xml_files
         store_dir = str(tmp_path / "store")

@@ -25,7 +25,7 @@ from tests.support.packed import (
     delta_encode_span,
     release_if_shared,
 )
-from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf import HAVE_NUMPY
 
 if HAVE_NUMPY:
     import numpy as np
@@ -377,7 +377,6 @@ def _builders(tmp_path):
         make_backend,
     )
     from repro.lookup import ForestIndex, LookupService
-    from repro.perf.parallel import build_forest_parallel
     from repro.service import DocumentStore
 
     return {
@@ -386,9 +385,6 @@ def _builders(tmp_path):
             str(tmp_path / "store"), compress=True
         ),
         "LookupService.for_collection": lambda: LookupService.for_collection(
-            [], compress=True
-        ),
-        "build_forest_parallel": lambda: build_forest_parallel(
             [], compress=True
         ),
         "make_backend": lambda: make_backend("compact", compress=True),
@@ -404,7 +400,7 @@ class TestCompressionEnabled:
         still exist refuse it (the other two were the retired segment
         and sharded backends')."""
         builders = _builders(tmp_path)
-        assert len(builders) == 8
+        assert len(builders) == 7
         for name, build in builders.items():
             with pytest.raises(TypeError, match="compress"):
                 build()

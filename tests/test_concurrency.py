@@ -20,7 +20,7 @@ from repro.core.index import PQGramIndex
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
 from repro.lookup.forest import ForestIndex
-from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf import HAVE_NUMPY
 from repro.service.store import DocumentStore
 
 from tests.conftest import build_random_tree

@@ -1,8 +1,9 @@
-"""Performance-layer tests: array bags, compact postings, parallel build.
+"""Performance-layer tests: compact postings, batch build, distances.
 
-Every accelerated path in :mod:`repro.perf` must be *byte-identical*
-to the dict reference path — these tests assert exactly that on
-randomized inputs, plus the `__slots__` memory satellite.
+The frozen sweep of :mod:`repro.perf` must be *byte-identical* to the
+dict reference path — these tests assert exactly that on randomized
+inputs, plus the `__slots__` memory satellite and the removal of the
+process-pool build and the array-bag distance path.
 """
 
 import pytest
@@ -11,8 +12,7 @@ from repro.core import GramConfig, PQGramIndex, index_distance
 from repro.core.distance import distance_from_overlap, size_bound_admits
 from repro.datasets import dblp_tree, random_labelled_tree, xmark_tree
 from repro.lookup import ForestIndex
-from repro.perf import HAVE_NUMPY, ArrayBag, build_forest_parallel
-from repro.perf.sweep import CompactPostings
+from repro.perf import HAVE_NUMPY
 
 
 from repro.hashing import LabelHasher
@@ -31,90 +31,34 @@ def random_indexes(count=8, config=GramConfig(2, 3)):
     ]
 
 
-class TestArrayBag:
-    def test_preserves_total(self):
-        for index in random_indexes():
-            bag = ArrayBag.from_index(index)
-            assert bag.total == index.size()
-
-    def test_intersection_matches_dict(self):
-        indexes = random_indexes(8)
-        for left in indexes:
-            for right in indexes:
-                expected = left.bag_intersection_size(right)
-                got = ArrayBag.from_index(left).intersection_size(
-                    ArrayBag.from_index(right)
-                )
-                assert got == expected
-
-    def test_union_size(self):
-        left, right = random_indexes(2)
-        bag_left = ArrayBag.from_index(left)
-        bag_right = ArrayBag.from_index(right)
-        assert bag_left.union_size(bag_right) == left.size() + right.size()
-
-    def test_empty_bag(self):
-        empty = PQGramIndex(GramConfig(2, 2), {})
-        other = random_indexes(1)[0]
-        bag = ArrayBag.from_index(empty)
-        assert bag.total == 0
-        assert bag.intersection_size(ArrayBag.from_index(other)) == 0
-
-    def test_merge_fallback_matches_numpy(self):
-        """The pure-python two-pointer merge equals the numpy path."""
-        if not HAVE_NUMPY:
-            pytest.skip("numpy unavailable; only one path exists")
-        left, right = random_indexes(2)
-        bag_left = ArrayBag.from_index(left)
-        bag_right = ArrayBag.from_index(right)
-        fast = bag_left.intersection_size(bag_right)
-        # Rebuild both bags as plain python lists to force the merge.
-        plain_left = ArrayBag(
-            [int(k) for k in bag_left.keys],
-            [int(c) for c in bag_left.counts],
-            bag_left.total,
-        )
-        plain_right = ArrayBag(
-            [int(k) for k in bag_right.keys],
-            [int(c) for c in bag_right.counts],
-            bag_right.total,
-        )
-        assert plain_left.intersection_size(plain_right) == fast
-
-
 class TestIndexDistanceBackends:
+    """``index_distance`` has one path, the dict intersection; the
+    forest sweeps are the other code that computes the same distance."""
+
     def test_backend_parity(self):
-        indexes = random_indexes(6)
-        for left in indexes:
-            for right in indexes:
-                reference = index_distance(left, right, backend="dict")
-                assert index_distance(left, right, backend="array") == reference
-                assert index_distance(left, right, backend="auto") == reference
-
-    def test_auto_uses_cached_array_bags(self):
-        left, right = random_indexes(2)
-        assert not left.has_array_bag()
-        left.as_array_bag()
-        right.as_array_bag()
-        assert left.has_array_bag() and right.has_array_bag()
-        assert index_distance(left, right, backend="auto") == index_distance(
-            left, right, backend="dict"
-        )
-
-    def test_array_bag_invalidated_by_delta(self):
-        left = random_indexes(1)[0]
-        left.as_array_bag()
-        updated = left.copy()
-        some_key = next(iter(dict(left.items())))
-        updated.apply_delta({some_key: 1}, {})
-        assert not updated.has_array_bag()
-        rebuilt = ArrayBag.from_index(updated)
-        assert rebuilt.total == updated.size()
+        """Pairwise ``index_distance`` equals the forest's sweep on
+        every backend, frozen or not."""
+        trees = [random_labelled_tree(5 + 7 * i, seed=100 + i) for i in range(6)]
+        indexes = [build_index(tree) for tree in trees]
+        for name in ("memory", "compact", "rel"):
+            forest = ForestIndex(GramConfig(2, 3), backend=name)
+            forest.add_trees(enumerate(trees))
+            if name == "compact":
+                forest.compact()
+            for left in indexes:
+                expected = {
+                    tree_id: index_distance(left, right)
+                    for tree_id, right in enumerate(indexes)
+                }
+                assert forest.distances(left) == expected
 
     def test_unknown_backend_rejected(self):
+        """No backend name is accepted any more, not even the ones that
+        once selected a path."""
         left, right = random_indexes(2)
-        with pytest.raises(ValueError):
-            index_distance(left, right, backend="gpu")
+        for backend in ("gpu", "array", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                index_distance(left, right, backend=backend)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="CompactPostings requires numpy")
@@ -199,36 +143,46 @@ class TestCompactPostings:
 
 
 class TestParallelBuild:
+    """``add_trees``, the batch build: one serial loop, validated
+    before any work."""
+
     def collection(self, count=6):
         return [
             (i, dblp_tree(6 + i, seed=500 + i)) for i in range(count)
         ]
 
     def test_parallel_equals_serial(self):
+        """A batch build equals the one-tree-at-a-time loop in indexes,
+        sizes and distances, on every backend."""
         collection = self.collection()
-        serial = ForestIndex(GramConfig(2, 3))
-        serial.add_trees(collection)
-        parallel = build_forest_parallel(collection, GramConfig(2, 3), jobs=2)
-        assert len(parallel) == len(serial)
-        for tree_id, _ in collection:
-            assert parallel.index_of(tree_id) == serial.index_of(tree_id)
-            assert parallel.size_of(tree_id) == serial.size_of(tree_id)
         query = build_index(xmark_tree(40, seed=1), GramConfig(2, 3))
-        assert parallel.distances(query) == serial.distances(query)
-        assert parallel.distances(query, tau=0.9) == serial.distances(
-            query, tau=0.9
-        )
+        for name in ("memory", "compact", "rel"):
+            looped = ForestIndex(GramConfig(2, 3), backend=name)
+            for tree_id, tree in collection:
+                looped.add_tree(tree_id, tree)
+            batch = ForestIndex(GramConfig(2, 3), backend=name)
+            batch.add_trees(collection)
+            assert len(batch) == len(looped)
+            for tree_id, _ in collection:
+                assert batch.index_of(tree_id) == looped.index_of(tree_id)
+                assert batch.size_of(tree_id) == looped.size_of(tree_id)
+            assert batch.distances(query) == looped.distances(query)
+            assert batch.distances(query, tau=0.9) == looped.distances(
+                query, tau=0.9
+            )
 
     def test_add_trees_jobs_merges_memo(self):
-        """Worker label hashes land in the parent hasher (decodable)."""
+        """A batch build leaves every label in the forest's own hasher:
+        re-indexing serially through it changes nothing and misses no
+        label."""
         collection = self.collection(4)
         forest = ForestIndex(GramConfig(2, 2))
-        forest.add_trees(collection, jobs=2)
-        # Every label of every tree must now hash consistently via the
-        # forest's own hasher: re-indexing serially changes nothing.
+        forest.add_trees(collection)
+        misses = forest.hasher.memo_misses
         for tree_id, tree in collection:
             rebuilt = PQGramIndex.from_tree(tree, forest.config, forest.hasher)
             assert rebuilt == forest.index_of(tree_id)
+        assert forest.hasher.memo_misses == misses
 
     def test_add_trees_rejects_duplicates_before_work(self):
         from repro.errors import StorageError
@@ -236,14 +190,107 @@ class TestParallelBuild:
         collection = self.collection(3)
         forest = ForestIndex(GramConfig(2, 2))
         forest.add_trees(collection)
+        before = forest.inverted_lists()
+        generation = forest.generation
+        misses = forest.hasher.memo_misses
         with pytest.raises(StorageError):
-            forest.add_trees([(1, dblp_tree(5, seed=1))], jobs=2)
+            forest.add_trees([(7, xmark_tree(30, seed=7)), (1, dblp_tree(5, seed=1))])
+        # Refused before the first bag: nothing indexed, nothing hashed.
+        assert len(forest) == 3
+        assert forest.inverted_lists() == before
+        assert forest.generation == generation
+        assert forest.hasher.memo_misses == misses
 
     def test_jobs_one_is_serial(self):
+        """The batch is read once, so a generator works."""
         collection = self.collection(3)
         forest = ForestIndex(GramConfig(2, 2))
-        forest.add_trees(collection, jobs=1)
+        forest.add_trees(item for item in collection)
         assert len(forest) == 3
+        assert sorted(forest.tree_ids()) == [tree_id for tree_id, _ in collection]
+
+
+def _former_jobs_signatures(tmp_path):
+    """One call per signature that used to take ``jobs=``, each
+    passing it; the former ``backend=`` of ``index_distance`` too."""
+    from repro.core import update_index
+    from repro.core.batch import (
+        update_index_batch,
+        update_index_batch_delta,
+        update_index_batch_timed,
+    )
+    from repro.lookup import LookupService
+    from repro.service import DocumentStore
+
+    tree = dblp_tree(3, seed=1)
+    index = build_index(tree)
+
+    def add_documents():
+        store = DocumentStore(str(tmp_path / "store"))
+        try:
+            store.add_documents([(0, tree)], jobs=2)
+        finally:
+            store.close()
+
+    return {
+        "DocumentStore.add_documents": add_documents,
+        "ForestIndex.add_trees": lambda: ForestIndex().add_trees(
+            [(0, tree)], jobs=2
+        ),
+        "LookupService.for_collection": lambda: LookupService.for_collection(
+            [(0, tree)], jobs=2
+        ),
+        "update_index": lambda: update_index(index, tree, [], jobs=2),
+        "update_index_batch": lambda: update_index_batch(
+            index, tree, [], jobs=2
+        ),
+        "update_index_batch_delta": lambda: update_index_batch_delta(
+            index, tree, [], HASHER, jobs=2
+        ),
+        "update_index_batch_timed": lambda: update_index_batch_timed(
+            index, tree, [], HASHER, jobs=2
+        ),
+        "index_distance": lambda: index_distance(index, index, backend="dict"),
+    }
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [
+        "DocumentStore.add_documents",
+        "ForestIndex.add_trees",
+        "LookupService.for_collection",
+        "update_index",
+        "update_index_batch",
+        "update_index_batch_delta",
+        "update_index_batch_timed",
+        "index_distance",
+    ],
+)
+def test_removed_options_are_type_errors(signature, tmp_path):
+    """The process-pool build and the array-bag distance path are gone
+    with every option that reached them."""
+    with pytest.raises(TypeError, match="jobs|backend"):
+        _former_jobs_signatures(tmp_path)[signature]()
+
+
+def test_perf_exports_only_the_sweep():
+    import importlib.util
+
+    import repro
+    import repro.perf
+    from repro.hashing import LabelHasher
+
+    assert sorted(repro.perf.__all__) == ["CompactPostings", "HAVE_NUMPY"]
+    for name in ("ArrayBag", "build_forest_parallel", "delta_bags_parallel"):
+        assert not hasattr(repro.perf, name)
+    assert not hasattr(repro, "build_forest_parallel")
+    for module in ("repro.perf.parallel", "repro.perf.arraybag"):
+        assert importlib.util.find_spec(module) is None
+    for name in ("memo_snapshot", "absorb_memo"):
+        assert not hasattr(LabelHasher, name)
+    for name in ("has_array_bag", "as_array_bag"):
+        assert not hasattr(PQGramIndex, name)
 
 
 class TestPruningKernel:

@@ -24,7 +24,7 @@ from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
 from repro.edits import apply_script
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
-from repro.perf.arraybag import HAVE_NUMPY
+from repro.perf import HAVE_NUMPY
 from repro.service import DocumentStore
 
 from tests.conftest import assert_store_is_rebuild

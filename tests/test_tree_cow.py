@@ -121,9 +121,9 @@ def test_operation_failing_mid_script_never_reaches_the_source(base, seed, prefi
 @settings(max_examples=60, deadline=None)
 @given(trees(max_size=16), st.integers(0, 2**32 - 1))
 def test_pickle_round_trip_of_shared_trees(base, seed):
-    """``perf/parallel.py`` ships trees to worker processes by pickle:
-    what arrives must equal what was sent and still be copy-on-write
-    safe, also when source and copy travel in one message."""
+    """A tree that travels by pickle arrives equal to what was sent and
+    still copy-on-write safe, also when source and copy travel in one
+    message."""
     rng = random.Random(seed)
     clone = base.copy()
     draw_operation(rng, clone).apply(clone)
