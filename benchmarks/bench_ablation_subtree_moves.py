@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.core import GramConfig, PQGramIndex, update_index_replay
+from repro.core import GramConfig, PQGramIndex, update_index
 from repro.edits import Move, apply_script, move_subtree_ops
 from repro.hashing import LabelHasher
 from repro.tree import Tree
@@ -55,7 +55,7 @@ def test_native_move_update(benchmark, medium):
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, CONFIG, hasher)
     edited, log = apply_script(tree, [Move(moved_root, target, 1)])
-    benchmark(lambda: update_index_replay(old_index, edited, log, hasher))
+    benchmark(lambda: update_index(old_index, edited, log, hasher))
 
 
 def test_lowered_move_update(benchmark, medium):
@@ -65,7 +65,7 @@ def test_lowered_move_update(benchmark, medium):
     operations, _ = move_subtree_ops(tree, moved_root, target, 1)
     edited, log = apply_script(tree, operations)
     benchmark.pedantic(
-        lambda: update_index_replay(old_index, edited, log, hasher),
+        lambda: update_index(old_index, edited, log, hasher),
         rounds=3,
         iterations=1,
     )
@@ -81,10 +81,10 @@ def run_full_series() -> str:
 
         native_edited, native_log = apply_script(tree, [Move(moved_root, target, 1)])
         native_seconds = wall_time(
-            lambda: update_index_replay(old_index, native_edited, native_log, hasher),
+            lambda: update_index(old_index, native_edited, native_log, hasher),
             repeats=3,
         )
-        native_index = update_index_replay(
+        native_index = update_index(
             old_index, native_edited, native_log, hasher
         )
         truth_base = PQGramIndex.from_tree(native_edited, CONFIG, hasher)
@@ -93,7 +93,7 @@ def run_full_series() -> str:
         operations, _ = move_subtree_ops(tree, moved_root, target, 1)
         lowered_edited, lowered_log = apply_script(tree, operations)
         lowered_seconds = wall_time(
-            lambda: update_index_replay(
+            lambda: update_index(
                 old_index, lowered_edited, lowered_log, hasher
             ),
             repeats=3,
@@ -125,6 +125,6 @@ if __name__ == "__main__":
     emit(
         "ablation_a7_subtree_moves.txt",
         "Ablation A7 — native subtree Move vs. delete+reinsert lowering "
-        "(replay engine, 3,3-grams)",
+        "(update_index, 3,3-grams)",
         run_full_series(),
     )

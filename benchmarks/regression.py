@@ -58,8 +58,8 @@ from conftest import results_path, wall_time
 from repro.core import (
     GramConfig,
     PQGramIndex,
+    update_index,
     update_index_batch,
-    update_index_replay,
 )
 from repro.datasets import dblp_tree, dblp_update_script, xmark_tree
 from repro.edits import apply_script
@@ -133,16 +133,16 @@ def measure_update() -> Dict[str, float]:
         script = dblp_update_script(tree, UPDATE_LOG_SIZE, seed=7, stable=True)
         edited, log = apply_script(tree, script)
         times[f"update_nodes_{node_budget}_ms"] = wall_time(
-            lambda: update_index_replay(old_index, edited, log, hasher),
+            lambda: update_index(old_index, edited, log, hasher),
             repeats=3,
         ) * 1e3
     return times
 
 
 def measure_maintain() -> Dict[str, float]:
-    """Best-of-3 maintenance wall time (ms): per-op replay (one
-    incremental call per operation, the pre-batching deployment shape)
-    against a single batched call over the whole log.
+    """Best-of-3 maintenance wall time (ms): one engine call per
+    operation (the pre-batching deployment shape) against a single
+    call over the whole log.
 
     The ``maintain_speedup_64`` ratio is written to the results file
     for inspection but deliberately kept out of the regression
@@ -163,7 +163,7 @@ def measure_maintain() -> Dict[str, float]:
             inverses = []
             for operation in script:
                 op_log = EditScript([operation]).apply(work)
-                index = update_index_replay(index, work, op_log, hasher)
+                index = update_index(index, work, op_log, hasher)
                 inverses.append(op_log[0])
             for inverse in reversed(inverses):
                 inverse.apply(work)

@@ -21,7 +21,6 @@ from repro.core import (
     is_address_stable,
     pq_gram_distance,
     update_index,
-    update_index_replay,
     update_index_tablewise,
 )
 from repro.edits import (
@@ -49,7 +48,6 @@ __all__ = [
     "pq_gram_distance",
     "is_address_stable",
     "update_index",
-    "update_index_replay",
     "update_index_tablewise",
     "Insert",
     "Delete",

@@ -23,8 +23,8 @@ posting iteration (joins), and :meth:`ForestBackend.snapshot`.
 Implementations must be *bit-identical* on every read: the conformance
 suite (``tests/test_backend_conformance.py``) checks each backend
 against :class:`~repro.backend.memory.MemoryBackend` over random
-forests, random edit scripts (both maintenance engines) and
-persistence round-trips.
+forests, random edit scripts (checked against the ``repro.core``
+reference algorithms) and persistence round-trips.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ class ForestBackend(ABC):
         """``I ← I ∖ minus ⊎ plus`` for one indexed tree (Lemma 2).
 
         ``minus`` / ``plus`` are the net delta bags of one maintenance
-        call (disjoint key sets, as produced by the replay and batch
-        engines); only the O(|Δ|) touched keys are re-inverted.  Raises
+        call (disjoint key sets, as produced by
+        :func:`~repro.core.batch.update_index_batch_delta`); only the
+        O(|Δ|) touched keys are re-inverted.  Raises
         :class:`~repro.errors.StorageError` for an unknown tree and
         :class:`~repro.errors.IndexConsistencyError` if a subtraction
         would drive a multiplicity below zero.

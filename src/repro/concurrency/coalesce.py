@@ -7,7 +7,7 @@ against the document state the batches before it produced, all valid
 batches reach the WAL in one append with one fsync (group commit), and
 each document's batches collapse into a single batched maintenance
 call (the logs concatenate in application order, exactly the telescope
-the batch engine consumes).  Per-document FIFO order is preserved, so
+the maintenance engine consumes).  Per-document FIFO order is preserved, so
 the result is bit-identical to applying the same batches one at a time
 on one thread.
 

@@ -13,10 +13,12 @@ This package implements the paper's primary contribution:
 - :mod:`repro.core.delta` — the delta function δ (Algorithm 2, Table 1),
 - :mod:`repro.core.update` — the profile update function U
   (Algorithms 3 and 4, Table 1),
-- :mod:`repro.core.maintain` — the incremental ``update_index``
-  (Algorithm 1) and its instrumented variant,
-- :mod:`repro.core.batch` — the batched maintenance engine (log
-  compaction, commuting-op groups, single-pass Δ application).
+- :mod:`repro.core.batch` — the maintenance engine ``update_index``
+  (log compaction, a backward walk with one δ pair per operation, one
+  Δ fold per call),
+- :mod:`repro.core.maintain` — the paper's Algorithm 1
+  (``update_index_tablewise``), kept as the reference, and its
+  instrumented variant.
 """
 
 from repro.core.config import GramConfig
@@ -32,17 +34,13 @@ from repro.core.stability import is_address_stable
 from repro.core.distance import distance_from_overlap, size_bound_admits
 from repro.core.batch import (
     BatchTimings,
+    update_index,
     update_index_batch,
     update_index_batch_delta,
     update_index_batch_timed,
 )
 from repro.core.maintain import (
     MaintenanceTimings,
-    ReplayTimings,
-    update_index,
-    update_index_replay,
-    update_index_replay_delta,
-    update_index_replay_timed,
     update_index_tablewise,
     update_index_timed,
 )
@@ -65,15 +63,11 @@ __all__ = [
     "delta_label_bag",
     "is_address_stable",
     "update_index",
-    "update_index_replay",
-    "update_index_replay_delta",
-    "update_index_replay_timed",
     "update_index_tablewise",
     "update_index_timed",
     "update_index_batch",
     "update_index_batch_delta",
     "update_index_batch_timed",
     "MaintenanceTimings",
-    "ReplayTimings",
     "BatchTimings",
 ]

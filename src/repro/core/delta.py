@@ -49,8 +49,8 @@ def delta_into_tables(
     elif isinstance(operation, Insert):
         _delta_insert(tree, operation, tables, hasher)
     else:
-        # Subtree moves (repro.edits.move) exist only for the replay
-        # engine; the paper's Algorithms 1-4 have no move case.
+        # Subtree moves (repro.edits.move) exist only for the
+        # maintenance engine; the paper's Algorithms 1-4 have no move case.
         raise InvalidLogError(
             f"the tablewise engine supports INS/DEL/REN only, got "
             f"{operation}"

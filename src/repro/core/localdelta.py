@@ -2,8 +2,8 @@
 
 ``delta_label_bag(tree, op)`` returns λ(δ(tree, op)) — the bag of hashed
 label tuples of the pq-grams of ``tree`` affected by ``op`` — without
-building persistent (P, Q) rows.  It is the work-horse of the *replay*
-maintenance engine (see :mod:`repro.core.maintain`), which needs only
+building persistent (P, Q) rows.  It is the work-horse of the
+maintenance engine (see :mod:`repro.core.batch`), which needs only
 the label bags of each step's old and new pq-grams, never a transported
 set representation.
 
@@ -87,7 +87,7 @@ def delta_label_bag(
     hasher: LabelHasher,
 ) -> Bag:
     """λ(δ(tree, operation)) — raises :class:`InvalidLogError` if the
-    operation is not applicable (the replay engine only evaluates
+    operation is not applicable (the maintenance engine only evaluates
     operations at the tree version they are defined on, where a valid
     log is always applicable)."""
     bag: Bag = {}
@@ -124,7 +124,7 @@ def _add_move_grams(
     destination parents and (b) the pq-grams anchored at the moved root
     or its descendants within p − 2 (their ancestor chains gain new
     nodes above the subtree).  The rule deliberately enumerates *all*
-    windows of both parents: the replay engine's signed-bag arithmetic
+    windows of both parents: the maintenance engine's signed-bag arithmetic
     requires the same structural rule on both sides of the step so
     that unchanged pq-grams cancel exactly — tight per-position ranges
     would enumerate them asymmetrically when source and destination
@@ -140,7 +140,7 @@ def _add_move_grams(
 def _check(tree: Tree, operation: EditOperation) -> None:
     """Raise :class:`InvalidLogError` unless the operation applies.
 
-    The replay engine evaluates every log operation at exactly the tree
+    The maintenance engine evaluates every log operation at exactly the tree
     version it was defined on; inapplicability there means the log does
     not belong to the tree.
     """

@@ -1,9 +1,11 @@
-"""Incremental index maintenance: Algorithm 1 and the replay engine.
+"""Incremental index maintenance: the paper's Algorithm 1.
 
-The engines share the same inputs — the old index I_0, the resulting
-tree T_n and the log of inverse edit operations (ē_1, .., ē_n) — and
-never reconstruct a full intermediate document version (a third,
-batched engine lives in :mod:`repro.core.batch`):
+:func:`~repro.core.update_index`, the production engine, lives in
+:mod:`repro.core.batch`.  This module keeps the paper's own algorithm
+beside it as the reference.  Both take the same inputs — the old index
+I_0, the resulting tree T_n and the log of inverse edit operations
+(ē_1, .., ē_n) — and never reconstruct a full intermediate document
+version.
 
 **Tablewise** (``update_index_tablewise``) is the paper's Algorithm 1:
 
@@ -13,27 +15,18 @@ batched engine lives in :mod:`repro.core.batch`):
 4. I⁻ = λ(P, Q),
 5. I_n = I_0 \\ I⁻ ⊎ I⁺ (Lemma 2).
 
-**Replay** (``update_index_replay``, the default) exploits the exact
-per-step telescoping identity that follows from Eq. 10 and the
-disjointness of a step's old and new pq-grams::
-
-    I_n  =  I_0  ⊎  Σ_i λ(δ(T_i, ē_i))  ∖  Σ_i λ(δ(T_{i-1}, e_i))
-
-evaluated by applying the log backwards *in place* on T_n (recording
-forward operations and restoring the tree afterwards), so each step's
-deltas are computed at exactly the version they are defined on.
-
-Why two engines?  During this reproduction we found that Theorem 1 (and
-Lemma 3 it rests on) does not hold for logs whose inverse-INS
-operations address a child position that later operations shifted: the
-positional (v, k, m) addressing of INS is not stable across versions,
-so δ(T_n, ē_i) can target the wrong window region (see
+Why is it not the production engine?  During this reproduction we found
+that Theorem 1 (and Lemma 3 it rests on) does not hold for logs whose
+inverse-INS operations address a child position that later operations
+shifted: the positional (v, k, m) addressing of INS is not stable
+across versions, so δ(T_n, ē_i) can target the wrong window region (see
 ``tests/test_paper_gap.py`` for a four-node counterexample).  The
 tablewise engine is therefore exact on *address-stable* logs — the
 setting of all the paper's experiments — and detects the unstable case
 (raising :class:`~repro.errors.InvalidLogError`) rather than silently
-corrupting the index; the replay engine is exact for every valid log at
-the same asymptotic cost O(|L| · (log|T| + local fanout)).
+corrupting the index; the production engine walks the log backwards
+step by step and is exact for every valid log at the same asymptotic
+cost O(|L| · (log|T| + local fanout)).
 """
 
 from __future__ import annotations
@@ -150,192 +143,6 @@ def update_index_tablewise(
     )
     return new_index
 
-
-@dataclass
-class ReplayTimings:
-    """Wall-clock breakdown of one replay-engine update."""
-
-    backward_sweep: float = 0.0      # per-step δ bags while undoing the log
-    restore: float = 0.0             # re-applying the forward operations
-    index_update: float = 0.0        # folding the signed bag into I_0
-    log_size: int = 0
-    gram_count_plus: int = 0         # Σ |δ(T_i, ē_i)|
-    gram_count_minus: int = 0        # Σ |δ(T_{i-1}, e_i)|
-
-    @property
-    def total(self) -> float:
-        """Total update time."""
-        return self.backward_sweep + self.restore + self.index_update
-
-
-def update_index_replay_timed(
-    old_index: PQGramIndex,
-    tree: Tree,
-    log: Sequence[EditOperation],
-    hasher: LabelHasher,
-) -> Tuple[PQGramIndex, ReplayTimings]:
-    """The replay engine with instrumentation.
-
-    Walks the log backwards on ``tree`` *in place* (every edit
-    operation has an exact inverse, so the tree is restored before
-    returning — also on error), accumulating the signed label-tuple bag
-    Σ λ(δ(T_i, ē_i)) − Σ λ(δ(T_{i-1}, e_i)) and folding it into the old
-    index.  Exact for every valid log.
-    """
-    from repro.core.localdelta import delta_label_bag
-
-    timings = ReplayTimings(log_size=len(log))
-    signed: Dict[Tuple[int, ...], int] = {}
-    forward_ops: list[EditOperation] = []
-    started = time.perf_counter()
-    try:
-        for inverse_op in reversed(list(log)):
-            plus_bag = delta_label_bag(tree, inverse_op, old_index.config, hasher)
-            timings.gram_count_plus += sum(plus_bag.values())
-            forward_op = inverse_op.inverse(tree)
-            inverse_op.apply(tree)
-            forward_ops.append(forward_op)
-            minus_bag = delta_label_bag(tree, forward_op, old_index.config, hasher)
-            timings.gram_count_minus += sum(minus_bag.values())
-            for key, count in plus_bag.items():
-                signed[key] = signed.get(key, 0) + count
-            for key, count in minus_bag.items():
-                signed[key] = signed.get(key, 0) - count
-    finally:
-        timings.backward_sweep = time.perf_counter() - started
-        started = time.perf_counter()
-        for forward_op in reversed(forward_ops):
-            forward_op.apply(tree)
-        timings.restore = time.perf_counter() - started
-
-    started = time.perf_counter()
-    plus: Bag = {}
-    minus: Bag = {}
-    for key, count in signed.items():
-        if count > 0:
-            plus[key] = count
-        elif count < 0:
-            minus[key] = -count
-    new_index = old_index.copy()
-    new_index.apply_delta(minus, plus)
-    timings.index_update = time.perf_counter() - started
-    return new_index, timings
-
-
-def update_index_replay_delta(
-    old_index: PQGramIndex,
-    tree: Tree,
-    log: Sequence[EditOperation],
-    hasher: LabelHasher,
-    compact: bool = False,
-) -> Tuple[PQGramIndex, Bag, Bag]:
-    """The replay engine, also returning the folded-in delta bags.
-
-    Returns ``(new_index, minus, plus)`` where ``minus`` / ``plus`` are
-    the net label-tuple bags actually applied (``I_n = I_0 ∖ minus ⊎
-    plus``; the two have disjoint keys).  Their key set is exactly the
-    set of tuples whose multiplicity changed, which lets callers that
-    mirror the index — e.g. the forest's inverted lists — re-invert
-    only O(|Δ|) keys instead of the whole bag.
-
-    ``compact=True`` first cancels redundant log operations
-    (:func:`repro.edits.reduce.compact_inverse_log`); the result is
-    bit-identical either way because the net signed bag depends only on
-    the endpoint versions T_0 and T_n.
-    """
-    from repro.core.localdelta import delta_label_bag
-
-    if compact:
-        from repro.edits.reduce import compact_inverse_log
-
-        log = compact_inverse_log(tree, log)
-    config = old_index.config
-    signed: Dict[Tuple[int, ...], int] = {}
-    forward_ops: list[EditOperation] = []
-    try:
-        for inverse_op in reversed(list(log)):
-            plus_bag = delta_label_bag(tree, inverse_op, config, hasher)
-            forward_op = inverse_op.inverse(tree)
-            inverse_op.apply(tree)
-            forward_ops.append(forward_op)
-            minus_bag = delta_label_bag(tree, forward_op, config, hasher)
-            for key, count in plus_bag.items():
-                signed[key] = signed.get(key, 0) + count
-            for key, count in minus_bag.items():
-                signed[key] = signed.get(key, 0) - count
-    finally:
-        for forward_op in reversed(forward_ops):
-            forward_op.apply(tree)
-
-    plus: Bag = {}
-    minus: Bag = {}
-    for key, count in signed.items():
-        if count > 0:
-            plus[key] = count
-        elif count < 0:
-            minus[key] = -count
-    new_index = old_index.copy()
-    new_index.apply_delta(minus, plus)
-    return new_index, minus, plus
-
-
-def update_index_replay(
-    old_index: PQGramIndex,
-    tree: Tree,
-    log: Sequence[EditOperation],
-    hasher: Optional[LabelHasher] = None,
-    compact: bool = False,
-) -> PQGramIndex:
-    """The replay engine (see :func:`update_index_replay_timed`)."""
-    new_index, _, _ = update_index_replay_delta(
-        old_index, tree, log, hasher or LabelHasher(), compact=compact
-    )
-    return new_index
-
-
-def update_index(
-    old_index: PQGramIndex,
-    tree: Tree,
-    log: Sequence[EditOperation],
-    hasher: Optional[LabelHasher] = None,
-    engine: str = "replay",
-    compact: Optional[bool] = None,
-) -> PQGramIndex:
-    """Incrementally maintain the pq-gram index.
-
-    ``engine`` selects ``"replay"`` (default, exact on every valid
-    log), ``"batch"`` (the batched engine of :mod:`repro.core.batch` —
-    log compaction and commuting-op groups; bit-identical to replay on
-    every valid log) or ``"tablewise"`` (the paper's Algorithm 1,
-    exact on address-stable logs).  All take
-    the same inputs: old index, resulting tree, inverse-operation log.
-
-    ``compact`` preprocesses the log with
-    :func:`repro.edits.reduce.compact_inverse_log`; it defaults to the
-    engine's native choice (on for ``"batch"``, off otherwise) and is
-    rejected for ``"tablewise"``, whose U-chain must see the log
-    verbatim.
-    """
-    hasher = hasher or LabelHasher()
-    if engine == "replay":
-        return update_index_replay(
-            old_index, tree, log, hasher, compact=bool(compact)
-        )
-    if engine == "batch":
-        from repro.core.batch import update_index_batch
-
-        return update_index_batch(
-            old_index,
-            tree,
-            log,
-            hasher,
-            compact=True if compact is None else compact,
-        )
-    if engine == "tablewise":
-        if compact:
-            raise ValueError("engine='tablewise' does not support compact=True")
-        return update_index_tablewise(old_index, tree, log, hasher)
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 def compute_deltas(

@@ -12,7 +12,8 @@ compute a wrong index.
 
 :func:`is_address_stable` is a *conservative* static check: ``True``
 guarantees the tablewise engine computes the exact index; ``False``
-means safety cannot be established cheaply (use the replay engine).
+means safety cannot be established cheaply (use
+:func:`~repro.core.update_index`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def is_address_stable(tree: Tree, log: Sequence[EditOperation]) -> bool:
         not isinstance(op, (Insert, Delete, Rename)) for op in log
     ):
         # Subtree moves (or other extensions) are outside the paper's
-        # operation model; only the replay engine handles them.
+        # operation model; only the maintenance engine handles them.
         return False
     structural = [op for op in log if not isinstance(op, Rename)]
     insert_parents = {

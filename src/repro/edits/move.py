@@ -3,8 +3,9 @@
 Section 10 of the paper: "Operations on subtrees, e.g., subtree move
 ... are simulated by a sequence of node edit operations.  Future work
 will investigate index updates for subtree operations."  This module
-implements that future work for the *replay* maintenance engine: a
-``Move`` is one log entry whose delta touches only
+implements that future work for the maintenance engine
+(:mod:`repro.core.batch`): a ``Move`` is one log entry whose delta
+touches only
 
 - the source parent's windows around the vacated position,
 - the destination parent's windows around the gap,
@@ -16,7 +17,7 @@ lowering — the moved subtree's *interior* pq-grams are untouched by a
 move, which is precisely what the lowering cannot express.
 
 ``Move`` composes with everything log-shaped: scripts, inverse logs,
-text serialization (``MOV`` lines) and the replay engine.  The
+text serialization (``MOV`` lines) and the maintenance engine.  The
 tablewise engine implements the paper's Algorithms 1–4 verbatim, which
 have no move case; feeding it a log with moves raises
 :class:`~repro.errors.InvalidLogError`.

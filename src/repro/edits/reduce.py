@@ -177,7 +177,7 @@ def compact_inverse_log(
     result is returned back in *log order* (ē'_1, .., ē'_k with k ≤ n)
     so it slots into every maintenance engine unchanged.
 
-    Maintenance is invariant under this rewrite: the replay engine's
+    Maintenance is invariant under this rewrite: the engine's
     net signed bag telescopes to λ(P(T_n)) − λ(P(T_0)), which depends
     only on the two endpoint versions — and reduction preserves T_0
     exactly.

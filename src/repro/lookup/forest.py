@@ -29,7 +29,7 @@ from repro.backend.base import Bag, ForestBackend, Key, make_backend, recorded_b
 from repro.concurrency.lock import ForestLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
-from repro.core.batch import update_index_batch_timed
+from repro.core.batch import BatchTimings, update_index_batch_timed
 from repro.core.index import PQGramIndex
 from repro.edits.ops import EditOperation
 from repro.errors import StorageError
@@ -133,25 +133,15 @@ class ForestIndex:
         )
         self._m_batch_compacted_ops = registry.counter(
             "maintain_batch_compacted_ops_total",
-            "operations left after batch-engine log compaction",
-        )
-        self._m_batch_groups = registry.counter(
-            "maintain_batch_groups_total",
-            "commuting groups evaluated by the batch engine",
+            "operations left after the engine's log compaction",
         )
         self._m_batch_phase_seconds = {
             phase: registry.histogram(
                 "maintain_batch_phase_seconds",
-                "batch-engine wall seconds per phase (BatchTimings)",
+                "maintenance wall seconds per phase (BatchTimings)",
                 phase=phase,
             )
-            for phase in (
-                "compact",
-                "partition",
-                "delta_sweep",
-                "restore",
-                "index_update",
-            )
+            for phase in BatchTimings.PHASES
         }
 
     @property
@@ -320,11 +310,11 @@ class ForestIndex:
 
         ``tree`` is the resulting document and ``log`` the inverse
         operations — the exact inputs of the paper's scenario (Fig. 1).
-        The batch engine (:mod:`repro.core.batch`: log compaction,
-        commuting groups, one fold) computes the net delta bags, and
-        the backend touches only the O(|Δ|) keys whose multiplicity
-        changed rather than un-inverting and re-inverting the whole
-        bag.  Returns the applied ``(minus, plus)`` net delta bags —
+        The maintenance engine (:mod:`repro.core.batch`: log
+        compaction, a backward walk, one fold) computes the net delta
+        bags, and the backend touches only the O(|Δ|) keys whose
+        multiplicity changed rather than un-inverting and re-inverting
+        the whole bag.  Returns the applied ``(minus, plus)`` net delta bags —
         the Δ-keys consumers like the standing-query engine route on.
 
         Thread-safety: the delta is computed outside the structural
@@ -347,7 +337,6 @@ class ForestIndex:
             )
             if self.metrics.enabled:
                 self._m_batch_compacted_ops.inc(timings.compacted_size)
-                self._m_batch_groups.inc(timings.group_count)
                 timings.record_into(self._m_batch_phase_seconds)
             with self.lock.write():
                 self._backend.apply_tree_delta(tree_id, minus, plus)

@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.config import GramConfig
 from repro.core.distance import index_distance
 from repro.core.index import PQGramIndex
-from repro.edits.ops import EditOperation
 from repro.hashing.labelhash import LabelHasher
 from repro.lookup.forest import ForestIndex
 from repro.obsv.metrics import MetricsRegistry
@@ -209,25 +208,6 @@ class LookupService:
             if len(self._query_cache) > self._query_cache_size:
                 self._query_cache.popitem(last=False)
         return index, fingerprint
-
-    def update_tree(
-        self,
-        tree_id: int,
-        tree: Tree,
-        log: List[EditOperation],
-    ):
-        """Incrementally maintain one forest tree through the service.
-
-        Thin pass-through to :meth:`ForestIndex.update_tree` so
-        embedders that only hold the service can run maintenance; the
-        forest invalidates its postings snapshot, and the query cache
-        needs no flushing — it is keyed by query fingerprint, not by
-        forest state.  Returns the applied
-        ``(minus, plus)`` net delta bags, so embedders can route the
-        Δ-keys onward (e.g. into a
-        :class:`repro.stream.StandingQueryEngine`).
-        """
-        return self.forest.update_tree(tree_id, tree, log)
 
     def hasher_stats(self) -> Dict[str, int]:
         """Memo statistics of the forest's shared label hasher."""

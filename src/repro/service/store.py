@@ -31,10 +31,10 @@ appender thread drained with it):
    nothing,
 2. append the valid batches (document id, commit sequence, serialized
    operations) to the WAL and fsync — they are now durable,
-3. incrementally maintain each index through the batch engine (log
-   compaction + commuting-group partitioning + single O(|Δ|) apply;
-   exact for every valid log, including ``Move``) and publish the
-   edited documents,
+3. incrementally maintain each index through the maintenance engine
+   (log compaction + one backward walk + single O(|Δ|) apply; exact
+   for every valid log, including ``Move``) and publish the edited
+   documents,
 4. checkpoint (write a fresh snapshot and truncate the WAL) once the
    WAL written since the last snapshot reaches
    :data:`WAL_CHECKPOINT_SHARE` of that snapshot's size, and never

@@ -8,7 +8,8 @@ scripts that are applicable by construction.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from repro.baselines import rebuild_index
 from repro.core.config import GramConfig
 from repro.core.index import PQGramIndex
-from repro.core.maintain import update_index
+from repro.core.batch import update_index, update_index_batch_delta
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.ops import EditOperation
 from repro.edits.script import apply_script
@@ -86,10 +87,46 @@ def edited_trees(draw, max_size: int = 20, max_ops: int = 12):
 # paper's invariant — the maintained index equals the index built from
 # scratch on the current document — and the ``engine`` rows of the
 # backend/crash/standing matrices name the ``repro.core`` reference
-# algorithm the store's result is additionally checked against.
+# path the store's result is additionally checked against: ``"replay"``
+# makes one engine call per single-operation log (no compaction, one
+# index copy per step), ``"batch"`` one call over the whole log.
 # ----------------------------------------------------------------------
 
 REFERENCE_ENGINES = ("replay", "batch")
+
+Bag = Dict[Tuple[int, ...], int]
+
+
+def per_operation_update(
+    old_index: PQGramIndex,
+    tree: Tree,
+    log: Sequence[EditOperation],
+    hasher: Optional[LabelHasher] = None,
+) -> Tuple[PQGramIndex, Bag, Bag]:
+    """``old_index`` (of T_0) maintained to T_n = ``tree`` one step at
+    a time: one engine call per single-operation log ``[ē_i]`` on T_i.
+
+    Returns the final index and the net ``(minus, plus)`` of the steps'
+    delta bags.  The intermediate versions are reconstructed by undoing
+    the log on copies — what the engine itself never does.
+    """
+    hasher = hasher or LabelHasher()
+    versions = [tree]
+    for inverse_op in reversed(list(log)):
+        earlier = versions[-1].copy()
+        inverse_op.apply(earlier)
+        versions.append(earlier)
+    versions.reverse()
+    index, signed = old_index, Counter()
+    for version, inverse_op in zip(versions[1:], log):
+        index, minus, plus = update_index_batch_delta(
+            index, version, [inverse_op], hasher
+        )
+        signed.update(plus)
+        signed.subtract(minus)
+    minus = {key: -count for key, count in signed.items() if count < 0}
+    plus = {key: count for key, count in signed.items() if count > 0}
+    return index, minus, plus
 
 
 def assert_store_is_rebuild(store) -> None:
@@ -109,10 +146,14 @@ def reference_update(
     script: List[EditOperation],
 ) -> Tuple[Tree, PQGramIndex]:
     """``script`` applied to a copy of ``tree``, and ``old_index``
-    maintained over the inverse log by the named ``repro.core``
-    reference algorithm — checked against the rebuild before use."""
+    maintained over the inverse log along the named ``repro.core``
+    reference path — checked against the rebuild before use."""
     edited, log = apply_script(tree, script)
-    index = update_index(old_index, edited, log, LabelHasher(), engine=engine)
+    if engine == "replay":
+        index, _, _ = per_operation_update(old_index, edited, log)
+    else:
+        assert engine == "batch", engine
+        index = update_index(old_index, edited, log, LabelHasher())
     assert index == rebuild_index(edited, old_index.config)
     return edited, index
 

@@ -10,7 +10,8 @@ snapshot/WAL recovery).  These tests drive identical workloads through a candida
 backend and the memory reference and compare everything; wherever the
 candidate is *maintained*, the reference is *rebuilt from scratch*
 (the paper's invariant), and the ``engine`` rows name the
-``repro.core`` reference algorithm the result is also checked against.
+``repro.core`` reference path (``tests/conftest.py::reference_update``)
+the result is also checked against.
 """
 
 import os

@@ -1,9 +1,9 @@
-"""The batched maintenance engine: bit-identical to replay, faster in shape.
+"""The maintenance engine: one call per log, exact on every valid log.
 
 The engine's contract (``src/repro/core/batch.py``): for every valid
-log, ``engine="batch"`` produces exactly the index of the replay engine
-— which itself equals the from-scratch rebuild — regardless of log
-compaction, commuting-group boundaries, or the parallel δ fan-out.
+log, one call produces exactly the index that one call per
+single-operation log produces — which itself equals the from-scratch
+rebuild — with or without log compaction.
 """
 
 import random
@@ -18,10 +18,8 @@ from repro.core import (
     update_index_batch,
     update_index_batch_delta,
     update_index_batch_timed,
-    update_index_replay,
-    update_index_replay_delta,
 )
-from repro.core.batch import operation_region, partition_commuting
+from repro.core import batch
 from repro.edits import Delete, Insert, Move, Rename, apply_script
 from repro.edits.generator import EditScriptGenerator
 from repro.errors import InvalidLogError
@@ -29,7 +27,12 @@ from repro.hashing import LabelHasher
 from repro.lookup import ForestIndex
 from repro.tree.tree import Tree
 
-from tests.conftest import build_random_tree, edited_trees, gram_configs
+from tests.conftest import (
+    build_random_tree,
+    edited_trees,
+    gram_configs,
+    per_operation_update,
+)
 
 COMMON_SETTINGS = settings(
     max_examples=120,
@@ -49,10 +52,10 @@ def test_batch_equals_replay_and_rebuild(scenario, config):
     tree, edited, log = scenario
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    replay = update_index_replay(old_index, edited, log, hasher)
-    batch = update_index_batch(old_index, edited, log, hasher)
-    assert batch == replay
-    assert batch == PQGramIndex.from_tree(edited, config, hasher)
+    per_operation, _, _ = per_operation_update(old_index, edited, log, hasher)
+    one_call = update_index_batch(old_index, edited, log, hasher)
+    assert one_call == per_operation
+    assert one_call == PQGramIndex.from_tree(edited, config, hasher)
 
 
 @COMMON_SETTINGS
@@ -61,21 +64,23 @@ def test_batch_without_compaction_still_exact(scenario, config):
     tree, edited, log = scenario
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    batch = update_index_batch(old_index, edited, log, hasher, compact=False)
+    batch, _, _ = update_index_batch_delta(
+        old_index, edited, log, hasher, compact=False
+    )
     assert batch == PQGramIndex.from_tree(edited, config, hasher)
 
 
 @COMMON_SETTINGS
 @given(edited_trees(), gram_configs())
 def test_replay_with_compaction_is_bit_identical(scenario, config):
-    """Satellite: ``update_index(..., compact=True)`` on the replay
-    engine yields the same index as the uncompacted log."""
+    """The compacted log yields the same index and the same net Δ bags
+    as the log verbatim."""
     tree, edited, log = scenario
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    plain = update_index(old_index, edited, log, hasher, engine="replay")
-    compacted = update_index(
-        old_index, edited, log, hasher, engine="replay", compact=True
+    plain = update_index_batch_delta(old_index, edited, log, hasher, compact=False)
+    compacted = update_index_batch_delta(
+        old_index, edited, log, hasher, compact=True
     )
     assert plain == compacted
 
@@ -83,19 +88,20 @@ def test_replay_with_compaction_is_bit_identical(scenario, config):
 @COMMON_SETTINGS
 @given(edited_trees(), gram_configs())
 def test_batch_delta_bags_match_replay_delta_bags(scenario, config):
-    """The Δ-key-only contract: both engines report the same net
-    (minus, plus) pair, so inverted-list mirrors stay in sync."""
+    """The Δ-key-only contract: one call's net (minus, plus) pair is
+    the net of the per-operation calls' pairs, so inverted-list mirrors
+    stay in sync however the edits were batched."""
     tree, edited, log = scenario
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    _, replay_minus, replay_plus = update_index_replay_delta(
+    _, step_minus, step_plus = per_operation_update(
         old_index, edited, log, hasher
     )
     _, batch_minus, batch_plus = update_index_batch_delta(
         old_index, edited, log, hasher
     )
-    assert batch_minus == replay_minus
-    assert batch_plus == replay_plus
+    assert batch_minus == step_minus
+    assert batch_plus == step_plus
     assert not set(batch_minus) & set(batch_plus)
 
 
@@ -152,7 +158,7 @@ def test_forest_update_tree_batch_on_random_forests():
 
 
 # ----------------------------------------------------------------------
-# commuting-op partitioning
+# schedules the engine must walk exactly
 # ----------------------------------------------------------------------
 
 
@@ -166,42 +172,13 @@ def _wide_tree() -> Tree:
     return tree
 
 
-def test_disjoint_renames_form_one_group():
-    tree = _wide_tree()
-    leaves = [n for n in tree.node_ids() if tree.is_leaf(n)]
-    backward = [Rename(n, "renamed") for n in leaves]
-    groups = partition_commuting(tree, backward, p=2)
-    assert len(groups) == 1
-    assert groups[0] == backward
-
-
-def test_overlapping_regions_split_groups():
-    tree = _wide_tree()
-    record = tree.children(0)[0]
-    field = tree.children(record)[0]
-    backward = [Rename(record, "a"), Rename(field, "b")]  # ancestor/descendant
-    groups = partition_commuting(tree, backward, p=3)
-    assert len(groups) == 2
-
-
-def test_same_parent_operations_conflict():
-    tree = _wide_tree()
-    first, second = tree.children(0)[0], tree.children(0)[1]
-    backward = [Delete(first), Rename(second, "x")]
-    # Both regions contain the shared parent (the root), so the delete
-    # and the sibling rename may never be evaluated on one version.
-    groups = partition_commuting(tree, backward, p=2)
-    assert len(groups) == 2
-
-
 def test_reused_node_id_forces_a_group_boundary():
+    """A backward walk that deletes a node and re-inserts its id: each
+    step must see the version the previous one produced."""
     tree = _wide_tree()
     record = tree.children(0)[0]
     backward = [Delete(record), Insert(record, "back", 0, 1, 0)]
-    groups = partition_commuting(tree, backward, p=2)
-    assert len(groups) == 2
-    # The engine evaluates the same schedule correctly end to end:
-    # walking `backward` on T_n = `tree` recovers T_0 = `old_tree`.
+    # Walking `backward` on T_n = `tree` recovers T_0 = `old_tree`.
     hasher = LabelHasher()
     config = GramConfig(2, 2)
     old_tree = tree.copy()
@@ -209,15 +186,10 @@ def test_reused_node_id_forces_a_group_boundary():
         operation.apply(old_tree)
     old_index = PQGramIndex.from_tree(old_tree, config, hasher)
     log = list(reversed(backward))
-    new_index = update_index_batch(old_index, tree, log, hasher, compact=False)
+    new_index, _, _ = update_index_batch_delta(
+        old_index, tree, log, hasher, compact=False
+    )
     assert new_index == PQGramIndex.from_tree(tree, config, hasher)
-
-
-def test_unknown_node_region_is_none():
-    tree = _wide_tree()
-    assert operation_region(tree, Rename(999, "x"), p=2) is None
-    assert operation_region(tree, Insert(0, "dup", 1, 1, 0), p=2) is None
-    assert operation_region(tree, Insert(999, "x", 1, 9, 12), p=2) is None
 
 
 def test_moves_are_supported_and_exact():
@@ -239,27 +211,52 @@ def test_moves_are_supported_and_exact():
 
 
 def test_update_index_dispatches_batch_engine():
+    # No dispatch left: the public name is the engine itself.
+    assert update_index is update_index_batch
     tree = _wide_tree()
     script = [Rename(tree.children(0)[0], "renamed")]
     edited, log = apply_script(tree, script)
     config = GramConfig(2, 3)
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    via_dispatch = update_index(old_index, edited, log, hasher, engine="batch")
-    assert via_dispatch == PQGramIndex.from_tree(edited, config, hasher)
-    with pytest.raises(ValueError):
-        update_index(old_index, edited, log, hasher, engine="nope")
-    with pytest.raises(ValueError):
-        update_index(
-            old_index, edited, log, hasher, engine="tablewise", compact=True
-        )
+    assert update_index(old_index, edited, log, hasher) == PQGramIndex.from_tree(
+        edited, config, hasher
+    )
+
+
+@pytest.mark.parametrize(
+    "keyword",
+    [{"engine": "replay"}, {"engine": "batch"}, {"compact": True}],
+    ids=["engine-replay", "engine-batch", "compact"],
+)
+def test_update_index_takes_no_engine_options(keyword):
+    tree = _wide_tree()
+    old_index = PQGramIndex.from_tree(tree, GramConfig(2, 2), LabelHasher())
+    with pytest.raises(TypeError):
+        update_index(old_index, tree, [], LabelHasher(), **keyword)
+
+
+def test_replay_engine_is_not_exported():
+    import repro
+    import repro.core
+    import repro.core.maintain
+
+    for module in (repro, repro.core, repro.core.maintain):
+        for name in (
+            "update_index_replay",
+            "update_index_replay_delta",
+            "update_index_replay_timed",
+            "ReplayTimings",
+        ):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "update_index_replay" not in repro.__all__
 
 
 def test_forest_rejects_unknown_engine():
     forest = ForestIndex(GramConfig(2, 2))
     tree = _wide_tree()
     forest.add_tree(1, tree)
-    # The forest runs the batch engine only; the keyword survives as a
+    # The forest runs the one engine; the keyword survives as a
     # literal, so the reference algorithms are refused by name.
     forest.update_tree(1, tree, [], engine="batch")
     for engine in ("tablewise", "replay"):
@@ -279,8 +276,48 @@ def test_timings_reflect_compaction_and_grouping():
     _, _, _, timings = update_index_batch_timed(old_index, edited, log, hasher)
     assert timings.log_size == 3
     assert timings.compacted_size == 1
-    assert timings.group_count == 1
     assert timings.total >= 0.0
+    assert set(batch.BatchTimings.PHASES) == {
+        "compact", "delta_sweep", "restore", "index_update"
+    }
+
+
+@pytest.mark.parametrize("compact", [True, False])
+def test_two_delta_bags_per_compacted_operation(monkeypatch, compact):
+    """Clock-free cost: the engine evaluates exactly one δ bag before
+    and one after each operation it walks, and restores the tree."""
+    tree = _wide_tree()
+    record, other = tree.children(0)[0], tree.children(0)[1]
+    leaf = tree.children(tree.children(record)[0])[0]
+    script = [
+        Rename(leaf, "a"),
+        Rename(leaf, "b"),            # collapses with the first rename
+        Insert(100, "tmp", other, 1, 0),
+        Delete(100),                  # annihilates with the insert
+        Move(record, other, 1),
+        Rename(other, "moved-into"),
+    ]
+    edited, log = apply_script(tree, script)
+    config = GramConfig(2, 3)
+    hasher = LabelHasher()
+    old_index = PQGramIndex.from_tree(tree, config, hasher)
+    calls = []
+    original = batch.delta_label_bag
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(batch, "delta_label_bag", counting)
+    before = edited.copy()
+    new_index, _, _, timings = update_index_batch_timed(
+        old_index, edited, log, hasher, compact=compact
+    )
+    assert edited == before
+    assert new_index == PQGramIndex.from_tree(edited, config, hasher)
+    assert timings.log_size == 6
+    assert timings.compacted_size == (3 if compact else 6)
+    assert len(calls) == 2 * timings.compacted_size
 
 
 def test_invalid_log_raises_and_restores():
@@ -291,5 +328,5 @@ def test_invalid_log_raises_and_restores():
     before = tree.copy()
     bogus = [Rename(12345, "ghost")]
     with pytest.raises(InvalidLogError):
-        update_index_batch(old_index, tree, bogus, hasher, compact=False)
+        update_index_batch_delta(old_index, tree, bogus, hasher, compact=False)
     assert tree == before

@@ -9,8 +9,9 @@ reopening must never raise, and the recovered state must be
 bit-identical to either the pre-batch or the post-batch store (no
 third state, no partially applied batch) — and, whichever it is, every
 recovered index must equal a from-scratch rebuild of its document.
-The ``engine`` rows name the ``repro.core`` reference algorithm the
-post-batch index is also checked against.
+The ``engine`` rows name the ``repro.core`` reference path
+(``tests/conftest.py::reference_update``) the post-batch index is also
+checked against.
 
 Beyond byte offsets, ``test_crash_at_every_failpoint`` kills the store
 at every named durable write (:mod:`repro.service.failpoints`) before,

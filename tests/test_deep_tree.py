@@ -2,7 +2,7 @@
 Python recursion limit.
 
 Every production path — bulk construction, streaming construction,
-replay maintenance, batch maintenance, the bracket notation in both
+maintenance with and without log compaction, the bracket notation in both
 directions, the served ``lookup`` / ``show`` that carry it, snapshot
 ingestion (the diff) and ``Tree.__eq__`` — must be iterative.  A
 path-shaped tree of depth ``sys.getrecursionlimit() + 200`` blows up
@@ -15,7 +15,7 @@ from repro.core import (
     GramConfig,
     PQGramIndex,
     update_index_batch,
-    update_index_replay,
+    update_index_batch_delta,
 )
 from repro.edits import Delete, Insert, Rename, apply_script
 from repro.hashing import LabelHasher
@@ -83,7 +83,10 @@ def test_maintain_deep_tree_with_both_engines():
     ]
     edited, log = apply_script(tree, script)
     rebuilt = PQGramIndex.from_tree(edited, config, hasher)
-    assert update_index_replay(old_index, edited, log, hasher) == rebuilt
+    uncompacted, _, _ = update_index_batch_delta(
+        old_index, edited, log, hasher, compact=False
+    )
+    assert uncompacted == rebuilt
     assert update_index_batch(old_index, edited, log, hasher) == rebuilt
 
 

@@ -17,7 +17,7 @@ from repro.baselines import rebuild_index
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    update_index_replay_timed,
+    update_index_batch_timed,
 )
 from repro.datasets import dblp_tree, dblp_update_script, xmark_tree
 from repro.edits import apply_script
@@ -119,12 +119,12 @@ class TestFig13LeftShape:
 
 
 def _update_and_rebuild_work(tree, script, hasher):
-    """(labels hashed, pq-grams produced) by the replay update and by a
+    """(labels hashed, pq-grams produced) by the incremental update and by a
     from-scratch rebuild of the edited tree."""
     old_index = PQGramIndex.from_tree(tree, CONFIG, hasher)
     edited, log = apply_script(tree, script)
     before = _labels_hashed(hasher)
-    updated, counts = update_index_replay_timed(old_index, edited, log, hasher)
+    updated, _, _, counts = update_index_batch_timed(old_index, edited, log, hasher)
     update = (
         _labels_hashed(hasher) - before,
         counts.gram_count_plus + counts.gram_count_minus,
@@ -173,7 +173,7 @@ class TestFig13RightShape:
             )
             edited, log = apply_script(tree, script)
             before = labels_read()
-            updated, counts = update_index_replay_timed(
+            updated, _, _, counts = update_index_batch_timed(
                 old_index, edited, log, hasher
             )
             update_work.append(

@@ -12,12 +12,17 @@ from repro.core import (
     PQGramIndex,
     is_address_stable,
     update_index,
-    update_index_replay_timed,
+    update_index_batch_timed,
+    update_index_tablewise,
     update_index_timed,
 )
 from repro.edits import Delete, Insert, Rename, apply_script
 from repro.errors import InvalidLogError
 from repro.tree import Tree, tree_from_brackets
+
+
+#: the production engine and the paper's Algorithm 1, by test-id name
+ENGINES = {"replay": update_index, "tablewise": update_index_tablewise}
 
 
 def rebuild(tree, config, hasher):
@@ -37,7 +42,7 @@ class TestPaperRunningExample:
         config = GramConfig(3, 3)
         edited, log = self._scenario(paper_tree_t0)
         old_index = rebuild(paper_tree_t0, config, hasher)
-        new_index = update_index(old_index, edited, log, hasher, engine=engine)
+        new_index = ENGINES[engine](old_index, edited, log, hasher)
         assert new_index == rebuild(edited, config, hasher)
 
     def test_example5_delta_sizes(self, paper_tree_t0, hasher):
@@ -55,9 +60,9 @@ class TestPaperRunningExample:
         edited, log = apply_script(paper_tree_t0, script)
         old_index = rebuild(paper_tree_t0, config, hasher)
         for engine in ("replay", "tablewise"):
-            assert update_index(
-                old_index, edited, log, hasher, engine=engine
-            ) == rebuild(edited, config, hasher)
+            assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
+                edited, config, hasher
+            )
 
 
 class TestEdgeCases:
@@ -65,7 +70,7 @@ class TestEdgeCases:
     def test_empty_log_is_identity(self, paper_tree_t0, hasher, engine):
         config = GramConfig(3, 3)
         old_index = rebuild(paper_tree_t0, config, hasher)
-        assert update_index(old_index, paper_tree_t0, [], hasher, engine=engine) == old_index
+        assert ENGINES[engine](old_index, paper_tree_t0, [], hasher) == old_index
 
     @pytest.mark.parametrize("engine", ["replay", "tablewise"])
     def test_single_rename(self, hasher, engine):
@@ -73,7 +78,7 @@ class TestEdgeCases:
         config = GramConfig(2, 2)
         old_index = rebuild(tree, config, hasher)
         edited, log = apply_script(tree, [Rename(2, "z")])
-        assert update_index(old_index, edited, log, hasher, engine=engine) == rebuild(
+        assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
             edited, config, hasher
         )
 
@@ -85,7 +90,7 @@ class TestEdgeCases:
         script = [Insert(1, "a", 0, 1, 0), Insert(2, "b", 1, 1, 0),
                   Insert(3, "c", 0, 2, 1)]
         edited, log = apply_script(tree, script)
-        assert update_index(old_index, edited, log, hasher, engine=engine) == rebuild(
+        assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
             edited, config, hasher
         )
 
@@ -96,7 +101,7 @@ class TestEdgeCases:
         old_index = rebuild(tree, config, hasher)
         script = [Delete(2), Delete(1), Delete(3)]
         edited, log = apply_script(tree, script)
-        assert update_index(old_index, edited, log, hasher, engine=engine) == rebuild(
+        assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
             edited, config, hasher
         )
 
@@ -106,7 +111,7 @@ class TestEdgeCases:
         old_index = rebuild(tree, config, hasher)
         edited, log = apply_script(tree, [Rename(1, "x"), Rename(1, "y")])
         for engine in ("replay", "tablewise"):
-            assert update_index(old_index, edited, log, hasher, engine=engine) == rebuild(
+            assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
                 edited, config, hasher
             )
 
@@ -116,7 +121,7 @@ class TestEdgeCases:
         old_index = rebuild(tree, config, hasher)
         edited, log = apply_script(tree, [Rename(1, "x"), Delete(1)])
         for engine in ("replay", "tablewise"):
-            assert update_index(old_index, edited, log, hasher, engine=engine) == rebuild(
+            assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
                 edited, config, hasher
             )
 
@@ -129,13 +134,14 @@ class TestEdgeCases:
         script = [Insert(9, "x", 0, 1, 1), Delete(9)]
         edited, log = apply_script(tree, script)
         for engine in ("replay", "tablewise"):
-            assert update_index(old_index, edited, log, hasher, engine=engine) == rebuild(
+            assert ENGINES[engine](old_index, edited, log, hasher) == rebuild(
                 edited, config, hasher
             )
 
     def test_unknown_engine_rejected(self, paper_tree_t0, hasher):
+        # One engine: there is no keyword to choose one with.
         old_index = rebuild(paper_tree_t0, GramConfig(), hasher)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             update_index(old_index, paper_tree_t0, [], hasher, engine="wat")
 
 
@@ -154,14 +160,14 @@ class TestReplayEngineDetails:
         bad_log = [Delete(12345)]  # refers to a missing node
         before = paper_tree_t0.structural_key()
         with pytest.raises(InvalidLogError):
-            update_index_replay_timed(old_index, paper_tree_t0, bad_log, hasher)
+            update_index_batch_timed(old_index, paper_tree_t0, bad_log, hasher)
         assert paper_tree_t0.structural_key() == before
 
     def test_timings_accumulate(self, paper_tree_t0, hasher):
         config = GramConfig(3, 3)
         script = [Insert(7, "g", 6, 1, 0), Delete(3)]
         edited, log = apply_script(paper_tree_t0, script)
-        _, timings = update_index_replay_timed(
+        _, _, _, timings = update_index_batch_timed(
             rebuild(paper_tree_t0, config, hasher), edited, log, hasher
         )
         assert timings.log_size == 2
@@ -211,5 +217,5 @@ class TestForestScaleSanity:
         edited, log = apply_script(tree, script)
         assert is_address_stable(edited, log)
         truth = rebuild(edited, config, hasher)
-        assert update_index(old_index, edited, log, hasher, engine="replay") == truth
-        assert update_index(old_index, edited, log, hasher, engine="tablewise") == truth
+        assert update_index(old_index, edited, log, hasher) == truth
+        assert update_index_tablewise(old_index, edited, log, hasher) == truth

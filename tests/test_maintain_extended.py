@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from repro.core import GramConfig, PQGramIndex, update_index
+from repro.core import (
+    GramConfig,
+    PQGramIndex,
+    update_index,
+    update_index_tablewise,
+)
 from repro.datasets.random_trees import random_chain, random_star
 from repro.edits import (
     Delete,
@@ -22,11 +27,14 @@ from repro.tree import Tree, tree_from_brackets
 GRID = [(1, 1), (1, 4), (2, 2), (3, 3), (4, 1), (5, 2), (5, 4)]
 
 
+ENGINES = {"replay": update_index, "tablewise": update_index_tablewise}
+
+
 def check(tree, script, config, engine="replay"):
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
     edited, log = apply_script(tree, script)
-    new_index = update_index(old_index, edited, log, hasher, engine=engine)
+    new_index = ENGINES[engine](old_index, edited, log, hasher)
     assert new_index == PQGramIndex.from_tree(edited, config, hasher)
 
 

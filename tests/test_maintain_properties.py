@@ -2,8 +2,8 @@
 
 Invariant 1 of DESIGN.md: for any tree and any applicable edit script,
 the incrementally updated index equals the index rebuilt from scratch
-on the edited tree.  The replay engine must satisfy this for *every*
-log; the tablewise engine for every *address-stable* log.
+on the edited tree.  The maintenance engine must satisfy this for
+*every* log; the tablewise algorithm for every *address-stable* log.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +13,7 @@ from repro.core import (
     PQGramIndex,
     is_address_stable,
     update_index,
+    update_index_tablewise,
 )
 from repro.errors import IndexConsistencyError, InvalidLogError
 from repro.hashing import LabelHasher
@@ -32,7 +33,7 @@ def test_replay_engine_exact_on_every_log(scenario, config):
     tree, edited, log = scenario
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    new_index = update_index(old_index, edited, log, hasher, engine="replay")
+    new_index = update_index(old_index, edited, log, hasher)
     assert new_index == PQGramIndex.from_tree(edited, config, hasher)
 
 
@@ -44,7 +45,7 @@ def test_tablewise_engine_exact_on_stable_logs(scenario, config):
         return  # covered by the next property
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    new_index = update_index(old_index, edited, log, hasher, engine="tablewise")
+    new_index = update_index_tablewise(old_index, edited, log, hasher)
     assert new_index == PQGramIndex.from_tree(edited, config, hasher)
 
 
@@ -59,7 +60,7 @@ def test_tablewise_engine_never_corrupts_silently_or_raises_cleanly(scenario, co
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
     try:
-        new_index = update_index(old_index, edited, log, hasher, engine="tablewise")
+        new_index = update_index_tablewise(old_index, edited, log, hasher)
     except (InvalidLogError, IndexConsistencyError):
         assert not is_address_stable(edited, log)
         return
@@ -75,8 +76,8 @@ def test_engines_agree_on_stable_logs(scenario, config):
         return
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
-    replay = update_index(old_index, edited, log, hasher, engine="replay")
-    tablewise = update_index(old_index, edited, log, hasher, engine="tablewise")
+    replay = update_index(old_index, edited, log, hasher)
+    tablewise = update_index_tablewise(old_index, edited, log, hasher)
     assert replay == tablewise
 
 
@@ -90,7 +91,7 @@ def test_update_is_incremental_not_rebuild(scenario, config):
     hasher = LabelHasher()
     old_index = PQGramIndex.from_tree(tree, config, hasher)
     snapshot = old_index.copy()
-    first = update_index(old_index, edited, log, hasher, engine="replay")
+    first = update_index(old_index, edited, log, hasher)
     assert old_index == snapshot  # input untouched
-    second = update_index(old_index, edited, log, hasher, engine="replay")
+    second = update_index(old_index, edited, log, hasher)
     assert first == second

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GramConfig, PQGramIndex, is_address_stable, update_index
+from repro.core import (
+    GramConfig,
+    PQGramIndex,
+    is_address_stable,
+    update_index,
+    update_index_tablewise,
+)
 from repro.edits import Move, Rename, apply_script, move_subtree_ops
 from repro.edits.script import undo_log
 from repro.edits.serialize import format_operations, parse_operations
@@ -104,7 +110,7 @@ class TestMaintenance:
         assert undo_log(edited, log) == tree
         hasher = LabelHasher()
         old_index = PQGramIndex.from_tree(tree, config, hasher)
-        new_index = update_index(old_index, edited, log, hasher, engine="replay")
+        new_index = update_index(old_index, edited, log, hasher)
         assert new_index == PQGramIndex.from_tree(edited, config, hasher)
 
     @settings(max_examples=60, deadline=None)
@@ -127,7 +133,7 @@ class TestMaintenance:
         edited, log = apply_script(tree, script)
         hasher = LabelHasher()
         old_index = PQGramIndex.from_tree(tree, config, hasher)
-        new_index = update_index(old_index, edited, log, hasher, engine="replay")
+        new_index = update_index(old_index, edited, log, hasher)
         assert new_index == PQGramIndex.from_tree(edited, config, hasher)
 
     def test_move_equivalent_to_lowering(self):
@@ -153,7 +159,7 @@ class TestMaintenance:
         old_index = PQGramIndex.from_tree(paper_tree_t0, GramConfig(), hasher)
         edited, log = apply_script(paper_tree_t0, [Move(3, 4, 1)])
         with pytest.raises(InvalidLogError):
-            update_index(old_index, edited, log, hasher, engine="tablewise")
+            update_index_tablewise(old_index, edited, log, hasher)
 
     def test_move_logs_flagged_unstable(self, paper_tree_t0):
         edited, log = apply_script(paper_tree_t0, [Move(3, 4, 1)])

@@ -88,7 +88,7 @@ class TestTheorem1Counterexample:
         config = GramConfig(1, 3)
         hasher = LabelHasher()
         old_index = PQGramIndex.from_tree(t0, config, hasher)
-        new_index = update_index(old_index, t2, log, hasher, engine="replay")
+        new_index = update_index(old_index, t2, log, hasher)
         assert new_index == PQGramIndex.from_tree(t2, config, hasher)
 
     def test_drifted_position_changes_relative_neighbourhood(self):

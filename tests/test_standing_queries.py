@@ -8,8 +8,8 @@ forward from the initial matches, reconstruct exactly that membership.
 Property-tested over random edit streams, across all five storage
 backends; the index the re-evaluation reads must itself equal a
 from-scratch rebuild after every round, and the ``engine`` rows name
-the ``repro.core`` reference algorithm each edit round is also checked
-against.
+the ``repro.core`` reference path (``tests/conftest.py::
+reference_update``) each edit round is also checked against.
 """
 
 import random
