@@ -8,11 +8,7 @@ index-size record (resident bytes-per-tree of a 10k-tree DBLP-like
 forest in the heap CSR; not gated), plus the
 metrics-overhead check (the 256-tree
 lookup with a live ``MetricsRegistry`` vs the no-op default must stay
-within ``METRICS_OVERHEAD_TOLERANCE``), plus the structural-pushdown
-check (rare-label query over a 10k-tree DBLP-like forest on the rel
-backend — pushing the predicate into the sweep must not lose to
-post-filtering, ``query_pushdown_ratio`` ≤
-``QUERY_PUSHDOWN_TOLERANCE``, bit-identical matches), plus the
+within ``METRICS_OVERHEAD_TOLERANCE``), plus the
 standing-query check (32 registered plans over a 10k-document forest
 under streaming edits — Δ-routed incremental maintenance must beat
 naive per-batch re-evaluation by ≥ 5x,
@@ -25,8 +21,7 @@ a pipelined overload burst must shed without mutating state,
 machine-readable results to ``benchmarks/results/BENCH_lookup.json``
 / ``BENCH_update.json`` /
 ``BENCH_maintain.json`` / ``BENCH_metrics.json`` /
-``BENCH_size.json`` /
-``BENCH_query.json`` / ``BENCH_stream.json`` /
+``BENCH_size.json`` / ``BENCH_stream.json`` /
 ``BENCH_serve.json``, and exits non-zero
 when any measured wall time regresses more than ``TOLERANCE``× against
 the checked-in baseline::
@@ -50,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Dict, List
+from typing import Dict
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import results_path, wall_time
@@ -74,10 +69,6 @@ BASELINE_PATH = os.path.join(
 TOLERANCE = 2.0
 METRICS_OVERHEAD_TOLERANCE = 1.05
 
-#: structural pushdown vs post-filter on the rel backend at rare-label
-#: selectivity — pruning before scoring must not lose to filtering after
-QUERY_PUSHDOWN_TOLERANCE = 1.0
-
 #: incremental standing-query maintenance vs naive per-batch
 #: re-evaluation of every registered plan — Δ-key routing must beat
 #: the full sweep by at least 5x at 10k documents / 32 queries
@@ -93,9 +84,6 @@ UPDATE_LOG_SIZE = 20
 MAINTAIN_NODE_BUDGET = 10_000
 MAINTAIN_LOG_SIZES = (1, 8, 64)
 SIZE_TREE_COUNT = 10_000
-QUERY_TREE_COUNT = 10_000
-QUERY_SELECTIVITY = 0.10
-QUERY_RARE_LABEL = "rare-venue"
 STREAM_TREE_COUNT = 10_000
 STREAM_QUERY_COUNT = 32
 STREAM_BATCHES = 8
@@ -249,67 +237,6 @@ def measure_metrics_overhead() -> Dict[str, float]:
     return times
 
 
-def measure_query() -> Dict[str, float]:
-    """Structural-pushdown gate on the rel backend.
-
-    A ``QUERY_TREE_COUNT``-tree DBLP-like forest in which a rare venue
-    label is planted into ``QUERY_SELECTIVITY`` of the trees, queried
-    with ``And(ApproxLookup, HasLabel(rare))`` under a τ wide enough
-    to admit every tree — the shape where predicate placement matters
-    most, because the post-filter arm must score all 10k trees while
-    pushdown prunes 90% of them before any distance is materialized.
-    Both arms run through the same executor with ``force_mode``
-    pinned, interleaved with the best paired round reported;
-    ``query_pushdown_ratio`` must stay at or under
-    ``QUERY_PUSHDOWN_TOLERANCE`` and both arms must return
-    bit-identical matches.
-    """
-    import random
-
-    from repro.query import And, ApproxLookup, HasLabel
-    from repro.query.executor import execute_plan
-
-    rng = random.Random(1234)
-    collection = []
-    rare = 0
-    for tree_id in range(QUERY_TREE_COUNT):
-        tree = dblp_tree(1, seed=5000 + tree_id)
-        if rng.random() < QUERY_SELECTIVITY:
-            tree.add_child(tree.root_id, QUERY_RARE_LABEL)
-            rare += 1
-        collection.append((tree_id, tree))
-    forest = ForestIndex(CONFIG, backend="rel")
-    forest.add_trees(collection)
-    forest.compact()
-    query = dblp_tree(1, seed=5000)  # unplanted twin of tree 0
-    plan = And(ApproxLookup(query, 10.0), HasLabel(QUERY_RARE_LABEL))
-
-    pushed = execute_plan(forest, plan, force_mode="pushdown")
-    filtered = execute_plan(forest, plan, force_mode="postfilter")
-    assert pushed.matches == filtered.matches, (
-        "pushdown diverged from the post-filter sweep"
-    )
-    assert len(pushed.matches) == rare
-
-    rounds: List[List[float]] = [[], []]
-    for _ in range(9):
-        for arm, mode in enumerate(("postfilter", "pushdown")):
-            def run(mode=mode) -> None:
-                execute_plan(forest, plan, force_mode=mode)
-            rounds[arm].append(wall_time(run, repeats=1))
-    pick = min(
-        range(len(rounds[0])),
-        key=lambda index: rounds[1][index] / rounds[0][index],
-    )
-    return {
-        "query_trees": float(QUERY_TREE_COUNT),
-        "query_selectivity": rare / QUERY_TREE_COUNT,
-        "query_postfilter_ms": rounds[0][pick] * 1e3,
-        "query_pushdown_ms": rounds[1][pick] * 1e3,
-        "query_pushdown_ratio": rounds[1][pick] / rounds[0][pick],
-    }
-
-
 def measure_streaming() -> Dict[str, float]:
     """Standing-query gate: incremental Δ-routing vs naive polling.
 
@@ -357,7 +284,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
     maintain = measure_maintain()
     size = measure_size()
     metrics = measure_metrics_overhead()
-    query = measure_query()
     stream = measure_streaming()
     serving = measure_serving()
     for name, payload in (
@@ -366,7 +292,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         ("BENCH_maintain.json", maintain),
         ("BENCH_size.json", size),
         ("BENCH_metrics.json", metrics),
-        ("BENCH_query.json", query),
         ("BENCH_stream.json", stream),
         ("BENCH_serve.json", serving),
     ):
@@ -401,23 +326,6 @@ def run(rebaseline: bool, tolerance: float = TOLERANCE) -> int:
         f"disabled {metrics['metrics_disabled_lookup_ms']:.3f} ms, "
         f"limit {METRICS_OVERHEAD_TOLERANCE:.2f}x) "
         + ("REGRESSION" if overhead_failures else "ok")
-    )
-    pushdown_ratio = query["query_pushdown_ratio"]
-    if pushdown_ratio > QUERY_PUSHDOWN_TOLERANCE:
-        overhead_failures.append(
-            f"query_pushdown_ratio: {pushdown_ratio:.4f} "
-            f"(> {QUERY_PUSHDOWN_TOLERANCE:.2f}x) — structural pushdown "
-            f"loses to the post-filter sweep at "
-            f"{query['query_selectivity']:.0%} selectivity on "
-            f"{QUERY_TREE_COUNT} trees"
-        )
-    print(
-        f"  query_pushdown_ratio: {pushdown_ratio:.4f} "
-        f"(pushdown {query['query_pushdown_ms']:.3f} ms / "
-        f"post-filter {query['query_postfilter_ms']:.3f} ms, "
-        f"limit {QUERY_PUSHDOWN_TOLERANCE:.2f}x) "
-        + ("REGRESSION" if pushdown_ratio > QUERY_PUSHDOWN_TOLERANCE
-           else "ok")
     )
     incremental_ratio = stream["standing_incremental_ratio"]
     if incremental_ratio > STREAMING_INCREMENTAL_TOLERANCE:

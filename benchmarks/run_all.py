@@ -27,7 +27,6 @@ MODULES = (
     "bench_quality_retrieval.py",
     "bench_ablation_subtree_moves.py",
     "bench_ablation_overlap_merge.py",
-    "bench_query_pushdown.py",
     "bench_streaming_queries.py",
 )
 

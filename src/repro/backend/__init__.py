@@ -2,18 +2,14 @@
 
 One write path — :class:`~repro.backend.base.ForestBackend` — behind
 which the paper's ``(treeId, pqg, cnt)`` relation (Fig. 4b) is stored,
-with three interchangeable engines:
+with two interchangeable engines:
 
 - :class:`~repro.backend.memory.MemoryBackend` — plain dict bags and
   inverted lists; the bit-exact reference.
 - :class:`~repro.backend.compact.CompactBackend` — the dicts plus a
   frozen CSR array snapshot with a dirty-key overlay, so compaction
-  survives maintenance instead of being invalidated by every write.
-- :class:`~repro.backend.rel.RelBackend` — the relation as actual
-  relstore tables (postings, sizes, pre/post node tables) with hash
-  and sorted secondary indexes; the only backend that stores the
-  XPath-accelerator encoding, so structural query predicates push
-  down into the candidate sweep instead of post-filtering.
+  survives maintenance instead of being invalidated by every write;
+  the shipped default.
 
 All backends return bit-identical results on every read; the
 conformance suite (``tests/test_backend_conformance.py``) enforces it.
@@ -24,13 +20,11 @@ nothing above the facade changes.
 from repro.backend.base import Admit, Bag, ForestBackend, Key, make_backend
 from repro.backend.compact import CompactBackend
 from repro.backend.memory import MemoryBackend
-from repro.backend.rel import RelBackend
 
 __all__ = [
     "ForestBackend",
     "MemoryBackend",
     "CompactBackend",
-    "RelBackend",
     "make_backend",
     "Admit",
     "Bag",

@@ -46,8 +46,6 @@ from repro.obsv.metrics import NULL_REGISTRY, MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.concurrency.snapshot import SnapshotHandle
     from repro.perf.sweep import TauScan
-    from repro.query.plan import Plan
-    from repro.tree.tree import Tree
 
 Key = Tuple[int, ...]
 Bag = Dict[Key, int]
@@ -56,7 +54,7 @@ Admit = Callable[[int], bool]
 #: every registered backend name, in factory preference order —
 #: the single source the ``make_backend`` error message quotes, the
 #: CLI offers and ``recorded_backend`` accepts
-BACKEND_NAMES = ("memory", "compact", "rel")
+BACKEND_NAMES = ("memory", "compact")
 
 
 class ForestBackend(ABC):
@@ -232,40 +230,6 @@ class ForestBackend(ABC):
         return False
 
     # ------------------------------------------------------------------
-    # structural predicates (XPath-accelerator encoding)
-    # ------------------------------------------------------------------
-
-    #: whether this backend maintains a queryable pre/post-order node
-    #: table per document (the XPath-accelerator encoding), so the
-    #: executor may push ``HasPath``/``HasLabel`` predicates into the
-    #: candidate sweep instead of post-filtering.
-    supports_structural_predicates: bool = False
-
-    def record_structure(self, tree_id: int, tree: "Tree") -> None:
-        """Store (or replace) the pre/post encoding of one tree.
-
-        The forest facade calls this after every add/update with the
-        source document in hand — backends without structural support
-        ignore it (the default)."""
-
-    def structural_matcher(
-        self, predicate: "Plan"
-    ) -> Optional[Callable[[int], bool]]:
-        """A per-tree matcher for one structural predicate, or None
-        when this backend cannot evaluate it from stored state."""
-        return None
-
-    def structures_complete(self) -> bool:
-        """Whether every indexed tree currently has a stored encoding.
-
-        Pushdown is only sound when this holds — trees indexed through
-        the bag-only write path (snapshot restore, direct
-        ``add_tree_bag``) have no node rows, and a predicate must not
-        silently reject them.  The default (no structural support) is
-        False."""
-        return False
-
-    # ------------------------------------------------------------------
     # snapshot isolation
     # ------------------------------------------------------------------
 
@@ -335,10 +299,9 @@ def recorded_backend(name: Optional[str], default: str) -> str:
 
 def make_backend(spec: "str | ForestBackend") -> ForestBackend:
     """Resolve a backend spec: an instance (passed through), or one of
-    the registered names ``memory`` / ``compact`` / ``rel``."""
+    the registered names ``memory`` / ``compact``."""
     from repro.backend.compact import CompactBackend
     from repro.backend.memory import MemoryBackend
-    from repro.backend.rel import RelBackend
 
     if isinstance(spec, ForestBackend):
         return spec
@@ -346,8 +309,6 @@ def make_backend(spec: "str | ForestBackend") -> ForestBackend:
         return MemoryBackend()
     if spec == "compact":
         return CompactBackend()
-    if spec == "rel":
-        return RelBackend()
     raise ValueError(
         f"unknown forest backend {spec!r}; valid backends: "
         + ", ".join(BACKEND_NAMES)

@@ -23,7 +23,7 @@ Examples::
     python -m repro index doc.xml --p 2 --q 3
     python -m repro distance old.xml new.xml
     python -m repro diff old.xml new.xml > edits.log
-    python -m repro store --dir ./mystore create --backend rel
+    python -m repro store --dir ./mystore create --backend memory
     python -m repro store --dir ./mystore add 1 doc.xml
     python -m repro store --dir ./mystore edit 1 edits.log
     python -m repro store --dir ./mystore lookup query.xml --tau 0.4
@@ -200,11 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default="compact",
         help="forest storage backend (default compact: array snapshot "
-        "with a delta overlay; rel stores the "
-        "relation as in-memory relstore tables with a pre/post node "
-        "table, enabling structural predicate pushdown in 'store "
-        "query'; every backend is built from the documents on open, "
-        "and all are bit-identical)",
+        "with a delta overlay; memory is the plain-dict reference; "
+        "both are built from the documents on open and are "
+        "bit-identical)",
     )
 
     add_parser = store_commands.add_parser("add", help="add an XML document")
@@ -236,9 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     query_parser = store_commands.add_parser(
         "query",
-        help="approximate lookup with structural predicates (pushed "
-        "down into the sweep on the rel backend, post-filtered over "
-        "the stored documents everywhere else)",
+        help="approximate lookup with structural predicates "
+        "(post-filtered over the stored documents of the matches)",
     )
     query_parser.add_argument("file", help="XML query document")
     query_group = query_parser.add_mutually_exclusive_group()
@@ -287,8 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--explain",
         action="store_true",
-        help="also print the normalized plan and the physical strategy "
-        "(pushdown vs post-filter) that ran",
+        help="also print the normalized plan",
     )
 
     store_commands.add_parser("list", help="list stored documents")
@@ -632,9 +628,7 @@ def _run_store_command(
         plan = _plan_from_arguments(arguments)
         result = store.query(plan)
         if arguments.explain:
-            mode = "pushdown" if result.extra.get("pushdown") else "post-filter"
             print(f"# plan: {describe(plan)}", file=sys.stderr)
-            print(f"# structural predicates: {mode}", file=sys.stderr)
         if not result.matches:
             print("no documents matched")
         for document_id, distance in result.matches:

@@ -78,8 +78,9 @@ class CodecError(StorageError):
 
 class QueryError(ReproError):
     """A logical query plan is malformed or cannot be executed
-    (unknown node type, a structural predicate with no backend support
-    and no document provider to post-filter with, ...)."""
+    (unknown node type, a wire plan spec with a wrongly typed field, a
+    structural predicate with no document provider to post-filter
+    with, ...)."""
 
 
 class ServeError(ReproError):

@@ -3,8 +3,8 @@
 Stores the pq-gram indexes of a whole collection of trees in one
 relation ``(treeId, pqg, cnt)`` (paper Fig. 4b).  The relation itself
 lives in a pluggable :class:`~repro.backend.base.ForestBackend` —
-plain dicts, an array snapshot with a delta overlay, or relstore
-tables — and this class owns everything the
+plain dicts, or an array snapshot with a delta overlay — and this
+class owns everything the
 backends deliberately know nothing about: the gram configuration, the
 shared label hasher, index construction, incremental maintenance, and
 the τ-aware distance arithmetic over the backend's candidate sweep.
@@ -44,7 +44,7 @@ class ForestIndex:
     """pq-gram indexes of a forest, with persistence and maintenance.
 
     ``backend`` selects the storage engine — ``"memory"``,
-    ``"compact"`` (default), ``"rel"``, or any
+    ``"compact"`` (default), or any
     :class:`~repro.backend.base.ForestBackend` instance.  Every
     backend is bit-identical on lookups and maintenance; only the
     sweep cost and scaling behaviour differ.
@@ -114,7 +114,7 @@ class ForestIndex:
                 "structural predicates",
                 mode=mode,
             )
-            for mode in ("plain", "pushdown", "postfilter")
+            for mode in ("plain", "postfilter")
         }
         self._m_maintain_batches = registry.counter(
             "maintain_batches_total", "incremental maintenance calls"
@@ -261,20 +261,11 @@ class ForestIndex:
     # building and maintaining
     # ------------------------------------------------------------------
 
-    def _record_structure(self, tree_id: int, tree: Tree) -> None:
-        """Hand the source tree's pre/post encoding to backends that
-        store one (the XPath-accelerator node table behind structural
-        predicate pushdown); a no-op for every other backend.  Must run
-        inside the same write scope as the index mutation."""
-        if self._backend.supports_structural_predicates:
-            self._backend.record_structure(tree_id, tree)
-
     def add_tree(self, tree_id: int, tree: Tree) -> None:
         """Index a new tree of the forest."""
         bag = dict(PQGramIndex.from_tree(tree, self.config, self.hasher).items())
         with self.lock.write():
             self._backend.add_tree_bag(tree_id, bag)
-            self._record_structure(tree_id, tree)
             self._bump_generation()
 
     def add_trees(self, items: Iterable[Tuple[int, Tree]]) -> None:
@@ -340,7 +331,6 @@ class ForestIndex:
                 timings.record_into(self._m_batch_phase_seconds)
             with self.lock.write():
                 self._backend.apply_tree_delta(tree_id, minus, plus)
-                self._record_structure(tree_id, tree)
                 self._bump_generation()
         self._m_maintain_batches.inc()
         self._m_maintain_ops.inc(len(log))
@@ -475,10 +465,11 @@ class ForestIndex:
         :meth:`read_view`, so serving threads scan a frozen generation
         while writers mutate the live relation.
 
-        ``prefilter`` is an optional per-tree admission predicate
-        (structural pushdown from the query layer): rejected trees are
-        pruned before scoring and land in the pruned side of the
-        candidates ledger.
+        ``prefilter`` is an optional per-tree admission predicate:
+        rejected trees are pruned before scoring and land in the pruned
+        side of the candidates ledger.  Any prefilter routes the scan
+        through the per-tree ``candidates(admit=)`` path, the reference
+        the array-space scan must equal.
 
         The scan itself lives in :func:`repro.query.executor.scan_distances`
         — this method is the stable facade over it.

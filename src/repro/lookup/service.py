@@ -153,8 +153,8 @@ class LookupService:
     ) -> "LookupService":
         """Build a forest over ``collection`` and wrap it in a service.
 
-        ``backend`` picks the forest's storage engine (memory, compact
-        or rel), ``metrics`` (a registry or ``True``) enables
+        ``backend`` picks the forest's storage engine (memory or
+        compact), ``metrics`` (a registry or ``True``) enables
         observability; remaining keyword arguments go to the service
         constructor.
         """
@@ -227,9 +227,8 @@ class LookupService:
         plan: Plan,
         query: "Tree | str",
         documents: Optional[DocumentProvider] = None,
-        force_mode: Optional[str] = None,
-    ) -> Tuple[List[Tuple[int, float]], int, str]:
-        """Execute one logical plan: ``(matches, population, mode)``.
+    ) -> Tuple[List[Tuple[int, float]], int]:
+        """Execute one logical plan: ``(matches, population)``.
 
         The shared body of :meth:`lookup`, :meth:`nearest` and
         :meth:`query` — every read is a plan now; the legacy entry
@@ -237,11 +236,7 @@ class LookupService:
         mode the scan runs against a pinned read view and the result is
         cached per ``(plan fingerprint, generation)``.
         """
-        caching_results = (
-            self._snapshot_reads
-            and self._result_cache_size > 0
-            and force_mode is None
-        )
+        caching_results = self._snapshot_reads and self._result_cache_size > 0
         # One fingerprint keys both caches.
         query_index, fingerprint = self._query_bag(
             query, bool(self._query_cache_size or caching_results)
@@ -250,13 +245,9 @@ class LookupService:
             if self._auto_compact:
                 self.forest.compact()
             execution = execute_plan(
-                self.forest,
-                plan,
-                query_index=query_index,
-                documents=documents,
-                force_mode=force_mode,
+                self.forest, plan, query_index=query_index, documents=documents
             )
-            return execution.matches, execution.population, execution.mode
+            return execution.matches, execution.population
         view = self.forest.read_view()
         self._m_generation_lag.set(
             max(0, self.forest.generation - view.generation)
@@ -275,26 +266,21 @@ class LookupService:
                     self._result_cache.move_to_end(key)
             if hit is not None:
                 self._m_result_hits.inc()
-                matches, population, mode = hit
-                return list(matches), population, mode
+                matches, population = hit
+                return list(matches), population
         execution = execute_plan(
             self.forest,
             plan,
             query_index=query_index,
             reader=view,
             documents=documents,
-            force_mode=force_mode,
         )
         if key is not None:
             with self._cache_mutex:
-                self._result_cache[key] = (
-                    execution.matches,
-                    execution.population,
-                    execution.mode,
-                )
+                self._result_cache[key] = (execution.matches, execution.population)
                 while len(self._result_cache) > self._result_cache_size:
                     self._result_cache.popitem(last=False)
-        return execution.matches, execution.population, execution.mode
+        return execution.matches, execution.population
 
     def lookup(self, query: "Tree | str", tau: float) -> LookupResult:
         """All forest trees within pq-gram distance ``tau`` of the
@@ -309,9 +295,7 @@ class LookupService:
         """
         started = time.perf_counter()
         with self.forest.metrics.span("lookup"):
-            matches, population, _ = self._execute(
-                ApproxLookup(query, tau), query
-            )
+            matches, population = self._execute(ApproxLookup(query, tau), query)
         elapsed = time.perf_counter() - started
         self._m_lookup_seconds.observe(elapsed)
         return LookupResult(
@@ -332,7 +316,7 @@ class LookupService:
             raise ValueError("k must be positive")
         started = time.perf_counter()
         with self.forest.metrics.span("lookup.nearest"):
-            matches, population, _ = self._execute(TopK(query, k), query)
+            matches, population = self._execute(TopK(query, k), query)
         elapsed = time.perf_counter() - started
         self._m_lookup_seconds.observe(elapsed)
         return LookupResult(
@@ -342,36 +326,28 @@ class LookupService:
         )
 
     def query(
-        self,
-        plan: Plan,
-        documents: Optional[DocumentProvider] = None,
-        force_mode: Optional[str] = None,
+        self, plan: Plan, documents: Optional[DocumentProvider] = None
     ) -> LookupResult:
         """Execute a logical :mod:`repro.query` plan.
 
         Structural predicates (``HasPath``/``HasLabel``, possibly
-        negated) are pushed down into the candidate sweep when the
-        backend stores the pre/post node encoding (``rel``); otherwise
-        they post-filter the retrieval result — via ``documents``, a
-        ``tree_id → Tree`` provider, when the backend holds no
-        encoding.  ``extra["pushdown"]`` reports which strategy ran;
-        ``force_mode`` pins it (equivalence tests, benchmarks).
+        negated) post-filter the retrieval result through
+        ``documents``, a ``tree_id → Tree`` provider called once per
+        match; a plan with predicates and no provider raises
+        :class:`~repro.errors.QueryError`.
         """
         from repro.query.plan import normalize_plan
 
         normalized = normalize_plan(plan)
         started = time.perf_counter()
         with self.forest.metrics.span("lookup.query"):
-            matches, population, mode = self._execute(
-                plan, normalized.retrieval.query, documents, force_mode
+            matches, population = self._execute(
+                plan, normalized.retrieval.query, documents
             )
         elapsed = time.perf_counter() - started
         self._m_lookup_seconds.observe(elapsed)
         return LookupResult(
-            matches=matches,
-            seconds_total=elapsed,
-            trees_compared=population,
-            extra={"pushdown": 1.0 if mode == "pushdown" else 0.0},
+            matches=matches, seconds_total=elapsed, trees_compared=population
         )
 
     def lookup_without_index(

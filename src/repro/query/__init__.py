@@ -10,8 +10,8 @@ Build a plan, hand it to :meth:`LookupService.query` (or
     result = service.query(plan)
 
 See :mod:`repro.query.plan` for the node types,
-:mod:`repro.query.structural` for the pre/post encoding, and
-:mod:`repro.query.executor` for pushdown-vs-postfilter mechanics.
+:mod:`repro.query.structural` for the predicate tests, and
+:mod:`repro.query.executor` for the τ-scan and the post-filter.
 """
 
 from repro.query.executor import Execution, execute_plan, scan_distances

@@ -7,25 +7,15 @@ Two entry points:
   pruned-vs-scored metrics ledger), extended with an optional per-tree
   ``prefilter``.  ``ForestIndex.distances`` is now a thin delegate.
 - :func:`execute_plan` — run a logical :mod:`repro.query.plan` against
-  a forest.  Structural predicates are *pushed down* into the sweep
-  when the backend stores the pre/post encoding (they join the τ size
-  bound inside the admission predicate, so rejected trees are pruned
-  before any distance is materialized and counted in the existing
-  pruned ledger); otherwise they are applied as a bit-identical
-  post-filter over the retrieval result — via the backend's matchers
-  when available, else by walking the source documents.
-
-Pushdown and post-filter return identical matches because per-tree
-distances are independent: filtering before or after scoring selects
-the same ``(tree, distance)`` set, and ``TopK`` truncates only after
-filtering in both modes.
+  a forest.  Structural predicates post-filter the retrieval result by
+  walking the source documents of the trees the τ-scan returned: a
+  descendant chain is a tree-subsequence test linear in the document,
+  so only matches are ever walked and rejected trees never are.
 
 Snapshot reads: the distance sweep honours the ``reader`` (a live
-backend or an immutable ``SnapshotHandle``), but structural matchers
-always consult the live backend's node tables — snapshots carry no
-structural capability.  Under the single-writer commit protocol both
-describe the same generation for any cacheable read; the serving
-layer's per-generation result cache keys on the plan fingerprint.
+backend or an immutable ``SnapshotHandle``); the post-filter reads the
+documents the caller's provider returns.  The serving layer's
+per-generation result cache keys on the plan fingerprint.
 
 This module deliberately reaches into ``ForestIndex``'s pre-resolved
 metric instruments (``_m_lookups`` and friends): the two form one
@@ -64,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tree.tree import Tree
 
 Prefilter = Callable[[int], bool]
-#: resolves a tree id to its document tree (post-filter fallback)
+#: resolves a tree id to its document tree (the structural post-filter)
 DocumentProvider = Callable[[int], "Tree"]
 
 
@@ -173,7 +163,7 @@ def _distances_pruned(
         # A reader holding a frozen array form answers sweep, size
         # bound, distance and threshold in array space; the per-tree
         # path below is the reference it equals bit for bit, and the
-        # only one for every other reader and for structural pushdown.
+        # only one for every other reader and for a prefilter.
         scan = backend.tau_scan(query.items(), query_size, tau)
         if scan is not None:
             forest._m_keys_swept.inc(scan.keys_swept)
@@ -182,10 +172,10 @@ def _distances_pruned(
             forest._m_candidates_pruned.inc(scan.pruned)
             forest._m_candidates_scored.inc(scan.scored)
             return scan.matches
-    # The τ size bound (and any structural prefilter), memoized per
-    # tree so backends may consult it as often as their sweep shape
-    # requires.  The cheap size bound runs first; the structural check
-    # only runs on trees the threshold could admit at all.
+    # The τ size bound (and any prefilter), memoized per tree so
+    # backends may consult it as often as their sweep shape requires.
+    # The cheap size bound runs first; the prefilter only runs on
+    # trees the threshold could admit at all.
     admitted: Dict[int, bool] = {}
 
     def admit(tree_id: int) -> bool:
@@ -228,35 +218,7 @@ class Execution:
 
     matches: List[Tuple[int, float]]   # (tree id, distance), ascending
     population: int                    # trees the scan considered
-    mode: str                          # "plain" | "pushdown" | "postfilter"
-
-
-def _combine(matchers: List[Tuple[Prefilter, bool]]) -> Prefilter:
-    def accept(tree_id: int) -> bool:
-        for matcher, negated in matchers:
-            if bool(matcher(tree_id)) == negated:
-                return False
-        return True
-
-    return accept
-
-
-def _backend_matchers(
-    backend: "ForestBackend", predicates
-) -> Optional[List[Tuple[Prefilter, bool]]]:
-    """Per-tree matchers from the backend's node tables, or None when
-    the backend cannot evaluate every predicate."""
-    if not backend.supports_structural_predicates:
-        return None
-    if not backend.structures_complete():
-        return None
-    matchers: List[Tuple[Prefilter, bool]] = []
-    for predicate, negated in predicates:
-        matcher = backend.structural_matcher(predicate)
-        if matcher is None:
-            return None
-        matchers.append((matcher, negated))
-    return matchers
+    mode: str                          # "plain" | "postfilter"
 
 
 def _document_filter(
@@ -264,9 +226,8 @@ def _document_filter(
 ) -> Prefilter:
     if documents is None:
         raise QueryError(
-            "plan has structural predicates, but the backend stores no "
-            "pre/post encoding and no document provider was given to "
-            "post-filter with"
+            "plan has structural predicates, but no document provider "
+            "was given to post-filter with"
         )
 
     def accept(tree_id: int) -> bool:
@@ -286,20 +247,14 @@ def execute_plan(
     query_index: Optional[PQGramIndex] = None,
     reader: "Optional[ForestBackend | SnapshotHandle]" = None,
     documents: Optional[DocumentProvider] = None,
-    force_mode: Optional[str] = None,
 ) -> Execution:
     """Execute a logical plan against ``forest``.
 
-    The plan is normalized (validated), rewritten against the
-    backend's capabilities, and run through :func:`scan_distances`.
-    ``documents`` supplies source trees for the post-filter fallback;
-    ``force_mode`` (``"pushdown"`` / ``"postfilter"``) pins the
-    physical strategy for equivalence tests and benchmarks — forcing
-    pushdown on a backend that cannot raise it is a
-    :class:`~repro.errors.QueryError`.
+    The plan is normalized (validated) and its retrieval root run
+    through :func:`scan_distances`; structural predicates then
+    post-filter the matches through ``documents``, which supplies the
+    source tree of a matched id and is only called for matches.
     """
-    if force_mode not in (None, "pushdown", "postfilter"):
-        raise QueryError(f"unknown force_mode {force_mode!r}")
     normalized = normalize_plan(plan)
     retrieval = normalized.retrieval
     predicates = normalized.predicates
@@ -307,48 +262,17 @@ def execute_plan(
         query_index = PQGramIndex.from_tree(
             retrieval.query, forest.config, forest.hasher  # type: ignore[attr-defined]
         )
-    live = forest.backend
-    scan_reader = reader if reader is not None else live
+    scan_reader = reader if reader is not None else forest.backend
 
-    mode = "plain"
-    prefilter: Optional[Prefilter] = None
-    postfilter: Optional[Prefilter] = None
-    if predicates:
-        matchers = (
-            None
-            if force_mode == "postfilter"
-            else _backend_matchers(live, predicates)
-        )
-        if matchers is not None:
-            mode = "pushdown"
-            prefilter = _combine(matchers)
-        else:
-            if force_mode == "pushdown":
-                raise QueryError(
-                    f"backend {live.name!r} cannot push structural "
-                    "predicates down (no complete pre/post encoding)"
-                )
-            mode = "postfilter"
-            fallback = _backend_matchers(live, predicates)
-            postfilter = (
-                _combine(fallback)
-                if fallback is not None
-                else _document_filter(predicates, documents)
-            )
+    postfilter = _document_filter(predicates, documents) if predicates else None
 
     if isinstance(retrieval, ApproxLookup):
         distances = scan_distances(
-            forest,
-            query_index,
-            tau=retrieval.tau,
-            reader=scan_reader,
-            prefilter=prefilter,
+            forest, query_index, tau=retrieval.tau, reader=scan_reader
         )
         population = len(scan_reader)
     else:
-        distances = scan_distances(
-            forest, query_index, tau=None, reader=scan_reader, prefilter=prefilter
-        )
+        distances = scan_distances(forest, query_index, reader=scan_reader)
         population = len(distances)
     if postfilter is not None:
         distances = {
@@ -360,5 +284,6 @@ def execute_plan(
     if isinstance(retrieval, TopK):
         population = len(matches)
         matches = matches[: retrieval.k]
+    mode = "postfilter" if predicates else "plain"
     forest._m_query_plans[mode].inc()
     return Execution(matches=matches, population=population, mode=mode)

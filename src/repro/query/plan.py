@@ -16,10 +16,9 @@ with any number of *structural* predicates over the stored documents —
   previous; the descendant axis, not the child axis),
 
 composed with :class:`And` and :class:`Not`.  Plans say *what* to
-retrieve; :mod:`repro.query.executor` decides *how* — pushing the
-predicates into the candidate sweep when the backend stores a
-pre/post-order encoding (``RelBackend``), post-filtering otherwise —
-with bit-identical results either way.
+retrieve; :mod:`repro.query.executor` runs them — the retrieval root
+as a τ-scan of the index, the predicates as a post-filter over the
+documents it matched.
 
 Plans are values: :func:`normalize_plan` validates and canonicalizes
 them, and :func:`plan_fingerprint` derives the stable key the serving

@@ -1,92 +1,21 @@
-"""The pre/post-order (XPath-accelerator) encoding and its matchers.
+"""Structural predicates evaluated against a document tree.
 
-Every node of a document gets a *preorder* and a *postorder* rank; the
-fundamental window property is
+The executor post-filters a plan's matches with :func:`tree_matches`:
 
-    descendant(a, d)  ⟺  pre(a) < pre(d)  ∧  post(d) < post(a)
+- :func:`tree_has_label` — whether any node carries a label,
+- :func:`tree_has_path` — whether a descendant chain of labels exists,
+  a tree-subsequence test in one walk, linear in the document.
 
-so structural predicates become plane-range conditions instead of
-pointer chasing — the "XPath accelerator" relational encoding.  With
-the subtree size stored alongside, the descendants of ``a`` are
-exactly the contiguous preorder interval
-``[pre(a)+1, pre(a)+size(a)-1]``, which is what ``RelBackend``'s
-sorted-index range selections scan.
-
-This module holds the *reference* implementations both sides of the
-executor lean on:
-
-- :func:`prepost_rows` — derive the encoding from a live tree (what
-  ``RelBackend.record_structure`` persists),
-- :func:`match_rows` — evaluate a descendant-chain (``HasPath``) query
-  over encoded rows with one prefix-max-of-post sweep in pre order,
-- :func:`tree_matches` — evaluate any structural predicate directly
-  against a :class:`~repro.tree.tree.Tree` (the post-filter fallback
-  for backends that store no encoding).
+Only the trees the τ-scan returned are walked, so a rare label or path
+costs nothing on the trees the threshold already rejected.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.query.plan import HasLabel, HasPath, Plan
 from repro.tree.tree import Tree
-
-#: one encoded node: (pre, post, size, label)
-NodeRow = Tuple[int, int, int, str]
-
-
-def prepost_rows(tree: Tree) -> List[NodeRow]:
-    """The pre/post encoding of ``tree``: ``(pre, post, size, label)``
-    rows in preorder.  Iterative, so document depth is unbounded."""
-    rows: List[NodeRow] = []
-    pre_of = {}
-    pre_counter = 0
-    post_counter = 0
-    stack: List[Tuple[int, bool]] = [(tree.root_id, False)]
-    while stack:
-        node_id, exiting = stack.pop()
-        if exiting:
-            pre = pre_of[node_id]
-            # every preorder rank handed out since entry is a
-            # descendant (or the node itself) — that's the subtree size
-            size = pre_counter - pre
-            rows.append((pre, post_counter, size, tree.label(node_id)))
-            post_counter += 1
-            continue
-        pre_of[node_id] = pre_counter
-        pre_counter += 1
-        stack.append((node_id, True))
-        for child in reversed(tree.children(node_id)):
-            stack.append((child, False))
-    rows.sort()
-    return rows
-
-
-def match_rows(
-    rows: Iterable[Tuple[int, int, str]], labels: Sequence[str]
-) -> bool:
-    """Whether encoded ``(pre, post, label)`` rows contain a descendant
-    chain matching ``labels``.
-
-    One sweep in pre order with a prefix-max-of-post chain: ``best[i]``
-    is the largest postorder rank of any node closing a length-``i``
-    label prefix.  Among already-visited nodes, "larger post" is
-    exactly "is an ancestor of the current node" (earlier pre + larger
-    post ⟺ ancestor), so ``best[i-1] > post(v)`` certifies an ancestor
-    chain for the first ``i-1`` labels above ``v``.
-    """
-    depth = len(labels)
-    if depth == 0:
-        return True
-    best: List[float] = [float("inf")] + [-1.0] * depth
-    for pre, post, label in sorted(rows):
-        # deepest level first, so a node never chains onto itself
-        for level in range(depth, 0, -1):
-            if label == labels[level - 1] and best[level - 1] > post > best[level]:
-                best[level] = post
-        if best[depth] >= 0:
-            return True
-    return False
 
 
 def tree_has_label(tree: Tree, label: str) -> bool:

@@ -8,8 +8,8 @@ composite primary keys, and durable snapshots written with a compact
 binary codec.
 
 It is deliberately *not* a SQL engine — the algorithms only need exact
-selections, range selections, point updates and scans, so that is the
-whole query surface.
+selections, range selections, point updates, scans and one join, so
+that is the whole query surface.
 """
 
 from repro.relstore.schema import Column, Schema
@@ -17,7 +17,7 @@ from repro.relstore.table import Table
 from repro.relstore.index import HashIndex, SortedIndex
 from repro.relstore.database import Database
 from repro.relstore.codec import decode_value, encode_value
-from repro.relstore.query import And, Eq, Range, group_count, join, project, select
+from repro.relstore.query import group_count, join
 
 __all__ = [
     "Column",
@@ -28,11 +28,6 @@ __all__ = [
     "Database",
     "encode_value",
     "decode_value",
-    "Eq",
-    "Range",
-    "And",
-    "select",
     "join",
-    "project",
     "group_count",
 ]

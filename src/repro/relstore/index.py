@@ -87,7 +87,7 @@ class SortedIndex:
     def add(self, row_id: int, row: Tuple[Any, ...]) -> None:
         """Register a row (amortized O(1); the sort is deferred)."""
         # Appending and re-sorting on the next read keeps bulk loads
-        # (RelBackend node tables, Database.load re-inserts) linear:
+        # (delta-table builds, Database.load re-inserts) linear:
         # timsort on a sorted-prefix + appended-tail layout is O(n) in
         # the common already-ordered case, where per-row insort is
         # O(n) *each* and quadratic overall.

@@ -1,207 +1,31 @@
-"""A small relational-algebra layer over the store's tables.
+"""The two relational operators Algorithm 1 needs over the store's tables.
 
 The paper expresses its maintenance algorithms in relational algebra —
 selections like ``σ_{anchId=n, k ≤ row ≤ m+q-1}(Q)``, the join
 ``λ(P, Q) = π_{ppart ∘ qpart}(P ⋈ Q)`` (Eq. 31) — and implements them
-as SQL over an RDBMS.  This module is the corresponding query surface
-for :class:`~repro.relstore.table.Table`:
+as SQL over an RDBMS.  Selections are the tables' own index reads
+(:meth:`~repro.relstore.table.Table.find` and
+:meth:`~repro.relstore.table.Table.find_range`); this module adds
 
-- predicate objects (:class:`Eq`, :class:`Range`, :class:`And`) with a
-  tiny *planner* that picks an access path: a hash index covering the
-  equality columns, a sorted index covering an equality prefix plus
-  one range, or a filtered scan,
 - a hash :func:`join` building on the smaller input,
-- :func:`project` and :func:`group_count` for the bag arithmetic.
+- :func:`group_count` for the bag arithmetic.
 
 ``DeltaTables.label_bag`` evaluates Eq. 31 through this layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.relstore.index import HashIndex, SortedIndex
 from repro.relstore.table import Row, Table
-
-# ----------------------------------------------------------------------
-# predicates
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Eq:
-    """``column = value``."""
-
-    column: str
-    value: Any
-
-
-@dataclass(frozen=True)
-class Range:
-    """``low <= column <= high`` (inclusive)."""
-
-    column: str
-    low: Any
-    high: Any
-
-
-@dataclass(frozen=True)
-class And:
-    """Conjunction of predicates."""
-
-    parts: Tuple[Any, ...]
-
-    def __init__(self, *parts: Any) -> None:
-        flattened: List[Any] = []
-        for part in parts:
-            if isinstance(part, And):
-                flattened.extend(part.parts)
-            else:
-                flattened.append(part)
-        object.__setattr__(self, "parts", tuple(flattened))
-
-
-Predicate = Any  # Eq | Range | And
-
-
-def _conjuncts(predicate: Optional[Predicate]) -> List[Any]:
-    if predicate is None:
-        return []
-    if isinstance(predicate, And):
-        return list(predicate.parts)
-    return [predicate]
-
-
-def _row_filter(
-    table: Table, conjuncts: Sequence[Any]
-) -> Callable[[Row], bool]:
-    checks: List[Callable[[Row], bool]] = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, (Eq, Range)):
-            raise TypeError(f"unknown predicate {conjunct!r}")
-        offset = table.schema.offset(conjunct.column)
-        if isinstance(conjunct, Eq):
-            value = conjunct.value
-            checks.append(lambda row, o=offset, v=value: row[o] == v)
-        elif isinstance(conjunct, Range):
-            low, high = conjunct.low, conjunct.high
-            checks.append(
-                lambda row, o=offset, lo=low, hi=high: (
-                    row[o] is not None and lo <= row[o] <= hi
-                )
-            )
-        else:
-            raise TypeError(f"unknown predicate {conjunct!r}")
-    def accept(row: Row) -> bool:
-        return all(check(row) for check in checks)
-    return accept
-
-
-# ----------------------------------------------------------------------
-# the planner
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class Plan:
-    """How a selection will be executed (exposed for tests/EXPLAIN)."""
-
-    access: str                  # "hash-index" | "sorted-index" | "scan"
-    index_name: Optional[str] = None
-    covered: int = 0             # conjuncts satisfied by the access path
-
-
-def _index_columns(table: Table, index) -> Tuple[str, ...]:
-    return tuple(table.schema.names[offset] for offset in index._key_offsets)
-
-
-def plan_select(table: Table, predicate: Optional[Predicate]) -> Plan:
-    """Choose an access path for a selection.
-
-    Preference order: a hash index whose key columns are all bound by
-    equality conjuncts; a sorted index whose key is an equality prefix
-    followed by at most one range conjunct; a full scan.
-    """
-    conjuncts = _conjuncts(predicate)
-    eq_columns = {c.column: c for c in conjuncts if isinstance(c, Eq)}
-    range_columns = {c.column: c for c in conjuncts if isinstance(c, Range)}
-
-    best: Optional[Plan] = None
-    for index_name, index in table._indexes.items():
-        columns = _index_columns(table, index)
-        if isinstance(index, HashIndex):
-            if all(column in eq_columns for column in columns):
-                plan = Plan("hash-index", index_name, covered=len(columns))
-                if best is None or plan.covered > best.covered:
-                    best = plan
-        elif isinstance(index, SortedIndex):
-            covered = 0
-            usable = True
-            for position, column in enumerate(columns):
-                if column in eq_columns:
-                    covered += 1
-                elif column in range_columns:
-                    covered += 1
-                    break  # a range ends the usable prefix
-                else:
-                    usable = position > 0 and covered > 0
-                    break
-            if usable and covered:
-                plan = Plan("sorted-index", index_name, covered=covered)
-                if best is None or plan.covered > best.covered:
-                    best = plan
-    return best or Plan("scan")
-
-
-def select(table: Table, predicate: Optional[Predicate] = None) -> List[Row]:
-    """σ_predicate(table), through the planned access path."""
-    conjuncts = _conjuncts(predicate)
-    if not conjuncts:
-        return list(table.scan())
-    plan = plan_select(table, predicate)
-    accept = _row_filter(table, conjuncts)
-    if plan.access == "scan":
-        return [row for row in table.scan() if accept(row)]
-    index = table._indexes[plan.index_name]
-    columns = _index_columns(table, index)
-    eq_columns = {c.column: c for c in conjuncts if isinstance(c, Eq)}
-    range_columns = {c.column: c for c in conjuncts if isinstance(c, Range)}
-    if plan.access == "hash-index":
-        key = tuple(eq_columns[column].value for column in columns)
-        candidates = table.find(plan.index_name, key)
-    else:
-        low: List[Any] = []
-        high: List[Any] = []
-        for column in columns[: plan.covered]:
-            if column in eq_columns:
-                value = eq_columns[column].value
-                low.append(value)
-                high.append(value)
-            else:
-                bound = range_columns[column]
-                low.append(bound.low)
-                high.append(bound.high)
-                break
-        candidates = table.find_range(plan.index_name, tuple(low), tuple(high))
-    return [row for row in candidates if accept(row)]
-
-
-# ----------------------------------------------------------------------
-# join / project / aggregate
-# ----------------------------------------------------------------------
 
 
 def join(
-    left: Table,
-    right: Table,
-    on: Tuple[str, str],
-    left_predicate: Optional[Predicate] = None,
-    right_predicate: Optional[Predicate] = None,
+    left: Table, right: Table, on: Tuple[str, str]
 ) -> Iterable[Tuple[Row, Row]]:
-    """``σ(left) ⋈ σ(right)`` as a hash join built on the smaller side."""
-    left_rows = select(left, left_predicate)
-    right_rows = select(right, right_predicate)
+    """``left ⋈ right`` as a hash join built on the smaller side."""
+    left_rows = list(left.scan())
+    right_rows = list(right.scan())
     left_offset = left.schema.offset(on[0])
     right_offset = right.schema.offset(on[1])
     if len(left_rows) <= len(right_rows):
@@ -218,14 +42,6 @@ def join(
         for left_row in left_rows:
             for right_row in buckets.get(left_row[left_offset], ()):
                 yield left_row, right_row
-
-
-def project(
-    rows: Iterable[Row], table: Table, columns: Sequence[str]
-) -> List[Tuple[Any, ...]]:
-    """π_columns(rows) — duplicates preserved (bag semantics)."""
-    offsets = table.schema.offsets(columns)
-    return [tuple(row[offset] for offset in offsets) for row in rows]
 
 
 def group_count(values: Iterable[Any]) -> Dict[Any, int]:

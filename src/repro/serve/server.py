@@ -613,10 +613,7 @@ class FrontDoor:
     def _verb_query(self, tenant, request, connection) -> Dict[str, object]:
         plan = plan_from_spec(self._plan_spec(request))
         result = tenant.store.query(plan)
-        return {
-            "matches": [[doc, dist] for doc, dist in result.matches],
-            "pushdown": bool(result.extra.get("pushdown")),
-        }
+        return {"matches": [[doc, dist] for doc, dist in result.matches]}
 
     @staticmethod
     def _plan_spec(request: Dict[str, object]) -> Dict[str, object]:

@@ -422,7 +422,7 @@ class DocumentStore:
         self,
         directory: str,
         config: Optional[GramConfig] = None,
-        backend: Optional[str] = None,
+        backend: str = "compact",
         metrics: "Optional[MetricsRegistry | bool]" = None,
         serve_threads: int = 0,
     ) -> None:
@@ -446,13 +446,9 @@ class DocumentStore:
         # recovery itself is measured.
         self._metrics = resolve_registry(metrics)
         self._bind_instruments(self._metrics)
-        # ``backend`` chooses the forest storage engine when
-        # the store is created (``None`` defers to the
-        # ``REPRO_STORE_BACKEND`` environment variable, then
-        # ``"compact"``); reopening an existing store reads the
-        # recorded choice from the snapshot instead.
-        if backend is None:
-            backend = os.environ.get("REPRO_STORE_BACKEND", "compact")
+        # ``backend`` chooses the forest storage engine when the store
+        # is created; reopening an existing store reads the recorded
+        # choice from the snapshot instead.
         self._service: Optional[LookupService] = None
         self._wal_handle: Optional[BinaryIO] = None
         # The checkpoint trigger's inputs: bytes in the WAL since the
@@ -582,8 +578,7 @@ class DocumentStore:
 
     @property
     def backend_name(self) -> str:
-        """Name of the forest storage backend
-        (memory/compact/rel)."""
+        """Name of the forest storage backend (memory/compact)."""
         return self._forest.backend.name
 
     @property
@@ -803,23 +798,18 @@ class DocumentStore:
             )
         return self._service.lookup(query, tau)
 
-    def query(self, plan, force_mode: Optional[str] = None) -> LookupResult:
+    def query(self, plan) -> LookupResult:
         """Execute a logical :mod:`repro.query` plan over the store.
 
-        Structural predicates push down into the candidate sweep on
-        backends that store the pre/post encoding (``rel``); on every
-        other backend the store's own documents post-filter the
-        retrieval result, so the same plan runs everywhere with
-        bit-identical matches.  ``force_mode`` pins the strategy
-        (``"pushdown"``/``"postfilter"``) for tests and benchmarks.
+        Structural predicates post-filter the retrieval result through
+        the store's own documents, one walk per match, so the same plan
+        returns bit-identical matches on every backend.
         """
         if self._service is None:
             self._service = LookupService(
                 self._forest, snapshot_reads=self._serving
             )
-        return self._service.query(
-            plan, documents=self._require, force_mode=force_mode
-        )
+        return self._service.query(plan, documents=self._require)
 
     # ------------------------------------------------------------------
     # standing queries
@@ -1042,9 +1032,6 @@ class DocumentStore:
         if "frozen" in backend_stats:
             stats["frozen"] = backend_stats["frozen"]
             stats["dirty_keys"] = backend_stats["dirty_keys"]
-        if "node_rows" in backend_stats:
-            stats["node_rows"] = backend_stats["node_rows"]
-            stats["structured_trees"] = backend_stats["structured_trees"]
         return stats
 
     # ------------------------------------------------------------------

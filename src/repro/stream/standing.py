@@ -48,6 +48,7 @@ the differential oracle suite enforces per batch on every backend.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -197,22 +198,55 @@ def plan_to_spec(plan: "Plan | NormalizedPlan") -> Dict[str, object]:
 
 
 def plan_from_spec(spec: Mapping[str, object]) -> NormalizedPlan:
-    """Rebuild a normalized plan persisted with :func:`plan_to_spec`."""
+    """Rebuild a normalized plan persisted with :func:`plan_to_spec`.
+
+    Specs also arrive in untrusted ``query`` / ``subscribe`` frames, and
+    ``subscribe`` persists them, so each field is checked for the type
+    :func:`plan_to_spec` writes: a malformed spec raises
+    :class:`~repro.errors.QueryError` instead of decoding to some other
+    plan."""
     query = tree_from_brackets(spec["query"])  # type: ignore[arg-type]
     if "tau" in spec:
-        retrieval: Plan = ApproxLookup(query, float(spec["tau"]))  # type: ignore[arg-type]
+        tau = float(spec["tau"])  # type: ignore[arg-type]
+        if math.isnan(tau):
+            raise QueryError("tau must be a number, not NaN")
+        retrieval: Plan = ApproxLookup(query, tau)
     else:
         retrieval = TopK(query, int(spec["k"]))  # type: ignore[arg-type]
+    predicates = spec.get("predicates", [])
+    if not isinstance(predicates, list):
+        raise QueryError("predicates must be a list of objects")
     parts: List[Plan] = [retrieval]
-    for entry in spec.get("predicates", ()):  # type: ignore[union-attr]
-        if entry["kind"] == "has_label":
-            predicate: Plan = HasLabel(entry["label"])
-        else:
-            predicate = HasPath(tuple(entry["labels"]))
-        parts.append(Not(predicate) if entry.get("negated") else predicate)
+    parts.extend(_predicate_from_spec(entry) for entry in predicates)
     from repro.query.plan import And
 
     return normalize_plan(And(*parts) if len(parts) > 1 else parts[0])
+
+
+def _predicate_from_spec(entry: object) -> Plan:
+    if not isinstance(entry, Mapping):
+        raise QueryError("each predicate must be an object")
+    kind = entry.get("kind")
+    if kind == "has_label":
+        label = entry.get("label")
+        if not isinstance(label, str):
+            raise QueryError("has_label needs a string label")
+        predicate: Plan = HasLabel(label)
+    elif kind == "has_path":
+        labels = entry.get("labels")
+        if not isinstance(labels, list) or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise QueryError("has_path needs labels as a list of strings")
+        predicate = HasPath(tuple(labels))
+    else:
+        raise QueryError(
+            f"unknown predicate kind {kind!r}; valid kinds: has_label, has_path"
+        )
+    negated = entry.get("negated", False)
+    if not isinstance(negated, bool):
+        raise QueryError("negated must be true or false")
+    return Not(predicate) if negated else predicate
 
 
 def _predicate_labels(predicates) -> Set[str]:

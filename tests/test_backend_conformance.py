@@ -59,16 +59,16 @@ BACKENDS = [
     ("sharded-1", {"backend": "compact"}),
     ("sharded-4", {"backend": "compact"}),
     ("segment", {"backend": "compact"}),
-    ("rel", {"backend": "rel"}),
+    ("rel", {"backend": "compact", "metrics": True}),
     ("memory-z", {"backend": "memory", "metrics": True}),
     ("compact-z", {"backend": "compact", "metrics": True}),
     ("sharded-4z", {"backend": "compact", "metrics": True}),
     ("segment-z", {"backend": "compact", "metrics": True}),
-    ("rel-z", {"backend": "rel", "metrics": True}),
+    ("rel-z", {"backend": "memory", "metrics": True}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
-VIEW_ROWS = {"sharded-1", "sharded-4", "sharded-4z"}
-FROZEN_ROWS = {"sharded-4", "segment", "segment-z"}
+VIEW_ROWS = {"sharded-1", "sharded-4", "sharded-4z", "rel", "rel-z"}
+FROZEN_ROWS = {"sharded-4", "segment", "segment-z", "rel"}
 
 
 def make_forest(name, kwargs):
@@ -113,7 +113,7 @@ def assert_view_equivalent(forest, reference):
     view = forest.read_view()
     assert view.generation == forest.generation
     if HAVE_NUMPY:
-        assert isinstance(view, OverlaySnapshot)
+        assert isinstance(view, OverlaySnapshot) == (forest.backend.name == "compact")
     assert dict(view.iter_sizes()) == dict(reference.backend.iter_sizes())
     query = PQGramIndex.from_tree(
         random_labelled_tree(15, seed=31), CONFIG, reference.hasher
@@ -537,16 +537,14 @@ class TestCompactOverlayStaleness:
         assert_equivalent(forest, reference)
 
     def test_every_builtin_backend_kind(self, tmp_path):
-        from repro.backend import RelBackend
         from repro.backend.base import BACKEND_NAMES
 
-        assert BACKEND_NAMES == ("memory", "compact", "rel")
+        assert BACKEND_NAMES == ("memory", "compact")
         assert isinstance(make_backend("memory"), MemoryBackend)
         assert isinstance(make_backend("compact"), CompactBackend)
-        assert isinstance(make_backend("rel"), RelBackend)
         # An unknown spec, or a retired backend, names every valid
         # backend in one message.
-        for spec in ("mmap", "sharded", "segment"):
+        for spec in ("mmap", "sharded", "segment", "rel"):
             with pytest.raises(ValueError) as excinfo:
                 make_backend(spec)
             for backend_name in BACKEND_NAMES:

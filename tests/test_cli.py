@@ -175,7 +175,6 @@ class TestStoreCommands:
         on-disk corruption cannot survive recovery's rebuild, so the
         check is forced to fail here.)"""
         from repro.backend.compact import CompactBackend
-        from repro.backend.rel import RelBackend
         from repro.errors import IndexConsistencyError
 
         old_path, _ = xml_files
@@ -186,10 +185,8 @@ class TestStoreCommands:
         def broken(self):
             raise IndexConsistencyError("planted drift")
 
-        # Plant the failure on whichever backend the store may be
-        # running (REPRO_STORE_BACKEND picks the default).
+        # Plant the failure on the default backend the store runs.
         monkeypatch.setattr(CompactBackend, "check_consistency", broken)
-        monkeypatch.setattr(RelBackend, "check_consistency", broken)
         assert main(["store", "--dir", store_dir, "verify"]) == 1
         output = capsys.readouterr().out
         assert "doc 1\tok" in output
@@ -340,7 +337,7 @@ class TestMetricsCommands:
 
 
 class TestQueryCommand:
-    def seeded_store(self, tmp_path, backend="rel"):
+    def seeded_store(self, tmp_path, backend="compact"):
         directory = str(tmp_path / f"store-{backend}")
         assert main(["store", "--dir", directory, "create",
                      "--backend", backend]) == 0
@@ -369,17 +366,21 @@ class TestQueryCommand:
         assert "# plan: approx_lookup(tau=1.5) and has_label(author)" in (
             captured.err
         )
-        assert "# structural predicates: pushdown" in captured.err
+        assert "structural predicates" not in captured.err
 
     def test_post_filter_backend_reports_mode(self, tmp_path, capsys):
-        directory = self.seeded_store(tmp_path, backend="compact")
+        """Every backend post-filters, so ``--explain`` names no
+        strategy: the normalized plan is all it prints."""
+        directory = self.seeded_store(tmp_path, backend="memory")
         query = self.query_file(tmp_path)
         capsys.readouterr()
         assert main(["store", "--dir", directory, "query", query,
                      "--tau", "1.5", "--has-label", "author",
                      "--explain"]) == 0
         captured = capsys.readouterr()
-        assert "# structural predicates: post-filter" in captured.err
+        assert captured.err.splitlines() == [
+            "# plan: approx_lookup(tau=1.5) and has_label(author)"
+        ]
         assert "doc 1\tdistance 0.0000" in captured.out
 
     def test_top_k_and_negated_predicates(self, tmp_path, capsys):

@@ -373,7 +373,6 @@ def _builders(tmp_path):
     from repro.backend import (
         CompactBackend,
         MemoryBackend,
-        RelBackend,
         make_backend,
     )
     from repro.lookup import ForestIndex, LookupService
@@ -390,17 +389,16 @@ def _builders(tmp_path):
         "make_backend": lambda: make_backend("compact", compress=True),
         "MemoryBackend": lambda: MemoryBackend(compress=True),
         "CompactBackend": lambda: CompactBackend(compress=True),
-        "RelBackend": lambda: RelBackend(compress=True),
     }
 
 
 class TestCompressionEnabled:
     def test_explicit_wins_over_environment(self, tmp_path):
-        """No signature takes ``compress=`` any more: all eight that
-        still exist refuse it (the other two were the retired segment
-        and sharded backends')."""
+        """No signature takes ``compress=`` any more: all six that
+        still exist refuse it (the other three were the retired
+        segment, sharded and rel backends')."""
         builders = _builders(tmp_path)
-        assert len(builders) == 7
+        assert len(builders) == 6
         for name, build in builders.items():
             with pytest.raises(TypeError, match="compress"):
                 build()
@@ -416,8 +414,8 @@ class TestCompressionEnabled:
         for index, value in enumerate(("1", "true", "YES", " on ")):
             monkeypatch.setenv("REPRO_COMPRESS", value)
             directory = str(tmp_path / f"store{index}")
-            # compact named, not left to REPRO_STORE_BACKEND: the heap
-            # CSR is the compact backend's frozen form.
+            # compact named: the heap CSR is the compact backend's
+            # frozen form.
             with DocumentStore(directory, backend="compact") as store:
                 store.add_documents(
                     [(doc, dblp_tree(2, seed=doc)) for doc in range(6)]

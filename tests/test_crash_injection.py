@@ -46,18 +46,19 @@ from tests.conftest import (
 CONFIG = GramConfig(2, 3)
 WAL = "wal.log"
 # Row id → the DocumentStore keyword arguments of that row.  The
-# ``sharded`` and ``segment`` ids are the rows of backends that no
-# longer exist.  ``sharded`` now runs a compact store on a live metrics
-# registry, so the instrumented branches of every durable write crash
-# and fail too; ``segment`` (``FROZEN_ROWS``) a compact store whose CSR
-# is frozen before the row's writes, so they land in a live overlay
-# over a frozen base when the failpoint fires.
+# ``sharded``, ``segment`` and ``rel`` ids are the rows of backends that
+# no longer exist.  ``sharded`` now runs a compact store on a live
+# metrics registry, so the instrumented branches of every durable write
+# crash and fail too; ``segment`` (``FROZEN_ROWS``) a compact store
+# whose CSR is frozen before the row's writes, so they land in a live
+# overlay over a frozen base when the failpoint fires; ``rel`` a memory
+# store on a live metrics registry.
 STORE_KINDS = {
     "memory": {"backend": "memory"},
     "compact": {"backend": "compact"},
     "sharded": {"backend": "compact", "metrics": True},
     "segment": {"backend": "compact"},
-    "rel": {"backend": "rel"},
+    "rel": {"backend": "memory", "metrics": True},
 }
 STORE_BACKENDS = list(STORE_KINDS)
 FROZEN_ROWS = {"segment"}
@@ -692,7 +693,7 @@ def test_eio_at_every_failpoint(tmp_path, monkeypatch, backend, operation, point
 def test_parent_format_homes_are_deleted_never_read(tmp_path):
     """Stores used to keep a second, durable copy of the index for the
     retired ``segment`` backend (``segments/`` with ``MANIFEST.json``, a
-    sealed segment and a delta log) and the ``rel`` backend
+    sealed segment and a delta log) and the retired ``rel`` backend
     (``rel/rel.db``).  A directory holding both, plus a WAL tail, opens
     with either remaining backend to indexes equal to a rebuild — the
     planted homes hold bytes that match no document — and keeps no home
@@ -702,7 +703,7 @@ def test_parent_format_homes_are_deleted_never_read(tmp_path):
     from repro.relstore.schema import Column, Schema
 
     wrong = {1: {(7, 7, 7, 7, 7): 3}, 2: {(8, 8, 8, 8, 8): 1}}
-    for backend in ("compact", "rel"):
+    for backend in ("memory", "compact"):
         directory = str(tmp_path / backend)
         store = DocumentStore(directory, CONFIG, backend=backend)
         store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))

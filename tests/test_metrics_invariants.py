@@ -29,7 +29,7 @@ from repro.tree import tree_from_brackets
 from tests.conftest import build_random_tree
 
 CONFIG = GramConfig(2, 3)
-BACKENDS = ["memory", "compact", "rel"]
+BACKENDS = ["memory", "compact"]
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,

@@ -40,7 +40,7 @@ class TestIndexDistanceBackends:
         every backend, frozen or not."""
         trees = [random_labelled_tree(5 + 7 * i, seed=100 + i) for i in range(6)]
         indexes = [build_index(tree) for tree in trees]
-        for name in ("memory", "compact", "rel"):
+        for name in ("memory", "compact"):
             forest = ForestIndex(GramConfig(2, 3), backend=name)
             forest.add_trees(enumerate(trees))
             if name == "compact":
@@ -156,7 +156,7 @@ class TestParallelBuild:
         sizes and distances, on every backend."""
         collection = self.collection()
         query = build_index(xmark_tree(40, seed=1), GramConfig(2, 3))
-        for name in ("memory", "compact", "rel"):
+        for name in ("memory", "compact"):
             looped = ForestIndex(GramConfig(2, 3), backend=name)
             for tree_id, tree in collection:
                 looped.add_tree(tree_id, tree)

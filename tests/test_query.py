@@ -1,19 +1,9 @@
-"""Relational-algebra layer tests: planning, selection, join, bags."""
+"""Relational-algebra layer tests: index selections, join, bags."""
 
 import pytest
 
 from repro.relstore import Column, Schema, Table
-from repro.relstore.query import (
-    And,
-    Eq,
-    Plan,
-    Range,
-    group_count,
-    join,
-    plan_select,
-    project,
-    select,
-)
+from repro.relstore.query import group_count, join
 
 
 def sample_table():
@@ -43,49 +33,26 @@ def sample_table():
     return table
 
 
-class TestPlanning:
-    def test_equality_uses_hash_index(self):
-        table = sample_table()
-        plan = plan_select(table, Eq("kind", "even"))
-        assert plan.access == "hash-index"
-        assert plan.index_name == "by_kind"
-
-    def test_prefix_plus_range_uses_sorted_index(self):
-        table = sample_table()
-        plan = plan_select(table, And(Eq("parent", 1), Range("size", 0, 100)))
-        assert plan.access == "sorted-index"
-        assert plan.index_name == "by_parent_size"
-        assert plan.covered == 2
-
-    def test_uncovered_predicate_scans(self):
-        table = sample_table()
-        assert plan_select(table, Eq("size", 50)).access == "scan"
-
-    def test_no_predicate_scans(self):
-        table = sample_table()
-        assert plan_select(table, None).access == "scan"
-
-
 class TestSelection:
     def test_results_match_scan_filter(self):
+        """Each index read returns exactly the rows a filtered scan
+        keeps: an equality on the hash index, an equality prefix plus
+        a range on the sorted index, and a full composite key."""
         table = sample_table()
-        for predicate in (
-            None,
-            Eq("kind", "odd"),
-            Eq("size", 50),
-            Range("size", 30, 90),
-            And(Eq("parent", 2), Range("size", 0, 120)),
-            And(Eq("kind", "even"), Eq("parent", 0)),
+        rows = list(table.scan())
+        for got, keep in (
+            (table.find("by_kind", "odd"), lambda row: row[1] == "odd"),
+            (
+                table.find_range("by_parent_size", (2, 0), (2, 120)),
+                lambda row: row[3] == 2 and 0 <= row[2] <= 120,
+            ),
+            (
+                table.find_range("by_parent_size", (1, 0), (2, 10**6)),
+                lambda row: row[3] in (1, 2),
+            ),
+            (table.find("by_parent_size", (0, 40)), lambda row: row[0] == 4),
         ):
-            got = sorted(select(table, predicate))
-            if predicate is None:
-                expected = sorted(table.scan())
-            else:
-                from repro.relstore.query import _conjuncts, _row_filter
-
-                accept = _row_filter(table, _conjuncts(predicate))
-                expected = sorted(row for row in table.scan() if accept(row))
-            assert got == expected, predicate
+            assert sorted(got) == sorted(row for row in rows if keep(row))
 
     def test_range_excludes_null(self):
         table = Table(
@@ -93,14 +60,10 @@ class TestSelection:
             Schema([Column("id", int), Column("v", int, nullable=True)]),
             primary_key=("id",),
         )
+        table.create_index("by_v", ("v",), kind="sorted")
         table.insert({"id": 1, "v": None})
         table.insert({"id": 2, "v": 5})
-        assert select(table, Range("v", 0, 10)) == [(2, 5)]
-
-    def test_unknown_predicate_type_rejected(self):
-        table = sample_table()
-        with pytest.raises(TypeError):
-            select(table, "kind = 'even'")
+        assert table.find_range("by_v", 0, 10) == [(2, 5)]
 
 
 class TestJoinProjectGroup:
@@ -119,25 +82,23 @@ class TestJoinProjectGroup:
             assert left_row[3] == right_row[0]
 
     def test_join_with_predicates(self):
+        """Selections apply to the join's output pairs; ``join`` itself
+        takes no predicates."""
         left = sample_table()
         right = sample_table()
-        pairs = list(
-            join(
-                left,
-                right,
-                on=("id", "id"),
-                left_predicate=Eq("kind", "even"),
-                right_predicate=Range("size", 0, 50),
-            )
-        )
-        assert sorted(lr[0][0] for lr in pairs) == [0, 2, 4]
+        pairs = [
+            (left_row, right_row)
+            for left_row, right_row in join(left, right, on=("id", "id"))
+            if left_row[1] == "even" and 0 <= right_row[2] <= 50
+        ]
+        assert sorted(left_row[0] for left_row, _ in pairs) == [0, 2, 4]
+        with pytest.raises(TypeError):
+            join(left, right, on=("id", "id"), left_predicate=None)
 
     def test_project_bag_semantics(self):
         table = sample_table()
-        values = project(table.scan(), table, ("kind",))
-        counts = group_count(values)
-        assert counts[("even",)] == 10
-        assert counts[("odd",)] == 10
+        counts = group_count(row[1] for row in table.scan())
+        assert counts == {"even": 10, "odd": 10}
 
     def test_group_count(self):
         assert group_count(["a", "b", "a"]) == {"a": 2, "b": 1}
@@ -174,8 +135,8 @@ class TestEdgeCases:
         left = self.empty_table("left")
         left.create_index("by_kind", ("kind",), kind="hash")
         right = self.empty_table("right")
-        assert select(left, Eq("kind", "even")) == []
-        assert select(left, None) == []
+        assert left.find("by_kind", "even") == []
+        assert list(left.scan()) == []
         assert list(join(left, right, on=("id", "id"))) == []
         # One empty side is enough to empty the join.
         right.insert({"id": 1, "kind": "odd"})
@@ -184,62 +145,44 @@ class TestEdgeCases:
 
     def test_group_count_on_empty_input(self):
         assert group_count([]) == {}
-        assert group_count(project([], self.empty_table(), ["kind"])) == {}
+        assert group_count(row[1] for row in self.empty_table().scan()) == {}
 
     def test_empty_and_inverted_ranges(self):
         table = sample_table()
-        assert select(table, Range("size", 55, 55)) == []
-        assert select(table, Range("size", 100, 10)) == []  # inverted: empty
-        assert (
-            select(table, And(Eq("parent", 1), Range("size", 500, 10))) == []
-        )
+        assert table.find_range("by_parent_size", (1, 55), (1, 55)) == []
+        # inverted: empty
+        assert table.find_range("by_parent_size", (1, 100), (1, 10)) == []
+        assert table.find_range("by_parent_size", (1, 500), (1, 10)) == []
 
     def test_composite_key_range_on_sorted_index(self):
         table = sample_table()
         # Equality prefix + range over the ("parent", "size") sorted key.
-        predicate = And(Eq("parent", 2), Range("size", 20, 140))
-        plan = plan_select(table, predicate)
-        assert plan.access == "sorted-index"
-        assert plan.index_name == "by_parent_size"
-        rows = select(table, predicate)
+        rows = table.find_range("by_parent_size", (2, 20), (2, 140))
         expected = [
             row
             for row in table.scan()
             if row[3] == 2 and 20 <= row[2] <= 140
         ]
-        assert sorted(rows) == sorted(expected)
-        # A range on the *prefix* column alone still uses the index...
-        prefix_plan = plan_select(table, Range("parent", 1, 2))
-        assert prefix_plan.access == "sorted-index"
-        # ...but a range on the suffix alone cannot: order isn't by size.
-        suffix_plan = plan_select(table, Range("size", 20, 140))
-        assert suffix_plan.access == "scan"
-        assert sorted(select(table, Range("size", 20, 140))) == sorted(
-            row for row in table.scan() if 20 <= row[2] <= 140
+        assert rows and sorted(rows) == sorted(expected)
+        # A range spanning prefixes runs in key order, not size order.
+        spanning = table.find_range("by_parent_size", (1, 0), (2, 10**6))
+        assert [(row[3], row[2]) for row in spanning] == sorted(
+            (row[3], row[2]) for row in table.scan() if row[3] in (1, 2)
         )
 
     def test_and_mixing_hash_and_sorted_coverage(self):
         table = sample_table()
-        # kind is hash-indexed; (parent, size) is the sorted index.  The
-        # planner picks whichever covers more conjuncts and the residual
-        # filter applies the rest — results must match a full scan.
-        predicate = And(
-            Eq("kind", "even"), Eq("parent", 2), Range("size", 0, 120)
-        )
-        plan = plan_select(table, predicate)
-        assert plan.access == "sorted-index"
-        assert plan.covered == 2
-        rows = select(table, predicate)
-        expected = [
-            row
-            for row in table.scan()
-            if row[1] == "even" and row[3] == 2 and 0 <= row[2] <= 120
-        ]
-        assert sorted(rows) == sorted(expected)
-        # Flip the balance: only the hash column is constrained.
-        hash_plan = plan_select(table, And(Eq("kind", "odd")))
-        assert hash_plan.access == "hash-index"
-        assert hash_plan.index_name == "by_kind"
+        # kind is hash-indexed; (parent, size) is the sorted index.  A
+        # range read on one plus a residual filter on the other keeps
+        # exactly the rows a full scan does, whichever index reads.
+        def wanted(row):
+            return row[1] == "even" and row[3] == 2 and 0 <= row[2] <= 120
+
+        expected = sorted(row for row in table.scan() if wanted(row))
+        by_range = table.find_range("by_parent_size", (2, 0), (2, 120))
+        by_hash = table.find("by_kind", "even")
+        assert sorted(row for row in by_range if wanted(row)) == expected
+        assert sorted(row for row in by_hash if wanted(row)) == expected
 
     def test_join_on_composite_projected_values(self):
         table = sample_table()
@@ -252,7 +195,4 @@ class TestEdgeCases:
         other.insert({"size": 160, "note": "one-sixty"})
         pairs = list(join(table, other, on=("size", "size")))
         assert {left[0] for left, _ in pairs} == {4, 16}
-        counts = group_count(
-            project((left for left, _ in pairs), table, ["kind"])
-        )
-        assert counts == {("even",): 2}
+        assert group_count(left[1] for left, _ in pairs) == {"even": 2}

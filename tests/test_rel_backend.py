@@ -1,26 +1,31 @@
-"""RelBackend write path + structural encoding, and its place in the
-store's one recovery protocol (built from the documents on every open,
-never read back from disk).  The bounded intern pool tests at the end
-pin the test-only copy of the packed layer (:mod:`tests.support.packed`)
-until their ids retire."""
+"""What the retired relational (``rel``) backend's tests still check,
+on the two backends that remain: the compact write path against the
+memory reference, the structural predicates against brute force, and
+how a store that recorded ``backend=rel`` (and may still hold the
+``rel/`` directory that backend once wrote) opens — as compact, built
+from its documents, with the same plan results.  The bounded intern
+pool tests at the end pin the test-only copy of the packed layer
+(:mod:`tests.support.packed`) until their ids retire."""
 
+import itertools
 import os
 import random
 
 import pytest
 
+from repro.backend.compact import CompactBackend
 from repro.backend.memory import MemoryBackend
-from repro.backend.rel import RelBackend
-from repro.core import GramConfig, index_of_tree
-from repro.hashing import LabelHasher
+from repro.core import GramConfig
 from repro.datasets import random_labelled_tree
 from repro.errors import IndexConsistencyError, StorageError
-from repro.query import And, ApproxLookup, HasLabel, HasPath
+from repro.lookup import ForestIndex
+from repro.query import And, ApproxLookup, HasLabel, execute_plan
 from repro.query.structural import tree_has_label, tree_has_path
+from repro.service import DocumentStore
 from tests.support.packed import InternPool
+from tests.test_backend_conformance import plant_meta, read_meta
 
 CONFIG = GramConfig(2, 3)
-HASHER = LabelHasher()
 
 
 def random_bags(count, seed):
@@ -36,17 +41,6 @@ def random_bags(count, seed):
     return bags
 
 
-def fill_with_trees(backend, count, seed):
-    trees = {}
-    for tree_id in range(count):
-        tree = random_labelled_tree(random.Random(seed + tree_id).randint(2, 25),
-                                    seed=seed + tree_id)
-        trees[tree_id] = tree
-        backend.add_tree_bag(tree_id, dict(index_of_tree(tree, CONFIG, HASHER).items()))
-        backend.record_structure(tree_id, tree)
-    return trees
-
-
 # ----------------------------------------------------------------------
 # write path parity with the reference backend
 # ----------------------------------------------------------------------
@@ -54,201 +48,185 @@ def fill_with_trees(backend, count, seed):
 
 class TestWritePath:
     def test_matches_memory_through_mixed_workload(self):
-        rel = RelBackend()
+        """Compact, frozen halfway through, folds the same deltas into
+        the same relation as the memory reference."""
+        compact = CompactBackend()
         memory = MemoryBackend()
         bags = random_bags(12, seed=3)
         rng = random.Random(4)
         for tree_id, bag in bags.items():
-            rel.add_tree_bag(tree_id, dict(bag))
+            compact.add_tree_bag(tree_id, dict(bag))
             memory.add_tree_bag(tree_id, dict(bag))
+        compact.compact()
         keys = sorted({key for bag in bags.values() for key in bag})
         for _ in range(10):
             tree_id = rng.randrange(12)
-            if tree_id not in rel:
+            if tree_id not in compact:
                 continue
-            bag = dict(rel.tree_bag(tree_id))
+            bag = dict(compact.tree_bag(tree_id))
             minus = {rng.choice(sorted(bag)): 1} if bag else {}
             plus = {rng.choice(keys): 1}
-            rel.apply_tree_delta(tree_id, minus, plus)
+            compact.apply_tree_delta(tree_id, minus, plus)
             memory.apply_tree_delta(tree_id, minus, plus)
-        rel.remove_tree(5)
+        compact.remove_tree(5)
         memory.remove_tree(5)
-        assert rel.snapshot() == memory.snapshot()
-        assert sorted(rel.iter_sizes()) == sorted(memory.iter_sizes())
+        assert compact.snapshot() == memory.snapshot()
+        assert sorted(compact.iter_sizes()) == sorted(memory.iter_sizes())
         items = [(key, rng.randint(1, 3)) for key in keys[:6]]
-        assert rel.candidates(items) == memory.candidates(items)
-        rel.check_consistency()
+        assert compact.candidates(items) == memory.candidates(items)
+        compact.check_consistency()
 
     def test_duplicate_add_and_bad_delta_raise(self):
-        rel = RelBackend()
-        rel.add_tree_bag(1, {(1, 2): 2})
-        with pytest.raises(StorageError):
-            rel.add_tree_bag(1, {(3, 4): 1})
-        with pytest.raises(IndexConsistencyError):
-            rel.apply_tree_delta(1, {(1, 2): 3}, {})
-        with pytest.raises(IndexConsistencyError):
-            rel.apply_tree_delta(1, {(9, 9): 1}, {})
+        for backend, freeze in itertools.product(
+            (CompactBackend, MemoryBackend), (False, True)
+        ):
+            backend = backend()
+            backend.add_tree_bag(1, {(1, 2): 2})
+            if freeze:
+                backend.compact()
+            with pytest.raises(StorageError):
+                backend.add_tree_bag(1, {(3, 4): 1})
+            with pytest.raises(IndexConsistencyError):
+                backend.apply_tree_delta(1, {(1, 2): 3}, {})
+            with pytest.raises(IndexConsistencyError):
+                backend.apply_tree_delta(1, {(9, 9): 1}, {})
 
 
 # ----------------------------------------------------------------------
-# structural encoding
+# structural predicates
 # ----------------------------------------------------------------------
+
+
+def root_paths(tree):
+    """The label sequence from the root to every node."""
+    paths = []
+    stack = [(tree.root_id, (tree.label(tree.root_id),))]
+    while stack:
+        node, path = stack.pop()
+        paths.append(path)
+        for child in tree.children(node):
+            stack.append((child, path + (tree.label(child),)))
+    return paths
 
 
 class TestStructure:
     def test_matchers_agree_with_tree_walks(self):
-        rel = RelBackend()
-        trees = fill_with_trees(rel, 15, seed=50)
+        """``tree_has_label`` / ``tree_has_path`` against brute force:
+        a label is in the tree iff some root path ends in it, and a
+        descendant chain is iff some root path holds it at increasing
+        positions — every choice of positions tried."""
+        trees = [
+            random_labelled_tree(random.Random(50 + seed).randint(2, 25), seed=50 + seed)
+            for seed in range(15)
+        ]
         labels = sorted(
-            {
-                tree.label(node)
-                for tree in trees.values()
-                for node in tree.node_ids()
-            }
+            {tree.label(node) for tree in trees for node in tree.node_ids()}
         )
         rng = random.Random(51)
         for label in labels[:8] + ["absent"]:
-            matcher = rel.structural_matcher(HasLabel(label))
-            for tree_id, tree in trees.items():
-                assert matcher(tree_id) == tree_has_label(tree, label), (
-                    tree_id,
-                    label,
-                )
+            for tree in trees:
+                expected = any(path[-1] == label for path in root_paths(tree))
+                assert tree_has_label(tree, label) == expected, label
         for _ in range(30):
             chain = tuple(
-                rng.choice(labels + ["absent"])
-                for _ in range(rng.randint(1, 4))
+                rng.choice(labels + ["absent"]) for _ in range(rng.randint(1, 4))
             )
-            matcher = rel.structural_matcher(HasPath(chain))
-            for tree_id, tree in trees.items():
-                assert matcher(tree_id) == tree_has_path(tree, chain), (
-                    tree_id,
-                    chain,
+            for tree in trees:
+                expected = any(
+                    tuple(path[index] for index in positions) == chain
+                    for path in root_paths(tree)
+                    for positions in itertools.combinations(range(len(path)), len(chain))
                 )
-
-    def test_structures_missing_tracks_record_structure(self):
-        rel = RelBackend()
-        tree = random_labelled_tree(6, seed=1)
-        rel.add_tree_bag(7, dict(index_of_tree(tree, CONFIG, HASHER).items()))
-        assert rel.structures_missing() == {7}
-        assert not rel.structures_complete()
-        rel.record_structure(7, tree)
-        assert rel.structures_missing() == set()
-        assert rel.structures_complete()
-        # restore() wipes node rows: every surviving tree needs re-recording.
-        rel.restore({7: dict(index_of_tree(tree, CONFIG, HASHER).items()), 8: {(1,): 1}})
-        assert rel.structures_missing() == {7, 8}
-        rel.remove_tree(7)
-        assert rel.structures_missing() == {8}
-
-    def test_check_consistency_rejects_broken_intervals(self):
-        rel = RelBackend()
-        tree = random_labelled_tree(8, seed=2)
-        rel.add_tree_bag(1, dict(index_of_tree(tree, CONFIG, HASHER).items()))
-        rel.record_structure(1, tree)
-        rel.check_consistency()
-        # Corrupt one post value so pre/post no longer nest.
-        row = rel._nodes.get_row((1, 0))
-        rel._nodes.update((1, 0), {"post": row[1] + 50})
-        with pytest.raises(IndexConsistencyError):
-            rel.check_consistency()
+                assert tree_has_path(tree, chain) == expected, chain
 
 
 # ----------------------------------------------------------------------
-# durability: derived from the store's documents
+# stores that recorded the retired backend
 # ----------------------------------------------------------------------
+
+
+def seed_store(directory, count=8, seed=70):
+    """A closed compact store whose snapshot now records ``backend=rel``,
+    as one the retired backend wrote; its documents."""
+    collection = [
+        (index, random_labelled_tree(10, seed=seed + index)) for index in range(count)
+    ]
+    with DocumentStore(directory, CONFIG, backend="compact") as store:
+        store.add_documents(collection)
+    plant_meta(os.path.join(directory, "store.db"), backend="rel")
+    return collection
+
+
+def query_plan(collection):
+    return And(ApproxLookup(collection[0][1], 1.5), HasLabel("a"))
 
 
 class TestDurability:
     def test_checkpoint_reopen_preserves_everything(self, tmp_path):
-        """A closed and reopened rel store holds the same relation and
-        a complete pre/post table, built from its documents."""
-        from repro.service import DocumentStore
-
+        """A store recorded as ``rel`` reopens as compact with the same
+        relation and plan results, and its next checkpoint records
+        ``compact``."""
         directory = str(tmp_path / "store")
-        trees = {
-            tree_id: random_labelled_tree(
-                random.Random(60 + tree_id).randint(2, 25), seed=60 + tree_id
-            )
-            for tree_id in range(8)
-        }
-        with DocumentStore(directory, CONFIG, backend="rel") as store:
-            store.add_documents(list(trees.items()))
-            expected = store._forest.backend.snapshot()
+        collection = seed_store(directory)
+        reference = ForestIndex(CONFIG, backend="memory")
+        reference.add_trees(collection)
+        expected = reference.backend.snapshot()
+        plan_matches = execute_plan(
+            reference, query_plan(collection), documents=dict(collection).__getitem__
+        ).matches
         with DocumentStore(directory) as reopened:
-            backend = reopened._forest.backend
-            assert reopened.backend_name == "rel"
-            assert backend.snapshot() == expected
-            assert backend.structures_missing() == set()
-            matcher = backend.structural_matcher(HasLabel("absent"))
-            for tree_id in trees:
-                assert matcher(tree_id) is False
-            backend.check_consistency()
+            assert reopened.backend_name == "compact"
+            assert reopened._forest.backend.snapshot() == expected
+            assert reopened.query(query_plan(collection)).matches == plan_matches
+            reopened._forest.backend.check_consistency()
+            reopened.checkpoint()
+        assert read_meta(os.path.join(directory, "store.db"))["backend"] == "compact"
         assert not os.path.exists(os.path.join(directory, "rel"))
 
-    def test_stats_shape(self):
-        rel = RelBackend()
-        tree = random_labelled_tree(6, seed=5)
-        rel.add_tree_bag(1, dict(index_of_tree(tree, CONFIG, HASHER).items()))
-        rel.record_structure(1, tree)
-        stats = rel.stats()
-        assert stats["backend"] == "rel"
-        assert stats["trees"] == 1
-        assert stats["node_rows"] == len(tree)
-        assert stats["structured_trees"] == 1
-        assert "durable" not in stats
+    def test_stats_shape(self, tmp_path):
+        """No backend and no store reports the retired node-table
+        counters."""
+        directory = str(tmp_path / "store")
+        seed_store(directory)
+        with DocumentStore(directory) as store:
+            stats = store.stats()
+            backend_stats = store._forest.backend_stats()
+        assert stats["backend"] == backend_stats["backend"] == "compact"
+        assert backend_stats["trees"] == 8
+        for retired in ("node_rows", "structured_trees", "durable"):
+            assert retired not in stats
+            assert retired not in backend_stats
 
 
 class TestStoreRecovery:
-    def make_store(self, directory):
-        from repro.service import DocumentStore
-
-        return DocumentStore(directory, CONFIG, backend="rel")
-
-    def seed_store(self, directory, count=8, seed=70):
-        collection = [
-            (index, random_labelled_tree(10, seed=seed + index))
-            for index in range(count)
-        ]
-        with self.make_store(directory) as store:
-            store.add_documents(collection)
-        return collection
-
-    def query_plan(self, collection):
-        return And(ApproxLookup(collection[0][1], 1.5), HasLabel("a"))
-
     def test_corrupt_snapshot_rebuilds_from_wal(self, tmp_path):
         """A ``rel/rel.db`` in the store directory — here garbage — is
         deleted on open, never read."""
-        from repro.service import DocumentStore
-
         directory = str(tmp_path / "store")
-        collection = self.seed_store(directory)
+        collection = seed_store(directory)
         with DocumentStore(directory) as store:
-            expected = store.query(self.query_plan(collection)).matches
+            expected = store.query(query_plan(collection)).matches
         os.makedirs(os.path.join(directory, "rel"))
         with open(os.path.join(directory, "rel", "rel.db"), "wb") as handle:
             handle.write(b"this is not a relstore snapshot")
         with DocumentStore(directory) as store:
             assert not os.path.exists(os.path.join(directory, "rel"))
-            assert store.backend_name == "rel"
-            result = store.query(self.query_plan(collection))
-            assert result.matches == expected
-            assert result.extra["pushdown"] == 1.0
+            assert store.backend_name == "compact"
+            assert store.query(query_plan(collection)).matches == expected
             store._forest.backend.check_consistency()
 
     def test_missing_rel_directory_rebuilds(self, tmp_path):
         """No ``rel/`` directory is the normal state: the reopened store
-        builds the relation and the node table from its documents, and
-        pushdown is sound at once."""
-        from repro.service import DocumentStore
-
+        builds its index from its documents and answers plans like a
+        memory store built from the same documents."""
         directory = str(tmp_path / "store")
-        collection = self.seed_store(directory)
+        collection = seed_store(directory)
         assert not os.path.exists(os.path.join(directory, "rel"))
+        with DocumentStore(str(tmp_path / "reference"), CONFIG, backend="memory") as ref:
+            ref.add_documents(collection)
+            expected = ref.query(query_plan(collection)).matches
         with DocumentStore(directory) as store:
-            result = store.query(self.query_plan(collection))
-            assert result.extra["pushdown"] == 1.0
+            assert store.query(query_plan(collection)).matches == expected
             store._forest.backend.check_consistency()
 
 

@@ -346,16 +346,19 @@ class TestSegmentStore:
         served.close()
 
     def test_env_default_backend(self, tmp_path, monkeypatch):
-        """``REPRO_STORE_BACKEND`` picks the backend of a new store,
-        which then records it: a reopen without the variable keeps it."""
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "rel")
+        """No environment variable picks a store's backend: a new store
+        is ``compact`` with ``REPRO_STORE_BACKEND`` set, and a store
+        created as ``memory`` records it, so a reopen keeps it."""
+        monkeypatch.setenv("REPRO_STORE_BACKEND", "memory")
         store = DocumentStore(str(tmp_path / "store"), CONFIG)
-        assert store.backend_name == "rel"
-        store.add_document(1, _tree(seed=90))
+        assert store.backend_name == "compact"
         store.close()
         monkeypatch.delenv("REPRO_STORE_BACKEND")
-        reopened = DocumentStore(str(tmp_path / "store"))
-        assert reopened.backend_name == "rel"
+        store = DocumentStore(str(tmp_path / "memory"), CONFIG, backend="memory")
+        store.add_document(1, _tree(seed=90))
+        store.close()
+        reopened = DocumentStore(str(tmp_path / "memory"))
+        assert reopened.backend_name == "memory"
         reopened.close()
 
     def test_fresh_store_discards_leftover_segments(self, tmp_path):

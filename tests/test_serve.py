@@ -39,6 +39,8 @@ from repro.service.soak import random_tree
 from repro.service.store import DocumentStore
 from repro.tree.builder import tree_from_brackets, tree_to_brackets
 
+from tests.conftest import BAD_PLAN_SPECS
+
 #: effectively-unbounded admission for tests that are not about shedding
 OPEN_POLICY = AdmissionPolicy(
     rate=100000.0, burst=100000.0, max_queue=4096, max_wait_seconds=60.0
@@ -274,6 +276,30 @@ class TestVerbs:
         assert excinfo.value.status == 503
         assert client.stats()["failed"] is True
         assert client.show(4)["tree"] == tree_to_brackets(tree)
+
+    @pytest.mark.parametrize("fields", BAD_PLAN_SPECS.values(), ids=BAD_PLAN_SPECS)
+    def test_malformed_plan_spec_is_400(self, served, fields):
+        """A ``query`` or ``subscribe`` frame whose plan spec has a
+        field of the wrong type (or a NaN tau) is a 400 ``bad_request``
+        and registers nothing."""
+        front_door, client = served
+        client.add_document(1, "a(b)")
+        for verb, extra in (("query", {}), ("subscribe", {"query_id": "bad"})):
+            client._next_id += 1
+            frame = {
+                "id": client._next_id,
+                "verb": verb,
+                "tenant": client.tenant,
+                "query": "a(b)",
+                "tau": 0.5,
+                **extra,
+                **fields,
+            }
+            client._send(frame)
+            with pytest.raises(ServeRequestError) as excinfo:
+                client._unwrap(client._read_reply(frame["id"]))
+            assert (excinfo.value.code, excinfo.value.status) == ("bad_request", 400)
+        assert front_door.tenant_store("default").standing_query_ids() == []
 
     def test_missing_field_is_400(self, served):
         _, client = served

@@ -196,9 +196,9 @@ def test_a_pipelining_connection_does_not_starve_another(tmp_path):
 
 
 def test_writers_do_not_stall_reads_past_the_read_limit(tmp_path):
-    """On the default backend, whatever ``REPRO_STORE_BACKEND`` says:
-    a ``rel`` view is a copy of the whole relation per generation, and
-    the bound is the benchmark's, which runs ``compact``."""
+    """On the default backend, named: a ``memory`` view is a copy of
+    the whole relation per generation, and the bound is the
+    benchmark's, which runs ``compact``."""
     rng = random.Random(11)
     mirrors = {
         document_id: canonical(xmark_tree(400, seed=document_id))

@@ -329,7 +329,7 @@ class TestEnginesAndStats:
         """Recovery never maintains: on every backend the batch is
         applied to the document and the forest built once afterwards,
         so no maintenance batch runs and the index equals a rebuild."""
-        for backend in ("memory", "compact", "rel"):
+        for backend in ("memory", "compact"):
             directory = str(tmp_path / backend)
             store = DocumentStore(directory, GramConfig(2, 2), backend=backend)
             store.add_document(1, dblp_tree(15, seed=8))

@@ -12,6 +12,7 @@ the ``repro.core`` reference path (``tests/conftest.py::
 reference_update``) each edit round is also checked against.
 """
 
+import os
 import random
 import tempfile
 
@@ -31,6 +32,7 @@ from repro.stream import StandingQueryEngine, plan_from_spec, plan_to_spec
 from repro.tree.builder import tree_from_brackets
 
 from tests.conftest import (
+    BAD_PLAN_SPECS,
     REFERENCE_ENGINES,
     assert_store_is_rebuild,
     reference_update,
@@ -42,13 +44,15 @@ from tests.conftest import (
 # through the write coalescer and whose queries read the published
 # snapshot over the frozen CSR — ``segment`` on a live metrics
 # registry, so the instrumented branches of the store and the standing
-# engine run too.
+# engine run too.  The ``rel`` id is the row of the retired relational
+# backend; it now runs a served memory store, whose queries read the
+# base class's dict-copy snapshot.
 BACKENDS = {
     "memory": {"backend": "memory"},
     "compact": {"backend": "compact"},
     "sharded": {"backend": "compact", "serve_threads": 2},
     "segment": {"backend": "compact", "serve_threads": 2, "metrics": True},
-    "rel": {"backend": "rel"},
+    "rel": {"backend": "memory", "serve_threads": 2},
 }
 
 
@@ -262,6 +266,24 @@ def test_plan_spec_round_trip():
     assert plan_to_spec(rebuilt) == spec
     top = TopK(tree_from_brackets("a(b)"), 3)
     assert plan_to_spec(plan_from_spec(plan_to_spec(top))) == plan_to_spec(top)
+
+
+@pytest.mark.parametrize("fields", BAD_PLAN_SPECS.values(), ids=BAD_PLAN_SPECS)
+def test_malformed_plan_spec_is_a_query_error(tmp_path, fields):
+    """A malformed spec is refused with ``QueryError``, and nothing
+    reaches the store: no subscription, no new checkpoint."""
+    directory = str(tmp_path / "store")
+    store = DocumentStore(directory)
+    store.add_document(1, tree_from_brackets("a(b)"))
+    with open(os.path.join(directory, "store.db"), "rb") as handle:
+        snapshot = handle.read()
+    spec = {"query": "a(b)", "tau": 0.5, **fields}
+    with pytest.raises(QueryError):
+        store.subscribe("bad", plan_from_spec(spec))
+    assert store.standing_query_ids() == []
+    with open(os.path.join(directory, "store.db"), "rb") as handle:
+        assert handle.read() == snapshot
+    store.close()
 
 
 def test_delta_key_prune_ledger_counts_skips(tmp_path):
