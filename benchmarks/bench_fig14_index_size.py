@@ -77,7 +77,7 @@ def measure_forest_size(tree_count: int, config: GramConfig) -> dict:
     ]
     results: dict = {"tree_count": tree_count}
 
-    plain = ForestIndex(config, backend="compact")
+    plain = ForestIndex(config)
     plain.add_trees(collection)
     plain.compact()
     results["heap_bytes"] = deep_sizeof(plain.backend)

@@ -9,8 +9,9 @@ form (front door, stores and kernels in-process), the ``lifecycle``
 workload's end-to-end form (build, feed, crash, reopen), and every
 ``repro`` CLI command but ``serve`` (which runs until SIGTERM; the
 traced runs drive its front door) over a scratch store.  A function's
-lines are the distinct line numbers of its code object; the report is
-the share of them in functions never called, per package.  Code in
+lines are the distinct line numbers of its code object (class bodies,
+which run at import, are not functions); the report is the share of
+them in functions never called, per package.  Code in
 child processes (the killed lifecycle writer) is
 not seen, so each share is an upper bound.  Exits non-zero if a run
 or a command failed, or if the total uncalled share exceeds
@@ -19,6 +20,7 @@ raise it to let code in).
 """
 
 import contextlib
+import inspect
 import io
 import os
 import sys
@@ -38,11 +40,10 @@ from repro.cli import main as cli  # noqa: E402
 from repro.datasets import dblp_tree  # noqa: E402
 from repro.xmlio import write_xml  # noqa: E402
 
-#: ceiling on the total uncalled share; 37.6 % and 37.8 % measured when
-#: the rel backend, structural pushdown and the relstore selection
-#: planner went and the serving driver moved out of ``src/``, rounded up
-#: to the next half point
-MAX_UNCALLED_SHARE = 0.38
+#: ceiling on the total uncalled share; 28.3 % measured (twice) when the
+#: forest's backend layer became one class and class bodies stopped
+#: counting as uncalled functions, rounded up to the next half point
+MAX_UNCALLED_SHARE = 0.285
 
 CALLED = set()
 
@@ -53,10 +54,14 @@ def hook(frame, event, arg):
 
 
 def functions(code):
-    """Every function code object nested in ``code``."""
+    """Every function code object nested in ``code``.  Class bodies are
+    walked for their methods but not yielded: a class body runs when
+    its module is imported, before the hook is installed, so it could
+    never count as called."""
     for const in code.co_consts:
         if hasattr(const, "co_code"):
-            yield const
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                yield const
             yield from functions(const)
 
 

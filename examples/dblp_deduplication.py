@@ -6,14 +6,12 @@ bibliography in a federation of (synthetically generated) DBLP-style
 collections is a near-duplicate of a query snapshot that was edited
 independently (fields corrected, records added).
 
-The example builds a persistent forest index, saves it, reloads it,
-and contrasts the indexed lookup with the index-free baseline.
+The example builds a forest index over the collections and contrasts
+the indexed lookup with the index-free baseline.
 
 Run with:  python examples/dblp_deduplication.py
 """
 
-import os
-import tempfile
 import time
 
 from repro import GramConfig, ForestIndex, LookupService, apply_script
@@ -32,7 +30,7 @@ def main() -> None:
     script = dblp_update_script(snapshot, 60, seed=777, stable=True)
     query, _ = apply_script(snapshot, script)
 
-    # --- Build and persist the forest index -------------------------
+    # --- Build the forest index --------------------------------------
     forest = ForestIndex(config)
     started = time.perf_counter()
     for tree_id, tree in collections.items():
@@ -41,12 +39,6 @@ def main() -> None:
     print(f"indexed {len(forest)} collections "
           f"({sum(len(t) for t in collections.values())} nodes) "
           f"in {build_seconds * 1e3:.0f} ms")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "forest.db")
-        forest.save(path)
-        print(f"persisted index: {os.path.getsize(path) / 1024:.0f} KiB on disk")
-        forest = ForestIndex.load(path)
 
     # --- Approximate lookup ------------------------------------------
     service = LookupService(forest)

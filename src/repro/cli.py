@@ -23,7 +23,7 @@ Examples::
     python -m repro index doc.xml --p 2 --q 3
     python -m repro distance old.xml new.xml
     python -m repro diff old.xml new.xml > edits.log
-    python -m repro store --dir ./mystore create --backend memory
+    python -m repro store --dir ./mystore --p 2 --q 3 create
     python -m repro store --dir ./mystore add 1 doc.xml
     python -m repro store --dir ./mystore edit 1 edits.log
     python -m repro store --dir ./mystore lookup query.xml --tau 0.4
@@ -41,7 +41,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.backend.base import BACKEND_NAMES
 from repro.core.config import GramConfig
 from repro.core.distance import pq_gram_distance
 from repro.core.index import PQGramIndex
@@ -193,16 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     create_parser = store_commands.add_parser(
         "create",
-        help="create an empty store with an explicit storage backend",
-    )
-    create_parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="compact",
-        help="forest storage backend (default compact: array snapshot "
-        "with a delta overlay; memory is the plain-dict reference; "
-        "both are built from the documents on open and are "
-        "bit-identical)",
+        help="create an empty store (gram shape from store --p / --q)",
     )
 
     add_parser = store_commands.add_parser("add", help="add an XML document")
@@ -291,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats_parser = store_commands.add_parser(
         "stats",
-        help="store-wide counters (documents, pq-grams, backend "
+        help="store-wide counters (documents, pq-grams, index "
         "postings, hasher memo, WAL bytes "
         "since the last snapshot and the snapshot's size)",
     )
@@ -537,12 +527,8 @@ def _command_store(arguments: argparse.Namespace) -> int:
 
         if os.path.exists(os.path.join(arguments.dir, "store.db")):
             raise StorageError(f"store already exists at {arguments.dir}")
-        store = DocumentStore(
-            arguments.dir,
-            GramConfig(arguments.p, arguments.q),
-            backend=arguments.backend,
-        )
-        print(f"created store at {arguments.dir} (backend {store.backend_name})")
+        DocumentStore(arguments.dir, GramConfig(arguments.p, arguments.q))
+        print(f"created store at {arguments.dir}")
         return 0
     serve_threads = arguments.serve_threads
     if arguments.store_command == "soak" and serve_threads == 0:

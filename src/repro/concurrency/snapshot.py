@@ -1,30 +1,27 @@
 """Immutable read views of the index relation: snapshot isolation.
 
-A :class:`SnapshotHandle` is the read path of one backend frozen at a
-single generation: a lookup that holds a handle sees the relation
-exactly as it was when the handle was materialized, no matter how many
-maintenance batches commit underneath it.  Handles are immutable and
-therefore shared freely across reader threads without any locking —
-the serving layer keeps one cached handle per generation and swaps the
-reference atomically (a plain assignment under the GIL), so readers
-*never* block on ``apply_edits``; at worst they serve the previous
-generation while a refresh is in flight (the ``reader_generation_lag``
-gauge counts exactly that).
+A :class:`SnapshotHandle` is the read path of the forest's relation
+frozen at a single generation: a lookup that holds a handle sees the
+relation exactly as it was when the handle was materialized, no matter
+how many maintenance batches commit underneath it.  Handles are
+immutable and therefore shared freely across reader threads without
+any locking — the serving layer keeps one cached handle per generation
+and swaps the reference atomically (a plain assignment under the GIL),
+so readers *never* block on ``apply_edits``; at worst they serve the
+previous generation while a refresh is in flight (the
+``reader_generation_lag`` gauge counts exactly that).
 
-Materialization cost is deliberately asymmetric per backend:
+Two forms, chosen by whether numpy is installed:
 
-- :class:`OverlaySnapshot` (compact backend) shares the
-  frozen base — immutable by construction — and copies only the mask
-  and overlay of the trees written since it was built plus the size
-  metadata: O(overlay + trees) per generation.  The compact backend's
-  first view freezes the CSR.
-- :class:`DictSnapshot` (memory backend; any backend with nothing
-  frozen, or without numpy) copies the inverted lists: O(postings).
-  The reference backend keeps no immutable structure to share, and
-  stays the conformance oracle rather than a serving backend.
+- :class:`OverlaySnapshot` shares the frozen CSR base — immutable by
+  construction — and copies only the mask and overlay of the trees
+  written since it was built plus the size metadata: O(overlay +
+  trees) per generation.  The first view freezes the CSR.
+- :class:`DictSnapshot` (without numpy, where nothing can be frozen)
+  copies the inverted lists: O(postings).
 
 Every handle answers the same sweep bit-identically to the live
-backend at the pinned generation — the conformance and stress suites
+relation at the pinned generation — the conformance and stress suites
 check this against a single-threaded replay.
 """
 
@@ -87,7 +84,7 @@ class SnapshotHandle:
     ) -> Optional[TauScan]:
         """The array-space τ-lookup at the pinned generation, or None
         when this view holds no frozen array form (same contract as
-        :meth:`repro.backend.base.ForestBackend.tau_scan`)."""
+        :meth:`repro.backend.compact.CompactBackend.tau_scan`)."""
         return None
 
     def tree_size(self, tree_id: int) -> int:
@@ -106,7 +103,7 @@ class SnapshotHandle:
 
 
 class DictSnapshot(SnapshotHandle):
-    """Full copy of the inverted lists (reference/memory backend)."""
+    """Full copy of the inverted lists (the view without numpy)."""
 
     __slots__ = ("_inverted",)
 
@@ -130,7 +127,7 @@ class DictSnapshot(SnapshotHandle):
 
 class OverlaySnapshot(SnapshotHandle):
     """Shared frozen base + copied mask and overlay — the view of the
-    compact backend's frozen heap CSR.
+    frozen heap CSR.
 
     ``masked`` names the trees written since the base was built, whose
     postings in it every read ignores, and ``overlay`` holds their

@@ -14,8 +14,6 @@ from repro.core.profile import GramEmitter, iter_label_hash_tuples
 from repro.errors import IndexConsistencyError
 from repro.hashing.fingerprint import combine_fingerprints
 from repro.hashing.labelhash import LabelHasher
-from repro.relstore.schema import Column, Schema
-from repro.relstore.table import Table
 from repro.tree.builder import scan_brackets
 from repro.tree.tree import Tree
 
@@ -158,33 +156,8 @@ class PQGramIndex:
                 self._total += count
 
     # ------------------------------------------------------------------
-    # persistence
+    # compressed form
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def storage_schema() -> Schema:
-        """Schema of the persistent relation (treeId, pqg, cnt) of
-        paper Fig. 4; the per-tree index omits treeId."""
-        return Schema(
-            [
-                Column("pqg", tuple),
-                Column("cnt", int),
-            ]
-        )
-
-    def store(self, table: Table) -> None:
-        """Write the bag into a relstore table (replacing its rows)."""
-        table.clear()
-        for key, count in self._counts.items():
-            table.insert({"pqg": key, "cnt": count})
-
-    @classmethod
-    def load(cls, table: Table, config: GramConfig) -> "PQGramIndex":
-        """Read a bag previously written with :meth:`store`."""
-        counts: Bag = {}
-        for row in table.scan_dicts():
-            counts[row["pqg"]] = row["cnt"]
-        return cls(config, counts)
 
     def fingerprints(self) -> Iterator[Tuple[int, int]]:
         """(combined fingerprint, count) pairs — the compressed form

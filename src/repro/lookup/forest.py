@@ -1,18 +1,17 @@
-"""The persistent forest index: a facade over one storage backend.
+"""The forest index: a facade over the stored relation.
 
 Stores the pq-gram indexes of a whole collection of trees in one
 relation ``(treeId, pqg, cnt)`` (paper Fig. 4b).  The relation itself
-lives in a pluggable :class:`~repro.backend.base.ForestBackend` —
-plain dicts, or an array snapshot with a delta overlay — and this
-class owns everything the
-backends deliberately know nothing about: the gram configuration, the
-shared label hasher, index construction, incremental maintenance, and
-the τ-aware distance arithmetic over the backend's candidate sweep.
+lives in a :class:`~repro.backend.compact.CompactBackend` — dicts
+plus an array snapshot with a delta overlay — and this class owns
+everything the relation deliberately knows nothing about: the gram
+configuration, the shared label hasher, index construction,
+incremental maintenance, and the τ-aware distance arithmetic over the
+relation's candidate sweep.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import (
     Callable,
@@ -22,10 +21,9 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
-from repro.backend.base import Bag, ForestBackend, Key, make_backend, recorded_backend
+from repro.backend.compact import Bag, CompactBackend, Key
 from repro.concurrency.lock import ForestLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
@@ -35,30 +33,20 @@ from repro.edits.ops import EditOperation
 from repro.errors import StorageError
 from repro.hashing.labelhash import LabelHasher
 from repro.obsv.metrics import MetricsRegistry, resolve_registry
-from repro.relstore.database import Database
-from repro.relstore.schema import Column, Schema
 from repro.tree.tree import Tree
 
 
 class ForestIndex:
-    """pq-gram indexes of a forest, with persistence and maintenance.
-
-    ``backend`` selects the storage engine — ``"memory"``,
-    ``"compact"`` (default), or any
-    :class:`~repro.backend.base.ForestBackend` instance.  Every
-    backend is bit-identical on lookups and maintenance; only the
-    sweep cost and scaling behaviour differ.
-    """
+    """pq-gram indexes of a forest, with maintenance and lookups."""
 
     def __init__(
         self,
         config: Optional[GramConfig] = None,
-        backend: Union[str, ForestBackend] = "compact",
         metrics: "Optional[MetricsRegistry | bool]" = None,
     ) -> None:
         self.config = config or GramConfig()
         self.hasher = LabelHasher()
-        self._backend = make_backend(backend)
+        self._backend = CompactBackend()
         self.metrics = resolve_registry(metrics)
         self._backend.bind_metrics(self.metrics)
         self._bind_instruments(self.metrics)
@@ -145,8 +133,8 @@ class ForestIndex:
         }
 
     @property
-    def backend(self) -> ForestBackend:
-        """The storage backend holding the index relation."""
+    def backend(self) -> CompactBackend:
+        """The stored index relation."""
         return self._backend
 
     # ------------------------------------------------------------------
@@ -226,8 +214,8 @@ class ForestIndex:
         return fresh
 
     def close(self) -> None:
-        """Release the backend's background resources; idempotent."""
-        self._backend.close()
+        """Nothing to release — the forest holds no thread or file;
+        here so that callers may close what they open."""
 
     def sync_metric_gauges(self) -> None:
         """Refresh the snapshot-style gauges (forest shape, backend
@@ -251,11 +239,10 @@ class ForestIndex:
         registry.gauge(
             "backend_distinct_keys", "distinct pq-gram keys stored"
         ).set(int(backend_stats["distinct_keys"]))
-        if "dirty_keys" in backend_stats:
-            registry.gauge(
-                "compact_dirty_keys",
-                "distinct keys in the overlay of trees written since the freeze",
-            ).set(int(backend_stats["dirty_keys"]))
+        registry.gauge(
+            "compact_dirty_keys",
+            "distinct keys in the overlay of trees written since the freeze",
+        ).set(int(backend_stats["dirty_keys"]))
 
     # ------------------------------------------------------------------
     # building and maintaining
@@ -390,13 +377,12 @@ class ForestIndex:
     # ------------------------------------------------------------------
 
     def compact(self) -> None:
-        """(Re)build the backend's read-optimized postings view.
+        """(Re)build the relation's read-optimized postings view.
 
-        For the array-snapshot backend this freezes the inverted lists
-        into CSR arrays (``repro.perf.sweep``) — the lookup sweep
-        becomes a handful of vector operations per query pq-gram, and
-        later mutations overlay the snapshot instead of discarding it.
-        A no-op for the plain dict backend or without numpy.
+        Freezes the inverted lists into CSR arrays (``repro.perf.sweep``)
+        — the lookup sweep becomes a handful of vector operations per
+        query pq-gram, and later mutations overlay the snapshot instead
+        of discarding it.  A no-op without numpy.
 
         Takes the exclusive lock (reentrantly, so the background
         refreeze worker may already hold it): the CSR swap must not
@@ -438,7 +424,7 @@ class ForestIndex:
         query: PQGramIndex,
         tau: Optional[float] = None,
         *,
-        reader: "Optional[ForestBackend | SnapshotHandle]" = None,
+        reader: "Optional[CompactBackend | SnapshotHandle]" = None,
         prefilter: Optional[Callable[[int], bool]] = None,
     ) -> Dict[int, float]:
         """pq-gram distances of the query index against the forest.
@@ -478,69 +464,4 @@ class ForestIndex:
 
         return scan_distances(
             self, query, tau=tau, reader=reader, prefilter=prefilter
-        )
-
-    def _sweep(self, query: PQGramIndex) -> Dict[int, int]:
-        """``{tree_id: |I_query ∩ I_tree|}`` for all co-occurring trees."""
-        return self._backend.candidates(query.items())
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    _SCHEMA = Schema(
-        [
-            Column("treeId", int),
-            Column("pqg", tuple),
-            Column("cnt", int),
-        ]
-    )
-    _META_SCHEMA = Schema([Column("key", str), Column("value", str)])
-
-    def save(self, path: str) -> None:
-        """Persist the forest index relation (treeId, pqg, cnt).
-
-        The snapshot is one backend :meth:`~repro.backend.base.ForestBackend.snapshot`
-        round-trip plus the gram configuration and the backend choice,
-        so :meth:`load` reconstructs an identically-configured forest.
-        """
-        database = Database()
-        meta = database.create_table(
-            "meta", self._META_SCHEMA, primary_key=("key",)
-        )
-        meta.insert({"key": "p", "value": str(self.config.p)})
-        meta.insert({"key": "q", "value": str(self.config.q)})
-        meta.insert({"key": "backend", "value": self._backend.name})
-        table = database.create_table(
-            "forest", self._SCHEMA, primary_key=("treeId", "pqg")
-        )
-        for tree_id, bag in self._backend.snapshot().items():
-            for key, count in bag.items():
-                table.insert({"treeId": tree_id, "pqg": key, "cnt": count})
-        database.save(path)
-
-    @classmethod
-    def load(cls, path: str) -> "ForestIndex":
-        """Load a forest index persisted with :meth:`save`."""
-        if not os.path.exists(path):
-            raise StorageError(f"no snapshot at {path}")
-        database = Database.load(path)
-        meta = {
-            row["key"]: row["value"] for row in database.table("meta").scan_dicts()
-        }
-        forest = cls(
-            GramConfig(int(meta["p"]), int(meta["q"])),
-            backend=recorded_backend(meta.get("backend"), "compact"),
-        )
-        bags: Dict[int, Bag] = {}
-        for row in database.table("forest").scan_dicts():
-            bags.setdefault(row["treeId"], {})[row["pqg"]] = row["cnt"]
-        forest._backend.restore(bags)
-        return forest
-
-    def serialized_size_bytes(self) -> int:
-        """Approximate on-disk footprint of the index relation."""
-        return sum(
-            self.index_of(tree_id).serialized_size_bytes()
-            for tree_id in self._backend.tree_ids()
         )

@@ -147,18 +147,15 @@ class LookupService:
         cls,
         collection: Iterable[Tuple[int, Tree]],
         config: Optional[GramConfig] = None,
-        backend: str = "compact",
         metrics: "Optional[MetricsRegistry | bool]" = None,
         **kwargs: object,
     ) -> "LookupService":
         """Build a forest over ``collection`` and wrap it in a service.
 
-        ``backend`` picks the forest's storage engine (memory or
-        compact), ``metrics`` (a registry or ``True``) enables
-        observability; remaining keyword arguments go to the service
-        constructor.
+        ``metrics`` (a registry or ``True``) enables observability;
+        remaining keyword arguments go to the service constructor.
         """
-        forest = ForestIndex(config, backend=backend, metrics=metrics)
+        forest = ForestIndex(config, metrics=metrics)
         forest.add_trees(collection)
         return cls(forest, **kwargs)  # type: ignore[arg-type]
 

@@ -5,7 +5,7 @@ pruned, δ keys re-inverted — not just wall time; a production service
 needs the same counters live.  This package provides the one
 :class:`MetricsRegistry` every layer reports into:
 
-- the storage backends (postings touched, overlay merges, refreezes),
+- the stored relation (postings touched, overlay merges, refreezes),
 - the lookup engine (candidates admitted / pruned by the τ size bound
   / scored),
 - the maintenance engines (batch timings, delta keys, group counts),

@@ -16,7 +16,7 @@ Only built when numpy is importable; callers fall back to the dict
 sweep otherwise.
 
 Exactly two functions, both here, combine a frozen base with its mask
-and overlay, for every backend and read view that holds one:
+and overlay, for the live relation and every read view that holds one:
 :func:`tau_scan`, the τ-lookup in array space from end to end (sweep,
 size bound, distance and ``< tau`` are vector expressions over one slot
 accumulator; Python objects exist only for the matches), and

@@ -48,7 +48,7 @@ from repro.query.plan import (
 from repro.query.structural import tree_matches
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backend.base import ForestBackend
+    from repro.backend.compact import CompactBackend
     from repro.concurrency.snapshot import SnapshotHandle
     from repro.lookup.forest import ForestIndex
     from repro.tree.tree import Tree
@@ -68,7 +68,7 @@ def scan_distances(
     query: PQGramIndex,
     tau: Optional[float] = None,
     *,
-    reader: "Optional[ForestBackend | SnapshotHandle]" = None,
+    reader: "Optional[CompactBackend | SnapshotHandle]" = None,
     prefilter: Optional[Prefilter] = None,
 ) -> Dict[int, float]:
     """pq-gram distances of ``query`` against the forest.
@@ -110,7 +110,7 @@ def _distances_full(
     forest: "ForestIndex",
     query: PQGramIndex,
     query_size: int,
-    reader: "ForestBackend | SnapshotHandle",
+    reader: "CompactBackend | SnapshotHandle",
     prefilter: Optional[Prefilter],
 ) -> Dict[int, float]:
     intersections = reader.candidates(query.items())
@@ -137,7 +137,7 @@ def _distances_pruned(
     query: PQGramIndex,
     query_size: int,
     tau: float,
-    reader: "ForestBackend | SnapshotHandle",
+    reader: "CompactBackend | SnapshotHandle",
     prefilter: Optional[Prefilter],
 ) -> Dict[int, float]:
     result: Dict[int, float] = {}
@@ -245,7 +245,7 @@ def execute_plan(
     plan: "Plan | NormalizedPlan",
     *,
     query_index: Optional[PQGramIndex] = None,
-    reader: "Optional[ForestBackend | SnapshotHandle]" = None,
+    reader: "Optional[CompactBackend | SnapshotHandle]" = None,
     documents: Optional[DocumentProvider] = None,
 ) -> Execution:
     """Execute a logical plan against ``forest``.

@@ -4,10 +4,9 @@ On-disk layout inside the store directory::
 
     store.db     relstore snapshot: ``documents`` (one self-contained
                  binary record per document, see
-                 :func:`encode_document`), ``meta`` (p, q, backend,
-                 store identity, the commit sequence folded into the
-                 snapshot) and, with standing queries, ``subs`` +
-                 ``standing``
+                 :func:`encode_document`), ``meta`` (p, q, the
+                 commit sequence folded into the snapshot) and, with
+                 standing queries, ``subs`` + ``standing``
     wal.log      append-only log of committed changes, one block each,
                  every block closed by ``COMMIT <crc32>`` (eight hex
                  digits over the block's bytes before that line):
@@ -18,9 +17,9 @@ On-disk layout inside the store directory::
 
 The documents and the WAL are the only durable state.  Every index is
 derived from them, never persisted, and built when the store opens
-(≈5 µs per node — cheaper than reading the relation back), whatever
-the backend.  The open removes, unread, the ``segments/`` and
-``rel/`` directories in which older stores kept index state.
+(≈5 µs per node — cheaper than reading the relation back).  The open
+removes, unread, the ``segments/`` and ``rel/`` directories in which
+older stores kept index state.
 
 Commit protocol for ``apply_edits`` (one write path: a synchronous
 call is a group commit of one, a serving-mode call joins whatever the
@@ -80,8 +79,9 @@ when nothing complete follows it; with a complete block behind it the
 file is damaged, and the open raises :class:`~repro.errors.CodecError`
 and cuts nothing.  Blocks with a bare ``COMMIT`` line, written by
 older stores, still replay.  Replaying rewrites nothing else — the WAL
-stays and keeps counting toward the next checkpoint.  The chosen
-backend is recorded in the snapshot so reopening preserves it.
+stays and keeps counting toward the next checkpoint.  A ``backend``
+row that older versions recorded in ``meta`` is ignored, and the next
+checkpoint drops it.
 
 Snapshots written before the ``documents`` relation existed (a
 ``nodes`` row per node and an ``indexes`` relation) still open: the
@@ -109,7 +109,6 @@ from typing import (
     Tuple,
 )
 
-from repro.backend.base import recorded_backend
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.refreeze import RefreezeWorker
 from repro.core.config import GramConfig
@@ -412,7 +411,7 @@ class DocumentStore:
     (group commit — one WAL append and one fsync per drained group,
     one batched maintenance call per document), lookups run against
     immutable per-generation snapshots and never block on writers, and
-    a background worker re-freezes the compact backend's CSR off the
+    a background worker re-freezes the forest's CSR off the
     serving threads.  With the default ``serve_threads=0`` the same
     group commit runs synchronously on the caller's thread, one batch
     per group.
@@ -422,7 +421,6 @@ class DocumentStore:
         self,
         directory: str,
         config: Optional[GramConfig] = None,
-        backend: str = "compact",
         metrics: "Optional[MetricsRegistry | bool]" = None,
         serve_threads: int = 0,
     ) -> None:
@@ -446,9 +444,6 @@ class DocumentStore:
         # recovery itself is measured.
         self._metrics = resolve_registry(metrics)
         self._bind_instruments(self._metrics)
-        # ``backend`` chooses the forest storage engine when the store
-        # is created; reopening an existing store reads the recorded
-        # choice from the snapshot instead.
         self._service: Optional[LookupService] = None
         self._wal_handle: Optional[BinaryIO] = None
         # The checkpoint trigger's inputs: bytes in the WAL since the
@@ -474,9 +469,9 @@ class DocumentStore:
                 self._m_recovery_seconds.time(),
                 self._metrics.span("store.recover"),
             ):
-                self._recover(default_backend=backend)
+                self._recover()
         else:
-            self._forest = self._make_forest(config or GramConfig(), backend)
+            self._forest = self._make_forest(config or GramConfig())
             self._standing = self._make_standing_engine()
             self._checkpoint()
         # Serving machinery starts only after recovery is complete, so
@@ -548,9 +543,9 @@ class DocumentStore:
     def _wal_path(self) -> str:
         return os.path.join(self._directory, _WAL)
 
-    def _make_forest(self, config: GramConfig, backend: str) -> ForestIndex:
-        """An empty forest over ``backend``."""
-        return ForestIndex(config, backend=backend, metrics=self._metrics)
+    def _make_forest(self, config: GramConfig) -> ForestIndex:
+        """An empty forest on the store's metrics registry."""
+        return ForestIndex(config, metrics=self._metrics)
 
     def _make_standing_engine(self) -> StandingQueryEngine:
         return StandingQueryEngine(
@@ -575,11 +570,6 @@ class DocumentStore:
         workload (its hit/miss counters are reported by :meth:`stats`).
         """
         return self._forest.hasher
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the forest storage backend (memory/compact)."""
-        return self._forest.backend.name
 
     @property
     def has_published_view(self) -> bool:
@@ -802,8 +792,8 @@ class DocumentStore:
         """Execute a logical :mod:`repro.query` plan over the store.
 
         Structural predicates post-filter the retrieval result through
-        the store's own documents, one walk per match, so the same plan
-        returns bit-identical matches on every backend.
+        the store's own documents, one walk per match — only matches
+        are ever walked.
         """
         if self._service is None:
             self._service = LookupService(
@@ -937,7 +927,6 @@ class DocumentStore:
             if self._wal_handle is not None:
                 self._wal_handle.close()
                 self._wal_handle = None
-        self._forest.close()
 
     def __enter__(self) -> "DocumentStore":
         return self
@@ -991,7 +980,8 @@ class DocumentStore:
         """Operational counters of the store.
 
         Covers the collection (documents, nodes, pq-grams), the
-        maintenance configuration, the storage backend, and the shared
+        maintenance configuration, the index relation (postings, whether
+        its CSR is frozen, the overlay's ``dirty_keys``), and the shared
         label hasher's memo hit/miss counters — a warm memo means every
         build and update call reused the store-wide hasher instead of
         re-fingerprinting labels from scratch — and how close the next
@@ -1013,12 +1003,11 @@ class DocumentStore:
         hasher_stats = self._forest.hasher.stats()
         backend_stats = self._forest.backend_stats()
         service = self._service
-        stats: Dict[str, object] = {
+        return {
             "documents": len(documents),
             "nodes": node_count,
             "pq_grams": gram_count,
             "serving": self._serving,
-            "backend": backend_stats["backend"],
             "postings": backend_stats["postings"],
             "hasher_labels": hasher_stats["labels"],
             "hasher_hits": hasher_stats["hits"],
@@ -1028,11 +1017,9 @@ class DocumentStore:
             "wal_bytes": self._wal_bytes,
             "snapshot_bytes": self._snapshot_bytes,
             "failed": self._failed is not None,
+            "frozen": backend_stats["frozen"],
+            "dirty_keys": backend_stats["dirty_keys"],
         }
-        if "frozen" in backend_stats:
-            stats["frozen"] = backend_stats["frozen"]
-            stats["dirty_keys"] = backend_stats["dirty_keys"]
-        return stats
 
     # ------------------------------------------------------------------
     # index plumbing
@@ -1154,7 +1141,6 @@ class DocumentStore:
         meta = database.create_table("meta", self._META_SCHEMA, ("key",))
         meta.insert({"key": "p", "value": str(self.config.p)})
         meta.insert({"key": "q", "value": str(self.config.q)})
-        meta.insert({"key": "backend", "value": self._forest.backend.name})
         meta.insert({"key": "commit_seq", "value": str(self._commit_seq)})
         documents = database.create_table(
             "documents", self._DOC_SCHEMA, ("docId",)
@@ -1224,13 +1210,12 @@ class DocumentStore:
                 )
             self._documents[document_id] = tree
 
-    def _recover(self, default_backend: str = "compact") -> None:
+    def _recover(self) -> None:
         database = Database.load(self._snapshot_path())
         self._snapshot_bytes = os.path.getsize(self._snapshot_path())
         meta = {
             row["key"]: row["value"] for row in database.table("meta").scan_dicts()
         }
-        backend = recorded_backend(meta.get("backend"), default_backend)
         self._commit_seq = int(meta.get("commit_seq", "0"))
         config = GramConfig(int(meta["p"]), int(meta["q"]))
         self._load_documents(database)
@@ -1261,9 +1246,9 @@ class DocumentStore:
         records, wal_end = read_wal(wal)
         wal_size = len(wal)
         # Bring every document to the end of the WAL, then build each
-        # tree's bag once — for every backend the same way.
+        # tree's bag once.
         self._m_wal_replayed.inc(self._replay_wal(records))
-        self._forest = self._make_forest(config, backend)
+        self._forest = self._make_forest(config)
         self._forest.add_trees(list(self._documents.items()))
         # Standing queries resume at their durable frontier: restore the
         # persisted membership, then reconcile against the recovered

@@ -43,7 +43,7 @@ Distances are computed with the exact expressions of the scan path
 (:func:`distance_from_overlap` over integer overlaps), so incremental
 membership is bit-identical to re-running
 :func:`repro.query.executor.execute_plan` from scratch — the invariant
-the differential oracle suite enforces per batch on every backend.
+the differential oracle suite enforces per batch.
 """
 
 from __future__ import annotations

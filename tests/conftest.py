@@ -129,6 +129,14 @@ def per_operation_update(
     return index, minus, plus
 
 
+def relation(backend) -> Dict[int, Bag]:
+    """The whole stored relation of a forest's backend as ``tree →
+    bag`` copies — the bit-identical comparison key of the suites."""
+    return {
+        tree_id: dict(backend.tree_bag(tree_id)) for tree_id in backend.tree_ids()
+    }
+
+
 def assert_store_is_rebuild(store) -> None:
     """Every index a ``DocumentStore`` maintains equals a from-scratch
     rebuild of its current document."""

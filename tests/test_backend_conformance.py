@@ -1,17 +1,19 @@
-"""Backend conformance suite: every backend ≡ MemoryBackend, bit for bit.
+"""Conformance suite: the forest in every state ≡ a dict-swept
+reference, bit for bit.
 
-One write path (`ForestBackend`) with three engines — memory, compact
-(array snapshot + delta overlay) and rel (the relation as relstore
-tables with a pre/post node table) — must be indistinguishable on every
-read, live and through the immutable read views served lookups sweep:
-lookups at any τ, per-tree indexes, inverted lists, incremental
-maintenance, and persistence round-trips (forest snapshots and relstore
-snapshot/WAL recovery).  These tests drive identical workloads through a candidate
-backend and the memory reference and compare everything; wherever the
-candidate is *maintained*, the reference is *rebuilt from scratch*
-(the paper's invariant), and the ``engine`` rows name the
-``repro.core`` reference path (``tests/conftest.py::reference_update``)
-the result is also checked against.
+The relation (``CompactBackend``: dicts plus a frozen CSR with a
+masked-tree overlay) must read the same whatever state it is in — never
+frozen, frozen before or after its writes, without numpy, on a live
+metrics registry — live and through the immutable read views served
+lookups sweep: lookups at any τ, per-tree indexes, inverted lists,
+incremental maintenance, and store round trips (checkpoint reopen and
+WAL recovery).  These tests drive identical workloads through a
+candidate forest and a reference forest that is never compacted or
+read through a view, and compare everything; wherever the candidate is
+*maintained*, the reference is *rebuilt from scratch* (the paper's
+invariant), and the ``engine`` rows name the ``repro.core`` reference
+path (``tests/conftest.py::reference_update``) the result is also
+checked against.
 """
 
 import os
@@ -19,14 +21,14 @@ import random
 
 import pytest
 
-from repro.backend import CompactBackend, MemoryBackend, make_backend
+from repro.backend import CompactBackend
+from repro.backend import compact as compact_module
 from repro.concurrency import OverlaySnapshot
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
 from repro.edits import apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
-from repro.perf import HAVE_NUMPY
 from repro.serve import FrontDoor, ServeClient, serve_in_thread
 from repro.serve.server import INLINE_FRAME_BYTES
 from repro.service import DocumentStore
@@ -36,39 +38,43 @@ from tests.conftest import (
     REFERENCE_ENGINES,
     assert_store_is_rebuild,
     reference_update,
+    relation,
 )
 
 TAUS = (0.2, 0.5, 1.0)
 CONFIG = GramConfig(2, 3)
 
-# (row id, forest kwargs).  The ``-z`` rows run the same engines on a
-# live metrics registry: the instrumented branches (``if
-# self.metrics.enabled``, bound backend counters) that ``store stats
-# --metrics`` and traced serving take must be invisible on every read
-# path, bit for bit.  The ``sharded-*`` and ``segment*`` ids are the
-# rows of backends that no longer exist; they now run compact in the
-# states its plain row does not reach.  ``VIEW_ROWS`` repeat every
-# comparison through ``read_view()`` — the snapshot a served lookup
-# sweeps with ``OverlaySnapshot.tau_scan``.  ``FROZEN_ROWS`` freeze the
-# CSR before the first write, so every tree is written after the
-# freeze: reads fold the overlay over a frozen base that holds none of
-# them until a ``compact()`` refreezes.
+# (row id, forest kwargs).  The ids name the storage backends the forest
+# once had; one class is left, and each row runs it in a state the
+# plain ``compact`` row does not reach.  The ``-z`` rows run on a live
+# metrics registry: the instrumented branches (``if
+# self.metrics.enabled``, bound counters) that ``store stats --metrics``
+# and traced serving take must be invisible on every read path, bit for
+# bit.  ``VIEW_ROWS`` repeat every comparison through ``read_view()`` —
+# the snapshot a served lookup sweeps with ``OverlaySnapshot.tau_scan``.
+# ``FROZEN_ROWS`` freeze the CSR before the first write, so every tree
+# is written after the freeze: reads fold the overlay over a frozen base
+# that holds none of them until a ``compact()`` refreezes.
+# ``DICT_ROWS`` hide numpy from the backend, so nothing ever freezes:
+# every read is the dict sweep and every view a ``DictSnapshot`` — the
+# fallback without numpy.
 BACKENDS = [
-    ("memory", {"backend": "memory"}),
-    ("compact", {"backend": "compact"}),
-    ("sharded-1", {"backend": "compact"}),
-    ("sharded-4", {"backend": "compact"}),
-    ("segment", {"backend": "compact"}),
-    ("rel", {"backend": "compact", "metrics": True}),
-    ("memory-z", {"backend": "memory", "metrics": True}),
-    ("compact-z", {"backend": "compact", "metrics": True}),
-    ("sharded-4z", {"backend": "compact", "metrics": True}),
-    ("segment-z", {"backend": "compact", "metrics": True}),
-    ("rel-z", {"backend": "memory", "metrics": True}),
+    ("memory", {}),
+    ("compact", {}),
+    ("sharded-1", {}),
+    ("sharded-4", {}),
+    ("segment", {}),
+    ("rel", {"metrics": True}),
+    ("memory-z", {"metrics": True}),
+    ("compact-z", {"metrics": True}),
+    ("sharded-4z", {"metrics": True}),
+    ("segment-z", {"metrics": True}),
+    ("rel-z", {"metrics": True}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
 VIEW_ROWS = {"sharded-1", "sharded-4", "sharded-4z", "rel", "rel-z"}
 FROZEN_ROWS = {"sharded-4", "segment", "segment-z", "rel"}
+DICT_ROWS = {"memory", "memory-z", "rel-z"}
 
 
 def make_forest(name, kwargs):
@@ -90,8 +96,10 @@ def make_store(name, kwargs, directory, **options):
 
 
 def make_pair(name, kwargs):
-    """(candidate forest, memory reference forest) with shared config."""
-    return make_forest(name, kwargs), ForestIndex(CONFIG, backend="memory")
+    """(candidate forest, reference forest) with shared config; the
+    reference is never compacted or read through a view, so it sweeps
+    its dicts."""
+    return make_forest(name, kwargs), ForestIndex(CONFIG)
 
 
 def make_collection(count, seed):
@@ -112,8 +120,7 @@ def assert_view_equivalent(forest, reference):
     view's frozen base and overlay in array space."""
     view = forest.read_view()
     assert view.generation == forest.generation
-    if HAVE_NUMPY:
-        assert isinstance(view, OverlaySnapshot) == (forest.backend.name == "compact")
+    assert isinstance(view, OverlaySnapshot) == compact_module.HAVE_NUMPY
     assert dict(view.iter_sizes()) == dict(reference.backend.iter_sizes())
     query = PQGramIndex.from_tree(
         random_labelled_tree(15, seed=31), CONFIG, reference.hasher
@@ -153,6 +160,11 @@ def assert_equivalent(forest, reference, view=False):
 
 @pytest.mark.parametrize(("name", "kwargs"), BACKENDS, ids=BACKEND_IDS)
 class TestBackendConformance:
+    @pytest.fixture(autouse=True)
+    def _numpy_for_row(self, name, monkeypatch):
+        if name in DICT_ROWS:
+            monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
+
     def test_build_and_lookup(self, name, kwargs):
         forest, reference = make_pair(name, kwargs)
         collection = make_collection(10, seed=100)
@@ -215,27 +227,31 @@ class TestBackendConformance:
         assert_equivalent(forest, reference, view=name in VIEW_ROWS)
 
     def test_snapshot_restore_roundtrip(self, name, kwargs, tmp_path):
+        """The index is never persisted: a closed store reopens from its
+        checkpoint alone (no WAL) and rebuilds a relation bit-identical
+        to the reference; a fresh backend fed the forest's bags holds
+        the same relation."""
         forest, reference = make_pair(name, kwargs)
         collection = make_collection(8, seed=200)
         forest.add_trees(collection)
         reference.add_trees(collection)
-        # Direct backend round-trip into a fresh backend of the same kind.
-        twin = make_backend(kwargs["backend"])
-        twin.restore(forest.backend.snapshot())
-        assert twin.snapshot() == forest.backend.snapshot()
+        twin = CompactBackend()
+        for tree_id in forest.tree_ids():
+            twin.add_tree_bag(tree_id, forest.backend.tree_bag(tree_id))
+        assert relation(twin) == relation(forest.backend)
         twin.check_consistency()
-        # Forest-level persistence: save → load preserves backend kind.
-        path = str(tmp_path / "forest.db")
-        forest.save(path)
-        loaded = ForestIndex.load(path)
-        assert loaded.backend.name == forest.backend.name
-        assert loaded.config == forest.config
+        directory = str(tmp_path / "store")
+        store = make_store(name, kwargs, directory)
+        store.add_documents(collection)
+        store.close()
+        assert os.path.getsize(os.path.join(directory, "wal.log")) == 0
+        reopened = DocumentStore(directory, CONFIG, **kwargs)
+        assert reopened.config == forest.config
         for tree_id in reference.tree_ids():
-            assert loaded.index_of(tree_id) == reference.index_of(tree_id)
-        assert loaded.inverted_lists() == reference.inverted_lists()
-        loaded.backend.check_consistency()
-        if name in VIEW_ROWS:
-            assert_view_equivalent(loaded, reference)
+            assert reopened.get_index(tree_id) == reference.index_of(tree_id)
+        assert relation(reopened._forest.backend) == relation(reference.backend)
+        assert_equivalent(reopened._forest, reference, view=name in VIEW_ROWS)
+        reopened.close()
 
     @pytest.mark.parametrize("engine", REFERENCE_ENGINES)
     def test_store_wal_recovery(self, name, kwargs, engine, tmp_path):
@@ -244,7 +260,7 @@ class TestBackendConformance:
         from scratch over the final documents."""
         directory = str(tmp_path / "store")
         store = make_store(name, kwargs, directory)
-        reference = ForestIndex(CONFIG, backend="memory")
+        reference = ForestIndex(CONFIG)
         documents = {}
         for tree_id, tree in make_collection(5, seed=300):
             store.add_document(tree_id, tree)
@@ -261,14 +277,13 @@ class TestBackendConformance:
         reference.add_trees(documents.items())
         del store  # reopen: snapshot + WAL replay
         reopened = DocumentStore(directory, CONFIG)
-        assert reopened.backend_name == kwargs["backend"]
         for tree_id, tree in documents.items():
             assert reopened.get_document(tree_id) == tree
             assert reopened.get_index(tree_id) == reference.index_of(tree_id)
         assert_store_is_rebuild(reopened)
         if name in VIEW_ROWS:
             assert_view_equivalent(reopened._forest, reference)
-        service = LookupService(reference)
+        service = LookupService(reference, auto_compact=False)
         for tau in TAUS:
             query = documents[min(documents)]
             assert (
@@ -302,7 +317,7 @@ class TestBackendConformance:
         registry = reopened.metrics_registry
         assert registry.counter_value("wal_replayed_batches_total") == batches
         assert registry.counter_value("checkpoints_total") == 0
-        reference = ForestIndex(CONFIG, backend="memory")
+        reference = ForestIndex(CONFIG)
         reference.add_trees(documents.items())
         for tree_id, tree in documents.items():
             assert reopened.get_document(tree_id) == tree
@@ -353,7 +368,7 @@ class TestBackendConformance:
             assert 7 in backend
             assert backend.tree_size(7) == 0
             assert backend.tree_bag(7) == {}
-        assert forest.backend.snapshot() == reference.backend.snapshot()
+        assert relation(forest.backend) == relation(reference.backend)
         assert_equivalent(forest, reference, view=name in VIEW_ROWS)
         # An empty-bag tree shares no pq-gram: it never becomes a
         # candidate, so no sweep can emit (or crash on) it.
@@ -367,23 +382,23 @@ class TestBackendConformance:
         assert_equivalent(forest, reference)
 
     def test_metrics_parity_with_memory_reference(self, name, kwargs):
-        """The sweep-volume counters are backend-independent: keys
-        swept, postings touched, candidates emitted, deltas applied and
-        delta keys must match the memory reference exactly on an
-        identical workload."""
+        """The sweep-volume counters are independent of the state the
+        relation is in: keys swept, postings touched, candidates
+        emitted, deltas applied and delta keys must match a reference
+        that is never compacted exactly on an identical workload."""
         from repro.obsv import MetricsRegistry
 
         registries = {}
         counters = {}
-        for label, forest_kwargs in (("candidate", kwargs),
-                                     ("reference", {"backend": "memory"})):
+        for label in ("candidate", "reference"):
             registry = MetricsRegistry()
-            forest = make_forest(
-                name if label == "candidate" else "memory",
-                {**forest_kwargs, "metrics": registry},
-            )
+            if label == "candidate":
+                forest = make_forest(name, {**kwargs, "metrics": registry})
+            else:
+                forest = ForestIndex(CONFIG, metrics=registry)
             forest.add_trees(make_collection(8, seed=700))
-            forest.compact()
+            if label == "candidate":
+                forest.compact()
             query = PQGramIndex.from_tree(
                 random_labelled_tree(12, seed=701), CONFIG, forest.hasher
             )
@@ -395,7 +410,7 @@ class TestBackendConformance:
             forest.update_tree(3, edited, log)
             forest.remove_tree(5)
             forest.add_tree(9, random_labelled_tree(14, seed=703))
-            # Again with an overlay over whatever the backend froze:
+            # Again with an overlay over whatever the candidate froze:
             # the edited tree's own index meets it on every key.
             for probe in (query, forest.index_of(3)):
                 for tau in TAUS:
@@ -482,7 +497,7 @@ class TestBackendConformance:
         if published is not None:
             # A refused batch moves no generation: the view stays.
             assert forest.read_view() is published
-            reference = ForestIndex(CONFIG, backend="memory")
+            reference = ForestIndex(CONFIG)
             reference.add_tree(5, tree)
             assert_view_equivalent(forest, reference)
 
@@ -492,8 +507,8 @@ class TestCompactOverlayStaleness:
     frozen snapshot — including incremental maintenance."""
 
     def _frozen_forest(self):
-        forest = ForestIndex(CONFIG, backend="compact")
-        reference = ForestIndex(CONFIG, backend="memory")
+        forest = ForestIndex(CONFIG)
+        reference = ForestIndex(CONFIG)
         for tree_id, tree in make_collection(6, seed=400):
             forest.add_tree(tree_id, tree)
             reference.add_tree(tree_id, tree)
@@ -531,61 +546,53 @@ class TestCompactOverlayStaleness:
         forest.remove_tree(2)
         reference.remove_tree(2)
         assert_equivalent(forest, reference)
-        # restore() replaces the relation: views must reset wholesale.
-        forest.backend.restore(reference.backend.snapshot())
-        assert forest.backend._frozen is None
+        # A refreeze replaces the frozen base: mask and overlay reset
+        # wholesale.
+        backend = forest.backend
+        backend.REFREEZE_MIN_DIRTY = 0
+        frozen = backend._frozen
+        forest.compact()
+        if frozen is not None:
+            assert backend._frozen is not frozen
+            assert not backend._masked.trees and backend._overlay == {}
         assert_equivalent(forest, reference)
 
     def test_every_builtin_backend_kind(self, tmp_path):
-        from repro.backend.base import BACKEND_NAMES
+        """One class holds the relation: nothing picks a backend, takes
+        a partition count, the directory only the segment backend used,
+        or a build worker count."""
+        import repro.backend
 
-        assert BACKEND_NAMES == ("memory", "compact")
-        assert isinstance(make_backend("memory"), MemoryBackend)
-        assert isinstance(make_backend("compact"), CompactBackend)
-        # An unknown spec, or a retired backend, names every valid
-        # backend in one message.
-        for spec in ("mmap", "sharded", "segment", "rel"):
-            with pytest.raises(ValueError) as excinfo:
-                make_backend(spec)
-            for backend_name in BACKEND_NAMES:
-                assert backend_name in str(excinfo.value)
-        # No backend takes a partition count any more, nothing takes
-        # the directory only the segment backend used, and a batch
-        # build takes no worker count.
-        with pytest.raises(TypeError):
-            make_backend("memory", shards=2)
+        assert repro.backend.__all__ == ["CompactBackend", "Admit", "Bag", "Key"]
+        assert isinstance(ForestIndex().backend, CompactBackend)
         home = str(tmp_path / "x")
-        for build in (
-            lambda: make_backend("compact", directory=home),
-            lambda: ForestIndex(directory=home),
-            lambda: LookupService.for_collection([], directory=home),
+        for keyword, value in (
+            ("backend", "memory"),
+            ("backend", "compact"),
+            ("directory", home),
         ):
-            with pytest.raises(TypeError, match="directory"):
-                build()
+            for build in (
+                lambda: ForestIndex(**{keyword: value}),
+                lambda: DocumentStore(home, **{keyword: value}),
+                lambda: LookupService.for_collection([], **{keyword: value}),
+            ):
+                with pytest.raises(TypeError, match=keyword):
+                    build()
+        assert not os.path.exists(home)
+        with pytest.raises(TypeError):
+            CompactBackend(shards=2)
         with pytest.raises(TypeError, match="jobs"):
-            ForestIndex(backend="compact").add_trees([], jobs=2)
+            ForestIndex().add_trees([], jobs=2)
 
     @pytest.mark.parametrize("with_wal_tail", [False, True])
     def test_sharded_files_open_as_compact(self, tmp_path, with_wal_tail):
-        """Files written by the retired sharded backend record
-        ``backend=sharded`` and a ``shards`` row in their meta.  A store
-        opens as compact, equal to a rebuild, and its next checkpoint
-        writes ``backend=compact`` and no ``shards`` row; a saved forest
-        loads as compact and saves without the row."""
+        """Stores written by the retired sharded backend record
+        ``backend=sharded`` and a ``shards`` row in their meta.  Such a
+        store opens equal to a rebuild, and its next checkpoint writes
+        neither row."""
         collection = make_collection(6, seed=550)
-        reference = ForestIndex(CONFIG, backend="memory")
-        reference.add_trees(collection)
-        path = str(tmp_path / "forest.db")
-        reference.save(path)
-        plant_meta(path, backend="sharded", shards="3")
-        loaded = ForestIndex.load(path)
-        assert loaded.backend.name == "compact"
-        assert_equivalent(loaded, reference, view=True)
-        loaded.save(path)
-        assert "shards" not in read_meta(path)
-
         directory = str(tmp_path / "store")
-        store = DocumentStore(directory, CONFIG, backend="compact")
+        store = DocumentStore(directory, CONFIG)
         store.add_documents(collection)
         documents = dict(collection)
         if with_wal_tail:
@@ -597,24 +604,23 @@ class TestCompactOverlayStaleness:
         snapshot = os.path.join(directory, "store.db")
         plant_meta(snapshot, backend="sharded", shards="3")
         reopened = DocumentStore(directory, CONFIG)
-        assert reopened.backend_name == "compact"
         assert {
             tree_id: reopened.get_document(tree_id)
             for tree_id in reopened.document_ids()
         } == documents
         assert_store_is_rebuild(reopened)
-        rebuilt = ForestIndex(CONFIG, backend="memory")
+        rebuilt = ForestIndex(CONFIG)
         rebuilt.add_trees(documents.items())
         assert_equivalent(reopened._forest, rebuilt, view=True)
         reopened.checkpoint()
         meta = read_meta(snapshot)
-        assert meta["backend"] == "compact"
+        assert "backend" not in meta
         assert "shards" not in meta
         reopened.close()
 
 
 def read_meta(path):
-    """The ``meta`` relation of a saved forest or store snapshot."""
+    """The ``meta`` relation of a store snapshot."""
     from repro.relstore.database import Database
 
     return {

@@ -1,5 +1,7 @@
 """CLI tests (in-process through ``repro.cli.main``)."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -145,7 +147,7 @@ class TestStoreCommands:
         main(["store", "--dir", store_dir, "add", "1", old_path])
         main(["store", "--dir", store_dir, "add", "2", new_path])
         capsys.readouterr()
-        # Every backend is built from the documents on open, so no drift
+        # The index is built from the documents on open, so no drift
         # survives a reopen: plant it in the build that verify's open
         # runs — one extra count in document 2's bag, a legal relation
         # that keeps backend-internal consistency, which only the
@@ -185,7 +187,7 @@ class TestStoreCommands:
         def broken(self):
             raise IndexConsistencyError("planted drift")
 
-        # Plant the failure on the default backend the store runs.
+        # Plant the failure on the class that holds the relation.
         monkeypatch.setattr(CompactBackend, "check_consistency", broken)
         assert main(["store", "--dir", store_dir, "verify"]) == 1
         output = capsys.readouterr().out
@@ -337,13 +339,12 @@ class TestMetricsCommands:
 
 
 class TestQueryCommand:
-    def seeded_store(self, tmp_path, backend="compact"):
-        directory = str(tmp_path / f"store-{backend}")
-        assert main(["store", "--dir", directory, "create",
-                     "--backend", backend]) == 0
+    def seeded_store(self, tmp_path):
+        directory = str(tmp_path / "store")
+        assert main(["store", "--dir", directory, "create"]) == 0
         for index in range(1, 5):
             tree = dblp_tree(4, seed=index)
-            path = str(tmp_path / f"doc{backend}{index}.xml")
+            path = str(tmp_path / f"doc{index}.xml")
             xml_from_tree(tree, path)
             assert main(["store", "--dir", directory, "add",
                          str(index), path]) == 0
@@ -369,9 +370,16 @@ class TestQueryCommand:
         assert "structural predicates" not in captured.err
 
     def test_post_filter_backend_reports_mode(self, tmp_path, capsys):
-        """Every backend post-filters, so ``--explain`` names no
-        strategy: the normalized plan is all it prints."""
-        directory = self.seeded_store(tmp_path, backend="memory")
+        """``create`` takes no backend (a usage error, exit 2, that
+        creates nothing), and every query post-filters, so ``--explain``
+        names no strategy: the normalized plan is all it prints."""
+        refused = str(tmp_path / "refused")
+        for backend in ("memory", "compact"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["store", "--dir", refused, "create", "--backend", backend])
+            assert excinfo.value.code == 2
+        assert not os.path.exists(refused)
+        directory = self.seeded_store(tmp_path)
         query = self.query_file(tmp_path)
         capsys.readouterr()
         assert main(["store", "--dir", directory, "query", query,

@@ -340,7 +340,7 @@ class TestCompressedPostings:
         from repro.lookup import ForestIndex
 
         config = GramConfig(2, 3)
-        forest = ForestIndex(config, backend="compact")
+        forest = ForestIndex(config)
         if backend == "segment":
             forest.compact()
         forest.add_trees((i, dblp_tree(2, seed=i)) for i in range(30))
@@ -370,11 +370,7 @@ class TestCompressedPostings:
 def _builders(tmp_path):
     """One zero-argument call per signature that used to take
     ``compress=``, each passing it."""
-    from repro.backend import (
-        CompactBackend,
-        MemoryBackend,
-        make_backend,
-    )
+    from repro.backend import CompactBackend
     from repro.lookup import ForestIndex, LookupService
     from repro.service import DocumentStore
 
@@ -386,19 +382,18 @@ def _builders(tmp_path):
         "LookupService.for_collection": lambda: LookupService.for_collection(
             [], compress=True
         ),
-        "make_backend": lambda: make_backend("compact", compress=True),
-        "MemoryBackend": lambda: MemoryBackend(compress=True),
         "CompactBackend": lambda: CompactBackend(compress=True),
     }
 
 
 class TestCompressionEnabled:
     def test_explicit_wins_over_environment(self, tmp_path):
-        """No signature takes ``compress=`` any more: all six that
-        still exist refuse it (the other three were the retired
-        segment, sharded and rel backends')."""
+        """No signature takes ``compress=`` any more: all four that
+        still exist refuse it (the other five were the retired
+        segment, sharded, rel and memory backends' and the backend
+        factory's)."""
         builders = _builders(tmp_path)
-        assert len(builders) == 6
+        assert len(builders) == 4
         for name, build in builders.items():
             with pytest.raises(TypeError, match="compress"):
                 build()
@@ -414,9 +409,7 @@ class TestCompressionEnabled:
         for index, value in enumerate(("1", "true", "YES", " on ")):
             monkeypatch.setenv("REPRO_COMPRESS", value)
             directory = str(tmp_path / f"store{index}")
-            # compact named: the heap CSR is the compact backend's
-            # frozen form.
-            with DocumentStore(directory, backend="compact") as store:
+            with DocumentStore(directory) as store:
                 store.add_documents(
                     [(doc, dblp_tree(2, seed=doc)) for doc in range(6)]
                 )
@@ -426,13 +419,12 @@ class TestCompressionEnabled:
                 assert "compress" not in store.stats()
 
     def test_default_is_off(self, tmp_path):
-        """No backend reports a ``compress`` field: there is nothing to
-        be on or off."""
-        from repro.backend.base import BACKEND_NAMES, make_backend
+        """The relation reports no ``compress`` field, frozen or not:
+        there is nothing to be on or off."""
+        from repro.backend import CompactBackend
 
-        for name in BACKEND_NAMES:
-            backend = make_backend(name)
-            try:
-                assert "compress" not in backend.stats()
-            finally:
-                backend.close()
+        backend = CompactBackend()
+        backend.add_tree_bag(1, {(1, 2): 1})
+        assert "compress" not in backend.stats()
+        backend.compact()
+        assert "compress" not in backend.stats()

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
+from repro.backend import compact as compact_module
 from repro.backend.compact import CompactBackend
-from repro.backend.memory import MemoryBackend
 from repro.concurrency.coalesce import WriteCoalescer
 from repro.concurrency.lock import ForestLock
 from repro.concurrency.refreeze import RefreezeWorker
@@ -26,22 +26,30 @@ from repro.service.store import DocumentStore
 from tests.conftest import build_random_tree
 
 
-def overlay_only_compact():
-    """Compact frozen while empty, with a refreeze threshold no write
-    reaches: every tree lives in the overlay, and views share an empty
-    base."""
-    backend = CompactBackend()
-    backend.REFREEZE_MIN_DIRTY = sys.maxsize
-    backend.compact()
-    return backend
+def dict_only(forest, monkeypatch):
+    """Numpy hidden from the backend: nothing ever freezes, reads sweep
+    the dicts, and every view is a copy of them."""
+    monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
 
 
-# The ``sharded`` id is the row of a backend that no longer exists; it
-# now runs compact with every tree in the overlay.
+def as_shipped(forest, monkeypatch):
+    """The forest as constructed."""
+
+
+def overlay_only(forest, monkeypatch):
+    """Frozen while empty, with a refreeze threshold no write reaches:
+    every tree lives in the overlay, and views share an empty base."""
+    forest.backend.REFREEZE_MIN_DIRTY = sys.maxsize
+    forest.backend.compact()
+
+
+# Row id → how the row prepares its empty forest.  The ids name the
+# storage backends the forest once had; each row now runs the one class
+# in another state.
 BACKENDS = [
-    ("memory", MemoryBackend),
-    ("compact", CompactBackend),
-    ("sharded", overlay_only_compact),
+    ("memory", dict_only),
+    ("compact", as_shipped),
+    ("sharded", overlay_only),
 ]
 
 
@@ -84,7 +92,7 @@ def test_rwlock_concurrent_readers_overlap():
     """Readers never take the forest lock: ``read_view()`` lookups
     proceed, and agree with each other, while another thread holds it
     (a writer mid-batch, a refreeze)."""
-    forest, _ = _populated_forest(CompactBackend)
+    forest, _ = _populated_forest()
     view = forest.read_view()  # published before the lock is taken
     query = PQGramIndex.from_tree(
         build_random_tree(15, 99), forest.config, forest.hasher
@@ -176,8 +184,10 @@ def test_rwlock_metrics_histograms():
 # ----------------------------------------------------------------------
 
 
-def _populated_forest(factory, trees=8, seed=13):
-    forest = ForestIndex(GramConfig(2, 2), backend=factory())
+def _populated_forest(prepare=None, trees=8, seed=13):
+    forest = ForestIndex(GramConfig(2, 2))
+    if prepare is not None:
+        prepare(forest)
     built = {}
     for tree_id in range(trees):
         tree = build_random_tree(12 + tree_id, seed + tree_id)
@@ -187,8 +197,8 @@ def _populated_forest(factory, trees=8, seed=13):
 
 
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_freeze_view_matches_backend(name, factory):
-    forest, built = _populated_forest(factory)
+def test_freeze_view_matches_backend(name, factory, monkeypatch):
+    forest, built = _populated_forest(lambda forest: factory(forest, monkeypatch))
     forest.compact()
     view = forest.read_view()
     query = PQGramIndex.from_tree(
@@ -205,9 +215,9 @@ def test_freeze_view_matches_backend(name, factory):
 
 
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_freeze_view_pins_generation(name, factory):
+def test_freeze_view_pins_generation(name, factory, monkeypatch):
     """A handle keeps answering from its generation after mutations."""
-    forest, built = _populated_forest(factory)
+    forest, built = _populated_forest(lambda forest: factory(forest, monkeypatch))
     forest.compact()
     view = forest.read_view()
     query = PQGramIndex.from_tree(
@@ -229,8 +239,8 @@ def test_freeze_view_pins_generation(name, factory):
 
 
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
-def test_freeze_view_admit_filter(name, factory):
-    forest, _ = _populated_forest(factory)
+def test_freeze_view_admit_filter(name, factory, monkeypatch):
+    forest, _ = _populated_forest(lambda forest: factory(forest, monkeypatch))
     forest.compact()
     view = forest.read_view()
     query = PQGramIndex.from_tree(
@@ -267,7 +277,7 @@ def test_overlay_snapshot_masks_emptied_dirty_keys():
 
 
 def test_distances_via_read_view_match_live():
-    forest, _ = _populated_forest(lambda: CompactBackend())
+    forest, _ = _populated_forest()
     forest.compact()
     query = PQGramIndex.from_tree(
         build_random_tree(14, 55), forest.config, forest.hasher
@@ -280,7 +290,7 @@ def test_distances_via_read_view_match_live():
 
 
 def test_read_view_cached_per_generation():
-    forest, built = _populated_forest(lambda: MemoryBackend())
+    forest, built = _populated_forest()
     first = forest.read_view()
     assert forest.read_view() is first  # no writes: same handle
     generation = forest.generation
@@ -376,7 +386,7 @@ def test_coalescer_submit_after_close_raises():
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="refreeze needs the CSR path")
 def test_refreeze_worker_compacts_stale_backend():
-    forest, built = _populated_forest(lambda: CompactBackend(), trees=4)
+    forest, built = _populated_forest(trees=4)
     forest.compact()
     backend = forest.backend
     # Dirty enough keys to cross the refreeze threshold.
@@ -414,7 +424,7 @@ def test_refreeze_republishes_the_read_view():
     """The published view must not outlive a refreeze: with no write
     in between, the next read shares the new CSR and carries an empty
     overlay — under the same generation stamp."""
-    forest, built = _populated_forest(lambda: CompactBackend(), trees=4)
+    forest, built = _populated_forest(trees=4)
     forest.read_view()  # the first read freezes the CSR
     stale_csr = forest.backend._frozen
     assert stale_csr is not None
@@ -444,7 +454,7 @@ def test_stale_reader_is_not_queued_behind_a_refreeze():
     """A reader whose view went stale while a background refreeze is
     building is served the published view at once — it must not wait
     for the CSR build on the exclusive lock."""
-    forest, _ = _populated_forest(lambda: MemoryBackend(), trees=4)
+    forest, _ = _populated_forest(trees=4)
     published = forest.read_view()
     forest.add_tree(500, build_random_tree(10, 5))  # the view is now stale
     building = threading.Event()
@@ -472,7 +482,7 @@ def test_stale_reader_is_not_queued_behind_a_refreeze():
 
 
 def test_every_mutation_path_wakes_the_generation_listeners():
-    forest, built = _populated_forest(lambda: MemoryBackend(), trees=2)
+    forest, built = _populated_forest(trees=2)
     wakeups = []
     listener = lambda: wakeups.append(forest.generation)  # noqa: E731
     forest.add_generation_listener(listener)
@@ -516,7 +526,7 @@ def test_reopened_serving_store_freezes_on_its_first_lookup(tmp_path):
     shows it."""
     directory = str(tmp_path / "store")
     documents = _documents(12)
-    with DocumentStore(directory, GramConfig(2, 3), backend="compact") as store:
+    with DocumentStore(directory, GramConfig(2, 3)) as store:
         store.add_documents(documents)
     with DocumentStore(directory, serve_threads=2) as store:
         assert store.stats()["frozen"] is False  # open builds no CSR
@@ -533,8 +543,7 @@ def test_ingest_into_a_serving_store_wakes_the_refreeze_worker(tmp_path):
     generation like edits do, so the overlay of a store that is
     ingested into and read, but never edited, is re-frozen too."""
     store = DocumentStore(
-        str(tmp_path / "store"), GramConfig(2, 3), backend="compact",
-        serve_threads=2,
+        str(tmp_path / "store"), GramConfig(2, 3), serve_threads=2,
     )
     try:
         store.add_documents(_documents(8))

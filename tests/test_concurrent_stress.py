@@ -5,8 +5,8 @@ work happens, never *what* the index ends up being: after any number of
 concurrent ``apply_edits`` batches (coalesced, group-committed) the
 maintained relation must equal the indexes built from scratch over the
 documents a single-threaded application of the same per-document batch
-sequences produces — on every backend.  The stress below precomputes a
-deterministic workload (each writer owns a disjoint document slice, so
+sequences produces — in every state the relation can be in.  The stress
+below precomputes a deterministic workload (each writer owns a disjoint document slice, so
 every batch is valid by construction), unleashes the threads, and then
 compares the surviving relation bag-for-bag against that rebuild.
 """
@@ -16,11 +16,13 @@ from __future__ import annotations
 import random
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backend import compact as compact_module
 from repro.baselines import rebuild_index
 from repro.core.config import GramConfig
 from repro.edits.generator import EditScriptGenerator
@@ -28,14 +30,18 @@ from repro.edits.script import apply_script
 from repro.service.soak import random_tree
 from repro.service.store import DocumentStore
 
-from tests.conftest import build_random_tree
+from tests.conftest import build_random_tree, relation
 
-# Row id → backend.  The ``sharded`` id is the row of a backend that no
-# longer exists; it now runs compact frozen before the collection is
-# added (``FROZEN_ROWS``), so the readers sweep a frozen base with every
-# document in its overlay until the refreeze worker folds them in.
-ROWS = {"memory": "memory", "compact": "compact", "sharded": "compact"}
+# The row ids name the storage backends stores once had; each row runs
+# the one that is left in another state.  ``sharded`` is frozen before
+# the collection is added (``FROZEN_ROWS``), so the readers sweep a
+# frozen base with every document in its overlay until the refreeze
+# worker folds them in.  ``memory`` hides numpy from the backend
+# (``DICT_ROWS``): nothing freezes, and every reader sweeps a copy of
+# the dicts.
+ROWS = ("memory", "compact", "sharded")
 FROZEN_ROWS = {"sharded"}
+DICT_ROWS = {"memory"}
 
 
 def _build_workload(writers, batches_per_writer, docs_per_writer, seed):
@@ -69,14 +75,21 @@ def _build_workload(writers, batches_per_writer, docs_per_writer, seed):
     return documents, per_writer
 
 
-def _run_concurrent(tmp_path, row, documents, per_writer, readers, **kwargs):
+def _run_concurrent(tmp_path, row, *args, **kwargs):
+    """:func:`_run_store`, with numpy hidden from the backend in a
+    ``DICT_ROWS`` row."""
+    have_numpy = compact_module.HAVE_NUMPY and row not in DICT_ROWS
+    with mock.patch.object(compact_module, "HAVE_NUMPY", have_numpy):
+        return _run_store(tmp_path, row, *args, **kwargs)
+
+
+def _run_store(tmp_path, row, documents, per_writer, readers, **kwargs):
     """Apply the workload with one thread per writer (plus reader
     threads doing lookups throughout) to the store of ``row``; returns
     the store's final relation snapshot and the store itself (closed)."""
     store = DocumentStore(
         str(tmp_path / f"concurrent-{row}"),
         GramConfig(2, 3),
-        backend=ROWS[row],
         serve_threads=len(per_writer),
         **kwargs,
     )
@@ -126,14 +139,14 @@ def _run_concurrent(tmp_path, row, documents, per_writer, readers, **kwargs):
         thread.join(timeout=120)
     assert errors == []
     store.flush()
-    relation = store._forest.backend.snapshot()
+    final = relation(store._forest.backend)
     trees = {
         document_id: store.get_document(document_id)
         for document_id in store.document_ids()
     }
     store._forest.backend.check_consistency()
     store.close()
-    return relation, trees, store
+    return final, trees, store
 
 
 def _serial_rebuild(documents, per_writer):
@@ -144,16 +157,16 @@ def _serial_rebuild(documents, per_writer):
     for writer in sorted(per_writer):
         for document_id, operations in per_writer[writer]:
             trees[document_id], _ = apply_script(trees[document_id], operations)
-    relation = {
+    rebuilt = {
         document_id: dict(rebuild_index(tree, GramConfig(2, 3)).items())
         for document_id, tree in trees.items()
     }
-    return relation, trees
+    return rebuilt, trees
 
 
-@pytest.mark.parametrize("backend", list(ROWS))
+@pytest.mark.parametrize("backend", ROWS)
 def test_stress_bit_identical_to_serial_replay(backend, tmp_path):
-    """8 writers x 8 readers, >= 200 batches, every backend."""
+    """8 writers x 8 readers, >= 200 batches, every row."""
     writers, batches_per_writer = 8, 26  # 208 batches total
     documents, per_writer = _build_workload(
         writers, batches_per_writer, docs_per_writer=3, seed=42
@@ -211,10 +224,10 @@ def test_stress_reopen_after_concurrent_run(tmp_path):
     for thread in threads:
         thread.join(timeout=120)
     store.flush()
-    relation = store._forest.backend.snapshot()
+    final = relation(store._forest.backend)
     store.close()
     reopened = DocumentStore(str(directory), GramConfig(2, 3))
-    assert reopened._forest.backend.snapshot() == relation
+    assert relation(reopened._forest.backend) == final
     reopened._forest.backend.check_consistency()
 
 
@@ -227,7 +240,7 @@ def test_stress_reopen_after_concurrent_run(tmp_path):
     seed=st.integers(min_value=0, max_value=2**20),
     writers=st.integers(min_value=2, max_value=3),
     batches_per_writer=st.integers(min_value=2, max_value=6),
-    backend=st.sampled_from(list(ROWS)),
+    backend=st.sampled_from(ROWS),
 )
 def test_stress_property_bit_identical(
     seed, writers, batches_per_writer, backend, tmp_path_factory

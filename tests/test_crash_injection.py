@@ -41,34 +41,40 @@ from tests.conftest import (
     REFERENCE_ENGINES,
     assert_store_is_rebuild,
     reference_update,
+    relation,
 )
 
 CONFIG = GramConfig(2, 3)
 WAL = "wal.log"
-# Row id → the DocumentStore keyword arguments of that row.  The
-# ``sharded``, ``segment`` and ``rel`` ids are the rows of backends that
-# no longer exist.  ``sharded`` now runs a compact store on a live
-# metrics registry, so the instrumented branches of every durable write
-# crash and fail too; ``segment`` (``FROZEN_ROWS``) a compact store
-# whose CSR is frozen before the row's writes, so they land in a live
-# overlay over a frozen base when the failpoint fires; ``rel`` a memory
-# store on a live metrics registry.
+# Row id → the DocumentStore keyword arguments of that row.  The ids
+# name the storage backends stores once had; one is left, and each row
+# runs it in a state the plain ``compact`` row does not reach.
+# ``sharded`` and ``rel`` run on a live metrics registry, so the
+# instrumented branches of every durable write crash and fail too.
+# ``segment`` and ``rel`` (``FROZEN_ROWS``) freeze the CSR once
+# document 1 is in, so later writes land in a live overlay over a frozen
+# base holding document 1 when the failpoint fires; ``memory``
+# (``FROZEN_EMPTY_ROWS``) freezes it before the first write, so the base
+# is empty and every document lives in the overlay.
 STORE_KINDS = {
-    "memory": {"backend": "memory"},
-    "compact": {"backend": "compact"},
-    "sharded": {"backend": "compact", "metrics": True},
-    "segment": {"backend": "compact"},
-    "rel": {"backend": "memory", "metrics": True},
+    "memory": {},
+    "compact": {},
+    "sharded": {"metrics": True},
+    "segment": {},
+    "rel": {"metrics": True},
 }
 STORE_BACKENDS = list(STORE_KINDS)
-FROZEN_ROWS = {"segment"}
+FROZEN_ROWS = {"segment", "rel"}
+FROZEN_EMPTY_ROWS = {"memory"}
 
 
 def open_row_store(directory, backend, document="a(b(c,d),e(f))", **options):
     """A new store as the row ``backend`` opens it, holding ``document``
-    as document 1; a ``FROZEN_ROWS`` row freezes it then, so every
-    later write lands in the overlay."""
+    as document 1; a frozen row freezes it before or after that first
+    write, so every later write lands in the overlay."""
     store = DocumentStore(directory, CONFIG, **STORE_KINDS[backend], **options)
+    if backend in FROZEN_EMPTY_ROWS:
+        store._forest.compact()
     store.add_document(1, tree_from_brackets(document))
     if backend in FROZEN_ROWS:
         store._forest.compact()
@@ -84,7 +90,7 @@ def reopen(directory, backend):
 
 def store_state(store):
     """Bit-identical comparison key: every document's exact node
-    structure plus the backend's full index relation."""
+    structure plus the full index relation."""
     documents = {}
     for document_id in store.document_ids():
         tree = store.get_document(document_id)
@@ -92,7 +98,7 @@ def store_state(store):
             (node_id, tree.parent(node_id), tree.label(node_id))
             for node_id in tree.node_ids()
         )
-    return documents, store._forest.backend.snapshot()
+    return documents, relation(store._forest.backend)
 
 
 def build_store(directory):
@@ -695,64 +701,61 @@ def test_parent_format_homes_are_deleted_never_read(tmp_path):
     retired ``segment`` backend (``segments/`` with ``MANIFEST.json``, a
     sealed segment and a delta log) and the retired ``rel`` backend
     (``rel/rel.db``).  A directory holding both, plus a WAL tail, opens
-    with either remaining backend to indexes equal to a rebuild — the
-    planted homes hold bytes that match no document — and keeps no home
-    directory."""
+    to indexes equal to a rebuild — the planted homes hold bytes that
+    match no document — and keeps no home directory."""
     from repro.edits import Rename
     from repro.relstore.database import Database
     from repro.relstore.schema import Column, Schema
 
     wrong = {1: {(7, 7, 7, 7, 7): 3}, 2: {(8, 8, 8, 8, 8): 1}}
-    for backend in ("memory", "compact"):
-        directory = str(tmp_path / backend)
-        store = DocumentStore(directory, CONFIG, backend=backend)
-        store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
-        store.add_document(2, tree_from_brackets("x(y,z)"))
-        store.apply_edits(1, [Rename(2, "tail")])
-        del store  # the rename is in the WAL tail only
+    directory = str(tmp_path / "store")
+    store = DocumentStore(directory, CONFIG)
+    store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+    store.add_document(2, tree_from_brackets("x(y,z)"))
+    store.apply_edits(1, [Rename(2, "tail")])
+    del store  # the rename is in the WAL tail only
 
-        segments = os.path.join(directory, "segments")
-        os.makedirs(segments, exist_ok=True)
-        with open(os.path.join(segments, "segment-00000001.seg"), "wb") as handle:
-            handle.write(b"RSEGIDX1" + bytes(range(256)) * 4)
-        with open(os.path.join(segments, "MANIFEST.json"), "w") as handle:
-            json.dump(
-                {
-                    "format": 1,
-                    "generation": 1,
-                    "segment": "segment-00000001.seg",
-                    "sealed_seq": 99,
-                    "source": None,
-                },
-                handle,
-            )
-        with open(os.path.join(segments, "delta-00000001.log"), "wb") as handle:
-            handle.write(b"\x10\x00\x00\x00" + b"\x00" * 20)
-        rel = Database()
-        sizes = rel.create_table(
-            "sizes",
-            Schema([Column("treeId", int), Column("size", int), Column("seq", int)]),
-            ("treeId",),
+    segments = os.path.join(directory, "segments")
+    os.makedirs(segments, exist_ok=True)
+    with open(os.path.join(segments, "segment-00000001.seg"), "wb") as handle:
+        handle.write(b"RSEGIDX1" + bytes(range(256)) * 4)
+    with open(os.path.join(segments, "MANIFEST.json"), "w") as handle:
+        json.dump(
+            {
+                "format": 1,
+                "generation": 1,
+                "segment": "segment-00000001.seg",
+                "sealed_seq": 99,
+                "source": None,
+            },
+            handle,
         )
-        postings = rel.create_table(
-            "postings",
-            Schema([Column("treeId", int), Column("pqg", tuple), Column("cnt", int)]),
-            ("treeId", "pqg"),
-        )
-        rel.create_table(
-            "meta", Schema([Column("key", str), Column("value", str)]), ("key",)
-        )
-        for tree_id, bag in wrong.items():
-            sizes.insert_row((tree_id, sum(bag.values()), 99))
-            for key, count in bag.items():
-                postings.insert_row((tree_id, key, count))
-        os.makedirs(os.path.join(directory, "rel"), exist_ok=True)
-        rel.save(os.path.join(directory, "rel", "rel.db"))
+    with open(os.path.join(segments, "delta-00000001.log"), "wb") as handle:
+        handle.write(b"\x10\x00\x00\x00" + b"\x00" * 20)
+    rel = Database()
+    sizes = rel.create_table(
+        "sizes",
+        Schema([Column("treeId", int), Column("size", int), Column("seq", int)]),
+        ("treeId",),
+    )
+    postings = rel.create_table(
+        "postings",
+        Schema([Column("treeId", int), Column("pqg", tuple), Column("cnt", int)]),
+        ("treeId", "pqg"),
+    )
+    rel.create_table(
+        "meta", Schema([Column("key", str), Column("value", str)]), ("key",)
+    )
+    for tree_id, bag in wrong.items():
+        sizes.insert_row((tree_id, sum(bag.values()), 99))
+        for key, count in bag.items():
+            postings.insert_row((tree_id, key, count))
+    os.makedirs(os.path.join(directory, "rel"), exist_ok=True)
+    rel.save(os.path.join(directory, "rel", "rel.db"))
 
-        reopened = DocumentStore(directory, CONFIG)
-        assert reopened.backend_name == backend
-        assert reopened.get_document(1).label(2) == "tail"
-        assert_store_is_rebuild(reopened)
-        assert not os.path.exists(segments)
-        assert not os.path.exists(os.path.join(directory, "rel"))
-        reopened.close()
+    reopened = DocumentStore(directory, CONFIG)
+    assert reopened.get_document(1).label(2) == "tail"
+    assert_store_is_rebuild(reopened)
+    assert not os.path.exists(segments)
+    assert not os.path.exists(os.path.join(directory, "rel"))
+    reopened.close()

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from repro.core import GramConfig, PQGramIndex, compute_profile, index_of_tree
 from repro.errors import IndexConsistencyError
-from repro.relstore import Table
 
 from tests.conftest import gram_configs, trees
 
@@ -70,18 +69,19 @@ class TestBagAlgebra:
 
 class TestPersistence:
     def test_store_load_roundtrip(self, paper_tree_t0, hasher):
+        """What a forest stores of an index is its bag and size: an
+        index read back from them is the index."""
         config = GramConfig(3, 3)
         index = PQGramIndex.from_tree(paper_tree_t0, config, hasher)
-        table = Table("idx", PQGramIndex.storage_schema(), primary_key=("pqg",))
-        index.store(table)
-        assert PQGramIndex.load(table, config) == index
+        bag = dict(index.items())
+        assert PQGramIndex(config, bag) == index
+        assert PQGramIndex.from_bag_view(config, bag, total=index.size()) == index
 
-    def test_store_replaces_rows(self, hasher):
-        config = GramConfig(1, 1)
-        table = Table("idx", PQGramIndex.storage_schema(), primary_key=("pqg",))
-        PQGramIndex(config, {(1, 2): 1}).store(table)
-        PQGramIndex(config, {(3, 4): 1}).store(table)
-        assert len(table) == 1
+    def test_store_replaces_rows(self):
+        """The per-index relstore form is gone with every reader of it:
+        the index has no ``storage_schema`` / ``store`` / ``load``."""
+        for name in ("storage_schema", "store", "load"):
+            assert not hasattr(PQGramIndex, name)
 
     def test_serialized_size_tracks_distinct(self):
         config = GramConfig(1, 1)

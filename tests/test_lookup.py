@@ -7,6 +7,7 @@ from repro.datasets import dblp_tree
 from repro.edits import Rename, apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
+from repro.service import DocumentStore
 from repro.tree import tree_from_brackets
 
 
@@ -92,21 +93,30 @@ class TestForestIndex:
             assert forest.distances(expected)[tree_id] == 0.0
 
     def test_persistence_roundtrip(self, tmp_path):
-        forest, _ = small_forest()
-        path = str(tmp_path / "forest.db")
-        forest.save(path)
-        loaded = ForestIndex.load(path)
-        assert loaded.config == forest.config
-        assert len(loaded) == len(forest)
-        for tree_id in forest.tree_ids():
-            assert loaded.index_of(tree_id) == forest.index_of(tree_id)
-        # Inverted lists are rebuilt: distances agree.
-        query = forest.index_of(0)
-        assert loaded.distances(query) == forest.distances(query)
+        """The index has no durable form of its own: the round trip is
+        a store reopen, which rebuilds the forest from the documents."""
+        forest, trees = small_forest()
+        directory = str(tmp_path / "store")
+        with DocumentStore(directory, forest.config) as store:
+            store.add_documents(trees.items())
+        with DocumentStore(directory) as reopened:
+            loaded = reopened._forest
+            assert loaded.config == forest.config
+            assert len(loaded) == len(forest)
+            for tree_id in forest.tree_ids():
+                assert loaded.index_of(tree_id) == forest.index_of(tree_id)
+            # Inverted lists are rebuilt: distances agree.
+            query = forest.index_of(0)
+            assert loaded.distances(query) == forest.distances(query)
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(StorageError):
-            ForestIndex.load(str(tmp_path / "nope.db"))
+        """No file holds a forest, so there is none to load: the forest
+        has no ``save`` / ``load``, and a store directory without a
+        snapshot opens empty."""
+        for name in ("save", "load", "serialized_size_bytes"):
+            assert not hasattr(ForestIndex, name)
+        with DocumentStore(str(tmp_path / "nope")) as store:
+            assert len(store) == 0 and len(store._forest) == 0
 
 
 class TestLookupService:

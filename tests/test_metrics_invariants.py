@@ -4,9 +4,9 @@ Three families, per ISSUE acceptance:
 
 - the pruning ledger — every candidate a distance scan considers is
   either pruned by the tau size bound or scored, never both, never
-  dropped: ``pruned + scored == total`` on every backend and tau;
-- backend roll-up — the delta-key totals of a maintenance call match
-  the memory backend run of the same workload;
+  dropped: ``pruned + scored == total`` frozen or not, at every tau;
+- roll-up — the delta-key totals of a maintenance call over a frozen
+  forest match those over a forest never compacted;
 - durability pairing — every ``apply_edits`` batch appends exactly one
   WAL record: ``wal_appends_total == store_edit_batches_total``.
 """
@@ -29,7 +29,6 @@ from repro.tree import tree_from_brackets
 from tests.conftest import build_random_tree
 
 CONFIG = GramConfig(2, 3)
-BACKENDS = ["memory", "compact"]
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -38,9 +37,9 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def build_forest(backend, seed, tree_count=12):
+def build_forest(seed, tree_count=12):
     registry = MetricsRegistry()
-    forest = ForestIndex(CONFIG, backend=backend, metrics=registry)
+    forest = ForestIndex(CONFIG, metrics=registry)
     forest.add_trees(
         (tree_id, build_random_tree(4 + (seed + tree_id) % 14,
                                     seed=seed * 100 + tree_id))
@@ -49,8 +48,9 @@ def build_forest(backend, seed, tree_count=12):
     return forest, registry
 
 
-def run_lookups(forest, seed, taus=(0.05, 0.3, 0.8, 1.5)):
-    forest.compact()
+def run_lookups(forest, seed, frozen, taus=(0.05, 0.3, 0.8, 1.5)):
+    if frozen:
+        forest.compact()
     queries = [build_random_tree(5 + offset, seed=seed * 7 + offset)
                for offset in range(3)]
     for query in queries:
@@ -64,17 +64,17 @@ class TestPruningLedger:
     @PROPERTY_SETTINGS
     @given(st.integers(min_value=0, max_value=10_000))
     def test_pruned_plus_scored_equals_total_every_backend(self, seed):
-        for backend in BACKENDS:
-            forest, registry = build_forest(backend, seed)
-            run_lookups(forest, seed)
+        for frozen in (False, True):
+            forest, registry = build_forest(seed)
+            run_lookups(forest, seed, frozen)
             total = registry.counter_value("lookup_candidates_total")
             pruned = registry.counter_value("lookup_candidates_pruned_total")
             scored = registry.counter_value("lookup_candidates_scored_total")
-            assert total == pruned + scored, backend
+            assert total == pruned + scored, frozen
             assert registry.counter_value("lookup_distance_scans_total") > 0
 
     def test_tiny_tau_prunes_and_large_tau_scores(self):
-        forest, registry = build_forest("memory", seed=5, tree_count=8)
+        forest, registry = build_forest(seed=5, tree_count=8)
         big = tree_from_brackets("a(" + ",".join("b" * 1 for _ in range(30)) + ")")
         forest.add_tree(99, big)
         query = tree_from_brackets("a(b,c)")
@@ -96,9 +96,10 @@ class TestSnapshotReadsAreCounted:
 
     SWEEP = ("index_keys_swept_total", "index_postings_touched_total")
 
-    def sweep_volume(self, seed, serving, edits=0, backend="compact"):
-        forest, registry = build_forest(backend, seed)
-        forest.compact()  # freezes the CSR
+    def sweep_volume(self, seed, serving, edits=0, frozen=True):
+        forest, registry = build_forest(seed)
+        if frozen:
+            forest.compact()
         rng = random.Random(seed)
         for _ in range(edits):  # leave an overlay behind
             tree_id = rng.randrange(12)
@@ -116,7 +117,7 @@ class TestSnapshotReadsAreCounted:
             query = build_random_tree(5 + offset, seed=seed * 7 + offset)
             for tau in (0.05, 0.3, 0.8, 1.0):
                 service.lookup(query, tau)
-        if backend != "memory":
+        if frozen:
             view = forest.read_view()
             assert (edits > 0) == bool(view._masked.trees and view._overlay)
         forest.close()
@@ -128,7 +129,7 @@ class TestSnapshotReadsAreCounted:
         st.integers(min_value=0, max_value=3),
     )
     def test_snapshot_lookups_count_what_live_lookups_count(self, seed, edits):
-        reference = self.sweep_volume(seed, False, edits, backend="memory")
+        reference = self.sweep_volume(seed, False, edits, frozen=False)
         assert reference[0] > 0
         live = self.sweep_volume(seed, False, edits)
         served = self.sweep_volume(seed, True, edits)
@@ -137,15 +138,17 @@ class TestSnapshotReadsAreCounted:
 
 class TestShardRollUp:
     """(The class keeps the name of the retired sharded backend's
-    roll-up checks; what is left compares whole backends.)"""
+    roll-up checks; what is left compares a forest never compacted with
+    a frozen one.)"""
 
     @PROPERTY_SETTINGS
     @given(st.integers(min_value=0, max_value=10_000))
     def test_delta_keys_match_across_backends(self, seed):
         results = {}
-        for backend in ("memory", "compact"):
-            forest, registry = build_forest(backend, seed)
-            forest.compact()  # compact: maintain over the frozen CSR
+        for frozen in (False, True):
+            forest, registry = build_forest(seed)
+            if frozen:  # maintain over the frozen CSR
+                forest.compact()
             base = build_random_tree(12, seed=seed + 1)
             forest.add_tree(50, base)
             generator = EditScriptGenerator(
@@ -154,15 +157,15 @@ class TestShardRollUp:
             script = generator.generate(base, 6)
             edited, log = apply_script(base, script)
             forest.update_tree(50, edited, log)
-            results[backend] = (
+            results[frozen] = (
                 registry.counter_value("maintain_delta_keys_total"),
                 registry.counter_value("index_delta_keys_total"),
             )
-        # Within one run the backend re-inverts exactly the keys the
-        # maintenance delta named, and the totals agree across backends.
-        for backend, (maintain_keys, index_keys) in results.items():
-            assert maintain_keys == index_keys, backend
-        assert results["memory"] == results["compact"]
+        # Within one run the relation re-inverts exactly the keys the
+        # maintenance delta named, and the totals agree frozen or not.
+        for frozen, (maintain_keys, index_keys) in results.items():
+            assert maintain_keys == index_keys, frozen
+        assert results[False] == results[True]
 
 
 class TestDurabilityPairing:

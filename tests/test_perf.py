@@ -36,14 +36,14 @@ class TestIndexDistanceBackends:
     forest sweeps are the other code that computes the same distance."""
 
     def test_backend_parity(self):
-        """Pairwise ``index_distance`` equals the forest's sweep on
-        every backend, frozen or not."""
+        """Pairwise ``index_distance`` equals the forest's sweep, frozen
+        or not."""
         trees = [random_labelled_tree(5 + 7 * i, seed=100 + i) for i in range(6)]
         indexes = [build_index(tree) for tree in trees]
-        for name in ("memory", "compact"):
-            forest = ForestIndex(GramConfig(2, 3), backend=name)
+        for frozen in (False, True):
+            forest = ForestIndex(GramConfig(2, 3))
             forest.add_trees(enumerate(trees))
-            if name == "compact":
+            if frozen:
                 forest.compact()
             for left in indexes:
                 expected = {
@@ -63,28 +63,30 @@ class TestIndexDistanceBackends:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="CompactPostings requires numpy")
 class TestCompactPostings:
-    def forest(self, backend="compact"):
-        forest = ForestIndex(GramConfig(2, 3), backend=backend)
+    def forest(self):
+        forest = ForestIndex(GramConfig(2, 3))
         for i in range(10):
             forest.add_tree(i, random_labelled_tree(4 + 5 * i, seed=300 + i))
         return forest
 
     def test_sweep_matches_dict_sweep(self):
-        reference = self.forest(backend="memory")
-        frozen = self.forest(backend="compact")
+        reference = self.forest()
+        frozen = self.forest()
         frozen.compact()
         assert frozen.backend._frozen is not None
         queries = [
             build_index(random_labelled_tree(12, seed=s)) for s in range(5)
         ]
         for query in queries:
-            assert frozen._sweep(query) == reference._sweep(query)
+            assert frozen.backend.candidates(query.items()) == reference.backend.candidates(
+                query.items()
+            )
 
     def test_snapshot_overlaid_by_mutation(self):
         """Mutations after a freeze mask the tree they wrote and land
         in the overlay: the snapshot survives, and sweeps stay exact."""
-        reference = self.forest(backend="memory")
-        forest = self.forest(backend="compact")
+        reference = self.forest()
+        forest = self.forest()
         forest.compact()
         backend = forest.backend
         snapshot = backend._frozen
@@ -97,18 +99,22 @@ class TestCompactPostings:
         assert backend._masked.trees == {99}
         assert backend.stats()["dirty_keys"] == len(dict(forest.index_of(99).items()))
         query = build_index(random_labelled_tree(14, seed=44))
-        assert forest._sweep(query) == reference._sweep(query)
+        assert forest.backend.candidates(query.items()) == reference.backend.candidates(
+            query.items()
+        )
         backend.check_consistency()
         forest.remove_tree(99)
         reference.remove_tree(99)
         assert backend._frozen is snapshot
         # The emptied keys still count as written since the freeze.
         assert backend.stats()["dirty_keys"] > 0
-        assert forest._sweep(query) == reference._sweep(query)
+        assert forest.backend.candidates(query.items()) == reference.backend.candidates(
+            query.items()
+        )
         backend.check_consistency()
 
     def test_refreeze_past_dirty_threshold(self):
-        forest = self.forest(backend="compact")
+        forest = self.forest()
         forest.backend.REFREEZE_MIN_DIRTY = 1
         forest.backend.REFREEZE_FRACTION = 0.0
         forest.compact()
@@ -153,15 +159,18 @@ class TestParallelBuild:
 
     def test_parallel_equals_serial(self):
         """A batch build equals the one-tree-at-a-time loop in indexes,
-        sizes and distances, on every backend."""
+        sizes and distances, frozen or not."""
         collection = self.collection()
         query = build_index(xmark_tree(40, seed=1), GramConfig(2, 3))
-        for name in ("memory", "compact"):
-            looped = ForestIndex(GramConfig(2, 3), backend=name)
+        for frozen in (False, True):
+            looped = ForestIndex(GramConfig(2, 3))
             for tree_id, tree in collection:
                 looped.add_tree(tree_id, tree)
-            batch = ForestIndex(GramConfig(2, 3), backend=name)
+            batch = ForestIndex(GramConfig(2, 3))
             batch.add_trees(collection)
+            if frozen:
+                looped.compact()
+                batch.compact()
             assert len(batch) == len(looped)
             for tree_id, _ in collection:
                 assert batch.index_of(tree_id) == looped.index_of(tree_id)

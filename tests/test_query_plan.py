@@ -1,5 +1,6 @@
 """Query-plan layer tests: plan algebra, the structural predicates, and
-post-filter ≡ legacy-lookup ≡ brute-force equivalence on every backend."""
+post-filter ≡ legacy-lookup ≡ brute-force equivalence in every state
+of the forest."""
 
 import random
 from collections import Counter
@@ -29,23 +30,24 @@ from repro.tree import Tree
 
 CONFIG = GramConfig(2, 3)
 
-# The ``sharded-2`` and ``segment`` ids are the rows of backends that no
-# longer exist; they now run compact frozen, where the ``compact`` row
+# The ids name the storage backends the forest once had; each row runs
+# the one class that is left in another state.  The ``compact`` row
 # (whose service never compacts) sweeps the dicts.  ``sharded-2``
 # freezes once the collection is in, so plans sweep a clean CSR in
 # array space; ``segment`` freezes before the first write, so every tree
-# is in the overlay over an empty base.  The ``rel`` id is the row of
-# the retired relational backend; it now runs memory on a live metrics
-# registry, so the instrumented scan and the per-mode plan counter run
-# under every plan.
+# is in the overlay over an empty base.  ``memory`` (``VIEW_ROWS``)
+# runs every plan against the forest's published read view, the way a
+# serving store does.  ``rel`` runs on a live metrics registry, so the
+# instrumented scan and the per-mode plan counter run under every plan.
 BACKENDS = [
-    ("memory", {"backend": "memory"}),
-    ("compact", {"backend": "compact"}),
-    ("sharded-2", {"backend": "compact"}),
-    ("segment", {"backend": "compact"}),
-    ("rel", {"backend": "memory", "metrics": True}),
+    ("memory", {}),
+    ("compact", {}),
+    ("sharded-2", {}),
+    ("segment", {}),
+    ("rel", {"metrics": True}),
 ]
 BACKEND_IDS = [name for name, _ in BACKENDS]
+VIEW_ROWS = {"memory"}
 
 
 def make_forest(name, kwargs, collection):
@@ -272,10 +274,12 @@ def predicate_pool(collection):
 class TestExecutorEquivalence:
     def test_plan_lookup_matches_legacy_lookup(self, name, kwargs):
         """A bare retrieval plan is bit-identical to the legacy
-        ``lookup``/``nearest`` entry points on every backend."""
+        ``lookup``/``nearest`` entry points in every row."""
         collection = make_collection(12, seed=900)
         forest = make_forest(name, kwargs, collection)
-        service = LookupService(forest, auto_compact=False)
+        service = LookupService(
+            forest, auto_compact=False, snapshot_reads=name in VIEW_ROWS
+        )
         query = collection[4][1]
         for tau in (0.3, 0.7, 1.0):
             legacy = service.lookup(query, tau).matches
@@ -287,12 +291,13 @@ class TestExecutorEquivalence:
             assert planned == legacy
 
     def test_predicates_match_document_post_filter(self, name, kwargs):
-        """Plans with structural predicates produce the same matches on
-        every backend as on the memory reference."""
+        """Plans with structural predicates produce the same matches in
+        every row as on a reference forest that is never compacted."""
         collection = make_collection(14, seed=901)
         forest = make_forest(name, kwargs, collection)
+        reader = forest.read_view() if name in VIEW_ROWS else None
         documents = dict(collection)
-        reference = ForestIndex(CONFIG, backend="memory")
+        reference = ForestIndex(CONFIG)
         reference.add_trees(collection)
         rng = random.Random(5)
         pool = predicate_pool(collection)
@@ -307,7 +312,9 @@ class TestExecutorEquivalence:
             expected = execute_plan(
                 reference, plan, documents=documents.__getitem__
             )
-            got = execute_plan(forest, plan, documents=documents.__getitem__)
+            got = execute_plan(
+                forest, plan, reader=reader, documents=documents.__getitem__
+            )
             assert got.matches == expected.matches, (round_number, plan)
             assert got.population == expected.population
 
@@ -339,8 +346,8 @@ class TestRelPushdownProperties:
     against)."""
 
     def test_pushdown_equals_postfilter_randomized(self):
-        """Property: the post-filter on a frozen compact forest, on a
-        memory forest and by brute force yield identical matches for
+        """Property: the post-filter on a frozen forest, on a forest
+        that is never compacted and by brute force yield identical matches for
         random plans over random forests — and compact's pruning
         ledger stays exact."""
         from repro.obsv import MetricsRegistry
@@ -349,10 +356,10 @@ class TestRelPushdownProperties:
             registry = MetricsRegistry()
             collection = make_collection(10, seed=1000 + seed)
             documents = dict(collection).__getitem__
-            compact = ForestIndex(CONFIG, backend="compact", metrics=registry)
+            compact = ForestIndex(CONFIG, metrics=registry)
             compact.add_trees(collection)
             compact.compact()
-            memory = ForestIndex(CONFIG, backend="memory")
+            memory = ForestIndex(CONFIG)
             memory.add_trees(collection)
             rng = random.Random(seed)
             pool = predicate_pool(collection)
@@ -382,7 +389,7 @@ class TestRelPushdownProperties:
         parameter of any query entry point."""
         from repro.service import DocumentStore
 
-        forest = ForestIndex(CONFIG, backend="memory")
+        forest = ForestIndex(CONFIG)
         collection = make_collection(4, seed=3)
         forest.add_trees(collection)
         query = random_labelled_tree(5, seed=3)
@@ -396,7 +403,7 @@ class TestRelPushdownProperties:
             DocumentStore.query(None, plan, force_mode="postfilter")
 
     def test_predicates_without_documents_raise_on_plain_backends(self):
-        forest = ForestIndex(CONFIG, backend="memory")
+        forest = ForestIndex(CONFIG)
         forest.add_trees(make_collection(4, seed=3))
         query = random_labelled_tree(5, seed=3)
         with pytest.raises(QueryError):
@@ -407,7 +414,7 @@ class TestServicePlanCache:
     def test_serving_mode_caches_by_plan_fingerprint(self):
         from repro.obsv import MetricsRegistry
 
-        forest = ForestIndex(CONFIG, backend="compact", metrics=MetricsRegistry())
+        forest = ForestIndex(CONFIG, metrics=MetricsRegistry())
         collection = make_collection(8, seed=77)
         forest.add_trees(collection)
         documents = dict(collection).__getitem__
@@ -491,7 +498,6 @@ class TestServicePlanCache:
             assert first.matches == expected
             assert "pushdown" not in first.extra
         with DocumentStore(directory) as reopened:
-            assert reopened.backend_name == "compact"
             assert reopened.query(plan).matches == expected
 
 
@@ -500,13 +506,15 @@ def test_post_filter_walks_each_match_once(backend):
     """The post-filter's cost, counted instead of timed: the document
     provider is called exactly once for every tree the τ-scan returns
     and never for a tree it rejected — so a predicate costs one walk
-    per match, whatever its selectivity."""
+    per match, whatever its selectivity.  The ``compact`` row scans the
+    frozen CSR, the ``memory`` row a forest never compacted, which
+    sweeps its dicts."""
     collection = make_collection(30, seed=21)
-    forest = ForestIndex(CONFIG, backend=backend)
+    forest = ForestIndex(CONFIG)
     forest.add_trees(collection)
-    forest.compact()
-    if HAVE_NUMPY and backend == "compact":
-        assert forest.backend_stats()["frozen"]
+    if backend == "compact":
+        forest.compact()
+    assert forest.backend_stats()["frozen"] == (HAVE_NUMPY and backend == "compact")
     documents = dict(collection)
     calls = Counter()
 

@@ -1,9 +1,10 @@
 """What the retired relational (``rel``) backend's tests still check,
-on the two backends that remain: the compact write path against the
-memory reference, the structural predicates against brute force, and
-how a store that recorded ``backend=rel`` (and may still hold the
-``rel/`` directory that backend once wrote) opens — as compact, built
-from its documents, with the same plan results.  The bounded intern
+on the one class that remains: the write path of a frozen relation
+against one never compacted, refused writes that change nothing, the
+structural predicates against brute force, and how a store that
+recorded ``backend=rel`` (and may still hold the ``rel/`` directory
+that backend once wrote) opens — built from its documents, with the
+same plan results.  The bounded intern
 pool tests at the end pin the test-only copy of the packed layer
 (:mod:`tests.support.packed`) until their ids retire."""
 
@@ -14,7 +15,6 @@ import random
 import pytest
 
 from repro.backend.compact import CompactBackend
-from repro.backend.memory import MemoryBackend
 from repro.core import GramConfig
 from repro.datasets import random_labelled_tree
 from repro.errors import IndexConsistencyError, StorageError
@@ -22,6 +22,7 @@ from repro.lookup import ForestIndex
 from repro.query import And, ApproxLookup, HasLabel, execute_plan
 from repro.query.structural import tree_has_label, tree_has_path
 from repro.service import DocumentStore
+from tests.conftest import relation
 from tests.support.packed import InternPool
 from tests.test_backend_conformance import plant_meta, read_meta
 
@@ -42,16 +43,17 @@ def random_bags(count, seed):
 
 
 # ----------------------------------------------------------------------
-# write path parity with the reference backend
+# write path parity with a relation never compacted
 # ----------------------------------------------------------------------
 
 
 class TestWritePath:
     def test_matches_memory_through_mixed_workload(self):
-        """Compact, frozen halfway through, folds the same deltas into
-        the same relation as the memory reference."""
+        """A relation frozen halfway through folds the same deltas into
+        the same relation as one never compacted, which sweeps its
+        dicts."""
         compact = CompactBackend()
-        memory = MemoryBackend()
+        memory = CompactBackend()
         bags = random_bags(12, seed=3)
         rng = random.Random(4)
         for tree_id, bag in bags.items():
@@ -70,26 +72,56 @@ class TestWritePath:
             memory.apply_tree_delta(tree_id, minus, plus)
         compact.remove_tree(5)
         memory.remove_tree(5)
-        assert compact.snapshot() == memory.snapshot()
+        assert relation(compact) == relation(memory)
         assert sorted(compact.iter_sizes()) == sorted(memory.iter_sizes())
         items = [(key, rng.randint(1, 3)) for key in keys[:6]]
         assert compact.candidates(items) == memory.candidates(items)
+        assert memory.stats()["frozen"] is False
         compact.check_consistency()
 
     def test_duplicate_add_and_bad_delta_raise(self):
-        for backend, freeze in itertools.product(
-            (CompactBackend, MemoryBackend), (False, True)
-        ):
-            backend = backend()
-            backend.add_tree_bag(1, {(1, 2): 2})
+        """A refused write leaves the relation as it was, frozen or not:
+        a delta is checked whole before its first subtraction, so one
+        bad key after good ones subtracts nothing and masks nothing."""
+        items = [((1, 2), 3), ((3, 4), 1), ((5, 6), 2), ((9, 9), 1)]
+        refused = [
+            (StorageError, lambda backend: backend.add_tree_bag(1, {(3, 4): 1})),
+            (IndexConsistencyError, lambda backend: backend.apply_tree_delta(1, {(1, 2): 3}, {})),
+            (IndexConsistencyError, lambda backend: backend.apply_tree_delta(1, {(9, 9): 1}, {})),
+            (
+                IndexConsistencyError,
+                lambda backend: backend.apply_tree_delta(
+                    1, {(1, 2): 1, (3, 4): 99}, {(7, 7): 1}
+                ),
+            ),
+        ]
+        for freeze in (False, True):
+            backend = CompactBackend()
+            backend.add_tree_bag(1, {(1, 2): 2, (3, 4): 3, (5, 6): 4})
+            backend.add_tree_bag(2, {(1, 2): 1})
             if freeze:
                 backend.compact()
-            with pytest.raises(StorageError):
-                backend.add_tree_bag(1, {(3, 4): 1})
-            with pytest.raises(IndexConsistencyError):
-                backend.apply_tree_delta(1, {(1, 2): 3}, {})
-            with pytest.raises(IndexConsistencyError):
-                backend.apply_tree_delta(1, {(9, 9): 1}, {})
+
+            def state():
+                return (
+                    dict(backend.tree_bag(1)),
+                    backend.tree_size(1),
+                    backend.candidates(items),
+                    backend.stats(),
+                )
+
+            before = state()
+            assert before[1] == 9
+            for error, call in refused:
+                with pytest.raises(error):
+                    call(backend)
+                backend.check_consistency()
+                assert state() == before
+            # A zero count subtracts nothing, even for a key the tree
+            # lacks.
+            backend.apply_tree_delta(1, {(1, 2): 0, (8, 8): 0}, {})
+            backend.check_consistency()
+            assert state()[:3] == before[:3]
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +183,7 @@ def seed_store(directory, count=8, seed=70):
     collection = [
         (index, random_labelled_tree(10, seed=seed + index)) for index in range(count)
     ]
-    with DocumentStore(directory, CONFIG, backend="compact") as store:
+    with DocumentStore(directory, CONFIG) as store:
         store.add_documents(collection)
     plant_meta(os.path.join(directory, "store.db"), backend="rel")
     return collection
@@ -163,37 +195,34 @@ def query_plan(collection):
 
 class TestDurability:
     def test_checkpoint_reopen_preserves_everything(self, tmp_path):
-        """A store recorded as ``rel`` reopens as compact with the same
-        relation and plan results, and its next checkpoint records
-        ``compact``."""
+        """A store recorded as ``rel`` reopens with the same relation
+        and plan results, and its next checkpoint records no backend."""
         directory = str(tmp_path / "store")
         collection = seed_store(directory)
-        reference = ForestIndex(CONFIG, backend="memory")
+        reference = ForestIndex(CONFIG)
         reference.add_trees(collection)
-        expected = reference.backend.snapshot()
+        expected = relation(reference.backend)
         plan_matches = execute_plan(
             reference, query_plan(collection), documents=dict(collection).__getitem__
         ).matches
         with DocumentStore(directory) as reopened:
-            assert reopened.backend_name == "compact"
-            assert reopened._forest.backend.snapshot() == expected
+            assert relation(reopened._forest.backend) == expected
             assert reopened.query(query_plan(collection)).matches == plan_matches
             reopened._forest.backend.check_consistency()
             reopened.checkpoint()
-        assert read_meta(os.path.join(directory, "store.db"))["backend"] == "compact"
+        assert "backend" not in read_meta(os.path.join(directory, "store.db"))
         assert not os.path.exists(os.path.join(directory, "rel"))
 
     def test_stats_shape(self, tmp_path):
-        """No backend and no store reports the retired node-table
-        counters."""
+        """Neither the store nor its relation reports a backend name or
+        the retired node-table counters."""
         directory = str(tmp_path / "store")
         seed_store(directory)
         with DocumentStore(directory) as store:
             stats = store.stats()
             backend_stats = store._forest.backend_stats()
-        assert stats["backend"] == backend_stats["backend"] == "compact"
         assert backend_stats["trees"] == 8
-        for retired in ("node_rows", "structured_trees", "durable"):
+        for retired in ("backend", "node_rows", "structured_trees", "durable"):
             assert retired not in stats
             assert retired not in backend_stats
 
@@ -211,18 +240,17 @@ class TestStoreRecovery:
             handle.write(b"this is not a relstore snapshot")
         with DocumentStore(directory) as store:
             assert not os.path.exists(os.path.join(directory, "rel"))
-            assert store.backend_name == "compact"
             assert store.query(query_plan(collection)).matches == expected
             store._forest.backend.check_consistency()
 
     def test_missing_rel_directory_rebuilds(self, tmp_path):
         """No ``rel/`` directory is the normal state: the reopened store
         builds its index from its documents and answers plans like a
-        memory store built from the same documents."""
+        new store built from the same documents."""
         directory = str(tmp_path / "store")
         collection = seed_store(directory)
         assert not os.path.exists(os.path.join(directory, "rel"))
-        with DocumentStore(str(tmp_path / "reference"), CONFIG, backend="memory") as ref:
+        with DocumentStore(str(tmp_path / "reference"), CONFIG) as ref:
             ref.add_documents(collection)
             expected = ref.query(query_plan(collection)).matches
         with DocumentStore(directory) as store:

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.backend.base import BACKEND_NAMES
+from repro.backend import CompactBackend
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
 from repro.edits import apply_script
@@ -27,7 +27,7 @@ from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
 from repro.service import DocumentStore
 
-from tests.conftest import assert_store_is_rebuild
+from tests.conftest import assert_store_is_rebuild, relation
 
 CONFIG = GramConfig(2, 3)
 
@@ -59,43 +59,41 @@ class TestSegmentFileV2:
         """A store directory as an older version left it with the
         packed layer on: ``compress=1`` in the snapshot meta, a WAL
         tail, and an ``RSEGIDX2`` file under ``segments/`` that matches
-        no document.  It opens on every backend to indexes equal to a
-        rebuild, the file is deleted unread, and the next checkpoint
-        writes no ``compress`` row."""
+        no document.  It opens to indexes equal to a rebuild, the file
+        is deleted unread, and the next checkpoint writes no
+        ``compress`` row."""
         from repro.edits import Rename
         from repro.relstore.database import Database
         from repro.tree import tree_from_brackets
 
-        for backend in BACKEND_NAMES:
-            directory = str(tmp_path / backend)
-            store = DocumentStore(directory, CONFIG, backend=backend)
-            store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
-            store.add_document(2, tree_from_brackets("x(y,z)"))
-            store.checkpoint()
-            store.apply_edits(1, [Rename(2, "tail")])
-            del store  # the rename is in the WAL tail only
+        directory = str(tmp_path / "store")
+        store = DocumentStore(directory, CONFIG)
+        store.add_document(1, tree_from_brackets("a(b(c,d),e(f))"))
+        store.add_document(2, tree_from_brackets("x(y,z)"))
+        store.checkpoint()
+        store.apply_edits(1, [Rename(2, "tail")])
+        del store  # the rename is in the WAL tail only
 
-            snapshot = os.path.join(directory, "store.db")
-            database = Database.load(snapshot)
-            database.table("meta").insert({"key": "compress", "value": "1"})
-            database.save(snapshot)
-            [v2_path, *_] = plant_segments(
-                directory, b"RSEGIDX2" + bytes(range(255, -1, -1)) * 4
-            )
+        snapshot = os.path.join(directory, "store.db")
+        database = Database.load(snapshot)
+        database.table("meta").insert({"key": "compress", "value": "1"})
+        database.save(snapshot)
+        [v2_path, *_] = plant_segments(
+            directory, b"RSEGIDX2" + bytes(range(255, -1, -1)) * 4
+        )
 
-            reopened = DocumentStore(directory)
-            assert reopened.backend_name == backend
-            assert not os.path.exists(v2_path)
-            assert reopened.get_document(1).label(2) == "tail"
-            assert "compress" not in reopened.stats()
-            assert_store_is_rebuild(reopened)
-            reopened.checkpoint()
-            reopened.close()
-            meta = {
-                row["key"]: row["value"]
-                for row in Database.load(snapshot).table("meta").scan_dicts()
-            }
-            assert "compress" not in meta
+        reopened = DocumentStore(directory)
+        assert not os.path.exists(v2_path)
+        assert reopened.get_document(1).label(2) == "tail"
+        assert "compress" not in reopened.stats()
+        assert_store_is_rebuild(reopened)
+        reopened.checkpoint()
+        reopened.close()
+        meta = {
+            row["key"]: row["value"]
+            for row in Database.load(snapshot).table("meta").scan_dicts()
+        }
+        assert "compress" not in meta
 
 
 # ----------------------------------------------------------------------
@@ -120,9 +118,7 @@ class TestReopen:
         reopened = DocumentStore(directory, metrics=registry)
         assert registry.counter_value("wal_replayed_batches_total") == 3
         assert registry.counter_value("maintain_batches_total") == 0
-        assert (
-            reopened._forest.backend.snapshot() == reference.backend.snapshot()
-        )
+        assert relation(reopened._forest.backend) == relation(reference.backend)
         assert_store_is_rebuild(reopened)
         reopened.close()
 
@@ -139,9 +135,7 @@ class TestReopen:
         reopened._forest.compact()
         stats = reopened.stats()
         assert stats["frozen"] is True and stats["dirty_keys"] == 0
-        assert (
-            reopened._forest.backend.snapshot() == reference.backend.snapshot()
-        )
+        assert relation(reopened._forest.backend) == relation(reference.backend)
         reopened._forest.backend.check_consistency()
         reopened.close()
 
@@ -164,8 +158,6 @@ class TestDebounce:
 
     def test_compact_refreeze_debounced_by_mutation_gap(self):
         pytest.importorskip("numpy")
-        from repro.backend.compact import CompactBackend
-
         backend = CompactBackend()
         for tree_id, bag in self._bags(4, 80).items():
             backend.add_tree_bag(tree_id, bag)
@@ -217,8 +209,8 @@ class TestSegmentStore:
     def _populate(self, directory):
         """A compact store of six documents whose CSR is frozen before
         eight edit batches, so the edited trees live in the overlay."""
-        store = DocumentStore(directory, CONFIG, backend="compact")
-        reference = ForestIndex(CONFIG, backend="memory")
+        store = DocumentStore(directory, CONFIG)
+        reference = ForestIndex(CONFIG)
         documents = {}
         for tree_id in range(6):
             tree = _tree(seed=40 + tree_id)
@@ -232,12 +224,8 @@ class TestSegmentStore:
 
     def assert_matches_reference(self, directory, reference, documents):
         reopened = DocumentStore(directory)
-        assert reopened.backend_name == "compact"
         assert not os.path.exists(os.path.join(directory, "segments"))
-        assert (
-            reopened._forest.backend.snapshot()
-            == reference.backend.snapshot()
-        )
+        assert relation(reopened._forest.backend) == relation(reference.backend)
         for tree_id, tree in documents.items():
             assert reopened.get_document(tree_id) == tree
         reopened._forest.backend.check_consistency()
@@ -325,7 +313,7 @@ class TestSegmentStore:
             row["key"]: row["value"]
             for row in database.table("meta").scan_dicts()
         }
-        assert meta["backend"] == "compact"
+        assert "backend" not in meta
         assert int(meta["commit_seq"]) > 0
 
     def test_first_served_read_seals_the_rebuilt_segment(self, tmp_path):
@@ -339,27 +327,32 @@ class TestSegmentStore:
         served = DocumentStore(directory, serve_threads=2)
         assert served.stats()["frozen"] is False
         query = documents[min(documents)]
-        expected = LookupService(reference).lookup(query, 0.5).matches
+        expected = LookupService(reference, auto_compact=False).lookup(
+            query, 0.5
+        ).matches
         assert served.lookup(query, 0.5).matches == expected
         stats = served.stats()
         assert stats["frozen"] is True and stats["dirty_keys"] == 0
         served.close()
 
     def test_env_default_backend(self, tmp_path, monkeypatch):
-        """No environment variable picks a store's backend: a new store
-        is ``compact`` with ``REPRO_STORE_BACKEND`` set, and a store
-        created as ``memory`` records it, so a reopen keeps it."""
+        """Nothing picks a store's backend, an environment variable
+        included: with ``REPRO_STORE_BACKEND`` set, a store holds its
+        relation in the one class, reports no backend, and records none
+        in its snapshot."""
+        from repro.relstore.database import Database
+
         monkeypatch.setenv("REPRO_STORE_BACKEND", "memory")
-        store = DocumentStore(str(tmp_path / "store"), CONFIG)
-        assert store.backend_name == "compact"
-        store.close()
-        monkeypatch.delenv("REPRO_STORE_BACKEND")
-        store = DocumentStore(str(tmp_path / "memory"), CONFIG, backend="memory")
+        directory = str(tmp_path / "store")
+        store = DocumentStore(directory, CONFIG)
         store.add_document(1, _tree(seed=90))
+        assert type(store._forest.backend) is CompactBackend
+        assert "backend" not in store.stats()
         store.close()
-        reopened = DocumentStore(str(tmp_path / "memory"))
-        assert reopened.backend_name == "memory"
-        reopened.close()
+        database = Database.load(os.path.join(directory, "store.db"))
+        assert "backend" not in {
+            row["key"] for row in database.table("meta").scan_dicts()
+        }
 
     def test_fresh_store_discards_leftover_segments(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -368,7 +361,7 @@ class TestSegmentStore:
         os.remove(os.path.join(directory, "store.db"))
         os.remove(os.path.join(directory, "wal.log"))
         plant_segments(directory)
-        fresh = DocumentStore(directory, CONFIG, backend="compact")
+        fresh = DocumentStore(directory, CONFIG)
         assert len(fresh) == 0
         assert len(fresh._forest.backend) == 0
         assert not os.path.exists(os.path.join(directory, "segments"))

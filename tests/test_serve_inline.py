@@ -10,7 +10,8 @@ which verbs still answer while the pool's only worker is parked, that a
 pipelining connection cannot starve another one, that neither writers
 nor a long query can stall the loop past the read limit, that admission
 and error mapping are the same on every route, and that what comes back
-over the wire is bit for bit what the ``memory`` reference computes.
+over the wire is bit for bit what a reference forest that is never
+compacted computes.
 """
 
 import contextlib
@@ -196,15 +197,12 @@ def test_a_pipelining_connection_does_not_starve_another(tmp_path):
 
 
 def test_writers_do_not_stall_reads_past_the_read_limit(tmp_path):
-    """On the default backend, named: a ``memory`` view is a copy of
-    the whole relation per generation, and the bound is the
-    benchmark's, which runs ``compact``."""
     rng = random.Random(11)
     mirrors = {
         document_id: canonical(xmark_tree(400, seed=document_id))
         for document_id in range(6)
     }
-    with serving(tmp_path, serve_threads=2, backend="compact") as (front_door, port):
+    with serving(tmp_path, serve_threads=2) as (front_door, port):
         with ServeClient(port=port) as seeder:
             for document_id, tree in mirrors.items():
                 seeder.add_document(document_id, tree)
@@ -260,7 +258,7 @@ def test_a_query_holds_the_loop_in_proportion_to_its_text_up_to_a_bound(tmp_path
     medium = [tree_to_brackets(xmark_tree(400, seed=seed)) for seed in range(2, 12)]
     long = tree_to_brackets(xmark_tree(4000, seed=3))
     assert max(map(len, medium)) + 200 < INLINE_FRAME_BYTES < len(long)
-    with serving(tmp_path, backend="compact") as (front_door, port):
+    with serving(tmp_path) as (front_door, port):
         with ServeClient(port=port) as reader, ServeClient(port=port) as other:
             for document_id in range(6):
                 reader.add_document(
@@ -391,15 +389,15 @@ class TestInlineAdmission:
 
 
 # ---------------------------------------------------------------------------
-# results over the wire ≡ the memory reference
+# results over the wire ≡ a reference forest never compacted
 # ---------------------------------------------------------------------------
 
 
 def test_wire_results_are_bit_identical_to_the_memory_reference(tmp_path):
     collection = make_collection(30, seed=100)
-    reference = ForestIndex(CONFIG, backend="memory")
+    reference = ForestIndex(CONFIG)
     reference.add_trees(collection)
-    expected = LookupService(reference)
+    expected = LookupService(reference, auto_compact=False)
     queries = [random_labelled_tree(15, seed=31)] + [
         tree for _, tree in collection[:5]
     ]

@@ -326,19 +326,17 @@ class TestEnginesAndStats:
         assert stats["hasher_labels"] >= 3
 
     def test_recovery_maintains_through_batch(self, tmp_path):
-        """Recovery never maintains: on every backend the batch is
-        applied to the document and the forest built once afterwards,
-        so no maintenance batch runs and the index equals a rebuild."""
-        for backend in ("memory", "compact"):
-            directory = str(tmp_path / backend)
-            store = DocumentStore(directory, GramConfig(2, 2), backend=backend)
-            store.add_document(1, dblp_tree(15, seed=8))
-            work = store.get_document(1)
-            store.apply_edits(1, dblp_update_script(work, 5, seed=9))
-            del store
-            reopened = DocumentStore(directory, GramConfig(2, 2), metrics=True)
-            assert reopened.backend_name == backend
-            assert reopened.get_index(1) == rebuilt(reopened, 1)
-            registry = reopened.metrics_registry
-            assert registry.counter_value("wal_replayed_batches_total") == 1
-            assert registry.counter_value("maintain_batches_total") == 0
+        """Recovery never maintains: the batch is applied to the
+        document and the forest built once afterwards, so no
+        maintenance batch runs and the index equals a rebuild."""
+        directory = str(tmp_path / "store")
+        store = DocumentStore(directory, GramConfig(2, 2))
+        store.add_document(1, dblp_tree(15, seed=8))
+        work = store.get_document(1)
+        store.apply_edits(1, dblp_update_script(work, 5, seed=9))
+        del store
+        reopened = DocumentStore(directory, GramConfig(2, 2), metrics=True)
+        assert reopened.get_index(1) == rebuilt(reopened, 1)
+        registry = reopened.metrics_registry
+        assert registry.counter_value("wal_replayed_batches_total") == 1
+        assert registry.counter_value("maintain_batches_total") == 0

@@ -20,6 +20,7 @@ from repro.edits import Delete, Insert, Rename
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.serialize import format_operations
 from repro.errors import CodecError, EditError
+from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
 from repro.relstore import Column, Database, Schema
 from repro.service import DocumentStore
@@ -281,8 +282,13 @@ def write_previous_format(directory, documents, backend, wal_batches=()):
 
 
 @pytest.mark.parametrize("with_wal_tail", [False, True])
-@pytest.mark.parametrize("backend", ["compact", "memory", "sharded", "segment"])
+@pytest.mark.parametrize("backend", ["compact", "memory", "sharded", "segment", "rel"])
 def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail):
+    """A store written before the ``documents`` relation, recording
+    any backend name — the two this version offered before it had one
+    class, or a retired one — opens to its documents and their lookups,
+    and the next checkpoint writes the current form, with no
+    ``backend`` row."""
     directory = str(tmp_path / "store")
     documents = [(document_id, sparse_tree(15, document_id)) for document_id in (4, 2, 9)]
     expected = {document_id: tree.copy() for document_id, tree in documents}
@@ -304,9 +310,6 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
                 handle.write(b"RSEGIDX1" + bytes(range(256)))
 
     store = DocumentStore(directory)
-    # The retired sharded and segment backends' stores open as compact.
-    opened_as = "compact" if backend in ("sharded", "segment") else backend
-    assert store.backend_name == opened_as
     assert not os.path.exists(segments)
     assert 999 not in store._forest
     assert {
@@ -314,6 +317,12 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
         for document_id in store.document_ids()
     } == expected
     assert_store_is_rebuild(store)
+    reference = ForestIndex(CONFIG)
+    reference.add_trees(expected.items())
+    service = LookupService(reference, auto_compact=False)
+    for query in expected.values():
+        for tau in (0.3, 0.7, 1.0):
+            assert store.lookup(query, tau).matches == service.lookup(query, tau).matches
     # Unstamped blocks are numbered by position past the snapshot's 11.
     assert store._commit_seq == 11 + len(wal_batches)
     store.checkpoint()
@@ -321,7 +330,7 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
     assert "documents" in database
     assert "indexes" not in database and "nodes" not in database
     meta = {row["key"]: row["value"] for row in database.table("meta").scan_dicts()}
-    assert meta["backend"] == opened_as
+    assert "backend" not in meta
     assert "shards" not in meta and "compress" not in meta
     store.apply_edits(4, [Rename(next(iter(expected[4].children(expected[4].root_id))), "later")])
     del store  # the batch is in the WAL, stamped
@@ -330,14 +339,6 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
     assert reopened._commit_seq == 12 + len(wal_batches)
     assert_store_is_rebuild(reopened)
     reopened.close()
-    if backend != opened_as:
-        # Only a store that recorded a retired backend opens as compact:
-        # asking for one when creating a store is outside input, refused
-        # with a message naming the backends there are.
-        with pytest.raises(ValueError) as excinfo:
-            DocumentStore(str(tmp_path / "new"), CONFIG, backend=backend)
-        for name in ("memory", "compact"):
-            assert name in str(excinfo.value)
 
 
 def test_replay_only_open_leaves_the_snapshot_byte_identical(tmp_path):
@@ -496,7 +497,7 @@ def _three_block_wal(directory):
     """A store whose WAL holds three blocks past an empty-WAL snapshot —
     an edit batch, an added document, a removal — with the documents
     before the last block and after it."""
-    store = DocumentStore(directory, CONFIG, backend="memory")
+    store = DocumentStore(directory, CONFIG)
     store.add_documents(
         [(1, tree_from_brackets("a(b,c)")), (2, tree_from_brackets("x(y)"))]
     )
