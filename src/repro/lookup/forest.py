@@ -214,8 +214,9 @@ class ForestIndex:
         return fresh
 
     def close(self) -> None:
-        """Nothing to release — the forest holds no thread or file;
-        here so that callers may close what they open."""
+        """Nothing to release — the forest holds no thread or file.
+        Kept because ``benchmarks/e2e/traced.py`` closes its three
+        forests."""
 
     def sync_metric_gauges(self) -> None:
         """Refresh the snapshot-style gauges (forest shape, backend

@@ -215,10 +215,6 @@ class LookupService:
         (posting and key totals, frozen-view state)."""
         return self.forest.backend_stats()
 
-    def close(self) -> None:
-        """Release the forest's background resources; idempotent."""
-        self.forest.close()
-
     def _execute(
         self,
         plan: Plan,

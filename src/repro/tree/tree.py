@@ -3,13 +3,13 @@
 Design notes
 ------------
 Nodes are stored in a dictionary keyed by integer id.  Each record keeps
-the label, the parent id, and the ordered child ids in a
-:class:`~repro.tree.childlist.BlockedList`, so parent, label and fanout
-are O(1) and the *positional* operations the edit model leans on —
-sibling-position lookup, i-th child, child-range splices — are O(√f)
-even under enormous fanouts (the DBLP root has millions of children).
-Full child enumeration stays O(f); the delta function only ever reads
-O(q)-wide windows (paper Alg. 2).
+the label, the parent id, and the ordered child ids in a plain list, so
+parent, label, fanout and the i-th child are O(1); the other positional
+operations the edit model leans on — sibling-position lookup and
+child-range splices — are C-speed O(f) list operations.  Under a huge
+fanout (the DBLP root has millions of children) those grow with the
+fanout, but a q-wide window read by the delta function (paper Alg. 2)
+stays a slice of O(q).
 
 :meth:`Tree.copy` is copy-on-write: a clone shares the record objects
 of its source and each side clones a record (label, parent, child
@@ -32,7 +32,6 @@ from repro.errors import (
     TreeError,
     UnknownNodeError,
 )
-from repro.tree.childlist import BlockedList
 from repro.tree.node import Node
 
 
@@ -51,7 +50,7 @@ class _Record:
     ) -> None:
         self.label = label
         self.parent = parent
-        self.children: BlockedList = BlockedList()
+        self.children: List[int] = []
         self.owner = owner
 
 
@@ -123,7 +122,7 @@ class Tree:
         if record.owner is not self._owner:
             shared = record
             record = _Record(shared.label, shared.parent, self._owner)
-            record.children = shared.children.copy()
+            record.children = list(shared.children)
             self._records[node_id] = record
         return record
 
@@ -141,7 +140,7 @@ class Tree:
 
     def children(self, node_id: int) -> Tuple[int, ...]:
         """Ordered child ids of the node."""
-        return tuple(self._record(node_id).children.to_list())
+        return tuple(self._record(node_id).children)
 
     def child(self, node_id: int, position: int) -> int:
         """The ``position``-th child (1-based, as in the paper)."""
@@ -162,7 +161,7 @@ class Tree:
         return not self._record(node_id).children
 
     def sibling_position(self, node_id: int) -> int:
-        """1-based position of the node among its siblings — O(√fanout).
+        """1-based position of the node among its siblings — O(fanout).
 
         The root is defined to be at position 1.
         """
@@ -235,11 +234,11 @@ class Tree:
                 f"INS range k={k}, m={m} invalid for fanout {fanout}"
             )
         new_id = self._claim_id(node_id)
-        moved = record.children.pop_range(k - 1, m)
+        moved = record.children[k - 1 : m]
         new_record = _Record(label, parent_id, self._owner)
-        new_record.children = BlockedList(moved)
+        new_record.children = moved
         self._records[new_id] = new_record
-        record.children.insert(k - 1, new_id)
+        record.children[k - 1 : m] = [new_id]
         for child_id in moved:
             self._own(child_id).parent = new_id
 
@@ -249,8 +248,8 @@ class Tree:
         if record.parent is None:
             raise TreeError("cannot delete the root node")
         parent_record = self._own(record.parent)
-        position = parent_record.children.remove(node_id)
-        parent_record.children.insert_range(position, record.children.to_list())
+        position = parent_record.children.index(node_id)
+        parent_record.children[position : position + 1] = record.children
         for child_id in record.children:
             self._own(child_id).parent = record.parent
         del self._records[node_id]
@@ -354,5 +353,4 @@ class Tree:
         high = min(stop, fanout)
         if high < low:
             return [None] * (stop - start + 1)
-        inner: List[Optional[int]] = list(kids.slice_values(low - 1, high))
-        return [None] * (low - start) + inner + [None] * (stop - high)
+        return [None] * (low - start) + kids[low - 1 : high] + [None] * (stop - high)
