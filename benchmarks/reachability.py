@@ -14,9 +14,11 @@ which run at import, are not functions); the report is the share of
 them in functions never called, per package.  Code in
 child processes (the killed lifecycle writer) is
 not seen, so each share is an upper bound.  Exits non-zero if a run
-or a command failed, or if the total uncalled share exceeds
-``MAX_UNCALLED_SHARE`` (a ratchet: lower it when code goes, never
-raise it to let code in).
+or a command failed, or if the total count of uncalled lines exceeds
+``MAX_UNCALLED_LINES`` (a ratchet: lower it when code goes, never
+raise it to let code in).  The gate is a count, not the share it
+prints: deleting called code raises the share while leaving every
+uncalled line where it was.
 """
 
 import contextlib
@@ -40,10 +42,10 @@ from repro.cli import main as cli  # noqa: E402
 from repro.datasets import dblp_tree  # noqa: E402
 from repro.xmlio import write_xml  # noqa: E402
 
-#: ceiling on the total uncalled share; 28.3 % measured (twice) when the
-#: forest's backend layer became one class and class bodies stopped
-#: counting as uncalled functions, rounded up to the next half point
-MAX_UNCALLED_SHARE = 0.285
+#: ceiling on the total count of uncalled function lines: the highest
+#: count over the runs made when it was set (2,127 of 7,633 lines in
+#: each of eight runs); it may only go down
+MAX_UNCALLED_LINES = 2127
 
 CALLED = set()
 
@@ -127,14 +129,15 @@ def main() -> int:
     for package in sorted(total):
         share = uncalled[package] / total[package]
         print(f"{package:<12} {total[package]:>7} {uncalled[package]:>8} {share:>6.1%}")
-    share = sum(uncalled.values()) / sum(total.values())
-    print(f"{'total':<12} {sum(total.values()):>7} {sum(uncalled.values()):>8} {share:>6.1%}")
+    count = sum(uncalled.values())
+    share = count / sum(total.values())
+    print(f"{'total':<12} {sum(total.values()):>7} {count:>8} {share:>6.1%}")
     for argv in failed:
         print(f"FAILED: {' '.join(argv)}", file=sys.stderr)
-    if share > MAX_UNCALLED_SHARE:
+    if count > MAX_UNCALLED_LINES:
         print(
-            f"FAILED: {share:.1%} of function lines uncalled, "
-            f"ceiling {MAX_UNCALLED_SHARE:.1%}",
+            f"FAILED: {count} function lines uncalled, "
+            f"ceiling {MAX_UNCALLED_LINES}",
             file=sys.stderr,
         )
         return 1

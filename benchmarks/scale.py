@@ -1,0 +1,145 @@
+"""The scale ladder's first rungs: what an open and a membership change
+cost, by collection size.
+
+    python benchmarks/scale.py [--smoke] [--ops 20]
+
+For N in {1 k, 10 k} ``small_collection`` documents (``--smoke``: 200
+and 2 k) it builds a store in one ``add_documents`` and checkpoints it,
+logs a one-operation edit batch on each of ``--ops`` documents, and
+leaves the store without closing it, as a crash would.  Then it
+reopens the store and prints, per N:
+
+``reopen_s``            median wall seconds of three reopens, and
+                        their split: reading ``store.db``
+                        (``reopen_load_s``), reading and applying the
+                        WAL (``reopen_replay_s``), building every bag
+                        (``reopen_build_s``)
+``decoded_by_open``     documents the open decoded into trees (the WAL
+                        edits ``--ops`` of them)
+``heap_b_per_node``     bytes the open left allocated (tracemalloc),
+                        per stored node
+``add_document_*``,     per call, as the reopened store runs ``--ops``
+``remove_document_*``   of each: median milliseconds, bytes written
+                        (WAL bytes plus every ``store.db`` a checkpoint
+                        rewrote) and checkpoints run
+
+A row the store does not report (an older store has no phase split or
+decode counter) reads ``n/a``.  It reads ``benchmarks/e2e/`` and
+changes nothing there.
+"""
+
+import argparse
+import gc
+import os
+import statistics
+import sys
+import tempfile
+import time
+import tracemalloc
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "e2e"))
+
+import loadgen  # noqa: E402
+
+from repro.edits.ops import Rename  # noqa: E402
+from repro.service.store import DocumentStore  # noqa: E402
+
+REOPENS = 3
+PHASES = ("load", "replay", "build")
+
+
+def build(directory: str, documents, ops: int) -> None:
+    """The store the reopens read: a snapshot of ``documents`` and a
+    WAL of ``ops`` edit batches, left unclosed."""
+    store = DocumentStore(directory)
+    store.add_documents(documents)
+    store.checkpoint()
+    for document_id in range(ops):
+        tree = store.get_document(document_id)
+        node = tree.children(tree.root_id)[0]
+        store.apply_edits(document_id, [Rename(node, "renamed")])
+
+
+def reopen_rows(directory: str) -> dict:
+    seconds, phases, decoded = [], {phase: [] for phase in PHASES}, None
+    for _ in range(REOPENS):
+        started = time.perf_counter()
+        store = DocumentStore(directory, metrics=True)
+        seconds.append(time.perf_counter() - started)
+        snapshot = store.metrics_registry.snapshot()
+        for phase in PHASES:
+            series = snapshot["histograms"].get(
+                f'recovery_phase_seconds{{phase="{phase}"}}'
+            )
+            if series is not None:
+                phases[phase].append(series["sum"])
+        decoded = snapshot["counters"].get("store_documents_decoded_total")
+        del store, snapshot
+    rows = {"reopen_s": statistics.median(seconds)}
+    for phase in PHASES:
+        values = phases[phase]
+        rows[f"reopen_{phase}_s"] = statistics.median(values) if values else None
+    rows["decoded_by_open"] = decoded
+    gc.collect()  # an older store is cyclic garbage until collected
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    store = DocumentStore(directory)
+    held = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    rows["heap_b_per_node"] = held / store.stats()["nodes"]
+    del store
+    return rows
+
+
+def membership_rows(directory: str, documents, ops: int) -> dict:
+    """What one membership change costs: ``ops`` adds of new
+    documents, then ``ops`` removals, on the reopened store."""
+    store = DocumentStore(directory, metrics=True)
+    registry = store.metrics_registry
+    snapshot = os.path.join(directory, "store.db")
+    calls = (
+        ("add_document", store.add_document, documents),
+        ("remove_document", store.remove_document, [(i,) for i in range(ops)]),
+    )
+    rows = {}
+    for name, call, arguments in calls:
+        seconds = []
+        written = -registry.counter_value("wal_bytes_total")
+        started_checkpoints = registry.counter_value("checkpoints_total")
+        for argument in arguments:
+            checkpoints = registry.counter_value("checkpoints_total")
+            started = time.perf_counter()
+            call(*argument)
+            seconds.append(time.perf_counter() - started)
+            if registry.counter_value("checkpoints_total") > checkpoints:
+                written += os.path.getsize(snapshot)
+        written += registry.counter_value("wal_bytes_total")
+        rows[f"{name}_ms"] = statistics.median(seconds) * 1e3
+        rows[f"{name}_b"] = written / ops
+        rows[f"{name}_checkpoints"] = (
+            registry.counter_value("checkpoints_total") - started_checkpoints
+        )
+    store.close()
+    return rows
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--ops", type=int, default=20)
+    args = parser.parse_args()
+    print(f"{'N':>7} {'row':<28} {'value':>12}", flush=True)
+    for size in (200, 2_000) if args.smoke else (1_000, 10_000):
+        documents = loadgen.small_collection(size + args.ops)
+        with tempfile.TemporaryDirectory(prefix="scale-") as directory:
+            build(directory, documents[:size], args.ops)
+            rows = reopen_rows(directory)
+            rows.update(membership_rows(directory, documents[size:], args.ops))
+        for name, value in rows.items():
+            shown = "n/a" if value is None else f"{value:.4g}"
+            print(f"{size:>7} {name:<28} {shown:>12}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -147,8 +147,10 @@ class CompactBackend:
     # write path
     # ------------------------------------------------------------------
 
-    def add_tree_bag(self, tree_id: int, bag: Mapping[Key, int]) -> None:
-        """Index a new tree given its pq-gram bag.
+    def add_tree_bag(self, tree_id: int, bag: Bag) -> None:
+        """Index a new tree given its pq-gram bag, which the relation
+        keeps: the caller hands the dict over and must not touch it
+        again.
 
         Raises :class:`~repro.errors.StorageError` if ``tree_id`` is
         already indexed.  An empty bag is legal (the tree is registered
@@ -156,17 +158,16 @@ class CompactBackend:
         """
         if tree_id in self._bags:
             raise StorageError(f"tree id {tree_id} is already indexed")
-        stored = dict(bag)
-        self._bags[tree_id] = stored
-        self._sizes[tree_id] = sum(stored.values())
-        for key, count in stored.items():
+        self._bags[tree_id] = bag
+        self._sizes[tree_id] = sum(bag.values())
+        for key, count in bag.items():
             self._inverted.setdefault(key, {})[tree_id] = count
         self._mutations += 1
         if self._frozen is not None:
             # Born since the freeze: the frozen arrays hold none of it.
             if tree_id not in self._masked.trees:
                 self._masked.add(tree_id, ())
-            self._fold(tree_id, stored)
+            self._fold(tree_id, bag)
 
     def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]

@@ -114,6 +114,9 @@ class WriteCoalescer:
             self._closed = True
             self._nonempty.notify()
         self._thread.join()
+        # The callback is the store's bound method: dropping it leaves
+        # no reference cycle between a closed store and its coalescer.
+        self._apply_group = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     # appender thread

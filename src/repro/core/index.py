@@ -39,10 +39,7 @@ class PQGramIndex:
     ) -> "PQGramIndex":
         """Build the index from scratch (the Augsten 2005 approach that
         the paper's incremental update is compared against)."""
-        counts: Bag = {}
-        for key in iter_label_hash_tuples(tree, config, hasher):
-            counts[key] = counts.get(key, 0) + 1
-        return cls(config, counts)
+        return cls.from_bag_view(config, tree_bag(tree, config, hasher))
 
     @classmethod
     def from_brackets(
@@ -181,6 +178,11 @@ def index_of_tree(
     return PQGramIndex.from_tree(
         tree, config or GramConfig(), hasher or LabelHasher()
     )
+
+
+def tree_bag(tree: Tree, config: GramConfig, hasher: LabelHasher) -> Bag:
+    """The pq-gram bag of a tree, as a fresh dict its receiver owns."""
+    return bag_from_pairs(iter_label_hash_tuples(tree, config, hasher))
 
 
 def bag_from_pairs(pairs: Iterable[Key]) -> Bag:

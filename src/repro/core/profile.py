@@ -1,6 +1,6 @@
 """pq-gram profiles (Definition 2) and their computation.
 
-Three computations are provided:
+Four computations are provided:
 
 - :func:`compute_profile` — node-level profile as a set of
   :class:`~repro.core.gram.PQGram`.  This is the definitional object of
@@ -13,6 +13,9 @@ Three computations are provided:
 - :class:`GramEmitter` — the same bag from ``open(label)`` / ``close()``
   events in document order, for sources that are text and never become
   a tree: a query's bracket notation, an XML token stream.
+- :func:`preorder_bag` — the same bag from a tree given as preorder
+  arrays (parent position and label hash per node), for a stored
+  record that is never decoded into a tree.
 
 All run in O(n · (p + q)) time: the ancestor chain is carried down a
 DFS stack and each child window costs O(q).
@@ -20,7 +23,7 @@ DFS stack and each child window costs O(q).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.config import GramConfig
 from repro.core.gram import PQGram
@@ -145,6 +148,45 @@ def iter_label_hash_tuples(
             yield chain + tuple(extended[start : start + q])
         for child, child_hash in zip(reversed(children), reversed(hashes)):
             stack.append((child, chain[1:] + (child_hash,)))
+
+
+def preorder_bag(
+    parents: Sequence[int], hashes: Sequence[int], config: GramConfig
+) -> Dict[Tuple[int, ...], int]:
+    """The hashed pq-gram bag of a tree given in preorder: node ``i``
+    has label hash ``hashes[i]`` and, unless it is the root (``i ==
+    0``), the parent at preorder position ``parents[i] < i``.
+
+    Equal to folding :func:`iter_label_hash_tuples` of the same tree,
+    key for key and in the same insertion order (nodes in preorder,
+    each node's rows left to right).
+    """
+    p, q = config.p, config.q
+    size = len(hashes)
+    children: List[List[int]] = [[] for _ in range(size)]
+    for position in range(1, size):
+        children[parents[position]].append(position)
+    pad = (NULL_HASH,) * (q - 1)
+    leaf_row = (NULL_HASH,) * q
+    chains: List[Tuple[int, ...]] = [()] * size
+    chains[0] = (NULL_HASH,) * (p - 1) + (hashes[0],)
+    counts: Dict[Tuple[int, ...], int] = {}
+    get = counts.get
+    for position in range(size):
+        chain = chains[position]
+        kids = children[position]
+        if not kids:
+            key = chain + leaf_row
+            counts[key] = get(key, 0) + 1
+            continue
+        row = pad + tuple([hashes[child] for child in kids]) + pad
+        for start in range(len(kids) + q - 1):
+            key = chain + row[start : start + q]
+            counts[key] = get(key, 0) + 1
+        tail = chain[1:]
+        for child in kids:
+            chains[child] = tail + (hashes[child],)
+    return counts
 
 
 class GramEmitter:

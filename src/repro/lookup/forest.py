@@ -28,7 +28,7 @@ from repro.concurrency.lock import ForestLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
 from repro.core.batch import BatchTimings, update_index_batch_timed
-from repro.core.index import PQGramIndex
+from repro.core.index import PQGramIndex, tree_bag
 from repro.edits.ops import EditOperation
 from repro.errors import StorageError
 from repro.hashing.labelhash import LabelHasher
@@ -251,26 +251,41 @@ class ForestIndex:
 
     def add_tree(self, tree_id: int, tree: Tree) -> None:
         """Index a new tree of the forest."""
-        bag = dict(PQGramIndex.from_tree(tree, self.config, self.hasher).items())
-        with self.lock.write():
-            self._backend.add_tree_bag(tree_id, bag)
-            self._bump_generation()
+        self.add_bags([(tree_id, tree_bag(tree, self.config, self.hasher))])
 
     def add_trees(self, items: Iterable[Tuple[int, Tree]]) -> None:
-        """Index a batch of trees.
+        """Index a batch of trees, all or none; the ids are checked
+        before any bag is built (see :meth:`add_bags`)."""
+        items = list(items)
+        self._check_new(tree_id for tree_id, _ in items)
+        self.add_bags(
+            (tree_id, tree_bag(tree, self.config, self.hasher))
+            for tree_id, tree in items
+        )
+
+    def add_bags(self, items: Iterable[Tuple[int, Bag]]) -> None:
+        """Index a batch of trees given by their pq-gram bags — built
+        with this forest's configuration and hasher, and owned by the
+        forest from here on (the caller must not touch them again).
 
         The batch is validated up front — against the forest *and*
         against itself — so either every tree is added or none is
         (a duplicate id can never leave a partial commit behind).
         """
         items = list(items)
+        self._check_new(tree_id for tree_id, _ in items)
+        for tree_id, bag in items:
+            with self.lock.write():
+                self._backend.add_tree_bag(tree_id, bag)
+                self._bump_generation()
+
+    def _check_new(self, tree_ids: Iterable[int]) -> None:
+        """Refuse a batch holding an indexed id, or one id twice."""
         seen: set = set()
-        for tree_id, _ in items:
+        for tree_id in tree_ids:
             if tree_id in self._backend or tree_id in seen:
                 raise StorageError(f"tree id {tree_id} is already indexed")
             seen.add(tree_id)
-        for tree_id, tree in items:
-            self.add_tree(tree_id, tree)
 
     def remove_tree(self, tree_id: int) -> None:
         """Drop a tree from the forest index."""

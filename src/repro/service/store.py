@@ -4,7 +4,8 @@ On-disk layout inside the store directory::
 
     store.db     relstore snapshot: ``documents`` (one self-contained
                  binary record per document, see
-                 :func:`encode_document`), ``meta`` (p, q, the
+                 :func:`~repro.service.record.encode_document`),
+                 ``meta`` (p, q, the
                  commit sequence folded into the snapshot) and, with
                  standing queries, ``subs`` + ``standing``
     wal.log      append-only log of committed changes, one block each,
@@ -16,10 +17,17 @@ On-disk layout inside the store directory::
                  added together), ``DROP <doc> <seq>`` (a removal)
 
 The documents and the WAL are the only durable state.  Every index is
-derived from them, never persisted, and built when the store opens
-(≈5 µs per node — cheaper than reading the relation back).  The open
-removes, unread, the ``segments/`` and ``rel/`` directories in which
-older stores kept index state.
+derived from them, never persisted, and built when the store opens —
+each bag straight from the document's record
+(:func:`~repro.service.record.record_bag`), cheaper than reading the
+relation back.  The open removes, unread, the ``segments/`` and
+``rel/`` directories in which older stores kept index state.
+
+In memory the store holds every document as its record until something
+needs the tree — an edit batch, a read of the document (``get_document``,
+the wire's ``show``) or a structural predicate, of a query or of a
+standing query — and keeps the decoded tree from then on.  Most
+documents of a large collection are never decoded at all.
 
 Commit protocol for ``apply_edits`` (one write path: a synchronous
 call is a group commit of one, a serving-mode call joins whatever the
@@ -66,11 +74,12 @@ is the only way out.  A checkpoint that fails after its group's WAL
 append was fsynced fails the store, yet that group's batches are
 reported committed — they are.
 
-``open`` decodes the snapshot's documents, applies to them the WAL
-blocks stamped past the snapshot's commit sequence, in order (blocks
-the snapshot already covers — a crash between the snapshot rename and
-the WAL truncation leaves them behind — are skipped), and only then
-builds the forest, once, from the final documents.  A half-written
+``open`` loads the snapshot's records, applies to them the WAL blocks
+stamped past the snapshot's commit sequence, in order (blocks the
+snapshot already covers — a crash between the snapshot rename and the
+WAL truncation leaves them behind — are skipped; only the documents an
+edit batch names are decoded), and only then builds the forest, once,
+from the final documents.  A half-written
 trailing block (the crash window; it never acknowledged) is cut off
 the WAL and the file fsynced, so later appends cannot land behind
 bytes replay stops at.  A block that does not read back — a checksum
@@ -112,7 +121,7 @@ from typing import (
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.refreeze import RefreezeWorker
 from repro.core.config import GramConfig
-from repro.core.index import PQGramIndex
+from repro.core.index import Bag, PQGramIndex, tree_bag
 from repro.edits.ops import EditOperation
 from repro.edits.script import EditScript
 from repro.edits.serialize import format_operations, parse_operations
@@ -121,15 +130,20 @@ from repro.errors import (
     ReproError,
     StorageError,
     StoreFailedError,
-    TreeError,
 )
 from repro.lookup.forest import ForestIndex
 from repro.lookup.service import LookupResult, LookupService
-from repro.obsv.metrics import MetricsRegistry, resolve_registry
-from repro.relstore.codec import read_varint, unzigzag, write_varint, zigzag
+from repro.obsv.metrics import Counter, MetricsRegistry, resolve_registry
 from repro.relstore.database import Database
 from repro.relstore.schema import Column, Schema
 from repro.service import failpoints
+from repro.service.record import (
+    decode_document,
+    encode_document,
+    parse_record,
+    record_bag,
+    record_node_count,
+)
 from repro.stream.standing import Notification, StandingQueryEngine
 from repro.tree.tree import Tree
 
@@ -150,96 +164,6 @@ WAL_CHECKPOINT_FLOOR = 64 * 1024
 _DERIVED_DIRS = ("segments", "rel")
 
 
-def encode_document(tree: Tree) -> bytes:
-    """The checkpoint record of one document.
-
-    Self-contained: a label dictionary (count, then each distinct label
-    as length + UTF-8, in order of first use) followed by the node
-    count and, per node in preorder, three varints — the node id as a
-    zigzag delta to the previous node's, the distance back to the
-    parent's preorder position (0 for the root) and the label's
-    dictionary index.  Node ids — which WAL operations and client edits
-    reference — and sibling order survive the round trip exactly.
-    """
-    labels: Dict[str, int] = {}
-    body = bytearray()
-    position = 0
-    previous_id = 0
-    stack = [(tree.root_id, 0)]
-    while stack:
-        node_id, parent_position = stack.pop()
-        write_varint(body, zigzag(node_id - previous_id))
-        write_varint(body, position - parent_position)
-        write_varint(body, labels.setdefault(tree.label(node_id), len(labels)))
-        previous_id = node_id
-        for child_id in reversed(tree.children(node_id)):
-            stack.append((child_id, position))
-        position += 1
-    out = bytearray()
-    write_varint(out, len(labels))
-    for label in labels:
-        raw = label.encode("utf-8")
-        write_varint(out, len(raw))
-        out += raw
-    write_varint(out, position)
-    out += body
-    return bytes(out)
-
-
-def decode_document(record: bytes) -> Tree:
-    """Inverse of :func:`encode_document`; anything that is not a
-    complete, consistent record raises :class:`~repro.errors.CodecError`
-    (every loop consumes input, so garbage cannot make it spin)."""
-    try:
-        label_count, pos = read_varint(record, 0)
-        labels: List[str] = []
-        for _ in range(label_count):
-            length, pos = read_varint(record, pos)
-            end = pos + length
-            if end > len(record):
-                raise CodecError("truncated label in document record")
-            labels.append(record[pos:end].decode("utf-8"))
-            pos = end
-        node_count, pos = read_varint(record, pos)
-        if node_count < 1:
-            raise CodecError("document record holds no root node")
-        node_ids: List[int] = []
-        node_id = 0
-        for position in range(node_count):
-            delta, pos = read_varint(record, pos)
-            node_id += unzigzag(delta)
-            distance, pos = read_varint(record, pos)
-            label_index, pos = read_varint(record, pos)
-            if label_index >= len(labels):
-                raise CodecError(
-                    f"label index {label_index} outside the record's "
-                    f"{len(labels)}-label dictionary"
-                )
-            if position == 0:
-                if distance:
-                    raise CodecError("document record's root has a parent")
-                tree = Tree(labels[label_index], node_id)
-            else:
-                if not 1 <= distance <= position:
-                    raise CodecError(
-                        f"parent distance {distance} invalid at preorder "
-                        f"position {position}"
-                    )
-                tree.add_child(
-                    node_ids[position - distance],
-                    labels[label_index],
-                    node_id=node_id,
-                )
-            node_ids.append(node_id)
-    except (UnicodeDecodeError, TreeError) as exc:
-        raise CodecError(f"corrupt document record: {exc}") from None
-    if pos != len(record):
-        raise CodecError(
-            f"{len(record) - pos} trailing bytes in document record"
-        )
-    return tree
-
-
 # ----------------------------------------------------------------------
 # WAL blocks
 # ----------------------------------------------------------------------
@@ -247,8 +171,8 @@ def decode_document(record: bytes) -> Tree:
 
 class WalRecord(NamedTuple):
     """One committed WAL block.  ``kind`` is ``"BEGIN"`` (an edit batch
-    on ``document_id``), ``"ADD"`` (``documents``: ``(id, tree,
-    encode_document record)`` triples, added together) or ``"DROP"``
+    on ``document_id``), ``"ADD"`` (``documents``: ``(id,
+    encode_document record)`` pairs, added together) or ``"DROP"``
     (``document_id`` removed).  ``seq`` is ``None`` for the unstamped
     blocks older stores wrote."""
 
@@ -256,7 +180,7 @@ class WalRecord(NamedTuple):
     seq: Optional[int]
     document_id: Optional[int] = None
     operations: Sequence[EditOperation] = ()
-    documents: Sequence[Tuple[int, Tree, bytes]] = ()
+    documents: Sequence[Tuple[int, bytes]] = ()
 
 
 def _sealed(text: str) -> bytes:
@@ -339,7 +263,8 @@ def _parse_block(
             for line in body:
                 identifier, _, encoded = line.partition(b" ")
                 raw = base64.b64decode(encoded, validate=True)
-                documents.append((int(identifier), decode_document(raw), raw))
+                parse_record(raw)  # validated now, decoded when touched
+                documents.append((int(identifier), raw))
             if len({entry[0] for entry in documents}) != count:
                 return None
             record = WalRecord("ADD", seq, documents=documents)
@@ -402,6 +327,51 @@ def read_wal(data: bytes) -> Tuple[List[WalRecord], int]:
     return records, end
 
 
+class _Versions(dict):
+    """Document id → the document's current version: its checkpoint
+    record (``bytes``) until something needs the tree, then the decoded
+    :class:`~repro.tree.tree.Tree`, kept from then on.
+
+    Readers reach it without the store mutex, and :meth:`tree` may
+    decode.  The decoded tree is cached only if the slot still holds
+    the record it came from — a compare-and-set under ``_swap``, which
+    every writer takes too — so a reader can never put back a version
+    the writer replaced while it decoded; it uses its tree uncached.
+    Holds nothing of the store: a standing-query engine given
+    :meth:`tree` makes no reference cycle with it.
+    """
+
+    def __init__(self, decoded: Counter) -> None:
+        super().__init__()
+        self._swap = threading.Lock()
+        self._decoded = decoded
+
+    def tree(self, document_id: int) -> Tree:
+        """The current tree of one document, decoded on first use."""
+        try:
+            version = self[document_id]
+        except KeyError:
+            raise StorageError(f"no document with id {document_id}") from None
+        if isinstance(version, Tree):
+            return version
+        tree = decode_document(version)
+        self._decoded.inc()
+        with self._swap:
+            if self.get(document_id) is version:
+                self[document_id] = tree
+        return tree
+
+    def publish(self, document_id: int, version: "Tree | bytes") -> None:
+        """Make ``version`` current; from here on it is shared with
+        lock-free readers and must not be written."""
+        with self._swap:
+            self[document_id] = version
+
+    def drop(self, document_id: int) -> None:
+        with self._swap:
+            del self[document_id]
+
+
 class DocumentStore:
     """A collection of documents with durable pq-gram indexes.
 
@@ -426,24 +396,25 @@ class DocumentStore:
     ) -> None:
         self._directory = directory
         self._serving = serve_threads > 0
-        # Lock-free readers (get_document, the wire's show, the query
-        # post-filter) copy trees out of this dict, so a tree reachable
-        # from it is never written: every change publishes a new tree.
-        self._documents: Dict[int, Tree] = {}
-        # The checkpoint record of every document unchanged since it
-        # was last encoded or decoded; _publish and remove_document
-        # drop the stale entry, so a checkpoint encodes only those.
-        self._encoded: Dict[int, bytes] = {}
-        # Guards document membership, the WAL, and the checkpoint
-        # trigger's byte counts.  In serving mode the appender thread
-        # holds it for the whole group commit; lookups never touch it.
-        self._mutex = threading.RLock()
         # ``metrics`` (a registry or ``True``) turns on observability
         # for the whole stack — store, forest, backend, lookup service
         # all report into one registry.  Must be chosen at open time so
         # recovery itself is measured.
         self._metrics = resolve_registry(metrics)
         self._bind_instruments(self._metrics)
+        # Every document as a record until something needs its tree.
+        # Lock-free readers (get_document, the wire's show, the query
+        # post-filter) copy trees out of it, so a tree reachable from it
+        # is never written: every change publishes a new version.
+        self._documents = _Versions(self._m_decoded)
+        # The checkpoint record of every document unchanged since it
+        # was last encoded or read; _publish and remove_document drop
+        # the stale entry, so a checkpoint encodes only those.
+        self._encoded: Dict[int, bytes] = {}
+        # Guards document membership, the WAL, and the checkpoint
+        # trigger's byte counts.  In serving mode the appender thread
+        # holds it for the whole group commit; lookups never touch it.
+        self._mutex = threading.RLock()
         self._service: Optional[LookupService] = None
         self._wal_handle: Optional[BinaryIO] = None
         # The checkpoint trigger's inputs: bytes in the WAL since the
@@ -523,7 +494,25 @@ class DocumentStore:
             "cached records)",
         )
         self._m_recovery_seconds = registry.histogram(
-            "recovery_seconds", "wall seconds per snapshot-load + WAL replay"
+            "recovery_seconds",
+            "wall seconds per open of an existing store: snapshot load, "
+            "WAL replay and index build",
+        )
+        self._m_recovery_phase_seconds = {
+            phase: registry.histogram(
+                "recovery_phase_seconds",
+                "wall seconds per open, by phase: load (read store.db), "
+                "replay (read and apply the WAL), build (every bag from "
+                "its record or tree)",
+                phase=phase,
+            )
+            for phase in ("load", "replay", "build")
+        }
+        self._m_decoded = registry.counter(
+            "store_documents_decoded_total",
+            "document records decoded into trees: each document once, "
+            "when an edit, a read of the document or a structural "
+            "predicate first needs it",
         )
         self._m_edit_batches = registry.counter(
             "store_edit_batches_total",
@@ -549,7 +538,7 @@ class DocumentStore:
 
     def _make_standing_engine(self) -> StandingQueryEngine:
         return StandingQueryEngine(
-            self._forest, documents=self._require, metrics=self._metrics
+            self._forest, documents=self._documents.tree, metrics=self._metrics
         )
 
     # ------------------------------------------------------------------
@@ -590,7 +579,7 @@ class DocumentStore:
 
     def get_document(self, document_id: int) -> Tree:
         """A copy of one stored document."""
-        return self._require(document_id).copy()
+        return self._documents.tree(document_id).copy()
 
     def get_index(self, document_id: int) -> PQGramIndex:
         """The maintained index of one document."""
@@ -607,7 +596,9 @@ class DocumentStore:
         The batch is durable through one ``ADD`` record — one append,
         one fsync — holding every document's checkpoint record; once
         that fsync returned it is committed, and published even if
-        indexing it raises.  The batch is validated up front.
+        indexing it raises.  The batch is validated up front.  Each
+        tree is encoded once and not kept: the store holds its record,
+        and its bag is built from that record.
         """
         self.flush()
         with self._mutex:
@@ -621,19 +612,19 @@ class DocumentStore:
                 seen.add(document_id)
             if not items:
                 return
-            copies = [(document_id, tree.copy()) for document_id, tree in items]
             records = [
-                (document_id, encode_document(tree)) for document_id, tree in copies
+                (document_id, encode_document(tree)) for document_id, tree in items
             ]
             self._m_checkpoint_encoded.inc(len(records))
             self._commit_membership(add_block(records, self._commit_seq + 1))
             # The batch is committed: published even if indexing raises.
-            for (document_id, tree), (_, record) in zip(copies, records):
-                self._publish(document_id, tree)
-                self._encoded[document_id] = record
-            self._forest.add_trees(copies)
+            for document_id, record in records:
+                self._publish(document_id, record)
+            self._forest.add_bags(
+                (document_id, self._bag_of(record)) for document_id, record in records
+            )
             events: List[Notification] = []
-            for document_id, _ in copies:
+            for document_id, _ in records:
                 events.extend(self._standing_on_add(document_id))
             self._checkpoint_if_due()
         self._dispatch_events(events)
@@ -646,7 +637,7 @@ class DocumentStore:
             self._require(document_id)
             self._commit_membership(drop_block(document_id, self._commit_seq + 1))
             events = self._standing_on_remove(document_id)
-            del self._documents[document_id]
+            self._documents.drop(document_id)
             self._encoded.pop(document_id, None)
             self._forest.remove_tree(document_id)
             self._checkpoint_if_due()
@@ -707,7 +698,7 @@ class DocumentStore:
                 try:
                     shadow = shadows.get(document_id)
                     if shadow is None:
-                        shadow = self._require(document_id)
+                        shadow = self._documents.tree(document_id)
                     # Only the probe is mutated (a copy-on-write clone:
                     # O(1), then O(what the batch touches)), so the
                     # published document itself can seed the first one.
@@ -799,7 +790,7 @@ class DocumentStore:
             self._service = LookupService(
                 self._forest, snapshot_reads=self._serving
             )
-        return self._service.query(plan, documents=self._require)
+        return self._service.query(plan, documents=self._documents.tree)
 
     # ------------------------------------------------------------------
     # standing queries
@@ -993,7 +984,10 @@ class DocumentStore:
         # a snapshot of the dict, and skip a document the forest does
         # not hold at this instant (mid-add or mid-remove).
         documents = list(self._documents.items())
-        node_count = sum(len(tree) for _, tree in documents)
+        node_count = sum(
+            len(version) if isinstance(version, Tree) else record_node_count(version)
+            for _, version in documents
+        )
         gram_count = 0
         for document_id, _ in documents:
             try:
@@ -1025,11 +1019,17 @@ class DocumentStore:
     # index plumbing
     # ------------------------------------------------------------------
 
-    def _require(self, document_id: int) -> Tree:
-        try:
-            return self._documents[document_id]
-        except KeyError:
-            raise StorageError(f"no document with id {document_id}") from None
+    def _require(self, document_id: int) -> None:
+        """Raise :class:`~repro.errors.StorageError` unless the document
+        exists — without decoding it."""
+        if document_id not in self._documents:
+            raise StorageError(f"no document with id {document_id}")
+
+    def _bag_of(self, version: "Tree | bytes") -> Bag:
+        """The pq-gram bag of a document version, for the forest."""
+        if isinstance(version, Tree):
+            return tree_bag(version, self.config, self.hasher)
+        return record_bag(version, self.config, self.hasher)
 
     def _fail(self, exc: Exception) -> StoreFailedError:
         """Stop the store on a durable-write error; returns the error
@@ -1046,12 +1046,16 @@ class DocumentStore:
                 f"({self._failed}); reopen it"
             )
 
-    def _publish(self, document_id: int, tree: Tree) -> None:
-        """Make ``tree`` the current version of a document.  From here
-        on the tree is shared with lock-free readers and must not be
-        written again; its cached checkpoint record is stale."""
-        self._documents[document_id] = tree
-        self._encoded.pop(document_id, None)
+    def _publish(self, document_id: int, version: "Tree | bytes") -> None:
+        """Make ``version`` — a tree, or a record, which is its own
+        checkpoint record — the current version of a document.  From
+        here on it is shared with lock-free readers and must not be
+        written again."""
+        self._documents.publish(document_id, version)
+        if isinstance(version, Tree):
+            self._encoded.pop(document_id, None)
+        else:
+            self._encoded[document_id] = version
 
     # ------------------------------------------------------------------
     # WAL
@@ -1145,10 +1149,10 @@ class DocumentStore:
         documents = database.create_table(
             "documents", self._DOC_SCHEMA, ("docId",)
         )
-        for document_id, tree in self._documents.items():
+        for document_id, version in self._documents.items():
             record = self._encoded.get(document_id)
             if record is None:
-                record = self._encoded[document_id] = encode_document(tree)
+                record = self._encoded[document_id] = encode_document(version)
                 self._m_checkpoint_encoded.inc()
             documents.insert_row((document_id, record))
         if self._standing is not None and len(self._standing):
@@ -1186,15 +1190,16 @@ class DocumentStore:
         self._wal_bytes = 0
 
     def _load_documents(self, database: Database) -> None:
-        """Fill ``_documents`` from a loaded snapshot: the ``documents``
-        relation (whose records stay cached — they are what the next
-        checkpoint writes for every document left untouched), or the
-        ``nodes`` relation of snapshots written before it existed."""
-        self._documents = {}
+        """Fill ``_documents`` from a loaded snapshot: the records of the
+        ``documents`` relation, undecoded (each is also what the next
+        checkpoint writes for its document if nothing touches it), or
+        the trees of the ``nodes`` relation of snapshots written before
+        it existed."""
+        self._documents.clear()
         self._encoded = {}
         if "documents" in database:
             for document_id, record in database.table("documents").scan():
-                self._documents[document_id] = decode_document(record)
+                self._documents[document_id] = record
                 self._encoded[document_id] = record
             return
         per_document: Dict[int, List[Dict[str, object]]] = {}
@@ -1211,7 +1216,9 @@ class DocumentStore:
             self._documents[document_id] = tree
 
     def _recover(self) -> None:
-        database = Database.load(self._snapshot_path())
+        phases = self._m_recovery_phase_seconds
+        with phases["load"].time():
+            database = Database.load(self._snapshot_path())
         self._snapshot_bytes = os.path.getsize(self._snapshot_path())
         meta = {
             row["key"]: row["value"] for row in database.table("meta").scan_dicts()
@@ -1238,18 +1245,24 @@ class DocumentStore:
                         memberships.get(row["queryId"], {}),
                     )
                 )
-        try:
-            with open(self._wal_path(), "rb") as handle:
-                wal = handle.read()
-        except FileNotFoundError:
-            wal = b""
-        records, wal_end = read_wal(wal)
-        wal_size = len(wal)
-        # Bring every document to the end of the WAL, then build each
-        # tree's bag once.
-        self._m_wal_replayed.inc(self._replay_wal(records))
+        with phases["replay"].time():
+            try:
+                with open(self._wal_path(), "rb") as handle:
+                    wal = handle.read()
+            except FileNotFoundError:
+                wal = b""
+            records, wal_end = read_wal(wal)
+            wal_size = len(wal)
+            # Bring every document to the end of the WAL, then build
+            # each document's bag once — from its record, unless the
+            # replay decoded it.
+            self._m_wal_replayed.inc(self._replay_wal(records))
         self._forest = self._make_forest(config)
-        self._forest.add_trees(list(self._documents.items()))
+        with phases["build"].time():
+            self._forest.add_bags(
+                (document_id, self._bag_of(version))
+                for document_id, version in self._documents.items()
+            )
         # Standing queries resume at their durable frontier: restore the
         # persisted membership, then reconcile against the recovered
         # forest — the diff is exactly the set of events the crash (or
@@ -1275,8 +1288,9 @@ class DocumentStore:
     def _replay_wal(self, records: List[WalRecord]) -> int:
         """Apply the committed WAL blocks the snapshot does not cover
         to the documents, in place and in commit order (nothing can read
-        the store yet); returns how many edit batches.  A block stamped
-        at or below the snapshot's frontier is already folded in (the
+        the store yet); returns how many edit batches.  Only the
+        documents an edit batch names are decoded.  A block stamped at
+        or below the snapshot's frontier is already folded in (the
         crash window between the snapshot rename and the WAL truncation
         leaves such blocks behind); unstamped blocks of older stores are
         numbered by position, as they always were.  An added document's
@@ -1288,16 +1302,15 @@ class DocumentStore:
                 continue
             self._commit_seq = seq
             if record.kind == "ADD":
-                for document_id, tree, encoded in record.documents:
-                    self._documents[document_id] = tree
-                    self._encoded[document_id] = encoded
+                for document_id, encoded in record.documents:
+                    self._publish(document_id, encoded)
                 continue
             document_id = record.document_id
             if record.kind == "DROP":
-                del self._documents[document_id]
+                self._documents.drop(document_id)
             else:
                 EditScript(list(record.operations)).apply(
-                    self._documents[document_id]
+                    self._documents.tree(document_id)
                 )
                 replayed += 1
             self._encoded.pop(document_id, None)

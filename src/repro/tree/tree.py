@@ -329,6 +329,36 @@ class Tree:
             tree.add_child(parent_id, label, node_id=child_id)
         return tree
 
+    @classmethod
+    def from_preorder(
+        cls,
+        node_ids: Sequence[int],
+        labels: Sequence[str],
+        parents: Sequence[int],
+    ) -> "Tree":
+        """Build a tree from preorder arrays: node ``i`` has id
+        ``node_ids[i]``, label ``labels[i]`` and, unless it is the root
+        (``i == 0``), the parent at preorder position ``parents[i] <
+        i``; children attach in preorder.  The caller guarantees
+        distinct ids — equal to :meth:`add_child` per node, without
+        its per-node checks."""
+        tree = cls.__new__(cls)
+        owner = tree._owner = object()
+        root = _Record(labels[0], None, owner)
+        records = {node_ids[0]: root}
+        by_position = [root]
+        for position in range(1, len(node_ids)):
+            node_id = node_ids[position]
+            parent = parents[position]
+            record = _Record(labels[position], node_ids[parent], owner)
+            by_position[parent].children.append(node_id)
+            records[node_id] = record
+            by_position.append(record)
+        tree._records = records
+        tree._root_id = node_ids[0]
+        tree._next_id = max(0, max(node_ids) + 1)
+        return tree
+
     def subtree_ids(self, node_id: int) -> List[int]:
         """All ids in the subtree rooted at ``node_id`` (preorder)."""
         result: List[int] = []

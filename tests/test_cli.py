@@ -152,15 +152,15 @@ class TestStoreCommands:
         # runs — one extra count in document 2's bag, a legal relation
         # that keeps backend-internal consistency, which only the
         # rebuild comparison can catch.
-        add_trees = ForestIndex.add_trees
+        add_bags = ForestIndex.add_bags
 
-        def drifting_add_trees(self, items, *args, **kwargs):
-            add_trees(self, items, *args, **kwargs)
+        def drifting_add_bags(self, items, *args, **kwargs):
+            add_bags(self, items, *args, **kwargs)
             if 2 in self.backend:
                 key = next(iter(self.backend.tree_bag(2)))
                 self.backend.apply_tree_delta(2, {}, {key: 1})
 
-        monkeypatch.setattr(ForestIndex, "add_trees", drifting_add_trees)
+        monkeypatch.setattr(ForestIndex, "add_bags", drifting_add_bags)
         assert main(["store", "--dir", store_dir, "verify"]) == 1
         output = capsys.readouterr().out
         assert "doc 1\tok" in output

@@ -673,7 +673,7 @@ class TestMembershipIsAWalRecord:
         def refuse(*args, **kwargs):
             raise OSError("indexing failed")
 
-        monkeypatch.setattr(store._forest, "add_trees", refuse)
+        monkeypatch.setattr(store._forest, "add_bags", refuse)
         with pytest.raises(OSError, match="indexing failed"):
             store.add_documents(added)
         assert not store.stats()["failed"]
