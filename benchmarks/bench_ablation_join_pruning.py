@@ -21,13 +21,14 @@ from typing import List, Tuple
 import pytest
 
 from repro.core import GramConfig
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.datasets.random_trees import random_labelled_tree
 from repro.edits import apply_script
 from repro.lookup import ForestIndex, self_join, similarity_join_allpairs
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import emit, format_table, wall_time
+from dblp_workloads import dblp_update_script
 
 COLLECTION = 120
 NEAR_DUPLICATES = 20

@@ -100,7 +100,7 @@ def deep_scenario(operations: int):
     """Rename churn on phrase nodes high in deep parse trees: with
     p = 4, each delta spans a three-level subtree frontier, so
     clustered deltas overlap massively."""
-    from repro.datasets import treebank_tree
+    from treebank import treebank_tree
 
     tree = treebank_tree(8_000, seed=80)
     sentences = tree.children(tree.root_id)[:5]

@@ -39,7 +39,8 @@ def tree_pairs(seed: int = 41, shape: str = "random") -> List[Tuple[object, obje
     ``deep`` (treebank-like parse trees) or ``flat`` (DBLP-like
     records) — the quality of each (p, q) depends on it.
     """
-    from repro.datasets import dblp_tree, sentence_tree
+    from repro.datasets import dblp_tree
+    from treebank import sentence_tree
 
     rng = random.Random(seed)
     pairs = []

@@ -23,12 +23,13 @@ from repro.core import (
     update_index,
     update_index_tablewise,
 )
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import emit, format_table, wall_time
+from dblp_workloads import dblp_update_script
 
 TREE_SIZES = (2_000, 4_000, 8_000, 16_000, 32_000)
 LOG_SIZE = 20

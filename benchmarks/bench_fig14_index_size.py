@@ -9,7 +9,7 @@ Scaled setup: XMark-like documents from 2k to 32k nodes; sizes are
 compared in bytes (UTF-8 XML vs. 12 bytes per distinct index row).
 
 Beyond the paper's serialized estimate this bench also measures the
-*resident* index: :func:`repro.perf.memsize.deep_sizeof` walks the
+*resident* index: :func:`memsize.deep_sizeof` (``benchmarks/memsize.py``) walks the
 whole object graph (earlier revisions used shallow ``sys.getsizeof``,
 which missed the posting tuples entirely and made every backend look
 equally small).  The resident series reports bytes-per-tree of the
@@ -28,11 +28,11 @@ from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, xmark_tree
 from repro.hashing import LabelHasher
 from repro.lookup import ForestIndex
-from repro.perf.memsize import deep_sizeof
 from repro.xmlio import write_xml
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import emit, format_table
+from memsize import deep_sizeof
 
 TREE_SIZES = (2_000, 4_000, 8_000, 16_000, 32_000)
 CONFIGS = (GramConfig(1, 2), GramConfig(3, 3))

@@ -21,12 +21,13 @@ from repro.core import (
     update_index,
     update_index_tablewise,
 )
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import emit, format_table, wall_time
+from dblp_workloads import dblp_update_script
 
 RECORDS = 8_000
 LOG_SIZES = (1, 10, 100, 1000)

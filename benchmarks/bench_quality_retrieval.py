@@ -16,13 +16,14 @@ from typing import Dict, List, Set, Tuple
 import pytest
 
 from repro.core import GramConfig
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.lookup import ForestIndex, LookupService
 from repro.tree import Tree
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import emit, format_table
+from dblp_workloads import dblp_update_script
 
 QUERIES = 15
 DISTRACTORS = 60

@@ -18,12 +18,13 @@ import pytest
 
 from repro.core import GramConfig, PQGramIndex
 from repro.core.maintain import update_index_timed
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import emit, format_table
+from dblp_workloads import dblp_update_script
 
 RECORDS = 6_000
 LOG_SIZES = (1, 10, 100, 1000)

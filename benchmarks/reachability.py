@@ -43,9 +43,9 @@ from repro.datasets import dblp_tree  # noqa: E402
 from repro.xmlio import write_xml  # noqa: E402
 
 #: ceiling on the total count of uncalled function lines: the highest
-#: count over the runs made when it was set (2,127 of 7,633 lines in
-#: each of eight runs); it may only go down
-MAX_UNCALLED_LINES = 2127
+#: count over the runs made when it was set (2,121 or 2,122 of 7,467
+#: lines in each of five runs); it may only go down
+MAX_UNCALLED_LINES = 2122
 
 CALLED = set()
 

@@ -49,6 +49,7 @@ from typing import Dict
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from conftest import results_path, wall_time
+from dblp_workloads import dblp_update_script
 
 from repro.core import (
     GramConfig,
@@ -56,7 +57,7 @@ from repro.core import (
     update_index,
     update_index_batch,
 )
-from repro.datasets import dblp_tree, dblp_update_script, xmark_tree
+from repro.datasets import dblp_tree, xmark_tree
 from repro.edits import apply_script
 from repro.edits.script import EditScript
 from repro.hashing import LabelHasher

@@ -4,7 +4,7 @@ The motivating application of the paper: find the documents of a
 collection that are similar to a query document — here, detect which
 bibliography in a federation of (synthetically generated) DBLP-style
 collections is a near-duplicate of a query snapshot that was edited
-independently (fields corrected, records added).
+independently (fields corrected, nodes added).
 
 The example builds a forest index over the collections and contrasts
 the indexed lookup with the index-free baseline.
@@ -12,10 +12,17 @@ the indexed lookup with the index-free baseline.
 Run with:  python examples/dblp_deduplication.py
 """
 
+import random
 import time
 
-from repro import GramConfig, ForestIndex, LookupService, apply_script
-from repro.datasets import dblp_tree, dblp_update_script
+from repro import (
+    EditScriptGenerator,
+    ForestIndex,
+    GramConfig,
+    LookupService,
+    apply_script,
+)
+from repro.datasets import dblp_tree
 
 
 def main() -> None:
@@ -25,9 +32,10 @@ def main() -> None:
     collections = {tree_id: dblp_tree(200, seed=tree_id) for tree_id in range(20)}
 
     # One of them (id 13) was copied elsewhere and edited independently:
-    # corrections plus a few new records.
+    # fields corrected (renames) and new nodes added, nothing deleted.
     snapshot = collections[13]
-    script = dblp_update_script(snapshot, 60, seed=777, stable=True)
+    corrections = EditScriptGenerator(rng=random.Random(777), weights=(0.6, 0.0, 0.4))
+    script = corrections.generate(snapshot, 60)
     query, _ = apply_script(snapshot, script)
 
     # --- Build the forest index --------------------------------------

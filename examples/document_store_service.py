@@ -17,10 +17,11 @@ Run with:  python examples/document_store_service.py
 """
 
 import os
+import random
 import tempfile
 
-from repro import DocumentStore, GramConfig, diff_trees
-from repro.datasets import dblp_tree, dblp_update_script
+from repro import DocumentStore, EditScriptGenerator, GramConfig, diff_trees
+from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.lookup.join import self_join
 
@@ -33,9 +34,9 @@ def main() -> None:
         # Ingest a few bibliographies; two of them are near-duplicates.
         for document_id in range(5):
             store.add_document(document_id, dblp_tree(80, seed=document_id))
+        corrections = EditScriptGenerator(rng=random.Random(50), weights=(0.6, 0.0, 0.4))
         near_duplicate, _ = apply_script(
-            dblp_tree(80, seed=2),
-            dblp_update_script(dblp_tree(80, seed=2), 12, seed=50, stable=True),
+            dblp_tree(80, seed=2), corrections.generate(dblp_tree(80, seed=2), 12)
         )
         store.add_document(5, near_duplicate)
         print(f"ingested {len(store)} documents")
@@ -44,7 +45,8 @@ def main() -> None:
         for round_number in range(3):
             current = store.get_document(1)
             upstream = current.copy()
-            script = dblp_update_script(upstream, 25, seed=60 + round_number)
+            rng = random.Random(60 + round_number)
+            script = EditScriptGenerator(rng=rng).generate(upstream, 25)
             for operation in script:
                 operation.apply(upstream)
             derived = diff_trees(current, upstream)

@@ -12,10 +12,18 @@ on a redundant batch.
 Run with:  python examples/incremental_sync.py
 """
 
+import random
 import time
 
-from repro import GramConfig, LabelHasher, PQGramIndex, Rename, update_index
-from repro.datasets import dblp_tree, dblp_update_script
+from repro import (
+    EditScriptGenerator,
+    GramConfig,
+    LabelHasher,
+    PQGramIndex,
+    Rename,
+    update_index,
+)
+from repro.datasets import dblp_tree
 from repro.edits import apply_script, reduce_log
 from repro.edits.serialize import format_operations, parse_operations
 
@@ -34,7 +42,8 @@ def main() -> None:
     for batch_number in range(1, 6):
         # A batch of edits arrives.  We serialize the log to text and
         # parse it back, as a replication channel would.
-        script = dblp_update_script(document, 40, seed=100 + batch_number)
+        rng = random.Random(100 + batch_number)
+        script = EditScriptGenerator(rng=rng).generate(document, 40)
         edited, log = apply_script(document, script)
         wire_format = format_operations(log)
         received_log = parse_operations(wire_format)

@@ -40,8 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import GramConfig
 from repro.errors import InvalidLogError
 from repro.hashing.labelhash import NULL_HASH, LabelHasher
-from repro.relstore.schema import Column, Schema
-from repro.relstore.table import Table
 from repro.tree.tree import Tree
 
 #: Sentinel parent id of the root anchor (relstore sorted indexes need
@@ -73,6 +71,10 @@ class DeltaTables:
     """The (P, Q) pair with the paper's maintenance operations."""
 
     def __init__(self, config: GramConfig, use_anchor_index: bool = True) -> None:
+        # The relational substrate loads with the first table pair, so
+        # importing the package does not load it.
+        from repro.relstore import Column, Schema, Table
+
         self.config = config
         self._use_anchor_index = use_anchor_index
         self.p_table = Table(

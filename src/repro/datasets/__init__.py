@@ -10,24 +10,20 @@ properties that drive index size, build time and update locality:
 - :mod:`repro.datasets.dblp` — a shallow bibliography: one root with a
   huge fanout of small publication records,
 - :mod:`repro.datasets.random_trees` — unconstrained random trees for
-  property-based testing,
-- :mod:`repro.datasets.workloads` — edit-script workloads against
-  these documents (record insertion, correction, deletion), used by
-  the update benchmarks.
+  property-based testing.
+
+The DBLP edit-script workloads of the update experiments and the
+treebank-like parse trees of the quality ablations live beside the
+benchmarks that use them (``benchmarks/dblp_workloads.py``,
+``benchmarks/treebank.py``).
 """
 
 from repro.datasets.xmark import xmark_tree
 from repro.datasets.dblp import dblp_tree
-from repro.datasets.treebank import sentence_tree, treebank_tree
 from repro.datasets.random_trees import random_labelled_tree
-from repro.datasets.workloads import dblp_update_script, record_edit_script
 
 __all__ = [
     "xmark_tree",
     "dblp_tree",
-    "treebank_tree",
-    "sentence_tree",
     "random_labelled_tree",
-    "dblp_update_script",
-    "record_edit_script",
 ]

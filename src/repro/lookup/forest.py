@@ -270,13 +270,19 @@ class ForestIndex:
 
         The batch is validated up front — against the forest *and*
         against itself — so either every tree is added or none is
-        (a duplicate id can never leave a partial commit behind).
+        (a duplicate id can never leave a partial commit behind).  It
+        is one write: the lock is taken once and the generation (with
+        every listener) advances once, however many trees it holds.
         """
         items = list(items)
         self._check_new(tree_id for tree_id, _ in items)
-        for tree_id, bag in items:
-            with self.lock.write():
-                self._backend.add_tree_bag(tree_id, bag)
+        if not items:
+            return
+        with self.lock.write():
+            try:
+                for tree_id, bag in items:
+                    self._backend.add_tree_bag(tree_id, bag)
+            finally:
                 self._bump_generation()
 
     def _check_new(self, tree_ids: Iterable[int]) -> None:

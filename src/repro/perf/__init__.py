@@ -6,8 +6,7 @@ query with a few vector operations (numpy); its reference is the
 dict-of-dicts sweep in :meth:`repro.lookup.forest.ForestIndex.distances`,
 and both produce identical results (asserted in ``tests/test_perf.py``).
 ``HAVE_NUMPY`` says whether numpy is importable; without it callers
-keep the dict sweep.  :mod:`repro.perf.memsize` measures the resident
-size of index structures for the index-size benchmark.
+keep the dict sweep.
 """
 
 from repro.perf.sweep import HAVE_NUMPY, CompactPostings

@@ -227,11 +227,6 @@ class Table:
         """Iterate over all row tuples (insertion order)."""
         return iter(list(self._rows.values()))
 
-    def scan_dicts(self) -> Iterator[Dict[str, Any]]:
-        """Iterate over all rows as dicts."""
-        for row in self.scan():
-            yield self.schema.row_to_dict(row)
-
     def _require_index(self, index_name: str) -> HashIndex | SortedIndex:
         try:
             return self._indexes[index_name]

@@ -1,16 +1,19 @@
-"""The document store: durable documents + durable pq-gram indexes.
+"""The document store: durable documents + their pq-gram indexes.
 
 This is the production face of the library — the "persistent and
 incrementally maintainable index" of the paper's title as a running
 service:
 
-- documents and their indexes live in relstore snapshots on disk,
+- documents live on disk in a checkpoint file of compressed records
+  (:mod:`repro.service.checkpoint`); their indexes are built from
+  them on open and never persisted,
 - every edit batch is appended to a write-ahead log *before* being
   applied, so a crash between append and checkpoint loses nothing:
-  recovery replays the tail of the WAL over the last snapshot, using
-  the same incremental maintenance as the live path,
-- lookups run against the in-memory forest index, which is rebuilt
-  from the snapshot + WAL on open.
+  recovery applies the tail of the WAL to the last checkpoint's
+  documents,
+- lookups run against the in-memory forest index, which is built
+  from the checkpoint + WAL on open and maintained incrementally
+  from then on.
 """
 
 from repro.service.soak import SoakReport, run_soak

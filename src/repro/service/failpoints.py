@@ -7,9 +7,11 @@ step) under one of the names in :data:`POINTS`:
 - ``wal.write`` / ``wal.flush`` / ``wal.fsync`` — a group commit's
   append to ``wal.log``,
 - ``database.write`` / ``database.fsync`` / ``database.replace`` /
-  ``database.fsync_directory`` — :meth:`repro.relstore.Database.save`,
-  which writes the snapshot ``store.db``: the temp file, its fsync, the
-  rename and the directory fsync that makes the rename durable,
+  ``database.fsync_directory`` —
+  :func:`repro.service.checkpoint.write_checkpoint`, which writes the
+  checkpoint ``store.db``: the temp file, its fsync, the rename and
+  the directory fsync that makes the rename durable (the names date
+  from the relstore ``Database`` that once wrote it),
 - ``checkpoint.truncate`` / ``checkpoint.fsync`` — the WAL truncation
   that follows a snapshot,
 - ``recover.cut`` / ``recover.fsync`` — the open-time cut of a torn

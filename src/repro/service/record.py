@@ -6,7 +6,8 @@ document's pq-gram bag can be built from it directly
 (:func:`record_bag`), without the :class:`~repro.tree.tree.Tree` that
 :func:`decode_document` makes.  Both read the record through one
 validating parser, :func:`parse_record`: a record one of them refuses,
-the other refuses too.
+the other refuses too.  The varint and zigzag helpers here are the
+ones every binary frame of the store is written with.
 """
 
 from __future__ import annotations
@@ -18,8 +19,48 @@ from repro.core.index import Bag
 from repro.core.profile import preorder_bag
 from repro.errors import CodecError
 from repro.hashing.labelhash import LabelHasher
-from repro.relstore.codec import read_varint, unzigzag, write_varint, zigzag
 from repro.tree.tree import Tree
+
+
+def write_varint(out: bytearray, value: int) -> None:
+    """Append an unsigned LEB128 varint to ``out``."""
+    if value < 0:
+        raise CodecError("varints are unsigned")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """Decode one varint at ``pos``; return ``(value, next_pos)``."""
+    result = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise CodecError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 126:
+            raise CodecError("varint too long")
+
+
+def zigzag(value: int) -> int:
+    """Map a signed integer of any width onto the unsigned varint domain."""
+    return value * 2 if value >= 0 else -value * 2 - 1
+
+
+def unzigzag(value: int) -> int:
+    """Inverse of :func:`zigzag`."""
+    return (value >> 1) ^ -(value & 1)
 
 
 def encode_document(tree: Tree) -> bytes:

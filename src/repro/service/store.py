@@ -2,12 +2,13 @@
 
 On-disk layout inside the store directory::
 
-    store.db     relstore snapshot: ``documents`` (one self-contained
-                 binary record per document, see
-                 :func:`~repro.service.record.encode_document`),
-                 ``meta`` (p, q, the
-                 commit sequence folded into the snapshot) and, with
-                 standing queries, ``subs`` + ``standing``
+    store.db     the checkpoint (:mod:`repro.service.checkpoint`): a
+                 META block (p, q, the commit sequence folded in), the
+                 documents' self-contained binary records (see
+                 :func:`~repro.service.record.encode_document`) in
+                 zlib-compressed blocks, one block per standing query
+                 and an END block with the counts, each block sealed by
+                 a CRC32
     wal.log      append-only log of committed changes, one block each,
                  every block closed by ``COMMIT <crc32>`` (eight hex
                  digits over the block's bytes before that line):
@@ -44,10 +45,12 @@ appender thread drained with it):
    documents,
 4. checkpoint (write a fresh snapshot and truncate the WAL) once the
    WAL written since the last snapshot reaches
-   :data:`WAL_CHECKPOINT_SHARE` of that snapshot's size, and never
-   below :data:`WAL_CHECKPOINT_FLOOR` bytes — the rewrite of
-   ``store.db`` is paid for by a log proportional to it, so an edit's
-   durable cost does not grow with the collection.  The store keeps
+   :data:`WAL_CHECKPOINT_SHARE` of that snapshot's payload bytes
+   (its blocks before compression), and never below
+   :data:`WAL_CHECKPOINT_FLOOR` bytes — the rewrite of ``store.db`` is
+   paid for by a log proportional to it, so an edit's durable cost
+   does not grow with the collection, and how well the documents
+   compress does not change how often it runs.  The store keeps
    the encoded record of every document that has not changed since it
    was last encoded, so a checkpoint serialises only the documents
    dirtied since the previous one.
@@ -63,7 +66,7 @@ triggers the checkpoint.  Only ``subscribe``, ``unsubscribe`` and
 ``close`` checkpoint at once.
 
 The store fails stop.  An error from any durable write — the WAL
-write, flush or fsync, the snapshot save or the WAL truncation — marks
+write, flush or fsync, the checkpoint write or the WAL truncation — marks
 it *failed*: after an fsync error the file's state is unknown, so a
 commit sequence that may already be on disk must never be reused.
 The write that hit the error raises
@@ -88,20 +91,23 @@ when nothing complete follows it; with a complete block behind it the
 file is damaged, and the open raises :class:`~repro.errors.CodecError`
 and cuts nothing.  Blocks with a bare ``COMMIT`` line, written by
 older stores, still replay.  Replaying rewrites nothing else — the WAL
-stays and keeps counting toward the next checkpoint.  A ``backend``
-row that older versions recorded in ``meta`` is ignored, and the next
-checkpoint drops it.
+stays and keeps counting toward the next checkpoint.  A damaged
+``store.db`` — any block whose CRC32 does not match, a file cut short
+— raises :class:`~repro.errors.CodecError`, never opens a partial
+store.
 
-Snapshots written before the ``documents`` relation existed (a
-``nodes`` row per node and an ``indexes`` relation) still open: the
-nodes are read, the index rows ignored, and the open checkpoints the
-current form.
+Snapshots older versions wrote — a relstore ``Database`` file (magic
+``RPDB\x02``, or ``RPDB\x01`` without a checksum) holding the
+``documents`` relation or, older still, a ``nodes`` row per node and
+an ``indexes`` relation — still open through
+:mod:`repro.service.rpdb`: the documents are read, every index row and
+``meta`` row but p, q and ``commit_seq`` (a ``backend``, say) ignored,
+and the open checkpoints the current form.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import os
 import shutil
 import threading
@@ -134,9 +140,12 @@ from repro.errors import (
 from repro.lookup.forest import ForestIndex
 from repro.lookup.service import LookupResult, LookupService
 from repro.obsv.metrics import Counter, MetricsRegistry, resolve_registry
-from repro.relstore.database import Database
-from repro.relstore.schema import Column, Schema
 from repro.service import failpoints
+from repro.service.checkpoint import (
+    encode_checkpoint,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.service.record import (
     decode_document,
     encode_document,
@@ -418,8 +427,10 @@ class DocumentStore:
         self._service: Optional[LookupService] = None
         self._wal_handle: Optional[BinaryIO] = None
         # The checkpoint trigger's inputs: bytes in the WAL since the
-        # last snapshot, and that snapshot's size.
+        # last snapshot, and that snapshot's payload bytes (before
+        # compression); store.db's size on disk is reported beside them.
         self._wal_bytes = 0
+        self._payload_bytes = 0
         self._snapshot_bytes = 0
         # Commit sequencing: every durably-applied WAL batch gets the
         # next number; the snapshot meta records the high-water mark
@@ -479,7 +490,7 @@ class DocumentStore:
             "checkpoints_total",
             "snapshots written (WAL truncations): when the WAL since the "
             f"last one reaches max({WAL_CHECKPOINT_FLOOR} B, "
-            f"{WAL_CHECKPOINT_SHARE} x snapshot_bytes), on subscribe, "
+            f"{WAL_CHECKPOINT_SHARE} x checkpoint_payload_bytes), on subscribe, "
             "unsubscribe and close, and on an open that converted the "
             "snapshot or caught up a standing query",
         )
@@ -956,11 +967,16 @@ class DocumentStore:
             "WAL bytes written since the last snapshot; the next "
             "checkpoint runs once this reaches max("
             f"{WAL_CHECKPOINT_FLOOR}, {WAL_CHECKPOINT_SHARE} x "
-            "snapshot_bytes)",
+            "checkpoint_payload_bytes)",
         ).set(self._wal_bytes)
         self._metrics.gauge(
             "snapshot_bytes", "size of store.db as last written or loaded"
         ).set(self._snapshot_bytes)
+        self._metrics.gauge(
+            "checkpoint_payload_bytes",
+            "the last snapshot's bytes before compression, which the "
+            "checkpoint trigger compares wal_bytes against",
+        ).set(self._payload_bytes)
         self._metrics.gauge(
             "store_failed",
             "1 once a durable write failed and the store stopped taking "
@@ -977,7 +993,9 @@ class DocumentStore:
         build and update call reused the store-wide hasher instead of
         re-fingerprinting labels from scratch — and how close the next
         checkpoint is: ``wal_bytes`` written since the last snapshot
-        against that snapshot's ``snapshot_bytes``.  ``failed`` is true
+        against that snapshot's ``checkpoint_payload_bytes`` (its bytes
+        before compression; ``snapshot_bytes`` is the size of
+        ``store.db`` on disk).  ``failed`` is true
         once a durable write failed and the store stopped taking writes.
         """
         # Runs without the mutex beside membership changes: count over
@@ -1010,6 +1028,7 @@ class DocumentStore:
             "query_cache_misses": service.query_cache_misses if service else 0,
             "wal_bytes": self._wal_bytes,
             "snapshot_bytes": self._snapshot_bytes,
+            "checkpoint_payload_bytes": self._payload_bytes,
             "failed": self._failed is not None,
             "frozen": backend_stats["frozen"],
             "dirty_keys": backend_stats["dirty_keys"],
@@ -1084,7 +1103,7 @@ class DocumentStore:
         Called after an append: a failed checkpoint stops the store, but
         what was just logged is durable and its call succeeded."""
         if self._wal_bytes >= max(
-            WAL_CHECKPOINT_FLOOR, WAL_CHECKPOINT_SHARE * self._snapshot_bytes
+            WAL_CHECKPOINT_FLOOR, WAL_CHECKPOINT_SHARE * self._payload_bytes
         ):
             try:
                 self._checkpoint()
@@ -1118,16 +1137,6 @@ class DocumentStore:
     # snapshot + recovery
     # ------------------------------------------------------------------
 
-    _DOC_SCHEMA = Schema([Column("docId", int), Column("tree", bytes)])
-    _META_SCHEMA = Schema([Column("key", str), Column("value", str)])
-    # Standing queries: the registered plans (JSON spec) and their
-    # membership at checkpoint time — the durable notification
-    # frontier recovery reconciles against.
-    _SUBS_SCHEMA = Schema([Column("queryId", str), Column("spec", str)])
-    _STANDING_SCHEMA = Schema(
-        [Column("queryId", str), Column("docId", int), Column("dist", float)]
-    )
-
     def _checkpoint(self) -> None:
         try:
             with (
@@ -1141,110 +1150,47 @@ class DocumentStore:
         self._m_wal_fsyncs.inc()  # the truncation fsync below
 
     def _write_checkpoint(self) -> None:
-        database = Database()
-        meta = database.create_table("meta", self._META_SCHEMA, ("key",))
-        meta.insert({"key": "p", "value": str(self.config.p)})
-        meta.insert({"key": "q", "value": str(self.config.q)})
-        meta.insert({"key": "commit_seq", "value": str(self._commit_seq)})
-        documents = database.create_table(
-            "documents", self._DOC_SCHEMA, ("docId",)
-        )
+        records = []
         for document_id, version in self._documents.items():
             record = self._encoded.get(document_id)
             if record is None:
                 record = self._encoded[document_id] = encode_document(version)
                 self._m_checkpoint_encoded.inc()
-            documents.insert_row((document_id, record))
-        if self._standing is not None and len(self._standing):
-            subs = database.create_table("subs", self._SUBS_SCHEMA, ("queryId",))
-            standing = database.create_table(
-                "standing", self._STANDING_SCHEMA, ("queryId", "docId")
-            )
-            for query_id, spec, members in (
-                self._standing.describe_subscriptions()
-            ):
-                subs.insert(
-                    {
-                        "queryId": query_id,
-                        "spec": json.dumps(spec, sort_keys=True),
-                    }
-                )
-                for document_id, distance in sorted(members.items()):
-                    standing.insert(
-                        {
-                            "queryId": query_id,
-                            "docId": document_id,
-                            "dist": distance,
-                        }
-                    )
-        database.save(self._snapshot_path())
-        self._snapshot_bytes = os.path.getsize(self._snapshot_path())
+            records.append((document_id, record))
+        standing = self._standing
+        data, payload_bytes = encode_checkpoint(
+            self.config,
+            self._commit_seq,
+            records,
+            standing.describe_subscriptions() if standing is not None else (),
+        )
+        write_checkpoint(self._snapshot_path(), data)
+        self._snapshot_bytes = len(data)
+        self._payload_bytes = payload_bytes
         # The snapshot covers everything: truncate the WAL.  Safe in
-        # this order because save() returns only once the file *and*
-        # its rename are fsynced; a crash before the truncation leaves
-        # blocks whose sequence the snapshot's commit_seq tells replay
-        # to skip.
+        # this order because write_checkpoint() returns only once the
+        # file *and* its rename are fsynced; a crash before the
+        # truncation leaves blocks whose sequence the snapshot's
+        # commit_seq tells replay to skip.
         handle = self._wal()
         failpoints.run("checkpoint.truncate", handle.truncate, 0)
         failpoints.run("checkpoint.fsync", os.fsync, handle.fileno())
         self._wal_bytes = 0
 
-    def _load_documents(self, database: Database) -> None:
-        """Fill ``_documents`` from a loaded snapshot: the records of the
-        ``documents`` relation, undecoded (each is also what the next
-        checkpoint writes for its document if nothing touches it), or
-        the trees of the ``nodes`` relation of snapshots written before
-        it existed."""
-        self._documents.clear()
-        self._encoded = {}
-        if "documents" in database:
-            for document_id, record in database.table("documents").scan():
-                self._documents[document_id] = record
-                self._encoded[document_id] = record
-            return
-        per_document: Dict[int, List[Dict[str, object]]] = {}
-        for row in database.table("nodes").scan_dicts():
-            per_document.setdefault(row["docId"], []).append(row)
-        for document_id, rows in per_document.items():
-            rows.sort(key=lambda row: row["seq"])  # type: ignore[arg-type,return-value]
-            root = rows[0]
-            tree = Tree(root["label"], root["nodeId"])  # type: ignore[arg-type]
-            for row in rows[1:]:
-                tree.add_child(
-                    row["parId"], row["label"], node_id=row["nodeId"]  # type: ignore[arg-type]
-                )
-            self._documents[document_id] = tree
-
     def _recover(self) -> None:
         phases = self._m_recovery_phase_seconds
         with phases["load"].time():
-            database = Database.load(self._snapshot_path())
+            checkpoint = read_checkpoint(self._snapshot_path())
         self._snapshot_bytes = os.path.getsize(self._snapshot_path())
-        meta = {
-            row["key"]: row["value"] for row in database.table("meta").scan_dicts()
-        }
-        self._commit_seq = int(meta.get("commit_seq", "0"))
-        config = GramConfig(int(meta["p"]), int(meta["q"]))
-        self._load_documents(database)
-        # Persisted standing queries (absent from pre-stream snapshots):
-        # plan specs plus the membership frontier the last checkpoint
-        # recorded — restored and reconciled once the forest is final.
-        persisted_subs: List[Tuple[str, Dict[str, object], Dict[int, float]]] = []
-        if "subs" in database:
-            memberships: Dict[str, Dict[int, float]] = {}
-            if "standing" in database:
-                for row in database.table("standing").scan_dicts():
-                    memberships.setdefault(row["queryId"], {})[
-                        row["docId"]
-                    ] = row["dist"]
-            for row in database.table("subs").scan_dicts():
-                persisted_subs.append(
-                    (
-                        row["queryId"],
-                        json.loads(row["spec"]),
-                        memberships.get(row["queryId"], {}),
-                    )
-                )
+        self._payload_bytes = checkpoint.payload_bytes
+        self._commit_seq = checkpoint.commit_seq
+        # Every document as its record, undecoded — also what the next
+        # checkpoint writes for it if nothing touches it.
+        self._documents.clear()
+        self._encoded = {}
+        for document_id, record in checkpoint.documents:
+            self._documents[document_id] = record
+            self._encoded[document_id] = record
         with phases["replay"].time():
             try:
                 with open(self._wal_path(), "rb") as handle:
@@ -1257,7 +1203,7 @@ class DocumentStore:
             # each document's bag once — from its record, unless the
             # replay decoded it.
             self._m_wal_replayed.inc(self._replay_wal(records))
-        self._forest = self._make_forest(config)
+        self._forest = self._make_forest(checkpoint.config)
         with phases["build"].time():
             self._forest.add_bags(
                 (document_id, self._bag_of(version))
@@ -1269,11 +1215,12 @@ class DocumentStore:
         # clean downtime) swallowed, delivered once via the buffer.
         self._standing = self._make_standing_engine()
         caught_up = False
-        if persisted_subs:
-            for query_id, spec, members in persisted_subs:
+        if checkpoint.subscriptions:
+            for query_id, spec, members in checkpoint.subscriptions:
                 self._standing.restore_subscription(query_id, spec, members)
             caught_up = self._standing.reconcile(self._commit_seq)
-        if caught_up or "documents" not in database:
+        # An older format is rewritten at once, in the current one.
+        if caught_up or checkpoint.legacy:
             self._checkpoint()
             return
         # Replay alone rewrites nothing: the WAL stays, and counts

@@ -25,7 +25,7 @@ from repro.backend import CompactBackend
 from repro.backend import compact as compact_module
 from repro.concurrency import OverlaySnapshot
 from repro.core import GramConfig, PQGramIndex
-from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
+from repro.datasets import dblp_tree, random_labelled_tree
 from repro.edits import apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
@@ -34,6 +34,7 @@ from repro.serve.server import INLINE_FRAME_BYTES
 from repro.service import DocumentStore
 from repro.tree.builder import tree_from_brackets, tree_to_brackets
 
+from benchmarks.dblp_workloads import dblp_update_script
 from tests.conftest import (
     REFERENCE_ENGINES,
     assert_store_is_rebuild,
@@ -620,30 +621,25 @@ class TestCompactOverlayStaleness:
 
 
 def read_meta(path):
-    """The ``meta`` relation of a store snapshot."""
-    from repro.relstore.database import Database
+    """What a store checkpoint records beside its documents: p, q and
+    the commit sequence, nothing else."""
+    from repro.service.checkpoint import read_checkpoint
 
+    checkpoint = read_checkpoint(path)
+    assert not checkpoint.legacy
     return {
-        row["key"]: row["value"]
-        for row in Database.load(path).table("meta").scan_dicts()
+        "p": str(checkpoint.config.p),
+        "q": str(checkpoint.config.q),
+        "commit_seq": str(checkpoint.commit_seq),
     }
 
 
 def plant_meta(path, **values):
-    """Rewrite the ``meta`` relation of a saved snapshot with ``values``
-    merged in — what a file of an older version records."""
-    from repro.relstore.database import Database
-    from repro.relstore.schema import Column, Schema
+    """Rewrite a store's checkpoint as the relstore snapshot an older
+    version wrote, with ``values`` merged into its ``meta`` relation —
+    what a file of that version records."""
+    from repro.service.checkpoint import read_checkpoint
 
-    database = Database.load(path)
-    meta = {
-        row["key"]: row["value"] for row in database.table("meta").scan_dicts()
-    }
-    meta.update(values)
-    database.drop_table("meta")
-    table = database.create_table(
-        "meta", Schema([Column("key", str), Column("value", str)]), ("key",)
-    )
-    for key, value in meta.items():
-        table.insert({"key": key, "value": value})
-    database.save(path)
+    from tests.support.rpdb import write_store_snapshot
+
+    write_store_snapshot(path, read_checkpoint(path), **values)

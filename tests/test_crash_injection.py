@@ -34,6 +34,7 @@ from repro.core import GramConfig, PQGramIndex
 from repro.edits import apply_script
 from repro.errors import StoreFailedError
 from repro.service import DocumentStore, failpoints
+from repro.service.record import encode_document
 from repro.tree import tree_from_brackets
 from repro.tree.builder import tree_to_brackets
 
@@ -552,6 +553,72 @@ def test_crash_at_every_failpoint(tmp_path, monkeypatch, backend, operation, poi
     again.close()
 
 
+def _checkpoint_cases():
+    for point in failpoints.POINTS:
+        if point.startswith("database."):
+            for mode in (failpoints.CRASH_BEFORE, failpoints.CRASH_AFTER):
+                yield point, mode
+            if point in failpoints.WRITE_POINTS:
+                yield point, failpoints.SHORT_WRITE
+
+
+@pytest.mark.parametrize(("point", "mode"), list(_checkpoint_cases()))
+def test_a_crashed_checkpoint_leaves_no_partial_store(tmp_path, monkeypatch, point, mode):
+    """The machine dies while a checkpoint writes ``store.db``, whose
+    documents span many compressed blocks.  ``store.db`` then holds
+    the previous checkpoint or the new one, whole; a temp file left
+    beside it holds the new one whole or is refused with
+    :class:`CodecError` — a half-written file never reads as a store
+    with part of its documents."""
+    from repro.errors import CodecError
+    from repro.service import checkpoint as checkpoint_module
+    from repro.service.checkpoint import decode_checkpoint, read_checkpoint
+
+    monkeypatch.setattr(checkpoint_module, "BLOCK_BYTES", 64)
+    directory = str(tmp_path / "store")
+    snapshot = os.path.join(directory, "store.db")
+    store = DocumentStore(directory, CONFIG)
+    store.add_documents(
+        [(k, tree_from_brackets(f"r{k}(a(b,c),d{k % 5})")) for k in range(20)]
+    )
+    store.checkpoint()
+    old = read_checkpoint(snapshot)
+    store.add_documents(
+        [(k, tree_from_brackets(f"s{k}(x,y(z))")) for k in range(20, 32)]
+    )
+    store.remove_document(3)
+    new_documents = {
+        document_id: encode_document(store.get_document(document_id))
+        for document_id in store.document_ids()
+    }
+    left = {}
+
+    def crash():
+        for name in ("store.db", "store.db.tmp"):
+            path = os.path.join(directory, name)
+            if os.path.exists(path):
+                with open(path, "rb") as handle:
+                    left[name] = handle.read()
+
+    with failpoints.armed(point, mode, crash):
+        with pytest.raises(failpoints.Crash):
+            store.checkpoint()
+    durable = decode_checkpoint(left["store.db"])
+    if durable.commit_seq == old.commit_seq:
+        assert durable == old
+    else:
+        assert dict(durable.documents) == new_documents
+    temp = left.get("store.db.tmp")
+    if temp is not None:
+        try:
+            written = decode_checkpoint(temp)
+        except CodecError:
+            assert mode == failpoints.SHORT_WRITE or not temp
+        else:
+            assert dict(written.documents) == new_documents
+            assert written.commit_seq == store._commit_seq
+
+
 @pytest.mark.parametrize("serving", [False, True], ids=["sync", "serving"])
 @pytest.mark.parametrize("backend", STORE_BACKENDS)
 def test_failed_fsync_stops_the_store(tmp_path, backend, serving):
@@ -704,8 +771,9 @@ def test_parent_format_homes_are_deleted_never_read(tmp_path):
     to indexes equal to a rebuild — the planted homes hold bytes that
     match no document — and keeps no home directory."""
     from repro.edits import Rename
-    from repro.relstore.database import Database
     from repro.relstore.schema import Column, Schema
+
+    from tests.support.rpdb import Database
 
     wrong = {1: {(7, 7, 7, 7, 7): 3}, 2: {(8, 8, 8, 8, 8): 1}}
     directory = str(tmp_path / "store")

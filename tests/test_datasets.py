@@ -1,17 +1,13 @@
 """Dataset generator tests: determinism and structural shape."""
 
-from repro.datasets import (
-    dblp_tree,
-    dblp_update_script,
-    random_labelled_tree,
-    record_edit_script,
-    xmark_tree,
-)
+from repro.datasets import dblp_tree, random_labelled_tree, xmark_tree
 from repro.datasets.dblp import fields_of, record_ids
 from repro.datasets.random_trees import random_chain, random_star
 from repro.edits import apply_script
 from repro.tree import tree_depth, validate_tree
 from repro.xmlio import parse_xml, write_xml
+
+from benchmarks.dblp_workloads import dblp_update_script, record_edit_script
 
 
 class TestDblp:
@@ -74,13 +70,13 @@ class TestXmark:
 
 class TestTreebank:
     def test_deterministic(self):
-        from repro.datasets import treebank_tree
+        from benchmarks.treebank import treebank_tree
 
         assert treebank_tree(300, seed=1) == treebank_tree(300, seed=1)
         assert treebank_tree(300, seed=1) != treebank_tree(300, seed=2)
 
     def test_deep_and_narrow(self):
-        from repro.datasets import treebank_tree
+        from benchmarks.treebank import treebank_tree
         from repro.tree import preorder
 
         tree = treebank_tree(800, seed=3)
@@ -94,13 +90,13 @@ class TestTreebank:
         assert max(inner_fanouts) <= 3
 
     def test_budget_respected(self):
-        from repro.datasets import treebank_tree
+        from benchmarks.treebank import treebank_tree
 
         for budget in (30, 300):
             assert len(treebank_tree(budget, seed=4)) <= budget + 3
 
     def test_sentence_tree_standalone(self):
-        from repro.datasets import sentence_tree
+        from benchmarks.treebank import sentence_tree
 
         tree = sentence_tree(seed=5)
         validate_tree(tree)

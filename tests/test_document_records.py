@@ -24,8 +24,9 @@ from repro.datasets.random_trees import (
     random_star,
 )
 from repro.edits.ops import Rename
-from repro.errors import CodecError
+from repro.errors import CodecError, StorageError
 from repro.hashing.labelhash import LabelHasher
+from repro.lookup.forest import ForestIndex
 from repro.query import And, ApproxLookup, HasLabel
 from repro.service import store as store_module
 from repro.service.record import (
@@ -270,3 +271,50 @@ class TestClosedStoreIsFreed:
             assert freed() is None
         finally:
             gc.enable()
+
+
+class TestOneBatchOnePublish:
+    """``ForestIndex.add_bags`` takes the forest lock once and advances
+    the generation once per batch, not once per tree."""
+
+    def test_an_add_and_a_reopen_each_publish_one_generation(
+        self, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "store")
+        wakeups = []
+        make_forest = DocumentStore._make_forest
+
+        def listened(store, config):
+            forest = make_forest(store, config)
+            forest.add_generation_listener(lambda: wakeups.append(forest.generation))
+            return forest
+
+        monkeypatch.setattr(DocumentStore, "_make_forest", listened)
+        store = DocumentStore(directory, GramConfig(2, 3))
+        before = store._forest.generation
+        store.add_documents(_documents(3))
+        assert store._forest.generation == before + 1
+        assert wakeups == [before + 1]
+        store.close()
+        wakeups.clear()
+        reopened = DocumentStore(directory)
+        assert len(reopened) == 3
+        assert reopened._forest.generation == 1
+        assert wakeups == [1]
+        assert_store_is_rebuild(reopened)
+        reopened.close()
+
+    def test_a_batch_with_a_duplicate_id_adds_nothing(self):
+        config = GramConfig(2, 3)
+        forest = ForestIndex(config)
+        forest.add_trees([(1, random_labelled_tree(8, seed=1))])
+        generation = forest.generation
+        hasher = forest.hasher
+        for batch in ((2, 3, 1), (4, 5, 4)):
+            with pytest.raises(StorageError):
+                forest.add_bags(
+                    (tree_id, tree_bag(random_labelled_tree(8, seed=tree_id), config, hasher))
+                    for tree_id in batch
+                )
+            assert sorted(forest.tree_ids()) == [1]
+            assert forest.generation == generation

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core import GramConfig, PQGramIndex, index_distance
-from repro.datasets import dblp_tree, treebank_tree, xmark_tree
+from repro.datasets import dblp_tree, xmark_tree
 from repro.errors import StorageError
 from repro.hashing import LabelHasher
-from repro.relstore import Column, Database, Schema
+from repro.relstore import Column, Schema
 from repro.tree import Tree
 from repro.xmlio import parse_xml, write_xml
 from repro.xmlio.stream import stream_index_xml
+
+from benchmarks.treebank import treebank_tree
+from tests.support.rpdb import Database
 
 
 class TestStreamingOnRealisticDocuments:

@@ -19,12 +19,14 @@ from repro.core import (
     PQGramIndex,
     update_index_batch_timed,
 )
-from repro.datasets import dblp_tree, dblp_update_script, xmark_tree
+from repro.datasets import dblp_tree, xmark_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
 from repro.xmlio import write_xml
+
+from benchmarks.dblp_workloads import dblp_update_script
 
 CONFIG = GramConfig(3, 3)
 
@@ -155,7 +157,7 @@ class TestFig13RightShape:
         each arm reads (every read goes through the shared hasher) and
         the pq-grams it produces; the timed sweep is
         ``benchmarks/bench_fig13_update_vs_size.py``."""
-        from repro.datasets import record_edit_script
+        from benchmarks.dblp_workloads import record_edit_script
 
         hasher = LabelHasher()
         config = GramConfig(3, 3)

@@ -73,7 +73,8 @@ class TestForestIndex:
         """Forest maintenance equals rebuild for random edit batches."""
         import random
 
-        from repro.datasets import dblp_tree, dblp_update_script
+        from repro.datasets import dblp_tree
+        from benchmarks.dblp_workloads import dblp_update_script
 
         forest = ForestIndex(GramConfig(2, 3))
         documents = {i: dblp_tree(15, seed=i) for i in range(4)}

@@ -13,17 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import GramConfig, PQGramIndex
-from repro.datasets import (
-    dblp_tree,
-    dblp_update_script,
-    random_labelled_tree,
-    xmark_tree,
-)
+from repro.datasets import dblp_tree, random_labelled_tree, xmark_tree
 from repro.edits import apply_script
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
 from repro.tree import Tree
+
+from benchmarks.dblp_workloads import dblp_update_script
 
 TAUS = (0.2, 0.5, 0.8, 1.0)
 LEDGER = (

@@ -208,7 +208,8 @@ class TestComputeDeltas:
 
 class TestForestScaleSanity:
     def test_dblp_workload_both_engines(self, hasher):
-        from repro.datasets import dblp_tree, dblp_update_script
+        from repro.datasets import dblp_tree
+        from benchmarks.dblp_workloads import dblp_update_script
 
         tree = dblp_tree(60, seed=5)
         config = GramConfig(3, 3)

@@ -117,7 +117,8 @@ class TestHostilePatterns:
 
     @pytest.mark.parametrize("p,q", [(3, 3)])
     def test_long_random_script_on_dblp(self, p, q):
-        from repro.datasets import dblp_tree, dblp_update_script
+        from repro.datasets import dblp_tree
+        from benchmarks.dblp_workloads import dblp_update_script
 
         tree = dblp_tree(40, seed=4)
         script = dblp_update_script(tree, 200, seed=5)

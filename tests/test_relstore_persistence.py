@@ -5,8 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
-from repro.relstore import Column, Database, Schema
-from repro.relstore.codec import decode_row, decode_value, encode_row, encode_value
+from repro.relstore import Column, Schema
+
+from tests.support.rpdb import (
+    Database,
+    decode_row,
+    decode_value,
+    encode_row,
+    encode_value,
+)
 
 scalar_values = st.one_of(
     st.none(),

@@ -20,14 +20,16 @@ import pytest
 
 from repro.backend import CompactBackend
 from repro.core import GramConfig, PQGramIndex
-from repro.datasets import dblp_tree, dblp_update_script, random_labelled_tree
+from repro.datasets import dblp_tree, random_labelled_tree
 from repro.edits import apply_script
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
 from repro.service import DocumentStore
 
+from benchmarks.dblp_workloads import dblp_update_script
 from tests.conftest import assert_store_is_rebuild, relation
+from tests.test_backend_conformance import plant_meta, read_meta
 
 CONFIG = GramConfig(2, 3)
 
@@ -63,7 +65,6 @@ class TestSegmentFileV2:
         is deleted unread, and the next checkpoint writes no
         ``compress`` row."""
         from repro.edits import Rename
-        from repro.relstore.database import Database
         from repro.tree import tree_from_brackets
 
         directory = str(tmp_path / "store")
@@ -75,9 +76,7 @@ class TestSegmentFileV2:
         del store  # the rename is in the WAL tail only
 
         snapshot = os.path.join(directory, "store.db")
-        database = Database.load(snapshot)
-        database.table("meta").insert({"key": "compress", "value": "1"})
-        database.save(snapshot)
+        plant_meta(snapshot, compress="1")
         [v2_path, *_] = plant_segments(
             directory, b"RSEGIDX2" + bytes(range(255, -1, -1)) * 4
         )
@@ -89,11 +88,7 @@ class TestSegmentFileV2:
         assert_store_is_rebuild(reopened)
         reopened.checkpoint()
         reopened.close()
-        meta = {
-            row["key"]: row["value"]
-            for row in Database.load(snapshot).table("meta").scan_dicts()
-        }
-        assert "compress" not in meta
+        assert "compress" not in read_meta(snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -298,21 +293,21 @@ class TestSegmentStore:
         self.assert_matches_reference(directory, reference, documents)
 
     def test_snapshot_carries_no_index_relation(self, tmp_path):
-        from repro.relstore.database import Database
+        """The checkpoint holds a META block, the documents' records and
+        the END block: no index, no backend."""
+        from repro.service.checkpoint import MAGIC, _blocks
 
         directory = str(tmp_path / "store")
         store, _, _ = self._populate(directory)
         store.close()
-        database = Database.load(os.path.join(directory, "store.db"))
-        assert "indexes" not in database
-        assert sorted(table.name for table in database.tables()) == [
-            "documents",
-            "meta",
-        ]
-        meta = {
-            row["key"]: row["value"]
-            for row in database.table("meta").scan_dicts()
-        }
+        snapshot = os.path.join(directory, "store.db")
+        with open(snapshot, "rb") as handle:
+            data = handle.read()
+        assert data.startswith(MAGIC)
+        kinds = [kind for kind, _ in _blocks(data)]
+        assert kinds[0] == b"M" and kinds[-1] == b"E"
+        assert set(kinds[1:-1]) == {b"D"}
+        meta = read_meta(snapshot)
         assert "backend" not in meta
         assert int(meta["commit_seq"]) > 0
 
@@ -340,8 +335,6 @@ class TestSegmentStore:
         included: with ``REPRO_STORE_BACKEND`` set, a store holds its
         relation in the one class, reports no backend, and records none
         in its snapshot."""
-        from repro.relstore.database import Database
-
         monkeypatch.setenv("REPRO_STORE_BACKEND", "memory")
         directory = str(tmp_path / "store")
         store = DocumentStore(directory, CONFIG)
@@ -349,10 +342,7 @@ class TestSegmentStore:
         assert type(store._forest.backend) is CompactBackend
         assert "backend" not in store.stats()
         store.close()
-        database = Database.load(os.path.join(directory, "store.db"))
-        assert "backend" not in {
-            row["key"] for row in database.table("meta").scan_dicts()
-        }
+        assert "backend" not in read_meta(os.path.join(directory, "store.db"))
 
     def test_fresh_store_discards_leftover_segments(self, tmp_path):
         directory = str(tmp_path / "store")

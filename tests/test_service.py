@@ -6,12 +6,14 @@ import os
 import pytest
 
 from repro.core import GramConfig, PQGramIndex
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.edits import Delete, Insert, Rename
 from repro.errors import EditError, StorageError
 from repro.service import DocumentStore
 from repro.service.store import WAL_CHECKPOINT_FLOOR, WAL_CHECKPOINT_SHARE
 from repro.tree import tree_from_brackets
+
+from benchmarks.dblp_workloads import dblp_update_script
 
 
 @pytest.fixture
@@ -159,9 +161,10 @@ class TestDurability:
 
     def test_checkpoint_truncates_wal(self, store_dir):
         """A batch checkpoints (and truncates the WAL) exactly when the
-        WAL since the last snapshot reaches max(floor, share × snapshot
-        size): the floor decides while ``store.db`` is small, the share
-        once it is large.  ``stats()`` reports both sides."""
+        WAL since the last snapshot reaches max(floor, share × the
+        snapshot's payload bytes, before compression): the floor decides
+        while ``store.db`` is small, the share once it is large.
+        ``stats()`` reports both sides, and the size of ``store.db``."""
         wal_path = os.path.join(store_dir, "wal.log")
         snapshot_path = os.path.join(store_dir, "store.db")
         store = DocumentStore(store_dir, metrics=True)
@@ -180,9 +183,11 @@ class TestDurability:
             checkpoints = 0
             round_number = 0
             while checkpoints < 2:
+                payload = store.stats()["checkpoint_payload_bytes"]
+                if regime == "share":  # compressed on disk
+                    assert payload > 2 * os.path.getsize(snapshot_path)
                 threshold = max(
-                    WAL_CHECKPOINT_FLOOR,
-                    WAL_CHECKPOINT_SHARE * os.path.getsize(snapshot_path),
+                    WAL_CHECKPOINT_FLOOR, WAL_CHECKPOINT_SHARE * payload
                 )
                 assert (threshold == WAL_CHECKPOINT_FLOOR) == (regime == "floor")
                 logged = os.path.getsize(wal_path)

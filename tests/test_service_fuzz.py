@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GramConfig, PQGramIndex
-from repro.datasets import dblp_tree, dblp_update_script
+from repro.datasets import dblp_tree
 from repro.errors import CodecError
 from repro.service import DocumentStore
 from repro.tree import tree_to_brackets
+
+from benchmarks.dblp_workloads import dblp_update_script
 
 
 def _prepare(store_dir: str, batches: int):

@@ -66,7 +66,8 @@ class TestUnstableCases:
 
 class TestWorkloadIntegration:
     def test_stable_dblp_workload_is_stable(self):
-        from repro.datasets import dblp_tree, dblp_update_script
+        from repro.datasets import dblp_tree
+        from benchmarks.dblp_workloads import dblp_update_script
 
         tree = dblp_tree(40, seed=0)
         script = dblp_update_script(tree, 30, seed=1, stable=True)

@@ -22,8 +22,17 @@ from repro.edits.serialize import format_operations
 from repro.errors import CodecError, EditError
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
-from repro.relstore import Column, Database, Schema
+from repro.query import ApproxLookup
+from repro.relstore import Column, Schema
 from repro.service import DocumentStore
+from repro.service import checkpoint as checkpoint_module
+from repro.service.checkpoint import (
+    MAGIC,
+    _blocks,
+    decode_checkpoint,
+    encode_checkpoint,
+    read_checkpoint,
+)
 from repro.service.store import (
     WAL_CHECKPOINT_FLOOR,
     decode_document,
@@ -37,6 +46,7 @@ from repro.stream import ingest_snapshot
 from repro.tree import Tree, preorder, tree_from_brackets
 
 from tests.conftest import assert_store_is_rebuild, build_random_tree
+from tests.support.rpdb import Database, write_store_snapshot
 
 CONFIG = GramConfig(2, 3)
 ENCODED = "checkpoint_documents_encoded_total"
@@ -215,11 +225,24 @@ class TestCheckpointEncodesOnlyDirtyDocuments:
 
 
 # ----------------------------------------------------------------------
-# the previous on-disk format
+# the previous on-disk formats
 # ----------------------------------------------------------------------
 
+#: the two magics of the relstore snapshot earlier versions wrote
+RPDB_CHECKED, RPDB_UNCHECKED = b"RPDB\x02", b"RPDB\x01"
 
-def write_previous_format(directory, documents, backend, wal_batches=()):
+
+def unchecked(path):
+    """Turn the ``RPDB\\x02`` file at ``path`` into the ``RPDB\\x01`` form
+    (no checksum trailer) of the same tables."""
+    data = Path(path).read_bytes()
+    assert data.startswith(RPDB_CHECKED)
+    Path(path).write_bytes(RPDB_UNCHECKED + data[5:-4])
+
+
+def write_previous_format(
+    directory, documents, backend, wal_batches=(), magic=RPDB_CHECKED
+):
     """A store directory as the commit before the ``documents`` relation
     wrote it: a ``nodes`` row per node, the whole index relation in
     ``indexes``, and three-field BEGIN lines in the WAL."""
@@ -272,7 +295,10 @@ def write_previous_format(directory, documents, backend, wal_batches=()):
     # A row for a document that does not exist: reading the relation
     # back would index a ghost.
     indexes.insert({"treeId": 999, "pqg": (1, 2, 3, 4, 5), "cnt": 7})
-    database.save(os.path.join(directory, "store.db"))
+    snapshot = os.path.join(directory, "store.db")
+    database.save(snapshot)
+    if magic == RPDB_UNCHECKED:
+        unchecked(snapshot)
     with open(os.path.join(directory, "wal.log"), "w", encoding="utf-8") as handle:
         for document_id, operations in wal_batches:
             handle.write(
@@ -281,64 +307,77 @@ def write_previous_format(directory, documents, backend, wal_batches=()):
             )
 
 
+def assert_current_format(path, documents, commit_seq):
+    """``path`` holds a checkpoint of the current format with exactly
+    ``documents`` (id → tree) at ``commit_seq``."""
+    assert Path(path).read_bytes().startswith(MAGIC)
+    checkpoint = read_checkpoint(path)
+    assert not checkpoint.legacy
+    assert checkpoint.config == CONFIG
+    assert checkpoint.commit_seq == commit_seq
+    assert {
+        document_id: decode_document(record)
+        for document_id, record in checkpoint.documents
+    } == documents
+
+
 @pytest.mark.parametrize("with_wal_tail", [False, True])
 @pytest.mark.parametrize("backend", ["compact", "memory", "sharded", "segment", "rel"])
 def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail):
     """A store written before the ``documents`` relation, recording
     any backend name — the two this version offered before it had one
-    class, or a retired one — opens to its documents and their lookups,
-    and the next checkpoint writes the current form, with no
-    ``backend`` row."""
-    directory = str(tmp_path / "store")
+    class, or a retired one — in either relstore magic, opens to its
+    documents and their lookups, and the open itself rewrites
+    ``store.db`` as a checkpoint of the current format, which records
+    no backend."""
     documents = [(document_id, sparse_tree(15, document_id)) for document_id in (4, 2, 9)]
-    expected = {document_id: tree.copy() for document_id, tree in documents}
-    wal_batches = []
-    if with_wal_tail:
-        generator = EditScriptGenerator(rng=random.Random(5))
-        for document_id in (2, 9, 2):
-            script = list(generator.generate(expected[document_id], 3))
-            for operation in script:
-                operation.apply(expected[document_id])
-            wal_batches.append((document_id, script))
-    write_previous_format(directory, documents, backend, wal_batches)
-    segments = os.path.join(directory, "segments")
-    if backend == "segment":
-        # What the segment backend left beside its store: garbage here.
-        os.makedirs(segments)
-        for name in ("segment-00000001.seg", "MANIFEST.json", "delta-00000001.log"):
-            with open(os.path.join(segments, name), "wb") as handle:
-                handle.write(b"RSEGIDX1" + bytes(range(256)))
+    for magic in (RPDB_CHECKED, RPDB_UNCHECKED):
+        directory = str(tmp_path / f"store-{magic[-1]}")
+        expected = {document_id: tree.copy() for document_id, tree in documents}
+        wal_batches = []
+        if with_wal_tail:
+            generator = EditScriptGenerator(rng=random.Random(5))
+            for document_id in (2, 9, 2):
+                script = list(generator.generate(expected[document_id], 3))
+                for operation in script:
+                    operation.apply(expected[document_id])
+                wal_batches.append((document_id, script))
+        write_previous_format(directory, documents, backend, wal_batches, magic)
+        segments = os.path.join(directory, "segments")
+        if backend == "segment":
+            # What the segment backend left beside its store: garbage here.
+            os.makedirs(segments)
+            for name in ("segment-00000001.seg", "MANIFEST.json", "delta-00000001.log"):
+                with open(os.path.join(segments, name), "wb") as handle:
+                    handle.write(b"RSEGIDX1" + bytes(range(256)))
+        snapshot = os.path.join(directory, "store.db")
 
-    store = DocumentStore(directory)
-    assert not os.path.exists(segments)
-    assert 999 not in store._forest
-    assert {
-        document_id: store.get_document(document_id)
-        for document_id in store.document_ids()
-    } == expected
-    assert_store_is_rebuild(store)
-    reference = ForestIndex(CONFIG)
-    reference.add_trees(expected.items())
-    service = LookupService(reference, auto_compact=False)
-    for query in expected.values():
-        for tau in (0.3, 0.7, 1.0):
-            assert store.lookup(query, tau).matches == service.lookup(query, tau).matches
-    # Unstamped blocks are numbered by position past the snapshot's 11.
-    assert store._commit_seq == 11 + len(wal_batches)
-    store.checkpoint()
-    database = Database.load(os.path.join(directory, "store.db"))
-    assert "documents" in database
-    assert "indexes" not in database and "nodes" not in database
-    meta = {row["key"]: row["value"] for row in database.table("meta").scan_dicts()}
-    assert "backend" not in meta
-    assert "shards" not in meta and "compress" not in meta
-    store.apply_edits(4, [Rename(next(iter(expected[4].children(expected[4].root_id))), "later")])
-    del store  # the batch is in the WAL, stamped
+        store = DocumentStore(directory)
+        assert not os.path.exists(segments)
+        assert 999 not in store._forest
+        assert {
+            document_id: store.get_document(document_id)
+            for document_id in store.document_ids()
+        } == expected
+        assert_store_is_rebuild(store)
+        reference = ForestIndex(CONFIG)
+        reference.add_trees(expected.items())
+        service = LookupService(reference, auto_compact=False)
+        for query in expected.values():
+            for tau in (0.3, 0.7, 1.0):
+                assert store.lookup(query, tau).matches == service.lookup(query, tau).matches
+        # Unstamped blocks are numbered by position past the snapshot's 11.
+        assert store._commit_seq == 11 + len(wal_batches)
+        assert_current_format(snapshot, expected, 11 + len(wal_batches))
+        assert os.path.getsize(os.path.join(directory, "wal.log")) == 0
+        first_child = expected[4].children(expected[4].root_id)[0]
+        store.apply_edits(4, [Rename(first_child, "later")])
+        del store  # the batch is in the WAL, stamped
 
-    reopened = DocumentStore(directory)
-    assert reopened._commit_seq == 12 + len(wal_batches)
-    assert_store_is_rebuild(reopened)
-    reopened.close()
+        reopened = DocumentStore(directory)
+        assert reopened._commit_seq == 12 + len(wal_batches)
+        assert_store_is_rebuild(reopened)
+        reopened.close()
 
 
 def test_replay_only_open_leaves_the_snapshot_byte_identical(tmp_path):
@@ -377,18 +416,44 @@ def test_replay_only_open_leaves_the_snapshot_byte_identical(tmp_path):
 
 
 def test_previous_format_is_rewritten_on_open(tmp_path):
-    """A snapshot written before the ``documents`` relation existed is
-    converted by the open itself, with no WAL to replay."""
-    directory = str(tmp_path / "store")
+    """Every relstore snapshot earlier versions wrote — ``nodes`` rows
+    or ``documents`` records, checksummed (``RPDB\\x02``) or not
+    (``RPDB\\x01``), with or without standing queries — is converted by
+    the open itself, with no WAL to replay, to the checkpoint the
+    current version would have written."""
     documents = [(document_id, sparse_tree(10, document_id)) for document_id in (1, 2)]
-    write_previous_format(directory, documents, "compact")
-    snapshot_path = os.path.join(directory, "store.db")
-    assert "nodes" in Database.load(snapshot_path)
-    store = DocumentStore(directory)
-    database = Database.load(snapshot_path)
-    assert "documents" in database
-    assert "indexes" not in database and "nodes" not in database
-    assert store.stats()["snapshot_bytes"] == os.path.getsize(snapshot_path)
+    expected = dict(documents)
+    nodes = str(tmp_path / "nodes")
+    write_previous_format(nodes, documents, "compact")
+    # The checkpoint a current store writes for the same documents, and
+    # the relstore snapshot of it an earlier version wrote.
+    current = str(tmp_path / "current")
+    with DocumentStore(current, CONFIG) as store:
+        store.add_documents(documents)
+        store.subscribe("watch", ApproxLookup(documents[0][1], 0.5))
+    written = Path(current, "store.db").read_bytes()
+    checkpoint = read_checkpoint(os.path.join(current, "store.db"))
+    assert checkpoint.subscriptions
+    for name, magic in (("checked", RPDB_CHECKED), ("unchecked", RPDB_UNCHECKED)):
+        directory = tmp_path / name
+        directory.mkdir()
+        snapshot = str(directory / "store.db")
+        write_store_snapshot(snapshot, checkpoint, backend="compact")
+        if magic == RPDB_UNCHECKED:
+            unchecked(snapshot)
+        assert Path(snapshot).read_bytes().startswith(magic)
+        store = DocumentStore(str(directory))
+        assert Path(snapshot).read_bytes() == written
+        assert store.stats()["snapshot_bytes"] == len(written)
+        subscriptions = store._standing.describe_subscriptions()
+        assert [query_id for query_id, _, _ in subscriptions] == ["watch"]
+        assert_store_is_rebuild(store)
+        store.close()
+    store = DocumentStore(nodes)
+    assert_current_format(os.path.join(nodes, "store.db"), expected, 11)
+    assert store.stats()["snapshot_bytes"] == os.path.getsize(
+        os.path.join(nodes, "store.db")
+    )
     assert_store_is_rebuild(store)
     store.close()
 
@@ -398,15 +463,19 @@ def test_previous_format_is_rewritten_on_open(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _small_store(directory):
+def _small_store(directory, subscribe=False):
     """A closed store whose ``store.db`` holds a few small documents
-    and whose WAL is empty; returns its documents."""
+    (and, with ``subscribe``, two standing queries) and whose WAL is
+    empty; returns its documents."""
     store = DocumentStore(directory, CONFIG)
     texts = ("a(b,c)", "x(y(z),w)", "naïve(☃)", "r")
     store.add_documents(
         [(document_id, tree_from_brackets(text)) for document_id, text in enumerate(texts)]
     )
     store.apply_edits(1, [Rename(2, "zz")])
+    if subscribe:
+        store.subscribe("near-a", ApproxLookup(tree_from_brackets("a(b,c)"), 0.9))
+        store.subscribe("any-x", ApproxLookup(tree_from_brackets("x(y)"), 1.0))
     documents = {
         document_id: store.get_document(document_id)
         for document_id in store.document_ids()
@@ -416,15 +485,17 @@ def _small_store(directory):
 
 
 def test_every_bit_flip_of_the_snapshot_is_a_codec_error(tmp_path):
-    """``store.db`` carries a CRC32 of its body.  Flipping any single
-    bit anywhere in the file — magic, tables, document records or the
-    checksum itself — makes the open raise :class:`CodecError`; no flip
-    opens with different documents or an untyped exception."""
+    """Every block of ``store.db`` carries a CRC32.  Flipping any single
+    bit anywhere in the file — magic, block headers, the META, DOCS,
+    SUB and END blocks or a checksum itself — makes the open raise
+    :class:`CodecError`; no flip opens with different documents or an
+    untyped exception."""
     directory = str(tmp_path / "store")
-    documents = _small_store(directory)
+    documents = _small_store(directory, subscribe=True)
     path = Path(directory, "store.db")
     pristine = path.read_bytes()
-    assert pristine.startswith(b"RPDB\x02")
+    assert pristine.startswith(MAGIC)
+    assert {kind for kind, _ in _blocks(pristine)} == {b"M", b"D", b"S", b"E"}
     for offset in range(len(pristine)):
         for bit in range(8):
             damaged = bytearray(pristine)
@@ -441,25 +512,66 @@ def test_every_bit_flip_of_the_snapshot_is_a_codec_error(tmp_path):
     reopened.close()
 
 
+def test_every_truncation_of_the_snapshot_is_a_codec_error(tmp_path):
+    """The checkpoint's twin of the WAL's bit-flip test, for a crash
+    that cut the file: ``store.db`` cut at any offset — inside the
+    magic, inside a block, or exactly between two blocks, where only
+    the missing END block tells — makes the open raise
+    :class:`CodecError`, never open a part of the collection."""
+    directory = str(tmp_path / "store")
+    _small_store(directory, subscribe=True)
+    path = Path(directory, "store.db")
+    pristine = path.read_bytes()
+    for cut in range(len(pristine)):
+        path.write_bytes(pristine[:cut])
+        with pytest.raises(CodecError):
+            DocumentStore(directory, CONFIG)
+
+
+def test_a_damaged_many_block_checkpoint_is_a_codec_error(monkeypatch):
+    """With blocks small enough that every few records seal one, every
+    bit flip and every truncation of the file is refused, and the
+    pristine file reads back record for record."""
+    monkeypatch.setattr(checkpoint_module, "BLOCK_BYTES", 40)
+    records = [
+        (document_id, encode_document(sparse_tree(6, document_id)))
+        for document_id in range(-3, 9)
+    ]
+    subscriptions = [("q", {"tau": 0.5}, {1: 0.25, -3: 0.0})]
+    data, payload = encode_checkpoint(CONFIG, 5, records, subscriptions)
+    assert sum(kind == b"D" for kind, _ in _blocks(data)) > 3
+    checkpoint = decode_checkpoint(data)
+    assert checkpoint.documents == records
+    assert checkpoint.subscriptions == [("q", {"tau": 0.5}, {-3: 0.0, 1: 0.25})]
+    assert (checkpoint.commit_seq, checkpoint.payload_bytes) == (5, payload)
+    for offset in range(len(data)):
+        for bit in range(8):
+            damaged = bytearray(data)
+            damaged[offset] ^= 1 << bit
+            with pytest.raises(CodecError):
+                decode_checkpoint(bytes(damaged))
+    for cut in range(len(data)):
+        with pytest.raises(CodecError):
+            decode_checkpoint(data[:cut])
+
+
 def test_unchecked_snapshot_opens_and_is_rewritten_with_a_checksum(tmp_path):
-    """The previous format — magic ``RPDB\\x01``, no checksum — still
-    opens, to the same documents and indexes equal to a rebuild; the
-    open itself rewrites nothing, and the next checkpoint writes the
-    checked format."""
+    """The oldest checked-less format — magic ``RPDB\\x01``, no
+    checksum — still opens, to the same documents and indexes equal to
+    a rebuild, and the open rewrites it as the checksummed checkpoint
+    the store wrote before it was converted."""
     directory = str(tmp_path / "store")
     documents = _small_store(directory)
     path = Path(directory, "store.db")
     checked = path.read_bytes()
-    unchecked = b"RPDB\x01" + checked[5:-4]
-    path.write_bytes(unchecked)
+    write_store_snapshot(str(path), read_checkpoint(str(path)))
+    unchecked(path)
     store = DocumentStore(directory, CONFIG)
     assert {
         document_id: store.get_document(document_id)
         for document_id in store.document_ids()
     } == documents
     assert_store_is_rebuild(store)
-    assert path.read_bytes() == unchecked
-    store.checkpoint()
     assert path.read_bytes() == checked
     store.close()
 
@@ -467,25 +579,25 @@ def test_unchecked_snapshot_opens_and_is_rewritten_with_a_checksum(tmp_path):
 def test_undecodable_unchecked_snapshot_is_a_codec_error(tmp_path):
     """Without a checksum a damaged snapshot may still decode; when it
     does not, the failure is a :class:`CodecError` whatever the decoder
-    tripped over — never an untyped exception."""
+    tripped over — never an untyped exception — and every cut of the
+    file is refused."""
     directory = str(tmp_path / "store")
-    _small_store(directory)
+    _small_store(directory, subscribe=True)
     path = Path(directory, "store.db")
-    unchecked = b"RPDB\x01" + path.read_bytes()[5:-4]
-    database_path = str(tmp_path / "unchecked.db")
-    for offset in range(5, len(unchecked)):
+    write_store_snapshot(str(path), read_checkpoint(str(path)))
+    unchecked(path)
+    data = path.read_bytes()
+    for offset in range(5, len(data)):
         for bit in range(8):
-            damaged = bytearray(unchecked)
+            damaged = bytearray(data)
             damaged[offset] ^= 1 << bit
-            Path(database_path).write_bytes(bytes(damaged))
             try:
-                Database.load(database_path)
+                decode_checkpoint(bytes(damaged))
             except CodecError:
                 pass
-    for cut in range(len(unchecked)):
-        Path(database_path).write_bytes(unchecked[:cut])
+    for cut in range(len(data)):
         with pytest.raises(CodecError):
-            Database.load(database_path)
+            decode_checkpoint(data[:cut])
 
 
 # ----------------------------------------------------------------------
@@ -753,3 +865,87 @@ def test_readers_never_see_a_batch_in_progress(tmp_path, monkeypatch):
     with pytest.raises(EditError):
         store.apply_edits(1, [Rename(after.children(after.root_id)[0], "z"), Delete(after.root_id)])
     assert store.get_document(1) == after
+
+
+# ----------------------------------------------------------------------
+# what the checkpoint format leaves alone
+# ----------------------------------------------------------------------
+
+
+def test_a_scripted_session_keeps_its_wal_and_record_bytes(tmp_path):
+    """The checkpoint file changed format; the WAL and the document
+    records did not.  One scripted session — an add of two, an add of
+    one, two edit batches, a removal — leaves the WAL and the records
+    of its documents with the sha256 they had under the relstore
+    snapshot."""
+    import hashlib
+
+    directory = str(tmp_path / "store")
+    store = DocumentStore(directory, CONFIG)
+    store.add_documents(
+        [(1, tree_from_brackets("a(b(c,d),e)")), (2, tree_from_brackets("x(y,z)"))]
+    )
+    store.add_document(3, tree_from_brackets("naïve(☃,w(v))"))
+    store.apply_edits(1, [Rename(2, "bb"), Insert(9, "n", 0, 2, 1)])
+    store.apply_edits(3, [Delete(2)])
+    store.remove_document(2)
+    documents = _documents(store)
+    del store  # every block stays in the WAL
+    wal = Path(directory, "wal.log").read_bytes()
+    records = b"".join(encode_document(documents[key]) for key in sorted(documents))
+    assert (len(wal), hashlib.sha256(wal).hexdigest()) == (
+        271,
+        "f376446f7f4cea6ef3316418ac2474e940d791517d8de79f450e43ad45acbe6e",
+    )
+    assert (len(records), hashlib.sha256(records).hexdigest()) == (
+        57,
+        "e187c5ba8a479e0219e66bcabe7413293219dc58da667a3ee81057725dd9b073",
+    )
+
+
+def test_the_store_never_loads_the_relational_layer(tmp_path):
+    """Creating, editing, checkpointing and reopening a store of the
+    current format imports neither ``repro.relstore`` (the paper's
+    relational substrate) nor the decoder of the relstore snapshots
+    older versions wrote.  Run in a fresh interpreter, so nothing
+    another test imported counts."""
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from repro.core import GramConfig
+        from repro.edits import Rename
+        from repro.service import DocumentStore
+        from repro.tree import tree_from_brackets
+
+        directory = {str(tmp_path / "store")!r}
+        store = DocumentStore(directory, GramConfig(2, 3))
+        store.add_documents([(1, tree_from_brackets("a(b,c)")), (2, tree_from_brackets("x(y)"))])
+        store.apply_edits(1, [Rename(2, "bb")])
+        store.checkpoint()
+        store.apply_edits(2, [Rename(1, "later")])
+        del store
+        reopened = DocumentStore(directory)
+        assert reopened.get_document(2).label(1) == "later"
+        reopened.checkpoint()
+        reopened.close()
+        loaded = sorted(
+            name for name in sys.modules
+            if name.startswith(("repro.relstore", "repro.service.rpdb"))
+        )
+        print(loaded)
+        """
+    )
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    environment = dict(os.environ, PYTHONPATH=source)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=environment,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout + result.stderr
