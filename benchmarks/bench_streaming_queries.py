@@ -4,9 +4,11 @@ A standing query is a registered plan whose τ-neighborhood must stay
 current as write batches stream in.  Two ways to keep it current:
 
 - **incremental** — the store routes each committed batch's net delta
-  bags through the subscription index; only queries sharing a Δ-key
-  with the batch re-score, and only the one touched document (after
-  the size-bound admission check);
+  bags through the subscription index; a query that shares no Δ-key
+  with the batch is skipped when the document's size stayed, and every
+  other query re-scores only the one touched document, recomputing its
+  overlap from the document's current bag (after the size-bound
+  admission check);
 - **naive** — re-run every registered plan against the whole forest
   after every batch and diff the memberships (what a poller without
   the subscription index would do).
@@ -14,7 +16,7 @@ current as write batches stream in.  Two ways to keep it current:
 Both produce identical memberships — ``run_stream`` asserts it after
 every batch.  The interesting number is the per-batch maintenance
 cost: naive pays ``queries x collection`` scoring work per batch while
-incremental pays ``touched-queries x 1`` document re-scores, so the
+incremental pays ``touched-queries x |I_Q|`` bag lookups, so the
 gap widens with both the collection size and the query count.  The
 regression gate (``measure_streaming`` in ``regression.py``) pins the
 10k-document / 32-query point: incremental must beat naive by at

@@ -42,10 +42,15 @@ from repro.cli import main as cli  # noqa: E402
 from repro.datasets import dblp_tree  # noqa: E402
 from repro.xmlio import write_xml  # noqa: E402
 
-#: ceiling on the total count of uncalled function lines: the highest
-#: count over the runs made when it was set (2,121 or 2,122 of 7,467
-#: lines in each of five runs); it may only go down
-MAX_UNCALLED_LINES = 2122
+#: ceiling on the total count of uncalled function lines; it may only
+#: go down.  Three functions run or not depending on timing, 22 lines
+#: in all: ``ForestIndex.refreeze`` (5, the background refreeze
+#: worker), ``edits/reduce.py:_untouched_between`` (16, called only
+#: for the logs the time-bounded window draws) and the list
+#: comprehension in ``FrontDoor.drain`` (1).  The ceiling is the
+#: lowest count of ten runs when it was set (2,053 of 7,312 lines)
+#: plus those 22, the most a run can read.
+MAX_UNCALLED_LINES = 2075
 
 CALLED = set()
 

@@ -245,7 +245,8 @@ def measure_streaming() -> Dict[str, float]:
     ``STREAM_TREE_COUNT``-document DBLP-like forest while
     ``STREAM_BATCHES`` edit batches stream in.  Per batch the
     incremental arm routes the net delta bags through the
-    subscription index (touched queries re-score one document each);
+    subscription index (each query it reaches re-scores the one
+    document from its current bag);
     the naive arm re-executes every plan over the whole forest and
     diffs the memberships.  Both arms are asserted membership-identical
     after every batch, and ``standing_incremental_ratio`` must stay at

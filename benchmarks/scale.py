@@ -33,6 +33,11 @@ reopens the store and prints, per N:
 A row the store does not report (an older store has no phase split or
 decode counter) reads ``n/a``.  It reads ``benchmarks/e2e/`` and
 changes nothing there.
+
+The script measures the checkout it sits in, whatever ``PYTHONPATH``
+says: it imports ``loadgen``, whose ``harness`` puts its own
+checkout's ``src`` first on ``sys.path``.  To compare two trees, copy
+the script into each tree's ``benchmarks/`` and run each copy there.
 """
 
 import argparse

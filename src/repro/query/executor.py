@@ -8,9 +8,10 @@ Two entry points:
   ``prefilter``.  ``ForestIndex.distances`` is now a thin delegate.
 - :func:`execute_plan` — run a logical :mod:`repro.query.plan` against
   a forest.  Structural predicates post-filter the retrieval result by
-  walking the source documents of the trees the τ-scan returned: a
-  descendant chain is a tree-subsequence test linear in the document,
-  so only matches are ever walked and rejected trees never are.
+  walking the source documents of the trees the τ-scan returned (for
+  ``TopK``: of the nearest trees, until k have passed): a descendant
+  chain is a tree-subsequence test linear in the document, so only
+  matches are ever walked and rejected trees never are.
 
 Snapshot reads: the distance sweep honours the ``reader`` (a live
 backend or an immutable ``SnapshotHandle``); the post-filter reads the
@@ -26,10 +27,12 @@ would tax the hot sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Tuple,
@@ -253,7 +256,8 @@ def execute_plan(
     The plan is normalized (validated) and its retrieval root run
     through :func:`scan_distances`; structural predicates then
     post-filter the matches through ``documents``, which supplies the
-    source tree of a matched id and is only called for matches.
+    source tree of a matched id and is only called for matches — for
+    ``TopK``, for the trees in ``(distance, id)`` order until k passed.
     """
     normalized = normalize_plan(plan)
     retrieval = normalized.retrieval
@@ -274,16 +278,15 @@ def execute_plan(
     else:
         distances = scan_distances(forest, query_index, reader=scan_reader)
         population = len(distances)
+    ranked: Iterable[Tuple[int, float]] = sorted(
+        distances.items(), key=lambda pair: (pair[1], pair[0])
+    )
     if postfilter is not None:
-        distances = {
-            tree_id: distance
-            for tree_id, distance in distances.items()
-            if postfilter(tree_id)
-        }
-    matches = sorted(distances.items(), key=lambda pair: (pair[1], pair[0]))
+        ranked = (pair for pair in ranked if postfilter(pair[0]))
     if isinstance(retrieval, TopK):
-        population = len(matches)
-        matches = matches[: retrieval.k]
+        # Nearest first: the filter walks trees only until k passed.
+        ranked = islice(ranked, retrieval.k)
+    matches = list(ranked)
     mode = "postfilter" if predicates else "plain"
     forest._m_query_plans[mode].inc()
     return Execution(matches=matches, population=population, mode=mode)

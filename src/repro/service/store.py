@@ -647,10 +647,12 @@ class DocumentStore:
             self._require_healthy()
             self._require(document_id)
             self._commit_membership(drop_block(document_id, self._commit_seq + 1))
-            events = self._standing_on_remove(document_id)
             self._documents.drop(document_id)
             self._encoded.pop(document_id, None)
             self._forest.remove_tree(document_id)
+            # Once the forest no longer holds it: a top-k set that
+            # loses a member refills from the executor.
+            events = self._standing_on_remove(document_id)
             self._checkpoint_if_due()
         self._dispatch_events(events)
 
@@ -749,8 +751,7 @@ class DocumentStore:
                 # Incremental maintenance: the forest re-inverts only
                 # the keys the edit batches actually changed.  The same
                 # Δ-keys route the update to interested standing
-                # queries; the inverse log carries the Move markers the
-                # predicate skip rule must see.
+                # queries.
                 try:
                     minus, plus = self._forest.update_tree(
                         document_id, shadow, logs[document_id]
@@ -762,11 +763,7 @@ class DocumentStore:
                     self._publish(document_id, shadow)
                 events.extend(
                     self._standing_on_delta(
-                        document_id,
-                        minus,
-                        plus,
-                        sequences[document_id],
-                        logs[document_id],
+                        document_id, minus, plus, sequences[document_id]
                     )
                 )
             for pending in valid:
@@ -882,16 +879,11 @@ class DocumentStore:
         return self._standing.on_remove(document_id, self._commit_seq)
 
     def _standing_on_delta(
-        self,
-        document_id: int,
-        minus,
-        plus,
-        seq: int,
-        operations: Sequence[EditOperation],
+        self, document_id: int, minus, plus, seq: int
     ) -> List[Notification]:
         if self._standing is None or not len(self._standing):
             return []
-        return self._standing.on_delta(document_id, minus, plus, seq, operations)
+        return self._standing.on_delta(document_id, minus, plus, seq)
 
     def _dispatch_events(self, events: List[Notification]) -> None:
         if events and self._standing is not None:

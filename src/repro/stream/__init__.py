@@ -6,9 +6,10 @@ turns that byproduct into a continuous query facility:
 
 - :class:`~repro.stream.standing.StandingQueryEngine` keeps the
   τ-neighborhood (or top-k set) of registered :mod:`repro.query` plans
-  incrementally current, routing each batch through a pq-gram
-  subscription index so disjoint queries are skipped without any
-  distance arithmetic;
+  current from the executor's matches, routing each batch through a
+  pq-gram subscription index: a query that shares no key with a batch
+  that keeps the document's size is skipped without any distance
+  arithmetic, every other re-scores the one touched document;
 - :mod:`repro.stream.ingest` feeds full document versions through
   :func:`repro.edits.diff.diff_trees` into the store's coalescing
   write path, closing the loop from raw XML to notification.

@@ -1,49 +1,43 @@
-"""Standing queries: continuous τ-neighborhood evaluation from Δ-keys.
+"""Standing queries: a plan's membership kept current as writes commit.
 
-The paper's incremental maintenance machinery computes, for every edit
-batch, the net delta bags ``(minus, plus)`` of the touched document.
-This module closes the loop for *live* workloads: a
-:class:`StandingQuery` registers a normalized :mod:`repro.query` plan
-(``ApproxLookup``/``TopK`` plus structural predicates) and is notified
-with ``enter``/``leave``/``update`` events whenever a write batch moves
-a document across (or within) its neighborhood — the continuous
-variant of Oflazer's error-tolerant retrieval setting.
+The paper's incremental maintenance computes, for every edit batch, the
+net delta bags ``(minus, plus)`` of the touched document.  This module
+closes the loop for *live* workloads: a :class:`StandingQuery`
+registers a normalized :mod:`repro.query` plan (``ApproxLookup`` or
+``TopK`` plus structural predicates) and is notified with
+``enter``/``leave``/``update`` events whenever a write batch moves a
+document across (or within) its neighborhood — the continuous variant
+of Oflazer's error-tolerant retrieval setting.
 
-The cost model is the whole point.  A subscription index maps every
-distinct pq-gram key of every registered query to the queries holding
-it, and each write batch is routed by its Δ-keys:
+The executor evaluates plans; this engine only keeps membership
+current.  A query holds its plan, its query bag and key set, and its
+members — no state for any other document:
 
-- a query whose key set is disjoint from the Δ-keys *and* whose
-  per-document state cannot have moved (document size unchanged, no
-  predicate trigger label in the Δ) is skipped without any arithmetic
-  (``standing_eval_skipped_total{reason="delta_keys"}``);
-- an intersecting query updates its cached bag overlap in
-  O(|Δ ∩ query keys|) integer steps — the same net delta the backend
-  applied, so the cached overlap stays exactly
-  ``Σ_k min(cnt_query(k), cnt_doc(k))``;
-- before any distance is materialized, the τ size bound
-  (:func:`repro.core.distance.size_bound_admits`) gets a veto: a
-  non-member whose sizes already forbid ``distance < τ`` is dropped
-  untouched (``standing_eval_skipped_total{reason="size_bound"}``).
+- ``subscribe`` and ``reconcile`` set the membership from
+  :func:`repro.query.executor.execute_plan`, so predicates are walked
+  only for matches and the membership equals the executor's by
+  construction.
+- A subscription index maps every pq-gram key of every query to the
+  queries holding it.  A query without structural predicates skips a
+  batch on document d when it shares no Δ-key with the batch and d's
+  size is unchanged: neither the overlap nor the sizes moved, so the
+  distance did not (``standing_eval_skipped_total{reason="delta_keys"}``).
+- Otherwise an ``ApproxLookup`` query looks at d alone.  A non-member
+  whose sizes already forbid ``distance < τ``
+  (:func:`repro.core.distance.size_bound_admits`) stays out untouched
+  (``reason="size_bound"``).  Any other has its overlap recomputed from
+  d's current bag in O(|I_Q|) lookups and turned into a distance by
+  :func:`distance_from_overlap`, the scan's own expression; the
+  executor's predicate filter walks d only when the distance admits it.
+- A ``TopK`` query re-runs the executor on a batch it does not skip and
+  on every added document; a removal re-runs it only when the removed
+  document was a member.
 
-Soundness of the skip rule: the pq-gram distance depends only on the
-bag overlap and the two bag sizes.  Edits that change neither the
-overlap (no shared Δ-key) nor the document size cannot move the
-distance; zero-overlap documents sit pinned at the no-overlap distance
-1.0 whatever their size (for a non-empty query bag), so size-only
-changes skip those too.  Structural predicates re-evaluate only when a
-Δ-key tuple contains one of the predicate's label hashes — every node
-edit folds the touched node's label hash into its delta pq-grams, and
-insert/delete of unrelated intermediate nodes can neither create nor
-break a descendant chain — except for subtree ``Move`` batches, whose
-ancestry rewiring is not label-visible, so a batch containing a move
-always re-evaluates the predicates.
-
-Distances are computed with the exact expressions of the scan path
-(:func:`distance_from_overlap` over integer overlaps), so incremental
-membership is bit-identical to re-running
-:func:`repro.query.executor.execute_plan` from scratch — the invariant
-the differential oracle suite enforces per batch.
+A plan with predicates never skips a batch, so a subtree ``Move`` —
+whose ancestry rewiring need not show in the Δ-keys — re-checks them
+like any other edit.  Memory is O(members) per query; a batch costs
+O(|I_Q|) lookups per query it reaches, one predicate walk per admitted
+document and one executor run per ``TopK`` query it reaches.
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -69,11 +62,11 @@ from typing import (
 
 from repro.core.distance import distance_from_overlap, size_bound_admits
 from repro.core.index import PQGramIndex
-from repro.edits.move import Move
 from repro.edits.ops import EditOperation
 from repro.errors import QueryError
 from repro.lookup.forest import ForestIndex
 from repro.obsv.metrics import MetricsRegistry, resolve_registry
+from repro.query.executor import Prefilter, _document_filter, execute_plan
 from repro.query.plan import (
     ApproxLookup,
     HasLabel,
@@ -84,7 +77,6 @@ from repro.query.plan import (
     TopK,
     normalize_plan,
 )
-from repro.query.structural import tree_matches
 from repro.tree.builder import tree_from_brackets, tree_to_brackets
 from repro.tree.tree import Tree
 
@@ -115,52 +107,27 @@ class Notification:
 
 
 class StandingQuery:
-    """One registered plan plus its incremental evaluation state."""
+    """One registered plan and its current membership."""
 
-    __slots__ = (
-        "query_id",
-        "plan",
-        "qbag",
-        "qsize",
-        "keys",
-        "tau",
-        "k",
-        "predicates",
-        "trigger_hashes",
-        "overlaps",
-        "members",
-        "pred_ok",
-        "listener",
-    )
+    __slots__ = ("query_id", "plan", "index", "keys", "accept", "members", "listener")
 
     def __init__(
         self,
         query_id: str,
         plan: NormalizedPlan,
-        qbag: Dict[Key, int],
-        trigger_hashes: FrozenSet[int],
+        index: PQGramIndex,
+        accept: Optional[Prefilter],
         listener: Optional[Listener],
     ) -> None:
         self.query_id = query_id
         self.plan = plan
-        self.qbag = qbag
-        self.qsize = sum(qbag.values())
-        self.keys: FrozenSet[Key] = frozenset(qbag)
-        retrieval = plan.retrieval
-        self.tau: Optional[float] = (
-            float(retrieval.tau) if isinstance(retrieval, ApproxLookup) else None
-        )
-        self.k: Optional[int] = (
-            retrieval.k if isinstance(retrieval, TopK) else None
-        )
-        self.predicates = plan.predicates
-        self.trigger_hashes = trigger_hashes
-        #: sparse cache: document → multiset bag overlap (> 0 only)
-        self.overlaps: Dict[int, int] = {}
+        #: the query's pq-gram bag
+        self.index = index
+        self.keys = frozenset(key for key, _ in index.items())
+        #: the executor's predicate filter (None: no predicates)
+        self.accept = accept
         #: current neighborhood: document → distance
         self.members: Dict[int, float] = {}
-        #: predicate verdict per document (only when predicates exist)
-        self.pred_ok: Dict[int, bool] = {}
         self.listener = listener
 
     def matches(self) -> List[Tuple[int, float]]:
@@ -249,24 +216,15 @@ def _predicate_from_spec(entry: object) -> Plan:
     return Not(predicate) if negated else predicate
 
 
-def _predicate_labels(predicates) -> Set[str]:
-    labels: Set[str] = set()
-    for predicate, _ in predicates:
-        if isinstance(predicate, HasLabel):
-            labels.add(predicate.label)
-        else:
-            labels.update(predicate.labels)
-    return labels
-
-
 class StandingQueryEngine:
-    """Routes write-batch delta bags to registered standing queries.
+    """Keeps the membership of registered standing queries current.
 
     Works against a bare :class:`ForestIndex` (benchmarks, embedders)
     or as the :class:`~repro.service.store.DocumentStore`'s engine —
     the store feeds ``on_add``/``on_remove``/``on_delta`` from its
-    commit path, persists subscriptions + membership in its checkpoint,
-    and calls :meth:`reconcile` after recovery so the event stream is
+    commit path once the forest holds the change, persists
+    subscriptions + membership in its checkpoint, and calls
+    :meth:`reconcile` after recovery so the event stream is
     exactly-once relative to the durable frontier.
 
     Thread-safety: all mutating entry points serialize on one internal
@@ -288,7 +246,6 @@ class StandingQueryEngine:
         )
         self._queries: Dict[str, StandingQuery] = {}
         self._subscriptions: Dict[Key, Set[str]] = {}
-        self._docs: Set[int] = set(forest.tree_ids())
         self._lock = threading.RLock()
         self._buffer: Deque[Notification] = deque(maxlen=buffer_limit)
         #: wall seconds spent in incremental maintenance (benchmarks)
@@ -309,15 +266,15 @@ class StandingQueryEngine:
         self._m_skipped = {
             reason: registry.counter(
                 "standing_eval_skipped_total",
-                "per-(query, document) evaluations skipped by the "
-                "Δ-key prune ledger",
+                "per-(query, batch) evaluations skipped by the Δ-key "
+                "prune ledger",
                 reason=reason,
             )
             for reason in ("delta_keys", "size_bound")
         }
         self._m_evaluations = registry.counter(
             "standing_evaluations_total",
-            "per-(query, document) incremental re-scores performed",
+            "per-(query, batch) re-scores performed",
         )
         self._m_batches = registry.counter(
             "standing_batches_total", "write batches routed to standing queries"
@@ -364,20 +321,16 @@ class StandingQueryEngine:
     ) -> List[Tuple[int, float]]:
         """Register a plan and return its initial neighborhood.
 
-        The initial evaluation is one candidates sweep (the same
-        overlap accumulation the lookup path runs); subsequent batches
-        maintain the membership incrementally.  Events are emitted only
-        for *changes* after this call.
+        The initial membership is the executor's matches; subsequent
+        batches maintain it incrementally.  Events are emitted only for
+        *changes* after this call.
         """
         with self._lock:
             if query_id in self._queries:
                 raise QueryError(f"standing query {query_id!r} already exists")
             state = self._make_state(query_id, plan, listener)
-            self._evaluate_full(state)
-            self._queries[query_id] = state
-            for key in state.keys:
-                self._subscriptions.setdefault(key, set()).add(query_id)
-            self._m_active.set(len(self._queries))
+            state.members = self._evaluate(state)
+            self._register(state)
             return state.matches()
 
     def restore_subscription(
@@ -391,18 +344,14 @@ class StandingQueryEngine:
 
         ``members`` is the membership the checkpoint recorded; the
         caller must follow up with :meth:`reconcile` (after WAL replay)
-        to refresh the caches and emit exactly the catch-up events the
-        crash swallowed.
+        to emit exactly the catch-up events the crash swallowed.
         """
         with self._lock:
             if query_id in self._queries:
                 raise QueryError(f"standing query {query_id!r} already exists")
             state = self._make_state(query_id, plan_from_spec(spec), listener)
             state.members = dict(members)
-            self._queries[query_id] = state
-            for key in state.keys:
-                self._subscriptions.setdefault(key, set()).add(query_id)
-            self._m_active.set(len(self._queries))
+            self._register(state)
 
     def attach_listener(
         self, query_id: str, listener: Optional[Listener]
@@ -441,62 +390,37 @@ class StandingQueryEngine:
         listener: Optional[Listener],
     ) -> StandingQuery:
         normalized = normalize_plan(plan)
-        if normalized.predicates and self._documents is None:
-            raise QueryError(
-                "standing queries with structural predicates need a "
-                "document provider"
-            )
-        query_index = PQGramIndex.from_tree(
+        accept = (
+            _document_filter(normalized.predicates, self._documents)
+            if normalized.predicates
+            else None
+        )
+        index = PQGramIndex.from_tree(
             normalized.retrieval.query,  # type: ignore[attr-defined]
             self._forest.config,
             self._forest.hasher,
         )
-        triggers = frozenset(
-            self._forest.hasher.hash_label(label)
-            for label in _predicate_labels(normalized.predicates)
-        )
-        return StandingQuery(
-            query_id, normalized, dict(query_index.items()), triggers, listener
-        )
+        return StandingQuery(query_id, normalized, index, accept, listener)
 
-    # ------------------------------------------------------------------
-    # full (re-)evaluation — subscribe time and recovery reconcile
-    # ------------------------------------------------------------------
+    def _register(self, state: StandingQuery) -> None:
+        self._queries[state.query_id] = state
+        for key in state.keys:
+            self._subscriptions.setdefault(key, set()).add(state.query_id)
+        self._m_active.set(len(self._queries))
 
-    def _evaluate_full(self, state: StandingQuery) -> None:
-        """Rebuild overlaps, predicate verdicts and membership from the
-        live backend — the non-incremental reference path."""
-        backend = self._forest.backend
-        self._docs = set(backend.tree_ids())
-        state.overlaps = {
-            tree_id: shared
-            for tree_id, shared in backend.candidates(
-                state.qbag.items()
-            ).items()
-            if shared > 0
-        }
-        if state.predicates:
-            state.pred_ok = {
-                document_id: self._predicate_verdict(state, document_id)
-                for document_id in self._docs
-            }
-        if state.k is not None:
-            state.members = self._topk_select(state)
-            return
-        members: Dict[int, float] = {}
-        for document_id in self._docs:
-            if state.predicates and not state.pred_ok.get(document_id, False):
-                continue
-            distance = distance_from_overlap(
-                state.overlaps.get(document_id, 0),
-                state.qsize + backend.tree_size(document_id),
-            )
-            if distance < state.tau:  # type: ignore[operator]
-                members[document_id] = distance
-        state.members = members
+    def _evaluate(self, state: StandingQuery) -> Dict[int, float]:
+        """The plan's matches from the executor, as a membership."""
+        return dict(
+            execute_plan(
+                self._forest,
+                state.plan,
+                query_index=state.index,
+                documents=self._documents,
+            ).matches
+        )
 
     def reconcile(self, seq: int) -> List[Notification]:
-        """Recompute every query from the live backend and emit the
+        """Re-run every query through the executor and emit the
         difference to its recorded membership.
 
         After recovery this turns the durable frontier (the persisted
@@ -508,9 +432,7 @@ class StandingQueryEngine:
         events: List[Notification] = []
         with self._lock:
             for state in self._queries.values():
-                recorded = state.members
-                self._evaluate_full(state)
-                self._diff_members(state, recorded, state.members, seq, events)
+                self._diff_members(state, self._evaluate(state), seq, events)
         self._buffer.extend(events)
         return events
 
@@ -522,58 +444,26 @@ class StandingQueryEngine:
         """A document was added (and indexed) — score it once."""
         events: List[Notification] = []
         with self._lock:
-            self._docs.add(document_id)
-            if not self._queries:
-                return events
-            backend = self._forest.backend
-            bag = backend.tree_bag(document_id)
             for state in self._queries.values():
-                overlap = 0
-                for key, count in state.qbag.items():
-                    held = bag.get(key, 0)
-                    if held:
-                        overlap += min(count, held)
-                if overlap:
-                    state.overlaps[document_id] = overlap
-                if state.predicates:
-                    state.pred_ok[document_id] = self._predicate_verdict(
-                        state, document_id
-                    )
                 self._m_evaluations.inc()
-                if state.k is not None:
-                    self._diff_members(
-                        state, state.members, self._topk_select(state), seq, events
-                    )
-                    continue
-                self._rescore_doc(state, document_id, seq, events)
+                self._rescore(state, document_id, seq, events)
         self._buffer.extend(events)
         return events
 
     def on_remove(self, document_id: int, seq: int) -> List[Notification]:
-        """A document was dropped — retract it from every neighborhood."""
+        """A document was dropped (and unindexed) — retract it from
+        every neighborhood; a top-k set refills from the executor."""
         events: List[Notification] = []
         with self._lock:
-            self._docs.discard(document_id)
             for state in self._queries.values():
-                state.overlaps.pop(document_id, None)
-                state.pred_ok.pop(document_id, None)
-                if state.k is not None:
-                    last = state.members.pop(document_id, None)
-                    if last is not None:
-                        events.append(
-                            Notification(
-                                state.query_id, document_id, LEAVE, last, seq
-                            )
-                        )
-                    self._diff_members(
-                        state, state.members, self._topk_select(state), seq, events
-                    )
-                    continue
                 last = state.members.pop(document_id, None)
-                if last is not None:
-                    events.append(
-                        Notification(state.query_id, document_id, LEAVE, last, seq)
-                    )
+                if last is None:
+                    continue
+                events.append(
+                    Notification(state.query_id, document_id, LEAVE, last, seq)
+                )
+                if isinstance(state.plan.retrieval, TopK):
+                    self._diff_members(state, self._evaluate(state), seq, events)
         self._buffer.extend(events)
         return events
 
@@ -588,9 +478,9 @@ class StandingQueryEngine:
         """Route one committed write batch's net delta bags.
 
         ``minus``/``plus`` are exactly what
-        :meth:`ForestIndex.update_tree` handed the backend;
-        ``operations`` (the batch's log, any direction) is consulted
-        only for the presence of subtree moves.
+        :meth:`ForestIndex.update_tree` handed the backend.
+        ``operations`` (the batch's log) is accepted and not read: the
+        document's current bag and tree say all a query needs.
         """
         if not self._queries:
             return []
@@ -598,68 +488,36 @@ class StandingQueryEngine:
         events: List[Notification] = []
         with self._lock:
             backend = self._forest.backend
-            delta_keys = set(minus) | set(plus)
-            size_delta = sum(plus.values()) - sum(minus.values())
             touched: Set[str] = set()
-            for key in delta_keys:
-                holders = self._subscriptions.get(key)
-                if holders:
-                    touched.update(holders)
-            moved = bool(operations) and any(
-                isinstance(operation, Move) for operation in operations  # type: ignore[union-attr]
-            )
-            delta_hashes: Optional[Set[int]] = None
+            for delta in (minus, plus):
+                for key in delta:
+                    holders = self._subscriptions.get(key)
+                    if holders:
+                        touched.update(holders)
+            resized = sum(plus.values()) != sum(minus.values())
             for state in self._queries.values():
-                overlap_hit = state.query_id in touched
-                predicate_hit = False
-                if state.trigger_hashes:
-                    if moved:
-                        predicate_hit = True
-                    else:
-                        if delta_hashes is None:
-                            delta_hashes = {
-                                label_hash
-                                for key in delta_keys
-                                for label_hash in key
-                            }
-                        predicate_hit = not state.trigger_hashes.isdisjoint(
-                            delta_hashes
-                        )
-                if not overlap_hit and not predicate_hit:
-                    # No shared Δ-key: the overlap is unchanged.  The
-                    # distance can still move through the document size
-                    # — but only for documents with *some* overlap (the
-                    # zero-overlap distance is pinned at 1.0 for a
-                    # non-empty query bag).
-                    if size_delta == 0 or (
-                        state.qsize > 0
-                        and document_id not in state.overlaps
-                    ):
-                        self._m_skipped["delta_keys"].inc()
-                        continue
-                if overlap_hit:
-                    self._update_overlap(state, document_id, minus, plus)
-                if predicate_hit:
-                    state.pred_ok[document_id] = self._predicate_verdict(
-                        state, document_id
-                    )
-                if state.k is not None:
-                    self._m_evaluations.inc()
-                    self._diff_members(
-                        state, state.members, self._topk_select(state), seq, events
-                    )
-                    continue
-                was_member = document_id in state.members
-                if not was_member and not size_bound_admits(
-                    state.qsize, backend.tree_size(document_id), state.tau  # type: ignore[arg-type]
+                if (
+                    not resized
+                    and state.accept is None
+                    and state.query_id not in touched
                 ):
-                    # Admission veto before any distance arithmetic: the
-                    # sizes alone forbid distance < τ, and a non-member
-                    # that stays out produces no event.
+                    self._m_skipped["delta_keys"].inc()
+                    continue
+                retrieval = state.plan.retrieval
+                if isinstance(retrieval, ApproxLookup) and not (
+                    document_id in state.members
+                    or size_bound_admits(
+                        state.index.size(),
+                        backend.tree_size(document_id),
+                        retrieval.tau,
+                    )
+                ):
+                    # The sizes alone forbid distance < τ, and a
+                    # non-member that stays out produces no event.
                     self._m_skipped["size_bound"].inc()
                     continue
                 self._m_evaluations.inc()
-                self._rescore_doc(state, document_id, seq, events)
+                self._rescore(state, document_id, seq, events)
             self.batches_total += 1
             self._m_batches.inc()
         elapsed = time.perf_counter() - started
@@ -699,55 +557,36 @@ class StandingQueryEngine:
         return events
 
     # ------------------------------------------------------------------
-    # scoring internals
+    # scoring
     # ------------------------------------------------------------------
 
-    def _predicate_verdict(self, state: StandingQuery, document_id: int) -> bool:
-        assert self._documents is not None
-        tree = self._documents(document_id)
-        for predicate, negated in state.predicates:
-            if tree_matches(tree, predicate) == negated:
-                return False
-        return True
-
-    def _update_overlap(
-        self, state: StandingQuery, document_id: int, minus: Bag, plus: Bag
-    ) -> None:
-        """Fold the net delta into the cached overlap: for every shared
-        key, ``min(query cnt, new cnt) - min(query cnt, old cnt)`` with
-        the old count reconstructed from the (post-apply) backend bag
-        and the delta itself."""
-        bag = self._forest.backend.tree_bag(document_id)
-        overlap = state.overlaps.get(document_id, 0)
-        for key in (set(minus) | set(plus)) & state.keys:
-            query_count = state.qbag[key]
-            new_count = bag.get(key, 0)
-            old_count = new_count + minus.get(key, 0) - plus.get(key, 0)
-            overlap += min(query_count, new_count) - min(query_count, old_count)
-        if overlap:
-            state.overlaps[document_id] = overlap
-        else:
-            state.overlaps.pop(document_id, None)
-
-    def _distance(self, state: StandingQuery, document_id: int) -> float:
-        return distance_from_overlap(
-            state.overlaps.get(document_id, 0),
-            state.qsize + self._forest.backend.tree_size(document_id),
-        )
-
-    def _rescore_doc(
+    def _rescore(
         self,
         state: StandingQuery,
         document_id: int,
         seq: int,
         events: List[Notification],
     ) -> None:
-        """ApproxLookup: recompute one document's membership and emit
-        the difference."""
-        distance = self._distance(state, document_id)
-        admitted = distance < state.tau  # type: ignore[operator]
-        if admitted and state.predicates:
-            admitted = state.pred_ok.get(document_id, False)
+        """Bring one document's membership up to date and emit the
+        difference: a top-k set is re-run through the executor, a
+        τ-neighborhood re-scores the document alone."""
+        retrieval = state.plan.retrieval
+        if isinstance(retrieval, TopK):
+            self._diff_members(state, self._evaluate(state), seq, events)
+            return
+        backend = self._forest.backend
+        bag = backend.tree_bag(document_id)
+        overlap = 0
+        for key, count in state.index.items():
+            held = bag.get(key)
+            if held:
+                overlap += min(count, held)
+        distance = distance_from_overlap(
+            overlap, state.index.size() + backend.tree_size(document_id)
+        )
+        admitted = distance < retrieval.tau and (  # type: ignore[attr-defined]
+            state.accept is None or state.accept(document_id)
+        )
         previous = state.members.get(document_id)
         if admitted:
             state.members[document_id] = distance
@@ -765,59 +604,15 @@ class StandingQueryEngine:
                 Notification(state.query_id, document_id, LEAVE, distance, seq)
             )
 
-    def _topk_select(self, state: StandingQuery) -> Dict[int, float]:
-        """The executor's TopK selection over the cached state: sort by
-        ``(distance, id)``, truncate to k — zero-overlap documents sit
-        at exactly the no-overlap distance, so they only ever pad the
-        tail in id order."""
-        backend = self._forest.backend
-
-        def admitted(document_id: int) -> bool:
-            return not state.predicates or state.pred_ok.get(document_id, False)
-
-        if state.qsize == 0:
-            # Degenerate empty query bag: score everything explicitly.
-            scored = sorted(
-                (self._distance(state, document_id), document_id)
-                for document_id in self._docs
-                if admitted(document_id)
-            )
-            return {
-                document_id: distance
-                for distance, document_id in scored[: state.k]
-            }
-        top = sorted(
-            (self._distance(state, document_id), document_id)
-            for document_id in state.overlaps
-            if admitted(document_id)
-        )[: state.k]
-        missing = state.k - len(top)  # type: ignore[operator]
-        if missing > 0:
-            for document_id in sorted(self._docs):
-                if document_id in state.overlaps or not admitted(document_id):
-                    continue
-                top.append(
-                    (
-                        distance_from_overlap(
-                            0, state.qsize + backend.tree_size(document_id)
-                        ),
-                        document_id,
-                    )
-                )
-                missing -= 1
-                if missing == 0:
-                    break
-        return {document_id: distance for distance, document_id in top}
-
     def _diff_members(
         self,
         state: StandingQuery,
-        old: Dict[int, float],
         new: Dict[int, float],
         seq: int,
         events: List[Notification],
     ) -> None:
         """Replace the membership and emit the difference as events."""
+        old = state.members
         for document_id, distance in new.items():
             previous = old.get(document_id)
             if previous is None:

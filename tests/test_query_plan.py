@@ -536,3 +536,48 @@ def test_post_filter_walks_each_match_once(backend):
                 forest, And(ApproxLookup(query, tau), *predicates), documents=provider
             )
             assert calls == Counter(dict.fromkeys(scanned, 1)), (tau, predicates)
+
+
+@pytest.mark.parametrize("backend", ["compact", "memory"])
+def test_top_k_post_filter_stops_at_the_kth_match(backend):
+    """A ``TopK`` plan with predicates walks trees nearest first and
+    stops once k have passed: the provider is called once for each tree
+    of that prefix of the ``(distance, id)`` order and never for a tree
+    behind it.  ``population`` counts every tree the scan scored."""
+    collection = make_collection(40, seed=33)
+    forest = ForestIndex(CONFIG)
+    forest.add_trees(collection)
+    if backend == "compact":
+        forest.compact()
+    documents = dict(collection)
+    calls = Counter()
+
+    def provider(tree_id):
+        calls[tree_id] += 1
+        return documents[tree_id]
+
+    pool = predicate_pool(collection)
+    rng = random.Random(8)
+    walked_short = 0
+    for _ in range(16):
+        query = collection[rng.randrange(len(collection))][1]
+        ranked = sorted(
+            forest.distances(
+                PQGramIndex.from_tree(query, CONFIG, forest.hasher)
+            ).items(),
+            key=lambda pair: (pair[1], pair[0]),
+        )
+        k = rng.randint(1, 5)
+        plan = And(TopK(query, k), *rng.sample(pool, rng.randint(1, 2)))
+        calls.clear()
+        execution = execute_plan(forest, plan, documents=provider)
+        assert execution.matches == brute_force_plan(collection, plan)
+        assert execution.population == len(collection)
+        if len(execution.matches) == k:
+            last = ranked.index(execution.matches[-1])
+            prefix = [tree_id for tree_id, _ in ranked[: last + 1]]
+        else:
+            prefix = [tree_id for tree_id, _ in ranked]
+        assert calls == Counter(dict.fromkeys(prefix, 1)), plan
+        walked_short += len(prefix) < len(collection)
+    assert walked_short >= 4

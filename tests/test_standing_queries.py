@@ -21,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GramConfig
+from repro.datasets import dblp_tree
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.move import Move
+from repro.edits.ops import Rename
 from repro.errors import QueryError
 from repro.lookup.forest import ForestIndex
 from repro.query import And, ApproxLookup, HasLabel, HasPath, Not, TopK
@@ -303,8 +305,6 @@ def test_delta_key_prune_ledger_counts_skips(tmp_path):
         for node_id in stored.node_ids()
         if stored.label(node_id) == "c"
     )
-    from repro.edits.ops import Rename
-
     store.apply_edits(1, [Rename(leaf, "d")])
     registry = store.metrics_registry
     assert (
@@ -315,3 +315,65 @@ def test_delta_key_prune_ledger_counts_skips(tmp_path):
         ApproxLookup(tree_from_brackets("z(w,v)"), 0.4)
     ).matches
     store.close()
+
+
+DECODED = "store_documents_decoded_total"
+#: 240 DBLP-like records; the probe's τ-neighborhood holds 41 of them,
+#: and 3 of those carry the label the predicate asks for
+RECORDS = 240
+PROBE = dblp_tree(1, seed=7)
+PROBE_TAU, PROBE_LABEL = 0.7, "2005"
+PROBE_PLAN = And(ApproxLookup(PROBE, PROBE_TAU), HasLabel(PROBE_LABEL))
+
+
+def _reopened_records_store(directory):
+    store = DocumentStore(directory)
+    store.add_documents([(i, dblp_tree(1, seed=i)) for i in range(RECORDS)])
+    store.close()
+    return DocumentStore(directory, metrics=True)
+
+
+def test_a_predicate_subscribe_decodes_only_its_tau_matches(tmp_path):
+    """Subscribing a τ + predicate plan walks the predicate over the
+    τ-matches alone: every other document stays a record."""
+    store = _reopened_records_store(str(tmp_path / "store"))
+    registry = store.metrics_registry
+    near = store.lookup(PROBE, PROBE_TAU).tree_ids()
+    assert registry.counter_value(DECODED) == 0
+    matches = store.subscribe("watch", PROBE_PLAN)
+    assert 0 < len(matches) < len(near) < RECORDS // 2
+    assert registry.counter_value(DECODED) == len(near)
+    assert matches == store.query(PROBE_PLAN).matches
+    assert registry.counter_value(DECODED) == len(near)
+    store.close()
+
+
+def test_a_reopen_reconciles_a_predicate_subscription_decoding_its_matches(
+    tmp_path,
+):
+    """Reconciling a predicate subscription after WAL replay decodes
+    the τ-matches and the documents the WAL edits, nothing more — and
+    still emits the entry a swallowed edit made."""
+    directory = str(tmp_path / "store")
+    store = _reopened_records_store(directory)
+    store.subscribe("watch", PROBE_PLAN)
+    near = store.lookup(PROBE, PROBE_TAU).tree_ids()
+    members = dict(store.standing_matches("watch"))
+    entrant = next(i for i in near if i not in members)
+    outsider = next(i for i in range(RECORDS) if i not in near)
+    for document_id in (entrant, outsider):
+        tree = store.get_document(document_id)
+        year = next(n for n in tree.node_ids() if tree.label(n) == "year")
+        store.apply_edits(
+            document_id, [Rename(tree.children(year)[0], PROBE_LABEL)]
+        )
+    del store  # unclosed: the edits stay in the WAL
+    reopened = DocumentStore(directory, metrics=True)
+    registry = reopened.metrics_registry
+    matches = reopened.standing_matches("watch")
+    assert entrant in dict(matches)
+    assert registry.counter_value(DECODED) <= len(near) + 2
+    events = reopened.drain_notifications()
+    assert [(e.kind, e.document_id) for e in events] == [("enter", entrant)]
+    assert matches == reopened.query(PROBE_PLAN).matches
+    reopened.close()
