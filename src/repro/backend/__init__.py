@@ -9,11 +9,10 @@ without numpy — reads sweep the dicts, bit-identically
 (``tests/test_backend_conformance.py``).
 """
 
-from repro.backend.compact import Admit, Bag, CompactBackend, Key
+from repro.backend.compact import Bag, CompactBackend, Key
 
 __all__ = [
     "CompactBackend",
-    "Admit",
     "Bag",
     "Key",
 ]

@@ -24,16 +24,20 @@ construction over many maintenance batches.  Reads go through the two
 functions of :mod:`repro.perf.sweep` that combine a frozen base with
 an overlay: ``overlay_candidates`` and, for τ-lookups, ``tau_scan``.
 
-Until the first freeze — and always without numpy — reads sweep the
-dicts, and :meth:`freeze_view` without numpy copies them; results are
-bit-identical either way (``tests/test_backend_conformance.py``).
+Reads only sweep: :meth:`CompactBackend.candidates` returns the
+overlap of every co-occurring tree, and the executor
+(:mod:`repro.query.executor`) prunes and scores; ``tau_scan`` is the
+one read that does both, in array space.  Until the first freeze —
+and always without numpy — reads sweep the dicts with
+:func:`~repro.perf.sweep.sweep_dict`, and :meth:`freeze_view` without
+numpy copies them; results are bit-identical either way
+(``tests/test_backend_conformance.py``).
 """
 
 from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -50,6 +54,7 @@ from repro.perf.sweep import (
     TauScan,
     TreeMask,
     overlay_candidates,
+    sweep_dict,
     tau_scan,
 )
 
@@ -58,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Key = Tuple[int, ...]
 Bag = Dict[Key, int]
-Admit = Callable[[int], bool]
 
 
 class CompactBackend:
@@ -112,7 +116,7 @@ class CompactBackend:
         )
         self._m_candidates_emitted = registry.counter(
             "index_candidates_emitted_total",
-            "candidate trees emitted by sweeps (after any admit filter)",
+            "co-occurring trees found by sweeps",
         )
         self._m_deltas = registry.counter(
             "index_deltas_applied_total",
@@ -360,75 +364,27 @@ class CompactBackend:
     # read path
     # ------------------------------------------------------------------
 
-    def candidates(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit] = None,
-    ) -> Dict[int, int]:
+    def candidates(self, query_items: Iterable[Tuple[Key, int]]) -> Dict[int, int]:
         """``{tree_id: |I_query ∩ I_tree|}`` for all co-occurring trees.
 
         The inverted-list sweep behind every lookup: one pass over the
         query's distinct ``(key, count)`` pairs accumulates the bag
         intersection with every tree sharing at least one pq-gram.
-        ``admit`` is an optional per-tree predicate (the τ size bound);
-        when given, only admitted trees appear in the result — it may
-        be called any number of times per tree (callers memoize).
+        Nothing is pruned here — the executor applies the size bound.
         """
+        items = query_items if isinstance(query_items, list) else list(query_items)
         if self._frozen is not None:
-            intersections, keys_swept, postings_touched, overlay_keys = (
-                overlay_candidates(
-                    self._frozen, self._masked, self._overlay, query_items, admit
-                )
+            intersections, _, postings_touched, overlay_keys = overlay_candidates(
+                self._frozen, self._masked, self._overlay, items
             )
-            self._count_overlay(keys_swept, overlay_keys)
+            self._count_overlay(len(items), overlay_keys)
         else:
             intersections = {}
-            keys_swept, postings_touched = self._sweep_dicts(
-                query_items, admit, intersections
-            )
-        self._m_keys_swept.inc(keys_swept)
+            postings_touched = sweep_dict(self._inverted, items, intersections)[1]
+        self._m_keys_swept.inc(len(items))
         self._m_postings_touched.inc(postings_touched)
         self._m_candidates_emitted.inc(len(intersections))
         return intersections
-
-    def _sweep_dicts(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit],
-        intersections: Dict[int, int],
-    ) -> Tuple[int, int]:
-        """The sweep before the first freeze (and without numpy),
-        folding into ``intersections`` in place; returns ``(keys swept,
-        posting entries touched)``."""
-        inverted = self._inverted
-        keys_swept = 0
-        postings_touched = 0
-        if admit is None:
-            for key, query_count in query_items:
-                keys_swept += 1
-                postings = inverted.get(key)
-                if not postings:
-                    continue
-                postings_touched += len(postings)
-                for tree_id, count in postings.items():
-                    intersections[tree_id] = intersections.get(
-                        tree_id, 0
-                    ) + min(query_count, count)
-        else:
-            # The size filter gates the accumulation, so hopeless trees
-            # never even enter the intersection map.
-            for key, query_count in query_items:
-                keys_swept += 1
-                postings = inverted.get(key)
-                if not postings:
-                    continue
-                postings_touched += len(postings)
-                for tree_id, count in postings.items():
-                    if admit(tree_id):
-                        intersections[tree_id] = intersections.get(
-                            tree_id, 0
-                        ) + min(query_count, count)
-        return keys_swept, postings_touched
 
     def tau_scan(
         self,
@@ -438,9 +394,9 @@ class CompactBackend:
     ) -> Optional[TauScan]:
         """All trees with ``distance < tau``, scored in array space
         (:func:`repro.perf.sweep.tau_scan`), or None while nothing is
-        frozen — the caller then runs :meth:`candidates` with the size
-        bound as ``admit``, the reference both must agree with bit for
-        bit.  Needs ``query_size > 0`` and ``tau > 0``."""
+        frozen — the executor then scores :meth:`candidates` itself,
+        the reference both must agree with bit for bit.  Needs
+        ``query_size > 0`` and ``0 < tau ≤ 1``."""
         if self._frozen is None:
             return None
         scan = tau_scan(
@@ -453,7 +409,7 @@ class CompactBackend:
             tau,
         )
         self._count_overlay(scan.keys_swept, scan.overlay_keys)
-        self._m_candidates_emitted.inc(scan.scored)
+        self._m_candidates_emitted.inc(scan.candidates)
         return scan
 
     def _count_overlay(self, keys_swept: int, overlay_keys: int) -> None:

@@ -22,12 +22,14 @@ Two forms, chosen by whether numpy is installed:
 
 Every handle answers the same sweep bit-identically to the live
 relation at the pinned generation — the conformance and stress suites
-check this against a single-threaded replay.
+check this against a single-threaded replay.  A handle only sweeps:
+``candidates`` returns the overlap of every co-occurring tree, and the
+executor (:mod:`repro.query.executor`) prunes and scores.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.perf.sweep import (
     TauScan,
@@ -38,19 +40,6 @@ from repro.perf.sweep import (
 )
 
 Key = Tuple[int, ...]
-Admit = Callable[[int], bool]
-
-
-def _admit_filter(
-    intersections: Dict[int, int], admit: Optional[Admit]
-) -> Dict[int, int]:
-    if admit is None:
-        return intersections
-    return {
-        tree_id: shared
-        for tree_id, shared in intersections.items()
-        if admit(tree_id)
-    }
 
 
 class SnapshotHandle:
@@ -68,12 +57,9 @@ class SnapshotHandle:
         self.generation = -1
         self._sizes = sizes
 
-    def candidates(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit] = None,
-    ) -> Dict[int, int]:
-        """``{tree_id: |I_query ∩ I_tree|}`` at the pinned generation."""
+    def candidates(self, query_items: Iterable[Tuple[Key, int]]) -> Dict[int, int]:
+        """``{tree_id: |I_query ∩ I_tree|}`` of every co-occurring tree
+        at the pinned generation."""
         raise NotImplementedError
 
     def tau_scan(
@@ -115,14 +101,10 @@ class DictSnapshot(SnapshotHandle):
         super().__init__(sizes)
         self._inverted = inverted
 
-    def candidates(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit] = None,
-    ) -> Dict[int, int]:
+    def candidates(self, query_items: Iterable[Tuple[Key, int]]) -> Dict[int, int]:
         intersections: Dict[int, int] = {}
         sweep_dict(self._inverted, query_items, intersections)
-        return _admit_filter(intersections, admit)
+        return intersections
 
 
 class OverlaySnapshot(SnapshotHandle):
@@ -153,13 +135,9 @@ class OverlaySnapshot(SnapshotHandle):
         self._masked = masked
         self._overlay = overlay
 
-    def candidates(
-        self,
-        query_items: Iterable[Tuple[Key, int]],
-        admit: Optional[Admit] = None,
-    ) -> Dict[int, int]:
+    def candidates(self, query_items: Iterable[Tuple[Key, int]]) -> Dict[int, int]:
         return overlay_candidates(
-            self._frozen, self._masked, self._overlay, query_items, admit
+            self._frozen, self._masked, self._overlay, query_items
         )[0]
 
     def tau_scan(

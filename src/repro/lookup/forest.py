@@ -447,7 +447,6 @@ class ForestIndex:
         tau: Optional[float] = None,
         *,
         reader: "Optional[CompactBackend | SnapshotHandle]" = None,
-        prefilter: Optional[Callable[[int], bool]] = None,
     ) -> Dict[int, float]:
         """pq-gram distances of the query index against the forest.
 
@@ -471,19 +470,12 @@ class ForestIndex:
         default — single-threaded behaviour, unchanged) or an immutable
         :class:`~repro.concurrency.snapshot.SnapshotHandle` from
         :meth:`read_view`, so serving threads scan a frozen generation
-        while writers mutate the live relation.
-
-        ``prefilter`` is an optional per-tree admission predicate:
-        rejected trees are pruned before scoring and land in the pruned
-        side of the candidates ledger.  Any prefilter routes the scan
-        through the per-tree ``candidates(admit=)`` path, the reference
-        the array-space scan must equal.
+        while writers mutate the live relation.  It never compacts: a
+        forest no read froze sweeps its dicts.
 
         The scan itself lives in :func:`repro.query.executor.scan_distances`
         — this method is the stable facade over it.
         """
         from repro.query.executor import scan_distances
 
-        return scan_distances(
-            self, query, tau=tau, reader=reader, prefilter=prefilter
-        )
+        return scan_distances(self, query, tau=tau, reader=reader)

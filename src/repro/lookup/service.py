@@ -11,6 +11,12 @@ two modes, mirroring the two arms of the Fig. 13 (left) experiment:
   index is built on the fly before the distances can be computed, so
   cost grows with the total collection size (this construction is
   "clearly the most expensive operation in the lookup process").
+
+One setting picks how indexed lookups read the forest:
+``snapshot_reads`` (serving mode, which a document store turns on when
+it has ``serve_threads``) scans immutable per-generation read views
+and caches results per generation; without it, lookups compact and
+scan the live relation.  The cache sizes are class constants.
 """
 
 from __future__ import annotations
@@ -52,11 +58,14 @@ class LookupResult:
 class LookupService:
     """Approximate lookups with or without a precomputed index.
 
-    The service memoizes the query's pq-gram index in a small LRU keyed
-    by the query's fingerprint (:meth:`_query_bag`) — repeated lookups of
-    the same document (polling dashboards, paginated clients) skip the
-    index construction entirely — and, when numpy is available, keeps
-    the forest's array-backed postings snapshot warm for the sweep.
+    The service memoizes the query's pq-gram index in an LRU of
+    :attr:`QUERY_CACHE_SIZE` entries keyed by the query's fingerprint
+    (:meth:`_query_bag`) — repeated lookups of the same document
+    (polling dashboards, paginated clients) skip the index construction
+    entirely — and, when numpy is available, keeps the forest's
+    array-backed postings snapshot warm for the sweep: every live-mode
+    lookup calls ``forest.compact()``, which freezes the CSR once and
+    afterwards re-freezes it only past the overlay threshold.
 
     ``snapshot_reads=True`` switches the service into serving mode:
     every lookup scans an immutable per-generation
@@ -64,35 +73,31 @@ class LookupService:
     :meth:`ForestIndex.read_view` instead of the live backend, so
     reader threads never block on concurrent ``apply_edits`` (at worst
     they serve the previous generation — the ``reader_generation_lag``
-    gauge records by how much).  The generation stamp also keys a small
-    result cache: repeated identical queries between two commits are
-    answered without re-scanning, and one committed batch invalidates
-    them all at once — per generation, not per call.  Serving mode
-    skips the per-lookup ``auto_compact`` poke: the first read view
-    freezes the CSR, and the document store's background refreeze
-    worker re-freezes it afterwards.
+    gauge records by how much).  The generation stamp also keys a
+    result cache of :attr:`RESULT_CACHE_SIZE` entries: repeated
+    identical queries between two commits are answered without
+    re-scanning, and one committed batch invalidates them all at once
+    — per generation, not per call.  Serving mode never compacts: the
+    first read view freezes the CSR, and the document store's
+    background refreeze worker re-freezes it afterwards.
     """
 
-    def __init__(
-        self,
-        forest: ForestIndex,
-        query_cache_size: int = 64,
-        auto_compact: bool = True,
-        snapshot_reads: bool = False,
-        result_cache_size: int = 128,
-    ) -> None:
+    #: query pq-gram bags the LRU keeps
+    QUERY_CACHE_SIZE = 64
+    #: executed plans the per-generation result cache keeps (serving mode)
+    RESULT_CACHE_SIZE = 128
+
+    def __init__(self, forest: ForestIndex, snapshot_reads: bool = False) -> None:
         self.forest = forest
         self._query_cache: "OrderedDict[tuple, PQGramIndex]" = OrderedDict()
-        self._query_cache_size = max(0, query_cache_size)
-        self._auto_compact = auto_compact
         self._snapshot_reads = snapshot_reads
-        # (fingerprint, p, q, tau, generation) → sorted matches; only
-        # consulted in serving mode, where the generation stamp makes
-        # the entries immutable facts.
-        self._result_cache: "OrderedDict[tuple, List[Tuple[int, float]]]" = (
-            OrderedDict()
-        )
-        self._result_cache_size = max(0, result_cache_size)
+        # (plan fingerprint, p, q, generation) → (matches, population);
+        # only consulted in serving mode, where the generation stamp
+        # makes the entries immutable facts.  The matches are a tuple:
+        # every caller gets a list of its own.
+        self._result_cache: (
+            "OrderedDict[tuple, Tuple[Tuple[Tuple[int, float], ...], int]]"
+        ) = OrderedDict()
         self._cache_mutex = threading.Lock()
         self.query_cache_hits = 0
         self.query_cache_misses = 0
@@ -161,34 +166,27 @@ class LookupService:
 
     def query_index(self, query: "Tree | str") -> PQGramIndex:
         """The query's pq-gram index, via the LRU."""
-        return self._query_bag(query, self._query_cache_size > 0)[0]
+        return self._query_bag(query)[0]
 
-    def _query_bag(
-        self, query: "Tree | str", keyed: bool
-    ) -> "Tuple[PQGramIndex, Optional[int | bytes]]":
+    def _query_bag(self, query: "Tree | str") -> "Tuple[PQGramIndex, int | bytes]":
         """The retrieval query as ``(pq-gram bag, cache key)``.
 
         Bracket text is scanned straight into the bag and keyed by a
         16-byte digest of the text — never the text itself, or the LRU
         would pin whole request frames; a ``Tree`` is walked and keyed
         by its structural fingerprint.  Two spellings of one tree key
-        apart and match alike.  ``keyed=False`` skips the key and the
-        LRU it would be looked up in.  The LRU is guarded by a mutex —
+        apart and match alike.  The LRU is guarded by a mutex —
         serving mode runs this from many reader threads, and an
         OrderedDict reorder is not atomic.
         """
         config, hasher = self.forest.config, self.forest.hasher
         is_text = isinstance(query, str)
         build = PQGramIndex.from_brackets if is_text else PQGramIndex.from_tree
-        if not keyed:
-            return build(query, config, hasher), None
         fingerprint = (
             hashlib.blake2b(query.encode("utf-8"), digest_size=16).digest()
             if is_text
             else tree_fingerprint(query)
         )
-        if self._query_cache_size == 0:
-            return build(query, config, hasher), fingerprint
         key = (fingerprint, config.p, config.q)
         with self._cache_mutex:
             cached = self._query_cache.get(key)
@@ -202,7 +200,7 @@ class LookupService:
         index = build(query, config, hasher)
         with self._cache_mutex:
             self._query_cache[key] = index
-            if len(self._query_cache) > self._query_cache_size:
+            if len(self._query_cache) > self.QUERY_CACHE_SIZE:
                 self._query_cache.popitem(last=False)
         return index, fingerprint
 
@@ -229,14 +227,10 @@ class LookupService:
         mode the scan runs against a pinned read view and the result is
         cached per ``(plan fingerprint, generation)``.
         """
-        caching_results = self._snapshot_reads and self._result_cache_size > 0
         # One fingerprint keys both caches.
-        query_index, fingerprint = self._query_bag(
-            query, bool(self._query_cache_size or caching_results)
-        )
+        query_index, fingerprint = self._query_bag(query)
         if not self._snapshot_reads:
-            if self._auto_compact:
-                self.forest.compact()
+            self.forest.compact()
             execution = execute_plan(
                 self.forest, plan, query_index=query_index, documents=documents
             )
@@ -245,22 +239,20 @@ class LookupService:
         self._m_generation_lag.set(
             max(0, self.forest.generation - view.generation)
         )
-        key = None
-        if caching_results:
-            key = (
-                plan_fingerprint(plan, fingerprint),
-                self.forest.config.p,
-                self.forest.config.q,
-                view.generation,
-            )
-            with self._cache_mutex:
-                hit = self._result_cache.get(key)
-                if hit is not None:
-                    self._result_cache.move_to_end(key)
+        key = (
+            plan_fingerprint(plan, fingerprint),
+            self.forest.config.p,
+            self.forest.config.q,
+            view.generation,
+        )
+        with self._cache_mutex:
+            hit = self._result_cache.get(key)
             if hit is not None:
-                self._m_result_hits.inc()
-                matches, population = hit
-                return list(matches), population
+                self._result_cache.move_to_end(key)
+        if hit is not None:
+            self._m_result_hits.inc()
+            matches, population = hit
+            return list(matches), population
         execution = execute_plan(
             self.forest,
             plan,
@@ -268,11 +260,13 @@ class LookupService:
             reader=view,
             documents=documents,
         )
-        if key is not None:
-            with self._cache_mutex:
-                self._result_cache[key] = (execution.matches, execution.population)
-                while len(self._result_cache) > self._result_cache_size:
-                    self._result_cache.popitem(last=False)
+        with self._cache_mutex:
+            self._result_cache[key] = (
+                tuple(execution.matches),
+                execution.population,
+            )
+            while len(self._result_cache) > self.RESULT_CACHE_SIZE:
+                self._result_cache.popitem(last=False)
         return execution.matches, execution.population
 
     def lookup(self, query: "Tree | str", tau: float) -> LookupResult:

@@ -1,8 +1,9 @@
 """Array-backed inverted postings for the forest lookup sweep.
 
-The reference sweep in :meth:`repro.lookup.forest.ForestIndex.distances`
-walks ``pqg → {treeId: cnt}`` dicts and accumulates per-tree bag
-overlaps one ``min()`` at a time.  :class:`CompactPostings` freezes the
+The dict sweep (:func:`sweep_dict`, what a relation reads before its
+first freeze and always without numpy) walks ``pqg → {treeId: cnt}``
+dicts and accumulates per-tree bag overlaps one ``min()`` at a time.
+:class:`CompactPostings` freezes the
 same postings into one CSR-style pair of arrays — all posting (tree
 slot, cnt) entries back to back, plus a ``key → (start, end)`` span
 map — so a whole query accumulates the posting lists of all its keys
@@ -20,14 +21,14 @@ and overlay, for the live relation and every read view that holds one:
 :func:`tau_scan`, the τ-lookup in array space from end to end (sweep,
 size bound, distance and ``< tau`` are vector expressions over one slot
 accumulator; Python objects exist only for the matches), and
-:func:`overlay_candidates`, its dict-space twin behind ``candidates()``
-and the reference it is tested against.
+:func:`overlay_candidates`, the plain sweep behind ``candidates()``.
+The executor's scorer over ``overlay_candidates`` is the reference
+``tau_scan`` is tested against.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -254,14 +255,13 @@ def overlay_candidates(
     masked: TreeMask,
     overlay: Mapping[Key, Mapping[int, int]],
     query_items: Iterable[Tuple[Key, int]],
-    admit: Optional[Callable[[int], bool]] = None,
 ) -> Tuple[Dict[int, int], int, int, int]:
-    """The candidate sweep over a frozen base and its overlay, in dict
-    space — the reference :func:`tau_scan` must equal.
+    """The candidate sweep over a frozen base and its overlay: the
+    overlap of every co-occurring tree.
 
     Sweeps every query key through ``frozen`` (anything with ``sweep``
-    and ``last_touched``), drops the masked trees, folds the overlay in
-    (masked trees only, so a plain addition) and applies ``admit``:
+    and ``last_touched``), drops the masked trees and folds the overlay
+    in (masked trees only, so a plain addition):
     ``(overlaps, keys swept, postings touched, keys that met the overlay)``.
     """
     items = query_items if isinstance(query_items, list) else list(query_items)
@@ -275,12 +275,6 @@ def overlay_candidates(
         touched -= sum(counts.get(key, 0) for key, _ in items)
         overlay_keys, overlay_touched = sweep_dict(overlay, items, merged)
         touched += overlay_touched
-    if admit is not None:
-        merged = {
-            tree_id: shared
-            for tree_id, shared in merged.items()
-            if admit(tree_id)
-        }
     return merged, len(items), touched, overlay_keys
 
 
@@ -331,11 +325,11 @@ def tau_scan(
     freeze have no slot and go to a side dict.  The size bound, the
     distance and the threshold then run as the vector twins of
     :mod:`repro.core.distance` over the non-zero slots, so the result
-    and the ``candidates = pruned + scored`` ledger equal what
-    :func:`overlay_candidates` with the size bound as ``admit``
-    computes one tree at a time, bit for bit.  Needs ``query_size > 0``
-    and ``tau > 0`` (the executor answers the degenerate cases before
-    any sweep).
+    and the ``candidates = pruned + scored`` ledger equal what the
+    executor's scorer (``repro.query.executor._score``) computes one
+    tree at a time over :func:`overlay_candidates`, bit for bit.  Needs
+    ``query_size > 0`` and ``0 < tau ≤ 1`` (the executor scores every
+    other case itself).
     """
     items = query_items if isinstance(query_items, list) else list(query_items)
     acc = _np.zeros(len(frozen.tree_ids), dtype=_np.int64)

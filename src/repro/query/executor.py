@@ -2,10 +2,10 @@
 
 Two entry points:
 
-- :func:`scan_distances` — the distance scan that used to live inline
-  in ``ForestIndex.distances`` (τ push-down, size-bound pruning, the
-  pruned-vs-scored metrics ledger), extended with an optional per-tree
-  ``prefilter``.  ``ForestIndex.distances`` is now a thin delegate.
+- :func:`scan_distances` — the distance scan behind
+  ``ForestIndex.distances``: τ push-down, size-bound pruning, scoring
+  and the pruned-vs-scored metrics ledger, in one place.  Readers
+  (the live backend, a snapshot view) only sweep.
 - :func:`execute_plan` — run a logical :mod:`repro.query.plan` against
   a forest.  Structural predicates post-filter the retrieval result by
   walking the source documents of the trees the τ-scan returned (for
@@ -26,6 +26,7 @@ would tax the hot sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
@@ -56,13 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lookup.forest import ForestIndex
     from repro.tree.tree import Tree
 
-Prefilter = Callable[[int], bool]
+#: a per-tree verdict: True keeps the tree
+TreeFilter = Callable[[int], bool]
 #: resolves a tree id to its document tree (the structural post-filter)
 DocumentProvider = Callable[[int], "Tree"]
 
 
 # ----------------------------------------------------------------------
-# the distance scan (moved here from ForestIndex.distances)
+# the distance scan
 # ----------------------------------------------------------------------
 
 
@@ -72,142 +74,91 @@ def scan_distances(
     tau: Optional[float] = None,
     *,
     reader: "Optional[CompactBackend | SnapshotHandle]" = None,
-    prefilter: Optional[Prefilter] = None,
 ) -> Dict[int, float]:
     """pq-gram distances of ``query`` against the forest.
 
     Without ``tau``: the distance to every indexed tree.  With ``tau``:
     exactly the trees with ``distance < tau``, the threshold pushed
-    into the sweep (size-bound pruning for τ ≤ 1).  ``prefilter`` is an
-    optional per-tree admission predicate — trees it rejects are
-    pruned *before scoring* and land in the pruned side of the
-    candidates ledger (``lookup_candidates_total`` stays the exact sum
-    of pruned + scored in every mode).  ``reader`` selects the live
-    backend (default) or an immutable snapshot view.
+    into the scan.  ``reader`` selects the live backend (default) or an
+    immutable snapshot view.  Readers only sweep: the size bound and
+    the distances are applied here — by the reader's array-space
+    :meth:`tau_scan` where it offers one, otherwise by :func:`_score` —
+    and every tree considered lands in the candidates ledger
+    (``lookup_candidates_total`` = pruned + scored).
     """
     if reader is None:
         reader = forest.backend
     query_size = query.size()
     forest._m_lookups.inc()
     with forest.metrics.span("lookup.distances"):
-        if tau is None:
-            return _distances_full(forest, query, query_size, reader, prefilter)
-        if tau > 1.0:
-            # Every tree qualifies at most at the no-overlap distance
-            # 1.0 < tau: nothing can be pruned by the size bound.
-            full = _distances_full(forest, query, query_size, reader, prefilter)
-            result = {
-                tree_id: distance
-                for tree_id, distance in full.items()
-                if distance < tau
-            }
+        if tau is not None and tau <= 0.0:
+            result: Dict[int, float] = {}  # distance < tau ≤ 0 is impossible
         else:
-            result = _distances_pruned(
-                forest, query, query_size, tau, reader, prefilter
-            )
-        forest._m_matches.inc(len(result))
+            scan = None
+            if tau is not None and tau <= 1.0 and query_size:
+                scan = reader.tau_scan(query.items(), query_size, tau)
+            if scan is None:
+                result = _score(forest, query, query_size, tau, reader)
+            else:
+                forest._m_keys_swept.inc(scan.keys_swept)
+                forest._m_postings_touched.inc(scan.postings_touched)
+                _count_candidates(forest, scan.pruned, scan.scored)
+                result = scan.matches
+        if tau is not None:
+            forest._m_matches.inc(len(result))
         return result
 
 
-def _distances_full(
+def _score(
     forest: "ForestIndex",
     query: PQGramIndex,
     query_size: int,
+    tau: Optional[float],
     reader: "CompactBackend | SnapshotHandle",
-    prefilter: Optional[Prefilter],
 ) -> Dict[int, float]:
-    intersections = reader.candidates(query.items())
+    """One sweep, then the size bound and the distance of every tree
+    the threshold leaves in play: the scorer of every reader without
+    an array form, and the reference :meth:`tau_scan` equals bit for
+    bit.
+
+    A tree sharing no pq-gram with the query is at distance 1 (0 when
+    both bags are empty), so for ``tau ≤ 1`` only the co-occurring
+    trees can match — for an empty query, only the empty trees; with
+    no ``tau`` or ``tau > 1`` every tree is scored.
+    """
+    overlaps = reader.candidates(query.items())
+    limit = math.inf if tau is None else tau
+    # Above 1 every distance (at most 1) is under the limit: every tree
+    # is scored, and the size bound could prune none.
+    bounded = limit <= 1.0
+    trees: Iterable[Tuple[int, int]]
+    if not bounded:
+        trees = reader.iter_sizes()
+    elif query_size:
+        trees = ((tree_id, reader.tree_size(tree_id)) for tree_id in overlaps)
+    else:
+        trees = ((tree_id, size) for tree_id, size in reader.iter_sizes() if not size)
     result: Dict[int, float] = {}
-    pruned = 0
-    for tree_id, size in reader.iter_sizes():
-        if prefilter is not None and not prefilter(tree_id):
+    pruned = scored = 0
+    for tree_id, size in trees:
+        if bounded and not size_bound_admits(query_size, size, limit):
             pruned += 1
             continue
-        result[tree_id] = distance_from_overlap(
-            intersections.get(tree_id, 0), query_size + size
-        )
-    # The full scan scores every admitted tree; only prefilter
-    # rejections are pruned.
-    forest._m_candidates_total.inc(len(result) + pruned)
-    if pruned:
-        forest._m_candidates_pruned.inc(pruned)
-    forest._m_candidates_scored.inc(len(result))
-    return result
-
-
-def _distances_pruned(
-    forest: "ForestIndex",
-    query: PQGramIndex,
-    query_size: int,
-    tau: float,
-    reader: "CompactBackend | SnapshotHandle",
-    prefilter: Optional[Prefilter],
-) -> Dict[int, float]:
-    result: Dict[int, float] = {}
-    if tau <= 0.0:
-        return result  # distance < tau ≤ 0 is impossible
-    backend = reader
-    if query_size == 0:
-        # Degenerate empty query: distance 0 to empty trees (never
-        # in any posting list), 1 to everything else.
-        pruned = 0
-        for tree_id, size in backend.iter_sizes():
-            if size == 0:
-                if prefilter is not None and not prefilter(tree_id):
-                    pruned += 1
-                    continue
-                result[tree_id] = 0.0
-        forest._m_candidates_total.inc(len(result) + pruned)
-        if pruned:
-            forest._m_candidates_pruned.inc(pruned)
-        forest._m_candidates_scored.inc(len(result))
-        return result
-    if prefilter is None:
-        # A reader holding a frozen array form answers sweep, size
-        # bound, distance and threshold in array space; the per-tree
-        # path below is the reference it equals bit for bit, and the
-        # only one for every other reader and for a prefilter.
-        scan = backend.tau_scan(query.items(), query_size, tau)
-        if scan is not None:
-            forest._m_keys_swept.inc(scan.keys_swept)
-            forest._m_postings_touched.inc(scan.postings_touched)
-            forest._m_candidates_total.inc(scan.candidates)
-            forest._m_candidates_pruned.inc(scan.pruned)
-            forest._m_candidates_scored.inc(scan.scored)
-            return scan.matches
-    # The τ size bound (and any prefilter), memoized per tree so
-    # backends may consult it as often as their sweep shape requires.
-    # The cheap size bound runs first; the prefilter only runs on
-    # trees the threshold could admit at all.
-    admitted: Dict[int, bool] = {}
-
-    def admit(tree_id: int) -> bool:
-        verdict = admitted.get(tree_id)
-        if verdict is None:
-            verdict = size_bound_admits(
-                query_size, backend.tree_size(tree_id), tau
-            )
-            if verdict and prefilter is not None:
-                verdict = prefilter(tree_id)
-            admitted[tree_id] = verdict
-        return verdict
-
-    candidates = backend.candidates(query.items(), admit=admit)
-    for tree_id, shared in candidates.items():
+        scored += 1
         distance = distance_from_overlap(
-            shared, query_size + backend.tree_size(tree_id)
+            overlaps.get(tree_id, 0), query_size + size
         )
-        if distance < tau:
+        if distance < limit:
             result[tree_id] = distance
-    # The admission memo saw every co-occurring tree exactly once
-    # (backends may re-ask; the memo de-duplicates), so it is the
-    # exact pruning ledger: total = pruned + scored.
-    if forest.metrics.enabled:
-        pruned = sum(1 for verdict in admitted.values() if not verdict)
-        forest._m_candidates_total.inc(len(admitted))
-        forest._m_candidates_pruned.inc(pruned)
-        forest._m_candidates_scored.inc(len(candidates))
+    _count_candidates(forest, pruned, scored)
     return result
+
+
+def _count_candidates(forest: "ForestIndex", pruned: int, scored: int) -> None:
+    """The candidates ledger of one scan: total = pruned + scored."""
+    forest._m_candidates_total.inc(pruned + scored)
+    forest._m_candidates_pruned.inc(pruned)
+    forest._m_candidates_scored.inc(scored)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +177,7 @@ class Execution:
 
 def _document_filter(
     predicates, documents: Optional[DocumentProvider]
-) -> Prefilter:
+) -> TreeFilter:
     if documents is None:
         raise QueryError(
             "plan has structural predicates, but no document provider "

@@ -66,7 +66,7 @@ from repro.edits.ops import EditOperation
 from repro.errors import QueryError
 from repro.lookup.forest import ForestIndex
 from repro.obsv.metrics import MetricsRegistry, resolve_registry
-from repro.query.executor import Prefilter, _document_filter, execute_plan
+from repro.query.executor import TreeFilter, _document_filter, execute_plan
 from repro.query.plan import (
     ApproxLookup,
     HasLabel,
@@ -116,7 +116,7 @@ class StandingQuery:
         query_id: str,
         plan: NormalizedPlan,
         index: PQGramIndex,
-        accept: Optional[Prefilter],
+        accept: Optional[TreeFilter],
         listener: Optional[Listener],
     ) -> None:
         self.query_id = query_id

@@ -29,6 +29,7 @@ from repro.datasets import dblp_tree, random_labelled_tree
 from repro.edits import apply_script
 from repro.errors import StorageError
 from repro.lookup import ForestIndex, LookupService
+from repro.query import ApproxLookup, execute_plan
 from repro.serve import FrontDoor, ServeClient, serve_in_thread
 from repro.serve.server import INLINE_FRAME_BYTES
 from repro.service import DocumentStore
@@ -284,12 +285,11 @@ class TestBackendConformance:
         assert_store_is_rebuild(reopened)
         if name in VIEW_ROWS:
             assert_view_equivalent(reopened._forest, reference)
-        service = LookupService(reference, auto_compact=False)
         for tau in TAUS:
             query = documents[min(documents)]
             assert (
                 reopened.lookup(query, tau).matches
-                == service.lookup(query, tau).matches
+                == execute_plan(reference, ApproxLookup(query, tau)).matches
             )
 
     def test_long_wal_recovers_to_a_rebuild(self, name, kwargs, tmp_path):
@@ -564,7 +564,7 @@ class TestCompactOverlayStaleness:
         or a build worker count."""
         import repro.backend
 
-        assert repro.backend.__all__ == ["CompactBackend", "Admit", "Bag", "Key"]
+        assert repro.backend.__all__ == ["CompactBackend", "Bag", "Key"]
         assert isinstance(ForestIndex().backend, CompactBackend)
         home = str(tmp_path / "x")
         for keyword, value in (

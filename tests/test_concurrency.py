@@ -240,19 +240,27 @@ def test_freeze_view_pins_generation(name, factory, monkeypatch):
 
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
 def test_freeze_view_admit_filter(name, factory, monkeypatch):
-    forest, _ = _populated_forest(lambda forest: factory(forest, monkeypatch))
+    """A view sweeps what the live backend sweeps at freeze time: the
+    overlap of every tree sharing a pq-gram with the query, none
+    filtered out (the id names the ``admit`` callback ``candidates``
+    once took)."""
+    forest, built = _populated_forest(lambda forest: factory(forest, monkeypatch))
     forest.compact()
+    edited, log = apply_script(
+        built[2], EditScriptGenerator(rng=random.Random(5)).generate(built[2], 4)
+    )
+    forest.update_tree(2, edited, log)  # an overlay over a frozen base
     view = forest.read_view()
     query = PQGramIndex.from_tree(
         build_random_tree(15, 99), forest.config, forest.hasher
     )
-    admit = lambda tree_id: tree_id % 2 == 0  # noqa: E731 - tiny test predicate
-    filtered = view.candidates(query.items(), admit)
-    unfiltered = view.candidates(query.items())
-    assert filtered == {
-        tree_id: shared
-        for tree_id, shared in unfiltered.items()
-        if tree_id % 2 == 0
+    live = forest.backend.candidates(query.items())
+    assert view.candidates(query.items()) == live
+    keys = {key for key, _ in query.items()}
+    assert set(live) == {
+        tree_id
+        for tree_id in forest.tree_ids()
+        if keys & {key for key, _ in forest.index_of(tree_id).items()}
     }
 
 

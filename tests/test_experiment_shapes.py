@@ -36,7 +36,7 @@ def _labels_hashed(*hashers):
 
 
 @pytest.fixture
-def on_the_fly():
+def on_the_fly(monkeypatch):
     """A collection, its forest behind a service with the query-index
     LRU off, and the work of one lookup *without* the index: labels
     hashed by the hashers it creates, pq-grams it produces, and the bag
@@ -46,7 +46,8 @@ def on_the_fly():
     registry = MetricsRegistry()
     forest = ForestIndex(CONFIG, metrics=registry)
     forest.add_trees(collection)
-    service = LookupService(forest, query_cache_size=0)
+    monkeypatch.setattr(LookupService, "QUERY_CACHE_SIZE", 0)
+    service = LookupService(forest)
     query = collection[3][1]
     hashers = []
 

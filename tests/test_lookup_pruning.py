@@ -18,6 +18,8 @@ from repro.edits import apply_script
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
+from repro.query import scan_distances
+from repro.service import DocumentStore
 from repro.tree import Tree
 
 from benchmarks.dblp_workloads import dblp_update_script
@@ -74,8 +76,9 @@ class TestPrunedLookupParity:
     def test_pruned_equals_full_filter(self):
         """distances(query, tau) == filter(distances(query))."""
         forest, collection = random_forest(10, seed=42)
-        service = LookupService(forest, auto_compact=False)
-        query_index = service.query_index(collection[3][1])
+        query_index = PQGramIndex.from_tree(
+            collection[3][1], forest.config, forest.hasher
+        )
         full = forest.distances(query_index)
         for tau in TAUS + (0.0, 1.05, 2.0):
             expected = {
@@ -134,13 +137,14 @@ def ledger_of(forest, scan, names=LEDGER):
 
 
 def assert_scan_equals_reference(forest, query_index, kernel_expected):
-    """The array-space scan and the ``candidates(admit=)`` reference
-    agree on the same forest — matches bit for bit, ledger to the
-    count — for the live backend and for a read view.  An always-true
-    prefilter is what routes a scan through the reference path; on the
-    live backend that path counts its own sweep volume, so the keys
-    swept and postings touched are compared there too (a view's
-    ``candidates`` carries no instruments)."""
+    """The array-space scan and the executor's scorer over
+    ``candidates`` agree on the same forest — matches bit for bit,
+    ledger to the count — for the live backend and for a read view.
+    The reader's class is patched to offer no ``tau_scan``, which routes
+    the same reader state through the scorer; on the live backend that
+    path counts its own sweep volume, so the keys swept and postings
+    touched are compared there too (a view's ``candidates`` carries no
+    instruments)."""
     view = forest.read_view()
     for reader in (None, view):
         offered = (reader or forest.backend).tau_scan(
@@ -154,16 +158,19 @@ def assert_scan_equals_reference(forest, query_index, kernel_expected):
                 lambda: forest.distances(query_index, tau=tau, reader=reader),
                 names,
             )
-            reference = ledger_of(
-                forest,
-                lambda: forest.distances(
-                    query_index,
-                    tau=tau,
-                    reader=reader,
-                    prefilter=lambda tree_id: True,
-                ),
-                names,
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    type(reader or forest.backend),
+                    "tau_scan",
+                    lambda self, *args: None,
+                )
+                reference = ledger_of(
+                    forest,
+                    lambda: forest.distances(
+                        query_index, tau=tau, reader=reader
+                    ),
+                    names,
+                )
             assert scanned == reference, (tau, reader)
             assert [d.hex() for d in scanned[0].values()] == [
                 reference[0][tree_id].hex() for tree_id in scanned[0]
@@ -453,9 +460,10 @@ class TestQueryCache:
         service.lookup(copy.deepcopy(query), tau=0.8)
         assert service.query_cache_hits == 2
 
-    def test_cache_eviction_lru(self):
+    def test_cache_eviction_lru(self, monkeypatch):
+        monkeypatch.setattr(LookupService, "QUERY_CACHE_SIZE", 2)
         forest, collection = random_forest(4, seed=12)
-        service = LookupService(forest, query_cache_size=2)
+        service = LookupService(forest)
         a, b, c = (collection[i][1] for i in range(3))
         service.lookup(a, 0.8)
         service.lookup(b, 0.8)
@@ -466,14 +474,19 @@ class TestQueryCache:
         service.lookup(a, 0.8)
         assert service.query_cache_hits == 1
 
-    def test_cache_disabled(self):
+    def test_cache_disabled(self, monkeypatch):
+        """An LRU of size 0 keeps nothing: every lookup is a miss and
+        still answers."""
+        monkeypatch.setattr(LookupService, "QUERY_CACHE_SIZE", 0)
         forest, collection = random_forest(3, seed=13)
-        service = LookupService(forest, query_cache_size=0)
+        service = LookupService(forest)
         query = collection[0][1]
-        service.lookup(query, 0.8)
-        service.lookup(query, 0.8)
+        first = service.lookup(query, 0.8)
+        second = service.lookup(query, 0.8)
         assert service.query_cache_hits == 0
-        assert service.query_cache_misses == 0
+        assert service.query_cache_misses == 2
+        assert second.matches == first.matches
+        assert not service._query_cache
 
     def test_nearest_uses_cache(self):
         forest, collection = random_forest(5, seed=14)
@@ -483,6 +496,57 @@ class TestQueryCache:
         result = service.nearest(query, k=2)
         assert service.query_cache_hits == 1
         assert result.matches[0][0] == 1
+
+    @pytest.mark.parametrize("reader", ["service", "store"])
+    def test_served_matches_are_the_callers_own(self, reader, tmp_path):
+        """Serving mode caches results per generation; a caller that
+        edits the matches it was handed — on the miss that filled the
+        cache or on a hit — changes no later answer."""
+        forest, collection = random_forest(12, seed=15)
+        if reader == "service":
+            served = LookupService(forest, snapshot_reads=True)
+        else:
+            served = DocumentStore(
+                str(tmp_path / "store"), forest.config, serve_threads=1
+            )
+            served.add_documents(collection)
+        query = collection[4][1]
+        try:
+            first = served.lookup(query, 0.9)
+            expected = list(first.matches)
+            assert expected
+            first.matches.clear()
+            second = served.lookup(query, 0.9)
+            assert second.matches == expected
+            second.matches.append((99, 0.0))
+            assert served.lookup(query, 0.9).matches == expected
+        finally:
+            if reader == "store":
+                served.close()
+
+
+def test_removed_keywords_raise_type_error():
+    """The read path takes no admission callback, no prefilter and no
+    per-service cache or compaction options."""
+    forest, collection = random_forest(4, seed=16)
+    forest.compact()
+    query = PQGramIndex.from_tree(collection[0][1], forest.config, forest.hasher)
+    for keyword, value in (
+        ("query_cache_size", 0),
+        ("auto_compact", False),
+        ("result_cache_size", 0),
+    ):
+        with pytest.raises(TypeError):
+            LookupService(forest, **{keyword: value})
+    with pytest.raises(TypeError):
+        forest.distances(query, 0.5, prefilter=lambda tree_id: True)
+    with pytest.raises(TypeError):
+        scan_distances(forest, query, 0.5, prefilter=lambda tree_id: True)
+    for reader in (forest.backend, forest.read_view()):
+        with pytest.raises(TypeError):
+            reader.candidates(query.items(), lambda tree_id: True)
+        with pytest.raises(TypeError):
+            reader.candidates(query.items(), admit=lambda tree_id: True)
 
 
 def rebuilt_inversion(forest):

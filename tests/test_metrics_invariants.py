@@ -23,6 +23,7 @@ from repro.edits.script import apply_script
 from repro.lookup import ForestIndex, LookupService
 from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
+from repro.query import ApproxLookup, execute_plan
 from repro.service import DocumentStore
 from repro.tree import tree_from_brackets
 
@@ -106,17 +107,18 @@ class TestSnapshotReadsAreCounted:
             base = build_random_tree(6, seed=rng.randrange(1000))
             forest.remove_tree(tree_id)
             forest.add_tree(tree_id, base)
-        # No auto-compaction: the overlay must survive the lookups.
-        service = LookupService(
-            forest,
-            auto_compact=False,
-            snapshot_reads=serving,
-            result_cache_size=0,
-        )
+        # Live reads go through the executor, which never compacts: the
+        # overlay must survive the lookups.  Served, every (query, τ)
+        # is asked once, so the result cache never answers.
+        if serving:
+            lookup = LookupService(forest, snapshot_reads=True).lookup
+        else:
+            def lookup(query, tau):
+                return execute_plan(forest, ApproxLookup(query, tau))
         for offset in range(3):
             query = build_random_tree(5 + offset, seed=seed * 7 + offset)
             for tau in (0.05, 0.3, 0.8, 1.0):
-                service.lookup(query, tau)
+                lookup(query, tau)
         if frozen:
             view = forest.read_view()
             assert (edits > 0) == bool(view._masked.trees and view._overlay)

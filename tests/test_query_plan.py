@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from repro.backend import compact as compact_module
 from repro.core import GramConfig, PQGramIndex
 from repro.core.distance import index_distance
 from repro.datasets import dblp_tree, random_labelled_tree
@@ -31,8 +32,9 @@ from repro.tree import Tree
 CONFIG = GramConfig(2, 3)
 
 # The ids name the storage backends the forest once had; each row runs
-# the one class that is left in another state.  The ``compact`` row
-# (whose service never compacts) sweeps the dicts.  ``sharded-2``
+# the one class that is left in another state.  The ``compact`` row is
+# never frozen and sweeps the dicts (its service, which compacts before
+# every live read, runs with numpy hidden from the backend).  ``sharded-2``
 # freezes once the collection is in, so plans sweep a clean CSR in
 # array space; ``segment`` freezes before the first write, so every tree
 # is in the overlay over an empty base.  ``memory`` (``VIEW_ROWS``)
@@ -272,14 +274,14 @@ def predicate_pool(collection):
 
 @pytest.mark.parametrize(("name", "kwargs"), BACKENDS, ids=BACKEND_IDS)
 class TestExecutorEquivalence:
-    def test_plan_lookup_matches_legacy_lookup(self, name, kwargs):
+    def test_plan_lookup_matches_legacy_lookup(self, name, kwargs, monkeypatch):
         """A bare retrieval plan is bit-identical to the legacy
         ``lookup``/``nearest`` entry points in every row."""
         collection = make_collection(12, seed=900)
         forest = make_forest(name, kwargs, collection)
-        service = LookupService(
-            forest, auto_compact=False, snapshot_reads=name in VIEW_ROWS
-        )
+        if name == "compact":
+            monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
+        service = LookupService(forest, snapshot_reads=name in VIEW_ROWS)
         query = collection[4][1]
         for tau in (0.3, 0.7, 1.0):
             legacy = service.lookup(query, tau).matches

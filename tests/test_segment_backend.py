@@ -22,9 +22,10 @@ from repro.backend import CompactBackend
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, random_labelled_tree
 from repro.edits import apply_script
-from repro.lookup import ForestIndex, LookupService
+from repro.lookup import ForestIndex
 from repro.obsv import MetricsRegistry
 from repro.perf import HAVE_NUMPY
+from repro.query import ApproxLookup, execute_plan
 from repro.service import DocumentStore
 
 from benchmarks.dblp_workloads import dblp_update_script
@@ -322,9 +323,7 @@ class TestSegmentStore:
         served = DocumentStore(directory, serve_threads=2)
         assert served.stats()["frozen"] is False
         query = documents[min(documents)]
-        expected = LookupService(reference, auto_compact=False).lookup(
-            query, 0.5
-        ).matches
+        expected = execute_plan(reference, ApproxLookup(query, 0.5)).matches
         assert served.lookup(query, 0.5).matches == expected
         stats = served.stats()
         assert stats["frozen"] is True and stats["dirty_keys"] == 0

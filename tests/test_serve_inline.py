@@ -24,7 +24,8 @@ from repro.core import GramConfig
 from repro.datasets import random_labelled_tree, xmark_tree
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.serialize import format_operations
-from repro.lookup import ForestIndex, LookupService
+from repro.lookup import ForestIndex
+from repro.query import ApproxLookup, execute_plan
 from repro.serve import AdmissionPolicy, FrontDoor, ServeClient, serve_in_thread
 from repro.serve.protocol import decode_frame
 from repro.serve.server import INLINE_FRAME_BYTES
@@ -397,7 +398,6 @@ def test_wire_results_are_bit_identical_to_the_memory_reference(tmp_path):
     collection = make_collection(30, seed=100)
     reference = ForestIndex(CONFIG)
     reference.add_trees(collection)
-    expected = LookupService(reference, auto_compact=False)
     queries = [random_labelled_tree(15, seed=31)] + [
         tree for _, tree in collection[:5]
     ]
@@ -415,7 +415,7 @@ def test_wire_results_are_bit_identical_to_the_memory_reference(tmp_path):
 
     def assert_wire_is_reference(client, sent, denoted):
         for tau in TAUS:
-            matches = expected.lookup(denoted, tau).matches
+            matches = execute_plan(reference, ApproxLookup(denoted, tau)).matches
             assert client.lookup(sent, tau) == matches
             assert [
                 tuple(match) for match in client.query(sent, tau=tau)["matches"]

@@ -20,9 +20,9 @@ from repro.edits import Delete, Insert, Rename
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.serialize import format_operations
 from repro.errors import CodecError, EditError
-from repro.lookup import ForestIndex, LookupService
+from repro.lookup import ForestIndex
 from repro.obsv import MetricsRegistry
-from repro.query import ApproxLookup
+from repro.query import ApproxLookup, execute_plan
 from repro.relstore import Column, Schema
 from repro.service import DocumentStore
 from repro.service import checkpoint as checkpoint_module
@@ -362,10 +362,12 @@ def test_previous_format_opens_and_is_rewritten(tmp_path, backend, with_wal_tail
         assert_store_is_rebuild(store)
         reference = ForestIndex(CONFIG)
         reference.add_trees(expected.items())
-        service = LookupService(reference, auto_compact=False)
         for query in expected.values():
             for tau in (0.3, 0.7, 1.0):
-                assert store.lookup(query, tau).matches == service.lookup(query, tau).matches
+                assert (
+                    store.lookup(query, tau).matches
+                    == execute_plan(reference, ApproxLookup(query, tau)).matches
+                )
         # Unstamped blocks are numbered by position past the snapshot's 11.
         assert store._commit_seq == 11 + len(wal_batches)
         assert_current_format(snapshot, expected, 11 + len(wal_batches))
