@@ -1,5 +1,6 @@
 """The scale ladder's first rungs: what an open and a membership change
-cost, by collection size.
+cost, by collection size, and what an edit batch costs, by document
+size.
 
     python benchmarks/scale.py [--smoke] [--ops 20]
 
@@ -30,6 +31,17 @@ reopens the store and prints, per N:
                         (WAL bytes plus every ``store.db`` a checkpoint
                         rewrote) and checkpoints run
 
+Then, for one ``dblp_tree`` document of N ≈ 19 k / 76 k / 304 k /
+1.21 M nodes (``--smoke``: 19 k only; the paper's Fig. 13 shape), it
+stores the document alone and applies ``1 + REPEATS`` edit batches of
+an ``--ops``-operation stable ``dblp_update_script`` log each, and
+prints, per N (the tree's exact node count):
+
+``document_first_edit_ms``  the first ``apply_edits`` batch, which also
+                        decodes the document
+``document_apply_edits_ms``  median milliseconds of the ``REPEATS``
+                        batches after it (the WAL fsync included)
+
 A row the store does not report (an older store has no phase split or
 decode counter) reads ``n/a``.  It reads ``benchmarks/e2e/`` and
 changes nothing there.
@@ -48,16 +60,22 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from typing import Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "e2e"))
 
 import loadgen  # noqa: E402
+from dblp_workloads import dblp_update_script  # noqa: E402
 
+from repro.datasets import dblp_tree  # noqa: E402
 from repro.edits.ops import Rename  # noqa: E402
+from repro.edits.script import apply_script  # noqa: E402
 from repro.service.store import DocumentStore  # noqa: E402
 
-REPEATS = 3  # reopens, and checkpoints, timed per rung
+REPEATS = 3  # reopens, checkpoints and edit batches, timed per rung
+DOCUMENT_NODES = (19_000, 76_000, 304_000, 1_210_000)
+NODES_PER_RECORD = 13  # of a dblp_tree, roughly
 PHASES = ("load", "replay", "build")
 
 
@@ -149,6 +167,32 @@ def membership_rows(directory: str, documents, ops: int) -> dict:
     return rows
 
 
+def document_rows(nodes: int, ops: int) -> Tuple[int, dict]:
+    """One document of about ``nodes`` nodes in a store of its own:
+    its exact node count, and what its edit batches cost."""
+    tree = dblp_tree(nodes // NODES_PER_RECORD, seed=1)
+    # Every script is drawn up front on a private copy, so the store
+    # decodes the document in its first batch and nowhere else.
+    scripts, working = [], tree
+    for seed in range(1 + REPEATS):
+        script = dblp_update_script(working, ops, seed=seed, stable=True)
+        working, _ = apply_script(working, script)
+        scripts.append(list(script))
+    seconds = []
+    with tempfile.TemporaryDirectory(prefix="scale-") as directory:
+        store = DocumentStore(directory)
+        store.add_documents([(0, tree)])
+        for script in scripts:
+            started = time.perf_counter()
+            store.apply_edits(0, script)
+            seconds.append(time.perf_counter() - started)
+        store.close()
+    return len(tree), {
+        "document_first_edit_ms": seconds[0] * 1e3,
+        "document_apply_edits_ms": statistics.median(seconds[1:]) * 1e3,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true")
@@ -161,9 +205,15 @@ def main() -> None:
             rows = build(directory, documents[:size], args.ops)
             rows.update(reopen_rows(directory))
             rows.update(membership_rows(directory, documents[size:], args.ops))
-        for name, value in rows.items():
-            shown = "n/a" if value is None else f"{value:.4g}"
-            print(f"{size:>7} {name:<28} {shown:>12}", flush=True)
+        show(size, rows)
+    for nodes in DOCUMENT_NODES[:1] if args.smoke else DOCUMENT_NODES:
+        show(*document_rows(nodes, args.ops))
+
+
+def show(size: int, rows: dict) -> None:
+    for name, value in rows.items():
+        shown = "n/a" if value is None else f"{value:.4g}"
+        print(f"{size:>7} {name:<28} {shown:>12}", flush=True)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ This package implements the paper's primary contribution:
 - :mod:`repro.core.delta` — the delta function δ (Algorithm 2, Table 1),
 - :mod:`repro.core.update` — the profile update function U
   (Algorithms 3 and 4, Table 1),
-- :mod:`repro.core.batch` — the maintenance engine ``update_index``
-  (log compaction, a backward walk with one δ pair per operation, one
-  Δ fold per call),
+- :mod:`repro.core.batch` — the maintenance engine ``net_delta`` (log
+  compaction, a backward walk with one δ pair per operation, one net Δ
+  per call) and ``update_index``, which folds that Δ into a copy,
 - :mod:`repro.core.maintain` — the paper's Algorithm 1
   (``update_index_tablewise``), kept as the reference, and its
   instrumented variant.
@@ -34,10 +34,10 @@ from repro.core.stability import is_address_stable
 from repro.core.distance import distance_from_overlap, size_bound_admits
 from repro.core.batch import (
     BatchTimings,
+    net_delta,
     update_index,
     update_index_batch,
     update_index_batch_delta,
-    update_index_batch_timed,
 )
 from repro.core.maintain import (
     MaintenanceTimings,
@@ -67,7 +67,7 @@ __all__ = [
     "update_index_timed",
     "update_index_batch",
     "update_index_batch_delta",
-    "update_index_batch_timed",
+    "net_delta",
     "MaintenanceTimings",
     "BatchTimings",
 ]

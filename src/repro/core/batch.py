@@ -1,8 +1,9 @@
 """The maintenance engine.
 
-Inputs are the old index I_0, the resulting tree T_n and the log of
-inverse edit operations (ē_1, .., ē_n).  The engine never reconstructs
-a full intermediate document version; it evaluates the exact per-step
+Inputs are the resulting tree T_n and the log of inverse edit
+operations (ē_1, .., ē_n); the output is the net delta that turns the
+old index I_0 into I_n.  The engine never reconstructs a full
+intermediate document version; it evaluates the exact per-step
 telescoping identity that follows from Eq. 10 and the disjointness of a
 step's old and new pq-grams::
 
@@ -18,25 +19,25 @@ in three phases:
    inverse, one after, so each step's deltas are computed at exactly
    the version they are defined on.  The forward operations are
    re-applied afterwards (also on error), restoring T_n.
-3. **Single fold** — the net (λ(Δ⁻), λ(Δ⁺)) pair is folded into one
-   copy of the index, and its key set is exactly the set of changed
-   tuples, so index mirrors (the forest's inverted lists) re-invert
-   only O(|Δ|) keys.
+3. **Net delta** — the signed sum splits into the net (λ(Δ⁻), λ(Δ⁺))
+   pair, whose key set is exactly the set of changed tuples.  The
+   caller folds it: the forest into its relation in place, re-inverting
+   only O(|Δ|) keys; the library functions into one copy of ``I_0``.
 
 Exact for every valid log: the net signed bag telescopes to
 λ(P(T_n)) − λ(P(T_0)), which depends only on the endpoint versions, and
 compaction preserves T_0 exactly (property-tested against per-operation
 calls and full rebuild in ``tests/test_batch_engine.py``).  One call per
-log, not per operation, is what makes it cheap: each call copies the
-index once.
+log, not per operation, is what makes it cheap; the caller folds.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import GramConfig
 from repro.core.index import PQGramIndex
 from repro.core.localdelta import delta_label_bag
 from repro.edits.ops import EditOperation
@@ -53,12 +54,11 @@ class BatchTimings:
     compact: float = 0.0             # log compaction
     delta_sweep: float = 0.0         # per-operation δ bags while undoing the log
     restore: float = 0.0             # re-applying the forward operations
-    index_update: float = 0.0        # folding (Δ⁻, Δ⁺) into I_0
+    index_update: float = 0.0        # the caller's fold of (Δ⁻, Δ⁺) into I_0
     log_size: int = 0
     compacted_size: int = 0          # operations left after compaction
     gram_count_plus: int = 0         # Σ |δ(T_i, ē_i)|
     gram_count_minus: int = 0        # Σ |δ(T_{i-1}, e_i)|
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -81,22 +81,21 @@ class BatchTimings:
             phase_histograms[phase].observe(getattr(self, phase))
 
 
-def update_index_batch_timed(
-    old_index: PQGramIndex,
+def net_delta(
     tree: Tree,
     log: Sequence[EditOperation],
+    config: GramConfig,
     hasher: LabelHasher,
     compact: bool = True,
-) -> Tuple[PQGramIndex, Bag, Bag, BatchTimings]:
-    """The engine with instrumentation.
+) -> Tuple[Bag, Bag, BatchTimings]:
+    """The engine: the net delta of one log, with instrumentation.
 
-    Returns ``(new_index, minus, plus, timings)`` where ``minus`` /
-    ``plus`` are the net label-tuple bags actually applied (``I_n = I_0
-    ∖ minus ⊎ plus``; the two have disjoint keys).  ``tree`` is walked
+    Returns ``(minus, plus, timings)``, the net label-tuple bags with
+    ``I_n = I_0 ∖ minus ⊎ plus`` (the two have disjoint keys); the
+    caller folds them into whatever holds ``I_0``.  ``tree`` is walked
     backwards in place and restored before returning, also on error.
     ``compact=False`` skips phase 1; the result is bit-identical.
     """
-    config = old_index.config
     timings = BatchTimings(log_size=len(log))
     if compact and len(log) > 1:
         started = time.perf_counter()
@@ -132,7 +131,6 @@ def update_index_batch_timed(
             forward_op.apply(tree)
         timings.restore = time.perf_counter() - started
 
-    started = time.perf_counter()
     plus: Bag = {}
     minus: Bag = {}
     for key, count in signed.items():
@@ -140,10 +138,7 @@ def update_index_batch_timed(
             plus[key] = count
         elif count < 0:
             minus[key] = -count
-    new_index = old_index.copy()
-    new_index.apply_delta(minus, plus)
-    timings.index_update = time.perf_counter() - started
-    return new_index, minus, plus, timings
+    return minus, plus, timings
 
 
 def update_index_batch_delta(
@@ -153,11 +148,11 @@ def update_index_batch_delta(
     hasher: LabelHasher,
     compact: bool = True,
 ) -> Tuple[PQGramIndex, Bag, Bag]:
-    """The engine, returning the folded-in delta bags (see
-    :func:`update_index_batch_timed`)."""
-    new_index, minus, plus, _ = update_index_batch_timed(
-        old_index, tree, log, hasher, compact=compact
-    )
+    """The engine folded into one copy of ``old_index``, which is left
+    unchanged: ``(new_index, minus, plus)`` (see :func:`net_delta`)."""
+    minus, plus, _ = net_delta(tree, log, old_index.config, hasher, compact=compact)
+    new_index = old_index.copy()
+    new_index.apply_delta(minus, plus)
     return new_index, minus, plus
 
 
@@ -169,12 +164,10 @@ def update_index_batch(
 ) -> PQGramIndex:
     """Incrementally maintain the pq-gram index (see the module
     docstring); also exported as :func:`repro.core.update_index`.
-    Takes no options: the compaction-off arm is ``compact=False`` on
-    :func:`update_index_batch_delta` / :func:`update_index_batch_timed`."""
-    new_index, _, _, _ = update_index_batch_timed(
-        old_index, tree, log, hasher or LabelHasher()
-    )
-    return new_index
+    Returns a new index and leaves ``old_index`` unchanged.  Takes no
+    options: the compaction-off arm is ``compact=False`` on
+    :func:`update_index_batch_delta` / :func:`net_delta`."""
+    return update_index_batch_delta(old_index, tree, log, hasher or LabelHasher())[0]
 
 
 #: The engine's public name: one body, no dispatch.

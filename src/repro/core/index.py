@@ -63,8 +63,8 @@ class PQGramIndex:
 
         The storage-backend fast path: the returned index shares the
         caller's mapping, so it must be treated as read-only (use
-        :meth:`copy` before :meth:`apply_delta` — the maintenance
-        engines already do).  ``total`` skips the O(distinct) cardinality
+        :meth:`copy` before :meth:`apply_delta` — the library maintenance
+        functions already do).  ``total`` skips the O(distinct) cardinality
         sum when the caller tracks it.
         """
         index = cls.__new__(cls)
@@ -75,7 +75,7 @@ class PQGramIndex:
 
     def copy(self) -> "PQGramIndex":
         """Independent copy."""
-        return PQGramIndex(self.config, dict(self._counts))
+        return PQGramIndex.from_bag_view(self.config, dict(self._counts), total=self._total)
 
     # ------------------------------------------------------------------
     # bag views

@@ -13,6 +13,7 @@ relation's candidate sweep.
 from __future__ import annotations
 
 import threading
+import time
 from typing import (
     Callable,
     Dict,
@@ -27,7 +28,7 @@ from repro.backend.compact import Bag, CompactBackend, Key
 from repro.concurrency.lock import ForestLock
 from repro.concurrency.snapshot import SnapshotHandle
 from repro.core.config import GramConfig
-from repro.core.batch import BatchTimings, update_index_batch_timed
+from repro.core.batch import BatchTimings, net_delta
 from repro.core.index import PQGramIndex, tree_bag
 from repro.edits.ops import EditOperation
 from repro.errors import StorageError
@@ -310,12 +311,13 @@ class ForestIndex:
 
         ``tree`` is the resulting document and ``log`` the inverse
         operations — the exact inputs of the paper's scenario (Fig. 1).
-        The maintenance engine (:mod:`repro.core.batch`: log
-        compaction, a backward walk, one fold) computes the net delta
-        bags, and the backend touches only the O(|Δ|) keys whose
-        multiplicity changed rather than un-inverting and re-inverting
-        the whole bag.  Returns the applied ``(minus, plus)`` net delta bags —
+        The engine (:func:`repro.core.batch.net_delta`) computes the
+        net delta bags, and the backend folds them into the relation in
+        place, touching only the O(|Δ|) keys whose multiplicity changed;
+        no index is copied.  Returns the applied ``(minus, plus)`` —
         the Δ-keys consumers like the standing-query engine route on.
+        An unknown tree raises :class:`~repro.errors.StorageError`
+        before ``tree`` is walked.
 
         Thread-safety: the delta is computed outside the structural
         lock (so concurrent maintenance of *different* trees overlaps
@@ -327,20 +329,21 @@ class ForestIndex:
         # passes the literal keyword engine="batch".
         if engine != "batch":
             raise ValueError(f"unknown maintenance engine {engine!r}")
-        old_index = self.index_of(tree_id)
+        if tree_id not in self._backend:
+            raise StorageError(f"tree id {tree_id} is not indexed")
         with (
             self.metrics.span("maintain.batch"),
             self._m_maintain_seconds.time(),
         ):
-            _, minus, plus, timings = update_index_batch_timed(
-                old_index, tree, log, self.hasher
-            )
+            minus, plus, timings = net_delta(tree, log, self.config, self.hasher)
+            with self.lock.write():
+                started = time.perf_counter()
+                self._backend.apply_tree_delta(tree_id, minus, plus)
+                timings.index_update = time.perf_counter() - started
+                self._bump_generation()
             if self.metrics.enabled:
                 self._m_batch_compacted_ops.inc(timings.compacted_size)
                 timings.record_into(self._m_batch_phase_seconds)
-            with self.lock.write():
-                self._backend.apply_tree_delta(tree_id, minus, plus)
-                self._bump_generation()
         self._m_maintain_batches.inc()
         self._m_maintain_ops.inc(len(log))
         self._m_maintain_delta_keys.inc(len(minus) + len(plus))

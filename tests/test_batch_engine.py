@@ -17,17 +17,18 @@ from repro.core import (
     update_index,
     update_index_batch,
     update_index_batch_delta,
-    update_index_batch_timed,
 )
 from repro.core import batch
 from repro.edits import Delete, Insert, Move, Rename, apply_script
 from repro.edits.generator import EditScriptGenerator
-from repro.errors import InvalidLogError
+from repro.errors import InvalidLogError, StorageError
 from repro.hashing import LabelHasher
 from repro.lookup import ForestIndex
+from repro.service import DocumentStore
 from repro.tree.tree import Tree
 
 from tests.conftest import (
+    assert_store_is_rebuild,
     build_random_tree,
     edited_trees,
     gram_configs,
@@ -270,10 +271,7 @@ def test_timings_reflect_compaction_and_grouping():
     # A rename chain that a compacted log collapses to one operation.
     script = [Rename(target, "a"), Rename(target, "b"), Rename(target, "c")]
     edited, log = apply_script(tree, script)
-    config = GramConfig(2, 2)
-    hasher = LabelHasher()
-    old_index = PQGramIndex.from_tree(tree, config, hasher)
-    _, _, _, timings = update_index_batch_timed(old_index, edited, log, hasher)
+    _, _, timings = batch.net_delta(edited, log, GramConfig(2, 2), LabelHasher())
     assert timings.log_size == 3
     assert timings.compacted_size == 1
     assert timings.total >= 0.0
@@ -300,7 +298,7 @@ def test_two_delta_bags_per_compacted_operation(monkeypatch, compact):
     edited, log = apply_script(tree, script)
     config = GramConfig(2, 3)
     hasher = LabelHasher()
-    old_index = PQGramIndex.from_tree(tree, config, hasher)
+    index = PQGramIndex.from_tree(tree, config, hasher)
     calls = []
     original = batch.delta_label_bag
 
@@ -310,11 +308,12 @@ def test_two_delta_bags_per_compacted_operation(monkeypatch, compact):
 
     monkeypatch.setattr(batch, "delta_label_bag", counting)
     before = edited.copy()
-    new_index, _, _, timings = update_index_batch_timed(
-        old_index, edited, log, hasher, compact=compact
+    minus, plus, timings = batch.net_delta(
+        edited, log, config, hasher, compact=compact
     )
     assert edited == before
-    assert new_index == PQGramIndex.from_tree(edited, config, hasher)
+    index.apply_delta(minus, plus)
+    assert index == PQGramIndex.from_tree(edited, config, hasher)
     assert timings.log_size == 6
     assert timings.compacted_size == (3 if compact else 6)
     assert len(calls) == 2 * timings.compacted_size
@@ -330,3 +329,89 @@ def test_invalid_log_raises_and_restores():
     with pytest.raises(InvalidLogError):
         update_index_batch_delta(old_index, tree, bogus, hasher, compact=False)
     assert tree == before
+
+
+# ----------------------------------------------------------------------
+# who copies: only the library functions that return a new index
+# ----------------------------------------------------------------------
+
+
+def _refuse_copies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the edit path copied an index")
+
+    monkeypatch.setattr(PQGramIndex, "copy", refuse)
+
+
+def _record_script(tree):
+    """Edits in two records of ``_wide_tree``: a rename, an insert and
+    a delete."""
+    first, second = tree.children(0)[:2]
+    field = tree.children(first)[0]
+    return [
+        Rename(field, "renamed"),
+        Insert(100, "new", second, 1, 0),
+        Delete(tree.children(tree.children(second)[0])[0]),
+    ]
+
+
+def test_forest_update_tree_copies_no_index(monkeypatch):
+    config = GramConfig(2, 3)
+    forest = ForestIndex(config)
+    forest.add_trees([(1, _wide_tree()), (2, _wide_tree())])
+    edited, log = apply_script(_wide_tree(), _record_script(_wide_tree()))
+    _refuse_copies(monkeypatch)
+    forest.update_tree(1, edited, log)
+    monkeypatch.undo()
+    assert forest.index_of(1) == PQGramIndex.from_tree(edited, config, LabelHasher())
+    assert forest.index_of(2) == PQGramIndex.from_tree(
+        _wide_tree(), config, LabelHasher()
+    )
+
+
+@pytest.mark.parametrize("serve_threads", [0, 2])
+def test_store_apply_edits_copies_no_index(monkeypatch, tmp_path, serve_threads):
+    store = DocumentStore(
+        str(tmp_path / "store"), GramConfig(2, 3), serve_threads=serve_threads
+    )
+    try:
+        store.add_documents([(0, _wide_tree()), (1, _wide_tree())])
+        _refuse_copies(monkeypatch)
+        store.apply_edits(0, _record_script(_wide_tree()))
+        store.apply_edits(1, [Rename(_wide_tree().children(0)[3], "r3-renamed")])
+        monkeypatch.undo()
+        assert_store_is_rebuild(store)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("fold", ["update_index", "update_index_batch_delta"])
+def test_library_folds_leave_a_forest_view_unchanged(fold):
+    """``forest.index_of`` is a view of the relation's own bag: a
+    library fold over it returns the new index in a copy."""
+    config = GramConfig(2, 3)
+    hasher = LabelHasher()
+    forest = ForestIndex(config)
+    forest.add_tree(1, _wide_tree())
+    view = forest.index_of(1)
+    before = dict(view.items())
+    edited, log = apply_script(_wide_tree(), _record_script(_wide_tree()))
+    if fold == "update_index":
+        new_index = update_index(view, edited, log, hasher)
+    else:
+        new_index, _, _ = update_index_batch_delta(view, edited, log, hasher)
+    assert new_index == PQGramIndex.from_tree(edited, config, hasher)
+    assert dict(forest.index_of(1).items()) == before
+    assert forest.size_of(1) == sum(before.values())
+
+
+def test_update_tree_of_an_unknown_id_walks_nothing():
+    forest = ForestIndex(GramConfig(2, 3))
+    forest.add_tree(1, _wide_tree())
+    edited, log = apply_script(_wide_tree(), _record_script(_wide_tree()))
+    before = edited.copy()
+    generation = forest.generation
+    with pytest.raises(StorageError):
+        forest.update_tree(7, edited, log)
+    assert edited == before
+    assert forest.generation == generation

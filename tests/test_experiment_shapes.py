@@ -17,7 +17,7 @@ from repro.baselines import rebuild_index
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    update_index_batch_timed,
+    net_delta,
 )
 from repro.datasets import dblp_tree, xmark_tree
 from repro.edits import apply_script
@@ -124,10 +124,11 @@ class TestFig13LeftShape:
 def _update_and_rebuild_work(tree, script, hasher):
     """(labels hashed, pq-grams produced) by the incremental update and by a
     from-scratch rebuild of the edited tree."""
-    old_index = PQGramIndex.from_tree(tree, CONFIG, hasher)
+    index = PQGramIndex.from_tree(tree, CONFIG, hasher)
     edited, log = apply_script(tree, script)
     before = _labels_hashed(hasher)
-    updated, _, _, counts = update_index_batch_timed(old_index, edited, log, hasher)
+    minus, plus, counts = net_delta(edited, log, CONFIG, hasher)
+    index.apply_delta(minus, plus)
     update = (
         _labels_hashed(hasher) - before,
         counts.gram_count_plus + counts.gram_count_minus,
@@ -135,7 +136,7 @@ def _update_and_rebuild_work(tree, script, hasher):
     before = _labels_hashed(hasher)
     rebuilt = rebuild_index(edited, CONFIG, hasher)
     rebuild = (_labels_hashed(hasher) - before, rebuilt.size())
-    assert updated == rebuilt
+    assert index == rebuilt
     return update, rebuild
 
 
@@ -170,15 +171,14 @@ class TestFig13RightShape:
         rebuild_work = []
         for records in (400, 1600):
             tree = dblp_tree(records, seed=3)
-            old_index = PQGramIndex.from_tree(tree, config, hasher)
+            index = PQGramIndex.from_tree(tree, config, hasher)
             script = record_edit_script(
                 tree, 10, seed=4, insert_share=0.0, delete_share=0.0
             )
             edited, log = apply_script(tree, script)
             before = labels_read()
-            updated, _, _, counts = update_index_batch_timed(
-                old_index, edited, log, hasher
-            )
+            minus, plus, counts = net_delta(edited, log, config, hasher)
+            index.apply_delta(minus, plus)
             update_work.append(
                 (
                     labels_read() - before,
@@ -188,7 +188,7 @@ class TestFig13RightShape:
             before = labels_read()
             rebuilt = rebuild_index(edited, config, hasher)
             rebuild_work.append((labels_read() - before, rebuilt.size()))
-            assert updated == rebuilt
+            assert index == rebuilt
             assert rebuild_work[-1][0] == len(edited)  # every node, once
         # the update reads O(|log| · (p + q)) labels whatever the size
         assert update_work[1] == update_work[0]

@@ -11,8 +11,8 @@ from repro.core import (
     GramConfig,
     PQGramIndex,
     is_address_stable,
+    net_delta,
     update_index,
-    update_index_batch_timed,
     update_index_tablewise,
     update_index_timed,
 )
@@ -156,20 +156,17 @@ class TestReplayEngineDetails:
 
     def test_tree_restored_even_on_bad_log(self, paper_tree_t0, hasher):
         config = GramConfig(3, 3)
-        old_index = rebuild(paper_tree_t0, config, hasher)
         bad_log = [Delete(12345)]  # refers to a missing node
         before = paper_tree_t0.structural_key()
         with pytest.raises(InvalidLogError):
-            update_index_batch_timed(old_index, paper_tree_t0, bad_log, hasher)
+            net_delta(paper_tree_t0, bad_log, config, hasher)
         assert paper_tree_t0.structural_key() == before
 
     def test_timings_accumulate(self, paper_tree_t0, hasher):
         config = GramConfig(3, 3)
         script = [Insert(7, "g", 6, 1, 0), Delete(3)]
         edited, log = apply_script(paper_tree_t0, script)
-        _, _, _, timings = update_index_batch_timed(
-            rebuild(paper_tree_t0, config, hasher), edited, log, hasher
-        )
+        _, _, timings = net_delta(edited, log, config, hasher)
         assert timings.log_size == 2
         assert timings.gram_count_plus > 0
         assert timings.gram_count_minus > 0

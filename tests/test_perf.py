@@ -224,9 +224,9 @@ def _former_jobs_signatures(tmp_path):
     passing it; the former ``backend=`` of ``index_distance`` too."""
     from repro.core import update_index
     from repro.core.batch import (
+        net_delta,
         update_index_batch,
         update_index_batch_delta,
-        update_index_batch_timed,
     )
     from repro.lookup import LookupService
     from repro.service import DocumentStore
@@ -256,8 +256,9 @@ def _former_jobs_signatures(tmp_path):
         "update_index_batch_delta": lambda: update_index_batch_delta(
             index, tree, [], HASHER, jobs=2
         ),
-        "update_index_batch_timed": lambda: update_index_batch_timed(
-            index, tree, [], HASHER, jobs=2
+        # The id names the engine's former instrumented entry point.
+        "update_index_batch_timed": lambda: net_delta(
+            tree, [], index.config, HASHER, jobs=2
         ),
         "index_distance": lambda: index_distance(index, index, backend="dict"),
     }
