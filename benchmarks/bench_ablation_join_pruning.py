@@ -1,11 +1,12 @@
 """Ablation A4: join strategies on homogeneous vs. heterogeneous data.
 
 The related work (Guha et al. 2002) motivates reducing the number of
-distance computations in approximate XML joins.  Our inverted-list
-join sweeps the postings once, accumulating every co-occurring pair's
-bag intersection, so pairs sharing no pq-gram never materialize.  Its
-cost is Σ_key |postings|² — great when most pairs are unrelated,
-*worse* than the dense all-pairs loop when a shared schema makes all
+distance computations in approximate XML joins.  Our sweep join runs
+one candidate sweep of the right forest per left tree, accumulating
+that tree's bag intersection with every co-occurring tree, so pairs
+sharing no pq-gram never materialize.  Its cost is Σ_left Σ_key
+|postings_right(key)| — great when most pairs are unrelated, no
+better than the dense all-pairs loop when a shared schema makes all
 pq-grams co-occur.  This ablation measures both regimes:
 
 - **homogeneous**: one DBLP-like schema, every pair shares grams,

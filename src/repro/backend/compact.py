@@ -1,4 +1,4 @@
-"""The forest index relation: dict write path plus a frozen CSR sweep.
+"""The forest index relation: per-tree bags, a frozen CSR base, one overlay.
 
 The paper's Fig. 4b relation ``(treeId, pqg, cnt)`` is stored once, in
 one :class:`CompactBackend`, and written through exactly three methods:
@@ -8,29 +8,29 @@ one :class:`CompactBackend`, and written through exactly three methods:
   maintenance delta ``I ← I ∖ minus ⊎ plus`` into one tree,
 - :meth:`CompactBackend.remove_tree` — drop a tree.
 
-The authoritative form is three dicts: per-tree bags ``tree → {key:
-cnt}``, inverted lists ``key → {tree: cnt}`` and per-tree sizes.  The
-first read that asks for it freezes the inverted lists into a
-:class:`~repro.perf.sweep.CompactPostings` CSR snapshot, and later
-writes overlay it instead of discarding it — the delta-file/compaction
-split of log-structured index designs: a tree written after the freeze
-is *masked* (:class:`~repro.perf.sweep.TreeMask`) — every read ignores
-its postings in the frozen arrays and takes its current bag from an
-overlay ``key → {tree: cnt}`` that holds masked trees only, so a lookup
-folds in Python the postings of the trees that changed, not the whole
-posting list of every key they hold.  :meth:`compact` re-freezes only
-when the overlay has grown past a threshold, amortizing snapshot
-construction over many maintenance batches.  Reads go through the two
-functions of :mod:`repro.perf.sweep` that combine a frozen base with
-an overlay: ``overlay_candidates`` and, for τ-lookups, ``tau_scan``.
+The authoritative form is the per-tree bags ``tree → {key: cnt}`` and
+sizes; every key-major form is derived from them.  Reads sweep a
+frozen :class:`~repro.perf.sweep.CompactPostings` CSR base plus one
+overlay ``key → {tree: cnt}`` holding the postings of every tree the
+base does not describe: all trees until the first freeze (and always
+without numpy), after it only the trees born or written since — the
+delta-file/compaction split of log-structured index designs.  A tree
+written after the freeze is *masked* (:class:`~repro.perf.sweep.TreeMask`):
+every read ignores its postings in the frozen arrays and takes its
+current bag from the overlay, so a lookup folds in Python the postings
+of the trees that changed, not the whole posting list of every key
+they hold.  The first read that asks for it freezes the overlay into
+the base; :meth:`compact` re-freezes from the bags only when the
+overlay has grown past a threshold, amortizing snapshot construction
+over many maintenance batches.  Reads go through the two functions of
+:mod:`repro.perf.sweep` that combine a base with an overlay:
+``overlay_candidates`` and, for τ-lookups, ``tau_scan``.
 
 Reads only sweep: :meth:`CompactBackend.candidates` returns the
 overlap of every co-occurring tree, and the executor
 (:mod:`repro.query.executor`) prunes and scores; ``tau_scan`` is the
-one read that does both, in array space.  Until the first freeze —
-and always without numpy — reads sweep the dicts with
-:func:`~repro.perf.sweep.sweep_dict`, and :meth:`freeze_view` without
-numpy copies them; results are bit-identical either way
+one read that does both, in array space, and needs a base.  Results
+are bit-identical with or without one
 (``tests/test_backend_conformance.py``).
 """
 
@@ -54,7 +54,6 @@ from repro.perf.sweep import (
     TauScan,
     TreeMask,
     overlay_candidates,
-    sweep_dict,
     tau_scan,
 )
 
@@ -66,7 +65,7 @@ Bag = Dict[Key, int]
 
 
 class CompactBackend:
-    """Dict write path + frozen CSR sweep with a masked-tree overlay."""
+    """Per-tree bags + frozen CSR base with a masked-tree overlay."""
 
     #: re-freeze when the overlay's distinct keys exceed this fraction
     #: of all keys
@@ -85,13 +84,14 @@ class CompactBackend:
 
     def __init__(self) -> None:
         self._bags: Dict[int, Bag] = {}
-        self._inverted: Dict[Key, Dict[int, int]] = {}
         self._sizes: Dict[int, int] = {}
         self._frozen: Optional[CompactPostings] = None
-        # Trees written since the freeze, and their current postings.
-        # An overlay key whose postings emptied keeps its (empty) entry,
-        # so ``len(self._overlay)`` is every key written since the
-        # freeze — what the refreeze policy and ``dirty_keys`` count.
+        # The trees written since the freeze, and the current postings
+        # of every tree the base does not describe (all of them while
+        # nothing is frozen).  Once something is frozen, an overlay key
+        # whose postings emptied keeps its (empty) entry, so
+        # ``len(self._overlay)`` is every key written since the freeze —
+        # what the refreeze policy and ``dirty_keys`` count.
         self._masked = TreeMask()
         self._overlay: Dict[Key, Dict[int, int]] = {}
         self._mutations = 0
@@ -164,14 +164,13 @@ class CompactBackend:
             raise StorageError(f"tree id {tree_id} is already indexed")
         self._bags[tree_id] = bag
         self._sizes[tree_id] = sum(bag.values())
-        for key, count in bag.items():
-            self._inverted.setdefault(key, {})[tree_id] = count
-        self._mutations += 1
-        if self._frozen is not None:
+        if self._frozen is not None and tree_id not in self._masked.trees:
             # Born since the freeze: the frozen arrays hold none of it.
-            if tree_id not in self._masked.trees:
-                self._masked.add(tree_id, ())
-            self._fold(tree_id, bag)
+            self._masked.add(tree_id, ())
+        overlay = self._overlay
+        for key, count in bag.items():
+            overlay.setdefault(key, {})[tree_id] = count
+        self._mutations += 1
 
     def apply_tree_delta(
         self, tree_id: int, minus: Mapping[Key, int], plus: Mapping[Key, int]
@@ -181,7 +180,7 @@ class CompactBackend:
         ``minus`` / ``plus`` are the net delta bags of one maintenance
         call (disjoint key sets, as produced by
         :func:`~repro.core.batch.update_index_batch_delta`); only the
-        O(|Δ|) touched keys are re-inverted.  Raises
+        O(|Δ|) touched keys of the overlay are rewritten.  Raises
         :class:`~repro.errors.StorageError` for an unknown tree and
         :class:`~repro.errors.IndexConsistencyError` if a subtraction
         would drive a multiplicity below zero — checked for all of
@@ -217,19 +216,8 @@ class CompactBackend:
         touched = minus.keys() | plus.keys()
         self._m_deltas.inc()
         self._m_delta_keys.inc(len(touched))
-        for key in touched:
-            count = bag.get(key, 0)
-            if count:
-                self._inverted.setdefault(key, {})[tree_id] = count
-            else:
-                postings = self._inverted.get(key)
-                if postings is not None:
-                    postings.pop(tree_id, None)
-                    if not postings:
-                        del self._inverted[key]
         self._mutations += 1
-        if self._frozen is not None:
-            self._fold(tree_id, touched)
+        self._fold(tree_id, touched)
 
     def remove_tree(self, tree_id: int) -> None:
         """Drop one tree and all its postings (no-op if unknown)."""
@@ -238,15 +226,8 @@ class CompactBackend:
         self._mask(tree_id)
         bag = self._bags.pop(tree_id)
         del self._sizes[tree_id]
-        for key in bag:
-            postings = self._inverted.get(key)
-            if postings is not None:
-                postings.pop(tree_id, None)
-                if not postings:
-                    del self._inverted[key]
         self._mutations += 1
-        if self._frozen is not None:
-            self._fold(tree_id, bag)
+        self._fold(tree_id, bag)
 
     def _mask(self, tree_id: int) -> None:
         """Before the first write to an indexed tree since the freeze:
@@ -258,9 +239,13 @@ class CompactBackend:
             self._fold(tree_id, bag)
 
     def _fold(self, tree_id: int, keys: Iterable[Key]) -> None:
-        """Re-read ``keys`` of one masked tree from its live bag."""
+        """Re-read ``keys`` of one tree the base does not describe from
+        its live bag.  While nothing is frozen a key whose postings
+        empty is dropped, so a store that never reads keeps no dead
+        keys."""
         bag = self._bags.get(tree_id) or {}
         overlay = self._overlay
+        keep_empty = self._frozen is not None
         for key in keys:
             postings = overlay.setdefault(key, {})
             count = bag.get(key)
@@ -268,6 +253,8 @@ class CompactBackend:
                 postings[tree_id] = count
             else:
                 postings.pop(tree_id, None)
+                if not (postings or keep_empty):
+                    del overlay[key]
 
     # ------------------------------------------------------------------
     # compaction policy
@@ -278,26 +265,31 @@ class CompactBackend:
             return True
         threshold = max(
             self.REFREEZE_MIN_DIRTY,
-            int(self.REFREEZE_FRACTION * max(1, len(self._inverted))),
+            int(self.REFREEZE_FRACTION * max(1, len(self._frozen.spans))),
         )
         return len(self._overlay) > threshold
 
     def compact(self) -> None:
         """Freeze (or re-freeze, past the overlay threshold) the CSR
-        snapshot.  A no-op without numpy.
+        base.  A no-op without numpy.
 
-        The rebuild constructs a *new* CSR and swaps the reference in
-        one assignment — snapshot handles pinning the previous CSR
-        keep it alive and stay bit-identical (they carry their own
-        copies of the mask and the overlay of their generation).
-        Results are identical with or without compaction — only the
-        sweep cost changes.
+        The first freeze builds the base from the overlay, which then
+        holds every posting; a refreeze inverts the bags.  Either way
+        the build constructs a *new* CSR and swaps the reference in one
+        assignment — snapshot handles pinning the previous CSR keep it
+        alive and stay bit-identical (they carry their own copies of the
+        mask and the overlay of their generation).  Results are
+        identical with or without compaction — only the sweep cost
+        changes.
         """
         if not HAVE_NUMPY:
             return
         if self._stale():
             with self._m_refreeze_seconds.time():
-                frozen = CompactPostings.build(self._inverted, self._sizes)
+                frozen = CompactPostings.build(
+                    self._overlay if self._frozen is None else self.inverted_lists(),
+                    self._sizes,
+                )
             self._frozen = frozen
             self._masked = TreeMask()
             self._overlay = {}
@@ -338,25 +330,16 @@ class CompactBackend:
         are copied.  The first view freezes the CSR it then shares —
         one build, paid by the read that needs it; later re-freezes are
         the refreeze worker's.  Only without numpy is there nothing to
-        freeze, and the view is a copy of the inverted lists.
+        freeze, and the view copies an overlay that holds every posting.
         """
-        from repro.concurrency.snapshot import DictSnapshot, OverlaySnapshot
+        from repro.concurrency.snapshot import SnapshotHandle
 
         if self._frozen is None:
             self.compact()
-        if self._frozen is None:
-            return DictSnapshot(
-                {key: dict(postings) for key, postings in self._inverted.items()},
-                dict(self._sizes),
-            )
-        return OverlaySnapshot(
+        return SnapshotHandle(
             self._frozen,
             self._masked.copy(),
-            {
-                key: dict(postings)
-                for key, postings in self._overlay.items()
-                if postings
-            },
+            {key: dict(postings) for key, postings in self._overlay.items()},
             dict(self._sizes),
         )
 
@@ -373,14 +356,10 @@ class CompactBackend:
         Nothing is pruned here — the executor applies the size bound.
         """
         items = query_items if isinstance(query_items, list) else list(query_items)
-        if self._frozen is not None:
-            intersections, _, postings_touched, overlay_keys = overlay_candidates(
-                self._frozen, self._masked, self._overlay, items
-            )
-            self._count_overlay(len(items), overlay_keys)
-        else:
-            intersections = {}
-            postings_touched = sweep_dict(self._inverted, items, intersections)[1]
+        intersections, frozen_keys, postings_touched, overlay_keys = overlay_candidates(
+            self._frozen, self._masked, self._overlay, items
+        )
+        self._count_overlay(frozen_keys, overlay_keys)
         self._m_keys_swept.inc(len(items))
         self._m_postings_touched.inc(postings_touched)
         self._m_candidates_emitted.inc(len(intersections))
@@ -397,8 +376,6 @@ class CompactBackend:
         frozen — the executor then scores :meth:`candidates` itself,
         the reference both must agree with bit for bit.  Needs
         ``query_size > 0`` and ``0 < tau ≤ 1``."""
-        if self._frozen is None:
-            return None
         scan = tau_scan(
             self._frozen,
             self._masked,
@@ -408,8 +385,9 @@ class CompactBackend:
             query_size,
             tau,
         )
-        self._count_overlay(scan.keys_swept, scan.overlay_keys)
-        self._m_candidates_emitted.inc(scan.candidates)
+        if scan is not None:
+            self._count_overlay(scan.keys_swept, scan.overlay_keys)
+            self._m_candidates_emitted.inc(scan.candidates)
         return scan
 
     def _count_overlay(self, keys_swept: int, overlay_keys: int) -> None:
@@ -443,14 +421,14 @@ class CompactBackend:
         """All indexed tree ids."""
         return iter(list(self._sizes))
 
-    def postings(self, key: Key) -> Optional[Mapping[int, int]]:
-        """Posting list ``{tree_id: cnt}`` of one key (read-only), or
-        None."""
-        return self._inverted.get(key)
-
-    def iter_postings(self) -> Iterator[Tuple[Key, Mapping[int, int]]]:
-        """All ``(key, {tree_id: cnt})`` posting lists (joins, audits)."""
-        return iter(self._inverted.items())
+    def inverted_lists(self) -> Dict[Key, Dict[int, int]]:
+        """The inverted lists ``key → {tree_id: cnt}``, derived from the
+        bags — O(total postings); refreezes, audits and tests."""
+        inverted: Dict[Key, Dict[int, int]] = {}
+        for tree_id, bag in self._bags.items():
+            for key, count in bag.items():
+                inverted.setdefault(key, {})[tree_id] = count
+        return inverted
 
     def __len__(self) -> int:
         return len(self._bags)
@@ -463,32 +441,26 @@ class CompactBackend:
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Operational counters: trees, postings, distinct keys, whether
-        the CSR is frozen, and the overlay's distinct keys."""
+        """Operational counters: trees, postings, distinct keys (both
+        derived from the bags), whether the CSR is frozen, and the
+        overlay's distinct keys since the freeze (0 before it)."""
         return {
             "trees": len(self._bags),
-            "postings": sum(len(entry) for entry in self._inverted.values()),
-            "distinct_keys": len(self._inverted),
+            "postings": sum(len(bag) for bag in self._bags.values()),
+            "distinct_keys": len(set().union(*self._bags.values())),
             "frozen": self._frozen is not None,
-            "dirty_keys": len(self._overlay),
+            "dirty_keys": len(self._overlay) if self._frozen is not None else 0,
         }
 
     def check_consistency(self) -> None:
         """Verify every internal invariant, raising
         :class:`~repro.errors.IndexConsistencyError` on drift.
 
-        Re-derives the inverted lists, the sizes and the frozen view
-        from the authoritative per-tree bags and compares — O(total
-        postings), meant for tests and audits, not hot paths.
+        Re-derives the inverted lists and the sizes from the
+        authoritative per-tree bags and compares them with the frozen
+        base, the mask and the overlay — O(total postings), meant for
+        tests and audits, not hot paths.
         """
-        rebuilt: Dict[Key, Dict[int, int]] = {}
-        for tree_id, bag in self._bags.items():
-            for key, count in bag.items():
-                rebuilt.setdefault(key, {})[tree_id] = count
-        if rebuilt != self._inverted:
-            raise IndexConsistencyError(
-                "inverted lists drifted from the per-tree bags"
-            )
         sizes = {
             tree_id: sum(bag.values()) for tree_id, bag in self._bags.items()
         }
@@ -496,23 +468,36 @@ class CompactBackend:
             raise IndexConsistencyError(
                 "size metadata drifted from the per-tree bags"
             )
+        inverted = self.inverted_lists()
         frozen, masked = self._frozen, self._masked.trees
+        # The overlay is exactly the live bags of the trees the base
+        # does not describe: every tree while nothing is frozen.
+        overlaid = {
+            key: kept
+            for key, entry in inverted.items()
+            if (kept := {t: c for t, c in entry.items() if frozen is None or t in masked})
+        }
+        if overlaid != {key: e for key, e in self._overlay.items() if e}:
+            raise IndexConsistencyError(
+                "overlay drifted from the live bags of the trees the base "
+                "does not describe"
+            )
         if frozen is None:
             return
 
         def unmasked(pairs):
             return {tree: value for tree, value in pairs if tree not in masked}
 
-        def unmasked_postings(inverted):
+        def unmasked_lists(inverted):
             kept = {key: unmasked(entry.items()) for key, entry in inverted.items()}
             return {key: entry for key, entry in kept.items() if entry}
 
         # What the frozen form says of the unmasked trees must be what
-        # the live dicts say: no write escaped the mask.
+        # the bags say: no write escaped the mask.
         stored = dict(frozen.iter_key_postings())
         if unmasked(zip(frozen.tree_ids, frozen.sizes.tolist())) != unmasked(
             self._sizes.items()
-        ) or unmasked_postings(stored) != unmasked_postings(self._inverted):
+        ) or unmasked_lists(stored) != unmasked_lists(inverted):
             raise IndexConsistencyError(
                 "frozen sizes or postings of unmasked trees drifted from "
                 "the live relation (a write escaped the mask)"
@@ -525,13 +510,4 @@ class CompactBackend:
         if {key: n for key, n in counts.items() if n} != self._masked.counts:
             raise IndexConsistencyError(
                 "masked posting accounting drifted from the frozen snapshot"
-            )
-        # The overlay is exactly the masked trees' live bags.
-        expected: Dict[Key, Dict[int, int]] = {}
-        for tree_id in masked & self._bags.keys():
-            for key, count in self._bags[tree_id].items():
-                expected.setdefault(key, {})[tree_id] = count
-        if expected != {key: e for key, e in self._overlay.items() if e}:
-            raise IndexConsistencyError(
-                "overlay drifted from the live bags of the masked trees"
             )

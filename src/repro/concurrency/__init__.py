@@ -21,13 +21,11 @@ linearizable.
 from repro.concurrency.coalesce import PendingBatch, WriteCoalescer
 from repro.concurrency.lock import ForestLock
 from repro.concurrency.refreeze import RefreezeWorker
-from repro.concurrency.snapshot import DictSnapshot, OverlaySnapshot, SnapshotHandle
+from repro.concurrency.snapshot import SnapshotHandle
 
 __all__ = [
     "ForestLock",
     "SnapshotHandle",
-    "DictSnapshot",
-    "OverlaySnapshot",
     "WriteCoalescer",
     "PendingBatch",
     "RefreezeWorker",

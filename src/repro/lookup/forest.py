@@ -2,8 +2,8 @@
 
 Stores the pq-gram indexes of a whole collection of trees in one
 relation ``(treeId, pqg, cnt)`` (paper Fig. 4b).  The relation itself
-lives in a :class:`~repro.backend.compact.CompactBackend` — dicts
-plus an array snapshot with a delta overlay — and this class owns
+lives in a :class:`~repro.backend.compact.CompactBackend` — per-tree
+bags plus an array snapshot and one overlay — and this class owns
 everything the relation deliberately knows nothing about: the gram
 configuration, the shared label hasher, index construction,
 incremental maintenance, and the τ-aware distance arithmetic over the
@@ -380,22 +380,10 @@ class ForestIndex:
     def __contains__(self, tree_id: int) -> bool:
         return tree_id in self._backend
 
-    def postings(self, key: Key) -> Optional[Dict[int, int]]:
-        """Posting list ``{treeId: cnt}`` of one pq-gram key (read-only
-        view), or None when no tree holds the key."""
-        return self._backend.postings(key)  # type: ignore[return-value]
-
-    def iter_postings(self) -> Iterator[Tuple[Key, Dict[int, int]]]:
-        """All ``(key, postings)`` pairs (read-only views) — the raw
-        inverted lists, for joins and audits."""
-        return self._backend.iter_postings()  # type: ignore[return-value]
-
     def inverted_lists(self) -> Dict[Key, Dict[int, int]]:
-        """A materialized copy of the inverted lists ``key →
-        {treeId: cnt}`` — O(total postings); for tests and audits."""
-        return {
-            key: dict(postings) for key, postings in self._backend.iter_postings()
-        }
+        """The inverted lists ``key → {treeId: cnt}``, derived from the
+        stored bags — O(total postings); for tests and audits."""
+        return self._backend.inverted_lists()
 
     # ------------------------------------------------------------------
     # distance against the whole forest
@@ -404,7 +392,7 @@ class ForestIndex:
     def compact(self) -> None:
         """(Re)build the relation's read-optimized postings view.
 
-        Freezes the inverted lists into CSR arrays (``repro.perf.sweep``)
+        Freezes the postings into CSR arrays (``repro.perf.sweep``)
         — the lookup sweep becomes a handful of vector operations per
         query pq-gram, and later mutations overlay the snapshot instead
         of discarding it.  A no-op without numpy.
@@ -474,7 +462,7 @@ class ForestIndex:
         :class:`~repro.concurrency.snapshot.SnapshotHandle` from
         :meth:`read_view`, so serving threads scan a frozen generation
         while writers mutate the live relation.  It never compacts: a
-        forest no read froze sweeps its dicts.
+        forest no read froze sweeps its overlay of dicts.
 
         The scan itself lives in :func:`repro.query.executor.scan_distances`
         — this method is the stable facade over it.

@@ -3,25 +3,29 @@
 The approximate XML join of the related work (Guha et al.): given two
 collections, return all pairs within pq-gram distance τ.
 
-Strategy: a single sweep over the inverted lists accumulates the bag
-intersection of every co-occurring pair — ``Σ_key min(cnt_l, cnt_r)``
-— so each pair's distance falls out with O(1) arithmetic and *pairs
-sharing no pq-gram are never materialized at all*.  A size filter
-(from ``dist < τ`` follows ``min(|I|,|I'|) ≥ (1-τ)/2 · (|I|+|I'|)``)
-discards hopeless candidates before the final arithmetic.
+Strategy: every left tree is a query against the right forest's
+relation — one candidate sweep (``right.backend.candidates``, the sweep
+a live lookup runs, over the CSR base the join freezes first) yields
+the bag intersection ``Σ_key min(cnt_l, cnt_r)`` of that tree with
+every right tree sharing a pq-gram, so each pair's distance falls out
+with O(1) arithmetic and *pairs sharing no pq-gram are never
+materialized at all*.  A size filter (from ``dist < τ`` follows
+``min(|I|,|I'|) ≥ (1-τ)/2 · (|I|+|I'|)``) discards hopeless candidates
+before the final arithmetic.
 
-Complexity: ``Σ_key |postings_left(key)| · |postings_right(key)|`` —
-excellent for heterogeneous collections where most pairs share
-nothing, but *worse* than the naive all-pairs loop for homogeneous
-collections whose schema pq-grams co-occur everywhere (ablation A4
-quantifies both regimes).  ``similarity_join`` picks the inverted
-strategy; ``similarity_join_allpairs`` is the dense fallback.
+Complexity: ``Σ_left Σ_key∈left |postings_right(key)|`` posting reads,
+done in array space — excellent for heterogeneous collections where
+most pairs share nothing, but no better than the naive all-pairs loop
+for homogeneous collections whose schema pq-grams co-occur everywhere
+(ablation A4 quantifies both regimes).  ``similarity_join`` picks the
+sweep strategy; ``similarity_join_allpairs`` is the dense fallback and
+the oracle the sweep is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.distance import (
     distance_from_overlap,
@@ -56,8 +60,9 @@ def similarity_join(
     right: ForestIndex,
     tau: float,
 ) -> Tuple[List[Tuple[int, int, float]], JoinStats]:
-    """All (left id, right id, distance) with distance < τ, sweeping
-    the inverted lists.  Passing the same object twice performs a
+    """All (left id, right id, distance) with distance < τ, sorted by
+    ``(distance, left id, right id)``: one candidate sweep of the right
+    forest per left tree.  Passing the same object twice performs a
     self-join over unordered distinct pairs."""
     _check(left, right, tau)
     self_mode = left is right
@@ -66,38 +71,29 @@ def similarity_join(
     stats.total_pairs = (
         left_count * (left_count - 1) // 2 if self_mode else left_count * right_count
     )
-
-    intersections: Dict[Tuple[int, int], int] = {}
-    for key, left_postings in left.iter_postings():
-        right_postings = right.postings(key)
-        if not right_postings:
-            continue
-        for left_id, left_cnt in left_postings.items():
-            for right_id, right_cnt in right_postings.items():
-                if self_mode and left_id >= right_id:
-                    continue
-                pair = (left_id, right_id)
-                intersections[pair] = intersections.get(pair, 0) + min(
-                    left_cnt, right_cnt
-                )
-    stats.candidate_pairs = len(intersections)
+    right.compact()
 
     results: List[Tuple[int, int, float]] = []
-    for (left_id, right_id), shared in intersections.items():
+    for left_id in left.tree_ids():
         left_size = left.size_of(left_id)
-        right_size = right.size_of(right_id)
-        # The same τ kernel the forest lookup uses: prune from sizes
-        # alone (no distance materialized), then decide on the overlap.
-        if not size_bound_admits(left_size, right_size, tau):
-            stats.size_filtered += 1
-            continue
-        distance = distance_from_overlap(shared, left_size + right_size)
-        if distance < tau:
-            results.append((left_id, right_id, distance))
-        else:
-            stats.size_filtered += 1
+        query = list(left.backend.tree_bag(left_id).items())
+        for right_id, shared in right.backend.candidates(query).items():
+            if self_mode and left_id >= right_id:
+                continue
+            stats.candidate_pairs += 1
+            right_size = right.size_of(right_id)
+            # The same τ kernel the forest lookup uses: prune from sizes
+            # alone (no distance materialized), then decide on the overlap.
+            if not size_bound_admits(left_size, right_size, tau):
+                stats.size_filtered += 1
+                continue
+            distance = distance_from_overlap(shared, left_size + right_size)
+            if distance < tau:
+                results.append((left_id, right_id, distance))
+            else:
+                stats.size_filtered += 1
     stats.results = len(results)
-    results.sort(key=lambda row: row[2])
+    results.sort(key=lambda row: (row[2], row[0], row[1]))
     return results, stats
 
 

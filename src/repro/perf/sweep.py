@@ -1,29 +1,28 @@
 """Array-backed inverted postings for the forest lookup sweep.
 
-The dict sweep (:func:`sweep_dict`, what a relation reads before its
-first freeze and always without numpy) walks ``pqg → {treeId: cnt}``
-dicts and accumulates per-tree bag overlaps one ``min()`` at a time.
-:class:`CompactPostings` freezes the
-same postings into one CSR-style pair of arrays — all posting (tree
-slot, cnt) entries back to back, plus a ``key → (start, end)`` span
-map — so a whole query accumulates the posting lists of all its keys
-with one gather, one ``minimum`` and one ``bincount``
-(:func:`accumulate_spans`).
+The dict sweep (:func:`sweep_dict`) walks a relation's overlay
+``pqg → {treeId: cnt}`` and accumulates per-tree bag overlaps one
+``min()`` at a time; before the first freeze, and always without
+numpy, the overlay holds every posting and that sweep is the whole
+read.  :class:`CompactPostings` freezes the same postings into one
+CSR-style pair of arrays — all posting (tree slot, cnt) entries back
+to back, plus a ``key → (start, end)`` span map — so a whole query
+accumulates the posting lists of all its keys with one gather, one
+``minimum`` and one ``bincount`` (:func:`accumulate_spans`).
 
 The structure is a snapshot, never mutated after build: later writes
 *mask* the trees they change (:class:`TreeMask`) and keep their current
-bags in an overlay until the owner folds both into a new snapshot.
-Only built when numpy is importable; callers fall back to the dict
-sweep otherwise.
+bags in the overlay until the owner folds both into a new snapshot.
+Only built when numpy is importable.
 
-Exactly two functions, both here, combine a frozen base with its mask
-and overlay, for the live relation and every read view that holds one:
-:func:`tau_scan`, the τ-lookup in array space from end to end (sweep,
-size bound, distance and ``< tau`` are vector expressions over one slot
-accumulator; Python objects exist only for the matches), and
-:func:`overlay_candidates`, the plain sweep behind ``candidates()``.
-The executor's scorer over ``overlay_candidates`` is the reference
-``tau_scan`` is tested against.
+Exactly two functions, both here, combine a base (or none) with its
+mask and overlay, for the live relation and every read view:
+:func:`overlay_candidates`, the plain sweep behind ``candidates()``,
+and :func:`tau_scan`, the τ-lookup in array space from end to end
+(sweep, size bound, distance and ``< tau`` are vector expressions over
+one slot accumulator; Python objects exist only for the matches),
+which declines without a base.  The executor's scorer over
+``overlay_candidates`` is the reference ``tau_scan`` is tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.core.distance import (
     size_bounds_admit,
 )
 
-try:  # optional: without numpy, callers fall back to the dict sweep
+try:  # optional: without numpy, nothing is frozen and the overlay is swept
     import numpy as _np
 except ImportError:  # pragma: no cover - environment without numpy
     _np = None
@@ -261,11 +260,17 @@ def overlay_candidates(
 
     Sweeps every query key through ``frozen`` (anything with ``sweep``
     and ``last_touched``), drops the masked trees and folds the overlay
-    in (masked trees only, so a plain addition):
-    ``(overlaps, keys swept, postings touched, keys that met the overlay)``.
+    in (trees the base does not describe only, so a plain addition):
+    ``(overlaps, keys swept through the base, postings touched, keys
+    that met the overlay beside the base)``.  With no base
+    (``frozen`` None) the overlay holds every posting and is the whole
+    sweep; both key tallies then read 0.
     """
     items = query_items if isinstance(query_items, list) else list(query_items)
-    merged: Dict[int, int] = frozen.sweep(items)
+    if frozen is None:
+        merged: Dict[int, int] = {}
+        return merged, 0, sweep_dict(overlay, items, merged)[1], 0
+    merged = frozen.sweep(items)
     touched = frozen.last_touched
     overlay_keys = 0
     if masked.trees:
@@ -310,8 +315,10 @@ def tau_scan(
     query_items: Iterable[Tuple[Key, int]],
     query_size: int,
     tau: float,
-) -> TauScan:
-    """All trees with ``distance < tau``, scored in array space.
+) -> Optional[TauScan]:
+    """All trees with ``distance < tau``, scored in array space, or
+    None when there is no base to score in (``frozen`` None) — the
+    caller then scores :func:`overlay_candidates` itself.
 
     ``frozen`` is a :class:`CompactPostings` (only ``sweep_into`` /
     ``tree_ids`` / ``sizes`` and the ``slot_of`` cache are used);
@@ -331,6 +338,8 @@ def tau_scan(
     ``query_size > 0`` and ``0 < tau ≤ 1`` (the executor scores every
     other case itself).
     """
+    if frozen is None:
+        return None
     items = query_items if isinstance(query_items, list) else list(query_items)
     acc = _np.zeros(len(frozen.tree_ids), dtype=_np.int64)
     touched = frozen.sweep_into(items, acc)

@@ -1,8 +1,8 @@
 """Conformance suite: the forest in every state ≡ a dict-swept
 reference, bit for bit.
 
-The relation (``CompactBackend``: dicts plus a frozen CSR with a
-masked-tree overlay) must read the same whatever state it is in — never
+The relation (``CompactBackend``: per-tree bags plus a frozen CSR
+with a masked-tree overlay) must read the same whatever state it is in — never
 frozen, frozen before or after its writes, without numpy, on a live
 metrics registry — live and through the immutable read views served
 lookups sweep: lookups at any τ, per-tree indexes, inverted lists,
@@ -23,7 +23,6 @@ import pytest
 
 from repro.backend import CompactBackend
 from repro.backend import compact as compact_module
-from repro.concurrency import OverlaySnapshot
 from repro.core import GramConfig, PQGramIndex
 from repro.datasets import dblp_tree, random_labelled_tree
 from repro.edits import apply_script
@@ -53,13 +52,13 @@ CONFIG = GramConfig(2, 3)
 # self.metrics.enabled``, bound counters) that ``store stats --metrics``
 # and traced serving take must be invisible on every read path, bit for
 # bit.  ``VIEW_ROWS`` repeat every comparison through ``read_view()`` —
-# the snapshot a served lookup sweeps with ``OverlaySnapshot.tau_scan``.
+# the snapshot a served lookup sweeps with ``SnapshotHandle.tau_scan``.
 # ``FROZEN_ROWS`` freeze the CSR before the first write, so every tree
 # is written after the freeze: reads fold the overlay over a frozen base
 # that holds none of them until a ``compact()`` refreezes.
 # ``DICT_ROWS`` hide numpy from the backend, so nothing ever freezes:
-# every read is the dict sweep and every view a ``DictSnapshot`` — the
-# fallback without numpy.
+# every read is the dict sweep of an overlay holding every posting, and
+# every view copies that overlay — the relation without numpy.
 BACKENDS = [
     ("memory", {}),
     ("compact", {}),
@@ -122,7 +121,11 @@ def assert_view_equivalent(forest, reference):
     view's frozen base and overlay in array space."""
     view = forest.read_view()
     assert view.generation == forest.generation
-    assert isinstance(view, OverlaySnapshot) == compact_module.HAVE_NUMPY
+    # One view class: it shares a frozen base exactly when numpy can
+    # build one; without numpy its overlay holds the whole relation.
+    assert (view._frozen is not None) == compact_module.HAVE_NUMPY
+    if view._frozen is None:
+        assert view._overlay == reference.inverted_lists()
     assert dict(view.iter_sizes()) == dict(reference.backend.iter_sizes())
     query = PQGramIndex.from_tree(
         random_labelled_tree(15, seed=31), CONFIG, reference.hasher

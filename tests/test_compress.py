@@ -344,7 +344,7 @@ class TestCompressedPostings:
         if backend == "segment":
             forest.compact()
         forest.add_trees((i, dblp_tree(2, seed=i)) for i in range(30))
-        inverted = dict(forest.iter_postings())
+        inverted = forest.inverted_lists()
         sizes = dict(forest.backend.iter_sizes())
         pool = InternPool()
         packed = CompressedPostings.build(inverted, sizes, pool=pool)

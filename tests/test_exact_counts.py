@@ -137,3 +137,86 @@ def test_overlay_tallies_count_the_query_keys_that_met_it():
     scan = forest.backend.tau_scan(items, len(items), 1.0)
     assert scan.overlay_keys == 2
     assert tallies()[:2] == (4, 2)
+
+
+# ----------------------------------------------------------------------
+# the candidate sweep's tallies, before and after the first freeze
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "freeze, numpy, frozen_keys, overlay_keys, merges, dirty",
+    [
+        # Nothing frozen: the overlay holds every posting and is the
+        # whole sweep, so no key is swept through a base and none
+        # "meets the overlay"; the rename's dead keys are dropped.
+        (False, True, 0, 0, 0, 0),
+        # Frozen, then tree 2 written: the base answers for tree 1 and
+        # tree 3, the overlay for tree 2.  All 4 query keys meet tree 2
+        # there; the overlay holds tree 2's 4 current keys plus, empty,
+        # the 2 the rename removed (6 dirty keys).
+        (True, True, 4, 4, 1, 6),
+        # Without numpy compact() freezes nothing: as the first row.
+        (True, False, 0, 0, 0, 0),
+    ],
+    ids=["before-freeze", "frozen-overlay", "no-numpy"],
+)
+def test_sweep_tallies_of_a_three_tree_forest(
+    freeze, numpy, frozen_keys, overlay_keys, merges, dirty, monkeypatch
+):
+    """Tree 1 ``a(b, c)``, tree 2 ``a(b, d)`` renamed to ``a(b, c)``,
+    tree 3 ``p(q, r)``; the query is tree 1's bag
+    ``(a,b) (a,c) (b,*) (c,*)``.
+
+    After the rename trees 1 and 2 both hold all 4 query keys and tree
+    3 none: every sweep reads 2 postings per key, 8 in all, and emits
+    trees 1 and 2, each sharing 4 grams.  The frozen row reads 6 in the
+    base (tree 2's stale ``(a,b) (b,*)`` among them), subtracts those 2
+    masked ones and adds tree 2's 4 in the overlay: 8 again.
+    """
+    import repro.backend.compact as compact_module
+
+    if numpy and not HAVE_NUMPY:
+        pytest.skip("the frozen base needs numpy")
+    monkeypatch.setattr(compact_module, "HAVE_NUMPY", numpy and HAVE_NUMPY)
+    forest = ForestIndex(CONFIG, metrics=True)
+    tree, _, _ = _a_b_c()
+    twin = Tree("a", 0)
+    twin.add_child(0, "b")
+    d = twin.add_child(0, "d")
+    other = Tree("p", 0)
+    other.add_child(0, "q")
+    other.add_child(0, "r")
+    forest.add_trees([(1, tree), (2, twin), (3, other)])
+    if freeze:
+        forest.compact()
+    edited, log = apply_script(twin, [Rename(d, "c")])
+    forest.update_tree(2, edited, log)
+    registry = forest.metrics
+    names = (
+        "index_keys_swept_total",
+        "index_postings_touched_total",
+        "index_candidates_emitted_total",
+        "compact_frozen_keys_swept_total",
+        "compact_overlay_keys_swept_total",
+        "compact_overlay_merges_total",
+    )
+    assert [registry.counter_value(name) for name in names] == [0] * 6
+
+    assert forest.backend.candidates(list(forest.index_of(1).items())) == {1: 4, 2: 4}
+    assert [registry.counter_value(name) for name in names] == [
+        4,
+        8,
+        2,
+        frozen_keys,
+        overlay_keys,
+        merges,
+    ]
+    forest.sync_metric_gauges()
+    assert registry.snapshot()["gauges"]["compact_dirty_keys"] == dirty
+    # 12 postings over 8 distinct keys: trees 1 and 2 share all 4 of
+    # theirs, tree 3 has 4 of its own.
+    stats = forest.backend_stats()
+    assert (stats["postings"], stats["distinct_keys"]) == (12, 8)
+    if forest.backend._frozen is None:
+        assert len(forest.backend._overlay) == 8

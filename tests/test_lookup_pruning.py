@@ -420,11 +420,10 @@ class TestArraySpaceScanParity:
     def test_without_numpy_the_view_holds_the_whole_relation(
         self, churned, repeated, monkeypatch
     ):
-        """No numpy, no array form to share: the view is the base
-        class's ``DictSnapshot`` and answers through the dict sweep,
-        identically — ``compact`` has nothing to freeze."""
+        """No numpy, no array form to share: the view has no base, its
+        overlay is the whole relation, and it answers through the dict
+        sweep, identically — ``compact`` has nothing to freeze."""
         import repro.backend.compact as compact_module
-        from repro.concurrency.snapshot import DictSnapshot
 
         forest, documents = self.forest(churned, repeated)
         expected = {
@@ -432,8 +431,9 @@ class TestArraySpaceScanParity:
         }
         monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
         view = forest.read_view()
-        assert type(view) is DictSnapshot
-        assert forest.backend._frozen is None
+        assert view._frozen is None and forest.backend._frozen is None
+        assert view._overlay == forest.inverted_lists()
+        assert view.tau_scan(forest.index_of(1).items(), 1, 0.5) is None
         for query_index in self.queries(forest, documents):
             assert_scan_equals_reference(forest, query_index, False)
         for tau in TAUS:
@@ -560,11 +560,18 @@ def rebuilt_inversion(forest):
 
 class TestDeltaInversionConsistency:
     def test_interleaved_add_update_remove(self):
-        """`_inverted` == fresh rebuild after any mutation interleaving."""
+        """The inverted lists == fresh rebuild after any mutation
+        interleaving, with refreezes (built from the bags) among the
+        actions."""
         rng = random.Random(99)
         forest = ForestIndex(GramConfig(2, 3))
+        # Any written key makes the frozen base stale, so every
+        # compact() after a write refreezes from the bags.
+        forest.backend.REFREEZE_MIN_DIRTY = 0
+        forest.backend.REFREEZE_FRACTION = 0.0
         documents = {}
         next_id = 0
+        builds = 0
         for round_number in range(40):
             action = rng.randrange(3)
             if action == 0 or not documents:
@@ -585,6 +592,10 @@ class TestDeltaInversionConsistency:
                 tree_id = rng.choice(list(documents))
                 forest.remove_tree(tree_id)
                 del documents[tree_id]
+            if round_number % 3 == 2:
+                base = forest.backend._frozen
+                forest.compact()
+                builds += forest.backend._frozen is not base
             assert forest.inverted_lists() == rebuilt_inversion(forest), (
                 f"inversion drift after round {round_number} action {action}"
             )
@@ -594,6 +605,8 @@ class TestDeltaInversionConsistency:
                 for tree_id in documents
             }
             forest.backend.check_consistency()
+        # One first freeze and refreezes after it (none without numpy).
+        assert builds > 2 or not HAVE_NUMPY
 
     def test_update_only_touches_delta_keys(self):
         """Postings of untouched pq-grams are not rewritten."""

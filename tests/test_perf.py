@@ -142,10 +142,37 @@ class TestCompactPostings:
         compact = forest.backend._frozen
         assert len(compact.tree_ids) == len(forest)
         total_postings = sum(
-            len(postings) for _, postings in forest.iter_postings()
+            len(postings) for postings in forest.inverted_lists().values()
         )
         assert len(compact.slots) == len(compact.counts)
         assert len(compact.slots) == total_postings
+
+    def test_first_freeze_does_not_grow_the_heap(self):
+        """The first freeze turns the overlay, which holds every posting
+        until then, into the CSR base and drops it: the relation keeps
+        its postings once in the bags and once in the arrays, so the
+        heap after ``compact()`` is no larger than after the adds."""
+        import gc
+        import tracemalloc
+
+        # The read_small collection of the end-to-end benchmark: one
+        # DBLP record (~14 nodes) per document.
+        documents = [(index, dblp_tree(1, seed=index)) for index in range(1000)]
+        forest = ForestIndex()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            forest.add_trees(documents)
+            gc.collect()
+            added = tracemalloc.get_traced_memory()[0] - start
+            forest.compact()
+            gc.collect()
+            frozen = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert forest.backend._frozen is not None
+        assert frozen <= added, (added, frozen)
 
 
 class TestParallelBuild:

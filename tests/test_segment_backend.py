@@ -153,7 +153,7 @@ class TestDebounce:
         }
 
     def test_compact_refreeze_debounced_by_mutation_gap(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         backend = CompactBackend()
         for tree_id, bag in self._bags(4, 80).items():
             backend.add_tree_bag(tree_id, bag)
