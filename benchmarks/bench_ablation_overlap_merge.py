@@ -11,6 +11,7 @@ variant that recomputes every region.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from typing import List
@@ -18,14 +19,17 @@ from typing import List
 import pytest
 
 from repro.core import GramConfig, PQGramIndex
-from repro.core.delta import delta_into_tables
-from repro.core.tables import DeltaTables
 from repro.datasets import dblp_tree
 from repro.edits import EditOperation, Rename, apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+# The paper's reference stack lives in the test tree, under the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from conftest import emit, format_table, wall_time
+
+from tests.support.reference.delta import delta_into_tables
+from tests.support.reference.tables import DeltaTables
 
 RECORDS = 2_000
 HOT_RECORDS = 5

@@ -12,20 +12,24 @@ exist at all).
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from typing import List, Tuple
 
 import pytest
 
-from repro.baselines import tree_edit_distance
 from repro.core import GramConfig, pq_gram_distance
 from repro.datasets.random_trees import random_labelled_tree
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+# The paper's reference stack lives in the test tree, under the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from conftest import emit, format_table, wall_time
+
+from tests.support.reference.baselines import tree_edit_distance
 
 CONFIGS = (GramConfig(1, 1), GramConfig(1, 2), GramConfig(2, 3), GramConfig(3, 3))
 PAIRS = 40

@@ -12,24 +12,28 @@ paper's Algorithm 1 (tablewise) measured.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
-from repro.baselines import rebuild_index
 from repro.core import (
     GramConfig,
     PQGramIndex,
     update_index,
-    update_index_tablewise,
 )
 from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+# The paper's reference stack lives in the test tree, under the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from conftest import emit, format_table, wall_time
 from dblp_workloads import dblp_update_script
+
+from tests.support.reference import update_index_tablewise
+from tests.support.reference.baselines import rebuild_index
 
 TREE_SIZES = (2_000, 4_000, 8_000, 16_000, 32_000)
 LOG_SIZE = 20

@@ -11,6 +11,7 @@ workload; the maintenance engine and the paper's Algorithm 1
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
@@ -19,15 +20,18 @@ from repro.core import (
     GramConfig,
     PQGramIndex,
     update_index,
-    update_index_tablewise,
 )
 from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+# The paper's reference stack lives in the test tree, under the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from conftest import emit, format_table, wall_time
 from dblp_workloads import dblp_update_script
+
+from tests.support.reference import update_index_tablewise
 
 RECORDS = 8_000
 LOG_SIZES = (1, 10, 100, 1000)

@@ -21,18 +21,22 @@ stay a cheap attribute.)
 
 from __future__ import annotations
 
+import os
 import sys
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+# The paper's reference stack lives in the test tree, under the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from conftest import emit, format_table
 
-from repro.core.gram import PQGram
 from repro.edits.move import Move
 from repro.edits.ops import Delete, Insert, Rename
 from repro.tree.node import Node
+
+from tests.support.reference.gram import PQGram
 
 BATCH = 50_000
 

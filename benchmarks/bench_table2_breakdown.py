@@ -12,19 +12,23 @@ faithful tablewise engine (Algorithm 1) instrumented per phase.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
 from repro.core import GramConfig, PQGramIndex
-from repro.core.maintain import update_index_timed
 from repro.datasets import dblp_tree
 from repro.edits import apply_script
 from repro.hashing import LabelHasher
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+# The paper's reference stack lives in the test tree, under the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from conftest import emit, format_table
 from dblp_workloads import dblp_update_script
+
+from tests.support.reference import update_index_timed
 
 RECORDS = 6_000
 LOG_SIZES = (1, 10, 100, 1000)

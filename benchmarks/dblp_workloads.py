@@ -7,7 +7,7 @@ fields are corrected, withdrawn records disappear.  The generators here
 produce such scripts; because each structural operation targets a
 distinct record subtree (or a fresh position under the root), the
 resulting logs are *address-stable*, which is the regime the paper's
-tablewise algorithm is exact in (see ``repro.core.stability``).
+tablewise algorithm is exact in (see ``tests.support.reference.stability``).
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def dblp_update_script(
     corrections, the dominant real-world DBLP update pattern).  The
     inverse log of such a script contains only DEL and REN operations —
     node-addressed, hence *address-stable* — so the paper's tablewise
-    engine is guaranteed exact on it (see ``repro.core.stability``).
+    engine is guaranteed exact on it (see ``tests.support.reference.stability``).
     """
     if stable:
         return record_edit_script(

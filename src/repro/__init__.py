@@ -18,10 +18,8 @@ from repro.core import (
     PQGramIndex,
     index_of_tree,
     index_distance,
-    is_address_stable,
     pq_gram_distance,
     update_index,
-    update_index_tablewise,
 )
 from repro.edits import (
     Delete,
@@ -46,9 +44,7 @@ __all__ = [
     "index_of_tree",
     "index_distance",
     "pq_gram_distance",
-    "is_address_stable",
     "update_index",
-    "update_index_tablewise",
     "Insert",
     "Delete",
     "Rename",

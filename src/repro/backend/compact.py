@@ -441,15 +441,35 @@ class CompactBackend:
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Operational counters: trees, postings, distinct keys (both
-        derived from the bags), whether the CSR is frozen, and the
-        overlay's distinct keys since the freeze (0 before it)."""
+        """Operational counters: trees, postings, distinct keys, whether
+        the CSR is frozen, and the overlay's distinct keys since the
+        freeze (0 before it).
+
+        Postings and distinct keys are exact and cost O(overlay): the
+        base's postings less the masked trees' (``TreeMask.counts``)
+        plus the overlay's, and the base's keys corrected for every
+        overlay key — the only keys a write since the freeze can have
+        emptied or created.  Before the first freeze the overlay is
+        the whole relation.
+        """
+        frozen, overlay = self._frozen, self._overlay
+        postings = sum(map(len, overlay.values()))
+        if frozen is None:
+            distinct_keys = len(overlay)  # emptied keys are dropped
+        else:
+            masked = self._masked.counts
+            postings += len(frozen.slots) - sum(masked.values())
+            distinct_keys = len(frozen.spans)
+            for key, entry in overlay.items():
+                span = frozen.spans.get(key)
+                in_base = span is not None and span[1] - span[0] > masked.get(key, 0)
+                distinct_keys += (bool(entry) or in_base) - (span is not None)
         return {
             "trees": len(self._bags),
-            "postings": sum(len(bag) for bag in self._bags.values()),
-            "distinct_keys": len(set().union(*self._bags.values())),
-            "frozen": self._frozen is not None,
-            "dirty_keys": len(self._overlay) if self._frozen is not None else 0,
+            "postings": postings,
+            "distinct_keys": distinct_keys,
+            "frozen": frozen is not None,
+            "dirty_keys": len(overlay) if frozen is not None else 0,
         }
 
     def check_consistency(self) -> None:

@@ -25,7 +25,8 @@ Algorithm, per node (top-down):
    unmatched ones are inserted as whole subtrees at their position.
 
 The script is not guaranteed minimal — optimal diffing *is* the tree
-edit distance problem (:mod:`repro.baselines.tree_edit_distance`) —
+edit distance problem (the Zhang–Shasha reference the tests keep in
+``tests/support/reference/baselines/tree_edit_distance.py``) —
 but it is sound for every input pair, and near-minimal on typical
 document churn because unchanged subtrees are matched wholesale.
 """

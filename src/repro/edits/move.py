@@ -18,9 +18,9 @@ move, which is precisely what the lowering cannot express.
 
 ``Move`` composes with everything log-shaped: scripts, inverse logs,
 text serialization (``MOV`` lines) and the maintenance engine.  The
-tablewise engine implements the paper's Algorithms 1–4 verbatim, which
-have no move case; feeding it a log with moves raises
-:class:`~repro.errors.InvalidLogError`.
+paper's Algorithms 1–4, kept verbatim as test-only reference code
+(``tests/support/reference/``), have no move case; a log with moves
+makes them raise :class:`~repro.errors.InvalidLogError`.
 """
 
 from __future__ import annotations

@@ -49,7 +49,9 @@ class InvalidLogError(ReproError):
 
 
 class StorageError(ReproError):
-    """Base class for errors raised by the embedded relational store."""
+    """Base class for errors about stored data: an unknown or duplicate
+    id in the index relation or the document store, an undecodable
+    file."""
 
 
 class StoreFailedError(ReproError):

@@ -426,9 +426,9 @@ class ForestIndex:
                 self._publish_view()
 
     def backend_stats(self) -> Dict[str, object]:
-        """The backend's operational counters.  They walk its live
-        dicts in Python, so they are read in exclusive mode — behind
-        the view-refresh latch like every hold that is O(N)."""
+        """The backend's operational counters, read in exclusive mode
+        behind the view-refresh latch: they cost O(overlay), which is
+        the whole relation before the first freeze."""
         with self._view_refresh, self.lock.write():
             return self._backend.stats()
 

@@ -120,16 +120,6 @@ class LookupService:
             "write generations the served read view trails the forest by",
         )
 
-    @property
-    def snapshot_reads(self) -> bool:
-        """Whether lookups scan immutable read views (serving mode)."""
-        return self._snapshot_reads
-
-    @property
-    def metrics_registry(self) -> MetricsRegistry:
-        """The metrics recorder shared with the underlying forest."""
-        return self.forest.metrics
-
     def metrics(self) -> Dict[str, object]:
         """One JSON-ready snapshot of every metric this service (and
         its forest, backend, and hasher) recorded.
@@ -163,10 +153,6 @@ class LookupService:
         forest = ForestIndex(config, metrics=metrics)
         forest.add_trees(collection)
         return cls(forest, **kwargs)  # type: ignore[arg-type]
-
-    def query_index(self, query: "Tree | str") -> PQGramIndex:
-        """The query's pq-gram index, via the LRU."""
-        return self._query_bag(query)[0]
 
     def _query_bag(self, query: "Tree | str") -> "Tuple[PQGramIndex, int | bytes]":
         """The retrieval query as ``(pq-gram bag, cache key)``.
@@ -203,10 +189,6 @@ class LookupService:
             if len(self._query_cache) > self.QUERY_CACHE_SIZE:
                 self._query_cache.popitem(last=False)
         return index, fingerprint
-
-    def hasher_stats(self) -> Dict[str, int]:
-        """Memo statistics of the forest's shared label hasher."""
-        return self.forest.hasher.stats()
 
     def backend_stats(self) -> Dict[str, object]:
         """Operational counters of the forest's storage backend

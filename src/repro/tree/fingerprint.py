@@ -48,7 +48,7 @@ def _mix(label: str, child_digests: list[int]) -> int:
     return int.from_bytes(state.digest(), "little")
 
 
-def subtree_fingerprints(tree: Tree, _unused=None) -> Dict[int, int]:
+def subtree_fingerprints(tree: Tree) -> Dict[int, int]:
     """Fingerprint of every subtree, keyed by its root node id.
 
     Deterministic across processes; equal label structures (labels,

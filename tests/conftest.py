@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 from hypothesis import strategies as st
 
-from repro.baselines import rebuild_index
 from repro.core.config import GramConfig
 from repro.core.index import PQGramIndex
 from repro.core.batch import update_index, update_index_batch_delta
@@ -23,6 +22,8 @@ from repro.edits.ops import EditOperation
 from repro.edits.script import apply_script
 from repro.hashing.labelhash import LabelHasher
 from repro.tree.tree import Tree
+
+from tests.support.reference.baselines import rebuild_index
 
 LABELS = ("a", "b", "c", "d", "e")
 

@@ -4,7 +4,7 @@ Builds the extended tree T' of Definition 1 explicitly — p-1 null
 ancestors above the root, q-1 null children around every child list, q
 null children below every leaf — and then reads off every pq-gram by
 walking ancestor chains.  Slow and memory-hungry by design; its only
-job is to cross-check :func:`repro.core.profile.compute_profile`
+job is to cross-check :func:`tests.support.reference.profile.compute_profile`
 (which never materializes T') in tests.
 """
 
@@ -13,10 +13,11 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro.core.config import GramConfig
-from repro.core.gram import PQGram
-from repro.core.profile import Profile
 from repro.tree.node import NULL_NODE, Node
 from repro.tree.tree import Tree
+
+from tests.support.reference.gram import PQGram
+from tests.support.reference.profile import Profile
 
 
 class _XNode:

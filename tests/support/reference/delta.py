@@ -21,12 +21,13 @@ defined against intermediate tree versions and need not apply to T_n.
 
 from __future__ import annotations
 
-from repro.core.tables import DeltaTables
 from repro.edits.ops import Delete, EditOperation, Insert, Rename, is_applicable
 from repro.errors import InvalidLogError
 from repro.hashing.labelhash import LabelHasher
 from repro.tree.traversal import descendants_within
 from repro.tree.tree import Tree
+
+from tests.support.reference.tables import DeltaTables
 
 
 def delta_into_tables(

@@ -2,7 +2,7 @@
 
 :func:`~repro.core.update_index`, the production engine, lives in
 :mod:`repro.core.batch`.  This module keeps the paper's own algorithm
-beside it as the reference.  Both take the same inputs — the old index
+as the reference the tests check it against.  Both take the same inputs — the old index
 I_0, the resulting tree T_n and the log of inverse edit operations
 (ē_1, .., ē_n) — and never reconstruct a full intermediate document
 version.
@@ -32,16 +32,17 @@ cost O(|L| · (log|T| + local fanout)).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.delta import delta_into_tables
 from repro.core.index import PQGramIndex
-from repro.core.tables import DeltaTables
-from repro.core.update import apply_update
 from repro.edits.ops import EditOperation
 from repro.hashing.labelhash import LabelHasher
 from repro.tree.tree import Tree
+
+from tests.support.reference.delta import delta_into_tables
+from tests.support.reference.tables import DeltaTables
+from tests.support.reference.update import apply_update
 
 Bag = Dict[Tuple[int, ...], int]
 
@@ -59,7 +60,6 @@ class MaintenanceTimings:
     log_size: int = 0
     gram_count_plus: int = 0         # pq-grams in Δ⁺
     gram_count_minus: int = 0        # pq-grams in Δ⁻
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -84,24 +84,18 @@ class MaintenanceTimings:
         )
 
 
-def update_index_timed(
-    old_index: PQGramIndex,
+def compute_deltas(
+    config_index: PQGramIndex,
     tree: Tree,
     log: Sequence[EditOperation],
     hasher: LabelHasher,
     use_anchor_index: bool = True,
-) -> Tuple[PQGramIndex, MaintenanceTimings]:
-    """The paper's Algorithm 1 with instrumentation (tablewise engine).
-
-    ``tree`` is T_n, the *resulting* document; ``log`` is (ē_1, .., ē_n)
-    in script order.  The old document is never needed and no
-    intermediate version is reconstructed.  Returns the new index and
-    the phase timings.  Exact on address-stable logs (see the module
-    docstring); raises :class:`~repro.errors.InvalidLogError` when the
-    stored deltas are insufficient.
-    """
-    timings = MaintenanceTimings(log_size=len(log))
-    tables = DeltaTables(old_index.config, use_anchor_index=use_anchor_index)
+    timings: Optional[MaintenanceTimings] = None,
+) -> Tuple[Bag, Bag]:
+    """(λ(Δ⁻), λ(Δ⁺)) of Algorithm 1 without touching the index:
+    steps 1–4, each phase timed into ``timings`` when given."""
+    timings = timings if timings is not None else MaintenanceTimings()
+    tables = DeltaTables(config_index.config, use_anchor_index=use_anchor_index)
 
     started = time.perf_counter()
     for inverse_op in log:
@@ -123,7 +117,29 @@ def update_index_timed(
     started = time.perf_counter()
     minus_bag = tables.label_bag()
     timings.lambda_minus = time.perf_counter() - started
+    return minus_bag, plus_bag
 
+
+def update_index_timed(
+    old_index: PQGramIndex,
+    tree: Tree,
+    log: Sequence[EditOperation],
+    hasher: LabelHasher,
+    use_anchor_index: bool = True,
+) -> Tuple[PQGramIndex, MaintenanceTimings]:
+    """The paper's Algorithm 1 with instrumentation (tablewise engine).
+
+    ``tree`` is T_n, the *resulting* document; ``log`` is (ē_1, .., ē_n)
+    in script order.  The old document is never needed and no
+    intermediate version is reconstructed.  Returns the new index and
+    the phase timings.  Exact on address-stable logs (see the module
+    docstring); raises :class:`~repro.errors.InvalidLogError` when the
+    stored deltas are insufficient.
+    """
+    timings = MaintenanceTimings(log_size=len(log))
+    minus_bag, plus_bag = compute_deltas(
+        old_index, tree, log, hasher, use_anchor_index, timings
+    )
     started = time.perf_counter()
     new_index = old_index.copy()
     new_index.apply_delta(minus_bag, plus_bag)
@@ -138,25 +154,5 @@ def update_index_tablewise(
     hasher: Optional[LabelHasher] = None,
 ) -> PQGramIndex:
     """The paper's Algorithm 1 (see :func:`update_index_timed`)."""
-    new_index, _ = update_index_timed(
-        old_index, tree, log, hasher or LabelHasher()
-    )
+    new_index, _ = update_index_timed(old_index, tree, log, hasher or LabelHasher())
     return new_index
-
-
-
-def compute_deltas(
-    config_index: PQGramIndex,
-    tree: Tree,
-    log: Sequence[EditOperation],
-    hasher: LabelHasher,
-) -> Tuple[Bag, Bag]:
-    """(λ(Δ⁻), λ(Δ⁺)) without touching the index — exposed for tests
-    and for callers that maintain several replicas of one index."""
-    tables = DeltaTables(config_index.config)
-    for inverse_op in log:
-        delta_into_tables(tree, inverse_op, tables, hasher)
-    plus_bag = tables.label_bag()
-    for inverse_op in reversed(list(log)):
-        apply_update(tables, inverse_op, hasher)
-    return tables.label_bag(), plus_bag

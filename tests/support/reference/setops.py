@@ -4,8 +4,8 @@ Sections 5 and 6 of the paper state the maintenance theory on
 *profiles* (sets of node-level pq-grams).  This module implements those
 definitions literally, with tree copies where the definition speaks of
 other tree versions.  It is **not** the efficient implementation — that
-is the table machinery of :mod:`repro.core.delta` /
-:mod:`repro.core.update` — but the executable form of the definitions
+is the table machinery of :mod:`tests.support.reference.delta` /
+:mod:`tests.support.reference.update` — but the executable form of the definitions
 that ``tests/test_theorems.py`` uses to validate every lemma and
 theorem of the paper (and to pin down exactly where Lemma 1, Lemma 3
 and Theorem 1 stop holding).
@@ -16,10 +16,11 @@ from __future__ import annotations
 from typing import List, Sequence, Set, Tuple
 
 from repro.core.config import GramConfig
-from repro.core.gram import PQGram
-from repro.core.profile import compute_profile
 from repro.edits.ops import Delete, EditOperation, Insert, Rename, is_applicable
 from repro.tree.tree import Tree
+
+from tests.support.reference.gram import PQGram
+from tests.support.reference.profile import compute_profile
 
 
 def delta_profile(

@@ -35,18 +35,21 @@ stored representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import GramConfig
 from repro.errors import InvalidLogError
 from repro.hashing.labelhash import NULL_HASH, LabelHasher
 from repro.tree.tree import Tree
 
-#: Sentinel parent id of the root anchor (relstore sorted indexes need
-#: comparable keys, so we avoid ``None`` here; real ids are >= 0).
+#: Parent id of the root anchor (real ids are >= 0).
 NO_PARENT = -1
 
+#: Open bounds for a sibling-position range.
+_LOWEST, _HIGHEST = -(1 << 62), 1 << 62
+
 Bag = Dict[Tuple[int, ...], int]
+PRow = Dict[str, Any]
 
 
 @dataclass
@@ -68,44 +71,22 @@ class ChildWindow:
 
 
 class DeltaTables:
-    """The (P, Q) pair with the paper's maintenance operations."""
+    """The (P, Q) pair with the paper's maintenance operations.
+
+    ``P`` maps an anchor id to its row (a dict over the columns
+    ``anchId, sibPos, parId, fanout, ppart``), ``Q`` an anchor id to its
+    stored q-matrix rows ``{row: qpart}``.  Section 8.1's "index on the
+    anchor IDs" is ``_children`` (``parId → {anchId}``), which answers
+    the update function's selections of an anchor's stored children;
+    ``use_anchor_index=False`` (ablation A2) answers them by scanning
+    every P row instead.
+    """
 
     def __init__(self, config: GramConfig, use_anchor_index: bool = True) -> None:
-        # The relational substrate loads with the first table pair, so
-        # importing the package does not load it.
-        from repro.relstore import Column, Schema, Table
-
         self.config = config
-        self._use_anchor_index = use_anchor_index
-        self.p_table = Table(
-            "P",
-            Schema(
-                [
-                    Column("anchId", int),
-                    Column("sibPos", int),
-                    Column("parId", int),
-                    Column("fanout", int),
-                    Column("ppart", tuple),
-                ]
-            ),
-            primary_key=("anchId",),
-        )
-        self.q_table = Table(
-            "Q",
-            Schema(
-                [
-                    Column("anchId", int),
-                    Column("row", int),
-                    Column("qpart", tuple),
-                ]
-            ),
-            primary_key=("anchId", "row"),
-        )
-        if use_anchor_index:
-            # Section 8.1: "An index on the anchor IDs proved to give a
-            # substantial performance advantage."  Ablation A2 turns it off.
-            self.p_table.create_index("parent", ("parId", "sibPos"), kind="sorted")
-            self.q_table.create_index("anchor", ("anchId", "row"), kind="sorted")
+        self.P: Dict[int, PRow] = {}
+        self.Q: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        self._children: Optional[Dict[int, Set[int]]] = {} if use_anchor_index else None
         # Anchors whose *complete* q-matrix is stored — lets overlapping
         # deltas skip re-reading the same subtree regions (the paper's
         # Section 10 "merge overlapping regions" idea; ablation A8).
@@ -120,8 +101,9 @@ class DeltaTables:
         """The all-null window of a leaf anchor."""
         return (NULL_HASH,) * self.config.q
 
-    def _is_leaf_rows(self, rows: Sequence[Tuple[int, Tuple[int, ...]]]) -> bool:
-        return len(rows) == 1 and rows[0][0] == 1 and rows[0][1] == self.leaf_qpart
+    def _is_leaf(self, anch_id: int) -> bool:
+        rows = self.Q.get(anch_id, {})
+        return len(rows) == 1 and rows.get(1) == self.leaf_qpart
 
     # ------------------------------------------------------------------
     # insertion of delta pq-grams (used by Algorithm 2)
@@ -138,10 +120,18 @@ class DeltaTables:
         """Add a P row; a duplicate with identical content is a no-op,
         a conflicting duplicate is an error (deltas of one tree state
         must agree)."""
-        existing = self.p_table.get_row((anch_id,))
-        new_row = (anch_id, sib_pos, par_id, fanout, ppart)
+        existing = self.P.get(anch_id)
+        new_row: PRow = {
+            "anchId": anch_id,
+            "sibPos": sib_pos,
+            "parId": par_id,
+            "fanout": fanout,
+            "ppart": ppart,
+        }
         if existing is None:
-            self.p_table.insert_row(new_row)
+            self.P[anch_id] = new_row
+            if self._children is not None:
+                self._children.setdefault(par_id, set()).add(anch_id)
         elif existing != new_row:
             raise InvalidLogError(
                 f"conflicting p-parts for anchor {anch_id}: "
@@ -150,20 +140,17 @@ class DeltaTables:
 
     def add_q_row(self, anch_id: int, row: int, qpart: Tuple[int, ...]) -> None:
         """Add a Q row; duplicate handling as :meth:`add_p_row`."""
-        existing = self.q_table.get_row((anch_id, row))
-        new_row = (anch_id, row, qpart)
-        if existing is None:
-            self.q_table.insert_row(new_row)
-        elif existing != new_row:
+        rows = self.Q.setdefault(anch_id, {})
+        existing = rows.setdefault(row, qpart)
+        if existing != qpart:
             raise InvalidLogError(
-                f"conflicting q-rows ({anch_id}, {row}): "
-                f"{existing[2]} vs {qpart}"
+                f"conflicting q-rows ({anch_id}, {row}): {existing} vs {qpart}"
             )
 
     def add_p_row_from_tree(self, tree: Tree, node_id: int, hasher: LabelHasher) -> None:
         """Store P_T(x) of Algorithm 2: the hashed p-part plus position
         bookkeeping read from the tree."""
-        if self.p_table.get_row((node_id,)) is not None:
+        if node_id in self.P:
             return  # identical by construction: all deltas read one tree
         p = self.config.p
         chain: List[int] = []
@@ -217,58 +204,69 @@ class DeltaTables:
     # reading
     # ------------------------------------------------------------------
 
-    def get_p(self, anch_id: int) -> Optional[Dict[str, object]]:
+    def get_p(self, anch_id: int) -> Optional[PRow]:
         """The P row of an anchor (or ``None``)."""
-        return self.p_table.get((anch_id,))
+        return self.P.get(anch_id)
 
-    def require_p(self, anch_id: int) -> Dict[str, object]:
+    def require_p(self, anch_id: int) -> PRow:
         """The P row of an anchor; missing data means the log is
         inconsistent with the stored deltas."""
-        row = self.get_p(anch_id)
+        row = self.P.get(anch_id)
         if row is None:
             raise InvalidLogError(f"no stored p-part for anchor {anch_id}")
         return row
 
     def q_rows(self, anch_id: int) -> List[Tuple[int, Tuple[int, ...]]]:
         """All stored (row, qpart) pairs of an anchor, sorted by row."""
-        if self._use_anchor_index:
-            found = self.q_table.find_range(
-                "anchor", (anch_id, -(1 << 60)), (anch_id, 1 << 60)
-            )
-        else:
-            found = [row for row in self.q_table.scan() if row[0] == anch_id]
-        return sorted((row[1], row[2]) for row in found)
+        return sorted(self.Q.get(anch_id, {}).items())
 
     def q_rows_range(
         self, anch_id: int, low: int, high: int
     ) -> List[Tuple[int, Tuple[int, ...]]]:
         """Stored (row, qpart) pairs with ``low <= row <= high``."""
-        if self._use_anchor_index:
-            found = self.q_table.find_range("anchor", (anch_id, low), (anch_id, high))
-            return sorted((row[1], row[2]) for row in found)
-        return [
-            (row, qpart)
-            for row, qpart in self.q_rows(anch_id)
-            if low <= row <= high
-        ]
+        rows = self.Q.get(anch_id, {})
+        return [(row, rows[row]) for row in range(low, high + 1) if row in rows]
 
     def children_p_rows(
-        self, par_id: int, low: int, high: int
-    ) -> List[Dict[str, object]]:
+        self, par_id: int, low: int = _LOWEST, high: int = _HIGHEST
+    ) -> List[PRow]:
         """P rows with this parent and ``low <= sibPos <= high``,
         ordered by sibling position."""
-        if self._use_anchor_index:
-            found = self.p_table.find_range("parent", (par_id, low), (par_id, high))
+        if self._children is not None:
+            found = [self.P[anchor] for anchor in self._children.get(par_id, ())]
         else:
-            found = [
-                row
-                for row in self.p_table.scan()
-                if row[2] == par_id and low <= row[1] <= high
-            ]
-        return [
-            self.p_table.schema.row_to_dict(row)
-            for row in sorted(found, key=lambda row: row[1])
-        ]
+            found = [row for row in self.P.values() if row["parId"] == par_id]
+        return sorted(
+            (row for row in found if low <= row["sibPos"] <= high),
+            key=lambda row: row["sibPos"],
+        )
+
+    # ------------------------------------------------------------------
+    # changing P rows
+    # ------------------------------------------------------------------
+
+    def update_p(self, anch_id: int, **columns: Any) -> None:
+        """Set columns of an anchor's P row; no row, no change."""
+        row = self.P.get(anch_id)
+        if row is None:
+            return
+        if self._children is not None and "parId" in columns:
+            self._unlink(row)
+            self._children.setdefault(columns["parId"], set()).add(anch_id)
+        self.P[anch_id] = {**row, **columns}
+
+    def delete_p(self, anch_id: int) -> None:
+        """Drop an anchor's P row; no row, no change."""
+        row = self.P.pop(anch_id, None)
+        if row is not None and self._children is not None:
+            self._unlink(row)
+
+    def _unlink(self, row: PRow) -> None:
+        assert self._children is not None
+        siblings = self._children[row["parId"]]
+        siblings.discard(row["anchId"])
+        if not siblings:
+            del self._children[row["parId"]]
 
     # ------------------------------------------------------------------
     # q-matrix operators (Fig. 10 on the stored representation)
@@ -280,7 +278,7 @@ class DeltaTables:
         all present).  ``m == k - 1`` reads a pure gap window."""
         q = self.config.q
         stored = self.q_rows_range(anch_id, k, m + q - 1)
-        if self._is_leaf_rows(self.q_rows(anch_id)):
+        if self._is_leaf(anch_id):
             if k != 1 or m != 0:
                 raise InvalidLogError(
                     f"anchor {anch_id} is a leaf but window k={k}, m={m} "
@@ -324,25 +322,19 @@ class DeltaTables:
         q = self.config.q
         anch_id, k, m = window.anchor, window.k, window.m
         self.full_anchors.discard(anch_id)  # the matrix is being edited
+        rows = self.Q.setdefault(anch_id, {})
         # Remove the old window rows (all stored rows in k..m+q-1, or
         # the single leaf row).
         if window.was_leaf:
-            self.q_table.delete((anch_id, 1))
+            rows.pop(1, None)
         else:
-            for row, _ in self.q_rows_range(anch_id, k, m + q - 1):
-                self.q_table.delete((anch_id, row))
+            for row in range(k, m + q):
+                rows.pop(row, None)
         # Renumber the tail before inserting, to keep keys unique.
         shift = len(new_kids) - len(window.kids)
         if shift and not window.was_leaf:
-            tail = [
-                (row, qpart)
-                for row, qpart in self.q_rows(anch_id)
-                if row > m + q - 1
-            ]
-            for row, _ in tail:
-                self.q_table.delete((anch_id, row))
-            for row, qpart in tail:
-                self.q_table.insert_row((anch_id, row + shift, qpart))
+            tail = {row + shift: rows.pop(row) for row in list(rows) if row > m + q - 1}
+            rows.update(tail)
         # Build the new segment and its windows.
         segment = list(window.left_context) + list(new_kids) + list(window.right_context)
         if new_fanout == 0:
@@ -356,19 +348,17 @@ class DeltaTables:
             self.add_q_row(anch_id, 1, self.leaf_qpart)
             return
         for offset in range(len(segment) - q + 1):
-            self.q_table.insert_row(
-                (anch_id, k + offset, tuple(segment[offset : offset + q]))
-            )
+            rows[k + offset] = tuple(segment[offset : offset + q])
 
     def update_q_diagonal(self, anch_id: int, k: int, new_hash: int) -> None:
         """Relabel child k of the anchor inside every stored window —
         the rename case of Table 1, where ``Q^{k..k} // D(m)`` keeps the
         window shape and only changes the diagonal."""
         q = self.config.q
+        rows = self.Q.get(anch_id, {})
         for row, qpart in self.q_rows_range(anch_id, k, k + q - 1):
             offset = (k + q - 1) - row
-            updated = qpart[:offset] + (new_hash,) + qpart[offset + 1 :]
-            self.q_table.update((anch_id, row), {"qpart": updated})
+            rows[row] = qpart[:offset] + (new_hash,) + qpart[offset + 1 :]
 
     def write_anchor_rows(self, anch_id: int, kids: Sequence[int]) -> None:
         """Fresh q-matrix rows for a new anchor: windows over ``kids``
@@ -384,8 +374,7 @@ class DeltaTables:
     def delete_anchor_rows(self, anch_id: int) -> None:
         """Drop every stored q-row of an anchor."""
         self.full_anchors.discard(anch_id)
-        for row, _ in self.q_rows(anch_id):
-            self.q_table.delete((anch_id, row))
+        self.Q.pop(anch_id, None)
 
     def decode_anchor_children(self, anch_id: int) -> Tuple[int, ...]:
         """The child label hashes of an anchor, reconstructed from its
@@ -393,7 +382,7 @@ class DeltaTables:
         rows = self.q_rows(anch_id)
         if not rows:
             raise InvalidLogError(f"no stored q-rows for anchor {anch_id}")
-        if self._is_leaf_rows(rows):
+        if self._is_leaf(anch_id):
             return ()
         q = self.config.q
         fanout = len(rows) - q + 1
@@ -429,20 +418,17 @@ class DeltaTables:
         for distance in range(d + 1):
             next_level: List[int] = []
             for anchor in level:
-                row = self.get_p(anchor)
+                row = self.P.get(anchor)
                 if row is None:
                     continue
-                ppart: Tuple[int, ...] = row["ppart"]  # type: ignore[assignment]
+                ppart = row["ppart"]
                 new_ppart = s[distance:] + ppart[p - distance :]
                 if new_ppart != ppart:
-                    self.p_table.update((anchor,), {"ppart": new_ppart})
+                    self.update_p(anchor, ppart=new_ppart)
                 updated += 1
                 if distance < d:
                     next_level.extend(
-                        child["anchId"]  # type: ignore[index]
-                        for child in self.children_p_rows(
-                            anchor, -(1 << 60), 1 << 60
-                        )
+                        child["anchId"] for child in self.children_p_rows(anchor)
                     )
             level = next_level
         return updated
@@ -452,10 +438,8 @@ class DeltaTables:
         of ``par_id`` with sibPos > above (Section 8.4 renumbering)."""
         if delta == 0:
             return
-        for row in self.children_p_rows(par_id, above + 1, 1 << 60):
-            self.p_table.update(
-                (row["anchId"],), {"sibPos": row["sibPos"] + delta}
-            )
+        for row in self.children_p_rows(par_id, above + 1):
+            self.update_p(row["anchId"], sibPos=row["sibPos"] + delta)
 
     # ------------------------------------------------------------------
     # λ(P, Q): the join producing the label-tuple bag (Eq. 31)
@@ -464,31 +448,22 @@ class DeltaTables:
     def label_bag(self) -> Bag:
         """The bag of ppart ∘ qpart label tuples of all stored pq-grams.
 
-        Evaluates Eq. 31 — ``λ(P, Q) = π_{ppart ∘ qpart}(P ⋈ Q)`` —
-        through the relational-algebra layer; every Q row must join a
-        P row (a dangling q-row means the delta bookkeeping broke).
+        Evaluates Eq. 31 — ``λ(P, Q) = π_{ppart ∘ qpart}(P ⋈ Q)`` — as a
+        loop over Q probing P; every Q row must join a P row (a dangling
+        q-row means the delta bookkeeping broke).
         """
-        from repro.relstore.query import group_count, join
-
-        ppart_offset = self.p_table.schema.offset("ppart")
-        qpart_offset = self.q_table.schema.offset("qpart")
-        joined = 0
-
-        def tuples():
-            nonlocal joined
-            for p_row, q_row in join(
-                self.p_table, self.q_table, on=("anchId", "anchId")
-            ):
-                joined += 1
-                yield p_row[ppart_offset] + q_row[qpart_offset]
-
-        bag = group_count(tuples())
-        if joined != len(self.q_table):
-            orphans = {
-                row[0]
-                for row in self.q_table.scan()
-                if self.p_table.get_row((row[0],)) is None
-            }
+        bag: Bag = {}
+        orphans: List[int] = []
+        for anchor, rows in self.Q.items():
+            p_row = self.P.get(anchor)
+            if p_row is None:
+                orphans.append(anchor)
+                continue
+            ppart = p_row["ppart"]
+            for qpart in rows.values():
+                key = ppart + qpart
+                bag[key] = bag.get(key, 0) + 1
+        if orphans:
             raise InvalidLogError(
                 f"q-rows without p-parts for anchors {sorted(orphans)[:5]}"
             )
@@ -496,8 +471,8 @@ class DeltaTables:
 
     def gram_count(self) -> int:
         """Number of stored pq-grams (= Q rows)."""
-        return len(self.q_table)
+        return sum(map(len, self.Q.values()))
 
     def anchor_count(self) -> int:
         """Number of stored anchors (= P rows)."""
-        return len(self.p_table)
+        return len(self.P)

@@ -1,13 +1,7 @@
 """Secondary indexes for tables.
 
-Two flavours cover everything the paper's algorithms ask of the store:
-
-- :class:`HashIndex` — exact-match lookup, e.g. ``anchId = n`` on the
-  temporary Q table (Section 8.4 notes an index on the anchor ids gave
-  "a substantial performance advantage"; the ablation bench A2 measures
-  exactly this).
-- :class:`SortedIndex` — range lookup, e.g. ``k <= sibPos <= m`` when
-  the update function selects the children a node insertion moved.
+- :class:`HashIndex` — exact-match lookup on a composite key,
+- :class:`SortedIndex` — range lookup over a composite key.
 """
 
 from __future__ import annotations

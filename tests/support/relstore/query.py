@@ -1,23 +1,18 @@
-"""The two relational operators Algorithm 1 needs over the store's tables.
+"""Two relational operators over the store's tables.
 
-The paper expresses its maintenance algorithms in relational algebra —
-selections like ``σ_{anchId=n, k ≤ row ≤ m+q-1}(Q)``, the join
-``λ(P, Q) = π_{ppart ∘ qpart}(P ⋈ Q)`` (Eq. 31) — and implements them
-as SQL over an RDBMS.  Selections are the tables' own index reads
-(:meth:`~repro.relstore.table.Table.find` and
-:meth:`~repro.relstore.table.Table.find_range`); this module adds
+Selections are the tables' own index reads
+(:meth:`~tests.support.relstore.table.Table.find` and
+:meth:`~tests.support.relstore.table.Table.find_range`); this module adds
 
 - a hash :func:`join` building on the smaller input,
 - :func:`group_count` for the bag arithmetic.
-
-``DeltaTables.label_bag`` evaluates Eq. 31 through this layer.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.relstore.table import Row, Table
+from tests.support.relstore.table import Row, Table
 
 
 def join(

@@ -1,6 +1,6 @@
 """Tables: rows, primary key, secondary indexes, selections and updates.
 
-Rows are plain tuples laid out by the table's :class:`~repro.relstore.schema.Schema`.
+Rows are plain tuples laid out by the table's :class:`~tests.support.relstore.schema.Schema`.
 Every table has an internal monotonically increasing *row id* that the
 indexes reference, so updating a row never invalidates index entries of
 other rows.
@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, SchemaError, StorageError
-from repro.relstore.index import HashIndex, SortedIndex
-from repro.relstore.schema import Schema
+
+from tests.support.relstore.index import HashIndex, SortedIndex
+from tests.support.relstore.schema import Schema
 
 Row = Tuple[Any, ...]
 
@@ -20,7 +21,7 @@ Row = Tuple[Any, ...]
 class Table:
     """One relation with a mandatory unique primary key.
 
-    >>> from repro.relstore import Column, Schema, Table
+    >>> from tests.support.relstore import Column, Schema, Table
     >>> t = Table("P", Schema([Column("anchId", int), Column("ppart", tuple)]),
     ...           primary_key=("anchId",))
     >>> t.insert({"anchId": 7, "ppart": (0, 0, 3)})

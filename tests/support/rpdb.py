@@ -22,9 +22,10 @@ import zlib
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import CodecError, StorageError
-from repro.relstore.schema import Column, Schema
-from repro.relstore.table import Table
 from repro.service.record import read_varint, unzigzag, write_varint, zigzag
+
+from tests.support.relstore.schema import Column, Schema
+from tests.support.relstore.table import Table
 
 _MAGIC = b"RPDB\x02"
 #: the format before the checksum trailer: read, never written

@@ -646,3 +646,50 @@ def plant_meta(path, **values):
     from tests.support.rpdb import write_store_snapshot
 
     write_store_snapshot(path, read_checkpoint(path), **values)
+
+
+class _UnwalkableBags(dict):
+    """The relation's per-tree bags with every walk refused: counting
+    them is O(total postings) under the forest's exclusive lock."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("stats() walked the per-tree bags")
+
+    __iter__ = keys = values = items = _refuse
+
+
+@pytest.mark.parametrize(
+    "state", ["before-freeze", "frozen-overlay", "after-removal", "without-numpy"]
+)
+def test_stats_counts_postings_and_keys_without_walking_the_bags(state, monkeypatch):
+    """``stats()`` derives postings and distinct keys from the frozen
+    base, the mask's counts and the overlay, and they equal what the
+    bags say in every state: a key emptied since the freeze (3, 5, 6),
+    a key born since (6, 7), a masked tree whose key stays live (4)."""
+    if state == "without-numpy":
+        monkeypatch.setattr(compact_module, "HAVE_NUMPY", False)
+    elif state != "before-freeze" and not compact_module.HAVE_NUMPY:
+        pytest.skip("the frozen base needs numpy")
+    backend = CompactBackend()
+    backend.add_tree_bag(0, {(1,): 1, (2,): 1})
+    backend.add_tree_bag(1, {(2,): 2, (3,): 1})
+    backend.add_tree_bag(2, {(1,): 1, (4,): 1})
+    backend.add_tree_bag(3, {(5,): 3})
+    if state != "before-freeze":
+        backend.compact()
+        backend.add_tree_bag(4, {(1,): 1, (6,): 1})
+        backend.apply_tree_delta(1, {(3,): 1}, {(7,): 1})
+        backend.apply_tree_delta(2, {}, {(4,): 1})
+    if state == "after-removal":
+        backend.remove_tree(3)
+        backend.remove_tree(4)
+    bags = list(backend._bags.values())
+    expected = {
+        "trees": len(bags),
+        "postings": sum(map(len, bags)),
+        "distinct_keys": len(set().union(*bags)),
+        "frozen": state in ("frozen-overlay", "after-removal"),
+    }
+    backend._bags = _UnwalkableBags(backend._bags)
+    stats = backend.stats()
+    assert {name: stats[name] for name in expected} == expected

@@ -5,13 +5,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import rebuild_forest_index, rebuild_index, tree_edit_distance
 from repro.core import GramConfig, index_of_tree
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
 from repro.tree import Tree, tree_from_brackets
 
 from tests.conftest import trees
+from tests.support.reference.baselines import (
+    rebuild_forest_index,
+    rebuild_index,
+    tree_edit_distance,
+)
 
 
 class TestRebuild:

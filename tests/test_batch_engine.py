@@ -240,9 +240,9 @@ def test_update_index_takes_no_engine_options(keyword):
 def test_replay_engine_is_not_exported():
     import repro
     import repro.core
-    import repro.core.maintain
+    import tests.support.reference.maintain
 
-    for module in (repro, repro.core, repro.core.maintain):
+    for module in (repro, repro.core, tests.support.reference.maintain):
         for name in (
             "update_index_replay",
             "update_index_replay_delta",

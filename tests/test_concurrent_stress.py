@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import compact as compact_module
-from repro.baselines import rebuild_index
 from repro.core.config import GramConfig
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.script import apply_script
@@ -31,6 +30,7 @@ from repro.service.soak import random_tree
 from repro.service.store import DocumentStore
 
 from tests.conftest import build_random_tree, relation
+from tests.support.reference.baselines import rebuild_index
 
 # The row ids name the storage backends stores once had; each row runs
 # the one that is left in another state.  ``sharded`` is frozen before

@@ -771,7 +771,7 @@ def test_parent_format_homes_are_deleted_never_read(tmp_path):
     to indexes equal to a rebuild — the planted homes hold bytes that
     match no document — and keeps no home directory."""
     from repro.edits import Rename
-    from repro.relstore.schema import Column, Schema
+    from tests.support.relstore.schema import Column, Schema
 
     from tests.support.rpdb import Database
 

@@ -10,16 +10,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GramConfig, compute_profile
-from repro.core.delta import delta_into_tables
+from repro.core import GramConfig
 from repro.core.localdelta import delta_label_bag
-from repro.core.tables import DeltaTables
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.ops import Delete, Insert, Rename, is_applicable
 from repro.hashing import LabelHasher
 from repro.tree import tree_from_brackets
 
 from tests.conftest import gram_configs, trees
+from tests.support.reference import compute_profile
+from tests.support.reference.delta import delta_into_tables
+from tests.support.reference.tables import DeltaTables
 
 
 def oracle_delta_bag(tree, operation, config, hasher):

@@ -4,10 +4,11 @@ operators (Fig. 9/10 on the stored representation)."""
 import pytest
 
 from repro.core import GramConfig
-from repro.core.tables import NO_PARENT, ChildWindow, DeltaTables
 from repro.errors import InvalidLogError
 from repro.hashing import LabelHasher
 from repro.tree import tree_from_brackets
+
+from tests.support.reference.tables import NO_PARENT, ChildWindow, DeltaTables
 
 H = LabelHasher()
 
@@ -94,7 +95,7 @@ class TestWindows:
 
     def test_missing_rows_detected(self):
         tree, tables = tables_for("r(a,b,c)")
-        tables.q_table.delete((tree.root_id, 3))
+        del tables.Q[tree.root_id][3]
         with pytest.raises(InvalidLogError):
             tables.read_child_window(tree.root_id, 2, 2)
 
@@ -171,7 +172,7 @@ class TestDiagonalAndDecoding:
 
     def test_decode_requires_full_matrix(self):
         tree, tables = tables_for("r(a,b)")
-        tables.q_table.delete((tree.root_id, 2))
+        del tables.Q[tree.root_id][2]
         with pytest.raises(InvalidLogError):
             tables.decode_anchor_children(tree.root_id)
 

@@ -5,13 +5,13 @@ import doctest
 import pytest
 
 import repro
-import repro.relstore.table
+import tests.support.relstore.table
 import repro.tree.builder
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro, repro.tree.builder, repro.relstore.table],
+    [repro, repro.tree.builder, tests.support.relstore.table],
     ids=lambda module: module.__name__,
 )
 def test_module_doctests(module):

@@ -6,12 +6,12 @@ from repro.core import GramConfig, PQGramIndex, index_distance
 from repro.datasets import dblp_tree, xmark_tree
 from repro.errors import StorageError
 from repro.hashing import LabelHasher
-from repro.relstore import Column, Schema
 from repro.tree import Tree
 from repro.xmlio import parse_xml, write_xml
 from repro.xmlio.stream import stream_index_xml
 
 from benchmarks.treebank import treebank_tree
+from tests.support.relstore import Column, Schema
 from tests.support.rpdb import Database
 
 
@@ -52,7 +52,7 @@ class TestRelstoreEdges:
             database.create_table("t", schema, ("k",))
 
     def test_has_index_and_drop_index(self):
-        from repro.relstore import Table
+        from tests.support.relstore import Table
 
         table = Table("t", Schema([Column("k", int), Column("v", int)]), ("k",))
         table.create_index("by_v", ("v",))
@@ -104,7 +104,7 @@ class TestTreeFromEdgesErrors:
 
 class TestStabilityCheckerEdges:
     def test_rename_only_log_with_huge_tree(self):
-        from repro.core import is_address_stable
+        from tests.support.reference import is_address_stable
         from repro.edits import Rename
 
         tree = dblp_tree(100, seed=9)
@@ -113,7 +113,7 @@ class TestStabilityCheckerEdges:
         assert is_address_stable(tree, log)
 
     def test_mixed_insert_scopes_counted_once_each(self):
-        from repro.core import is_address_stable
+        from tests.support.reference import is_address_stable
         from repro.edits import Insert
 
         tree = dblp_tree(5, seed=10)

@@ -13,7 +13,6 @@ candidate sweep touched.  The timed sweeps live in ``benchmarks/``.
 import pytest
 
 import repro.lookup.service
-from repro.baselines import rebuild_index
 from repro.core import (
     GramConfig,
     PQGramIndex,
@@ -27,6 +26,7 @@ from repro.obsv import MetricsRegistry
 from repro.xmlio import write_xml
 
 from benchmarks.dblp_workloads import dblp_update_script
+from tests.support.reference.baselines import rebuild_index
 
 CONFIG = GramConfig(3, 3)
 

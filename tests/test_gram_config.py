@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.core import GramConfig, PQGram
+from repro.core import GramConfig
 from repro.errors import GramConfigError
 from repro.hashing import LabelHasher, NULL_HASH
 from repro.tree.node import NULL_NODE, Node
+
+from tests.support.reference import PQGram
 
 
 class TestGramConfig:

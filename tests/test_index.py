@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core import GramConfig, PQGramIndex, compute_profile, index_of_tree
+from repro.core import GramConfig, PQGramIndex, index_of_tree
 from repro.errors import IndexConsistencyError
 
 from tests.conftest import gram_configs, trees
+from tests.support.reference import compute_profile
 
 
 class TestConstruction:

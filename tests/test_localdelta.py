@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.core import GramConfig, compute_profile
+from repro.core import GramConfig
 from repro.core.localdelta import delta_label_bag
 from repro.edits import Delete, Insert, Move, Rename
 from repro.errors import InvalidLogError
 from repro.hashing import LabelHasher
 from repro.tree import tree_from_brackets
+
+from tests.support.reference import compute_profile
 
 
 def oracle(tree, operation, config, hasher):

@@ -10,15 +10,18 @@ import pytest
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    is_address_stable,
     net_delta,
     update_index,
-    update_index_tablewise,
-    update_index_timed,
 )
 from repro.edits import Delete, Insert, Rename, apply_script
 from repro.errors import InvalidLogError
 from repro.tree import Tree, tree_from_brackets
+
+from tests.support.reference import (
+    is_address_stable,
+    update_index_tablewise,
+    update_index_timed,
+)
 
 
 #: the production engine and the paper's Algorithm 1, by test-id name
@@ -177,7 +180,7 @@ class TestComputeDeltas:
     def test_delta_bags_apply_to_any_replica(self, paper_tree_t0, hasher):
         """compute_deltas returns (I⁻, I⁺) bags that maintain any copy
         of the index — the multi-replica use case."""
-        from repro.core.maintain import compute_deltas
+        from tests.support.reference.maintain import compute_deltas
 
         config = GramConfig(3, 3)
         old_index = rebuild(paper_tree_t0, config, hasher)

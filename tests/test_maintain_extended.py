@@ -10,7 +10,6 @@ from repro.core import (
     GramConfig,
     PQGramIndex,
     update_index,
-    update_index_tablewise,
 )
 from repro.datasets.random_trees import random_chain, random_star
 from repro.edits import (
@@ -23,6 +22,8 @@ from repro.edits import (
 )
 from repro.hashing import LabelHasher
 from repro.tree import Tree, tree_from_brackets
+
+from tests.support.reference import update_index_tablewise
 
 GRID = [(1, 1), (1, 4), (2, 2), (3, 3), (4, 1), (5, 2), (5, 4)]
 

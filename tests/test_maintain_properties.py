@@ -11,14 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    is_address_stable,
     update_index,
-    update_index_tablewise,
 )
 from repro.errors import IndexConsistencyError, InvalidLogError
 from repro.hashing import LabelHasher
 
 from tests.conftest import edited_trees, gram_configs
+from tests.support.reference import is_address_stable, update_index_tablewise
 
 COMMON_SETTINGS = settings(
     max_examples=120,

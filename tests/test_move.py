@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    is_address_stable,
     update_index,
-    update_index_tablewise,
 )
 from repro.edits import Move, Rename, apply_script, move_subtree_ops
 from repro.edits.script import undo_log
@@ -21,6 +19,7 @@ from repro.hashing import LabelHasher
 from repro.tree import tree_from_brackets, tree_to_brackets, validate_tree
 
 from tests.conftest import gram_configs, trees
+from tests.support.reference import is_address_stable, update_index_tablewise
 
 
 def random_moves(tree, count, seed):

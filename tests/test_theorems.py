@@ -2,7 +2,7 @@
 
 Every lemma and theorem of Sections 3–6 is checked on random inputs
 through the node-level profile operations of
-:mod:`repro.core.setops`; where a result has a gap (Lemma 1's insert
+:mod:`tests.support.reference.setops`; where a result has a gap (Lemma 1's insert
 case, Lemma 3, Theorem 1 — see EXPERIMENTS.md), the tests state the
 *exact* boundary: the result holds for node-addressed operations and
 adopting insertions, and a fixed counterexample witnesses the failure
@@ -14,8 +14,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GramConfig, compute_profile
-from repro.core.setops import (
+from repro.core import GramConfig
+from repro.edits import Delete, Insert, Rename, apply_script
+from repro.edits.generator import EditScriptGenerator
+from repro.hashing import LabelHasher
+from repro.tree import Tree
+
+from tests.conftest import gram_configs, trees, trees_with_scripts
+from tests.support.reference import compute_profile
+from tests.support.reference.setops import (
     delta_profile,
     intermediate_trees,
     invariant_grams,
@@ -23,12 +30,6 @@ from repro.core.setops import (
     true_deltas,
     update_profile,
 )
-from repro.edits import Delete, Insert, Rename, apply_script
-from repro.edits.generator import EditScriptGenerator
-from repro.hashing import LabelHasher
-from repro.tree import Tree
-
-from tests.conftest import gram_configs, trees, trees_with_scripts
 
 SETTINGS = settings(max_examples=60, deadline=None)
 

@@ -11,15 +11,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GramConfig, compute_profile
-from repro.core.tables import DeltaTables
-from repro.core.update import apply_update
+from repro.core import GramConfig
 from repro.edits.generator import EditScriptGenerator
 from repro.edits.ops import Delete, Insert, Rename
 from repro.hashing import LabelHasher
 from repro.tree import tree_from_brackets
 
 from tests.conftest import gram_configs, trees
+from tests.support.reference import compute_profile
+from tests.support.reference.tables import DeltaTables
+from tests.support.reference.update import apply_update
 
 
 def load_full_profile(tree, config, hasher):
